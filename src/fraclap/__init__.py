@@ -29,7 +29,7 @@ from fraclap.spectral import (
     mode_numbers,
     regrid,
 )
-from fraclap.gammaratio import GammaRatioTables, build_tables, gamma_fn
+from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import SymbolParams, a_coeff, b_coeff, fractional_constant, symbol_samples
 from fraclap.opmatrix import (
     MatrixCacheError,
@@ -88,7 +88,6 @@ __all__ = [
     "mode_numbers",
     "GammaRatioTables",
     "build_tables",
-    "gamma_fn",
     "SymbolParams",
     "fractional_constant",
     "a_coeff",

@@ -278,7 +278,11 @@ def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir, workers: in
         return build_matrix(cfg, alpha, llim, workers=workers)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    name = f"matrix_n{cfg.n}_alpha{alpha:.6g}_L{cfg.l_scale:.6g}_llim{llim}.bin"
+    # exact reprs: rounded values let nearby parameters share (and reject) a file
+    name = (
+        f"matrix_n{cfg.n}_alpha{float(alpha)!r}_L{float(cfg.l_scale)!r}"
+        f"_xc{float(cfg.x_center)!r}_llim{llim}.bin"
+    )
     path = cache_dir / name
     if path.exists():
         return load_matrix(path, expect_n=cfg.n, expect_alpha=alpha, expect_l_lim=llim)

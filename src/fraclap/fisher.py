@@ -3,22 +3,25 @@
 Solves u_t + (-Delta)^(alpha/2) u = u(1-u) on the mapped grid with the
 classical fourth-order Runge-Kutta scheme, starting from the monotone
 profile (1/2 - x/(2*sqrt(1+x^2)))^(alpha/2) that decays like (2x)^(-alpha)
-to the right.  The stable state u = 1 invades u = 0 with exponentially
-increasing speed; the front position x05(t), where the solution crosses 1/2,
-is located by bracketing on the nodes plus bisection on the spectral
-interpolant, and the rate sigma in x05 ~ exp(sigma*t) is obtained from a
-least-squares line through ln x05(t).
+to the right.  The solution is evenly extended across s = pi, so the state
+is its n physical node values and the linear term is one real n x n matrix
+(:func:`fraclap.opmatrix.fused_sample_operator`); the 2n extension is only
+formed for the once-per-step Krasny filter and for the returned samples.
+The stable state u = 1 invades u = 0 with exponentially increasing speed;
+the front position x05(t), where the solution crosses 1/2, is located by
+bracketing on the nodes plus bisection on the spectral interpolant, and the
+rate sigma in x05 ~ exp(sigma*t) is obtained from a least-squares line
+through ln x05(t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from fraclap.grid import Extension, GridConfig, node_positions
-from fraclap.opmatrix import OperatorMatrix, apply, build_matrix, fused_sample_operator
+from fraclap.opmatrix import OperatorMatrix, build_matrix, fused_sample_operator
 from fraclap.spectral import (
     KRASNY_THRESHOLD,
     SpectralCoefficients,
@@ -105,56 +108,27 @@ def initial_condition(x, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def rhs(samples, matrix: OperatorMatrix, *, threshold: float = KRASNY_THRESHOLD) -> np.ndarray:
-    """-(-Delta)^(alpha/2) u + u(1-u) on the nodes (method of lines)."""
-    u = np.asarray(samples, dtype=float)
-    coeffs = krasny_filter(forward(u, matrix.meta.cfg), threshold)
-    lap = apply(matrix, coeffs).real
-    return -lap + u * (1.0 - u)
+def rhs(samples, op: np.ndarray) -> np.ndarray:
+    """-(-Delta)^(alpha/2) u + u(1-u) on the n physical nodes (method of lines).
 
-
-def _fft_stage_operator(matrix: OperatorMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    cfg = matrix.meta.cfg
-    entries = matrix.entries
-
-    def lap(u: np.ndarray) -> np.ndarray:
-        return (entries @ forward(u, cfg).values).real
-
-    return lap
-
-
-def rk4_step(
-    samples,
-    dt: float,
-    matrix: OperatorMatrix,
-    *,
-    stage_operator: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """One classical Runge-Kutta step, preserving the even extension.
-
-    The degrees of freedom are the n physical values; the second half of the
-    node set duplicates them (same physical positions, since the map is
-    pi-periodic), and the operator rows repeat accordingly.  Each stage
-    derivative is therefore computed on the physical half and continued
-    evenly, which keeps every stage state an exact even extension.
-
-    ``stage_operator`` may be a precomputed fused linear operator (see
-    :func:`fraclap.opmatrix.fused_sample_operator` wrapped in a matvec);
-    the default evaluates the Laplacian through the FFT path.  No filtering
-    happens inside stages.
+    ``op`` is the folded operator from
+    :func:`fraclap.opmatrix.fused_sample_operator`.
     """
     u = np.asarray(samples, dtype=float)
-    n = u.size // 2
-    lap = stage_operator if stage_operator is not None else _fft_stage_operator(matrix)
+    return -(op @ u) + u * (1.0 - u)
 
-    def f(v: np.ndarray) -> np.ndarray:
-        k = -lap(v) + v * (1.0 - v)
-        return extend(k[:n], Extension.EVEN)
 
-    k1 = f(u)
-    k2 = f(u + 0.5 * dt * k1)
-    k3 = f(u + 0.5 * dt * k2)
-    k4 = f(u + dt * k3)
+def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
+    """One classical Runge-Kutta step of the n physical values.
+
+    Every stage derivative is :func:`rhs` with the folded operator ``op``;
+    no filtering happens inside stages.
+    """
+    u = np.asarray(samples, dtype=float)
+    k1 = rhs(u, op)
+    k2 = rhs(u + 0.5 * dt * k1, op)
+    k3 = rhs(u + 0.5 * dt * k2, op)
+    k4 = rhs(u + dt * k3, op)
     out = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     peak = float(np.max(np.abs(out)))
     if peak > BLOWUP_LIMIT:
@@ -228,50 +202,45 @@ def run_simulation(
     run: FisherRun,
     matrix: OperatorMatrix | None = None,
     *,
-    use_fused: bool = True,
     snapshot_times=(),
 ) -> FisherResult:
     """Integrate from the standard initial condition and fit the front rate.
 
     The operator matrix is built on demand (or supplied, e.g. from a cache
-    file).  The Krasny filter is applied once per accepted step; RK stages
-    see the unfiltered linear operator.  Front positions are recorded every
-    ``sample_stride`` steps.  The fit window defaults to the last 40% of the
-    run.
+    file) and folded once into the n x n stage operator.  The Krasny filter
+    is applied once per accepted step, on the evenly extended samples; RK
+    stages see the unfiltered linear operator.  Front positions are recorded
+    every ``sample_stride`` steps.  The fit window defaults to the last 40%
+    of the run.  Snapshots and the final samples cover all 2n nodes.
     """
     cfg = run.cfg
     if matrix is None:
         matrix = build_matrix(cfg, run.alpha, run.l_lim)
     elif not matrix.meta.cfg.same_map(cfg) or matrix.meta.alpha != run.alpha:
         raise ValueError("matrix was built for different parameters")
-    x_phys = node_positions(cfg)[: cfg.n]
-    u = extend(initial_condition(x_phys, run.alpha), Extension.EVEN)
-
-    stage_operator: Callable[[np.ndarray], np.ndarray] | None = None
-    if use_fused:
-        fused = fused_sample_operator(matrix)
-        stage_operator = lambda v: fused @ v  # noqa: E731
+    op = fused_sample_operator(matrix)
+    u = initial_condition(node_positions(cfg)[: cfg.n], run.alpha)
 
     n_steps = int(round(run.t_final / run.dt))
     snap_steps = {int(round(ts / run.dt)): float(ts) for ts in snapshot_times}
     max_imag = 0.0
     times = [0.0]
-    coeffs = krasny_filter(forward(u, cfg), run.filter_threshold)
+    coeffs = krasny_filter(forward(extend(u, Extension.EVEN), cfg), run.filter_threshold)
     fronts = [front_position(u, coeffs, cfg)]
     snapshots: list[tuple[float, np.ndarray]] = []
     if 0 in snap_steps:
-        snapshots.append((0.0, u.copy()))
+        snapshots.append((0.0, extend(u, Extension.EVEN)))
 
     for step in range(1, n_steps + 1):
         t = step * run.dt
         try:
-            u = rk4_step(u, run.dt, matrix, stage_operator=stage_operator)
+            u = rk4_step(u, run.dt, op)
         except BlowUpError as exc:
             raise BlowUpError(f"t = {t:.6g}: {exc}") from exc
-        coeffs = krasny_filter(forward(u, cfg), run.filter_threshold)
+        coeffs = krasny_filter(forward(extend(u, Extension.EVEN), cfg), run.filter_threshold)
         u_complex = inverse(coeffs)
         max_imag = max(max_imag, float(np.max(np.abs(u_complex.imag))))
-        u = np.ascontiguousarray(u_complex.real)
+        u = np.ascontiguousarray(u_complex.real[: cfg.n])
         if step % run.sample_stride == 0 or step == n_steps:
             try:
                 fronts.append(front_position(u, coeffs, cfg))
@@ -279,7 +248,7 @@ def run_simulation(
                 raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
             times.append(t)
         if step in snap_steps:
-            snapshots.append((snap_steps[step], u.copy()))
+            snapshots.append((snap_steps[step], extend(u, Extension.EVEN)))
 
     window = run.fit_window if run.fit_window is not None else (0.6 * run.t_final, run.t_final)
     sigma, residual = _ols_rate(times, fronts, window)
@@ -296,4 +265,9 @@ def run_simulation(
         "final_min": float(np.min(u)),
         "predicted_rate": 1.0 / run.alpha,
     }
-    return FisherResult(trace=trace, final_samples=u, snapshots=snapshots, diagnostics=diagnostics)
+    return FisherResult(
+        trace=trace,
+        final_samples=extend(u, Extension.EVEN),
+        snapshots=snapshots,
+        diagnostics=diagnostics,
+    )

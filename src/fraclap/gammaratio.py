@@ -1,4 +1,4 @@
-"""Gamma function and stable precomputation of gamma-ratio tables.
+"""Stable precomputation of gamma-ratio tables.
 
 The operator symbol sums need ratios Gamma(a+m)/Gamma(b+m) for m up to a few
 hundred thousand.  Evaluating the numerator and denominator separately
@@ -8,7 +8,8 @@ the functional equation Gamma(z+1) = z*Gamma(z):
     Gamma(a+m+1)/Gamma(b+m+1) = (a+m)/(b+m) * Gamma(a+m)/Gamma(b+m),
 
 a multiplicative recursion whose factors tend to 1 and keep every entry
-finite.  Gamma itself is only needed at the handful of base arguments.
+finite.  Gamma itself (``math.gamma``) is only needed at the handful of
+base arguments.
 """
 
 from __future__ import annotations
@@ -17,40 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Lanczos coefficients for g = 7, 9 terms (double precision accuracy).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma(z) by the Lanczos approximation, with reflection for z < 0.5.
-
-    Raises ValueError at the poles (z a non-positive integer).  Relative
-    accuracy is a few 1e-15 away from the poles on the range used here.
-    """
-    z = float(z)
-    if z <= 0.0 and z == math.floor(z):
-        raise ValueError(f"gamma pole at non-positive integer z = {z}")
-    if z < 0.5:
-        # Gamma(z) * Gamma(1-z) = pi / sin(pi*z)
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    w = z - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += c / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * math.exp(-t) * series
 
 
 @dataclass(frozen=True)
@@ -87,7 +54,7 @@ def _ratio_vector(a: float, b: float, length: int) -> np.ndarray:
     ~1e-11 relative.
     """
     out = np.empty(length, dtype=np.float64)
-    base = gamma_fn(a) / gamma_fn(b)
+    base = math.gamma(a) / math.gamma(b)
     out[0] = base
     if length > 1:
         m = np.arange(length - 1, dtype=np.longdouble)

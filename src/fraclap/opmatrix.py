@@ -85,9 +85,7 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", ent)
 
 
-def build_matrix(
-    cfg: GridConfig, alpha: float, l_lim: int, *, workers: int = 1, use_fft: bool = False
-) -> OperatorMatrix:
+def build_matrix(cfg: GridConfig, alpha: float, l_lim: int, *, workers: int = 1) -> OperatorMatrix:
     """Assemble the matrix for one alpha.
 
     Columns are independent, so ``workers > 1`` distributes them over a
@@ -109,7 +107,7 @@ def build_matrix(
         def column(k: int) -> np.ndarray:
             if k % 2 == 0:
                 return k * sin2 * np.exp(1j * k * s)
-            series = _l2_series_at_nodes(_inner_sums_alpha1(k, grids), grids, use_fft)
+            series = _l2_series_at_nodes(_inner_sums_alpha1(k, grids), grids)
             return (1j * k / (cfg.l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
 
     else:
@@ -121,7 +119,7 @@ def build_matrix(
 
         def column(k: int) -> np.ndarray:
             sums = _inner_sums_fractional(alpha, k, grids, tables, weighted_a)
-            series = _l2_series_at_nodes(sums, grids, use_fft)
+            series = _l2_series_at_nodes(sums, grids)
             return pref_even * series if k % 2 == 0 else 1j * pref * series
 
     def fill(k: int) -> None:
@@ -178,18 +176,21 @@ def fractional_laplacian(
 
 
 def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
-    """Real 2n x 2n matrix taking node samples directly to operator samples.
+    """Real n x n matrix from the physical samples of an even function to its image.
 
-    Composes the matrix with the forward transform and keeps the real part,
-    so one real matrix-vector product replaces FFT + complex product inside
-    a time stepper.  Agrees with :func:`fractional_laplacian` (at zero
-    filter threshold) to round-off.
+    Under the even extension the forward transform of the 2n samples is real,
+    uhat(k) = sum_{j<n} u_j*cos(k*s_j)/n, so composing it with the physical
+    rows of the matrix gives one real matrix acting on the n physical values.
+    Agrees with :func:`fractional_laplacian` of the extended samples (at zero
+    filter threshold) to round-off.  Raises ValueError for an odd-extension
+    matrix.
     """
-    n = matrix.meta.cfg.n
-    s = nodes(matrix.meta.cfg)
-    k = mode_numbers(n)
-    transform = np.exp(-1j * np.outer(k, s)) / (2 * n)
-    return np.ascontiguousarray((matrix.entries @ transform).real)
+    cfg = matrix.meta.cfg
+    if cfg.extension is not Extension.EVEN:
+        raise ValueError("the folded sample operator needs an even-extension matrix")
+    n = cfg.n
+    s = nodes(cfg)[:n]
+    return matrix.entries[:n].real @ np.cos(np.outer(mode_numbers(n), s)) / n
 
 
 def _extension_code(ext: Extension) -> int:

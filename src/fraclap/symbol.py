@@ -12,8 +12,7 @@ special case alpha = 1 has an exact closed form for even k and a rational
 series for odd k.
 
 Node values are only computed for j < n/2 and extended by the symmetries
-exp(2i*l2*s_{n-1-j}) = conj(exp(2i*l2*s_j)) and s_{j+n} = s_j + pi; an FFT
-evaluation of the l2 sum is available behind a flag.
+exp(2i*l2*s_{n-1-j}) = conj(exp(2i*l2*s_j)) and s_{j+n} = s_j + pi.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fraclap.gammaratio import GammaRatioTables, build_tables, gamma_fn
+from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.grid import GridConfig, nodes
 
 
@@ -34,8 +33,8 @@ def fractional_constant(alpha: float) -> float:
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
-        * gamma_fn(0.5 + alpha / 2.0)
-        / (math.sqrt(math.pi) * gamma_fn(1.0 - alpha / 2.0))
+        * math.gamma(0.5 + alpha / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
     )
 
 
@@ -155,32 +154,20 @@ def _inner_sums_alpha1(k: int, grids: _AliasGrids) -> np.ndarray:
     return _sum_l1_descending(terms, grids)
 
 
-def _l2_series_at_nodes(
-    sums: np.ndarray, grids: _AliasGrids, use_fft: bool
-) -> np.ndarray:
+def _l2_series_at_nodes(sums: np.ndarray, grids: _AliasGrids) -> np.ndarray:
     """Evaluate sum_{l2} S(l2)*exp(2i*l2*s_j) at all 2n nodes.
 
-    The symmetry path computes j < n/2 and extends; the FFT path evaluates
-    j < n with a length-n inverse transform.  Both agree to round-off.
+    Computes j < n/2 and extends by the node symmetries.
     """
     n = grids.n
-    if use_fft:
-        w = sums * np.exp(1j * np.pi * grids.l2 / n)
-        phys = n * np.fft.ifft(np.fft.ifftshift(w))
-    else:
-        g_half = grids.phase_half @ sums
-        phys = np.empty(n, dtype=np.complex128)
-        phys[: n // 2] = g_half
-        phys[n // 2 :] = np.conj(g_half[::-1])
+    g_half = grids.phase_half @ sums
+    phys = np.empty(n, dtype=np.complex128)
+    phys[: n // 2] = g_half
+    phys[n // 2 :] = np.conj(g_half[::-1])
     return np.concatenate([phys, phys])
 
 
-def symbol_samples(
-    params: SymbolParams,
-    tables: GammaRatioTables | None = None,
-    *,
-    use_fft: bool = False,
-) -> np.ndarray:
+def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None) -> np.ndarray:
     """Values of the operator applied to exp(i*k*s) at all 2n nodes.
 
     ``tables`` may be shared across modes; when omitted (and alpha != 1)
@@ -202,7 +189,7 @@ def symbol_samples(
 
     grids = _AliasGrids(n, params.l_lim)
     if alpha == 1.0:
-        series = _l2_series_at_nodes(_inner_sums_alpha1(k, grids), grids, use_fft)
+        series = _l2_series_at_nodes(_inner_sums_alpha1(k, grids), grids)
         return (1j * k / (l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
 
     if tables is None:
@@ -212,7 +199,7 @@ def symbol_samples(
             f"tables were built for alpha = {tables.alpha}, expected {alpha}"
         )
     sums = _inner_sums_fractional(alpha, k, grids, tables)
-    series = _l2_series_at_nodes(sums, grids, use_fft)
+    series = _l2_series_at_nodes(sums, grids)
     prefactor = (
         params.c_alpha * np.abs(np.sin(s)) ** (alpha - 1.0) / (8.0 * l_scale**alpha)
     )

@@ -25,7 +25,7 @@ from conftest import gamma_ratio_ref_hp
 from fraclap.fisher import FisherRun, fit_sigma, initial_condition, rk4_step, run_simulation
 from fraclap.gammaratio import build_tables
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
-from fraclap.opmatrix import apply, build_matrix, fractional_laplacian
+from fraclap.opmatrix import apply, build_matrix, fractional_laplacian, fused_sample_operator
 from fraclap.oracles import (
     alpha_grid,
     closed_form_gaussian,
@@ -350,14 +350,13 @@ def test_criterion8_gamma_tables_vs_log_gamma(rng):
 
 def test_criterion8_rk4_measured_order():
     cfg = GridConfig(64, 50.0)
-    matrix = build_matrix(cfg, 1.2, 200)
-    x = node_positions(cfg)[:64]
-    u0 = extend(initial_condition(x, 1.2), Extension.EVEN)
+    op = fused_sample_operator(build_matrix(cfg, 1.2, 200))
+    u0 = initial_condition(node_positions(cfg)[:64], 1.2)
 
     def integrate(dt, t_end=0.8):
         u = u0.copy()
         for _ in range(int(round(t_end / dt))):
-            u = rk4_step(u, dt, matrix)
+            u = rk4_step(u, dt, op)
         return u
 
     ref = integrate(0.0125)

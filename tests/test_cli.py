@@ -150,6 +150,25 @@ class TestFisher:
         assert run_cli(*args, "--out-dir", str(tmp_path / "r2")) == EXIT_OK
         assert cached[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
 
+    def test_matrix_cache_keeps_nearby_maps_apart(self, tmp_path):
+        # scales equal to six digits and a shifted map each get their own file
+        cache = tmp_path / "mc"
+        args = [
+            "fisher", "--alpha", "1.5", "--n", "16", "--llim", "20", "--dt", "0.01",
+            "--tfinal", "0.3", "--sample-stride", "2", "--matrix-cache", str(cache),
+        ]
+        variants = [
+            ["--L", "100.0000001"],
+            ["--L", "100.0000002"],
+            ["--L", "100"],
+            ["--L", "100", "--xc", "3"],
+        ]
+        for i, extra in enumerate(variants):
+            out_dir = tmp_path / f"r{i}"
+            assert run_cli(*args, *extra, "--out-dir", str(out_dir)) == EXIT_OK
+            assert (out_dir / "summary.csv").exists()
+        assert len(list(cache.glob("*.bin"))) == 4
+
     def test_determinism_across_runs(self, tmp_path):
         args = [
             "fisher", "--alpha", "0.9", "--n", "64", "--dt", "0.01",

@@ -17,7 +17,7 @@ from fraclap.fisher import (
     _ols_rate,
 )
 from fraclap.grid import Extension, GridConfig, node_positions
-from fraclap.opmatrix import build_matrix, fused_sample_operator
+from fraclap.opmatrix import build_matrix, fractional_laplacian, fused_sample_operator
 from fraclap.oracles import closed_form_gaussian
 from fraclap.spectral import extend, forward
 
@@ -26,7 +26,7 @@ from fraclap.spectral import extend, forward
 def gauss_setup():
     cfg = GridConfig(128, 4.6)
     matrix = build_matrix(cfg, 1.5, 500)
-    return cfg, matrix
+    return cfg, matrix, fused_sample_operator(matrix)
 
 
 class TestInitialCondition:
@@ -60,81 +60,80 @@ class TestInitialCondition:
 
 class TestRhs:
     def test_zero_state_is_equilibrium(self, gauss_setup):
-        cfg, matrix = gauss_setup
-        out = rhs(np.zeros(256), matrix)
+        cfg, matrix, op = gauss_setup
+        out = rhs(np.zeros(128), op)
         assert np.all(out == 0.0)
 
     def test_one_state_is_equilibrium(self, gauss_setup):
-        cfg, matrix = gauss_setup
-        out = rhs(np.ones(256), matrix)
-        assert np.all(out == 0.0)
+        # constants are annihilated up to the round-off of the folded product
+        cfg, matrix, op = gauss_setup
+        out = rhs(np.ones(128), op)
+        assert np.max(np.abs(out)) <= 1e-11
 
     def test_gaussian_state_matches_closed_form(self, gauss_setup):
-        cfg, matrix = gauss_setup
+        cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
-        u = extend(np.exp(-x * x), Extension.EVEN)
-        out = rhs(u, matrix)
+        out = rhs(np.exp(-x * x), op)
         expected = -closed_form_gaussian(x, 1.5) + np.exp(-x * x) * (1 - np.exp(-x * x))
-        assert np.max(np.abs(out[:128] - expected)) < 1e-8
+        assert np.max(np.abs(out - expected)) < 1e-8
 
 
 class TestRk4Step:
     def test_one_state_is_fixed_point(self, gauss_setup):
-        cfg, matrix = gauss_setup
-        u = np.ones(256)
+        cfg, matrix, op = gauss_setup
+        u = np.ones(128)
         for _ in range(5):
-            u = rk4_step(u, 0.01, matrix)
-        assert np.all(u == 1.0)
-
-    def test_preserves_even_symmetry(self, gauss_setup):
-        cfg, matrix = gauss_setup
-        x = node_positions(cfg)[:128]
-        u = extend(initial_condition(x, 1.5), Extension.EVEN)
-        for _ in range(3):
-            u = rk4_step(u, 0.005, matrix)
-        assert np.max(np.abs(u - u[::-1])) < 1e-12
+            u = rk4_step(u, 0.01, op)
+        assert np.max(np.abs(u - 1.0)) <= 1e-13
 
     def test_blowup_detected(self, gauss_setup):
-        cfg, matrix = gauss_setup
-        u = np.full(256, 9.9)
+        cfg, matrix, op = gauss_setup
+        u = np.full(128, 9.9)
         with pytest.raises(BlowUpError):
-            rk4_step(u, 0.5, matrix)
+            rk4_step(u, 0.5, op)
 
     def test_linearization_matches_closed_form(self, gauss_setup):
         # one small step from eps*u3: to first order in dt and eps,
         # u1 = eps*u3 + dt*eps*(-Lap(u3) + u3)
-        cfg, matrix = gauss_setup
+        cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
         eps, dt = 1e-6, 1e-3
-        u3 = extend(np.exp(-x * x), Extension.EVEN)
-        stepped = rk4_step(eps * u3, dt, matrix)
-        lap = extend(closed_form_gaussian(x, 1.5), Extension.EVEN)
-        predicted = eps * u3 + dt * eps * (-lap + u3)
+        u3 = np.exp(-x * x)
+        stepped = rk4_step(eps * u3, dt, op)
+        predicted = eps * u3 + dt * eps * (-closed_form_gaussian(x, 1.5) + u3)
         # neglected terms: O(dt^2 * eps) and O(dt * eps^2)
         assert np.max(np.abs(stepped - predicted)) < 5 * dt**2 * eps
 
-    def test_fused_stage_operator_matches_fft_path(self, gauss_setup):
-        cfg, matrix = gauss_setup
+    def test_folded_step_matches_filtered_stages(self, gauss_setup):
+        # stages through transform + 2n x 2n matrix on the extended samples
+        cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
-        u = extend(initial_condition(x, 1.5), Extension.EVEN)
-        fused = fused_sample_operator(matrix)
-        a = rk4_step(u, 0.01, matrix)
-        b = rk4_step(u, 0.01, matrix, stage_operator=lambda v: fused @ v)
-        assert np.max(np.abs(a - b)) < 1e-11
+        u = initial_condition(x, 1.5)
+        dt = 0.01
+
+        def f(v):
+            lap = fractional_laplacian(extend(v, Extension.EVEN), matrix, threshold=0.0)
+            return -lap[:128] + v * (1.0 - v)
+
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        expected = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(rk4_step(u, dt, op) - expected)) < 1e-11
 
     def test_temporal_order(self):
         # self-convergence on a smooth, mildly stiff run (dt*lambda well
         # inside the stability region): halving dt must shrink the error by
         # ~16 (measured order >= 3.8)
         cfg = GridConfig(64, 50.0)
-        matrix = build_matrix(cfg, 1.2, 200)
-        x = node_positions(cfg)[:64]
-        u0 = extend(initial_condition(x, 1.2), Extension.EVEN)
+        op = fused_sample_operator(build_matrix(cfg, 1.2, 200))
+        u0 = initial_condition(node_positions(cfg)[:64], 1.2)
 
         def integrate(dt, t_end=0.8):
             u = u0.copy()
             for _ in range(int(round(t_end / dt))):
-                u = rk4_step(u, dt, matrix)
+                u = rk4_step(u, dt, op)
             return u
 
         ref = integrate(0.0125)
@@ -242,6 +241,18 @@ class TestRunSimulation:
         result = run_simulation(run, matrix, snapshot_times=(0.0, 0.1))
         assert [t for t, _ in result.snapshots] == [0.0, 0.1]
         assert all(s.shape == (128,) for _, s in result.snapshots)
+        assert result.final_samples.shape == (128,)
+
+    def test_rerun_is_bit_identical(self):
+        alpha = 1.2
+        cfg = GridConfig(64, 50.0)
+        matrix = build_matrix(cfg, alpha, 200)
+        run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.3, l_lim=200,
+                        sample_stride=5, fit_window=(0.1, 0.3))
+        a = run_simulation(run, matrix)
+        b = run_simulation(run, matrix)
+        np.testing.assert_array_equal(a.trace.x05, b.trace.x05)
+        np.testing.assert_array_equal(a.final_samples, b.final_samples)
 
     def test_odd_extension_rejected(self):
         with pytest.raises(ValueError):

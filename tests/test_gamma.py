@@ -1,42 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from conftest import gamma_ratio_ref, gamma_ratio_ref_hp
-from fraclap.gammaratio import GammaRatioTables, build_tables, gamma_fn, table_lengths
-
-# Gamma(-0.25), 25 significant digits from a high-precision evaluation
-GAMMA_MINUS_QUARTER = -4.901666809860710580516393
-
-
-class TestGammaFn:
-    def test_one(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_factorials(self):
-        for n in range(1, 15):
-            assert gamma_fn(n + 1) == pytest.approx(math.factorial(n), rel=1e-13)
-
-    def test_negative_quarter_reference(self):
-        assert gamma_fn(-0.25) == pytest.approx(GAMMA_MINUS_QUARTER, rel=1e-13)
-
-    def test_poles_raise(self):
-        for z in (0.0, -1.0, -7.0):
-            with pytest.raises(ValueError):
-                gamma_fn(z)
-
-    def test_accuracy_sweep(self):
-        # spot grid on [-10, 30], at least 0.03 away from the poles
-        zs = np.linspace(-9.98, 29.98, 1597)
-        for z in zs:
-            if z < 0.5 and abs(z - round(z)) < 0.03:
-                continue
-            ref = gamma_ratio_ref(z, 1.0)  # Gamma(z)/Gamma(1)
-            assert abs(gamma_fn(float(z)) - ref) <= 1e-13 * abs(ref)
+from fraclap.gammaratio import GammaRatioTables, build_tables, table_lengths
 
 
 class TestBuildTables:

@@ -129,12 +129,20 @@ class TestFractionalLaplacian:
         assert diag["max_imag"] < 1e-10 * max(1.0, np.max(np.abs(out)))
 
     def test_fused_operator_agrees(self, rng):
+        # the folded n x n operator on the physical samples of an even function
         cfg = GridConfig(16, 2.5)
-        matrix = build_matrix(cfg, 1.3, 150)
-        fused = fused_sample_operator(matrix)
-        u = extend(rng.standard_normal(16), Extension.EVEN)
-        direct = fractional_laplacian(u, matrix, threshold=0.0)
-        assert np.max(np.abs(fused @ u - direct)) < 1e-12
+        for alpha in (0.5, 1.0, 1.3):
+            matrix = build_matrix(cfg, alpha, 150)
+            fused = fused_sample_operator(matrix)
+            assert fused.shape == (16, 16) and fused.dtype == np.float64
+            u = rng.standard_normal(16)
+            direct = fractional_laplacian(extend(u, Extension.EVEN), matrix, threshold=0.0)
+            assert np.max(np.abs(fused @ u - direct[:16])) < 1e-12
+
+    def test_fused_operator_rejects_odd_extension(self):
+        cfg = GridConfig(8, 1.0, extension=Extension.ODD)
+        with pytest.raises(ValueError):
+            fused_sample_operator(build_matrix(cfg, 0.5, 50))
 
 
 class TestCacheFile:

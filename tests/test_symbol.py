@@ -147,14 +147,6 @@ class TestSymbolSamples:
             x = np.cos(s[j]) / np.sin(s[j])
             assert numeric[j] == pytest.approx(quadrature_fraclap(f, x, 0.5), abs=1e-8)
 
-    @pytest.mark.parametrize("alpha,k", [(0.5, 2), (0.5, 3), (1.3, 5), (1.0, 7)])
-    def test_fft_path_matches_symmetry_path(self, alpha, k):
-        cfg = GridConfig(16, 1.0)
-        params = SymbolParams(alpha, k, cfg, 200)
-        sym = symbol_samples(params)
-        fft = symbol_samples(params, use_fft=True)
-        assert np.max(np.abs(sym - fft)) < 1e-12
-
     @pytest.mark.parametrize("alpha,k", [(0.5, 2), (0.7, 3), (1.6, 4)])
     def test_node_extension_matches_direct_evaluation(self, alpha, k):
         # recompute the l2 series independently at every node (no symmetry)
