@@ -10,7 +10,7 @@ Subpackages
 grid        coordinate map and node generation
 spectral    phase-shifted FFTs, parity extension, filtering, interpolation
 gammaratio  stable precomputation of the gamma-function ratio tables
-symbol      closed-form operator action on a single Fourier mode
+symbol      closed-form operator action on Fourier modes, one or many at once
 opmatrix    assembly, caching and application of the operational matrix
 oracles     independent ground truths: closed forms, Kummer 1F1, quadrature
 fisher      fractional Fisher-KPP time integration and front-speed fitting

@@ -123,7 +123,7 @@ def _cmd_matrix_build(args) -> int:
         raise ParameterError(f"--L must be positive, got {args.L}")
     cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
     t0 = time.perf_counter()
-    matrix = build_matrix(cfg, args.alpha, args.llim, workers=args.workers)
+    matrix = build_matrix(cfg, args.alpha, args.llim)
     build_seconds = time.perf_counter() - t0
     out = Path(args.out)
     save_matrix(matrix, out)
@@ -142,7 +142,6 @@ def _cmd_matrix_build(args) -> int:
             "xc": args.xc,
             "llim": args.llim,
             "extension": args.extension,
-            "workers": args.workers,
             "out": str(out),
         },
         [str(out)],
@@ -168,7 +167,7 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     errs = []
     for alpha in alphas:
         _check_alpha(float(alpha))
-        matrix = build_matrix(cfg, float(alpha), args.llim, workers=args.workers)
+        matrix = build_matrix(cfg, float(alpha), args.llim)
         lap_nodes = fractional_laplacian(extend(gauss.u(x_nodes), cfg.extension), matrix)
         lap_coeffs = forward(lap_nodes, cfg)
         worst = 0.0
@@ -220,7 +219,7 @@ def _cmd_validate(args) -> int:
             alphas = alpha_grid(0.05, 1.95, 0.05, exclude_one=(args.target == "mode2"))
         if args.target == "mode2":
             alphas = alphas[np.abs(alphas - 1.0) > 1e-12]
-        scan = error_scan(args.target, cfg, args.llim, alphas, workers=args.workers)
+        scan = error_scan(args.target, cfg, args.llim, alphas)
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["alpha", "max_node_error"])
@@ -273,9 +272,9 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir, workers: int):
+def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
     if cache_dir is None:
-        return build_matrix(cfg, alpha, llim, workers=workers)
+        return build_matrix(cfg, alpha, llim)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     # exact reprs: rounded values let nearby parameters share (and reject) a file
@@ -286,7 +285,7 @@ def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir, workers: in
     path = cache_dir / name
     if path.exists():
         return load_matrix(path, expect_n=cfg.n, expect_alpha=alpha, expect_l_lim=llim)
-    matrix = build_matrix(cfg, alpha, llim, workers=workers)
+    matrix = build_matrix(cfg, alpha, llim)
     save_matrix(matrix, path)
     return matrix
 
@@ -326,7 +325,7 @@ def _cmd_fisher(args) -> int:
         )
         tag = f"{alpha:.6g}"
         try:
-            matrix = _matrix_for(cfg, alpha, args.llim, args.matrix_cache, args.workers)
+            matrix = _matrix_for(cfg, alpha, args.llim, args.matrix_cache)
             result = run_simulation(run, matrix)
         except (BlowUpError, FrontEscapeError) as exc:
             print(f"alpha={tag}: FAILED ({exc})")
@@ -411,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--llim", type=int, required=True, help="outer-series truncation")
     p_build.add_argument("--extension", choices=["even", "odd"], default="even")
     p_build.add_argument("--out", required=True, help="cache file path")
-    p_build.add_argument("--workers", type=int, default=1)
     p_build.set_defaults(func=_cmd_matrix_build)
 
     p_val = sub.add_parser("validate", help="error scans against the oracles")
@@ -425,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--l-sweep", help="a:b:step sweep of the map scale")
     p_val.add_argument("--tolerance", type=float, help="exit 2 when the scan exceeds this")
     p_val.add_argument("--out", help="CSV output path")
-    p_val.add_argument("--workers", type=int, default=1)
     p_val.set_defaults(func=_cmd_validate)
 
     p_fish = sub.add_parser("fisher", help="Fisher-KPP front simulations")
@@ -441,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fish.add_argument("--sample-stride", type=int, default=10)
     p_fish.add_argument("--out-dir", required=True)
     p_fish.add_argument("--matrix-cache", help="directory of reusable matrix caches")
-    p_fish.add_argument("--workers", type=int, default=1)
     p_fish.set_defaults(func=_cmd_fisher)
 
     return parser
@@ -452,9 +448,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

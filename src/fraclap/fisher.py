@@ -58,7 +58,6 @@ class FisherRun:
     l_lim: int = 500
     sample_stride: int = 10
     fit_window: tuple[float, float] | None = None
-    filter_threshold: float = KRASNY_THRESHOLD
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
@@ -225,7 +224,7 @@ def run_simulation(
     snap_steps = {int(round(ts / run.dt)): float(ts) for ts in snapshot_times}
     max_imag = 0.0
     times = [0.0]
-    coeffs = krasny_filter(forward(extend(u, Extension.EVEN), cfg), run.filter_threshold)
+    coeffs = krasny_filter(forward(extend(u, Extension.EVEN), cfg), KRASNY_THRESHOLD)
     fronts = [front_position(u, coeffs, cfg)]
     snapshots: list[tuple[float, np.ndarray]] = []
     if 0 in snap_steps:
@@ -237,7 +236,7 @@ def run_simulation(
             u = rk4_step(u, run.dt, op)
         except BlowUpError as exc:
             raise BlowUpError(f"t = {t:.6g}: {exc}") from exc
-        coeffs = krasny_filter(forward(extend(u, Extension.EVEN), cfg), run.filter_threshold)
+        coeffs = krasny_filter(forward(extend(u, Extension.EVEN), cfg), KRASNY_THRESHOLD)
         u_complex = inverse(coeffs)
         max_imag = max(max_imag, float(np.max(np.abs(u_complex.imag))))
         u = np.ascontiguousarray(u_complex.real[: cfg.n])

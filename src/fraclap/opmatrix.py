@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from fraclap.gammaratio import build_tables
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.spectral import (
     KRASNY_THRESHOLD,
@@ -42,13 +40,7 @@ from fraclap.spectral import (
     krasny_filter,
     mode_numbers,
 )
-from fraclap.symbol import (
-    _AliasGrids,
-    _inner_sums_alpha1,
-    _inner_sums_fractional,
-    _l2_series_at_nodes,
-    fractional_constant,
-)
+from fraclap.symbol import mode_columns
 
 _MAGIC = b"FLAPMAT1"
 _FORMAT_VERSION = 1
@@ -85,55 +77,22 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", ent)
 
 
-def build_matrix(cfg: GridConfig, alpha: float, l_lim: int, *, workers: int = 1) -> OperatorMatrix:
+def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
     """Assemble the matrix for one alpha.
 
-    Columns are independent, so ``workers > 1`` distributes them over a
-    thread pool (the heavy work is in NumPy and releases the GIL); the
-    result is identical for any worker count.
+    Columns k = 1..n-1 come from one batched evaluation of the mode symbols
+    (:func:`fraclap.symbol.mode_columns`), the columns of -k are their
+    conjugates.  The entries do not depend on the BLAS thread count.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if l_lim < 0:
         raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
     n = cfg.n
-    s = nodes(cfg)
-    grids = _AliasGrids(n, l_lim)
+    cols = mode_columns(cfg, alpha, l_lim, np.arange(1, n))
     entries = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-
-    if alpha == 1.0:
-        sin2 = np.sin(s) ** 2 / cfg.l_scale
-
-        def column(k: int) -> np.ndarray:
-            if k % 2 == 0:
-                return k * sin2 * np.exp(1j * k * s)
-            series = _l2_series_at_nodes(_inner_sums_alpha1(k, grids), grids)
-            return (1j * k / (cfg.l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
-
-    else:
-        tables = build_tables(alpha, n, l_lim)
-        weighted_a = grids.sign1 * tables.vec_a[np.abs(grids.l_full)]
-        c_alpha = fractional_constant(alpha)
-        pref = c_alpha * np.abs(np.sin(s)) ** (alpha - 1.0) / (8.0 * cfg.l_scale**alpha)
-        pref_even = pref / np.tan(np.pi * alpha / 2.0)
-
-        def column(k: int) -> np.ndarray:
-            sums = _inner_sums_fractional(alpha, k, grids, tables, weighted_a)
-            series = _l2_series_at_nodes(sums, grids)
-            return pref_even * series if k % 2 == 0 else 1j * pref * series
-
-    def fill(k: int) -> None:
-        col = column(k)
-        entries[:, k] = col
-        entries[:, 2 * n - k] = np.conj(col)
-
-    ks = range(1, n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ks))
-    else:
-        for k in ks:
-            fill(k)
+    entries[:, 1:n] = cols
+    np.conjugate(cols, out=entries[:, : n : -1])
     return OperatorMatrix(entries=entries, meta=MatrixMeta(alpha=alpha, cfg=cfg, l_lim=l_lim))
 
 

@@ -314,9 +314,7 @@ def _gaussian_error(
     return float(np.max(np.abs(numeric - exact)))
 
 
-def error_scan(
-    target: str, cfg: GridConfig, l_lim: int, alphas, *, workers: int = 1
-) -> ErrorScan:
+def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
     """Maximum node error against the closed form, per alpha and globally.
 
     ``target="mode2"`` checks the single k = 2 mode (alpha = 1 must be
@@ -327,19 +325,12 @@ def error_scan(
     """
     alphas = np.asarray(alphas, dtype=float)
     if target == "mode2":
-        worker = lambda a: _mode2_error(cfg, l_lim, a)  # noqa: E731
+        errors = [_mode2_error(cfg, l_lim, a) for a in alphas]
     elif target == "gaussian":
-        worker = lambda a: _gaussian_error(cfg, a, build_matrix(cfg, a, l_lim))  # noqa: E731
+        errors = [_gaussian_error(cfg, a, build_matrix(cfg, a, l_lim)) for a in alphas]
     else:
         raise ValueError(f"unknown scan target {target!r}")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = np.fromiter(pool.map(worker, alphas), dtype=float, count=len(alphas))
-    else:
-        errors = np.fromiter((worker(a) for a in alphas), dtype=float, count=len(alphas))
-    return ErrorScan(target=target, alphas=alphas, errors=errors)
+    return ErrorScan(target=target, alphas=alphas, errors=np.asarray(errors, dtype=float))
 
 
 def scale_sweep(

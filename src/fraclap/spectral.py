@@ -18,6 +18,7 @@ with different n, l_scale or x_center.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,12 @@ class SpectralCoefficients:
         return mode_numbers(self.grid.n)
 
 
+@functools.cache
 def _forward_phase(n: int) -> np.ndarray:
-    return np.exp(-1j * mode_numbers(n) * np.pi / (2 * n))
+    """exp(-i*k*pi/(2n)) per stored mode, computed once per n (read-only)."""
+    phase = np.exp(-1j * mode_numbers(n) * np.pi / (2 * n))
+    phase.flags.writeable = False
+    return phase
 
 
 def forward(samples, cfg: GridConfig) -> SpectralCoefficients:

@@ -1,4 +1,4 @@
-"""Action of the fractional Laplacian on a single Fourier mode exp(i*k*s).
+"""Action of the fractional Laplacian on the Fourier modes exp(i*k*s).
 
 For the mapped operator, the image of one mode is a series in the even
 harmonics exp(2i*l*s).  On the half-shifted nodes aliasing collapses the
@@ -9,7 +9,9 @@ outer index through l = l1*n + l2:
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1.  The
 special case alpha = 1 has an exact closed form for even k and a rational
-series for odd k.
+series for odd k.  :func:`mode_columns` evaluates any set of modes at once;
+:func:`symbol_samples` is its one-mode case and :func:`a_coeff` and
+:func:`b_coeff` give single terms of the sums.
 
 Node values are only computed for j < n/2 and extended by the symmetries
 exp(2i*l2*s_{n-1-j}) = conj(exp(2i*l2*s_j)) and s_{j+n} = s_j + pi.
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.grid import GridConfig, nodes
@@ -46,7 +49,6 @@ class SymbolParams:
     k: int
     cfg: GridConfig
     l_lim: int
-    c_alpha: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
@@ -55,8 +57,6 @@ class SymbolParams:
             raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
         if not isinstance(self.k, (int, np.integer)):
             raise TypeError(f"k must be an integer, got {self.k!r}")
-        if self.c_alpha is None:
-            object.__setattr__(self, "c_alpha", fractional_constant(self.alpha))
 
 
 def a_coeff(
@@ -66,29 +66,16 @@ def a_coeff(
 
     The gamma ratios are read from the tables at the absolute-value indices
     |l1*n + l2| and |k/2 - l1*n - l2| (shifted by 1/2 for odd k, where a
-    sign factor sgn(k/2 - l) also enters).
+    sign factor sgn(k/2 - l) also enters).  An index beyond the tables
+    raises IndexError.
     """
     l = l1 * n + l2
-    idx_a = abs(l)
-    if idx_a >= tables.vec_a.size:
-        raise IndexError(
-            f"|l1*n + l2| = {idx_a} exceeds table length {tables.vec_a.size}; "
-            "tables were built for a smaller l_lim"
-        )
     sign1 = -1.0 if l1 % 2 else 1.0
-    base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * tables.vec_a[idx_a]
+    base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * tables.vec_a[abs(l)]
     if k % 2 == 0:
-        idx_b = abs(k // 2 - l)
-        if idx_b >= tables.vec_b.size:
-            raise IndexError(
-                f"|k/2 - l| = {idx_b} exceeds table length {tables.vec_b.size}"
-            )
-        return base * tables.vec_b[idx_b]
+        return base * tables.vec_b[abs(k // 2 - l)]
     half = k / 2.0 - l
-    idx_c = int(abs(half) - 0.5)
-    if idx_c >= tables.vec_c.size:
-        raise IndexError(f"|k/2 - l| - 1/2 = {idx_c} exceeds table length {tables.vec_c.size}")
-    return base * math.copysign(1.0, half) * tables.vec_c[idx_c]
+    return base * math.copysign(1.0, half) * tables.vec_c[int(abs(half) - 0.5)]
 
 
 def b_coeff(k: int, l1: int, l2: int, n: int) -> float:
@@ -107,64 +94,91 @@ def b_coeff(k: int, l1: int, l2: int, n: int) -> float:
     return 4.0 * sign1 * math.copysign(1.0, l) / (d * (d * d - 4.0))
 
 
-class _AliasGrids:
-    """Index grids shared by every mode of one (n, l_lim) assembly."""
+def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
+    """G at e = d - l1*n = floor(k/2) - l: the k-dependent factor of a term.
 
-    def __init__(self, n: int, l_lim: int):
-        self.n = n
-        self.l_lim = l_lim
-        self.l2 = np.arange(-(n // 2), n // 2)
-        self.l1 = np.arange(-l_lim, l_lim + 1)
-        self.l_full = self.l1[:, None] * n + self.l2[None, :]
-        self.sign1 = np.where(self.l1 % 2 == 0, 1.0, -1.0)[:, None]
-        # accumulate the l1 sum from the largest |l1| (smallest terms) down
-        self.l1_order = np.argsort(-np.abs(self.l1), kind="stable")
-        half = nodes(GridConfig(n, 1.0))[: n // 2]
-        self.phase_half = np.exp(2j * np.outer(half, self.l2))
-
-
-def _sum_l1_descending(terms: np.ndarray, grids: _AliasGrids) -> np.ndarray:
-    acc = np.zeros(terms.shape[1], dtype=terms.dtype)
-    for i in grids.l1_order:
-        acc += terms[i]
-    return acc
-
-
-def _inner_sums_fractional(
-    alpha: float, k: int, grids: _AliasGrids, tables: GammaRatioTables,
-    weighted_a: np.ndarray | None = None,
-) -> np.ndarray:
-    """sum over l1 of the a-coefficients, for every l2 (alpha != 1)."""
-    if weighted_a is None:
-        weighted_a = grids.sign1 * tables.vec_a[np.abs(grids.l_full)]
-    poly = (1.0 - alpha) * k * k - 4.0 * k * grids.l_full
-    if k % 2 == 0:
-        terms = weighted_a * poly * tables.vec_b[np.abs(k // 2 - grids.l_full)]
-    else:
-        half = k / 2.0 - grids.l_full
-        idx = (np.abs(half) - 0.5).astype(np.int64)
-        terms = weighted_a * poly * np.sign(half) * tables.vec_c[idx]
-    return _sum_l1_descending(terms, grids)
-
-
-def _inner_sums_alpha1(k: int, grids: _AliasGrids) -> np.ndarray:
-    """sum over l1 of the b-coefficients, for every l2 (alpha = 1, odd k)."""
-    d = k - 2.0 * grids.l_full
-    terms = 4.0 * grids.sign1 * np.sign(grids.l_full) / (d * (d * d - 4.0))
-    return _sum_l1_descending(terms, grids)
-
-
-def _l2_series_at_nodes(sums: np.ndarray, grids: _AliasGrids) -> np.ndarray:
-    """Evaluate sum_{l2} S(l2)*exp(2i*l2*s_j) at all 2n nodes.
-
-    Computes j < n/2 and extends by the node symmetries.
+    ``e`` is overwritten.  Gamma ratio B(|k/2 - l|) for even k, signed
+    C(|k/2 - l| - 1/2) for odd k, the rational term for alpha = 1 (odd k).
     """
-    n = grids.n
-    g_half = grids.phase_half @ sums
-    phys = np.empty(n, dtype=np.complex128)
-    phys[: n // 2] = g_half
-    phys[n // 2 :] = np.conj(g_half[::-1])
-    return np.concatenate([phys, phys])
+    if alpha == 1.0:
+        dd = 2.0 * e + 1.0  # k - 2l
+        return 4.0 / (dd * (dd * dd - 4.0))
+    if parity == 0:
+        return tables.vec_b[np.abs(e, out=e)]
+    neg = e < 0
+    c = tables.vec_c[np.invert(e, out=e, where=neg)]
+    return np.negative(c, out=c, where=neg)
+
+
+def mode_columns(
+    cfg: GridConfig, alpha: float, l_lim: int, ks, tables: GammaRatioTables | None = None
+) -> np.ndarray:
+    """Operator applied to exp(i*k*s) at all 2n nodes, one column per k in ``ks``.
+
+    Every k must lie in 1..n-1; ``tables`` are built when omitted and
+    checked against alpha when given (alpha = 1 needs none).  Per parity of
+    k each term of the l1 sum is W[l1, l2] times G[l1, d] with
+    d = floor(k/2) - l2, so the sums are the reductions P0 = sum W*G and
+    P1 = sum W*l1*G, taken over a sliding window of G that holds only the
+    pairs (l2, d) the columns read: O(l_lim*n) work for one column.  The
+    reductions run in np.einsum, not BLAS, so the result does not depend on
+    the BLAS thread count.
+    """
+    n = cfg.n
+    ks = np.asarray(ks, dtype=np.int64)
+    s = nodes(cfg)
+    l2 = np.arange(-(n // 2), n // 2)
+    l1 = np.arange(-l_lim, l_lim + 1)
+    l1 = l1[np.argsort(-np.abs(l1), kind="stable")][:, None]  # smallest terms first
+    l_full = l1 * n + l2
+    sign1 = np.where(l1 % 2 == 0, 1.0, -1.0)
+    if alpha == 1.0:
+        weights = (sign1 * np.sign(l_full),)
+    else:
+        if tables is None:
+            tables = build_tables(alpha, n, l_lim)
+        elif tables.alpha != alpha:
+            raise ValueError(f"tables were built for alpha = {tables.alpha}, expected {alpha}")
+        w = sign1 * tables.vec_a[np.abs(l_full)]
+        weights = (w, w * l1)
+        pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / (
+            8.0 * cfg.l_scale**alpha
+        )
+    del l_full
+    phase_half = np.exp(2j * np.outer(nodes(GridConfig(n, 1.0))[: n // 2], l2))
+    out = np.empty((2 * n, ks.size), dtype=np.complex128)
+
+    for parity in (0, 1):
+        sel = np.flatnonzero(ks % 2 == parity)
+        if sel.size == 0:
+            continue
+        k = ks[sel]
+        if alpha == 1.0 and parity == 0:
+            out[:, sel] = k * np.sin(s)[:, None] ** 2 / cfg.l_scale * np.exp(1j * np.outer(s, k))
+            continue
+        # G at every d = h - l2, h = floor(k/2) from min(h) to max(h); the
+        # window [l1, l2, c] holds G at d = min(h) + c - l2
+        h = k // 2
+        d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
+        g = _k_factor(d - l1 * n, alpha, parity, tables)
+        window = sliding_window_view(g, h.max() - h.min() + 1, axis=1)[:, ::-1]
+        sums = [np.einsum("ij,ijc->jc", wt, window)[:, h - h.min()] for wt in weights]
+        del g, window
+        if alpha == 1.0:
+            (l2_sums,) = sums
+        else:
+            p0, p1 = sums
+            l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
+        # l2 series at the nodes j < n/2, extended by the node symmetries
+        half = phase_half @ l2_sums
+        series = np.concatenate([half, np.conj(half[::-1])] * 2)
+        if alpha == 1.0:
+            out[:, sel] = (1j * k / (cfg.l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
+        elif parity == 0:
+            out[:, sel] = (pref / math.tan(math.pi * alpha / 2.0))[:, None] * series
+        else:
+            out[:, sel] = 1j * pref[:, None] * series
+    return out
 
 
 def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None) -> np.ndarray:
@@ -172,37 +186,12 @@ def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None)
 
     ``tables`` may be shared across modes; when omitted (and alpha != 1)
     they are built on the fly.  k = 0 returns the zero vector, k must lie
-    in {0, ..., n-1}.
+    in {0, ..., n-1}.  This is the one-column case of :func:`mode_columns`.
     """
     n = params.cfg.n
     k = int(params.k)
-    alpha = params.alpha
-    l_scale = params.cfg.l_scale
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in 0..n-1 = 0..{n - 1}, got {k}")
     if k == 0:
         return np.zeros(2 * n, dtype=np.complex128)
-
-    s = nodes(params.cfg)
-    if alpha == 1.0 and k % 2 == 0:
-        return k * np.sin(s) ** 2 / l_scale * np.exp(1j * k * s)
-
-    grids = _AliasGrids(n, params.l_lim)
-    if alpha == 1.0:
-        series = _l2_series_at_nodes(_inner_sums_alpha1(k, grids), grids)
-        return (1j * k / (l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
-
-    if tables is None:
-        tables = build_tables(alpha, n, params.l_lim)
-    elif tables.alpha != alpha:
-        raise ValueError(
-            f"tables were built for alpha = {tables.alpha}, expected {alpha}"
-        )
-    sums = _inner_sums_fractional(alpha, k, grids, tables)
-    series = _l2_series_at_nodes(sums, grids)
-    prefactor = (
-        params.c_alpha * np.abs(np.sin(s)) ** (alpha - 1.0) / (8.0 * l_scale**alpha)
-    )
-    if k % 2 == 0:
-        return prefactor / math.tan(math.pi * alpha / 2.0) * series
-    return 1j * prefactor * series
+    return mode_columns(params.cfg, params.alpha, params.l_lim, [k], tables)[:, 0]

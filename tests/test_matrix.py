@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fraclap
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
@@ -33,20 +40,41 @@ class TestBuildMatrix:
             np.testing.assert_array_equal(m[:, 16 - k], np.conj(m[:, k]))
 
     def test_columns_are_mode_symbols(self, small_matrix):
+        # the batched (many-column) reduction against the one-column one
         cfg = GridConfig(8, 1.0)
-        for k in (1, 2, 5):
+        for k in range(1, 8):
             expected = symbol_samples(SymbolParams(0.5, k, cfg, 200))
             np.testing.assert_allclose(small_matrix.entries[:, k], expected, atol=1e-15)
+        for alpha in (1.0, 1.5):
+            matrix = build_matrix(cfg, alpha, 200)
+            for k in range(1, 8):
+                expected = symbol_samples(SymbolParams(alpha, k, cfg, 200))
+                bound = 1e-14 * np.max(np.abs(expected))
+                assert np.max(np.abs(matrix.entries[:, k] - expected)) <= bound
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
             build_matrix(GridConfig(4, 1.0), 2.0, 10)
 
-    def test_worker_count_does_not_change_entries(self):
-        cfg = GridConfig(8, 1.0)
-        a = build_matrix(cfg, 0.7, 100)
-        b = build_matrix(cfg, 0.7, 100, workers=3)
-        np.testing.assert_array_equal(a.entries, b.entries)
+    def test_blas_thread_count_does_not_change_entries(self):
+        # a fresh process per thread count: OpenBLAS reads it at load time
+        script = (
+            "import json; from fraclap.grid import GridConfig; "
+            "from fraclap.opmatrix import build_matrix, column_checksums; "
+            "print(json.dumps([column_checksums(build_matrix(GridConfig(128, 1.0), a, 500)) "
+            "for a in (0.5, 1.0, 1.95)]))"
+        )
+        src = str(Path(fraclap.__file__).resolve().parents[1])
+        checksums = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True, timeout=300,
+            )
+            checksums.append(json.loads(done.stdout))
+        assert checksums[0] == checksums[1]
 
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)

@@ -187,12 +187,6 @@ class TestErrorScan:
         )
         assert 4.0393e-4 / 3 <= scan.global_max <= 3 * 4.0393e-4
 
-    def test_worker_count_is_immaterial(self):
-        cfg = GridConfig(16, 1.0)
-        a = error_scan("mode2", cfg, 100, [0.3, 0.9, 1.7], workers=1)
-        b = error_scan("mode2", cfg, 100, [0.3, 0.9, 1.7], workers=3)
-        np.testing.assert_array_equal(a.errors, b.errors)
-
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             error_scan("mode3", GridConfig(16, 1.0), 10, [0.5])
