@@ -27,7 +27,6 @@ from fraclap.spectral import (
     inverse,
     krasny_filter,
     mode_numbers,
-    regrid,
 )
 from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import SymbolParams, a_coeff, b_coeff, fractional_constant, symbol_samples
@@ -84,7 +83,6 @@ __all__ = [
     "extend",
     "krasny_filter",
     "interpolate",
-    "regrid",
     "mode_numbers",
     "GammaRatioTables",
     "build_tables",

@@ -11,7 +11,9 @@ command, resolved parameters, tool version, wall-clock time and diagnostics;
 identical flags produce bit-identical numeric outputs.
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
-3 numerical blow-up or front escape, 4 I/O or cache-format errors.
+3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
+``fisher`` sweep records a failed alpha as a summary row and carries on; it
+then raises its first failure, so it exits with that failure's code.
 """
 
 from __future__ import annotations
@@ -128,10 +130,9 @@ def _cmd_matrix_build(args) -> int:
     out = Path(args.out)
     save_matrix(matrix, out)
     checks = column_checksums(matrix)
-    print(f"assembled {2 * args.n}x{2 * args.n} matrix in {build_seconds:.3f} s -> {out}")
-    for j, c in enumerate(checks):
-        k = j if j < args.n else j - 2 * args.n
-        print(f"column k={k:+d} crc32=0x{c:08x}")
+    print(f"assembled {args.n}x{args.n - 1} matrix in {build_seconds:.3f} s -> {out}")
+    for k, c in enumerate(checks, start=1):
+        print(f"column k={k} crc32=0x{c:08x}")
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "matrix build",
@@ -169,7 +170,7 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
         _check_alpha(float(alpha))
         matrix = build_matrix(cfg, float(alpha), args.llim)
         lap_nodes = fractional_laplacian(extend(gauss.u(x_nodes), cfg.extension), matrix)
-        lap_coeffs = forward(lap_nodes, cfg)
+        lap_coeffs = forward(np.tile(lap_nodes, 2), cfg)
         worst = 0.0
         for x in xs:
             numeric = float(np.real(interpolate(lap_coeffs, x, "lower")))
@@ -310,7 +311,7 @@ def _cmd_fisher(args) -> int:
     summary_rows = []
     outputs = []
     diagnostics: dict = {}
-    any_failed = False
+    first_failure = None
     for alpha in (float(a) for a in alphas):
         l_scale = args.L if args.L is not None else 1000.0 / alpha**3
         cfg = GridConfig(args.n, l_scale, args.xc, Extension.EVEN)
@@ -327,10 +328,10 @@ def _cmd_fisher(args) -> int:
         try:
             matrix = _matrix_for(cfg, alpha, args.llim, args.matrix_cache)
             result = run_simulation(run, matrix)
-        except (BlowUpError, FrontEscapeError) as exc:
+        except (BlowUpError, FrontEscapeError, MatrixCacheError, ValueError) as exc:
             print(f"alpha={tag}: FAILED ({exc})")
             summary_rows.append((alpha, None, 1.0 / alpha, None, None, type(exc).__name__))
-            any_failed = True
+            first_failure = first_failure or exc
             continue
         trace = result.trace
         trace_path = out_dir / f"trace_alpha{tag}.csv"
@@ -385,7 +386,9 @@ def _cmd_fisher(args) -> int:
         time.perf_counter() - t0,
         diagnostics,
     )
-    return EXIT_BLOWUP if any_failed else EXIT_OK
+    if first_failure is not None:
+        raise first_failure
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +454,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (BlowUpError, FrontEscapeError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
     except MatrixCacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from fraclap.grid import GridConfig, node_positions, nodes
-from fraclap.opmatrix import OperatorMatrix, build_matrix
-from fraclap.spectral import extend, forward, krasny_filter
+from fraclap.opmatrix import MatrixMeta, OperatorMatrix, build_matrix, fractional_laplacian
+from fraclap.spectral import extend
 from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
 
 
@@ -298,20 +298,15 @@ def alpha_grid(start: float, stop: float, step: float, *, exclude_one: bool = Fa
 
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
     numeric = symbol_samples(SymbolParams(alpha, 2, cfg, l_lim))
-    exact = closed_form_mode2(nodes(cfg), alpha) / cfg.l_scale**alpha
-    return float(np.max(np.abs(numeric[: cfg.n] - exact[: cfg.n])))
-
-
-def _gaussian_error(
-    cfg: GridConfig, alpha: float, matrix: OperatorMatrix, scale: float = 1.0
-) -> float:
-    # raw product instead of apply(): scale_sweep reuses a unit-scale matrix
-    # for other l_scale values via the exact rescaling law
-    x = node_positions(cfg)[: cfg.n]
-    coeffs = krasny_filter(forward(extend(np.exp(-x * x), cfg.extension), cfg))
-    numeric = (matrix.entries @ coeffs.values).real[: cfg.n] / scale
-    exact = closed_form_gaussian(x, alpha)
+    exact = closed_form_mode2(nodes(cfg)[: cfg.n], alpha) / cfg.l_scale**alpha
     return float(np.max(np.abs(numeric - exact)))
+
+
+def _gaussian_error(matrix: OperatorMatrix) -> float:
+    cfg, alpha = matrix.meta.cfg, matrix.meta.alpha
+    x = node_positions(cfg)[: cfg.n]
+    numeric = fractional_laplacian(extend(np.exp(-x * x), cfg.extension), matrix)
+    return float(np.max(np.abs(numeric - closed_form_gaussian(x, alpha))))
 
 
 def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
@@ -327,7 +322,7 @@ def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
     if target == "mode2":
         errors = [_mode2_error(cfg, l_lim, a) for a in alphas]
     elif target == "gaussian":
-        errors = [_gaussian_error(cfg, a, build_matrix(cfg, a, l_lim)) for a in alphas]
+        errors = [_gaussian_error(build_matrix(cfg, a, l_lim)) for a in alphas]
     else:
         raise ValueError(f"unknown scan target {target!r}")
     return ErrorScan(target=target, alphas=alphas, errors=np.asarray(errors, dtype=float))
@@ -356,6 +351,6 @@ def scale_sweep(
         matrix = build_matrix(base_cfg, a, l_lim)
         for i, l_scale in enumerate(l_values):
             cfg = GridConfig(n, float(l_scale), x_center, extension)
-            err = _gaussian_error(cfg, a, matrix, scale=l_scale**a)
-            out[i] = max(out[i], err)
+            scaled = OperatorMatrix(matrix.entries / l_scale**a, MatrixMeta(a, cfg, l_lim))
+            out[i] = max(out[i], _gaussian_error(scaled))
     return out

@@ -11,9 +11,8 @@ phase exp(-i*k*pi/(2n)):
     uhat(k) = exp(-i*k*pi/(2n))/(2n) * sum_j u(s_j) * exp(-2i*pi*j*k/(2n)).
 
 The module also provides the parity extension across s = pi, a Krasny
-filter that zeroes coefficients below a round-off threshold, evaluation of
-the interpolant at arbitrary physical points, and resampling onto a grid
-with different n, l_scale or x_center.
+filter that zeroes coefficients below a round-off threshold, and evaluation
+of the interpolant at arbitrary physical points.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fraclap.grid import Extension, GridConfig, nodes, x_to_s
+from fraclap.grid import Extension, GridConfig, x_to_s
 
 #: Default Krasny threshold: double precision machine epsilon (absolute).
 KRASNY_THRESHOLD = float(np.finfo(np.float64).eps)
@@ -114,59 +113,15 @@ def krasny_filter(
 def interpolate(coeffs: SpectralCoefficients, xs, branch="lower") -> np.ndarray:
     """Evaluate sum_k uhat(k)*exp(i*k*arccot((x - x_center)/l_scale)) at xs.
 
-    ``branch`` is either a single string or a sequence of per-point strings;
-    points treated as belonging to the second half of the node set should use
-    the upper branch, everything at finite physical x the lower one.
+    ``branch`` selects the half of the circle, as in
+    :func:`fraclap.grid.x_to_s`: "lower" (the physical nodes) or "upper".
     """
     cfg = coeffs.grid
     pts = np.atleast_1d(np.asarray(xs, dtype=float))
-    if isinstance(branch, str):
-        theta = x_to_s(cfg, pts, branch)
-    else:
-        branches = list(branch)
-        if len(branches) != pts.size:
-            raise ValueError("branch sequence length must match xs")
-        theta = np.array([x_to_s(cfg, p, b) for p, b in zip(pts, branches)])
-    theta = np.atleast_1d(theta)
+    theta = x_to_s(cfg, pts, branch)
     k = mode_numbers(cfg.n)
     out = np.empty(pts.size, dtype=np.complex128)
     for lo in range(0, pts.size, _INTERP_BLOCK):
         hi = min(lo + _INTERP_BLOCK, pts.size)
         out[lo:hi] = np.exp(1j * np.outer(theta[lo:hi], k)) @ coeffs.values
     return out[0] if np.ndim(xs) == 0 else out
-
-
-def _resize_modes(coeffs: SpectralCoefficients, n_new: int) -> SpectralCoefficients:
-    """Zero-pad (n_new > n) or drop (n_new < n) modes, keeping the map."""
-    old = coeffs.grid
-    vals = coeffs.values
-    n = old.n
-    out = np.zeros(2 * n_new, dtype=np.complex128)
-    m = min(n, n_new)
-    out[:m] = vals[:m]
-    out[2 * n_new - m :] = vals[2 * n - m :]
-    cfg = GridConfig(n_new, old.l_scale, old.x_center, old.extension)
-    return SpectralCoefficients(grid=cfg, values=out)
-
-
-def regrid(coeffs: SpectralCoefficients, new_cfg: GridConfig) -> SpectralCoefficients:
-    """Resample onto a grid with different n, l_scale or x_center.
-
-    Modes are zero-padded when n grows and dropped when it shrinks; the
-    (adjusted) interpolant is then evaluated at the new nodes and
-    re-transformed under the new grid.  Functions exactly representable on
-    both grids survive the round trip to round-off.
-    """
-    work = coeffs
-    if new_cfg.n != coeffs.grid.n:
-        work = _resize_modes(coeffs, new_cfg.n)
-    if (
-        new_cfg.l_scale == work.grid.l_scale
-        and new_cfg.x_center == work.grid.x_center
-    ):
-        return SpectralCoefficients(grid=new_cfg, values=work.values)
-    s_new = nodes(new_cfg)
-    x_new = new_cfg.x_center + new_cfg.l_scale * np.cos(s_new) / np.sin(s_new)
-    branches = ["lower"] * new_cfg.n + ["upper"] * new_cfg.n
-    samples = interpolate(work, x_new, branches)
-    return forward(samples, new_cfg)

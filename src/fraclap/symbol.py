@@ -13,8 +13,10 @@ series for odd k.  :func:`mode_columns` evaluates any set of modes at once;
 :func:`symbol_samples` is its one-mode case and :func:`a_coeff` and
 :func:`b_coeff` give single terms of the sums.
 
-Node values are only computed for j < n/2 and extended by the symmetries
-exp(2i*l2*s_{n-1-j}) = conj(exp(2i*l2*s_j)) and s_{j+n} = s_j + pi.
+The image of a mode is a function of x = x_c + L*cot(s), so it only needs
+the n physical nodes: s_{j+n} = s_j + pi is the same point x_j.  The l2
+series is evaluated for j < n/2 and extended by the symmetry
+exp(2i*l2*s_{n-1-j}) = conj(exp(2i*l2*s_j)).
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
 def mode_columns(
     cfg: GridConfig, alpha: float, l_lim: int, ks, tables: GammaRatioTables | None = None
 ) -> np.ndarray:
-    """Operator applied to exp(i*k*s) at all 2n nodes, one column per k in ``ks``.
+    """Operator applied to exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
     Every k must lie in 1..n-1; ``tables`` are built when omitted and
     checked against alpha when given (alpha = 1 needs none).  Per parity of
@@ -126,7 +128,7 @@ def mode_columns(
     """
     n = cfg.n
     ks = np.asarray(ks, dtype=np.int64)
-    s = nodes(cfg)
+    s = nodes(cfg)[:n]
     l2 = np.arange(-(n // 2), n // 2)
     l1 = np.arange(-l_lim, l_lim + 1)
     l1 = l1[np.argsort(-np.abs(l1), kind="stable")][:, None]  # smallest terms first
@@ -146,7 +148,7 @@ def mode_columns(
         )
     del l_full
     phase_half = np.exp(2j * np.outer(nodes(GridConfig(n, 1.0))[: n // 2], l2))
-    out = np.empty((2 * n, ks.size), dtype=np.complex128)
+    out = np.empty((n, ks.size), dtype=np.complex128)
 
     for parity in (0, 1):
         sel = np.flatnonzero(ks % 2 == parity)
@@ -169,9 +171,9 @@ def mode_columns(
         else:
             p0, p1 = sums
             l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
-        # l2 series at the nodes j < n/2, extended by the node symmetries
+        # l2 series at the nodes j < n/2, extended by the node symmetry
         half = phase_half @ l2_sums
-        series = np.concatenate([half, np.conj(half[::-1])] * 2)
+        series = np.concatenate([half, np.conj(half[::-1])])
         if alpha == 1.0:
             out[:, sel] = (1j * k / (cfg.l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
         elif parity == 0:
@@ -182,7 +184,7 @@ def mode_columns(
 
 
 def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None) -> np.ndarray:
-    """Values of the operator applied to exp(i*k*s) at all 2n nodes.
+    """Values of the operator applied to exp(i*k*s) at the n physical nodes.
 
     ``tables`` may be shared across modes; when omitted (and alpha != 1)
     they are built on the fly.  k = 0 returns the zero vector, k must lie
@@ -193,5 +195,5 @@ def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None)
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in 0..n-1 = 0..{n - 1}, got {k}")
     if k == 0:
-        return np.zeros(2 * n, dtype=np.complex128)
+        return np.zeros(n, dtype=np.complex128)
     return mode_columns(params.cfg, params.alpha, params.l_lim, [k], tables)[:, 0]

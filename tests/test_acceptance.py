@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Expected wall time is a
-few minutes on one core; the Fisher criterion dominates (one 2048x2048
-operator assembly).
+Run with ``pytest tests/test_acceptance.py -v -s``.  Expected wall time is
+well under a minute; the Fisher runs of criterion 7 dominate.
 
 Criteria 7a and 7b check the front rate on the criterion-7 grid (n = 512,
 dt = 0.01, L = 1000/alpha^3, l_lim = 500): sigma fitted past the transient of
@@ -112,7 +111,7 @@ def _gaussian_table_errors(n: int):
         exact = closed_form_gaussian(x, float(alpha))
         for parity in ("even", "odd"):
             coeffs = krasny_filter(forward(extend(u, parity), cfg_even))
-            numeric = apply(matrix, coeffs).real[:n]
+            numeric = apply(matrix, coeffs).real
             worst[parity] = max(worst[parity], float(np.max(np.abs(numeric - exact))))
     return worst
 
@@ -161,7 +160,7 @@ def test_criterion5_alpha_one_even_modes_exact():
     worst = 0.0
     for n, l_scale in ((16, 1.0), (64, 2.5)):
         cfg = GridConfig(n, l_scale)
-        s = nodes(cfg)
+        s = nodes(cfg)[:n]
         for k in range(2, n - 1, 2):
             numeric = symbol_samples(SymbolParams(1.0, k, cfg, 0))
             exact = k * np.sin(s) ** 2 * np.exp(1j * k * s) / l_scale
@@ -182,7 +181,8 @@ def test_criterion6_oracle_equivalence():
     worst = 0.0
     for alpha in (0.4, 1.0, 1.6):
         matrix = build_matrix(cfg, alpha, 500)
-        lap_coeffs = forward(fractional_laplacian(u, matrix), cfg)
+        # the image is a function of x: the nodes j >= n repeat the physical ones
+        lap_coeffs = forward(np.tile(fractional_laplacian(u, matrix), 2), cfg)
         for x in (-2.0, 0.0, 1.0):
             numeric = float(np.real(interpolate(lap_coeffs, x, "lower")))
             reference = quadrature_fraclap(gauss, x, alpha)
@@ -315,15 +315,16 @@ def test_criterion8_matrix_linearity_and_conjugation(rng):
         matrix, SpectralCoefficients(cfg, v2)
     )
     lin = float(np.max(np.abs(lhs - rhs)))
-    conj_exact = all(
-        np.array_equal(matrix.entries[:, 32 - k], np.conj(matrix.entries[:, k]))
-        for k in range(1, 16)
-    )
+
+    def image(j):
+        return apply(matrix, SpectralCoefficients(cfg, np.eye(32)[j]))
+
+    conj_exact = all(np.array_equal(image(32 - k), np.conj(image(k))) for k in range(1, 16))
     ok = lin <= 1e-12 and conj_exact
     _report(
         "criterion 8: linearity + conjugation",
         ok,
-        f"linearity {lin:.2e} (<= 1e-12), negative-mode columns exactly conjugate: {conj_exact}",
+        f"linearity {lin:.2e} (<= 1e-12), negative-mode images exactly conjugate: {conj_exact}",
     )
 
 

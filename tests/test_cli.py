@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_OK, main
+from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.opmatrix import load_matrix
 
 
@@ -21,7 +21,7 @@ class TestMatrixBuild:
         )
         assert code == EXIT_OK
         matrix = load_matrix(out, expect_n=8, expect_alpha=0.5, expect_l_lim=60)
-        assert matrix.entries.shape == (16, 16)
+        assert matrix.entries.shape == (8, 7)
         manifest = json.loads((tmp_path / "m.bin.manifest.json").read_text())
         assert manifest["command"] == "matrix build"
         assert manifest["parameters"]["n"] == 8
@@ -191,6 +191,35 @@ class TestFisher:
         assert code == EXIT_OK
         summary = list(csv.reader((out_dir / "summary.csv").open()))
         assert len(summary) == 4  # header + 3 alphas
+
+    def test_sweep_keeps_rows_past_a_bad_cache(self, tmp_path):
+        # the second alpha's cache file is truncated: that row fails, the first stays
+        cache = tmp_path / "mc"
+        args = ["--n", "16", "--llim", "20", "--dt", "0.01", "--tfinal", "0.3",
+                "--sample-stride", "2", "--matrix-cache", str(cache)]
+        assert run_cli("fisher", "--alpha", "1.5", *args, "--out-dir", str(tmp_path / "a")) == EXIT_OK
+        (bad,) = cache.glob("*.bin")
+        bad.write_bytes(b"\x00" * 4)
+        out_dir = tmp_path / "sweep"
+        code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", *args, "--out-dir", str(out_dir))
+        assert code == EXIT_IO
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert [row[-1] for row in summary[1:]] == ["ok", "MatrixCacheError"]
+        assert (out_dir / "trace_alpha1.csv").exists()
+        manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
+        assert "alpha_1" in manifest["diagnostics"]
+
+    def test_fit_error_is_a_failed_row(self, tmp_path):
+        # one front sample in the window: the fit raises ValueError
+        out_dir = tmp_path / "x"
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--n", "16", "--dt", "0.01", "--tfinal", "0.3",
+            "--llim", "20", "--fit-window", "0.25:0.3", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_INVALID
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert summary[1][-1] == "ValueError"
+        assert (out_dir / "fisher.manifest.json").exists()
 
     def test_zero_dt_rejected(self, tmp_path):
         code = run_cli(

@@ -105,7 +105,7 @@ class TestRk4Step:
         assert np.max(np.abs(stepped - predicted)) < 5 * dt**2 * eps
 
     def test_folded_step_matches_filtered_stages(self, gauss_setup):
-        # stages through transform + 2n x 2n matrix on the extended samples
+        # stages through the transform of the extended samples and apply()
         cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
         u = initial_condition(x, 1.5)

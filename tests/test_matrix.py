@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -29,28 +31,37 @@ def small_matrix():
     return build_matrix(GridConfig(8, 1.0), 0.5, 200)
 
 
+def _unit_mode(j: int, n: int) -> SpectralCoefficients:
+    """Coefficients of the single mode stored at index j (k = j or j - 2n)."""
+    vals = np.zeros(2 * n, complex)
+    vals[j] = 1.0
+    return SpectralCoefficients(GridConfig(n, 1.0), vals)
+
+
 class TestBuildMatrix:
     def test_zero_columns(self, small_matrix):
-        assert np.all(small_matrix.entries[:, 0] == 0.0)   # constants
-        assert np.all(small_matrix.entries[:, 8] == 0.0)   # k = -n
+        assert np.all(apply(small_matrix, _unit_mode(0, 8)) == 0.0)   # constants
+        assert np.all(apply(small_matrix, _unit_mode(8, 8)) == 0.0)   # k = -n
 
     def test_conjugation_exact(self, small_matrix):
-        m = small_matrix.entries
         for k in range(1, 8):
-            np.testing.assert_array_equal(m[:, 16 - k], np.conj(m[:, k]))
+            np.testing.assert_array_equal(
+                apply(small_matrix, _unit_mode(16 - k, 8)),
+                np.conj(apply(small_matrix, _unit_mode(k, 8))),
+            )
 
     def test_columns_are_mode_symbols(self, small_matrix):
         # the batched (many-column) reduction against the one-column one
         cfg = GridConfig(8, 1.0)
         for k in range(1, 8):
             expected = symbol_samples(SymbolParams(0.5, k, cfg, 200))
-            np.testing.assert_allclose(small_matrix.entries[:, k], expected, atol=1e-15)
+            np.testing.assert_allclose(apply(small_matrix, _unit_mode(k, 8)), expected, atol=1e-15)
         for alpha in (1.0, 1.5):
             matrix = build_matrix(cfg, alpha, 200)
             for k in range(1, 8):
                 expected = symbol_samples(SymbolParams(alpha, k, cfg, 200))
                 bound = 1e-14 * np.max(np.abs(expected))
-                assert np.max(np.abs(matrix.entries[:, k] - expected)) <= bound
+                assert np.max(np.abs(apply(matrix, _unit_mode(k, 8)) - expected)) <= bound
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
@@ -82,7 +93,7 @@ class TestBuildMatrix:
         vals = np.zeros(8, complex)
         vals[2] = 1.0
         out = apply(matrix, SpectralCoefficients(cfg, vals))
-        exact = closed_form_mode2(nodes(cfg), 0.5)
+        exact = closed_form_mode2(nodes(cfg)[:4], 0.5)
         assert np.max(np.abs(out - exact)) < 5.1e-13
 
     def test_alpha_one_mode2(self):
@@ -91,7 +102,7 @@ class TestBuildMatrix:
         vals = np.zeros(16, complex)
         vals[2] = 1.0
         out = apply(matrix, SpectralCoefficients(cfg, vals))
-        s = nodes(cfg)
+        s = nodes(cfg)[:8]
         np.testing.assert_allclose(out, 2 * np.sin(s) ** 2 * np.exp(2j * s) / 2.0, atol=1e-13)
 
 
@@ -199,6 +210,37 @@ class TestCacheFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(MatrixCacheError):
             load_matrix(path)
+
+    def test_file_holds_only_the_block(self, small_matrix, tmp_path):
+        # 64-byte header, n*(n-1) complex128 entries, 8-byte CRC trailer
+        path = tmp_path / "m.bin"
+        save_matrix(small_matrix, path)
+        assert path.stat().st_size == 8 * 7 * 16 + 72
+
+    def test_version1_file_rejected(self, tmp_path):
+        # a well-formed file of the old format: full 2n x 2n payload, valid CRC
+        n = 8
+        header = struct.pack("<8sIIII3d16x", b"FLAPMAT1", 1, n, 200, 0, 0.5, 1.0, 0.0)
+        payload = np.zeros((2 * n, 2 * n), np.complex128).tobytes()
+        trailer = struct.pack("<Q", zlib.crc32(payload, zlib.crc32(header)))
+        path = tmp_path / "v1.bin"
+        path.write_bytes(header + payload + trailer)
+        with pytest.raises(MatrixCacheError, match="version 1"):
+            load_matrix(path)
+
+    def test_interrupted_save_keeps_old_file(self, small_matrix, tmp_path, monkeypatch):
+        path = tmp_path / "m.bin"
+        save_matrix(small_matrix, path)
+        good = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_matrix(build_matrix(GridConfig(8, 1.0), 0.7, 50), path)
+        assert path.read_bytes() == good
+        np.testing.assert_array_equal(load_matrix(path).entries, small_matrix.entries)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

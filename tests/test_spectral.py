@@ -12,7 +12,6 @@ from fraclap.spectral import (
     inverse,
     krasny_filter,
     mode_numbers,
-    regrid,
 )
 
 
@@ -190,49 +189,3 @@ class TestInterpolate:
         got = interpolate(c, x[11], "upper")
         assert got == pytest.approx(series_oracle(vals, np.array([s[11]]))[0], abs=1e-12)
 
-
-class TestRegrid:
-    def test_identity(self, rng):
-        cfg = GridConfig(16, 1.0)
-        c = forward(rng.standard_normal(32), cfg)
-        again = regrid(c, cfg)
-        assert np.max(np.abs(again.values - c.values)) < 1e-12
-
-    def test_scale_change_tracks_analytic_mode(self):
-        cfg = GridConfig(16, 1.0)
-        vals = np.zeros(32, complex)
-        vals[2] = 1.0
-        c = SpectralCoefficients(cfg, vals)
-        new_cfg = GridConfig(16, 2.0)
-        res = regrid(c, new_cfg)
-        x = node_positions(new_cfg)
-        expected = (x * x - 1) / (x * x + 1) + 1j * 2 * x / (x * x + 1)
-        np.testing.assert_allclose(inverse(res), expected, atol=1e-12)
-
-    def test_pad_then_truncate_round_trip(self, rng):
-        cfg = GridConfig(64, 1.0)
-        c = forward(rng.standard_normal(128), cfg)
-        up = regrid(c, GridConfig(128, 1.0))
-        down = regrid(up, cfg)
-        assert np.max(np.abs(down.values - c.values)) < 1e-12
-
-    def test_pad_preserves_node_values(self, rng):
-        cfg = GridConfig(8, 1.5)
-        u = rng.standard_normal(16)
-        c = forward(u, cfg)
-        up = regrid(c, GridConfig(32, 1.5))
-        x_old = node_positions(cfg)[:8]
-        vals = interpolate(up, x_old, "lower")
-        np.testing.assert_allclose(vals.real, u[:8], atol=1e-10)
-
-    def test_bandlimited_function_survives_shift(self):
-        cfg = GridConfig(16, 1.0)
-        vals = np.zeros(32, complex)
-        vals[1] = 0.7
-        vals[2] = 0.3
-        c = SpectralCoefficients(cfg, vals)
-        res = regrid(c, GridConfig(64, 2.0, x_center=0.5))
-        xs = np.array([-5.0, -1.0, 0.0, 0.4, 3.0])
-        np.testing.assert_allclose(
-            interpolate(res, xs), interpolate(c, xs), atol=1e-10
-        )

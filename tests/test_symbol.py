@@ -112,19 +112,19 @@ class TestSymbolSamples:
     def test_mode2_closed_form_small_grid(self, alpha):
         cfg = GridConfig(4, 1.0)
         numeric = symbol_samples(SymbolParams(alpha, 2, cfg, 530))
-        exact = closed_form_mode2(nodes(cfg), alpha)
+        exact = closed_form_mode2(nodes(cfg)[:4], alpha)
         assert np.max(np.abs(numeric - exact)) < 1e-12
 
     def test_mode2_closed_form_other_scale(self):
         cfg = GridConfig(8, 2.5)
         numeric = symbol_samples(SymbolParams(0.7, 2, cfg, 400))
-        exact = closed_form_mode2(nodes(cfg), 0.7) / 2.5**0.7
+        exact = closed_form_mode2(nodes(cfg)[:8], 0.7) / 2.5**0.7
         assert np.max(np.abs(numeric - exact)) < 1e-12
 
     @pytest.mark.parametrize("k", [2, 4, 6, 14])
     def test_alpha_one_even_modes_exact(self, k):
         cfg = GridConfig(16, 1.0)
-        s = nodes(cfg)
+        s = nodes(cfg)[:16]
         numeric = symbol_samples(SymbolParams(1.0, k, cfg, 0))
         exact = k * np.sin(s) ** 2 * np.exp(1j * k * s)
         assert np.max(np.abs(numeric - exact)) < 1e-13
@@ -149,33 +149,33 @@ class TestSymbolSamples:
 
     @pytest.mark.parametrize("alpha,k", [(0.5, 2), (0.7, 3), (1.6, 4)])
     def test_node_extension_matches_direct_evaluation(self, alpha, k):
-        # recompute the l2 series independently at every node (no symmetry)
+        # recompute the l2 series independently at every node (no symmetry),
+        # and at s_j + pi: the same point x_j, so the same value as row j
         n, l_lim = 8, 150
         cfg = GridConfig(n, 1.0)
         tables = build_tables(alpha, n, l_lim)
-        s = nodes(cfg)
         sums = np.zeros(n)
         l2s = np.arange(-n // 2, n // 2)
         for i, l2 in enumerate(l2s):
             sums[i] = sum(
                 a_coeff(k, l1, int(l2), tables, alpha, n) for l1 in range(-l_lim, l_lim + 1)
             )
-        series = np.array([np.sum(sums * np.exp(2j * l2s * sv)) for sv in s])
-        pref = (
-            fractional_constant(alpha)
-            * np.abs(np.sin(s)) ** (alpha - 1.0)
-            / 8.0
-        )
-        if k % 2 == 0:
-            direct = pref / np.tan(np.pi * alpha / 2.0) * series
-        else:
-            direct = 1j * pref * series
+
+        def direct(s):
+            series = np.array([np.sum(sums * np.exp(2j * l2s * sv)) for sv in s])
+            pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
+            if k % 2 == 0:
+                return pref / np.tan(np.pi * alpha / 2.0) * series
+            return 1j * pref * series
+
         numeric = symbol_samples(SymbolParams(alpha, k, cfg, l_lim), tables)
-        assert np.max(np.abs(numeric - direct)) < 1e-12
+        s = nodes(cfg)[:n]
+        assert np.max(np.abs(numeric - direct(s))) < 1e-12
+        assert np.max(np.abs(numeric - direct(s + np.pi))) < 1e-12
 
     def test_truncation_stability(self):
         cfg = GridConfig(128, 1.0)
-        exact = closed_form_mode2(nodes(cfg), 0.5)
+        exact = closed_form_mode2(nodes(cfg)[:128], 0.5)
         errs = {}
         for l_lim in (0, 50, 210, 300):
             numeric = symbol_samples(SymbolParams(0.5, 2, cfg, l_lim))
