@@ -349,7 +349,7 @@ def _cmd_fisher(args) -> int:
             "sigma": trace.sigma,
             "rel_gap": rel_gap,
             "fit_residual": trace.fit_residual,
-            "max_imag": result.diagnostics["max_imag"],
+            "krasny_zeroed": result.diagnostics["krasny_zeroed"],
             "L": l_scale,
         }
         print(

@@ -50,6 +50,7 @@ _MAGIC = b"FLAPMAT1"
 _FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sIIII3d16x")
 _TRAILER = struct.Struct("<Q")
+_EXTENSIONS = (Extension.EVEN, Extension.ODD)  # by cache extension code
 
 
 class MatrixCacheError(RuntimeError):
@@ -154,10 +155,6 @@ def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
     return 2.0 * matrix.entries.real @ np.cos(np.outer(np.arange(1, n), s)) / n
 
 
-def _extension_code(ext: Extension) -> int:
-    return 0 if ext is Extension.EVEN else 1
-
-
 def save_matrix(matrix: OperatorMatrix, path) -> None:
     """Write the binary cache file described in the module docstring.
 
@@ -171,7 +168,7 @@ def save_matrix(matrix: OperatorMatrix, path) -> None:
         _FORMAT_VERSION,
         meta.cfg.n,
         meta.l_lim,
-        _extension_code(meta.cfg.extension),
+        _EXTENSIONS.index(meta.cfg.extension),
         meta.alpha,
         meta.cfg.l_scale,
         meta.cfg.x_center,
@@ -193,7 +190,7 @@ def load_matrix(
     expect_alpha: float | None = None,
     expect_l_lim: int | None = None,
 ) -> OperatorMatrix:
-    """Read a cache file back, verifying magic, version and checksum.
+    """Read a cache file back, verifying magic, version, checksum and header.
 
     Optional ``expect_*`` arguments guard against loading a matrix built
     with different parameters.
@@ -212,6 +209,12 @@ def load_matrix(
     actual = zlib.crc32(payload, zlib.crc32(header))
     if stored != actual:
         raise MatrixCacheError(f"{path}: checksum mismatch (corrupt file)")
+    if ext_code >= len(_EXTENSIONS):
+        raise MatrixCacheError(f"{path}: unknown extension code {ext_code}")
+    try:
+        cfg = GridConfig(int(n), l_scale, x_center, _EXTENSIONS[ext_code])
+    except ValueError as exc:
+        raise MatrixCacheError(f"{path}: invalid header ({exc})") from exc
     if len(payload) != n * (n - 1) * 16:
         raise MatrixCacheError(f"{path}: payload size does not match n = {n}")
     if expect_n is not None and n != expect_n:
@@ -221,9 +224,6 @@ def load_matrix(
     if expect_l_lim is not None and l_lim != expect_l_lim:
         raise MatrixCacheError(f"{path}: cache has l_lim = {l_lim}, expected {expect_l_lim}")
     entries = np.frombuffer(payload, dtype=np.complex128).reshape(n, n - 1).copy()
-    cfg = GridConfig(
-        int(n), l_scale, x_center, Extension.EVEN if ext_code == 0 else Extension.ODD
-    )
     meta = MatrixMeta(alpha=alpha, cfg=cfg, l_lim=int(l_lim))
     return OperatorMatrix(entries=entries, meta=meta)
 

@@ -1,9 +1,16 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and helpers for the test suite.
 
-These deliberately avoid the package's own computational paths: the DFT
-oracle is a direct O(N^2) summation, and the gamma-ratio reference goes
+The oracles deliberately avoid the package's own computational paths: the
+DFT oracle is a direct O(N^2) summation, and the gamma-ratio reference goes
 through SciPy's log-gamma, which the package never uses.
 """
+
+import os
+import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +56,31 @@ def gamma_ratio_ref_hp(a: float, b: float) -> float:
         if a > 0 and b > 0:
             return float(mpmath.exp(mpmath.loggamma(a) - mpmath.loggamma(b)))
         return float(mpmath.gamma(a) / mpmath.gamma(b))
+
+
+def run_fresh_python(script: str, blas_threads: str) -> str:
+    """stdout of ``script`` run in a new interpreter with OPENBLAS_NUM_THREADS set.
+
+    OpenBLAS reads its thread count when it loads, so each count needs a
+    fresh process.  The interpreter imports this checkout's ``fraclap``.
+    """
+    import fraclap
+
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    return done.stdout
+
+
+def cache_file_bytes(version: int, n: int, ext_code: int, payload_entries: int) -> bytes:
+    """A hand-built matrix cache file: given header fields, zero payload, valid CRC."""
+    header = struct.pack("<8sIIII3d16x", b"FLAPMAT1", version, n, 200, ext_code, 0.5, 1.0, 0.0)
+    payload = np.zeros(payload_entries, np.complex128).tobytes()
+    return header + payload + struct.pack("<Q", zlib.crc32(payload, zlib.crc32(header)))
 
 
 @pytest.fixture

@@ -289,6 +289,17 @@ def test_criterion7x_front_rates_converge_on_longer_horizon(fisher_traces):
     )
 
 
+def test_criterion7x_rates_pinned(fisher_traces):
+    # sigma of the complex 2n filter round trip and bisection front tracking
+    # that the real DCT loop replaced; any rewrite of the loop must keep it
+    for alpha, window, pinned in ((1.95, (10.0, 14.0), 0.5115985136292366),
+                                  (1.5, (7.0, 10.0), 0.6588400163571466)):
+        sigma = fit_sigma(fisher_traces[alpha], window)
+        rel = abs(sigma - pinned) / pinned
+        _report(f"criterion 7x pin (alpha={alpha:g})", rel <= 1e-9,
+                f"sigma {sigma!r} vs pinned {pinned!r}, rel diff {rel:.1e} (<= 1e-9)")
+
+
 # ---------------------------------------------------------------------------
 # 8. property suites with no reported numbers
 # ---------------------------------------------------------------------------

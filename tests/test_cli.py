@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import cache_file_bytes
 from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.opmatrix import load_matrix
 
@@ -208,6 +209,23 @@ class TestFisher:
         assert (out_dir / "trace_alpha1.csv").exists()
         manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
         assert "alpha_1" in manifest["diagnostics"]
+
+    @pytest.mark.parametrize(
+        "n, ext_code", [(0, 0), (3, 0), (8, 7)], ids=["n0", "n3", "ext7"]
+    )
+    def test_sweep_invalid_cache_header_is_a_cache_error(self, tmp_path, n, ext_code):
+        # a CRC-valid file with a bad header field: exit 4 (cache), not 2 (parameters)
+        cache = tmp_path / "mc"
+        args = ["--n", "16", "--llim", "20", "--dt", "0.01", "--tfinal", "0.3",
+                "--sample-stride", "2", "--matrix-cache", str(cache)]
+        assert run_cli("fisher", "--alpha", "1.5", *args, "--out-dir", str(tmp_path / "a")) == EXIT_OK
+        (bad,) = cache.glob("*.bin")
+        bad.write_bytes(cache_file_bytes(2, n, ext_code, n * (n - 1)))
+        out_dir = tmp_path / "sweep"
+        code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", *args, "--out-dir", str(out_dir))
+        assert code == EXIT_IO
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert [row[-1] for row in summary[1:]] == ["ok", "MatrixCacheError"]
 
     def test_fit_error_is_a_failed_row(self, tmp_path):
         # one front sample in the window: the fit raises ValueError

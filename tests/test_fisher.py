@@ -1,8 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.fft import dct
+from scipy.optimize import brentq
 
+from conftest import run_fresh_python
 from fraclap.fisher import (
     BlowUpError,
     FisherRun,
@@ -16,10 +20,10 @@ from fraclap.fisher import (
     run_simulation,
     _ols_rate,
 )
-from fraclap.grid import Extension, GridConfig, node_positions
+from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
 from fraclap.opmatrix import build_matrix, fractional_laplacian, fused_sample_operator
 from fraclap.oracles import closed_form_gaussian
-from fraclap.spectral import extend, forward
+from fraclap.spectral import extend, forward, interpolate
 
 
 @pytest.fixture(scope="module")
@@ -142,38 +146,81 @@ class TestRk4Step:
         assert min(orders) >= 3.8
 
 
+class TestCosineTransform:
+    """The DCT-II identities the real Fisher loop rests on."""
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_dct_matches_complex_forward(self, n, rng):
+        cfg = GridConfig(n, 3.0)
+        u = rng.standard_normal(n)
+        full = forward(extend(u, Extension.EVEN), cfg).values
+        c = dct(u, type=2) / (2 * n)
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs(full[:n] - c)) <= 1e-15 * scale
+        assert abs(full[n]) <= 1e-15 * scale  # the -n mode, omitted by the DCT
+
+    def test_cosine_series_matches_interpolant(self):
+        cfg = GridConfig(64, 2.0, 0.4)
+        x = node_positions(cfg)[:64]
+        u = np.exp(-x * x) + 0.3 / (1.0 + x * x)
+        w = dct(u, type=2) / 64  # uhat(0), then 2*uhat(k)
+        w[0] *= 0.5
+        pts = 0.5 * (x[:-1] + x[1:])  # between the nodes
+        series = np.cos(np.outer(x_to_s(cfg, pts), np.arange(64))) @ w
+        expected = interpolate(forward(extend(u, Extension.EVEN), cfg), pts, "lower").real
+        assert np.max(np.abs(series - expected)) <= 1e-13
+
+
 class TestFrontPosition:
     def test_initial_crossing_alpha_one(self):
         cfg = GridConfig(256, 10.0)
         x = node_positions(cfg)[:256]
-        u = extend(initial_condition(x, 1.0), Extension.EVEN)
-        coeffs = forward(u, cfg)
-        got = front_position(u, coeffs, cfg)
+        got = front_position(initial_condition(x, 1.0), cfg)
         assert got == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-8)
 
     def test_synthetic_tanh_front(self):
         cfg = GridConfig(256, 5.0)
         x = node_positions(cfg)[:256]
-        u = extend(0.5 * (1.0 - np.tanh(x - 3.0)), Extension.EVEN)
-        coeffs = forward(u, cfg)
-        assert front_position(u, coeffs, cfg) == pytest.approx(3.0, abs=1e-6)
+        assert front_position(0.5 * (1.0 - np.tanh(x - 3.0)), cfg) == pytest.approx(3.0, abs=1e-6)
 
     def test_rightmost_crossing_wins(self):
         # a pulse ahead of the main front adds crossings near x = 6
         cfg = GridConfig(512, 5.0)
         x = node_positions(cfg)[:512]
         profile = 0.5 * (1.0 - np.tanh(x - 3.0)) + 0.8 * np.exp(-((x - 6.0) ** 2))
-        u = extend(profile, Extension.EVEN)
-        coeffs = forward(u, cfg)
-        got = front_position(u, coeffs, cfg)
+        got = front_position(profile, cfg)
         assert got > 6.0
 
     def test_no_crossing_raises(self):
         cfg = GridConfig(64, 1.0)
-        u = np.full(128, 0.9)
-        coeffs = forward(u, cfg)
         with pytest.raises(FrontEscapeError):
-            front_position(u, coeffs, cfg)
+            front_position(np.full(64, 0.9), cfg)
+
+    def test_node_value_one_ulp_above_half(self):
+        # the series at x_j can fall below 1/2 by round-off although u_j > 1/2
+        # (at 54 of 110 nodes tried, u_j one ulp either side); the bracket must hold
+        cfg = GridConfig(64, 5.0)
+        x = node_positions(cfg)[:64]
+        for j in range(5, 60):
+            u = 0.5 * (1.0 - np.tanh(x - x[j]))
+            u[j] = np.nextafter(0.5, 1.0)
+            assert front_position(u, cfg) == pytest.approx(x[j], abs=1e-10 * max(1.0, abs(x[j])))
+
+    def test_matches_root_of_complex_interpolant(self):
+        # the same crossing through the 2n complex transform and a scalar root finder
+        cfg = GridConfig(128, 7.0, -0.5)
+        x = node_positions(cfg)[:128]
+        u = initial_condition(x - 1.3, 1.6)
+        coeffs = forward(extend(u, Extension.EVEN), cfg)
+        expected = brentq(
+            lambda pt: interpolate(coeffs, pt, "lower").real - 0.5, 0.0, 10.0, xtol=1e-14
+        )
+        assert front_position(u, cfg) == pytest.approx(expected, rel=1e-9)
+
+    def test_rejects_extended_samples(self):
+        cfg = GridConfig(64, 1.0)
+        with pytest.raises(ValueError):
+            front_position(np.linspace(1.0, 0.0, 128), cfg)
 
 
 class TestFitSigma:
@@ -227,7 +274,8 @@ class TestRunSimulation:
         run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.3, l_lim=200,
                         sample_stride=10, fit_window=(0.1, 0.3))
         result = run_simulation(run, matrix)
-        assert result.diagnostics["max_imag"] < 1e-10
+        assert result.diagnostics["max_imag"] == 0.0  # no imaginary part on the real path
+        assert result.diagnostics["krasny_zeroed"] >= 0
         assert result.trace.times[0] == 0.0
         assert result.trace.times[-1] == pytest.approx(0.3)
         assert len(result.trace.times) == len(result.trace.x05)
@@ -253,6 +301,17 @@ class TestRunSimulation:
         b = run_simulation(run, matrix)
         np.testing.assert_array_equal(a.trace.x05, b.trace.x05)
         np.testing.assert_array_equal(a.final_samples, b.final_samples)
+
+    def test_blas_thread_count_does_not_change_run(self):
+        script = (
+            "import json; from fraclap.grid import GridConfig; "
+            "from fraclap.fisher import FisherRun, run_simulation; "
+            "r = run_simulation(FisherRun(cfg=GridConfig(64, 50.0), alpha=1.2, dt=0.01, "
+            "t_final=0.3, l_lim=200, sample_stride=5, fit_window=(0.1, 0.3))); "
+            "print(json.dumps([[v.hex() for v in a] for a in (r.trace.x05, r.final_samples)]))"
+        )
+        outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
 
     def test_odd_extension_rejected(self):
         with pytest.raises(ValueError):

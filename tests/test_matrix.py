@@ -1,15 +1,10 @@
 import json
 import os
-import struct
-import subprocess
-import sys
-import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fraclap
+from conftest import cache_file_bytes, run_fresh_python
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
@@ -68,23 +63,13 @@ class TestBuildMatrix:
             build_matrix(GridConfig(4, 1.0), 2.0, 10)
 
     def test_blas_thread_count_does_not_change_entries(self):
-        # a fresh process per thread count: OpenBLAS reads it at load time
         script = (
             "import json; from fraclap.grid import GridConfig; "
             "from fraclap.opmatrix import build_matrix, column_checksums; "
             "print(json.dumps([column_checksums(build_matrix(GridConfig(128, 1.0), a, 500)) "
             "for a in (0.5, 1.0, 1.95)]))"
         )
-        src = str(Path(fraclap.__file__).resolve().parents[1])
-        checksums = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                check=True, timeout=300,
-            )
-            checksums.append(json.loads(done.stdout))
+        checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert checksums[0] == checksums[1]
 
     def test_mode2_delta_reproduces_closed_form(self):
@@ -219,13 +204,19 @@ class TestCacheFile:
 
     def test_version1_file_rejected(self, tmp_path):
         # a well-formed file of the old format: full 2n x 2n payload, valid CRC
-        n = 8
-        header = struct.pack("<8sIIII3d16x", b"FLAPMAT1", 1, n, 200, 0, 0.5, 1.0, 0.0)
-        payload = np.zeros((2 * n, 2 * n), np.complex128).tobytes()
-        trailer = struct.pack("<Q", zlib.crc32(payload, zlib.crc32(header)))
         path = tmp_path / "v1.bin"
-        path.write_bytes(header + payload + trailer)
+        path.write_bytes(cache_file_bytes(1, 8, 0, 16 * 16))
         with pytest.raises(MatrixCacheError, match="version 1"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "n, ext_code", [(0, 0), (3, 0), (8, 7)], ids=["n0", "n3", "ext7"]
+    )
+    def test_invalid_header_field_rejected(self, tmp_path, n, ext_code):
+        # version 2, valid CRC and an n*(n-1) payload: only the field is wrong
+        path = tmp_path / "bad.bin"
+        path.write_bytes(cache_file_bytes(2, n, ext_code, n * (n - 1)))
+        with pytest.raises(MatrixCacheError):
             load_matrix(path)
 
     def test_interrupted_save_keeps_old_file(self, small_matrix, tmp_path, monkeypatch):
