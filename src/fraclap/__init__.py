@@ -29,7 +29,7 @@ from fraclap.spectral import (
     mode_numbers,
 )
 from fraclap.gammaratio import GammaRatioTables, build_tables
-from fraclap.symbol import SymbolParams, a_coeff, b_coeff, fractional_constant, symbol_samples
+from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
 from fraclap.opmatrix import (
     MatrixCacheError,
     MatrixMeta,
@@ -88,8 +88,6 @@ __all__ = [
     "build_tables",
     "SymbolParams",
     "fractional_constant",
-    "a_coeff",
-    "b_coeff",
     "symbol_samples",
     "OperatorMatrix",
     "MatrixMeta",

@@ -9,7 +9,8 @@ the functional equation Gamma(z+1) = z*Gamma(z):
 
 a multiplicative recursion whose factors tend to 1 and keep every entry
 finite.  Gamma itself (``math.gamma``) is only needed at the handful of
-base arguments.
+base arguments.  Even modes read vec_b and odd modes vec_c, so a table set
+holds only the vectors of the parities asked for.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ class GammaRatioTables:
     vec_c[m] = Gamma(-alpha/2 + m)     / Gamma(2+alpha/2 + m)     (odd modes)
 
     vec_a is indexed by |l|, vec_b by |k/2 - l| and vec_c by |k/2 - l| - 1/2,
-    which are integers in the respective cases.
+    which are integers in the respective cases.  A vector no requested
+    parity reads is empty, so reading it raises IndexError.  Vectors are
+    stored read-only; writeable input is copied first.
     """
 
     alpha: float
@@ -40,26 +43,31 @@ class GammaRatioTables:
     def __post_init__(self) -> None:
         for name in ("vec_a", "vec_b", "vec_c"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr = arr.copy()
-            arr.flags.writeable = False
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
 def _ratio_vector(a: float, b: float, length: int) -> np.ndarray:
-    """[Gamma(a+m)/Gamma(b+m) for m = 0..length-1] via the recursion.
+    """[Gamma(a+m)/Gamma(b+m) for m = 0..length-1] via the recursion (length may be 0).
 
     The running product accumulates in extended precision: sequential
     rounding grows linearly with the index and tables can exceed 1e5
     entries, where double-precision accumulation alone would drift to
-    ~1e-11 relative.
+    ~1e-11 relative.  The result is read-only.
     """
     out = np.empty(length, dtype=np.float64)
     base = math.gamma(a) / math.gamma(b)
-    out[0] = base
+    out[:1] = base
     if length > 1:
-        m = np.arange(length - 1, dtype=np.longdouble)
-        factors = (np.longdouble(a) + m) / (np.longdouble(b) + m)
-        out[1:] = np.longdouble(base) * np.cumprod(factors)
+        factors = np.arange(length - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
+        den = factors + np.longdouble(b)
+        factors += np.longdouble(a)
+        np.divide(factors, den, out=factors)
+        np.cumprod(factors, out=factors)
+        np.multiply(factors, np.longdouble(base), out=out[1:])
+    out.flags.writeable = False
     return out
 
 
@@ -75,11 +83,13 @@ def table_lengths(n: int, l_lim: int) -> tuple[int, int, int]:
     return len_a, len_bc, len_bc
 
 
-def build_tables(alpha: float, n: int, l_lim: int) -> GammaRatioTables:
-    """Build the three ratio vectors for a given alpha, n and l1 truncation.
+def build_tables(alpha: float, n: int, l_lim: int, parities=(0, 1)) -> GammaRatioTables:
+    """Build the ratio vectors for a given alpha, n and l1 truncation.
 
-    alpha = 1 is rejected: that case has its own closed forms and needs no
-    tables.
+    ``parities`` holds the parities (0 even, 1 odd) of the modes the tables
+    will serve: vec_b is built only for 0, vec_c only for 1, and an unbuilt
+    vector is empty.  alpha = 1 is rejected: that case has its own closed
+    forms and needs no tables.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
@@ -90,6 +100,8 @@ def build_tables(alpha: float, n: int, l_lim: int) -> GammaRatioTables:
     if l_lim < 0:
         raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
     len_a, len_b, len_c = table_lengths(n, l_lim)
+    len_b = len_b if 0 in parities else 0
+    len_c = len_c if 1 in parities else 0
     return GammaRatioTables(
         alpha=alpha,
         vec_a=_ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, len_a),

@@ -10,13 +10,13 @@ so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1.  The
 special case alpha = 1 has an exact closed form for even k and a rational
 series for odd k.  :func:`mode_columns` evaluates any set of modes at once;
-:func:`symbol_samples` is its one-mode case and :func:`a_coeff` and
-:func:`b_coeff` give single terms of the sums.
+:func:`symbol_samples` is its one-mode case.
 
 The image of a mode is a function of x = x_c + L*cot(s), so it only needs
-the n physical nodes: s_{j+n} = s_j + pi is the same point x_j.  The l2
-series is evaluated for j < n/2 and extended by the symmetry
-exp(2i*l2*s_{n-1-j}) = conj(exp(2i*l2*s_j)).
+the n physical nodes: s_{j+n} = s_j + pi is the same point x_j.  There
+2*l2*s_j = 2*pi*l2*j/n + pi*l2/n, so the remaining l2 series is one n-point
+inverse DFT of the l1 sums times exp(i*pi*l2/n) (Cooley & Tukey, Math.
+Comp. 19, 1965), which gives all n rows of every column at once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import ifft, ifftshift
 
 from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.grid import GridConfig, nodes
@@ -61,41 +62,6 @@ class SymbolParams:
             raise TypeError(f"k must be an integer, got {self.k!r}")
 
 
-def a_coeff(
-    k: int, l1: int, l2: int, tables: GammaRatioTables, alpha: float, n: int
-) -> float:
-    """One term of the truncated double sum for alpha != 1.
-
-    The gamma ratios are read from the tables at the absolute-value indices
-    |l1*n + l2| and |k/2 - l1*n - l2| (shifted by 1/2 for odd k, where a
-    sign factor sgn(k/2 - l) also enters).  An index beyond the tables
-    raises IndexError.
-    """
-    l = l1 * n + l2
-    sign1 = -1.0 if l1 % 2 else 1.0
-    base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * tables.vec_a[abs(l)]
-    if k % 2 == 0:
-        return base * tables.vec_b[abs(k // 2 - l)]
-    half = k / 2.0 - l
-    return base * math.copysign(1.0, half) * tables.vec_c[int(abs(half) - 0.5)]
-
-
-def b_coeff(k: int, l1: int, l2: int, n: int) -> float:
-    """One term of the rational series for alpha = 1, odd k.
-
-    Returns 0 at l1*n + l2 = 0 (the sign factor vanishes); the denominator
-    (k - 2l)((k - 2l)^2 - 4) never vanishes for odd k.
-    """
-    if k % 2 == 0:
-        raise ValueError(f"b_coeff is defined for odd k only, got k = {k}")
-    l = l1 * n + l2
-    if l == 0:
-        return 0.0
-    sign1 = -1.0 if l1 % 2 else 1.0
-    d = float(k - 2 * l)
-    return 4.0 * sign1 * math.copysign(1.0, l) / (d * (d * d - 4.0))
-
-
 def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
     """G at e = d - l1*n = floor(k/2) - l: the k-dependent factor of a term.
 
@@ -117,14 +83,16 @@ def mode_columns(
 ) -> np.ndarray:
     """Operator applied to exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
-    Every k must lie in 1..n-1; ``tables`` are built when omitted and
-    checked against alpha when given (alpha = 1 needs none).  Per parity of
-    k each term of the l1 sum is W[l1, l2] times G[l1, d] with
-    d = floor(k/2) - l2, so the sums are the reductions P0 = sum W*G and
-    P1 = sum W*l1*G, taken over a sliding window of G that holds only the
-    pairs (l2, d) the columns read: O(l_lim*n) work for one column.  The
-    reductions run in np.einsum, not BLAS, so the result does not depend on
-    the BLAS thread count.
+    Every k must lie in 1..n-1; ``tables`` are built for the parities of
+    ``ks`` when omitted and checked against alpha when given (alpha = 1
+    needs none).  Per parity of k each term of the l1 sum is W[l1, l2]
+    times G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
+    P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window of G that
+    holds only the pairs (l2, d) the columns read: O(l_lim*n) work for one
+    column.  The l2 series at the nodes is then one shifted inverse FFT per
+    parity, O(n log n) per column.  The reductions run in np.einsum and the
+    FFT in pocketfft, neither in BLAS, so the result does not depend on the
+    BLAS thread count.
     """
     n = cfg.n
     ks = np.asarray(ks, dtype=np.int64)
@@ -138,7 +106,7 @@ def mode_columns(
         weights = (sign1 * np.sign(l_full),)
     else:
         if tables is None:
-            tables = build_tables(alpha, n, l_lim)
+            tables = build_tables(alpha, n, l_lim, parities=set((ks % 2).tolist()))
         elif tables.alpha != alpha:
             raise ValueError(f"tables were built for alpha = {tables.alpha}, expected {alpha}")
         w = sign1 * tables.vec_a[np.abs(l_full)]
@@ -147,7 +115,7 @@ def mode_columns(
             8.0 * cfg.l_scale**alpha
         )
     del l_full
-    phase_half = np.exp(2j * np.outer(nodes(GridConfig(n, 1.0))[: n // 2], l2))
+    half_step = np.exp(1j * np.pi * l2 / n)[:, None]
     out = np.empty((n, ks.size), dtype=np.complex128)
 
     for parity in (0, 1):
@@ -171,9 +139,8 @@ def mode_columns(
         else:
             p0, p1 = sums
             l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
-        # l2 series at the nodes j < n/2, extended by the node symmetry
-        half = phase_half @ l2_sums
-        series = np.concatenate([half, np.conj(half[::-1])])
+        # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
+        series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
         if alpha == 1.0:
             out[:, sel] = (1j * k / (cfg.l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
         elif parity == 0:

@@ -1,10 +1,12 @@
 """Shared independent oracles and helpers for the test suite.
 
 The oracles deliberately avoid the package's own computational paths: the
-DFT oracle is a direct O(N^2) summation, and the gamma-ratio reference goes
-through SciPy's log-gamma, which the package never uses.
+DFT oracle is a direct O(N^2) summation, the gamma-ratio reference goes
+through SciPy's log-gamma, which the package never uses, and ``a_coeff`` and
+``b_coeff`` give single terms of the symbol sums one scalar at a time.
 """
 
+import math
 import os
 import struct
 import subprocess
@@ -56,6 +58,39 @@ def gamma_ratio_ref_hp(a: float, b: float) -> float:
         if a > 0 and b > 0:
             return float(mpmath.exp(mpmath.loggamma(a) - mpmath.loggamma(b)))
         return float(mpmath.gamma(a) / mpmath.gamma(b))
+
+
+def a_coeff(k: int, l1: int, l2: int, tables, alpha: float, n: int) -> float:
+    """One term of the truncated double sum of the mode-k symbol for alpha != 1.
+
+    The gamma ratios are read from the tables at the absolute-value indices
+    |l1*n + l2| and |k/2 - l1*n - l2| (shifted by 1/2 for odd k, where a
+    sign factor sgn(k/2 - l) also enters).  An index beyond the tables
+    raises IndexError.
+    """
+    l = l1 * n + l2
+    sign1 = -1.0 if l1 % 2 else 1.0
+    base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * tables.vec_a[abs(l)]
+    if k % 2 == 0:
+        return base * tables.vec_b[abs(k // 2 - l)]
+    half = k / 2.0 - l
+    return base * math.copysign(1.0, half) * tables.vec_c[int(abs(half) - 0.5)]
+
+
+def b_coeff(k: int, l1: int, l2: int, n: int) -> float:
+    """One term of the rational series of the mode-k symbol for alpha = 1, odd k.
+
+    Returns 0 at l1*n + l2 = 0 (the sign factor vanishes); the denominator
+    (k - 2l)((k - 2l)^2 - 4) never vanishes for odd k.
+    """
+    if k % 2 == 0:
+        raise ValueError(f"b_coeff is defined for odd k only, got k = {k}")
+    l = l1 * n + l2
+    if l == 0:
+        return 0.0
+    sign1 = -1.0 if l1 % 2 else 1.0
+    d = float(k - 2 * l)
+    return 4.0 * sign1 * math.copysign(1.0, l) / (d * (d * d - 4.0))
 
 
 def run_fresh_python(script: str, blas_threads: str) -> str:

@@ -291,6 +291,22 @@ class TestRunSimulation:
         assert all(s.shape == (128,) for _, s in result.snapshots)
         assert result.final_samples.shape == (128,)
 
+    def test_step_that_zeroes_nothing_skips_the_round_trip(self):
+        # two steps from the initial condition, where the filter zeroes no
+        # coefficient: the state is the RK4 result itself, not its DCT round trip
+        alpha = 1.2
+        cfg = GridConfig(64, 50.0)
+        matrix = build_matrix(cfg, alpha, 200)
+        run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.02, l_lim=200,
+                        sample_stride=1, fit_window=(0.0, 0.02))
+        result = run_simulation(run, matrix)
+        op = fused_sample_operator(matrix)
+        u = initial_condition(node_positions(cfg)[:64], alpha)
+        assert result.diagnostics["krasny_zeroed"] == 0
+        np.testing.assert_array_equal(
+            result.final_samples[:64], rk4_step(rk4_step(u, 0.01, op), 0.01, op)
+        )
+
     def test_rerun_is_bit_identical(self):
         alpha = 1.2
         cfg = GridConfig(64, 50.0)

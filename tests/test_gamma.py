@@ -77,6 +77,16 @@ class TestBuildTables:
         ratios = tables.vec_a[6:100] / tables.vec_a[5:99]
         assert np.all((ratios > 0) & (ratios < 1))
 
+    @pytest.mark.parametrize("parity,built,unbuilt", [(0, "vec_b", "vec_c"), (1, "vec_c", "vec_b")])
+    def test_one_parity_builds_only_its_vector(self, parity, built, unbuilt):
+        full = build_tables(0.35, 32, 40)
+        part = build_tables(0.35, 32, 40, parities=(parity,))
+        np.testing.assert_array_equal(part.vec_a, full.vec_a)
+        np.testing.assert_array_equal(getattr(part, built), getattr(full, built))
+        assert getattr(part, unbuilt).shape == (0,)
+        with pytest.raises(IndexError):
+            getattr(part, unbuilt)[0]
+
     def test_tables_immutable(self):
         tables = build_tables(0.5, 8, 5)
         with pytest.raises(ValueError):

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import gamma_ratio_ref
+from conftest import a_coeff, b_coeff, gamma_ratio_ref
 from fraclap.gammaratio import build_tables
 from fraclap.grid import GridConfig, nodes
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
-from fraclap.symbol import (
-    SymbolParams,
-    a_coeff,
-    b_coeff,
-    fractional_constant,
-    symbol_samples,
-)
+from fraclap import symbol
+from fraclap.symbol import SymbolParams, fractional_constant, mode_columns, symbol_samples
 
 
 class TestFractionalConstant:
@@ -197,3 +192,68 @@ class TestSymbolSamples:
         tables = build_tables(0.5, 8, 10)
         with pytest.raises(ValueError):
             symbol_samples(SymbolParams(0.7, 2, GridConfig(8, 1.0), 10), tables)
+
+
+def _direct_columns(cfg, alpha, l_lim, ks):
+    """Mode columns from scalar terms and an l2 series with exactly reduced phases.
+
+    2*l2*s_j = pi*l2*(2j+1)/n is reduced mod 2*pi in integers before exp,
+    so no phase error grows with |l2*(2j+1)|.
+    """
+    n = cfg.n
+    s = nodes(cfg)[:n]
+    l2s = np.arange(-(n // 2), n // 2)
+    phase = np.exp(1j * np.pi * np.mod(np.outer(2 * np.arange(n) + 1, l2s), 2 * n) / n)
+    tables = None if alpha == 1.0 else build_tables(alpha, n, l_lim)
+    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / (
+        8.0 * cfg.l_scale**alpha
+    )
+    l1s = range(-l_lim, l_lim + 1)
+    cols = []
+    for k in ks:
+        if alpha == 1.0 and k % 2 == 0:
+            cols.append(k * np.sin(s) ** 2 / cfg.l_scale * np.exp(1j * k * s))
+            continue
+        if alpha == 1.0:
+            sums = [sum(b_coeff(k, l1, int(l2), n) for l1 in l1s) for l2 in l2s]
+        else:
+            sums = [sum(a_coeff(k, l1, int(l2), tables, alpha, n) for l1 in l1s) for l2 in l2s]
+        series = phase @ np.array(sums)
+        if alpha == 1.0:
+            cols.append(1j * k / (cfg.l_scale * np.pi) * (-2.0 / (k * k - 4.0) - series))
+        elif k % 2 == 0:
+            cols.append(pref / np.tan(np.pi * alpha / 2.0) * series)
+        else:
+            cols.append(1j * pref * series)
+    return np.stack(cols, axis=1)
+
+
+class TestModeColumns:
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("n,ks", [(2, [1]), (8, [1, 2, 5, 6, 7]), (64, [1, 2, 33, 62, 63])])
+    def test_matches_direct_sum_with_reduced_phases(self, n, ks, alpha):
+        cfg = GridConfig(n, 1.7)
+        got = mode_columns(cfg, alpha, 4, ks)
+        ref = _direct_columns(cfg, alpha, 4, ks)
+        err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.all(err <= 1e-13)
+
+    def test_mode2_error_n1024(self):
+        # the l2 series as one FFT carries no phase error of exp(i*theta) at
+        # |theta| up to pi*n/2; with the explicit phase matrix this read 4.9e-13
+        cfg = GridConfig(1024, 1.0)
+        numeric = symbol_samples(SymbolParams(0.1, 2, cfg, 500))
+        exact = closed_form_mode2(nodes(cfg)[:1024], 0.1)
+        assert np.max(np.abs(numeric - exact)) <= 2e-13
+
+    def test_even_mode_builds_no_odd_vector(self, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(build_tables(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(symbol, "build_tables", recording)
+        symbol_samples(SymbolParams(0.5, 2, GridConfig(16, 1.0), 20))
+        assert len(built) == 1
+        assert built[0].vec_c.size == 0 and built[0].vec_b.size > 0
