@@ -12,7 +12,7 @@ spectral    phase-shifted FFTs, parity extension, filtering, interpolation
 gammaratio  stable precomputation of the gamma-function ratio tables
 symbol      closed-form operator action on Fourier modes, one or many at once
 opmatrix    assembly, caching and application of the operational matrix
-oracles     independent ground truths: closed forms, Kummer 1F1, quadrature
+oracles     independent ground truths: closed forms (scipy hyp1f1), quadrature
 fisher      fractional Fisher-KPP time integration and front-speed fitting
 cli         command line driver
 """
@@ -48,7 +48,6 @@ from fraclap.oracles import (
     closed_form_gaussian,
     closed_form_mode2,
     error_scan,
-    kummer_1f1,
     quadrature_fraclap,
     scale_sweep,
     test_function,
@@ -102,7 +101,6 @@ __all__ = [
     "test_function",
     "closed_form_mode2",
     "closed_form_gaussian",
-    "kummer_1f1",
     "quadrature_fraclap",
     "error_scan",
     "scale_sweep",

@@ -217,7 +217,7 @@ def _cmd_validate(args) -> int:
         if args.alpha_grid is not None:
             alphas = _parse_span(args.alpha_grid)
         else:
-            alphas = alpha_grid(0.05, 1.95, 0.05, exclude_one=(args.target == "mode2"))
+            alphas = alpha_grid(0.05, 1.95, 0.05)
         if args.target == "mode2":
             alphas = alphas[np.abs(alphas - 1.0) > 1e-12]
         scan = error_scan(args.target, cfg, args.llim, alphas)

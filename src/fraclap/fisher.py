@@ -225,8 +225,13 @@ def run_simulation(
     cfg = run.cfg
     if matrix is None:
         matrix = build_matrix(cfg, run.alpha, run.l_lim)
-    elif not matrix.meta.cfg.same_map(cfg) or matrix.meta.alpha != run.alpha:
-        raise ValueError("matrix was built for different parameters")
+    else:
+        meta = matrix.meta
+        differ = [name for name, same in (("map", meta.cfg.same_map(cfg)),
+                                          ("alpha", meta.alpha == run.alpha),
+                                          ("l_lim", meta.l_lim == run.l_lim)) if not same]
+        if differ:
+            raise ValueError(f"matrix was built for a different {', '.join(differ)}")
     op = fused_sample_operator(matrix)
     u = initial_condition(_physical_positions(cfg), run.alpha)
 

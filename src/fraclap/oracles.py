@@ -1,11 +1,11 @@
 """Independent ground truths for validating the pseudospectral operator.
 
-Three routes that never touch the matrix assembly:
+Two routes that never touch the matrix assembly:
 
 * closed forms: the k = 2 mode has the exact image
   -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha), and the Gaussian
-  exp(-x^2) maps to a Kummer confluent hypergeometric expression;
-* a purpose-built 1F1(1/2+alpha/2, 1/2, -x^2) evaluator;
+  exp(-x^2) maps to Kummer's 1F1(1/2+alpha/2, 1/2, -x^2), evaluated by
+  ``scipy.special.hyp1f1``;
 * adaptive quadrature of the regularized singular-integral representation
   (Hilbert transform of u_x at alpha = 1, weighted integral of u_xx
   otherwise).
@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import hyp1f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
 from fraclap.opmatrix import MatrixMeta, OperatorMatrix, build_matrix, fractional_laplacian
@@ -118,87 +119,17 @@ def closed_form_mode2(s, alpha: float):
     return complex(out) if out.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# Kummer confluent hypergeometric function for the Gaussian closed form
-# ---------------------------------------------------------------------------
-
-_SERIES_RTOL = 1e-14
-# beyond this |z| the large-argument expansion is already exact to double
-# precision while the series would need thousands of terms
-_ASYMPTOTIC_CUTOFF = 256.0
-
-
-def _kummer_series(a: float, b: float, z: float, max_terms: int) -> float:
-    """Power series sum_{m} (a)_m z^m / ((b)_m m!); z >= 0 here."""
-    term = 1.0
-    total = 1.0
-    prev = math.inf
-    for m in range(max_terms):
-        term *= (a + m) * z / ((b + m) * (m + 1.0))
-        total += term
-        mag = abs(term)
-        if mag <= _SERIES_RTOL * abs(total) and mag <= prev:
-            return total
-        prev = mag
-    raise QuadratureError(
-        f"1F1 series did not converge in {max_terms} terms (a={a}, b={b}, z={z})"
-    )
-
-
-def _kummer_asymptotic_negative(a: float, b: float, z: float) -> float:
-    """Large negative z: 1F1 ~ Gamma(b)/Gamma(b-a) * (-z)^(-a) * 2F0 tail.
-
-    The divergent tail is truncated at its smallest term; for |z| above the
-    cutoff that term is far below double precision.  The exponentially small
-    e^z contribution is dropped.
-    """
-    x = -z
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for m in range(400):
-        term *= (a + m) * (1.0 + a - b + m) / ((m + 1.0) * x)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return math.gamma(b) / math.gamma(b - a) * x ** (-a) * total
-
-
-def kummer_1f1(a: float, b: float, z: float, *, max_terms: int | None = None) -> float:
-    """1F1(a, b, z) for real parameters, tuned for (1/2+alpha/2, 1/2, -x^2).
-
-    Negative arguments go through the Kummer transformation
-    1F1(a, b, z) = e^z * 1F1(b-a, b, -z), whose series has one sign change
-    at most and no catastrophic cancellation; very large negative arguments
-    switch to the algebraic large-|z| expansion.  Raises QuadratureError if
-    the series budget is exhausted.
-    """
-    if b <= 0 and b == math.floor(b):
-        raise ValueError(f"1F1 undefined at non-positive integer b = {b}")
-    if z == 0.0:
-        return 1.0
-    if z < -_ASYMPTOTIC_CUTOFF:
-        return _kummer_asymptotic_negative(a, b, z)
-    budget = max_terms if max_terms is not None else max(500, int(3.0 * abs(z)) + 200)
-    if z < 0.0:
-        return math.exp(z) * _kummer_series(b - a, b, -z, budget)
-    return _kummer_series(a, b, z, budget)
-
-
 def closed_form_gaussian(x, alpha: float):
     """Exact operator image of exp(-x^2):
 
-    (2^alpha * Gamma(1/2+alpha/2) / sqrt(pi)) * 1F1(1/2+alpha/2, 1/2, -x^2).
-    Even in x; decays like -c_alpha*sqrt(pi)*|x|^(-1-alpha) in the far field.
+    (2^alpha * Gamma(1/2+alpha/2) / sqrt(pi)) * 1F1(1/2+alpha/2, 1/2, -x^2),
+    with Kummer's 1F1 from ``scipy.special.hyp1f1``.  Even in x; decays like
+    -c_alpha*sqrt(pi)*|x|^(-1-alpha) in the far field.
     """
     pref = 2.0**alpha * math.gamma(0.5 + alpha / 2.0) / math.sqrt(math.pi)
-    if np.ndim(x) == 0:
-        return pref * kummer_1f1(0.5 + alpha / 2.0, 0.5, -float(x) ** 2)
     xs = np.asarray(x, dtype=float)
-    return pref * np.array([kummer_1f1(0.5 + alpha / 2.0, 0.5, -v * v) for v in xs])
+    out = pref * hyp1f1(0.5 + alpha / 2.0, 0.5, -(xs * xs))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

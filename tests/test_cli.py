@@ -67,6 +67,16 @@ class TestValidate:
         assert 1.0 not in alphas
         assert max(float(r[1]) for r in rows[1:]) < 1e-11
 
+    def test_mode2_default_grid_skips_one(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        code = run_cli(
+            "validate", "--target", "mode2", "--n", "4", "--llim", "10",
+            "--tolerance", "1.0", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        alphas = [float(r[0]) for r in list(csv.reader(out.open()))[1:]]
+        assert len(alphas) == 38 and 1.0 not in alphas
+
     def test_mode2_tolerance_failure_exit_code(self, tmp_path):
         code = run_cli(
             "validate", "--target", "mode2", "--n", "16", "--llim", "0",

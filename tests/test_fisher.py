@@ -329,6 +329,19 @@ class TestRunSimulation:
         outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("field,changes", [
+        ("l_lim", {"l_lim": 40}),
+        ("alpha", {"alpha": 1.3}),
+        ("map", {"cfg": GridConfig(16, 60.0)}),
+        ("alpha, l_lim", {"alpha": 1.3, "l_lim": 40}),
+    ], ids=["l_lim", "alpha", "map", "alpha_and_l_lim"])
+    def test_supplied_matrix_must_match_run(self, field, changes):
+        params = {"cfg": GridConfig(16, 50.0), "alpha": 1.2, "l_lim": 20}
+        matrix = build_matrix(params["cfg"], params["alpha"], params["l_lim"])
+        run = FisherRun(dt=0.01, t_final=0.02, **{**params, **changes})
+        with pytest.raises(ValueError, match=f"different {field}$"):
+            run_simulation(run, matrix)
+
     def test_odd_extension_rejected(self):
         with pytest.raises(ValueError):
             FisherRun(

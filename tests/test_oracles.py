@@ -1,27 +1,26 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from fraclap.grid import Extension, GridConfig
 from fraclap.oracles import (
-    QuadratureError,
     alpha_grid,
     closed_form_gaussian,
     closed_form_mode2,
     error_scan,
-    kummer_1f1,
     quadrature_fraclap,
     test_function,
 )
 
-# 20-digit references for 1F1(1/2+alpha/2, 1/2, z), from a high-precision
+# 20-digit references for 1F1(1/2+alpha/2, 1/2, -x^2), from a high-precision
 # series evaluation
 F1_REFS = [
-    # (a, b, z, value)
-    (0.75, 0.5, -4.0, -0.15324652228762546182),
-    (1.25, 0.5, -9.0, -0.034200810531909319835),
-    (0.525, 0.5, -300.0, -0.0021893519888476574837),
+    # (alpha, x^2, value)
+    (0.5, 4.0, -0.15324652228762546182),
+    (1.5, 9.0, -0.034200810531909319835),
+    (0.05, 300.0, -0.0021893519888476574837),
 ]
 
 
@@ -70,42 +69,6 @@ class TestClosedFormMode2:
         )
 
 
-class TestKummer:
-    def test_unit_at_origin(self):
-        for a, b in [(0.6, 0.5), (1.475, 0.5), (2.0, 1.0)]:
-            assert kummer_1f1(a, b, 0.0) == 1.0
-
-    def test_exponential_identity(self):
-        assert kummer_1f1(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
-
-    def test_integral_identity(self):
-        # 1F1(1, 2, z) = (e^z - 1)/z
-        assert kummer_1f1(1.0, 2.0, -1.0) == pytest.approx(1 - math.exp(-1), rel=1e-14)
-
-    @pytest.mark.parametrize("a,b,z,ref", F1_REFS)
-    def test_high_precision_references(self, a, b, z, ref):
-        assert kummer_1f1(a, b, z) == pytest.approx(ref, rel=1e-12)
-
-    def test_branch_consistency_at_cutoff(self):
-        # transformed series just below the asymptotic switch, expansion just
-        # above: both must agree through the closed-form Gaussian values
-        for alpha in (0.3, 1.0, 1.7):
-            lo = closed_form_gaussian(math.sqrt(255.0), alpha)
-            hi = closed_form_gaussian(math.sqrt(257.0), alpha)
-            ratio = lo / hi
-            # smooth ~x^{-1-alpha} tail: the ratio is close to (257/255)^((1+alpha)/2)
-            expected = (257.0 / 255.0) ** ((1 + alpha) / 2)
-            assert ratio == pytest.approx(expected, rel=1e-3)
-
-    def test_pole_in_b(self):
-        with pytest.raises(ValueError):
-            kummer_1f1(0.5, 0.0, 1.0)
-
-    def test_budget_exhaustion(self):
-        with pytest.raises(QuadratureError):
-            kummer_1f1(0.75, 0.5, -100.0, max_terms=10)
-
-
 class TestClosedFormGaussian:
     def test_origin_value(self):
         for alpha in (0.2, 1.0, 1.9):
@@ -127,6 +90,25 @@ class TestClosedFormGaussian:
         assert closed_form_gaussian(10.0, 0.5) == pytest.approx(
             quadrature_fraclap(f, 10.0, 0.5), abs=1e-6
         )
+
+    @pytest.mark.parametrize("alpha,x2,ref", F1_REFS)
+    def test_high_precision_references(self, alpha, x2, ref):
+        pref = 2**alpha * math.gamma(0.5 + alpha / 2) / math.sqrt(math.pi)
+        got = closed_form_gaussian(math.sqrt(x2), alpha)
+        assert got == pytest.approx(pref * ref, rel=1e-12)
+
+    def test_against_mpmath(self):
+        # the node ranges of the Gaussian scans, out to the outermost node
+        # at n = 512, L = 100
+        xs = [0.0, 0.3, 1.0, 2.5, 5.0, 10.0, 15.9, 16.1, 40.0, 81.5, 407.0, 3.3e4]
+        with mpmath.workdps(30):
+            for alpha in (0.05, 0.3, 0.7, 1.0, 1.3, 1.7, 1.95):
+                a = mpmath.mpf(alpha)
+                pref = 2**a * mpmath.gamma(0.5 + a / 2) / mpmath.sqrt(mpmath.pi)
+                got = closed_form_gaussian(np.array(xs), alpha)
+                for x, value in zip(xs, got):
+                    exact = pref * mpmath.hyp1f1(0.5 + a / 2, 0.5, -mpmath.mpf(x) ** 2)
+                    assert abs(value - exact) <= 1e-13 * abs(exact), (alpha, x)
 
     def test_accepts_arrays(self):
         out = closed_form_gaussian(np.array([0.0, 1.0, -1.0]), 0.5)
