@@ -93,6 +93,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _parameters(args, **resolved) -> dict:
+    """The parsed flags by destination name, with ``resolved`` values replacing theirs."""
+    skip = ("command", "matrix_command", "func")
+    return {k: v for k, v in vars(args).items() if k not in skip} | resolved
+
+
 def _write_manifest(path: Path, command: str, params: dict, outputs: list[str],
                     wall: float, diagnostics: dict) -> None:
     doc = {
@@ -116,14 +122,7 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_matrix_build(args) -> int:
-    _check_alpha(args.alpha)
-    if args.n < 2 or args.n % 2:
-        raise ParameterError(f"--n must be an even integer >= 2, got {args.n}")
-    if args.llim < 0:
-        raise ParameterError(f"--llim must be >= 0, got {args.llim}")
-    if args.L <= 0:
-        raise ParameterError(f"--L must be positive, got {args.L}")
-    cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
+    cfg = GridConfig(args.n, args.L, args.xc)
     t0 = time.perf_counter()
     matrix = build_matrix(cfg, args.alpha, args.llim)
     build_seconds = time.perf_counter() - t0
@@ -136,15 +135,7 @@ def _cmd_matrix_build(args) -> int:
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "matrix build",
-        {
-            "n": args.n,
-            "alpha": args.alpha,
-            "L": args.L,
-            "xc": args.xc,
-            "llim": args.llim,
-            "extension": args.extension,
-            "out": str(out),
-        },
+        _parameters(args, out=str(out)),
         [str(out)],
         build_seconds,
         {"column_crc32": [f"0x{c:08x}" for c in checks]},
@@ -167,13 +158,12 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     rows = []
     errs = []
     for alpha in alphas:
-        _check_alpha(float(alpha))
         matrix = build_matrix(cfg, float(alpha), args.llim)
         lap_nodes = fractional_laplacian(extend(gauss.u(x_nodes), cfg.extension), matrix)
         lap_coeffs = forward(np.tile(lap_nodes, 2), cfg)
         worst = 0.0
         for x in xs:
-            numeric = float(np.real(interpolate(lap_coeffs, x, "lower")))
+            numeric = float(np.real(interpolate(lap_coeffs, x)))
             reference = quadrature_fraclap(gauss, x, float(alpha))
             diff = abs(numeric - reference)
             worst = max(worst, diff)
@@ -183,10 +173,6 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
 
 
 def _cmd_validate(args) -> int:
-    if args.n < 2 or args.n % 2:
-        raise ParameterError(f"--n must be an even integer >= 2, got {args.n}")
-    if args.L <= 0:
-        raise ParameterError(f"--L must be positive, got {args.L}")
     out = Path(args.out) if args.out else Path(f"fraclap_validate_{args.target}.csv")
     cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
     t0 = time.perf_counter()
@@ -246,18 +232,7 @@ def _cmd_validate(args) -> int:
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "validate",
-        {
-            "target": args.target,
-            "n": args.n,
-            "L": args.L,
-            "xc": args.xc,
-            "llim": args.llim,
-            "extension": args.extension,
-            "alpha_grid": args.alpha_grid,
-            "l_sweep": args.l_sweep,
-            "tolerance": args.tolerance,
-            "out": str(out),
-        },
+        _parameters(args, out=str(out)),
         [str(out)],
         wall,
         diagnostics,
@@ -292,8 +267,8 @@ def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
 
 
 def _cmd_fisher(args) -> int:
-    if args.alpha is None and args.alpha_sweep is None:
-        raise ParameterError("one of --alpha or --alpha-sweep is required")
+    if (args.alpha is None) == (args.alpha_sweep is None):
+        raise ParameterError("give exactly one of --alpha or --alpha-sweep")
     if args.dt is None or args.dt <= 0:
         raise ParameterError(f"--dt must be positive, got {args.dt}")
     if args.tfinal is None or args.tfinal <= 0:
@@ -368,20 +343,7 @@ def _cmd_fisher(args) -> int:
     _write_manifest(
         out_dir / "fisher.manifest.json",
         "fisher",
-        {
-            "alpha": args.alpha,
-            "alpha_sweep": args.alpha_sweep,
-            "n": args.n,
-            "dt": args.dt,
-            "tfinal": args.tfinal,
-            "L": args.L,
-            "xc": args.xc,
-            "llim": args.llim,
-            "fit_window": args.fit_window,
-            "sample_stride": args.sample_stride,
-            "out_dir": str(out_dir),
-            "matrix_cache": args.matrix_cache,
-        },
+        _parameters(args, out_dir=str(out_dir)),
         outputs,
         time.perf_counter() - t0,
         diagnostics,
@@ -411,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--L", type=float, required=True, help="map scale")
     p_build.add_argument("--xc", type=float, default=0.0, help="map shift")
     p_build.add_argument("--llim", type=int, required=True, help="outer-series truncation")
-    p_build.add_argument("--extension", choices=["even", "odd"], default="even")
     p_build.add_argument("--out", required=True, help="cache file path")
     p_build.set_defaults(func=_cmd_matrix_build)
 

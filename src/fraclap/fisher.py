@@ -21,7 +21,7 @@ ln x05(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,7 @@ from scipy.fft import dct, idct
 from scipy.optimize import brentq
 
 from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
-from fraclap.opmatrix import OperatorMatrix, build_matrix, fused_sample_operator
+from fraclap.opmatrix import OperatorMatrix, fused_sample_operator
 from fraclap.spectral import KRASNY_THRESHOLD, extend
 
 #: solutions of the monostable problem live in [0, 1]; exceeding this
@@ -87,8 +87,7 @@ class FrontTrace:
 class FisherResult:
     trace: FrontTrace
     final_samples: np.ndarray
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def initial_condition(x, alpha: float):
@@ -130,7 +129,7 @@ def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
     k4 = rhs(u + dt * k3, op)
     out = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     peak = float(np.max(np.abs(out)))
-    if peak > BLOWUP_LIMIT:
+    if not peak <= BLOWUP_LIMIT:  # also catches NaN
         raise BlowUpError(f"max-norm {peak:.3g} exceeds {BLOWUP_LIMIT}; reduce dt or raise n")
     return out
 
@@ -202,47 +201,34 @@ def fit_sigma(trace: "FrontTrace", window: tuple[float, float]) -> float:
     return _ols_rate(trace.times, trace.x05, window)[0]
 
 
-def run_simulation(
-    run: FisherRun,
-    matrix: OperatorMatrix | None = None,
-    *,
-    snapshot_times=(),
-) -> FisherResult:
+def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     """Integrate from the standard initial condition and fit the front rate.
 
-    The operator matrix is built on demand (or supplied, e.g. from a cache
-    file) and folded once into the n x n stage operator.  The Krasny filter
-    runs once per accepted step, on the cosine coefficients of the n values;
-    the inverse DCT runs only in steps where it zeroes a nonzero
-    coefficient.  RK stages see the unfiltered operator.  Front positions
-    are recorded every ``sample_stride`` steps.  The fit window defaults to
-    the last 40% of the run.  Snapshots and the final samples cover all 2n
+    ``matrix`` (built or loaded from a cache file) must match the run's map,
+    alpha and l_lim; it is folded once into the n x n stage operator.  The
+    Krasny filter runs once per accepted step, on the cosine coefficients of
+    the n values; the inverse DCT runs only in steps where it zeroes a
+    nonzero coefficient.  RK stages see the unfiltered operator.  Front
+    positions are recorded every ``sample_stride`` steps.  The fit window
+    defaults to the last 40% of the run.  The final samples cover all 2n
     nodes.  ``diagnostics["krasny_zeroed"]`` is the most nonzero
-    coefficients the filter zeroed in one step.  ``diagnostics["max_imag"]`` is always 0.0,
-    as no imaginary part exists on the real path; the key stays because
-    the fisher-front benchmark gate reads it.
+    coefficients the filter zeroed in one step.  ``diagnostics["max_imag"]``
+    is always 0.0, as no imaginary part exists on the real path; the key
+    stays because the fisher-front benchmark gate reads it.
     """
-    cfg = run.cfg
-    if matrix is None:
-        matrix = build_matrix(cfg, run.alpha, run.l_lim)
-    else:
-        meta = matrix.meta
-        differ = [name for name, same in (("map", meta.cfg.same_map(cfg)),
-                                          ("alpha", meta.alpha == run.alpha),
-                                          ("l_lim", meta.l_lim == run.l_lim)) if not same]
-        if differ:
-            raise ValueError(f"matrix was built for a different {', '.join(differ)}")
+    cfg, meta = run.cfg, matrix.meta
+    differ = [name for name, same in (("map", meta.cfg.same_map(cfg)),
+                                      ("alpha", meta.alpha == run.alpha),
+                                      ("l_lim", meta.l_lim == run.l_lim)) if not same]
+    if differ:
+        raise ValueError(f"matrix was built for a different {', '.join(differ)}")
     op = fused_sample_operator(matrix)
     u = initial_condition(_physical_positions(cfg), run.alpha)
 
     n_steps, two_n = int(round(run.t_final / run.dt)), 2 * cfg.n
-    snap_steps = {int(round(ts / run.dt)): float(ts) for ts in snapshot_times}
     krasny_zeroed = 0
     times = [0.0]
     fronts = [front_position(u, cfg)]
-    snapshots: list[tuple[float, np.ndarray]] = []
-    if 0 in snap_steps:
-        snapshots.append((0.0, extend(u, Extension.EVEN)))
 
     for step in range(1, n_steps + 1):
         t = step * run.dt
@@ -263,8 +249,6 @@ def run_simulation(
             except FrontEscapeError as exc:
                 raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
             times.append(t)
-        if step in snap_steps:
-            snapshots.append((snap_steps[step], extend(u, Extension.EVEN)))
 
     window = run.fit_window if run.fit_window is not None else (0.6 * run.t_final, run.t_final)
     sigma, residual = _ols_rate(times, fronts, window)
@@ -285,6 +269,5 @@ def run_simulation(
     return FisherResult(
         trace=trace,
         final_samples=extend(u, Extension.EVEN),
-        snapshots=snapshots,
         diagnostics=diagnostics,
     )

@@ -77,19 +77,14 @@ def s_to_x(cfg: GridConfig, s):
     return float(x) if np.ndim(s) == 0 else x
 
 
-def x_to_s(cfg: GridConfig, x, branch: str = "lower"):
-    """Inverse map s = arccot((x - x_center)/l_scale).
+def x_to_s(cfg: GridConfig, x):
+    """Inverse map s = arccot((x - x_center)/l_scale), in (0, pi).
 
-    ``branch="lower"`` returns values in (0, pi); ``branch="upper"`` adds pi,
-    landing in (pi, 2*pi).  The two-argument arctangent keeps the lower
-    branch correct for negative arguments.
+    The two-argument arctangent keeps the result correct for negative
+    arguments.
     """
-    if branch not in ("lower", "upper"):
-        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     t = (np.asarray(x, dtype=float) - cfg.x_center) / cfg.l_scale
     s = np.arctan2(1.0, t)
-    if branch == "upper":
-        s = s + np.pi
     return float(s) if np.ndim(x) == 0 else s
 
 

@@ -38,12 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from fraclap.grid import Extension, GridConfig, nodes
-from fraclap.spectral import (
-    KRASNY_THRESHOLD,
-    SpectralCoefficients,
-    forward,
-    krasny_filter,
-)
+from fraclap.spectral import SpectralCoefficients, forward, krasny_filter
 from fraclap.symbol import mode_columns
 
 _MAGIC = b"FLAPMAT1"
@@ -115,25 +110,14 @@ def apply(matrix: OperatorMatrix, coeffs: SpectralCoefficients) -> np.ndarray:
     return block @ c[1:n] + np.conj(block @ np.conj(c[:n:-1]))
 
 
-def fractional_laplacian(
-    samples,
-    matrix: OperatorMatrix,
-    *,
-    threshold: float = KRASNY_THRESHOLD,
-    diagnostics: dict | None = None,
-) -> np.ndarray:
+def fractional_laplacian(samples, matrix: OperatorMatrix) -> np.ndarray:
     """Operator applied to 2n real samples: transform, filter, apply, real part.
 
-    Returns the n physical-node values.  The discarded imaginary part is
-    reported through ``diagnostics`` (key ``"max_imag"``) when a dict is
-    supplied; for real input it is pure round-off noise.
+    Returns the n physical-node values.  For real input the discarded
+    imaginary part is pure round-off noise.
     """
-    cfg = matrix.meta.cfg
-    coeffs = krasny_filter(forward(samples, cfg), threshold)
-    out = apply(matrix, coeffs)
-    if diagnostics is not None:
-        diagnostics["max_imag"] = float(np.max(np.abs(out.imag)))
-    return np.ascontiguousarray(out.real)
+    coeffs = krasny_filter(forward(samples, matrix.meta.cfg))
+    return np.ascontiguousarray(apply(matrix, coeffs).real)
 
 
 def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
@@ -143,9 +127,8 @@ def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
     and even in k, uhat(k) = uhat(-k) = sum_{j<n} u_j*cos(k*s_j)/n, so the
     columns k and -k fold into 2*Re(column k).  Composing that with the
     transform gives one real matrix acting on the n physical values.  Agrees
-    with :func:`fractional_laplacian` of the extended samples (at zero
-    filter threshold) to round-off.  Raises ValueError for an odd-extension
-    matrix.
+    with :func:`apply` to the unfiltered transform of the extended samples
+    to round-off.  Raises ValueError for an odd-extension matrix.
     """
     cfg = matrix.meta.cfg
     if cfg.extension is not Extension.EVEN:

@@ -217,14 +217,11 @@ class ErrorScan:
         return float(np.max(self.errors))
 
 
-def alpha_grid(start: float, stop: float, step: float, *, exclude_one: bool = False) -> np.ndarray:
-    """Arithmetic progression of alpha values, optionally dropping alpha = 1."""
+def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Arithmetic progression of alpha values inside (0, 2)."""
     count = int(round((stop - start) / step)) + 1
     grid = np.round(start + step * np.arange(count), 12)
-    grid = grid[(grid > 0.0) & (grid < 2.0)]
-    if exclude_one:
-        grid = grid[np.abs(grid - 1.0) > 1e-12]
-    return grid
+    return grid[(grid > 0.0) & (grid < 2.0)]
 
 
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:

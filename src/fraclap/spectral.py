@@ -24,7 +24,7 @@ import numpy as np
 
 from fraclap.grid import Extension, GridConfig, x_to_s
 
-#: Default Krasny threshold: double precision machine epsilon (absolute).
+#: Krasny threshold: double precision machine epsilon (absolute).
 KRASNY_THRESHOLD = float(np.finfo(np.float64).eps)
 
 # Interpolation is evaluated in blocks of query points to bound the size of
@@ -100,25 +100,21 @@ def extend(half_samples, extension) -> np.ndarray:
     return np.concatenate([half, mirrored])
 
 
-def krasny_filter(
-    coeffs: SpectralCoefficients, threshold: float = KRASNY_THRESHOLD
-) -> SpectralCoefficients:
-    """Zero every coefficient with modulus below ``threshold`` (absolute)."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    vals = np.where(np.abs(coeffs.values) < threshold, 0.0, coeffs.values)
+def krasny_filter(coeffs: SpectralCoefficients) -> SpectralCoefficients:
+    """Zero every coefficient with modulus below ``KRASNY_THRESHOLD`` (absolute)."""
+    vals = np.where(np.abs(coeffs.values) < KRASNY_THRESHOLD, 0.0, coeffs.values)
     return SpectralCoefficients(grid=coeffs.grid, values=vals)
 
 
-def interpolate(coeffs: SpectralCoefficients, xs, branch="lower") -> np.ndarray:
+def interpolate(coeffs: SpectralCoefficients, xs) -> np.ndarray:
     """Evaluate sum_k uhat(k)*exp(i*k*arccot((x - x_center)/l_scale)) at xs.
 
-    ``branch`` selects the half of the circle, as in
-    :func:`fraclap.grid.x_to_s`: "lower" (the physical nodes) or "upper".
+    The angle lies in (0, pi), the half of the circle that holds the
+    physical nodes.
     """
     cfg = coeffs.grid
     pts = np.atleast_1d(np.asarray(xs, dtype=float))
-    theta = x_to_s(cfg, pts, branch)
+    theta = x_to_s(cfg, pts)
     k = mode_numbers(cfg.n)
     out = np.empty(pts.size, dtype=np.complex128)
     for lo in range(0, pts.size, _INTERP_BLOCK):

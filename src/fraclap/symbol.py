@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import ifft, ifftshift
 
-from fraclap.gammaratio import GammaRatioTables, build_tables
+from fraclap.gammaratio import build_tables
 from fraclap.grid import GridConfig, nodes
 
 
@@ -78,21 +78,18 @@ def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
     return np.negative(c, out=c, where=neg)
 
 
-def mode_columns(
-    cfg: GridConfig, alpha: float, l_lim: int, ks, tables: GammaRatioTables | None = None
-) -> np.ndarray:
+def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Operator applied to exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
-    Every k must lie in 1..n-1; ``tables`` are built for the parities of
-    ``ks`` when omitted and checked against alpha when given (alpha = 1
-    needs none).  Per parity of k each term of the l1 sum is W[l1, l2]
-    times G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
-    P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window of G that
-    holds only the pairs (l2, d) the columns read: O(l_lim*n) work for one
-    column.  The l2 series at the nodes is then one shifted inverse FFT per
-    parity, O(n log n) per column.  The reductions run in np.einsum and the
-    FFT in pocketfft, neither in BLAS, so the result does not depend on the
-    BLAS thread count.
+    Every k must lie in 1..n-1; the gamma tables are built for the parities
+    of ``ks`` (alpha = 1 needs none).  Per parity of k each term of the l1
+    sum is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums
+    are the reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a
+    sliding window of G that holds only the pairs (l2, d) the columns read:
+    O(l_lim*n) work for one column.  The l2 series at the nodes is then one
+    shifted inverse FFT per parity, O(n log n) per column.  The reductions
+    run in np.einsum and the FFT in pocketfft, neither in BLAS, so the
+    result does not depend on the BLAS thread count.
     """
     n = cfg.n
     ks = np.asarray(ks, dtype=np.int64)
@@ -103,12 +100,9 @@ def mode_columns(
     l_full = l1 * n + l2
     sign1 = np.where(l1 % 2 == 0, 1.0, -1.0)
     if alpha == 1.0:
-        weights = (sign1 * np.sign(l_full),)
+        weights, tables = (sign1 * np.sign(l_full),), None
     else:
-        if tables is None:
-            tables = build_tables(alpha, n, l_lim, parities=set((ks % 2).tolist()))
-        elif tables.alpha != alpha:
-            raise ValueError(f"tables were built for alpha = {tables.alpha}, expected {alpha}")
+        tables = build_tables(alpha, n, l_lim, parities=set((ks % 2).tolist()))
         w = sign1 * tables.vec_a[np.abs(l_full)]
         weights = (w, w * l1)
         pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / (
@@ -150,12 +144,11 @@ def mode_columns(
     return out
 
 
-def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None) -> np.ndarray:
+def symbol_samples(params: SymbolParams) -> np.ndarray:
     """Values of the operator applied to exp(i*k*s) at the n physical nodes.
 
-    ``tables`` may be shared across modes; when omitted (and alpha != 1)
-    they are built on the fly.  k = 0 returns the zero vector, k must lie
-    in {0, ..., n-1}.  This is the one-column case of :func:`mode_columns`.
+    k = 0 returns the zero vector, k must lie in {0, ..., n-1}.  This is
+    the one-column case of :func:`mode_columns`.
     """
     n = params.cfg.n
     k = int(params.k)
@@ -163,4 +156,4 @@ def symbol_samples(params: SymbolParams, tables: GammaRatioTables | None = None)
         raise ValueError(f"k must lie in 0..n-1 = 0..{n - 1}, got {k}")
     if k == 0:
         return np.zeros(n, dtype=np.complex128)
-    return mode_columns(params.cfg, params.alpha, params.l_lim, [k], tables)[:, 0]
+    return mode_columns(params.cfg, params.alpha, params.l_lim, [k])[:, 0]

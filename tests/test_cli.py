@@ -51,6 +51,23 @@ class TestMatrixBuild:
         )
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("flag,value", [("--L", "0"), ("--llim", "-1")])
+    def test_bad_parameter_writes_nothing(self, tmp_path, flag, value):
+        flags = {"--n": "8", "--alpha": "0.5", "--L": "1.0", "--llim": "10", flag: value}
+        args = [item for pair in flags.items() for item in pair]
+        code = run_cli("matrix", "build", *args, "--out", str(tmp_path / "m.bin"))
+        assert code == EXIT_INVALID
+        assert list(tmp_path.iterdir()) == []
+
+    def test_extension_flag_rejected(self, tmp_path):
+        # the entries do not depend on the parity, so the flag is gone
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "matrix", "build", "--n", "8", "--alpha", "0.5", "--L", "1.0",
+                "--llim", "10", "--extension", "even", "--out", str(tmp_path / "m.bin"),
+            )
+        assert exc.value.code == 2
+
 
 class TestValidate:
     def test_mode2_scan_passes_tolerance(self, tmp_path):
@@ -108,6 +125,14 @@ class TestValidate:
         assert len(errs) == 8
         best = min(errs, key=errs.get)
         assert 1.0 < best < 8.0
+
+    def test_negative_scale_writes_nothing(self, tmp_path):
+        code = run_cli(
+            "validate", "--target", "mode2", "--n", "16", "--L", "-1", "--llim", "10",
+            "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == EXIT_INVALID
+        assert list(tmp_path.iterdir()) == []
 
     def test_quadrature_target(self, tmp_path):
         out = tmp_path / "q.csv"
@@ -271,6 +296,52 @@ class TestFisher:
             "--out-dir", str(tmp_path / "x"),
         )
         assert code == EXIT_INVALID
+
+    def test_alpha_with_sweep_rejected(self, tmp_path):
+        # one of the two would be dropped silently; neither runs
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--alpha-sweep", "1.0:1.4:0.2", "--n", "32",
+            "--dt", "0.01", "--tfinal", "0.3", "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == EXIT_INVALID
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_step_is_a_blowup_row(self, tmp_path, capsys):
+        # a step of 1e100 overflows to NaN at once; NaN must not pass the gate
+        out_dir = tmp_path / "x"
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--n", "64", "--dt", "1e100", "--tfinal", "1e101",
+            "--L", "50", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_BLOWUP
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert summary[1][-1] == "BlowUpError"
+        assert "FAILED (t = 1e+100:" in capsys.readouterr().out
+
+
+class TestManifestParameters:
+    @pytest.mark.parametrize("command,args,manifest,keys", [
+        (["matrix", "build", "--n", "8", "--alpha", "0.5", "--L", "1.0", "--llim", "20"],
+         ["--out", "m.bin"], "m.bin.manifest.json",
+         {"n", "alpha", "L", "xc", "llim", "out"}),
+        (["validate", "--target", "mode2", "--n", "4", "--llim", "10",
+          "--alpha-grid", "0.5:0.5:1.0"],
+         ["--out", "s.csv"], "s.csv.manifest.json",
+         {"target", "n", "L", "xc", "llim", "extension", "alpha_grid", "l_sweep",
+          "tolerance", "out"}),
+        (["fisher", "--alpha", "1.2", "--n", "16", "--dt", "0.01", "--tfinal", "0.3",
+          "--llim", "20", "--sample-stride", "2"],
+         ["--out-dir", "r"], "r/fisher.manifest.json",
+         {"alpha", "alpha_sweep", "n", "dt", "tfinal", "L", "xc", "llim", "fit_window",
+          "sample_stride", "out_dir", "matrix_cache"}),
+    ], ids=["matrix_build", "validate", "fisher"])
+    def test_parameter_keys(self, tmp_path, command, args, manifest, keys):
+        out = [args[0], str(tmp_path / args[1])]
+        assert run_cli(*command, *out) == EXIT_OK
+        params = json.loads((tmp_path / manifest).read_text())["parameters"]
+        assert set(params) == keys
+        assert params[out[0][2:].replace("-", "_")] == out[1]
 
 
 class TestSpanGrammar:

@@ -21,7 +21,7 @@ from fraclap.fisher import (
     _ols_rate,
 )
 from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
-from fraclap.opmatrix import build_matrix, fractional_laplacian, fused_sample_operator
+from fraclap.opmatrix import apply, build_matrix, fused_sample_operator
 from fraclap.oracles import closed_form_gaussian
 from fraclap.spectral import extend, forward, interpolate
 
@@ -96,6 +96,14 @@ class TestRk4Step:
         with pytest.raises(BlowUpError):
             rk4_step(u, 0.5, op)
 
+    def test_nan_is_a_blowup(self, gauss_setup):
+        # NaN > BLOWUP_LIMIT is False: the gate must not let NaN through
+        cfg, matrix, op = gauss_setup
+        u = np.full(128, 0.5)
+        u[7] = np.nan
+        with pytest.raises(BlowUpError):
+            rk4_step(u, 0.01, op)
+
     def test_linearization_matches_closed_form(self, gauss_setup):
         # one small step from eps*u3: to first order in dt and eps,
         # u1 = eps*u3 + dt*eps*(-Lap(u3) + u3)
@@ -109,15 +117,15 @@ class TestRk4Step:
         assert np.max(np.abs(stepped - predicted)) < 5 * dt**2 * eps
 
     def test_folded_step_matches_filtered_stages(self, gauss_setup):
-        # stages through the transform of the extended samples and apply()
+        # stages through the unfiltered transform of the extended samples and apply()
         cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
         u = initial_condition(x, 1.5)
         dt = 0.01
 
         def f(v):
-            lap = fractional_laplacian(extend(v, Extension.EVEN), matrix, threshold=0.0)
-            return -lap[:128] + v * (1.0 - v)
+            lap = apply(matrix, forward(extend(v, Extension.EVEN), cfg)).real
+            return -lap + v * (1.0 - v)
 
         k1 = f(u)
         k2 = f(u + 0.5 * dt * k1)
@@ -167,7 +175,7 @@ class TestCosineTransform:
         w[0] *= 0.5
         pts = 0.5 * (x[:-1] + x[1:])  # between the nodes
         series = np.cos(np.outer(x_to_s(cfg, pts), np.arange(64))) @ w
-        expected = interpolate(forward(extend(u, Extension.EVEN), cfg), pts, "lower").real
+        expected = interpolate(forward(extend(u, Extension.EVEN), cfg), pts).real
         assert np.max(np.abs(series - expected)) <= 1e-13
 
 
@@ -213,7 +221,7 @@ class TestFrontPosition:
         u = initial_condition(x - 1.3, 1.6)
         coeffs = forward(extend(u, Extension.EVEN), cfg)
         expected = brentq(
-            lambda pt: interpolate(coeffs, pt, "lower").real - 0.5, 0.0, 10.0, xtol=1e-14
+            lambda pt: interpolate(coeffs, pt).real - 0.5, 0.0, 10.0, xtol=1e-14
         )
         assert front_position(u, cfg) == pytest.approx(expected, rel=1e-9)
 
@@ -281,15 +289,15 @@ class TestRunSimulation:
         assert len(result.trace.times) == len(result.trace.x05)
 
     def test_snapshots(self):
+        # the one snapshot kept is the final state, evenly extended to all 2n nodes
         alpha = 1.2
         cfg = GridConfig(64, 50.0)
         matrix = build_matrix(cfg, alpha, 200)
         run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.2, l_lim=200,
                         sample_stride=5, fit_window=(0.05, 0.2))
-        result = run_simulation(run, matrix, snapshot_times=(0.0, 0.1))
-        assert [t for t, _ in result.snapshots] == [0.0, 0.1]
-        assert all(s.shape == (128,) for _, s in result.snapshots)
-        assert result.final_samples.shape == (128,)
+        final = run_simulation(run, matrix).final_samples
+        assert final.shape == (128,)
+        np.testing.assert_array_equal(final, extend(final[:64], Extension.EVEN))
 
     def test_step_that_zeroes_nothing_skips_the_round_trip(self):
         # two steps from the initial condition, where the filter zeroes no
@@ -322,8 +330,10 @@ class TestRunSimulation:
         script = (
             "import json; from fraclap.grid import GridConfig; "
             "from fraclap.fisher import FisherRun, run_simulation; "
-            "r = run_simulation(FisherRun(cfg=GridConfig(64, 50.0), alpha=1.2, dt=0.01, "
-            "t_final=0.3, l_lim=200, sample_stride=5, fit_window=(0.1, 0.3))); "
+            "from fraclap.opmatrix import build_matrix; "
+            "cfg = GridConfig(64, 50.0); "
+            "r = run_simulation(FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=0.3, "
+            "l_lim=200, sample_stride=5, fit_window=(0.1, 0.3)), build_matrix(cfg, 1.2, 200)); "
             "print(json.dumps([[v.hex() for v in a] for a in (r.trace.x05, r.final_samples)]))"
         )
         outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]

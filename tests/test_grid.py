@@ -70,7 +70,6 @@ class TestMap:
     def test_inverse_center(self):
         cfg = GridConfig(4, 1.0, x_center=2.0)
         assert x_to_s(cfg, 2.0) == pytest.approx(np.pi / 2)
-        assert x_to_s(cfg, 2.0, "upper") == pytest.approx(3 * np.pi / 2)
 
     def test_inverse_unit_offset(self):
         cfg = GridConfig(4, 1.0)
@@ -82,10 +81,6 @@ class TestMap:
         s = x_to_s(cfg, -3.0)
         assert np.pi / 2 < s < np.pi
 
-    def test_bad_branch(self):
-        with pytest.raises(ValueError):
-            x_to_s(GridConfig(4, 1.0), 0.0, branch="middle")
-
     @pytest.mark.parametrize("n", [2, 16, 128])
     @pytest.mark.parametrize("l_scale,x_center", [(1.0, 0.0), (4.6, 0.0), (0.3, -2.5)])
     def test_node_round_trip(self, n, l_scale, x_center):
@@ -93,8 +88,9 @@ class TestMap:
         s = nodes(cfg)
         x = s_to_x(cfg, s)
         for j in range(2 * n):
-            branch = "lower" if j < n else "upper"
-            assert x_to_s(cfg, x[j], branch) == pytest.approx(s[j], rel=1e-12)
+            # s_j and s_j - pi are the same x; the inverse lands in (0, pi)
+            upper = np.pi if j >= n else 0.0
+            assert x_to_s(cfg, x[j]) + upper == pytest.approx(s[j], rel=1e-12)
 
     def test_node_positions_decreasing(self):
         cfg = GridConfig(32, 2.0, x_center=1.0)

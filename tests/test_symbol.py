@@ -163,7 +163,7 @@ class TestSymbolSamples:
                 return pref / np.tan(np.pi * alpha / 2.0) * series
             return 1j * pref * series
 
-        numeric = symbol_samples(SymbolParams(alpha, k, cfg, l_lim), tables)
+        numeric = symbol_samples(SymbolParams(alpha, k, cfg, l_lim))
         s = nodes(cfg)[:n]
         assert np.max(np.abs(numeric - direct(s))) < 1e-12
         assert np.max(np.abs(numeric - direct(s + np.pi))) < 1e-12
@@ -187,11 +187,6 @@ class TestSymbolSamples:
         f = test_function("mode_k", k=-3)
         x = np.cos(s[2]) / np.sin(s[2])
         assert numeric[2] == pytest.approx(quadrature_fraclap(f, x, 0.6), abs=1e-8)
-
-    def test_tables_alpha_mismatch(self):
-        tables = build_tables(0.5, 8, 10)
-        with pytest.raises(ValueError):
-            symbol_samples(SymbolParams(0.7, 2, GridConfig(8, 1.0), 10), tables)
 
 
 def _direct_columns(cfg, alpha, l_lim, ks):
