@@ -1,14 +1,16 @@
 """Pseudospectral fractional Laplacian (-Delta)^(alpha/2) on the real line.
 
 The real line is mapped onto (0, pi) through x = x_center + l_scale*cot(s),
-functions are represented as trigonometric interpolants on half-shifted
-equispaced nodes, and the operator is applied through a dense operational
-matrix acting on the Fourier coefficients.  No domain truncation is involved.
+functions are sampled at n half-shifted equispaced nodes, continued evenly
+or oddly across s = pi and represented by the real cosine or sine series of
+their DCT-II or DST-II, and the operator is applied through a dense
+operational matrix acting on those coefficients.  No domain truncation is
+involved.
 
 Subpackages
 -----------
 grid        coordinate map and node generation
-spectral    phase-shifted FFTs, parity extension, filtering, interpolation
+spectral    real transforms (DCT-II/DST-II), Krasny filter, series evaluation
 gammaratio  stable precomputation of the gamma-function ratio tables
 symbol      closed-form operator action on Fourier modes, one or many at once
 opmatrix    assembly, caching and application of the operational matrix
@@ -18,16 +20,7 @@ cli         command line driver
 """
 
 from fraclap.grid import Extension, GridConfig, node_positions, nodes, s_to_x, x_to_s
-from fraclap.spectral import (
-    KRASNY_THRESHOLD,
-    SpectralCoefficients,
-    extend,
-    forward,
-    interpolate,
-    inverse,
-    krasny_filter,
-    mode_numbers,
-)
+from fraclap.spectral import KRASNY_THRESHOLD, evaluate, krasny_filter, transform
 from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
 from fraclap.opmatrix import (
@@ -76,13 +69,9 @@ __all__ = [
     "s_to_x",
     "x_to_s",
     "KRASNY_THRESHOLD",
-    "SpectralCoefficients",
-    "forward",
-    "inverse",
-    "extend",
+    "transform",
     "krasny_filter",
-    "interpolate",
-    "mode_numbers",
+    "evaluate",
     "GammaRatioTables",
     "build_tables",
     "SymbolParams",

@@ -50,7 +50,7 @@ from fraclap.oracles import (
     scale_sweep,
     test_function,
 )
-from fraclap.spectral import extend, forward, interpolate
+from fraclap.spectral import evaluate, transform
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -159,11 +159,10 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     errs = []
     for alpha in alphas:
         matrix = build_matrix(cfg, float(alpha), args.llim)
-        lap_nodes = fractional_laplacian(extend(gauss.u(x_nodes), cfg.extension), matrix)
-        lap_coeffs = forward(np.tile(lap_nodes, 2), cfg)
+        # the image is a function of x: its cosine series interpolates the node values
+        lap_coeffs = transform(fractional_laplacian(gauss.u(x_nodes), matrix), Extension.EVEN)
         worst = 0.0
-        for x in xs:
-            numeric = float(np.real(interpolate(lap_coeffs, x)))
+        for x, numeric in zip(xs, evaluate(lap_coeffs, Extension.EVEN, cfg, xs)):
             reference = quadrature_fraclap(gauss, x, float(alpha))
             diff = abs(numeric - reference)
             worst = max(worst, diff)
@@ -269,9 +268,9 @@ def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
 def _cmd_fisher(args) -> int:
     if (args.alpha is None) == (args.alpha_sweep is None):
         raise ParameterError("give exactly one of --alpha or --alpha-sweep")
-    if args.dt is None or args.dt <= 0:
+    if args.dt <= 0:
         raise ParameterError(f"--dt must be positive, got {args.dt}")
-    if args.tfinal is None or args.tfinal <= 0:
+    if args.tfinal <= 0:
         raise ParameterError(f"--tfinal must be positive, got {args.tfinal}")
     if args.n < 2 or args.n % 2:
         raise ParameterError(f"--n must be an even integer >= 2, got {args.n}")

@@ -6,17 +6,14 @@ profile (1/2 - x/(2*sqrt(1+x^2)))^(alpha/2) that decays like (2x)^(-alpha)
 to the right.  The solution is evenly extended across s = pi, so the state
 is its n real physical node values and the linear term is one real n x n
 matrix (:func:`fraclap.opmatrix.fused_sample_operator`).  For such data the
-phase-shifted transform is a DCT-II, dct(u, type=2)/(2n) = uhat(0..n-1)
-with uhat(-k) = uhat(k) and uhat(-n) = 0, and the interpolant is the cosine
-series uhat(0) + 2*sum_k uhat(k)*cos(k*theta), theta = arccot((x - x_c)/L):
-the rational Chebyshev functions TB_k of Boyd, *Chebyshev and Fourier
-Spectral Methods* (2001), ch. 17.  The Krasny filter is a DCT-II once per
-step, and a DCT-III back only when it zeroes a coefficient.  The stable
-state u = 1 invades u = 0 with exponentially increasing speed; the front
-position x05(t), where the solution crosses 1/2, is located by bracketing
-on the nodes plus Brent's method on the cosine series, and the rate sigma
-in x05 ~ exp(sigma*t) is obtained from a least-squares line through
-ln x05(t).
+phase-shifted transform is the DCT-II of :func:`fraclap.spectral.transform`
+and the interpolant is its cosine series.  The Krasny filter is a DCT-II
+once per step, and a DCT-III back only when it zeroes a coefficient.  The
+stable state u = 1 invades u = 0 with exponentially increasing speed; the
+front position x05(t), where the solution crosses 1/2, is located by
+bracketing on the nodes plus Brent's method on the cosine series, and the
+rate sigma in x05 ~ exp(sigma*t) is obtained from a least-squares line
+through ln x05(t).
 """
 
 from __future__ import annotations
@@ -25,12 +22,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import idct
 from scipy.optimize import brentq
 
-from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
+from fraclap.grid import Extension, GridConfig, node_positions
 from fraclap.opmatrix import OperatorMatrix, fused_sample_operator
-from fraclap.spectral import KRASNY_THRESHOLD, extend
+from fraclap.spectral import evaluate, krasny_filter, transform
 
 #: solutions of the monostable problem live in [0, 1]; exceeding this
 #: max-norm can only come from numerical instability
@@ -98,10 +95,12 @@ def initial_condition(x, alpha: float):
     whose half-level position grows like exp(t/alpha).  A steeper power
     would put alpha > 1 in the kernel-dominated regime with the strictly
     smaller rate 1/(1+alpha) and the measured front speeds would no longer
-    approach 1/alpha.
+    approach 1/alpha.  For x > 0 the base is evaluated as 1/(2r(r + x)),
+    r = sqrt(1 + x^2), which does not cancel in the far field.
     """
     x = np.asarray(x, dtype=float)
-    base = 0.5 - x / (2.0 * np.sqrt(1.0 + x * x))
+    r = np.sqrt(1.0 + x * x)
+    base = np.where(x > 0.0, 0.5 / (r * (r + np.abs(x))), 0.5 - x / (2.0 * r))
     out = base ** (alpha / 2.0)
     return float(out) if out.ndim == 0 else out
 
@@ -164,13 +163,11 @@ def front_position(samples, cfg: GridConfig) -> float:
         raise FrontEscapeError("no 1/2-crossing between adjacent nodes")
     j = int(crossings[0])
     lo, hi = float(x[j + 1]), float(x[j])  # lo < hi
-    w = dct(u, type=2) / cfg.n  # series weights: uhat(0), then 2*uhat(k) for k >= 1
-    w[0] *= 0.5
-    k = np.arange(cfg.n)
+    c = transform(u, Extension.EVEN)
     ends = {lo: d[j + 1], hi: d[j]}  # node values: their signs are known to differ
 
     def g(pt: float) -> float:
-        return ends[pt] if pt in ends else float(np.cos(k * x_to_s(cfg, pt)) @ w) - 0.5
+        return ends[pt] if pt in ends else evaluate(c, Extension.EVEN, cfg, pt) - 0.5
 
     return float(brentq(g, lo, hi, xtol=_FRONT_XTOL * max(1.0, abs(hi))))
 
@@ -210,8 +207,10 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     the n values; the inverse DCT runs only in steps where it zeroes a
     nonzero coefficient.  RK stages see the unfiltered operator.  Front
     positions are recorded every ``sample_stride`` steps.  The fit window
-    defaults to the last 40% of the run.  The final samples cover all 2n
-    nodes.  ``diagnostics["krasny_zeroed"]`` is the most nonzero
+    defaults to the last 40% of the run.  The final samples are the n
+    physical values.  Numpy floating-point warnings are silenced in the step
+    loop: a step that overflows ends in :class:`BlowUpError` instead.
+    ``diagnostics["krasny_zeroed"]`` is the most nonzero
     coefficients the filter zeroed in one step.  ``diagnostics["max_imag"]``
     is always 0.0, as no imaginary part exists on the real path; the key
     stays because the fisher-front benchmark gate reads it.
@@ -225,30 +224,30 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     op = fused_sample_operator(matrix)
     u = initial_condition(_physical_positions(cfg), run.alpha)
 
-    n_steps, two_n = int(round(run.t_final / run.dt)), 2 * cfg.n
+    n_steps = int(round(run.t_final / run.dt))
     krasny_zeroed = 0
     times = [0.0]
     fronts = [front_position(u, cfg)]
 
-    for step in range(1, n_steps + 1):
-        t = step * run.dt
-        try:
-            u = rk4_step(u, run.dt, op)
-        except BlowUpError as exc:
-            raise BlowUpError(f"t = {t:.6g}: {exc}") from exc
-        c = dct(u, type=2) / two_n  # Krasny filter on uhat(0..n-1), see module docstring
-        small = np.abs(c) < KRASNY_THRESHOLD
-        zeroed = int(np.count_nonzero(small & (c != 0.0)))
-        if zeroed:  # with nothing zeroed the round trip would only add round-off
-            c[small] = 0.0
-            u = idct(c * two_n, type=2)
-        krasny_zeroed = max(krasny_zeroed, zeroed)
-        if step % run.sample_stride == 0 or step == n_steps:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            t = step * run.dt
             try:
-                fronts.append(front_position(u, cfg))
-            except FrontEscapeError as exc:
-                raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
-            times.append(t)
+                u = rk4_step(u, run.dt, op)
+            except BlowUpError as exc:
+                raise BlowUpError(f"t = {t:.6g}: {exc}") from exc
+            c = transform(u, Extension.EVEN)
+            filtered = krasny_filter(c)
+            zeroed = int(np.count_nonzero(filtered != c))
+            if zeroed:  # with nothing zeroed the round trip would only add round-off
+                u = idct(filtered * (2 * cfg.n), type=2)
+            krasny_zeroed = max(krasny_zeroed, zeroed)
+            if step % run.sample_stride == 0 or step == n_steps:
+                try:
+                    fronts.append(front_position(u, cfg))
+                except FrontEscapeError as exc:
+                    raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
+                times.append(t)
 
     window = run.fit_window if run.fit_window is not None else (0.6 * run.t_final, run.t_final)
     sigma, residual = _ols_rate(times, fronts, window)
@@ -268,6 +267,6 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     }
     return FisherResult(
         trace=trace,
-        final_samples=extend(u, Extension.EVEN),
+        final_samples=u,
         diagnostics=diagnostics,
     )

@@ -1,14 +1,16 @@
 """Assembly, caching and application of the dense operational matrix.
 
-The operator maps the 2n Fourier coefficients (stored in FFT bin order
-k = 0..n-1, -n..-1) to samples of the fractional Laplacian.  Only the
-independent n x (n-1) block is stored: rows are the n physical nodes
-j < n, columns the modes k = 1..n-1.  The rest is implicit.  The image of a
-mode is a function of x, and s_j + pi is the same point as s_j, so the
-nodes j >= n would repeat the physical rows.  The column of -k is the
-conjugate of the column of k, which :func:`apply` supplies.  Constants
-(k = 0) are annihilated, and the k = -n mode's image is not representable
-on the grid, so both contribute zero.
+The operator maps the phase-shifted Fourier coefficients uhat(k) of data
+continued evenly or oddly across s = pi to samples of the fractional
+Laplacian.  Only the independent n x (n-1) block is stored: rows are the n
+physical nodes j < n, columns the modes k = 1..n-1.  The rest is implicit.
+The image of a mode is a function of x, and s_j + pi is the same point as
+s_j, so the nodes j >= n would repeat the physical rows.  The column of -k
+is the conjugate of the column of k.  Constants (k = 0) are annihilated,
+and the k = -n mode's image is not representable on the grid, so both
+contribute zero.  For the real coefficients of
+:func:`fraclap.spectral.transform` the columns k and -k fold into one real
+column each, which :func:`apply` uses.
 
 The binary cache format (version 2) is a fixed 64-byte little-endian header
 
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from fraclap.grid import Extension, GridConfig, nodes
-from fraclap.spectral import SpectralCoefficients, forward, krasny_filter
+from fraclap.spectral import krasny_filter, transform
 from fraclap.symbol import mode_columns
 
 _MAGIC = b"FLAPMAT1"
@@ -91,44 +93,41 @@ def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
     return OperatorMatrix(entries=entries, meta=MatrixMeta(alpha=alpha, cfg=cfg, l_lim=l_lim))
 
 
-def apply(matrix: OperatorMatrix, coeffs: SpectralCoefficients) -> np.ndarray:
+def apply(matrix: OperatorMatrix, coeffs, extension) -> np.ndarray:
     """Matrix-vector product: operator samples at the n physical nodes.
 
-    The modes -k = -1..-(n-1) enter through the conjugate columns.  The
-    coefficient grid must share n, l_scale and x_center with the build grid;
-    the extension parity is a property of how samples were continued, not of
-    the operator, and is not checked.
+    ``coeffs`` are the n real coefficients of :func:`fraclap.spectral.transform`
+    for the given extension.  Even data has uhat(k) = uhat(-k) = c_k, so the
+    columns k and -k sum to 2*Re(column k); odd data has uhat(+-k) = -+i*d_(k-1),
+    so they sum to 2*Im(column k).  The parity is a property of how samples
+    were continued, not of the operator.
     """
-    if not coeffs.grid.same_map(matrix.meta.cfg):
-        raise ValueError(
-            f"grid mismatch: coefficients on n={coeffs.grid.n}, "
-            f"L={coeffs.grid.l_scale}, xc={coeffs.grid.x_center}; matrix built for "
-            f"n={matrix.meta.cfg.n}, L={matrix.meta.cfg.l_scale}, "
-            f"xc={matrix.meta.cfg.x_center}"
-        )
-    block, c, n = matrix.entries, coeffs.values, matrix.meta.cfg.n
-    return block @ c[1:n] + np.conj(block @ np.conj(c[:n:-1]))
+    c = np.asarray(coeffs, dtype=float)
+    n = matrix.meta.cfg.n
+    if c.shape != (n,):
+        raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
+    if Extension(extension) is Extension.EVEN:
+        return 2.0 * matrix.entries.real @ c[1:]
+    return 2.0 * matrix.entries.imag @ c[:-1]
 
 
 def fractional_laplacian(samples, matrix: OperatorMatrix) -> np.ndarray:
-    """Operator applied to 2n real samples: transform, filter, apply, real part.
+    """Operator applied to the n physical values: transform, filter, apply.
 
-    Returns the n physical-node values.  For real input the discarded
-    imaginary part is pure round-off noise.
+    The samples are continued with the parity of the matrix's grid.
     """
-    coeffs = krasny_filter(forward(samples, matrix.meta.cfg))
-    return np.ascontiguousarray(apply(matrix, coeffs).real)
+    ext = matrix.meta.cfg.extension
+    return apply(matrix, krasny_filter(transform(samples, ext)), ext)
 
 
 def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
     """Real n x n matrix from the physical samples of an even function to its image.
 
-    Under the even extension the forward transform of the 2n samples is real
-    and even in k, uhat(k) = uhat(-k) = sum_{j<n} u_j*cos(k*s_j)/n, so the
-    columns k and -k fold into 2*Re(column k).  Composing that with the
-    transform gives one real matrix acting on the n physical values.  Agrees
-    with :func:`apply` to the unfiltered transform of the extended samples
-    to round-off.  Raises ValueError for an odd-extension matrix.
+    It is :func:`apply` composed with the even transform,
+    c_k = sum_{j<n} u_j*cos(k*s_j)/n: one real matrix acting on the n
+    physical values, which agrees with ``apply`` on the unfiltered
+    coefficients to round-off.  Raises ValueError for an odd-extension
+    matrix.
     """
     cfg = matrix.meta.cfg
     if cfg.extension is not Extension.EVEN:

@@ -27,7 +27,6 @@ from scipy.special import hyp1f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
 from fraclap.opmatrix import MatrixMeta, OperatorMatrix, build_matrix, fractional_laplacian
-from fraclap.spectral import extend
 from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
 
 
@@ -233,7 +232,7 @@ def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
 def _gaussian_error(matrix: OperatorMatrix) -> float:
     cfg, alpha = matrix.meta.cfg, matrix.meta.alpha
     x = node_positions(cfg)[: cfg.n]
-    numeric = fractional_laplacian(extend(np.exp(-x * x), cfg.extension), matrix)
+    numeric = fractional_laplacian(np.exp(-x * x), matrix)
     return float(np.max(np.abs(numeric - closed_form_gaussian(x, alpha))))
 
 

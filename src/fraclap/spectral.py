@@ -1,123 +1,62 @@
-"""Phase-shifted discrete Fourier transforms on the half-shifted nodes.
+"""Real trigonometric transforms of the n physical values.
 
-A function on the 2n nodes s_j = pi*(2j+1)/(2n) is represented as
+A function known at the physical nodes s_j = pi*(2j+1)/(2n), j < n, is
+continued evenly or oddly across s = pi.  Its phase-shifted Fourier
+coefficients uhat(k) = sum_j u(s_j)*exp(-i*k*s_j)/(2n) over all 2n nodes
+then reduce to a real transform of the n values:
 
-    u(s_j) = sum_{k=-n}^{n-1} uhat(k) * exp(i*k*s_j),
+* even: uhat(k) = uhat(-k) = c_k with c = dct(u, type=2)/(2n), k = 0..n-1,
+  and uhat(-n) = 0;
+* odd: uhat(k) = -i*d_(k-1) and uhat(-k) = i*d_(k-1) with
+  d = dst(u, type=2)/(2n), k = 1..n.
 
-with coefficients stored in FFT bin order k = 0..n-1, -n..-1.  Because the
-nodes are shifted by half a spacing, the plain FFT acquires the per-mode
-phase exp(-i*k*pi/(2n)):
-
-    uhat(k) = exp(-i*k*pi/(2n))/(2n) * sum_j u(s_j) * exp(-2i*pi*j*k/(2n)).
-
-The module also provides the parity extension across s = pi, a Krasny
-filter that zeroes coefficients below a round-off threshold, and evaluation
-of the interpolant at arbitrary physical points.
+The interpolant is then a cosine or sine series in theta =
+arccot((x - x_center)/l_scale), the rational Chebyshev functions TB_k and
+SB_k of Boyd, *Chebyshev and Fourier Spectral Methods* (2001), ch. 17.  The
+module also provides a Krasny filter that zeroes coefficients below a
+round-off threshold.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.fft import dct, dst
 
 from fraclap.grid import Extension, GridConfig, x_to_s
 
 #: Krasny threshold: double precision machine epsilon (absolute).
 KRASNY_THRESHOLD = float(np.finfo(np.float64).eps)
 
-# Interpolation is evaluated in blocks of query points to bound the size of
-# the (points x modes) phase matrix.
-_INTERP_BLOCK = 512
+
+def transform(samples, extension) -> np.ndarray:
+    """The n real coefficients of n physical values: c (even) or d (odd)."""
+    u = np.asarray(samples, dtype=float)
+    if u.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
+    real_transform = dct if Extension(extension) is Extension.EVEN else dst
+    return real_transform(u, type=2) / (2 * u.size)
 
 
-def mode_numbers(n: int) -> np.ndarray:
-    """Signed mode numbers in storage order: 0, 1, ..., n-1, -n, ..., -1."""
-    return np.concatenate([np.arange(n), np.arange(-n, 0)])
-
-
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Fourier coefficients uhat(k) of a sampled function, tied to a grid.
-
-    ``values[i]`` holds the coefficient of mode ``mode_numbers(grid.n)[i]``.
-    Instances are immutable; the backing array is marked read-only.
-    """
-
-    grid: GridConfig
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (2 * self.grid.n,):
-            raise ValueError(
-                f"expected {2 * self.grid.n} coefficients, got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def modes(self) -> np.ndarray:
-        return mode_numbers(self.grid.n)
-
-
-@functools.cache
-def _forward_phase(n: int) -> np.ndarray:
-    """exp(-i*k*pi/(2n)) per stored mode, computed once per n (read-only)."""
-    phase = np.exp(-1j * mode_numbers(n) * np.pi / (2 * n))
-    phase.flags.writeable = False
-    return phase
-
-
-def forward(samples, cfg: GridConfig) -> SpectralCoefficients:
-    """Transform 2n samples at the nodes into coefficients uhat(k)."""
-    arr = np.asarray(samples, dtype=np.complex128)
-    if arr.shape != (2 * cfg.n,):
-        raise ValueError(f"expected {2 * cfg.n} samples, got shape {arr.shape}")
-    vals = np.fft.fft(arr) / (2 * cfg.n) * _forward_phase(cfg.n)
-    return SpectralCoefficients(grid=cfg, values=vals)
-
-
-def inverse(coeffs: SpectralCoefficients) -> np.ndarray:
-    """Evaluate the interpolant at the 2n nodes (inverse of :func:`forward`)."""
-    n = coeffs.grid.n
-    return 2 * n * np.fft.ifft(coeffs.values * np.conj(_forward_phase(n)))
-
-
-def extend(half_samples, extension) -> np.ndarray:
-    """Continue samples from the physical nodes j < n to all 2n nodes.
-
-    Uses s_{2n-1-j} = 2*pi - s_j: the reflected entry is ``+u_j`` for the
-    even extension and ``-u_j`` for the odd one.
-    """
-    ext = Extension(extension)
-    half = np.asarray(half_samples)
-    if half.ndim != 1:
-        raise ValueError("half_samples must be one-dimensional")
-    mirrored = half[::-1] if ext is Extension.EVEN else -half[::-1]
-    return np.concatenate([half, mirrored])
-
-
-def krasny_filter(coeffs: SpectralCoefficients) -> SpectralCoefficients:
+def krasny_filter(coeffs) -> np.ndarray:
     """Zero every coefficient with modulus below ``KRASNY_THRESHOLD`` (absolute)."""
-    vals = np.where(np.abs(coeffs.values) < KRASNY_THRESHOLD, 0.0, coeffs.values)
-    return SpectralCoefficients(grid=coeffs.grid, values=vals)
+    c = np.asarray(coeffs, dtype=float)
+    return np.where(np.abs(c) < KRASNY_THRESHOLD, 0.0, c)
 
 
-def interpolate(coeffs: SpectralCoefficients, xs) -> np.ndarray:
-    """Evaluate sum_k uhat(k)*exp(i*k*arccot((x - x_center)/l_scale)) at xs.
+def evaluate(coeffs, extension, cfg: GridConfig, xs):
+    """The series of :func:`transform`'s coefficients at the points xs.
 
-    The angle lies in (0, pi), the half of the circle that holds the
-    physical nodes.
+    Even: c_0 + 2*sum_(k<n) c_k*cos(k*theta).  Odd: 2*sum_(k<n) d_(k-1)*sin(k*theta)
+    + d_(n-1)*sin(n*theta).  Both reproduce the n values at the nodes.  Scalar
+    input returns a float, array input an array.
     """
-    cfg = coeffs.grid
-    pts = np.atleast_1d(np.asarray(xs, dtype=float))
-    theta = x_to_s(cfg, pts)
-    k = mode_numbers(cfg.n)
-    out = np.empty(pts.size, dtype=np.complex128)
-    for lo in range(0, pts.size, _INTERP_BLOCK):
-        hi = min(lo + _INTERP_BLOCK, pts.size)
-        out[lo:hi] = np.exp(1j * np.outer(theta[lo:hi], k)) @ coeffs.values
-    return out[0] if np.ndim(xs) == 0 else out
+    c = np.asarray(coeffs, dtype=float)
+    theta = np.asarray(x_to_s(cfg, xs))[..., None]
+    w = 2.0 * c
+    if Extension(extension) is Extension.EVEN:
+        w[0] = c[0]
+        out = np.cos(theta * np.arange(c.size)) @ w
+    else:
+        w[-1] = c[-1]
+        out = np.sin(theta * np.arange(1, c.size + 1)) @ w
+    return float(out) if np.ndim(xs) == 0 else out

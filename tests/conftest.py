@@ -20,7 +20,12 @@ from scipy.special import gammaln, gammasgn
 
 
 def dft_oracle(samples: np.ndarray) -> np.ndarray:
-    """Coefficients by direct summation of the phase-shifted transform."""
+    """Coefficients by direct summation of the phase-shifted transform.
+
+    uhat(k) = sum_j u_j*exp(-i*k*s_j)/(2n) with k*s_j = pi*m/(2n), where the
+    integer m = k*(2j+1) is reduced mod 4n before it becomes an angle, so the
+    phases stay accurate to an ulp of 2*pi at any n.
+    """
     samples = np.asarray(samples, dtype=np.complex128)
     two_n = samples.size
     n = two_n // 2
@@ -28,8 +33,8 @@ def dft_oracle(samples: np.ndarray) -> np.ndarray:
     j = np.arange(two_n)
     out = np.empty(two_n, dtype=np.complex128)
     for i, k in enumerate(ks):
-        phase = np.exp(-1j * k * np.pi / two_n)
-        out[i] = phase / two_n * np.sum(samples * np.exp(-2j * np.pi * j * k / two_n))
+        m = (k * (2 * j + 1)) % (4 * n)
+        out[i] = np.sum(samples * np.exp(-1j * np.pi * m / two_n)) / two_n
     return out
 
 
@@ -39,6 +44,23 @@ def series_oracle(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     n = two_n // 2
     ks = np.concatenate([np.arange(n), np.arange(-n, 0)])
     return np.asarray([np.sum(coeffs * np.exp(1j * ks * sv)) for sv in s])
+
+
+def continued(samples: np.ndarray, parity: str) -> np.ndarray:
+    """The n physical values continued to all 2n nodes: u(2*pi - s) = +/- u(s)."""
+    samples = np.asarray(samples)
+    sign = 1.0 if parity == "even" else -1.0
+    return np.concatenate([samples, sign * samples[::-1]])
+
+
+def two_sided_image(entries: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_{k=1}^{n-1} B_k*uhat(k) + conj(B_k)*uhat(-k) for 2n coefficients in FFT bin order.
+
+    The stored columns B_k (k = 1..n-1) act on the positive modes, their
+    conjugates on the negative ones; the modes 0 and -n map to zero.
+    """
+    n = entries.shape[0]
+    return entries @ coeffs[1:n] + np.conj(entries) @ coeffs[:n:-1]
 
 
 def gamma_ratio_ref(a: float, b: float) -> float:

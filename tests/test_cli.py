@@ -112,6 +112,22 @@ class TestValidate:
         rows = list(csv.reader(out.open()))
         assert len(rows) == 4  # header + 3 alphas (grid includes alpha = 1)
 
+    def test_gaussian_odd_extension(self, tmp_path):
+        # criterion 3's n = 16 odd level (1.78e-2 reported) through the CLI;
+        # the even scan of the same grid lands elsewhere (1.30e-2)
+        maxima = {}
+        for parity in ("odd", "even"):
+            out = tmp_path / f"{parity}.csv"
+            code = run_cli(
+                "validate", "--target", "gaussian", "--extension", parity, "--n", "16",
+                "--llim", "500", "--tolerance", "2e-2", "--out", str(out),
+            )
+            assert code == EXIT_OK
+            manifest = json.loads((tmp_path / f"{parity}.csv.manifest.json").read_text())
+            maxima[parity] = manifest["diagnostics"]["global_max"]
+        assert 1.7825e-2 / 3 <= maxima["odd"] <= 2e-2
+        assert maxima["odd"] != maxima["even"]
+
     def test_l_sweep_finds_interior_optimum(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(
@@ -306,9 +322,10 @@ class TestFisher:
         assert code == EXIT_INVALID
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_step_is_a_blowup_row(self, tmp_path, capsys):
-        # a step of 1e100 overflows to NaN at once; NaN must not pass the gate
+        # a step of 1e100 overflows to NaN at once; NaN must not pass the gate,
+        # and no numpy RuntimeWarning may precede the BlowUpError
         out_dir = tmp_path / "x"
         code = run_cli(
             "fisher", "--alpha", "1.2", "--n", "64", "--dt", "1e100", "--tfinal", "1e101",

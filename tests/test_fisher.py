@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.fft import dct
 from scipy.optimize import brentq
 
-from conftest import run_fresh_python
+from conftest import continued, dft_oracle, run_fresh_python, series_oracle, two_sided_image
 from fraclap.fisher import (
     BlowUpError,
     FisherRun,
@@ -21,9 +22,9 @@ from fraclap.fisher import (
     _ols_rate,
 )
 from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
-from fraclap.opmatrix import apply, build_matrix, fused_sample_operator
+from fraclap.opmatrix import build_matrix, fused_sample_operator
 from fraclap.oracles import closed_form_gaussian
-from fraclap.spectral import extend, forward, interpolate
+from fraclap.spectral import evaluate, transform
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,22 @@ class TestInitialCondition:
             assert initial_condition(x, alpha) == pytest.approx(
                 (2.0 * x) ** (-alpha), rel=1e-5
             )
+
+    def test_far_field_relative_accuracy(self):
+        # on the criterion-7x grid the outer nodes sit near x = 1e5, where
+        # 1/2 - x/(2*sqrt(1+x^2)) loses seven digits to cancellation
+        alpha = 1.95
+        x = node_positions(GridConfig(512, 1000.0 / alpha**3))[:512]
+        got = initial_condition(x, alpha)
+        with mpmath.workdps(40):
+            worst = 0.0
+            for xi, ui in zip(x, got):
+                xm = mpmath.mpf(float(xi))
+                ref = (mpmath.mpf(1) / 2 - xm / (2 * mpmath.sqrt(1 + xm * xm))) ** (
+                    mpmath.mpf(alpha) / 2
+                )
+                worst = max(worst, float(abs((ui - ref) / ref)))
+        assert worst <= 1e-15
 
 
 class TestRhs:
@@ -117,14 +134,15 @@ class TestRk4Step:
         assert np.max(np.abs(stepped - predicted)) < 5 * dt**2 * eps
 
     def test_folded_step_matches_filtered_stages(self, gauss_setup):
-        # stages through the unfiltered transform of the extended samples and apply()
+        # stages through the direct transform of the continued samples and the
+        # two-sided sum over the stored columns and their conjugates
         cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
         u = initial_condition(x, 1.5)
         dt = 0.01
 
         def f(v):
-            lap = apply(matrix, forward(extend(v, Extension.EVEN), cfg)).real
+            lap = two_sided_image(matrix.entries, dft_oracle(continued(v, "even"))).real
             return -lap + v * (1.0 - v)
 
         k1 = f(u)
@@ -159,10 +177,9 @@ class TestCosineTransform:
 
     @pytest.mark.parametrize("n", [16, 512])
     def test_dct_matches_complex_forward(self, n, rng):
-        cfg = GridConfig(n, 3.0)
         u = rng.standard_normal(n)
-        full = forward(extend(u, Extension.EVEN), cfg).values
-        c = dct(u, type=2) / (2 * n)
+        full = dft_oracle(continued(u, "even"))
+        c = transform(u, Extension.EVEN)
         scale = np.max(np.abs(u))
         assert np.max(np.abs(full[:n] - c)) <= 1e-15 * scale
         assert abs(full[n]) <= 1e-15 * scale  # the -n mode, omitted by the DCT
@@ -171,11 +188,9 @@ class TestCosineTransform:
         cfg = GridConfig(64, 2.0, 0.4)
         x = node_positions(cfg)[:64]
         u = np.exp(-x * x) + 0.3 / (1.0 + x * x)
-        w = dct(u, type=2) / 64  # uhat(0), then 2*uhat(k)
-        w[0] *= 0.5
         pts = 0.5 * (x[:-1] + x[1:])  # between the nodes
-        series = np.cos(np.outer(x_to_s(cfg, pts), np.arange(64))) @ w
-        expected = interpolate(forward(extend(u, Extension.EVEN), cfg), pts).real
+        series = evaluate(transform(u, Extension.EVEN), Extension.EVEN, cfg, pts)
+        expected = series_oracle(dft_oracle(continued(u, "even")), x_to_s(cfg, pts)).real
         assert np.max(np.abs(series - expected)) <= 1e-13
 
 
@@ -215,13 +230,15 @@ class TestFrontPosition:
             assert front_position(u, cfg) == pytest.approx(x[j], abs=1e-10 * max(1.0, abs(x[j])))
 
     def test_matches_root_of_complex_interpolant(self):
-        # the same crossing through the 2n complex transform and a scalar root finder
+        # the same crossing through the direct 2n complex transform and series
+        # and a scalar root finder
         cfg = GridConfig(128, 7.0, -0.5)
         x = node_positions(cfg)[:128]
         u = initial_condition(x - 1.3, 1.6)
-        coeffs = forward(extend(u, Extension.EVEN), cfg)
+        coeffs = dft_oracle(continued(u, "even"))
         expected = brentq(
-            lambda pt: interpolate(coeffs, pt).real - 0.5, 0.0, 10.0, xtol=1e-14
+            lambda pt: series_oracle(coeffs, [x_to_s(cfg, pt)])[0].real - 0.5,
+            0.0, 10.0, xtol=1e-14,
         )
         assert front_position(u, cfg) == pytest.approx(expected, rel=1e-9)
 
@@ -289,15 +306,16 @@ class TestRunSimulation:
         assert len(result.trace.times) == len(result.trace.x05)
 
     def test_snapshots(self):
-        # the one snapshot kept is the final state, evenly extended to all 2n nodes
+        # the one snapshot kept is the final state: its n physical values, whose
+        # 1/2-crossing is the last recorded front position
         alpha = 1.2
         cfg = GridConfig(64, 50.0)
         matrix = build_matrix(cfg, alpha, 200)
         run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.2, l_lim=200,
                         sample_stride=5, fit_window=(0.05, 0.2))
-        final = run_simulation(run, matrix).final_samples
-        assert final.shape == (128,)
-        np.testing.assert_array_equal(final, extend(final[:64], Extension.EVEN))
+        result = run_simulation(run, matrix)
+        assert result.final_samples.shape == (64,)
+        assert front_position(result.final_samples, cfg) == result.trace.x05[-1]
 
     def test_step_that_zeroes_nothing_skips_the_round_trip(self):
         # two steps from the initial condition, where the filter zeroes no
@@ -312,7 +330,7 @@ class TestRunSimulation:
         u = initial_condition(node_positions(cfg)[:64], alpha)
         assert result.diagnostics["krasny_zeroed"] == 0
         np.testing.assert_array_equal(
-            result.final_samples[:64], rk4_step(rk4_step(u, 0.01, op), 0.01, op)
+            result.final_samples, rk4_step(rk4_step(u, 0.01, op), 0.01, op)
         )
 
     def test_rerun_is_bit_identical(self):
@@ -351,6 +369,17 @@ class TestRunSimulation:
         run = FisherRun(dt=0.01, t_final=0.02, **{**params, **changes})
         with pytest.raises(ValueError, match=f"different {field}$"):
             run_simulation(run, matrix)
+
+    def test_overflow_raises_blowup_without_warnings(self):
+        # a step of 1e100 overflows at once: the run must end in BlowUpError
+        # with no numpy RuntimeWarning on the way
+        cfg = GridConfig(64, 50.0)
+        matrix = build_matrix(cfg, 1.2, 200)
+        run = FisherRun(cfg=cfg, alpha=1.2, dt=1e100, t_final=1e101, l_lim=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match="t = 1e[+]100"):
+                run_simulation(run, matrix)
 
     def test_odd_extension_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import cache_file_bytes, run_fresh_python
+from conftest import cache_file_bytes, continued, dft_oracle, run_fresh_python, two_sided_image
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
@@ -17,7 +17,7 @@ from fraclap.opmatrix import (
     save_matrix,
 )
 from fraclap.oracles import closed_form_gaussian, closed_form_mode2
-from fraclap.spectral import SpectralCoefficients, extend, forward
+from fraclap.spectral import transform
 from fraclap.symbol import SymbolParams, symbol_samples
 
 
@@ -26,37 +26,38 @@ def small_matrix():
     return build_matrix(GridConfig(8, 1.0), 0.5, 200)
 
 
-def _unit_mode(j: int, n: int) -> SpectralCoefficients:
-    """Coefficients of the single mode stored at index j (k = j or j - 2n)."""
-    vals = np.zeros(2 * n, complex)
-    vals[j] = 1.0
-    return SpectralCoefficients(GridConfig(n, 1.0), vals)
-
-
 class TestBuildMatrix:
     def test_zero_columns(self, small_matrix):
-        assert np.all(apply(small_matrix, _unit_mode(0, 8)) == 0.0)   # constants
-        assert np.all(apply(small_matrix, _unit_mode(8, 8)) == 0.0)   # k = -n
+        c = np.zeros(8)
+        c[0] = 1.0
+        assert np.all(apply(small_matrix, c, Extension.EVEN) == 0.0)  # constants
+        d = np.zeros(8)
+        d[7] = 1.0
+        assert np.all(apply(small_matrix, d, Extension.ODD) == 0.0)  # k = -n
 
     def test_conjugation_exact(self, small_matrix):
+        # a unit coefficient of mode k picks column k plus its conjugate for -k:
+        # 2*Re (even) or 2*Im (odd) of the stored column, exactly
+        unit = np.eye(8)
         for k in range(1, 8):
-            np.testing.assert_array_equal(
-                apply(small_matrix, _unit_mode(16 - k, 8)),
-                np.conj(apply(small_matrix, _unit_mode(k, 8))),
-            )
+            column = small_matrix.entries[:, k - 1]
+            even = apply(small_matrix, unit[k], Extension.EVEN)
+            odd = apply(small_matrix, unit[k - 1], Extension.ODD)
+            np.testing.assert_array_equal(even, 2.0 * column.real)
+            np.testing.assert_array_equal(odd, 2.0 * column.imag)
 
     def test_columns_are_mode_symbols(self, small_matrix):
         # the batched (many-column) reduction against the one-column one
         cfg = GridConfig(8, 1.0)
         for k in range(1, 8):
             expected = symbol_samples(SymbolParams(0.5, k, cfg, 200))
-            np.testing.assert_allclose(apply(small_matrix, _unit_mode(k, 8)), expected, atol=1e-15)
+            np.testing.assert_allclose(small_matrix.entries[:, k - 1], expected, atol=1e-15)
         for alpha in (1.0, 1.5):
             matrix = build_matrix(cfg, alpha, 200)
             for k in range(1, 8):
                 expected = symbol_samples(SymbolParams(alpha, k, cfg, 200))
                 bound = 1e-14 * np.max(np.abs(expected))
-                assert np.max(np.abs(apply(matrix, _unit_mode(k, 8)) - expected)) <= bound
+                assert np.max(np.abs(matrix.entries[:, k - 1] - expected)) <= bound
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
@@ -75,53 +76,46 @@ class TestBuildMatrix:
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)
         matrix = build_matrix(cfg, 0.5, 530)
-        vals = np.zeros(8, complex)
-        vals[2] = 1.0
-        out = apply(matrix, SpectralCoefficients(cfg, vals))
         exact = closed_form_mode2(nodes(cfg)[:4], 0.5)
-        assert np.max(np.abs(out - exact)) < 5.1e-13
+        assert np.max(np.abs(matrix.entries[:, 1] - exact)) < 5.1e-13
 
     def test_alpha_one_mode2(self):
         cfg = GridConfig(8, 2.0)
         matrix = build_matrix(cfg, 1.0, 50)
-        vals = np.zeros(16, complex)
-        vals[2] = 1.0
-        out = apply(matrix, SpectralCoefficients(cfg, vals))
         s = nodes(cfg)[:8]
-        np.testing.assert_allclose(out, 2 * np.sin(s) ** 2 * np.exp(2j * s) / 2.0, atol=1e-13)
+        np.testing.assert_allclose(
+            matrix.entries[:, 1], 2 * np.sin(s) ** 2 * np.exp(2j * s) / 2.0, atol=1e-13
+        )
 
 
 class TestApply:
     def test_zero_coefficients(self, small_matrix):
-        cfg = GridConfig(8, 1.0)
-        out = apply(small_matrix, SpectralCoefficients(cfg, np.zeros(16)))
-        assert np.all(out == 0.0)
+        for parity in (Extension.EVEN, Extension.ODD):
+            assert np.all(apply(small_matrix, np.zeros(8), parity) == 0.0)
 
     def test_linearity(self, small_matrix, rng):
-        cfg = GridConfig(8, 1.0)
-        v1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        v2 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        a, b = 1.7, -0.3 + 0.2j
-        lhs = apply(small_matrix, SpectralCoefficients(cfg, a * v1 + b * v2))
-        rhs = a * apply(small_matrix, SpectralCoefficients(cfg, v1)) + b * apply(
-            small_matrix, SpectralCoefficients(cfg, v2)
-        )
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        v1 = rng.standard_normal(8)
+        v2 = rng.standard_normal(8)
+        a, b = 1.7, -0.3
+        for parity in (Extension.EVEN, Extension.ODD):
+            lhs = apply(small_matrix, a * v1 + b * v2, parity)
+            rhs = a * apply(small_matrix, v1, parity) + b * apply(small_matrix, v2, parity)
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_grid_mismatch(self, small_matrix):
-        other = GridConfig(8, 2.0)
+        # coefficients of a grid with another n
         with pytest.raises(ValueError):
-            apply(small_matrix, SpectralCoefficients(other, np.zeros(16)))
+            apply(small_matrix, np.zeros(16), Extension.EVEN)
 
     def test_extension_not_part_of_match(self, small_matrix):
-        odd_cfg = GridConfig(8, 1.0, extension=Extension.ODD)
-        out = apply(small_matrix, SpectralCoefficients(odd_cfg, np.zeros(16)))
-        assert np.all(out == 0.0)
+        # an even-built matrix applies to odd coefficients as well
+        out = apply(small_matrix, np.zeros(8), Extension.ODD)
+        assert out.shape == (8,) and np.all(out == 0.0)
 
 
 class TestFractionalLaplacian:
     def test_constant_maps_to_zero(self, small_matrix):
-        out = fractional_laplacian(np.ones(16), small_matrix)
+        out = fractional_laplacian(np.ones(8), small_matrix)
         assert np.all(out == 0.0)
 
     def test_gaussian_best_scale(self):
@@ -129,29 +123,31 @@ class TestFractionalLaplacian:
         cfg = GridConfig(64, 4.6)
         matrix = build_matrix(cfg, 0.5, 500)
         x = node_positions(cfg)[:64]
-        out = fractional_laplacian(extend(np.exp(-x * x), Extension.EVEN), matrix)
+        out = fractional_laplacian(np.exp(-x * x), matrix)
         exact = closed_form_gaussian(x, 0.5)
-        assert np.max(np.abs(out[:64] - exact)) < 5e-12
+        assert np.max(np.abs(out - exact)) < 5e-12
 
     def test_gaussian_unit_scale_matches_reported_accuracy(self):
         # single-alpha spot check of the N=64, L=1 accuracy level (~1.4e-6)
         cfg = GridConfig(64, 1.0)
         matrix = build_matrix(cfg, 0.8, 500)
         x = node_positions(cfg)[:64]
-        out = fractional_laplacian(extend(np.exp(-x * x), Extension.EVEN), matrix)
+        out = fractional_laplacian(np.exp(-x * x), matrix)
         exact = closed_form_gaussian(x, 0.8)
-        err = np.max(np.abs(out[:64] - exact))
+        err = np.max(np.abs(out - exact))
         assert err < 3 * 1.4351e-6
 
     def test_imaginary_part_diagnostic(self, rng):
+        # the two-sided complex sum over +-k of continued real data is real up
+        # to round-off: the real apply drops nothing
         cfg = GridConfig(16, 1.0)
         matrix = build_matrix(cfg, 0.5, 100)
-        u = extend(rng.standard_normal(16), Extension.EVEN)
+        u = rng.standard_normal(16)
         out = fractional_laplacian(u, matrix)
         assert out.dtype == np.float64
-        # the imaginary part that fractional_laplacian discards
-        max_imag = np.max(np.abs(apply(matrix, forward(u, cfg)).imag))
-        assert max_imag < 1e-10 * max(1.0, np.max(np.abs(out)))
+        for parity in ("even", "odd"):
+            full = two_sided_image(matrix.entries, dft_oracle(continued(u, parity)))
+            assert np.max(np.abs(full.imag)) < 1e-10 * max(1.0, np.max(np.abs(out)))
 
     def test_fused_operator_agrees(self, rng):
         # the folded n x n operator on the physical samples of an even function
@@ -161,7 +157,7 @@ class TestFractionalLaplacian:
             fused = fused_sample_operator(matrix)
             assert fused.shape == (16, 16) and fused.dtype == np.float64
             u = rng.standard_normal(16)
-            direct = apply(matrix, forward(extend(u, Extension.EVEN), cfg)).real
+            direct = apply(matrix, transform(u, Extension.EVEN), Extension.EVEN)
             assert np.max(np.abs(fused @ u - direct)) < 1e-12
 
     def test_fused_operator_rejects_odd_extension(self):
@@ -244,10 +240,9 @@ class TestCacheFile:
         path = tmp_path / "m.bin"
         save_matrix(small_matrix, path)
         loaded = load_matrix(path)
-        cfg = GridConfig(8, 1.0)
-        vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        c = SpectralCoefficients(cfg, vals)
-        np.testing.assert_array_equal(apply(loaded, c), apply(small_matrix, c))
+        c = rng.standard_normal(8)
+        for parity in (Extension.EVEN, Extension.ODD):
+            np.testing.assert_array_equal(apply(loaded, c, parity), apply(small_matrix, c, parity))
 
     def test_rebuild_has_identical_checksums(self):
         cfg = GridConfig(8, 1.0)
