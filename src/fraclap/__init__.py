@@ -19,7 +19,7 @@ fisher      fractional Fisher-KPP time integration and front-speed fitting
 cli         command line driver
 """
 
-from fraclap.grid import Extension, GridConfig, node_positions, nodes, s_to_x, x_to_s
+from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s
 from fraclap.spectral import KRASNY_THRESHOLD, evaluate, krasny_filter, transform
 from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
@@ -28,6 +28,7 @@ from fraclap.opmatrix import (
     MatrixMeta,
     OperatorMatrix,
     apply,
+    apply_sample_operator,
     build_matrix,
     fractional_laplacian,
     fused_sample_operator,
@@ -66,6 +67,7 @@ __all__ = [
     "GridConfig",
     "nodes",
     "node_positions",
+    "node_spacing",
     "s_to_x",
     "x_to_s",
     "KRASNY_THRESHOLD",
@@ -84,6 +86,7 @@ __all__ = [
     "apply",
     "fractional_laplacian",
     "fused_sample_operator",
+    "apply_sample_operator",
     "save_matrix",
     "load_matrix",
     "TestFunction",

@@ -8,7 +8,9 @@ Subcommands
 
 Every invocation writes a JSON manifest next to its outputs recording the
 command, resolved parameters, tool version, wall-clock time and diagnostics;
-identical flags produce bit-identical numeric outputs.
+identical flags produce bit-identical numeric outputs.  A ``fisher`` manifest
+also gives, per alpha, the node spacing at x = 0 and at the final front and
+the time spent on the matrix and on the simulation.
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
 3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
@@ -34,7 +36,7 @@ from fraclap.fisher import (
     FrontEscapeError,
     run_simulation,
 )
-from fraclap.grid import Extension, GridConfig, node_positions
+from fraclap.grid import Extension, GridConfig, node_positions, node_spacing
 from fraclap.opmatrix import (
     MatrixCacheError,
     build_matrix,
@@ -300,8 +302,11 @@ def _cmd_fisher(args) -> int:
         )
         tag = f"{alpha:.6g}"
         try:
+            t_start = time.perf_counter()
             matrix = _matrix_for(cfg, alpha, args.llim, args.matrix_cache)
+            t_matrix = time.perf_counter()
             result = run_simulation(run, matrix)
+            t_done = time.perf_counter()
         except (BlowUpError, FrontEscapeError, MatrixCacheError, ValueError) as exc:
             print(f"alpha={tag}: FAILED ({exc})")
             summary_rows.append((alpha, None, 1.0 / alpha, None, None, type(exc).__name__))
@@ -325,6 +330,15 @@ def _cmd_fisher(args) -> int:
             "fit_residual": trace.fit_residual,
             "krasny_zeroed": result.diagnostics["krasny_zeroed"],
             "L": l_scale,
+            "node_spacing": {
+                "x0": node_spacing(cfg, 0.0),
+                "front": node_spacing(cfg, trace.x05[-1]),
+            },
+            "timings": {
+                "matrix_s": t_matrix - t_start,
+                "simulate_s": t_done - t_matrix,
+                "steps_per_s": run.n_steps / (t_done - t_matrix),
+            },
         }
         print(
             f"alpha={tag}: sigma={trace.sigma:.6f} predicted={1.0 / alpha:.6f} "

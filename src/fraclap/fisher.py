@@ -4,8 +4,10 @@ Solves u_t + (-Delta)^(alpha/2) u = u(1-u) on the mapped grid with the
 classical fourth-order Runge-Kutta scheme, starting from the monotone
 profile (1/2 - x/(2*sqrt(1+x^2)))^(alpha/2) that decays like (2x)^(-alpha)
 to the right.  The solution is evenly extended across s = pi, so the state
-is its n real physical node values and the linear term is one real n x n
-matrix (:func:`fraclap.opmatrix.fused_sample_operator`).  For such data the
+is its n real physical node values.  The operator commutes with reflection
+about x_center, so the linear term is two real n/2 x n/2 blocks, one for
+the reflection-even and one for the reflection-odd part of the state
+(:func:`fraclap.opmatrix.fused_sample_operator`).  For such data the
 phase-shifted transform is the DCT-II of :func:`fraclap.spectral.transform`
 and the interpolant is its cosine series.  The Krasny filter is a DCT-II
 once per step, and a DCT-III back only when it zeroes a coefficient.  The
@@ -26,7 +28,7 @@ from scipy.fft import idct
 from scipy.optimize import brentq
 
 from fraclap.grid import Extension, GridConfig, node_positions
-from fraclap.opmatrix import OperatorMatrix, fused_sample_operator
+from fraclap.opmatrix import OperatorMatrix, apply_sample_operator, fused_sample_operator
 from fraclap.spectral import evaluate, krasny_filter, transform
 
 #: solutions of the monostable problem live in [0, 1]; exceeding this
@@ -68,6 +70,11 @@ class FisherRun:
         if self.cfg.extension is not Extension.EVEN:
             raise ValueError("simulations use the even extension")
 
+    @property
+    def n_steps(self) -> int:
+        """Number of RK4 steps from t = 0 to t_final."""
+        return int(round(self.t_final / self.dt))
+
 
 @dataclass(frozen=True)
 class FrontTrace:
@@ -108,17 +115,17 @@ def initial_condition(x, alpha: float):
 def rhs(samples, op: np.ndarray) -> np.ndarray:
     """-(-Delta)^(alpha/2) u + u(1-u) on the n physical nodes (method of lines).
 
-    ``op`` is the folded operator from
+    ``op`` is the pair of parity blocks from
     :func:`fraclap.opmatrix.fused_sample_operator`.
     """
     u = np.asarray(samples, dtype=float)
-    return -(op @ u) + u * (1.0 - u)
+    return -apply_sample_operator(op, u) + u * (1.0 - u)
 
 
 def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
     """One classical Runge-Kutta step of the n physical values.
 
-    Every stage derivative is :func:`rhs` with the folded operator ``op``;
+    Every stage derivative is :func:`rhs` with the parity blocks ``op``;
     no filtering happens inside stages.
     """
     u = np.asarray(samples, dtype=float)
@@ -202,16 +209,16 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     """Integrate from the standard initial condition and fit the front rate.
 
     ``matrix`` (built or loaded from a cache file) must match the run's map,
-    alpha and l_lim; it is folded once into the n x n stage operator.  The
-    Krasny filter runs once per accepted step, on the cosine coefficients of
-    the n values; the inverse DCT runs only in steps where it zeroes a
-    nonzero coefficient.  RK stages see the unfiltered operator.  Front
-    positions are recorded every ``sample_stride`` steps.  The fit window
-    defaults to the last 40% of the run.  The final samples are the n
-    physical values.  Numpy floating-point warnings are silenced in the step
-    loop: a step that overflows ends in :class:`BlowUpError` instead.
-    ``diagnostics["krasny_zeroed"]`` is the most nonzero
-    coefficients the filter zeroed in one step.  ``diagnostics["max_imag"]``
+    alpha and l_lim; it is folded once into the two n/2 x n/2 parity blocks
+    of the stage operator.  The Krasny filter runs once per accepted step,
+    on the cosine coefficients of the n values; the inverse DCT runs only in
+    steps where it zeroes a nonzero coefficient.  RK stages see the
+    unfiltered operator.  Front positions are recorded every
+    ``sample_stride`` steps.  The fit window defaults to the last 40% of the
+    run.  The final samples are the n physical values.  Numpy floating-point
+    warnings are silenced in the step loop: a step that overflows ends in
+    :class:`BlowUpError` instead.  ``diagnostics["krasny_zeroed"]`` is the
+    most nonzero coefficients the filter zeroed in one step.  ``diagnostics["max_imag"]``
     is always 0.0, as no imaginary part exists on the real path; the key
     stays because the fisher-front benchmark gate reads it.
     """
@@ -224,7 +231,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     op = fused_sample_operator(matrix)
     u = initial_condition(_physical_positions(cfg), run.alpha)
 
-    n_steps = int(round(run.t_final / run.dt))
+    n_steps = run.n_steps
     krasny_zeroed = 0
     times = [0.0]
     fronts = [front_position(u, cfg)]

@@ -91,3 +91,14 @@ def x_to_s(cfg: GridConfig, x):
 def node_positions(cfg: GridConfig) -> np.ndarray:
     """Physical positions x_j of all 2n nodes; strictly decreasing on j < n."""
     return s_to_x(cfg, nodes(cfg))
+
+
+def node_spacing(cfg: GridConfig, x: float) -> float:
+    """Local distance between neighbouring nodes at x: |dx/ds| * pi/n.
+
+    On x = x_center + l_scale*cot(s), |dx/ds| = l_scale/sin(s)^2 =
+    l_scale + (x - x_center)^2/l_scale, so the spacing grows like
+    x^2/(l_scale*n) in the far field.
+    """
+    d = float(x) - cfg.x_center
+    return math.pi / cfg.n * (cfg.l_scale + d * d / cfg.l_scale)

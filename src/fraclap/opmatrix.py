@@ -10,7 +10,9 @@ is the conjugate of the column of k.  Constants (k = 0) are annihilated,
 and the k = -n mode's image is not representable on the grid, so both
 contribute zero.  For the real coefficients of
 :func:`fraclap.spectral.transform` the columns k and -k fold into one real
-column each, which :func:`apply` uses.
+column each, which :func:`apply` uses.  On the samples of an even function
+the operator also folds, by reflection parity, into the two n/2 x n/2
+blocks of :func:`fused_sample_operator`.
 
 The binary cache format (version 2) is a fixed 64-byte little-endian header
 
@@ -121,20 +123,47 @@ def fractional_laplacian(samples, matrix: OperatorMatrix) -> np.ndarray:
 
 
 def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
-    """Real n x n matrix from the physical samples of an even function to its image.
+    """Reflection-parity blocks of the operator on the physical samples of an even function.
 
-    It is :func:`apply` composed with the even transform,
-    c_k = sum_{j<n} u_j*cos(k*s_j)/n: one real matrix acting on the n
-    physical values, which agrees with ``apply`` on the unfiltered
-    coefficients to round-off.  Raises ValueError for an odd-extension
-    matrix.
+    Composing :func:`apply` with the even transform, c_k = sum_{j<n}
+    u_j*cos(k*s_j)/n, gives a real n x n matrix on the n physical values.
+    The operator commutes with reflection about x_center (s -> pi - s,
+    node j -> n-1-j), under which mode k picks up (-1)^k, so that matrix is
+    centrosymmetric and splits into a block for the reflection-even part of
+    the samples (even k) and one for the reflection-odd part (odd k):
+
+        blocks[0] = (4/n) * Re(B)[:n/2, even k] @ cos(outer(even k, s[:n/2]))
+        blocks[1] = (4/n) * Re(B)[:n/2, odd k] @ cos(outer(odd k, s[:n/2]))
+
+    returned as one (2, n/2, n/2) float64 array; the n x n matrix is never
+    formed.  :func:`apply_sample_operator` applies the blocks, and agrees
+    with ``apply`` on the unfiltered coefficients to round-off.  Raises
+    ValueError for an odd-extension matrix.
     """
     cfg = matrix.meta.cfg
     if cfg.extension is not Extension.EVEN:
         raise ValueError("the folded sample operator needs an even-extension matrix")
     n = cfg.n
-    s = nodes(cfg)[:n]
-    return 2.0 * matrix.entries.real @ np.cos(np.outer(np.arange(1, n), s)) / n
+    half = n // 2
+    s = nodes(cfg)[:half]
+    rows = matrix.entries.real[:half]  # column k sits at index k - 1
+    parities = (np.arange(2, n, 2), np.arange(1, n, 2))
+    return (4.0 / n) * np.stack([rows[:, k - 1] @ np.cos(np.outer(k, s)) for k in parities])
+
+
+def apply_sample_operator(blocks: np.ndarray, samples) -> np.ndarray:
+    """The operator on n physical samples, through the blocks of :func:`fused_sample_operator`.
+
+    With v = u[:n/2] and w = u[n/2:] reversed, the even block acts on v + w
+    and the odd block on v - w; their sum and difference, halved, are the
+    image on the first half and, reversed, on the second.
+    """
+    u = np.asarray(samples, dtype=float)
+    half = blocks.shape[1]
+    v, w = u[:half], u[half:][::-1]
+    y_even = blocks[0] @ (v + w)
+    y_odd = blocks[1] @ (v - w)
+    return 0.5 * np.concatenate((y_even + y_odd, (y_even - y_odd)[::-1]))
 
 
 def save_matrix(matrix: OperatorMatrix, path) -> None:

@@ -187,6 +187,38 @@ class TestFisher:
         assert manifest["command"] == "fisher"
         assert "alpha_1.2" in manifest["diagnostics"]
 
+    def test_manifest_timings(self, tmp_path):
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "fisher", "--alpha-sweep", "1.0:1.2:0.2", "--n", "16", "--dt", "0.01",
+            "--tfinal", "0.3", "--L", "30.0", "--llim", "20", "--sample-stride", "2",
+            "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        diagnostics = json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
+        for tag in ("alpha_1", "alpha_1.2"):
+            timings = diagnostics[tag]["timings"]
+            assert set(timings) == {"matrix_s", "simulate_s", "steps_per_s"}
+            assert all(v > 0.0 for v in timings.values())
+            assert timings["steps_per_s"] == pytest.approx(30 / timings["simulate_s"])
+
+    def test_manifest_node_spacing(self, tmp_path):
+        # (pi/n)*(L + x^2/L) at x = 0 and at the last front position
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--n", "64", "--dt", "0.01", "--tfinal", "0.2",
+            "--L", "50.0", "--llim", "200", "--fit-window", "0.05:0.2",
+            "--sample-stride", "5", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        diagnostics = json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
+        spacing = diagnostics["alpha_1.2"]["node_spacing"]
+        rows = list(csv.reader((out_dir / "trace_alpha1.2.csv").open()))
+        front = float(rows[-1][1])
+        assert spacing["x0"] == pytest.approx(np.pi / 64 * 50.0, rel=1e-15)
+        assert spacing["front"] == pytest.approx(np.pi / 64 * (50.0 + front**2 / 50.0), rel=1e-15)
+        assert spacing["front"] > spacing["x0"]
+
     def test_matrix_cache_reuse(self, tmp_path):
         cache = tmp_path / "cache"
         args = [

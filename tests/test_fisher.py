@@ -357,6 +357,21 @@ class TestRunSimulation:
         outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
 
+    def test_blas_thread_count_does_not_change_run_at_block_size_256(self):
+        # n = 512: the stage matvecs run on 256 x 256 parity blocks, large
+        # enough for OpenBLAS to split them across threads
+        script = (
+            "import json; from fraclap.grid import GridConfig; "
+            "from fraclap.fisher import FisherRun, run_simulation; "
+            "from fraclap.opmatrix import build_matrix; "
+            "cfg = GridConfig(512, 1000.0 / 1.95**3); "
+            "r = run_simulation(FisherRun(cfg=cfg, alpha=1.95, dt=0.01, t_final=0.05, "
+            "l_lim=20, sample_stride=1, fit_window=(0.0, 0.05)), build_matrix(cfg, 1.95, 20)); "
+            "print(json.dumps([[v.hex() for v in a] for a in (r.trace.x05, r.final_samples)]))"
+        )
+        outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("field,changes", [
         ("l_lim", {"l_lim": 40}),
         ("alpha", {"alpha": 1.3}),

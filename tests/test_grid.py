@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fraclap.grid import Extension, GridConfig, node_positions, nodes, s_to_x, x_to_s
+from fraclap.grid import (
+    Extension,
+    GridConfig,
+    node_positions,
+    node_spacing,
+    nodes,
+    s_to_x,
+    x_to_s,
+)
 
 
 class TestGridConfig:
@@ -96,3 +104,19 @@ class TestMap:
         cfg = GridConfig(32, 2.0, x_center=1.0)
         x = node_positions(cfg)[:32]
         assert np.all(np.diff(x) < 0)
+
+
+class TestNodeSpacing:
+    def test_matches_neighbour_distance(self):
+        # x_j - x_(j+1) against the local spacing at the pair's s-midpoint,
+        # on the middle half of the grid where the two agree to O((pi/n)^2)
+        cfg = GridConfig(512, 100.0, 3.0)
+        gaps = -np.diff(node_positions(cfg)[:512])
+        local = np.asarray([node_spacing(cfg, s_to_x(cfg, np.pi * j / 512)) for j in range(1, 512)])
+        middle = slice(128, 383)
+        np.testing.assert_allclose(gaps[middle], local[middle], rtol=1e-4)
+        assert node_spacing(cfg, 3.0) == np.pi * 100.0 / 512
+
+    def test_criteria_grid_at_origin(self):
+        # alpha = 1.95, n = 512 on L = 1000/alpha^3: nodes ~0.83 apart at x = 0
+        assert node_spacing(GridConfig(512, 1000.0 / 1.95**3), 0.0) == pytest.approx(0.827, abs=1e-3)

@@ -9,6 +9,7 @@ from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
     apply,
+    apply_sample_operator,
     build_matrix,
     column_checksums,
     fractional_laplacian,
@@ -150,15 +151,28 @@ class TestFractionalLaplacian:
             assert np.max(np.abs(full.imag)) < 1e-10 * max(1.0, np.max(np.abs(out)))
 
     def test_fused_operator_agrees(self, rng):
-        # the folded n x n operator on the physical samples of an even function
+        # the parity blocks on the physical samples of an even function
         cfg = GridConfig(16, 2.5)
         for alpha in (0.5, 1.0, 1.3):
             matrix = build_matrix(cfg, alpha, 150)
-            fused = fused_sample_operator(matrix)
-            assert fused.shape == (16, 16) and fused.dtype == np.float64
+            blocks = fused_sample_operator(matrix)
+            assert blocks.shape == (2, 8, 8) and blocks.dtype == np.float64
             u = rng.standard_normal(16)
             direct = apply(matrix, transform(u, Extension.EVEN), Extension.EVEN)
-            assert np.max(np.abs(fused @ u - direct)) < 1e-12
+            assert np.max(np.abs(apply_sample_operator(blocks, u) - direct)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.95])
+    @pytest.mark.parametrize("n", [2, 16, 512])
+    def test_blocks_match_full_fold(self, n, alpha):
+        # column by column against the n x n fold 2*Re(B) @ cos(outer(k, s))/n;
+        # n = 2 has no even mode, so its even block is zero
+        cfg = GridConfig(n, 50.0)
+        matrix = build_matrix(cfg, alpha, 20)
+        k, s = np.arange(1, n), nodes(cfg)[:n]
+        fold = 2.0 * matrix.entries.real @ np.cos(np.outer(k, s)) / n
+        blocks = fused_sample_operator(matrix)
+        image = np.stack([apply_sample_operator(blocks, e) for e in np.eye(n)], axis=1)
+        assert np.max(np.abs(image - fold)) <= 1e-12 * np.max(np.abs(fold))
 
     def test_fused_operator_rejects_odd_extension(self):
         cfg = GridConfig(8, 1.0, extension=Extension.ODD)
