@@ -2,15 +2,16 @@
 
 Subcommands
 -----------
-``matrix build``  assemble the operational matrix and write the binary cache
+``matrix build``  assemble the unit-scale operational matrix and write the binary cache
 ``validate``      error scans against the closed forms or the quadrature oracle
 ``fisher``        Fisher-KPP front simulations, single alpha or a sweep
 
 Every invocation writes a JSON manifest next to its outputs recording the
 command, resolved parameters, tool version, wall-clock time and diagnostics;
 identical flags produce bit-identical numeric outputs.  A ``fisher`` manifest
-also gives, per alpha, the node spacing at x = 0 and at the final front and
-the time spent on the matrix and on the simulation.
+also gives, per alpha, the node spacing at x = 0 and at the final front,
+the time spent on the matrix and on the simulation, and whether the matrix
+was loaded from the cache.
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
 3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -73,8 +75,8 @@ def _parse_span(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParameterError(f"non-numeric span {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise ParameterError(f"span must have step > 0 and stop >= start: {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise ParameterError(f"span must be finite with step > 0 and stop >= start: {text!r}")
     count = int(round((stop - start) / step)) + 1
     return np.round(start + step * np.arange(count), 12)
 
@@ -124,9 +126,8 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_matrix_build(args) -> int:
-    cfg = GridConfig(args.n, args.L, args.xc)
     t0 = time.perf_counter()
-    matrix = build_matrix(cfg, args.alpha, args.llim)
+    matrix = build_matrix(GridConfig(args.n, 1.0), args.alpha, args.llim)
     build_seconds = time.perf_counter() - t0
     out = Path(args.out)
     save_matrix(matrix, out)
@@ -162,7 +163,7 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     for alpha in alphas:
         matrix = build_matrix(cfg, float(alpha), args.llim)
         # the image is a function of x: its cosine series interpolates the node values
-        lap_coeffs = transform(fractional_laplacian(gauss.u(x_nodes), matrix), Extension.EVEN)
+        lap_coeffs = transform(fractional_laplacian(gauss.u(x_nodes), matrix, cfg), Extension.EVEN)
         worst = 0.0
         for x, numeric in zip(xs, evaluate(lap_coeffs, Extension.EVEN, cfg, xs)):
             reference = quadrature_fraclap(gauss, x, float(alpha))
@@ -250,30 +251,27 @@ def _cmd_validate(args) -> int:
 
 
 def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
+    """The unit-scale block and whether it was loaded; one cache file serves every L and x_c."""
     if cache_dir is None:
-        return build_matrix(cfg, alpha, llim)
+        return build_matrix(cfg, alpha, llim), False
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    # exact reprs: rounded values let nearby parameters share (and reject) a file
-    name = (
-        f"matrix_n{cfg.n}_alpha{float(alpha)!r}_L{float(cfg.l_scale)!r}"
-        f"_xc{float(cfg.x_center)!r}_llim{llim}.bin"
-    )
-    path = cache_dir / name
+    # the exact alpha: a rounded one would let nearby orders share (and reject) a file
+    path = cache_dir / f"matrix_n{cfg.n}_alpha{float(alpha).hex()}_llim{llim}.bin"
     if path.exists():
-        return load_matrix(path, expect_n=cfg.n, expect_alpha=alpha, expect_l_lim=llim)
+        return load_matrix(path, expect_n=cfg.n, expect_alpha=alpha, expect_l_lim=llim), True
     matrix = build_matrix(cfg, alpha, llim)
     save_matrix(matrix, path)
-    return matrix
+    return matrix, False
 
 
 def _cmd_fisher(args) -> int:
     if (args.alpha is None) == (args.alpha_sweep is None):
         raise ParameterError("give exactly one of --alpha or --alpha-sweep")
-    if args.dt <= 0:
-        raise ParameterError(f"--dt must be positive, got {args.dt}")
-    if args.tfinal <= 0:
-        raise ParameterError(f"--tfinal must be positive, got {args.tfinal}")
+    if not 0.0 < args.dt < math.inf:
+        raise ParameterError(f"--dt must be positive and finite, got {args.dt}")
+    if not 0.0 < args.tfinal < math.inf:
+        raise ParameterError(f"--tfinal must be positive and finite, got {args.tfinal}")
     if args.n < 2 or args.n % 2:
         raise ParameterError(f"--n must be an even integer >= 2, got {args.n}")
     alphas = [args.alpha] if args.alpha is not None else list(_parse_span(args.alpha_sweep))
@@ -303,7 +301,7 @@ def _cmd_fisher(args) -> int:
         tag = f"{alpha:.6g}"
         try:
             t_start = time.perf_counter()
-            matrix = _matrix_for(cfg, alpha, args.llim, args.matrix_cache)
+            matrix, loaded = _matrix_for(cfg, alpha, args.llim, args.matrix_cache)
             t_matrix = time.perf_counter()
             result = run_simulation(run, matrix)
             t_done = time.perf_counter()
@@ -330,6 +328,7 @@ def _cmd_fisher(args) -> int:
             "fit_residual": trace.fit_residual,
             "krasny_zeroed": result.diagnostics["krasny_zeroed"],
             "L": l_scale,
+            "matrix_loaded": loaded,
             "node_spacing": {
                 "x0": node_spacing(cfg, 0.0),
                 "front": node_spacing(cfg, trace.x05[-1]),
@@ -383,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = matrix_sub.add_parser("build", help="assemble and cache a matrix")
     p_build.add_argument("--n", type=int, required=True, help="modes per half grid (even)")
     p_build.add_argument("--alpha", type=float, required=True, help="order in (0, 2)")
-    p_build.add_argument("--L", type=float, required=True, help="map scale")
-    p_build.add_argument("--xc", type=float, default=0.0, help="map shift")
     p_build.add_argument("--llim", type=int, required=True, help="outer-series truncation")
     p_build.add_argument("--out", required=True, help="cache file path")
     p_build.set_defaults(func=_cmd_matrix_build)

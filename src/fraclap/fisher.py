@@ -20,6 +20,7 @@ through ln x05(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,10 +62,10 @@ class FisherRun:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final <= 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.cfg.extension is not Extension.EVEN:
@@ -208,27 +209,27 @@ def fit_sigma(trace: "FrontTrace", window: tuple[float, float]) -> float:
 def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     """Integrate from the standard initial condition and fit the front rate.
 
-    ``matrix`` (built or loaded from a cache file) must match the run's map,
-    alpha and l_lim; it is folded once into the two n/2 x n/2 parity blocks
-    of the stage operator.  The Krasny filter runs once per accepted step,
-    on the cosine coefficients of the n values; the inverse DCT runs only in
-    steps where it zeroes a nonzero coefficient.  RK stages see the
-    unfiltered operator.  Front positions are recorded every
-    ``sample_stride`` steps.  The fit window defaults to the last 40% of the
-    run.  The final samples are the n physical values.  Numpy floating-point
-    warnings are silenced in the step loop: a step that overflows ends in
-    :class:`BlowUpError` instead.  ``diagnostics["krasny_zeroed"]`` is the
-    most nonzero coefficients the filter zeroed in one step.  ``diagnostics["max_imag"]``
-    is always 0.0, as no imaginary part exists on the real path; the key
-    stays because the fisher-front benchmark gate reads it.
+    ``matrix`` (the unit-scale block, built or loaded from a cache file)
+    must match the run's n, alpha and l_lim; it is folded once, at the run's
+    map scale, into the two n/2 x n/2 parity blocks of the stage operator.
+    The Krasny filter runs once per accepted step, on the cosine
+    coefficients of the n values; the inverse DCT runs only in steps where
+    it zeroes a nonzero coefficient.  RK stages see the unfiltered operator.
+    Front positions are recorded every ``sample_stride`` steps.  The fit
+    window defaults to the last 40% of the run.  The final samples are the
+    n physical values.  Numpy floating-point warnings are silenced in the
+    step loop: a step that overflows ends in :class:`BlowUpError` instead.
+    ``diagnostics["krasny_zeroed"]`` is the most nonzero coefficients the
+    filter zeroed in one step.  ``diagnostics["max_imag"]`` is always 0.0,
+    as no imaginary part exists on the real path; the key stays because the
+    fisher-front benchmark gate reads it.
     """
     cfg, meta = run.cfg, matrix.meta
-    differ = [name for name, same in (("map", meta.cfg.same_map(cfg)),
-                                      ("alpha", meta.alpha == run.alpha),
-                                      ("l_lim", meta.l_lim == run.l_lim)) if not same]
+    wanted = {"n": cfg.n, "alpha": run.alpha, "l_lim": run.l_lim}
+    differ = [name for name, value in wanted.items() if getattr(meta, name) != value]
     if differ:
         raise ValueError(f"matrix was built for a different {', '.join(differ)}")
-    op = fused_sample_operator(matrix)
+    op = fused_sample_operator(matrix, cfg)
     u = initial_condition(_physical_positions(cfg), run.alpha)
 
     n_steps = run.n_steps

@@ -49,14 +49,6 @@ class GridConfig:
         if not isinstance(self.extension, Extension):
             object.__setattr__(self, "extension", Extension(self.extension))
 
-    def same_map(self, other: "GridConfig") -> bool:
-        """True when both configs share node count, scale and shift."""
-        return (
-            self.n == other.n
-            and self.l_scale == other.l_scale
-            and self.x_center == other.x_center
-        )
-
 
 def nodes(cfg: GridConfig) -> np.ndarray:
     """Half-shifted equispaced nodes s_j = pi*(2j+1)/(2n) for j = 0..2n-1."""

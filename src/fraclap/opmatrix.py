@@ -2,10 +2,16 @@
 
 The operator maps the phase-shifted Fourier coefficients uhat(k) of data
 continued evenly or oddly across s = pi to samples of the fractional
-Laplacian.  Only the independent n x (n-1) block is stored: rows are the n
-physical nodes j < n, columns the modes k = 1..n-1.  The rest is implicit.
-The image of a mode is a function of x, and s_j + pi is the same point as
-s_j, so the nodes j >= n would repeat the physical rows.  The column of -k
+Laplacian.  On the map x = x_c + L*cot(s) it is homogeneous of degree
+-alpha in L, so the stored block is the unit-scale operator, a function of
+(n, alpha, l_lim) alone.  :func:`apply` and :func:`fused_sample_operator`
+scale it by L^(-alpha) of the grid they are given, whatever its shift or
+extension parity.
+
+Only the independent n x (n-1) block is stored: rows are the n physical
+nodes j < n, columns the modes k = 1..n-1.  The rest is implicit.  The
+image of a mode is a function of x, and s_j + pi is the same point as s_j,
+so the nodes j >= n would repeat the physical rows.  The column of -k
 is the conjugate of the column of k.  Constants (k = 0) are annihilated,
 and the k = -n mode's image is not representable on the grid, so both
 contribute zero.  For the real coefficients of
@@ -14,21 +20,21 @@ column each, which :func:`apply` uses.  On the samples of an even function
 the operator also folds, by reflection parity, into the two n/2 x n/2
 blocks of :func:`fused_sample_operator`.
 
-The binary cache format (version 2) is a fixed 64-byte little-endian header
+The binary cache format (version 3) is a fixed 64-byte little-endian header
 
     0:8   magic  b"FLAPMAT1"
     8:12  format version (uint32)
     12:16 n (uint32)
     16:20 l_lim (uint32)
-    20:24 extension code (uint32; 0 even, 1 odd)
+    20:24 reserved (zeros)
     24:32 alpha (float64)
-    32:40 l_scale (float64)
-    40:48 x_center (float64)
-    48:64 reserved (zeros)
+    32:64 reserved (zeros)
 
-followed by the n*(n-1) complex128 entries of the block in row-major order
-and a trailing 8-byte CRC32 of header plus payload.  Round trips are bit
-exact.  Version 1 files (the full 2n x 2n matrix) are rejected.
+followed by the n*(n-1) complex128 entries of the unit-scale block in
+row-major order and a trailing 8-byte CRC32 of header plus payload.  Round
+trips are bit exact.  Files of version 1 (the full 2n x 2n matrix) and
+version 2 (the block at one map scale, with L, x_c and the extension in the
+header) are rejected.
 """
 
 from __future__ import annotations
@@ -46,10 +52,9 @@ from fraclap.spectral import krasny_filter, transform
 from fraclap.symbol import mode_columns
 
 _MAGIC = b"FLAPMAT1"
-_FORMAT_VERSION = 2
-_HEADER = struct.Struct("<8sIIII3d16x")
+_FORMAT_VERSION = 3
+_HEADER = struct.Struct("<8sIII4xd32x")
 _TRAILER = struct.Struct("<Q")
-_EXTENSIONS = (Extension.EVEN, Extension.ODD)  # by cache extension code
 
 
 class MatrixCacheError(RuntimeError):
@@ -58,71 +63,83 @@ class MatrixCacheError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatrixMeta:
-    """Build parameters carried alongside the entries."""
+    """What the unit-scale block depends on: order, node count, truncation."""
 
     alpha: float
-    cfg: GridConfig
+    n: int
     l_lim: int
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 2.0:
+            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        if self.n < 2 or self.n % 2:
+            raise ValueError(f"n must be an even integer >= 2, got {self.n}")
+        if self.l_lim < 0:
+            raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """The operator's independent block: n physical rows, columns k = 1..n-1."""
+    """The unit-scale operator's independent block: n physical rows, columns k = 1..n-1."""
 
     entries: np.ndarray
     meta: MatrixMeta
 
     def __post_init__(self) -> None:
         ent = np.asarray(self.entries, dtype=np.complex128)
-        n = self.meta.cfg.n
+        n = self.meta.n
         if ent.shape != (n, n - 1):
             raise ValueError(f"expected shape ({n}, {n - 1}), got {ent.shape}")
         object.__setattr__(self, "entries", ent)
 
 
 def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
-    """Assemble the matrix for one alpha.
+    """Assemble the unit-scale block for one alpha on grids of ``cfg.n`` nodes.
 
-    The columns k = 1..n-1 come from one batched evaluation of the mode
-    symbols (:func:`fraclap.symbol.mode_columns`).  The entries do not
-    depend on the BLAS thread count.
+    Nothing of ``cfg`` but n is read: the block serves every scale, shift
+    and parity.  The columns k = 1..n-1 come from one batched evaluation of
+    the mode symbols (:func:`fraclap.symbol.mode_columns`).  The entries do
+    not depend on the BLAS thread count.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if l_lim < 0:
-        raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
-    entries = mode_columns(cfg, alpha, l_lim, np.arange(1, cfg.n))
-    return OperatorMatrix(entries=entries, meta=MatrixMeta(alpha=alpha, cfg=cfg, l_lim=l_lim))
+    meta = MatrixMeta(alpha=alpha, n=cfg.n, l_lim=l_lim)
+    return OperatorMatrix(mode_columns(cfg.n, alpha, l_lim, np.arange(1, cfg.n)), meta)
 
 
-def apply(matrix: OperatorMatrix, coeffs, extension) -> np.ndarray:
-    """Matrix-vector product: operator samples at the n physical nodes.
+def _scale(matrix: OperatorMatrix, cfg: GridConfig) -> float:
+    """L^(-alpha): the factor of the unit-scale block on the grid ``cfg``."""
+    if cfg.n != matrix.meta.n:
+        raise ValueError(f"matrix has n = {matrix.meta.n}, grid has n = {cfg.n}")
+    return cfg.l_scale ** -matrix.meta.alpha
+
+
+def apply(matrix: OperatorMatrix, coeffs, cfg: GridConfig) -> np.ndarray:
+    """Matrix-vector product: operator samples at the n physical nodes of ``cfg``.
 
     ``coeffs`` are the n real coefficients of :func:`fraclap.spectral.transform`
-    for the given extension.  Even data has uhat(k) = uhat(-k) = c_k, so the
-    columns k and -k sum to 2*Re(column k); odd data has uhat(+-k) = -+i*d_(k-1),
-    so they sum to 2*Im(column k).  The parity is a property of how samples
-    were continued, not of the operator.
+    for the extension of ``cfg``.  Even data has uhat(k) = uhat(-k) = c_k, so
+    the columns k and -k sum to 2*Re(column k); odd data has
+    uhat(+-k) = -+i*d_(k-1), so they sum to 2*Im(column k).  The parity is a
+    property of how samples were continued, not of the operator.  The image
+    carries the factor L^(-alpha).
     """
+    scale = _scale(matrix, cfg)
     c = np.asarray(coeffs, dtype=float)
-    n = matrix.meta.cfg.n
-    if c.shape != (n,):
-        raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
-    if Extension(extension) is Extension.EVEN:
-        return 2.0 * matrix.entries.real @ c[1:]
-    return 2.0 * matrix.entries.imag @ c[:-1]
+    if c.shape != (cfg.n,):
+        raise ValueError(f"expected {cfg.n} coefficients, got shape {c.shape}")
+    if cfg.extension is Extension.EVEN:
+        return 2.0 * matrix.entries.real @ c[1:] * scale
+    return 2.0 * matrix.entries.imag @ c[:-1] * scale
 
 
-def fractional_laplacian(samples, matrix: OperatorMatrix) -> np.ndarray:
-    """Operator applied to the n physical values: transform, filter, apply.
+def fractional_laplacian(samples, matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray:
+    """Operator on the grid ``cfg`` applied to its n physical values: transform, filter, apply.
 
-    The samples are continued with the parity of the matrix's grid.
+    The samples are continued with the parity of ``cfg``.
     """
-    ext = matrix.meta.cfg.extension
-    return apply(matrix, krasny_filter(transform(samples, ext)), ext)
+    return apply(matrix, krasny_filter(transform(samples, cfg.extension)), cfg)
 
 
-def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
+def fused_sample_operator(matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray:
     """Reflection-parity blocks of the operator on the physical samples of an even function.
 
     Composing :func:`apply` with the even transform, c_k = sum_{j<n}
@@ -132,23 +149,24 @@ def fused_sample_operator(matrix: OperatorMatrix) -> np.ndarray:
     centrosymmetric and splits into a block for the reflection-even part of
     the samples (even k) and one for the reflection-odd part (odd k):
 
-        blocks[0] = (4/n) * Re(B)[:n/2, even k] @ cos(outer(even k, s[:n/2]))
-        blocks[1] = (4/n) * Re(B)[:n/2, odd k] @ cos(outer(odd k, s[:n/2]))
+        blocks[0] = (4/n) * L^(-alpha) * Re(B)[:n/2, even k] @ cos(outer(even k, s[:n/2]))
+        blocks[1] = (4/n) * L^(-alpha) * Re(B)[:n/2, odd k] @ cos(outer(odd k, s[:n/2]))
 
-    returned as one (2, n/2, n/2) float64 array; the n x n matrix is never
-    formed.  :func:`apply_sample_operator` applies the blocks, and agrees
-    with ``apply`` on the unfiltered coefficients to round-off.  Raises
-    ValueError for an odd-extension matrix.
+    with L the scale of ``cfg``, returned as one (2, n/2, n/2) float64
+    array; the n x n matrix is never formed.  :func:`apply_sample_operator`
+    applies them, and agrees with ``apply`` on the unfiltered coefficients
+    to round-off.  Raises ValueError for an
+    odd-extension grid.
     """
-    cfg = matrix.meta.cfg
     if cfg.extension is not Extension.EVEN:
-        raise ValueError("the folded sample operator needs an even-extension matrix")
+        raise ValueError("the folded sample operator needs an even-extension grid")
+    scale = _scale(matrix, cfg)
     n = cfg.n
     half = n // 2
     s = nodes(cfg)[:half]
     rows = matrix.entries.real[:half]  # column k sits at index k - 1
     parities = (np.arange(2, n, 2), np.arange(1, n, 2))
-    return (4.0 / n) * np.stack([rows[:, k - 1] @ np.cos(np.outer(k, s)) for k in parities])
+    return (4.0 / n * scale) * np.stack([rows[:, k - 1] @ np.cos(np.outer(k, s)) for k in parities])
 
 
 def apply_sample_operator(blocks: np.ndarray, samples) -> np.ndarray:
@@ -174,16 +192,7 @@ def save_matrix(matrix: OperatorMatrix, path) -> None:
     stale ``.tmp`` is overwritten by the next save).
     """
     meta = matrix.meta
-    header = _HEADER.pack(
-        _MAGIC,
-        _FORMAT_VERSION,
-        meta.cfg.n,
-        meta.l_lim,
-        _EXTENSIONS.index(meta.cfg.extension),
-        meta.alpha,
-        meta.cfg.l_scale,
-        meta.cfg.x_center,
-    )
+    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, meta.n, meta.l_lim, meta.alpha)
     payload = np.ascontiguousarray(matrix.entries).tobytes()
     checksum = zlib.crc32(payload, zlib.crc32(header))
     tmp = f"{path}.tmp"
@@ -194,23 +203,17 @@ def save_matrix(matrix: OperatorMatrix, path) -> None:
     os.replace(tmp, path)
 
 
-def load_matrix(
-    path,
-    *,
-    expect_n: int | None = None,
-    expect_alpha: float | None = None,
-    expect_l_lim: int | None = None,
-) -> OperatorMatrix:
+def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) -> OperatorMatrix:
     """Read a cache file back, verifying magic, version, checksum and header.
 
-    Optional ``expect_*`` arguments guard against loading a matrix built
-    with different parameters.
+    Every header field must equal its ``expect_*`` argument, so a file is
+    never taken for the block of another (n, alpha, l_lim).
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + _TRAILER.size:
         raise MatrixCacheError(f"{path}: file too short for a matrix cache")
     header = raw[: _HEADER.size]
-    magic, version, n, l_lim, ext_code, alpha, l_scale, x_center = _HEADER.unpack(header)
+    magic, version, n, l_lim, alpha = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise MatrixCacheError(f"{path}: bad magic {magic!r}")
     if version != _FORMAT_VERSION:
@@ -220,22 +223,17 @@ def load_matrix(
     actual = zlib.crc32(payload, zlib.crc32(header))
     if stored != actual:
         raise MatrixCacheError(f"{path}: checksum mismatch (corrupt file)")
-    if ext_code >= len(_EXTENSIONS):
-        raise MatrixCacheError(f"{path}: unknown extension code {ext_code}")
     try:
-        cfg = GridConfig(int(n), l_scale, x_center, _EXTENSIONS[ext_code])
+        meta = MatrixMeta(alpha=alpha, n=n, l_lim=l_lim)
     except ValueError as exc:
         raise MatrixCacheError(f"{path}: invalid header ({exc})") from exc
     if len(payload) != n * (n - 1) * 16:
         raise MatrixCacheError(f"{path}: payload size does not match n = {n}")
-    if expect_n is not None and n != expect_n:
-        raise MatrixCacheError(f"{path}: cache has n = {n}, expected {expect_n}")
-    if expect_alpha is not None and alpha != expect_alpha:
-        raise MatrixCacheError(f"{path}: cache has alpha = {alpha}, expected {expect_alpha}")
-    if expect_l_lim is not None and l_lim != expect_l_lim:
-        raise MatrixCacheError(f"{path}: cache has l_lim = {l_lim}, expected {expect_l_lim}")
+    for name, got, want in (("n", n, expect_n), ("alpha", alpha, expect_alpha),
+                            ("l_lim", l_lim, expect_l_lim)):
+        if got != want:
+            raise MatrixCacheError(f"{path}: cache has {name} = {got}, expected {want}")
     entries = np.frombuffer(payload, dtype=np.complex128).reshape(n, n - 1).copy()
-    meta = MatrixMeta(alpha=alpha, cfg=cfg, l_lim=int(l_lim))
     return OperatorMatrix(entries=entries, meta=meta)
 
 

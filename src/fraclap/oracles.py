@@ -26,7 +26,7 @@ from scipy.integrate import quad
 from scipy.special import hyp1f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
-from fraclap.opmatrix import MatrixMeta, OperatorMatrix, build_matrix, fractional_laplacian
+from fraclap.opmatrix import OperatorMatrix, build_matrix, fractional_laplacian
 from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
 
 
@@ -110,7 +110,9 @@ def closed_form_mode2(s, alpha: float):
     """Exact operator image of exp(2i*s) at unit map scale.
 
     -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha) with the principal
-    branch of the complex power; divide by l_scale**alpha for other scales.
+    branch of the complex power: the k = 2 column of the unit-scale block,
+    as :func:`fraclap.symbol.symbol_samples` gives it.  At map scale L the
+    image is L^(-alpha) times this.
     """
     s = np.asarray(s, dtype=float)
     base = -1j * np.sin(s) * np.exp(1j * s)
@@ -224,16 +226,16 @@ def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
-    numeric = symbol_samples(SymbolParams(alpha, 2, cfg, l_lim))
-    exact = closed_form_mode2(nodes(cfg)[: cfg.n], alpha) / cfg.l_scale**alpha
-    return float(np.max(np.abs(numeric - exact)))
+    # both are unit-scale images; at map scale L each, and so their gap, carries L^(-alpha)
+    numeric = symbol_samples(SymbolParams(alpha, 2, cfg.n, l_lim))
+    exact = closed_form_mode2(nodes(cfg)[: cfg.n], alpha)
+    return float(np.max(np.abs(numeric - exact))) * cfg.l_scale**-alpha
 
 
-def _gaussian_error(matrix: OperatorMatrix) -> float:
-    cfg, alpha = matrix.meta.cfg, matrix.meta.alpha
+def _gaussian_error(matrix: OperatorMatrix, cfg: GridConfig) -> float:
     x = node_positions(cfg)[: cfg.n]
-    numeric = fractional_laplacian(np.exp(-x * x), matrix)
-    return float(np.max(np.abs(numeric - closed_form_gaussian(x, alpha))))
+    numeric = fractional_laplacian(np.exp(-x * x), matrix, cfg)
+    return float(np.max(np.abs(numeric - closed_form_gaussian(x, matrix.meta.alpha))))
 
 
 def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
@@ -249,7 +251,7 @@ def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
     if target == "mode2":
         errors = [_mode2_error(cfg, l_lim, a) for a in alphas]
     elif target == "gaussian":
-        errors = [_gaussian_error(build_matrix(cfg, a, l_lim)) for a in alphas]
+        errors = [_gaussian_error(build_matrix(cfg, a, l_lim), cfg) for a in alphas]
     else:
         raise ValueError(f"unknown scan target {target!r}")
     return ErrorScan(target=target, alphas=alphas, errors=np.asarray(errors, dtype=float))
@@ -266,18 +268,15 @@ def scale_sweep(
 ) -> np.ndarray:
     """Gaussian-target global error for each map scale in ``l_values``.
 
-    Exploits the exact scaling law: the matrix built at unit scale equals
-    l_scale**alpha times the matrix at scale l_scale, so one assembly per
-    alpha serves the whole sweep.
+    The block is the unit-scale operator, which :mod:`fraclap.opmatrix`
+    scales by L^(-alpha) on each grid, so one assembly per alpha serves the
+    whole sweep.
     """
     l_values = np.asarray(l_values, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
     out = np.zeros(len(l_values))
-    for a in alphas:
-        base_cfg = GridConfig(n, 1.0, x_center, extension)
-        matrix = build_matrix(base_cfg, a, l_lim)
+    for a in np.asarray(alphas, dtype=float):
+        matrix = build_matrix(GridConfig(n, 1.0), a, l_lim)
         for i, l_scale in enumerate(l_values):
             cfg = GridConfig(n, float(l_scale), x_center, extension)
-            scaled = OperatorMatrix(matrix.entries / l_scale**a, MatrixMeta(a, cfg, l_lim))
-            out[i] = max(out[i], _gaussian_error(scaled))
+            out[i] = max(out[i], _gaussian_error(matrix, cfg))
     return out

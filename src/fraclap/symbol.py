@@ -12,11 +12,14 @@ special case alpha = 1 has an exact closed form for even k and a rational
 series for odd k.  :func:`mode_columns` evaluates any set of modes at once;
 :func:`symbol_samples` is its one-mode case.
 
-The image of a mode is a function of x = x_c + L*cot(s), so it only needs
-the n physical nodes: s_{j+n} = s_j + pi is the same point x_j.  There
-2*l2*s_j = 2*pi*l2*j/n + pi*l2/n, so the remaining l2 series is one n-point
-inverse DFT of the l1 sums times exp(i*pi*l2/n) (Cooley & Tukey, Math.
-Comp. 19, 1965), which gives all n rows of every column at once.
+Every value here is at unit map scale: the operator is homogeneous of
+degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
+factor L^(-alpha), which :mod:`fraclap.opmatrix` applies.  The image of a
+mode is a function of x, so it only needs the n physical nodes: s_{j+n} =
+s_j + pi is the same point x_j.  There 2*l2*s_j = 2*pi*l2*j/n + pi*l2/n,
+so the remaining l2 series is one n-point inverse DFT of the l1 sums times
+exp(i*pi*l2/n) (Cooley & Tukey, Math. Comp. 19, 1965), which gives all n
+rows of every column at once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import ifft, ifftshift
 
 from fraclap.gammaratio import build_tables
-from fraclap.grid import GridConfig, nodes
 
 
 def fractional_constant(alpha: float) -> float:
@@ -46,16 +48,18 @@ def fractional_constant(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SymbolParams:
-    """Inputs for evaluating one mode column: alpha, mode k, grid, truncation."""
+    """Inputs for evaluating one mode column: alpha, mode k, node count n, truncation."""
 
     alpha: float
     k: int
-    cfg: GridConfig
+    n: int
     l_lim: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        if self.n < 2 or self.n % 2:
+            raise ValueError(f"n must be an even integer >= 2, got {self.n}")
         if self.l_lim < 0:
             raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
         if not isinstance(self.k, (int, np.integer)):
@@ -78,8 +82,8 @@ def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
     return np.negative(c, out=c, where=neg)
 
 
-def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
-    """Operator applied to exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
+def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
+    """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
     Every k must lie in 1..n-1; the gamma tables are built for the parities
     of ``ks`` (alpha = 1 needs none).  Per parity of k each term of the l1
@@ -91,9 +95,8 @@ def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
     run in np.einsum and the FFT in pocketfft, neither in BLAS, so the
     result does not depend on the BLAS thread count.
     """
-    n = cfg.n
     ks = np.asarray(ks, dtype=np.int64)
-    s = nodes(cfg)[:n]
+    s = np.pi * (2 * np.arange(n) + 1) / (2 * n)  # grid.nodes, j < n
     l2 = np.arange(-(n // 2), n // 2)
     l1 = np.arange(-l_lim, l_lim + 1)
     l1 = l1[np.argsort(-np.abs(l1), kind="stable")][:, None]  # smallest terms first
@@ -105,9 +108,7 @@ def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
         tables = build_tables(alpha, n, l_lim, parities=set((ks % 2).tolist()))
         w = sign1 * tables.vec_a[np.abs(l_full)]
         weights = (w, w * l1)
-        pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / (
-            8.0 * cfg.l_scale**alpha
-        )
+        pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     del l_full
     half_step = np.exp(1j * np.pi * l2 / n)[:, None]
     out = np.empty((n, ks.size), dtype=np.complex128)
@@ -118,7 +119,7 @@ def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
             continue
         k = ks[sel]
         if alpha == 1.0 and parity == 0:
-            out[:, sel] = k * np.sin(s)[:, None] ** 2 / cfg.l_scale * np.exp(1j * np.outer(s, k))
+            out[:, sel] = k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
             continue
         # G at every d = h - l2, h = floor(k/2) from min(h) to max(h); the
         # window [l1, l2, c] holds G at d = min(h) + c - l2
@@ -136,7 +137,7 @@ def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
         # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
         series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
         if alpha == 1.0:
-            out[:, sel] = (1j * k / (cfg.l_scale * np.pi)) * (-2.0 / (k * k - 4.0) - series)
+            out[:, sel] = (1j * k / np.pi) * (-2.0 / (k * k - 4.0) - series)
         elif parity == 0:
             out[:, sel] = (pref / math.tan(math.pi * alpha / 2.0))[:, None] * series
         else:
@@ -145,15 +146,15 @@ def mode_columns(cfg: GridConfig, alpha: float, l_lim: int, ks) -> np.ndarray:
 
 
 def symbol_samples(params: SymbolParams) -> np.ndarray:
-    """Values of the operator applied to exp(i*k*s) at the n physical nodes.
+    """Values of the unit-scale operator applied to exp(i*k*s) at the n physical nodes.
 
     k = 0 returns the zero vector, k must lie in {0, ..., n-1}.  This is
     the one-column case of :func:`mode_columns`.
     """
-    n = params.cfg.n
+    n = params.n
     k = int(params.k)
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in 0..n-1 = 0..{n - 1}, got {k}")
     if k == 0:
         return np.zeros(n, dtype=np.complex128)
-    return mode_columns(params.cfg, params.alpha, params.l_lim, [k])[:, 0]
+    return mode_columns(n, params.alpha, params.l_lim, [k])[:, 0]

@@ -133,9 +133,9 @@ def run_fresh_python(script: str, blas_threads: str) -> str:
     return done.stdout
 
 
-def cache_file_bytes(version: int, n: int, ext_code: int, payload_entries: int) -> bytes:
-    """A hand-built matrix cache file: given header fields, zero payload, valid CRC."""
-    header = struct.pack("<8sIIII3d16x", b"FLAPMAT1", version, n, 200, ext_code, 0.5, 1.0, 0.0)
+def cache_file_bytes(version: int, n: int, payload_entries: int, *, alpha: float = 0.5) -> bytes:
+    """A hand-built version-3 layout cache file (l_lim = 200): zero payload, valid CRC."""
+    header = struct.pack("<8sIII4xd32x", b"FLAPMAT1", version, n, 200, alpha)
     payload = np.zeros(payload_entries, np.complex128).tobytes()
     return header + payload + struct.pack("<Q", zlib.crc32(payload, zlib.crc32(header)))
 

@@ -76,7 +76,7 @@ def test_criterion2_truncation_stability():
     coarse = error_scan("mode2", cfg, 0, THIN_GRID).global_max
 
     def single_alpha_error(l_lim):
-        numeric = symbol_samples(SymbolParams(0.5, 2, cfg, l_lim))
+        numeric = symbol_samples(SymbolParams(0.5, 2, cfg.n, l_lim))
         exact = closed_form_mode2(nodes(cfg), 0.5)
         return float(np.max(np.abs(numeric[:128] - exact[:128])))
 
@@ -104,7 +104,8 @@ def _gaussian_table_errors(n: int):
         matrix = build_matrix(cfg_even, float(alpha), 500)
         exact = closed_form_gaussian(x, float(alpha))
         for parity in ("even", "odd"):
-            numeric = apply(matrix, krasny_filter(transform(u, parity)), parity)
+            cfg = GridConfig(n, 1.0, extension=Extension(parity))
+            numeric = apply(matrix, krasny_filter(transform(u, parity)), cfg)
             worst[parity] = max(worst[parity], float(np.max(np.abs(numeric - exact))))
     return worst
 
@@ -150,14 +151,21 @@ def test_criterion4_scale_sweep_optimum():
 
 
 def test_criterion5_alpha_one_even_modes_exact():
+    # the unit-scale symbol, and the scaled block applied to each even mode
+    # (2*Re of the column on even data, 2*Im on odd data) at L = 2.5
     worst = 0.0
     for n, l_scale in ((16, 1.0), (64, 2.5)):
-        cfg = GridConfig(n, l_scale)
-        s = nodes(cfg)[:n]
+        even = GridConfig(n, l_scale)
+        odd = GridConfig(n, l_scale, extension=Extension.ODD)
+        matrix = build_matrix(even, 1.0, 0)
+        s, unit = nodes(even)[:n], np.eye(n)
         for k in range(2, n - 1, 2):
-            numeric = symbol_samples(SymbolParams(1.0, k, cfg, 0))
-            exact = k * np.sin(s) ** 2 * np.exp(1j * k * s) / l_scale
-            worst = max(worst, float(np.max(np.abs(numeric - exact))))
+            numeric = symbol_samples(SymbolParams(1.0, k, n, 0))
+            exact = k * np.sin(s) ** 2 * np.exp(1j * k * s)
+            scaled = (apply(matrix, unit[k], even), apply(matrix, unit[k - 1], odd))
+            worst = max(worst, float(np.max(np.abs(numeric - exact))),
+                        float(np.max(np.abs(scaled[0] - 2.0 * exact.real / l_scale))),
+                        float(np.max(np.abs(scaled[1] - 2.0 * exact.imag / l_scale))))
     _report("criterion 5", worst <= 1e-13, f"max deviation {worst:.2e} (<= 1e-13)")
 
 
@@ -175,7 +183,7 @@ def test_criterion6_oracle_equivalence():
     for alpha in (0.4, 1.0, 1.6):
         matrix = build_matrix(cfg, alpha, 500)
         # the image is a function of x: its cosine series interpolates the node values
-        lap_coeffs = transform(fractional_laplacian(u, matrix), Extension.EVEN)
+        lap_coeffs = transform(fractional_laplacian(u, matrix, cfg), Extension.EVEN)
         for x in (-2.0, 0.0, 1.0):
             numeric = evaluate(lap_coeffs, Extension.EVEN, cfg, x)
             reference = quadrature_fraclap(gauss, x, alpha)
@@ -194,13 +202,13 @@ def fisher_matrices():
     for alpha, n in ((1.95, 512), (1.5, 512), (0.5, 1024)):
         l_scale = 1000.0 / alpha**3 if alpha != 0.5 else 8000.0
         cfg = GridConfig(n, l_scale)
-        out[(alpha, n)] = build_matrix(cfg, alpha, 500)
+        out[(alpha, n)] = cfg, build_matrix(cfg, alpha, 500)
     return out
 
 
-def _front_trace(matrix, alpha, t_final, window=None):
+def _front_trace(cfg, matrix, alpha, t_final, window=None):
     run = FisherRun(
-        cfg=matrix.meta.cfg, alpha=alpha, dt=0.01, t_final=t_final,
+        cfg=cfg, alpha=alpha, dt=0.01, t_final=t_final,
         l_lim=matrix.meta.l_lim, sample_stride=10, fit_window=window,
     )
     return run_simulation(run, matrix).trace
@@ -214,7 +222,7 @@ def _rel_gap(sigma, alpha):
 def fisher_traces(fisher_matrices):
     """n = 512 front traces, each integrated once: alpha = 1.95 to t = 14, 1.5 to t = 10."""
     return {
-        alpha: _front_trace(fisher_matrices[(alpha, 512)], alpha, t_final)
+        alpha: _front_trace(*fisher_matrices[(alpha, 512)], alpha, t_final)
         for alpha, t_final in ((1.95, 14.0), (1.5, 10.0))
     }
 
@@ -229,8 +237,9 @@ def _check_front_rate(name, trace, alpha, window, bound, check_grid):
     gap = _rel_gap(sigma, alpha)
     early = fit_sigma(trace, (4.0, 7.0))
     n, l_scale = check_grid
-    check_matrix = build_matrix(GridConfig(n, l_scale), alpha, 500)
-    check = _front_trace(check_matrix, alpha, 7.0, (4.0, 7.0)).sigma
+    check_cfg = GridConfig(n, l_scale)
+    check_matrix = build_matrix(check_cfg, alpha, 500)
+    check = _front_trace(check_cfg, check_matrix, alpha, 7.0, (4.0, 7.0)).sigma
     spread = abs(early - check) / check
     _report(
         name,
@@ -257,7 +266,7 @@ def test_criterion7b_front_rate_alpha150(fisher_traces):
 
 
 def test_criterion7c_front_rate_alpha05(fisher_matrices):
-    trace = _front_trace(fisher_matrices[(0.5, 1024)], 0.5, 7.0, (4.0, 7.0))
+    trace = _front_trace(*fisher_matrices[(0.5, 1024)], 0.5, 7.0, (4.0, 7.0))
     sigma = trace.sigma
     ok = 1.85 <= sigma <= 2.0
     _report(
@@ -317,14 +326,15 @@ def test_criterion8_matrix_linearity_and_conjugation(rng):
     matrix = build_matrix(cfg, 0.7, 200)
     lin = conj = 0.0
     for parity in ("even", "odd"):
+        grid = GridConfig(16, 1.0, extension=Extension(parity))
         v1, v2 = rng.standard_normal(16), rng.standard_normal(16)
-        lhs = apply(matrix, 2.0 * v1 - 0.5 * v2, parity)
-        rhs = 2.0 * apply(matrix, v1, parity) - 0.5 * apply(matrix, v2, parity)
+        lhs = apply(matrix, 2.0 * v1 - 0.5 * v2, grid)
+        rhs = 2.0 * apply(matrix, v1, grid) - 0.5 * apply(matrix, v2, grid)
         lin = max(lin, float(np.max(np.abs(lhs - rhs))))
         # the stored columns act on +k and their conjugates on -k
         u = rng.standard_normal(16)
         full = two_sided_image(matrix.entries, dft_oracle(continued(u, parity)))
-        conj = max(conj, float(np.max(np.abs(apply(matrix, transform(u, parity), parity) - full))))
+        conj = max(conj, float(np.max(np.abs(apply(matrix, transform(u, parity), grid) - full))))
     ok = lin <= 1e-12 and conj <= 1e-12
     _report(
         "criterion 8: linearity + conjugation",
@@ -357,7 +367,7 @@ def test_criterion8_gamma_tables_vs_log_gamma(rng):
 
 def test_criterion8_rk4_measured_order():
     cfg = GridConfig(64, 50.0)
-    op = fused_sample_operator(build_matrix(cfg, 1.2, 200))
+    op = fused_sample_operator(build_matrix(cfg, 1.2, 200), cfg)
     u0 = initial_condition(node_positions(cfg)[:64], 1.2)
 
     def integrate(dt, t_end=0.8):

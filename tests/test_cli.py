@@ -13,11 +13,15 @@ def run_cli(*args):
     return main(list(args))
 
 
+def _manifest_diagnostics(out_dir):
+    return json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
+
+
 class TestMatrixBuild:
     def test_build_writes_cache_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "m.bin"
         code = run_cli(
-            "matrix", "build", "--n", "8", "--alpha", "0.5", "--L", "1.0",
+            "matrix", "build", "--n", "8", "--alpha", "0.5",
             "--llim", "60", "--out", str(out),
         )
         assert code == EXIT_OK
@@ -32,28 +36,28 @@ class TestMatrixBuild:
 
     def test_rebuild_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        flags = ["--n", "8", "--alpha", "0.75", "--L", "2.0", "--llim", "40"]
+        flags = ["--n", "8", "--alpha", "0.75", "--llim", "40"]
         assert run_cli("matrix", "build", *flags, "--out", str(a)) == EXIT_OK
         assert run_cli("matrix", "build", *flags, "--out", str(b)) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     def test_alpha_out_of_range(self, tmp_path):
         code = run_cli(
-            "matrix", "build", "--n", "8", "--alpha", "2.0", "--L", "1.0",
+            "matrix", "build", "--n", "8", "--alpha", "2.0",
             "--llim", "10", "--out", str(tmp_path / "m.bin"),
         )
         assert code == EXIT_INVALID
 
     def test_odd_n_rejected(self, tmp_path):
         code = run_cli(
-            "matrix", "build", "--n", "7", "--alpha", "0.5", "--L", "1.0",
+            "matrix", "build", "--n", "7", "--alpha", "0.5",
             "--llim", "10", "--out", str(tmp_path / "m.bin"),
         )
         assert code == EXIT_INVALID
 
-    @pytest.mark.parametrize("flag,value", [("--L", "0"), ("--llim", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--llim", "-1")])
     def test_bad_parameter_writes_nothing(self, tmp_path, flag, value):
-        flags = {"--n": "8", "--alpha": "0.5", "--L": "1.0", "--llim": "10", flag: value}
+        flags = {"--n": "8", "--alpha": "0.5", "--llim": "10", flag: value}
         args = [item for pair in flags.items() for item in pair]
         code = run_cli("matrix", "build", *args, "--out", str(tmp_path / "m.bin"))
         assert code == EXIT_INVALID
@@ -63,10 +67,21 @@ class TestMatrixBuild:
         # the entries do not depend on the parity, so the flag is gone
         with pytest.raises(SystemExit) as exc:
             run_cli(
-                "matrix", "build", "--n", "8", "--alpha", "0.5", "--L", "1.0",
+                "matrix", "build", "--n", "8", "--alpha", "0.5",
                 "--llim", "10", "--extension", "even", "--out", str(tmp_path / "m.bin"),
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--L", "--xc"])
+    def test_map_flags_rejected(self, tmp_path, flag):
+        # the block is the unit-scale operator: no scale or shift to give
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "matrix", "build", "--n", "8", "--alpha", "0.5", "--llim", "10",
+                flag, "1.0", "--out", str(tmp_path / "m.bin"),
+            )
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidate:
@@ -233,25 +248,39 @@ class TestFisher:
         stamp = cached[0].stat().st_mtime_ns
         assert run_cli(*args, "--out-dir", str(tmp_path / "r2")) == EXIT_OK
         assert cached[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
+        loaded = [_manifest_diagnostics(tmp_path / r)["alpha_1.2"]["matrix_loaded"]
+                  for r in ("r1", "r2")]
+        assert loaded == [False, True]
 
-    def test_matrix_cache_keeps_nearby_maps_apart(self, tmp_path):
-        # scales equal to six digits and a shifted map each get their own file
+    def test_matrix_cache_shared_across_maps(self, tmp_path):
+        # the block is the unit-scale operator: any L and x_c use one file,
+        # and a run on the loaded block is bit-identical to one without a cache
         cache = tmp_path / "mc"
         args = [
             "fisher", "--alpha", "1.5", "--n", "16", "--llim", "20", "--dt", "0.01",
-            "--tfinal", "0.3", "--sample-stride", "2", "--matrix-cache", str(cache),
+            "--tfinal", "0.3", "--sample-stride", "2",
         ]
-        variants = [
-            ["--L", "100.0000001"],
-            ["--L", "100.0000002"],
-            ["--L", "100"],
-            ["--L", "100", "--xc", "3"],
-        ]
+        variants = [["--L", "100"], ["--L", "100.0000001"], ["--L", "100", "--xc", "3"]]
         for i, extra in enumerate(variants):
+            cached, fresh = tmp_path / f"c{i}", tmp_path / f"f{i}"
+            assert run_cli(*args, *extra, "--matrix-cache", str(cache),
+                           "--out-dir", str(cached)) == EXIT_OK
+            assert run_cli(*args, *extra, "--out-dir", str(fresh)) == EXIT_OK
+            assert _manifest_diagnostics(cached)["alpha_1.5"]["matrix_loaded"] == (i > 0)
+            trace = "trace_alpha1.5.csv"
+            assert (cached / trace).read_bytes() == (fresh / trace).read_bytes()
+        assert len(list(cache.glob("*.bin"))) == 1
+
+    def test_matrix_cache_keeps_nearby_alphas_apart(self, tmp_path):
+        # orders one ulp apart get their own files: the key is the exact alpha
+        cache = tmp_path / "mc"
+        args = ["fisher", "--n", "16", "--llim", "20", "--dt", "0.01", "--tfinal", "0.3",
+                "--L", "100", "--sample-stride", "2", "--matrix-cache", str(cache)]
+        for i, alpha in enumerate(("0.3", "0.30000000000000004")):
             out_dir = tmp_path / f"r{i}"
-            assert run_cli(*args, *extra, "--out-dir", str(out_dir)) == EXIT_OK
-            assert (out_dir / "summary.csv").exists()
-        assert len(list(cache.glob("*.bin"))) == 4
+            assert run_cli(*args, "--alpha", alpha, "--out-dir", str(out_dir)) == EXIT_OK
+            assert _manifest_diagnostics(out_dir)["alpha_0.3"]["matrix_loaded"] is False
+        assert len(list(cache.glob("*.bin"))) == 2
 
     def test_determinism_across_runs(self, tmp_path):
         args = [
@@ -294,16 +323,16 @@ class TestFisher:
         assert "alpha_1" in manifest["diagnostics"]
 
     @pytest.mark.parametrize(
-        "n, ext_code", [(0, 0), (3, 0), (8, 7)], ids=["n0", "n3", "ext7"]
+        "n, alpha", [(0, 0.5), (3, 0.5), (8, 2.0)], ids=["n0", "n3", "alpha2"]
     )
-    def test_sweep_invalid_cache_header_is_a_cache_error(self, tmp_path, n, ext_code):
+    def test_sweep_invalid_cache_header_is_a_cache_error(self, tmp_path, n, alpha):
         # a CRC-valid file with a bad header field: exit 4 (cache), not 2 (parameters)
         cache = tmp_path / "mc"
         args = ["--n", "16", "--llim", "20", "--dt", "0.01", "--tfinal", "0.3",
                 "--sample-stride", "2", "--matrix-cache", str(cache)]
         assert run_cli("fisher", "--alpha", "1.5", *args, "--out-dir", str(tmp_path / "a")) == EXIT_OK
         (bad,) = cache.glob("*.bin")
-        bad.write_bytes(cache_file_bytes(2, n, ext_code, n * (n - 1)))
+        bad.write_bytes(cache_file_bytes(3, n, n * (n - 1), alpha=alpha))
         out_dir = tmp_path / "sweep"
         code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", *args, "--out-dir", str(out_dir))
         assert code == EXIT_IO
@@ -323,11 +352,15 @@ class TestFisher:
         assert (out_dir / "fisher.manifest.json").exists()
 
     def test_zero_dt_rejected(self, tmp_path):
-        code = run_cli(
-            "fisher", "--alpha", "1.2", "--n", "32", "--dt", "0",
-            "--tfinal", "1.0", "--out-dir", str(tmp_path / "x"),
-        )
-        assert code == EXIT_INVALID
+        # and a non-finite step or horizon, which would overflow the step count
+        for dt, tfinal in (("0", "1.0"), ("nan", "1.0"), ("inf", "1.0"),
+                           ("0.01", "inf"), ("0.01", "nan")):
+            code = run_cli(
+                "fisher", "--alpha", "1.2", "--n", "32", "--dt", dt,
+                "--tfinal", tfinal, "--out-dir", str(tmp_path / "x"),
+            )
+            assert code == EXIT_INVALID
+            assert not (tmp_path / "x").exists()
 
     def test_blowup_exit_code(self, tmp_path):
         # a huge step on a stiff grid blows up immediately
@@ -371,9 +404,9 @@ class TestFisher:
 
 class TestManifestParameters:
     @pytest.mark.parametrize("command,args,manifest,keys", [
-        (["matrix", "build", "--n", "8", "--alpha", "0.5", "--L", "1.0", "--llim", "20"],
+        (["matrix", "build", "--n", "8", "--alpha", "0.5", "--llim", "20"],
          ["--out", "m.bin"], "m.bin.manifest.json",
-         {"n", "alpha", "L", "xc", "llim", "out"}),
+         {"n", "alpha", "llim", "out"}),
         (["validate", "--target", "mode2", "--n", "4", "--llim", "10",
           "--alpha-grid", "0.5:0.5:1.0"],
          ["--out", "s.csv"], "s.csv.manifest.json",
@@ -395,11 +428,13 @@ class TestManifestParameters:
 
 class TestSpanGrammar:
     def test_bad_span_rejected(self, tmp_path):
-        code = run_cli(
-            "validate", "--target", "mode2", "--n", "16", "--llim", "10",
-            "--alpha-grid", "0.5:0.1", "--out", str(tmp_path / "s.csv"),
-        )
-        assert code == EXIT_INVALID
+        for span in ("0.5:0.1", "0.5:inf:0.5", "-inf:1.5:0.5", "0.5:1.5:nan", "nan:1.5:0.5"):
+            code = run_cli(
+                "validate", "--target", "mode2", "--n", "16", "--llim", "10",
+                f"--alpha-grid={span}", "--out", str(tmp_path / "s.csv"),
+            )
+            assert code == EXIT_INVALID
+            assert list(tmp_path.iterdir()) == []
 
     def test_bad_window_rejected(self, tmp_path):
         code = run_cli(

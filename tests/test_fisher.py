@@ -31,7 +31,7 @@ from fraclap.spectral import evaluate, transform
 def gauss_setup():
     cfg = GridConfig(128, 4.6)
     matrix = build_matrix(cfg, 1.5, 500)
-    return cfg, matrix, fused_sample_operator(matrix)
+    return cfg, matrix, fused_sample_operator(matrix, cfg)
 
 
 class TestInitialCondition:
@@ -135,14 +135,16 @@ class TestRk4Step:
 
     def test_folded_step_matches_filtered_stages(self, gauss_setup):
         # stages through the direct transform of the continued samples and the
-        # two-sided sum over the stored columns and their conjugates
+        # two-sided sum over the stored unit-scale columns and their conjugates,
+        # times L^(-alpha)
         cfg, matrix, op = gauss_setup
         x = node_positions(cfg)[:128]
         u = initial_condition(x, 1.5)
         dt = 0.01
 
         def f(v):
-            lap = two_sided_image(matrix.entries, dft_oracle(continued(v, "even"))).real
+            image = two_sided_image(matrix.entries, dft_oracle(continued(v, "even")))
+            lap = image.real * cfg.l_scale**-1.5
             return -lap + v * (1.0 - v)
 
         k1 = f(u)
@@ -157,7 +159,7 @@ class TestRk4Step:
         # inside the stability region): halving dt must shrink the error by
         # ~16 (measured order >= 3.8)
         cfg = GridConfig(64, 50.0)
-        op = fused_sample_operator(build_matrix(cfg, 1.2, 200))
+        op = fused_sample_operator(build_matrix(cfg, 1.2, 200), cfg)
         u0 = initial_condition(node_positions(cfg)[:64], 1.2)
 
         def integrate(dt, t_end=0.8):
@@ -326,7 +328,7 @@ class TestRunSimulation:
         run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.02, l_lim=200,
                         sample_stride=1, fit_window=(0.0, 0.02))
         result = run_simulation(run, matrix)
-        op = fused_sample_operator(matrix)
+        op = fused_sample_operator(matrix, cfg)
         u = initial_condition(node_positions(cfg)[:64], alpha)
         assert result.diagnostics["krasny_zeroed"] == 0
         np.testing.assert_array_equal(
@@ -375,15 +377,25 @@ class TestRunSimulation:
     @pytest.mark.parametrize("field,changes", [
         ("l_lim", {"l_lim": 40}),
         ("alpha", {"alpha": 1.3}),
-        ("map", {"cfg": GridConfig(16, 60.0)}),
+        ("n", {"cfg": GridConfig(32, 50.0)}),
         ("alpha, l_lim", {"alpha": 1.3, "l_lim": 40}),
-    ], ids=["l_lim", "alpha", "map", "alpha_and_l_lim"])
+    ], ids=["l_lim", "alpha", "n", "alpha_and_l_lim"])
     def test_supplied_matrix_must_match_run(self, field, changes):
         params = {"cfg": GridConfig(16, 50.0), "alpha": 1.2, "l_lim": 20}
         matrix = build_matrix(params["cfg"], params["alpha"], params["l_lim"])
         run = FisherRun(dt=0.01, t_final=0.02, **{**params, **changes})
         with pytest.raises(ValueError, match=f"different {field}$"):
             run_simulation(run, matrix)
+
+    def test_matrix_serves_any_scale_and_shift(self):
+        # the block reads only n of the grid it was built on: one built at
+        # L = 1 drives a run at L = 50, x_c = 0.3 bit for bit like its own
+        cfg = GridConfig(16, 50.0, 0.3)
+        run = FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=0.1, l_lim=20,
+                        sample_stride=2, fit_window=(0.0, 0.1))
+        a = run_simulation(run, build_matrix(GridConfig(16, 1.0), 1.2, 20))
+        b = run_simulation(run, build_matrix(cfg, 1.2, 20))
+        np.testing.assert_array_equal(a.final_samples, b.final_samples)
 
     def test_overflow_raises_blowup_without_warnings(self):
         # a step of 1e100 overflows at once: the run must end in BlowUpError
@@ -411,3 +423,8 @@ class TestRunSimulation:
             FisherRun(cfg=cfg, alpha=2.4, dt=0.01, t_final=1.0)
         with pytest.raises(ValueError):
             FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=-1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                FisherRun(cfg=cfg, alpha=1.2, dt=bad, t_final=1.0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=bad)

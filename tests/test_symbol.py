@@ -3,7 +3,8 @@ import pytest
 
 from conftest import a_coeff, b_coeff, gamma_ratio_ref
 from fraclap.gammaratio import build_tables
-from fraclap.grid import GridConfig, nodes
+from fraclap.grid import Extension, GridConfig, nodes
+from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
 from fraclap import symbol
 from fraclap.symbol import SymbolParams, fractional_constant, mode_columns, symbol_samples
@@ -90,44 +91,53 @@ class TestBCoeff:
 
 class TestSymbolSamples:
     def test_k0_is_zero(self):
-        p = SymbolParams(0.5, 0, GridConfig(8, 1.0), 10)
+        p = SymbolParams(0.5, 0, 8, 10)
         assert np.all(symbol_samples(p) == 0.0)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            symbol_samples(SymbolParams(0.5, 8, GridConfig(8, 1.0), 10))
+            symbol_samples(SymbolParams(0.5, 8, 8, 10))
         with pytest.raises(ValueError):
-            symbol_samples(SymbolParams(0.5, -1, GridConfig(8, 1.0), 10))
+            symbol_samples(SymbolParams(0.5, -1, 8, 10))
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            SymbolParams(2.0, 2, GridConfig(8, 1.0), 10)
+            SymbolParams(2.0, 2, 8, 10)
+
+    def test_odd_n_rejected(self):
+        # the l2 range {-n/2, ..., n/2-1} needs an even node count
+        with pytest.raises(ValueError, match="even integer"):
+            SymbolParams(0.5, 2, 7, 10)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.95, 1.05, 1.5, 1.95])
     def test_mode2_closed_form_small_grid(self, alpha):
         cfg = GridConfig(4, 1.0)
-        numeric = symbol_samples(SymbolParams(alpha, 2, cfg, 530))
+        numeric = symbol_samples(SymbolParams(alpha, 2, cfg.n, 530))
         exact = closed_form_mode2(nodes(cfg)[:4], alpha)
         assert np.max(np.abs(numeric - exact)) < 1e-12
 
     def test_mode2_closed_form_other_scale(self):
-        cfg = GridConfig(8, 2.5)
-        numeric = symbol_samples(SymbolParams(0.7, 2, cfg, 400))
-        exact = closed_form_mode2(nodes(cfg)[:8], 0.7) / 2.5**0.7
-        assert np.max(np.abs(numeric - exact)) < 1e-12
+        # the unit-scale mode-2 column, applied at L = 2.5: 2*Re (even), 2*Im (odd)
+        even = GridConfig(8, 2.5)
+        odd = GridConfig(8, 2.5, extension=Extension.ODD)
+        matrix = build_matrix(even, 0.7, 400)
+        exact = closed_form_mode2(nodes(even)[:8], 0.7) / 2.5**0.7
+        unit = np.eye(8)
+        assert np.max(np.abs(apply(matrix, unit[2], even) - 2.0 * exact.real)) < 2e-12
+        assert np.max(np.abs(apply(matrix, unit[1], odd) - 2.0 * exact.imag)) < 2e-12
 
     @pytest.mark.parametrize("k", [2, 4, 6, 14])
     def test_alpha_one_even_modes_exact(self, k):
         cfg = GridConfig(16, 1.0)
         s = nodes(cfg)[:16]
-        numeric = symbol_samples(SymbolParams(1.0, k, cfg, 0))
+        numeric = symbol_samples(SymbolParams(1.0, k, cfg.n, 0))
         exact = k * np.sin(s) ** 2 * np.exp(1j * k * s)
         assert np.max(np.abs(numeric - exact)) < 1e-13
 
     def test_alpha_one_odd_mode_vs_quadrature(self):
         cfg = GridConfig(16, 1.0)
         s = nodes(cfg)
-        numeric = symbol_samples(SymbolParams(1.0, 3, cfg, 500))
+        numeric = symbol_samples(SymbolParams(1.0, 3, cfg.n, 500))
         f = test_function("mode_k", k=3)
         for j in (0, 2, 9):
             x = np.cos(s[j]) / np.sin(s[j])
@@ -136,7 +146,7 @@ class TestSymbolSamples:
     def test_fractional_odd_mode_vs_quadrature(self):
         cfg = GridConfig(16, 1.0)
         s = nodes(cfg)
-        numeric = symbol_samples(SymbolParams(0.5, 3, cfg, 500))
+        numeric = symbol_samples(SymbolParams(0.5, 3, cfg.n, 500))
         f = test_function("mode_k", k=3)
         for j in (1, 5):
             x = np.cos(s[j]) / np.sin(s[j])
@@ -163,7 +173,7 @@ class TestSymbolSamples:
                 return pref / np.tan(np.pi * alpha / 2.0) * series
             return 1j * pref * series
 
-        numeric = symbol_samples(SymbolParams(alpha, k, cfg, l_lim))
+        numeric = symbol_samples(SymbolParams(alpha, k, cfg.n, l_lim))
         s = nodes(cfg)[:n]
         assert np.max(np.abs(numeric - direct(s))) < 1e-12
         assert np.max(np.abs(numeric - direct(s + np.pi))) < 1e-12
@@ -173,7 +183,7 @@ class TestSymbolSamples:
         exact = closed_form_mode2(nodes(cfg)[:128], 0.5)
         errs = {}
         for l_lim in (0, 50, 210, 300):
-            numeric = symbol_samples(SymbolParams(0.5, 2, cfg, l_lim))
+            numeric = symbol_samples(SymbolParams(0.5, 2, cfg.n, l_lim))
             errs[l_lim] = np.max(np.abs(numeric - exact))
         assert errs[0] > errs[50] > errs[210]
         assert abs(errs[210] - errs[300]) < 1e-12
@@ -183,31 +193,28 @@ class TestSymbolSamples:
         # equal the operator applied to exp(-i*k*s); checked by quadrature
         cfg = GridConfig(8, 1.0)
         s = nodes(cfg)
-        numeric = np.conj(symbol_samples(SymbolParams(0.6, 3, cfg, 400)))
+        numeric = np.conj(symbol_samples(SymbolParams(0.6, 3, cfg.n, 400)))
         f = test_function("mode_k", k=-3)
         x = np.cos(s[2]) / np.sin(s[2])
         assert numeric[2] == pytest.approx(quadrature_fraclap(f, x, 0.6), abs=1e-8)
 
 
-def _direct_columns(cfg, alpha, l_lim, ks):
-    """Mode columns from scalar terms and an l2 series with exactly reduced phases.
+def _direct_columns(n, alpha, l_lim, ks):
+    """Unit-scale mode columns from scalar terms and an l2 series with exactly reduced phases.
 
     2*l2*s_j = pi*l2*(2j+1)/n is reduced mod 2*pi in integers before exp,
     so no phase error grows with |l2*(2j+1)|.
     """
-    n = cfg.n
-    s = nodes(cfg)[:n]
+    s = nodes(GridConfig(n, 1.0))[:n]
     l2s = np.arange(-(n // 2), n // 2)
     phase = np.exp(1j * np.pi * np.mod(np.outer(2 * np.arange(n) + 1, l2s), 2 * n) / n)
     tables = None if alpha == 1.0 else build_tables(alpha, n, l_lim)
-    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / (
-        8.0 * cfg.l_scale**alpha
-    )
+    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     l1s = range(-l_lim, l_lim + 1)
     cols = []
     for k in ks:
         if alpha == 1.0 and k % 2 == 0:
-            cols.append(k * np.sin(s) ** 2 / cfg.l_scale * np.exp(1j * k * s))
+            cols.append(k * np.sin(s) ** 2 * np.exp(1j * k * s))
             continue
         if alpha == 1.0:
             sums = [sum(b_coeff(k, l1, int(l2), n) for l1 in l1s) for l2 in l2s]
@@ -215,7 +222,7 @@ def _direct_columns(cfg, alpha, l_lim, ks):
             sums = [sum(a_coeff(k, l1, int(l2), tables, alpha, n) for l1 in l1s) for l2 in l2s]
         series = phase @ np.array(sums)
         if alpha == 1.0:
-            cols.append(1j * k / (cfg.l_scale * np.pi) * (-2.0 / (k * k - 4.0) - series))
+            cols.append(1j * k / np.pi * (-2.0 / (k * k - 4.0) - series))
         elif k % 2 == 0:
             cols.append(pref / np.tan(np.pi * alpha / 2.0) * series)
         else:
@@ -227,9 +234,8 @@ class TestModeColumns:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
     @pytest.mark.parametrize("n,ks", [(2, [1]), (8, [1, 2, 5, 6, 7]), (64, [1, 2, 33, 62, 63])])
     def test_matches_direct_sum_with_reduced_phases(self, n, ks, alpha):
-        cfg = GridConfig(n, 1.7)
-        got = mode_columns(cfg, alpha, 4, ks)
-        ref = _direct_columns(cfg, alpha, 4, ks)
+        got = mode_columns(n, alpha, 4, ks)
+        ref = _direct_columns(n, alpha, 4, ks)
         err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
         assert np.all(err <= 1e-13)
 
@@ -237,7 +243,7 @@ class TestModeColumns:
         # the l2 series as one FFT carries no phase error of exp(i*theta) at
         # |theta| up to pi*n/2; with the explicit phase matrix this read 4.9e-13
         cfg = GridConfig(1024, 1.0)
-        numeric = symbol_samples(SymbolParams(0.1, 2, cfg, 500))
+        numeric = symbol_samples(SymbolParams(0.1, 2, cfg.n, 500))
         exact = closed_form_mode2(nodes(cfg)[:1024], 0.1)
         assert np.max(np.abs(numeric - exact)) <= 2e-13
 
@@ -249,6 +255,6 @@ class TestModeColumns:
             return built[-1]
 
         monkeypatch.setattr(symbol, "build_tables", recording)
-        symbol_samples(SymbolParams(0.5, 2, GridConfig(16, 1.0), 20))
+        symbol_samples(SymbolParams(0.5, 2, 16, 20))
         assert len(built) == 1
         assert built[0].vec_c.size == 0 and built[0].vec_b.size > 0
