@@ -61,6 +61,8 @@ EXIT_INVALID = 2
 EXIT_BLOWUP = 3
 EXIT_IO = 4
 
+_MAX_SPAN_POINTS = 10_000  # a sweep beyond this is a typo, not a plan
+
 
 class ParameterError(ValueError):
     pass
@@ -78,6 +80,8 @@ def _parse_span(text: str) -> np.ndarray:
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ParameterError(f"span must be finite with step > 0 and stop >= start: {text!r}")
     count = int(round((stop - start) / step)) + 1
+    if count > _MAX_SPAN_POINTS:
+        raise ParameterError(f"span has {count} points, more than {_MAX_SPAN_POINTS}: {text!r}")
     return np.round(start + step * np.arange(count), 12)
 
 
@@ -86,8 +90,8 @@ def _parse_window(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ParameterError(f"expected lo:hi, got {text!r}")
     lo, hi = (float(p) for p in parts)
-    if hi <= lo:
-        raise ParameterError(f"window must have hi > lo: {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        raise ParameterError(f"window must be finite with hi > lo: {text!r}")
     return lo, hi
 
 

@@ -9,8 +9,12 @@ the functional equation Gamma(z+1) = z*Gamma(z):
 
 a multiplicative recursion whose factors tend to 1 and keep every entry
 finite.  Gamma itself (``math.gamma``) is only needed at the handful of
-base arguments.  Even modes read vec_b and odd modes vec_c, so a table set
-holds only the vectors of the parities asked for.
+base arguments.  The running product is long double for the first _HEAD
+entries and float64 after them (see _ratio_vector for the form and its
+accuracy): x87 long double has no SIMD, and at n = 1024, l_lim = 500 the
+all-long-double recursion took ~60% of a mode-2 column.  Even modes read
+vec_b and odd modes vec_c, so a table set holds only the vectors of the
+parities asked for.  No step calls BLAS.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_HEAD = 4096  # entries accumulated in long double before the float64 tail
 
 
 @dataclass(frozen=True)
@@ -52,21 +58,38 @@ class GammaRatioTables:
 def _ratio_vector(a: float, b: float, length: int) -> np.ndarray:
     """[Gamma(a+m)/Gamma(b+m) for m = 0..length-1] via the recursion (length may be 0).
 
-    The running product accumulates in extended precision: sequential
-    rounding grows linearly with the index and tables can exceed 1e5
-    entries, where double-precision accumulation alone would drift to
-    ~1e-11 relative.  The result is read-only.
+    The first _HEAD entries multiply the factors (a+m)/(b+m) in long
+    double.  The rest continue from the last head entry as one float64
+    np.cumprod of the same factors written 1 + (a-b)/(b+m).  In float64 the
+    form matters: a+m rounds the same way for every m in a binade, so a
+    product of (a+m)/(b+m) drifts (1.8e-11 relative at m ~ 5e5), while
+    1 + (a-b)/(b+m) only rounds its small offset from 1 and the error grows
+    as a random walk.  Worst relative error, against mpmath at 40 digits at
+    200 points each of 18 vectors of 5.1e5 entries (alpha in {0.05, 0.3,
+    0.7, 1.3, 1.5, 1.95}): all long double 1.3e-14, float64 (a+m)/(b+m)
+    1.8e-11, float64 1 + (a-b)/(b+m) from m = 0 7.8e-14, this head and tail
+    9.9e-14.  The tail form from m = 0 would double the mode-2 error of the
+    n = 1024 alpha scan (2.4e-13); with the long-double head the operator
+    entries of the benchmark's seed-0 scans are bit-identical to those
+    built from all-long-double tables.  The result is read-only.
     """
     out = np.empty(length, dtype=np.float64)
     base = math.gamma(a) / math.gamma(b)
     out[:1] = base
-    if length > 1:
-        factors = np.arange(length - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
+    head = min(length, _HEAD)
+    if head > 1:
+        factors = np.arange(head - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
         den = factors + np.longdouble(b)
         factors += np.longdouble(a)
         np.divide(factors, den, out=factors)
         np.cumprod(factors, out=factors)
-        np.multiply(factors, np.longdouble(base), out=out[1:])
+        np.multiply(factors, np.longdouble(base), out=out[1:head])
+    if length > head:
+        tail = out[head - 1 :]  # the last head entry, then b+m, then the factors
+        np.add(np.arange(head - 1, length - 1, dtype=np.float64), b, out=tail[1:])
+        np.divide(a - b, tail[1:], out=tail[1:])
+        tail[1:] += 1.0
+        np.cumprod(tail, out=tail)
     out.flags.writeable = False
     return out
 

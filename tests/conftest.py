@@ -72,14 +72,41 @@ def gamma_ratio_ref(a: float, b: float) -> float:
     return gammasgn(a) * gammasgn(b) * np.exp(gammaln(a) - gammaln(b))
 
 
-def gamma_ratio_ref_hp(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) via 30-digit log-gamma (noise-free reference)."""
+def gamma_ratio_ref_hp(a: float, b: float, m: int = 0) -> float:
+    """Gamma(a+m)/Gamma(b+m) via 30-digit log-gamma (noise-free reference).
+
+    The integer offset m is added at 30 digits: a float64 a+m is off by up
+    to half an ulp of m, which at m ~ 5e5 moves the ratio by up to ~1e-9.
+    """
     import mpmath
 
     with mpmath.workdps(30):
+        a = mpmath.mpf(a) + m
+        b = mpmath.mpf(b) + m
         if a > 0 and b > 0:
             return float(mpmath.exp(mpmath.loggamma(a) - mpmath.loggamma(b)))
         return float(mpmath.gamma(a) / mpmath.gamma(b))
+
+
+def ratio_vector_long_double(a: float, b: float, length: int) -> np.ndarray:
+    """[Gamma(a+m)/Gamma(b+m) for m < length], the whole recursion in long double.
+
+    The table builder's former all-long-double path, kept as a reference:
+    the factors (a+m)/(b+m) and their running product are extended
+    precision at every index.  Drop-in for ``gammaratio._ratio_vector``.
+    """
+    out = np.empty(length, dtype=np.float64)
+    base = math.gamma(a) / math.gamma(b)
+    out[:1] = base
+    if length > 1:
+        factors = np.arange(length - 1, dtype=np.longdouble)
+        den = factors + np.longdouble(b)
+        factors += np.longdouble(a)
+        np.divide(factors, den, out=factors)
+        np.cumprod(factors, out=factors)
+        np.multiply(factors, np.longdouble(base), out=out[1:])
+    out.flags.writeable = False
+    return out
 
 
 def a_coeff(k: int, l1: int, l2: int, tables, alpha: float, n: int) -> float:

@@ -428,7 +428,8 @@ class TestManifestParameters:
 
 class TestSpanGrammar:
     def test_bad_span_rejected(self, tmp_path):
-        for span in ("0.5:0.1", "0.5:inf:0.5", "-inf:1.5:0.5", "0.5:1.5:nan", "nan:1.5:0.5"):
+        spans = ("0.5:0.1", "0.5:inf:0.5", "-inf:1.5:0.5", "0.5:1.5:nan", "nan:1.5:0.5", "0:1:1e-9")
+        for span in spans:
             code = run_cli(
                 "validate", "--target", "mode2", "--n", "16", "--llim", "10",
                 f"--alpha-grid={span}", "--out", str(tmp_path / "s.csv"),
@@ -437,9 +438,11 @@ class TestSpanGrammar:
             assert list(tmp_path.iterdir()) == []
 
     def test_bad_window_rejected(self, tmp_path):
-        code = run_cli(
-            "fisher", "--alpha", "1.2", "--n", "32", "--dt", "0.01",
-            "--tfinal", "1.0", "--fit-window", "3:1",
-            "--out-dir", str(tmp_path / "x"),
-        )
-        assert code == EXIT_INVALID
+        for window in ("3:1", "nan:0.3", "0.1:inf"):
+            code = run_cli(
+                "fisher", "--alpha", "1.2", "--n", "32", "--dt", "0.01",
+                "--tfinal", "1.0", f"--fit-window={window}",
+                "--out-dir", str(tmp_path / "x"),
+            )
+            assert code == EXIT_INVALID
+            assert list(tmp_path.iterdir()) == []

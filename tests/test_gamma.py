@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gamma_ratio_ref, gamma_ratio_ref_hp
-from fraclap.gammaratio import GammaRatioTables, build_tables, table_lengths
+from fraclap.gammaratio import _HEAD, GammaRatioTables, build_tables, table_lengths
 
 
 class TestBuildTables:
@@ -62,8 +62,29 @@ class TestBuildTables:
         }
         for vec, a, b in specs.values():
             for m in rng.integers(0, vec.size, size=100):
-                ref = gamma_ratio_ref_hp(a + float(m), b + float(m))
+                ref = gamma_ratio_ref_hp(a, b, int(m))
                 assert abs(vec[m] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
+    def test_tail_entries_vs_log_gamma(self, alpha):
+        # full-size tables (n = 1024, l_lim = 500): ~5.2e5 entries per vector,
+        # all but the first _HEAD from the float64 tail of the recursion
+        tables = build_tables(alpha, 1024, 500)
+        specs = [
+            (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
+            (tables.vec_b, (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0),
+            (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
+        ]
+        for vec, a, b in specs:
+            assert vec.size > 5 * 10**5
+            seam = np.arange(_HEAD - 2, _HEAD + 3)
+            spread = np.geomspace(1, vec.size - 1, 32).astype(np.int64)
+            for m in np.unique(np.concatenate([[0], spread, seam])):
+                ref = gamma_ratio_ref_hp(a, b, int(m))
+                assert abs(vec[m] - ref) <= 1e-13 * abs(ref)
+            for m in seam[:-1]:
+                factor = (a + m) / (b + m)
+                assert vec[m + 1] == pytest.approx(vec[m] * factor, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99, 1.01, 1.5, 1.99])
     def test_all_entries_finite(self, alpha):

@@ -6,7 +6,15 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import cache_file_bytes, continued, dft_oracle, run_fresh_python, two_sided_image
+from conftest import (
+    cache_file_bytes,
+    continued,
+    dft_oracle,
+    ratio_vector_long_double,
+    run_fresh_python,
+    two_sided_image,
+)
+from fraclap import gammaratio
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
@@ -21,7 +29,7 @@ from fraclap.opmatrix import (
 )
 from fraclap.oracles import closed_form_gaussian, closed_form_mode2
 from fraclap.spectral import transform
-from fraclap.symbol import SymbolParams, symbol_samples
+from fraclap.symbol import SymbolParams, mode_columns, symbol_samples
 
 
 EVEN8 = GridConfig(8, 1.0)
@@ -79,6 +87,23 @@ class TestBuildMatrix:
         )
         checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert checksums[0] == checksums[1]
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
+    def test_float64_table_tail_leaves_entries_unchanged(self, alpha, monkeypatch):
+        # the tail entries enter each sum far below the last bit of its total
+        def both(build):
+            new = build()
+            with monkeypatch.context() as patch:
+                patch.setattr(gammaratio, "_ratio_vector", ratio_vector_long_double)
+                return build(), new
+
+        a, b = (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0  # the swap does change the tables
+        tail = gammaratio._ratio_vector(a, b, 10**5)
+        assert not np.array_equal(tail, ratio_vector_long_double(a, b, 10**5))
+        old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)
+        np.testing.assert_array_equal(new, old)
+        old, new = both(lambda: mode_columns(1024, alpha, 500, [2]))
+        np.testing.assert_array_equal(new, old)
 
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)
