@@ -22,7 +22,7 @@ cli         command line driver
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s
 from fraclap.spectral import KRASNY_THRESHOLD, evaluate, krasny_filter, transform
 from fraclap.gammaratio import GammaRatioTables, build_tables
-from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
+from fraclap.symbol import fractional_constant, symbol_samples
 from fraclap.opmatrix import (
     MatrixCacheError,
     MatrixMeta,
@@ -76,7 +76,6 @@ __all__ = [
     "evaluate",
     "GammaRatioTables",
     "build_tables",
-    "SymbolParams",
     "fractional_constant",
     "symbol_samples",
     "OperatorMatrix",

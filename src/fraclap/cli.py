@@ -10,8 +10,8 @@ Every invocation writes a JSON manifest next to its outputs recording the
 command, resolved parameters, tool version, wall-clock time and diagnostics;
 identical flags produce bit-identical numeric outputs.  A ``fisher`` manifest
 also gives, per alpha, the node spacing at x = 0 and at the final front,
-the time spent on the matrix and on the simulation, and whether the matrix
-was loaded from the cache.
+the smallest and largest final node value, the time spent on the matrix and
+on the simulation, and whether the matrix was loaded from the cache.
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
 3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
@@ -161,7 +161,7 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     alphas = np.asarray([0.4, 1.0, 1.6]) if args.alpha_grid is None else _parse_span(args.alpha_grid)
     gauss = test_function("u3_gaussian")
     cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
-    x_nodes = node_positions(cfg)[: cfg.n]
+    x_nodes = node_positions(cfg)
     rows = []
     errs = []
     for alpha in alphas:
@@ -272,16 +272,20 @@ def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
 def _cmd_fisher(args) -> int:
     if (args.alpha is None) == (args.alpha_sweep is None):
         raise ParameterError("give exactly one of --alpha or --alpha-sweep")
-    if not 0.0 < args.dt < math.inf:
-        raise ParameterError(f"--dt must be positive and finite, got {args.dt}")
-    if not 0.0 < args.tfinal < math.inf:
-        raise ParameterError(f"--tfinal must be positive and finite, got {args.tfinal}")
-    if args.n < 2 or args.n % 2:
-        raise ParameterError(f"--n must be an even integer >= 2, got {args.n}")
     alphas = [args.alpha] if args.alpha is not None else list(_parse_span(args.alpha_sweep))
-    for a in alphas:
-        _check_alpha(float(a))
     window = _parse_window(args.fit_window) if args.fit_window else None
+    runs = []
+    for alpha in (_check_alpha(float(a)) for a in alphas):
+        l_scale = args.L if args.L is not None else 1000.0 / alpha**3
+        runs.append(FisherRun(
+            cfg=GridConfig(args.n, l_scale, args.xc, Extension.EVEN),
+            alpha=alpha,
+            dt=args.dt,
+            t_final=args.tfinal,
+            l_lim=args.llim,
+            sample_stride=args.sample_stride,
+            fit_window=window,
+        ))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,18 +294,8 @@ def _cmd_fisher(args) -> int:
     outputs = []
     diagnostics: dict = {}
     first_failure = None
-    for alpha in (float(a) for a in alphas):
-        l_scale = args.L if args.L is not None else 1000.0 / alpha**3
-        cfg = GridConfig(args.n, l_scale, args.xc, Extension.EVEN)
-        run = FisherRun(
-            cfg=cfg,
-            alpha=alpha,
-            dt=args.dt,
-            t_final=args.tfinal,
-            l_lim=args.llim,
-            sample_stride=args.sample_stride,
-            fit_window=window,
-        )
+    for run in runs:
+        alpha, cfg = run.alpha, run.cfg
         tag = f"{alpha:.6g}"
         try:
             t_start = time.perf_counter()
@@ -331,7 +325,9 @@ def _cmd_fisher(args) -> int:
             "rel_gap": rel_gap,
             "fit_residual": trace.fit_residual,
             "krasny_zeroed": result.diagnostics["krasny_zeroed"],
-            "L": l_scale,
+            "L": cfg.l_scale,
+            "final_min": result.diagnostics["final_min"],
+            "final_max": result.diagnostics["final_max"],
             "matrix_loaded": loaded,
             "node_spacing": {
                 "x0": node_spacing(cfg, 0.0),

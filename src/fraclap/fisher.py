@@ -66,6 +66,8 @@ class FisherRun:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        if self.l_lim < 0:
+            raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.cfg.extension is not Extension.EVEN:
@@ -144,7 +146,7 @@ def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _physical_positions(cfg: GridConfig) -> np.ndarray:
     """Read-only x_j of the n physical nodes, computed once per grid."""
-    x = node_positions(cfg)[: cfg.n]
+    x = node_positions(cfg)
     x.flags.writeable = False
     return x
 
@@ -220,7 +222,8 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     n physical values.  Numpy floating-point warnings are silenced in the
     step loop: a step that overflows ends in :class:`BlowUpError` instead.
     ``diagnostics["krasny_zeroed"]`` is the most nonzero coefficients the
-    filter zeroed in one step.  ``diagnostics["max_imag"]`` is always 0.0,
+    filter zeroed in one step, ``final_min`` and ``final_max`` the extreme
+    final node values.  ``diagnostics["max_imag"]`` is always 0.0,
     as no imaginary part exists on the real path; the key stays because the
     fisher-front benchmark gate reads it.
     """
@@ -271,7 +274,6 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
         "krasny_zeroed": krasny_zeroed,
         "final_max": float(np.max(u)),
         "final_min": float(np.min(u)),
-        "predicted_rate": 1.0 / run.alpha,
     }
     return FisherResult(
         trace=trace,

@@ -2,10 +2,10 @@
 
 The change of variable x = x_center + l_scale*cot(s) sends s in (0, pi) to
 the whole real line, so a trigonometric basis in s plays the role of rational
-Chebyshev functions in x.  Sampling happens at the half-shifted nodes
-s_j = pi*(2j+1)/(2n), j = 0..2n-1, which never touch the poles of the map at
-s = 0, pi, 2*pi.  A function known on the physical half j < n is continued to
-the second half by an even or odd reflection across s = pi.
+Chebyshev functions in x.  Sampling happens at the n half-shifted nodes
+s_j = pi*(2j+1)/(2n), j = 0..n-1, which never touch the poles of the map at
+s = 0, pi.  A function known there is continued across s = pi by an even or
+odd reflection, which fixes the parity of its trigonometric series.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class Extension(enum.Enum):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Discretization: 2*n nodes/modes, map scale, shift and extension parity.
+    """Discretization: n physical nodes, map scale, shift and extension parity.
 
     ``n`` must be even so that the secondary summation index of the operator
     assembly can range over {-n/2, ..., n/2-1}.
@@ -51,8 +51,8 @@ class GridConfig:
 
 
 def nodes(cfg: GridConfig) -> np.ndarray:
-    """Half-shifted equispaced nodes s_j = pi*(2j+1)/(2n) for j = 0..2n-1."""
-    j = np.arange(2 * cfg.n)
+    """The n physical nodes: half-shifted s_j = pi*(2j+1)/(2n) for j = 0..n-1."""
+    j = np.arange(cfg.n)
     return np.pi * (2 * j + 1) / (2 * cfg.n)
 
 
@@ -81,7 +81,7 @@ def x_to_s(cfg: GridConfig, x):
 
 
 def node_positions(cfg: GridConfig) -> np.ndarray:
-    """Physical positions x_j of all 2n nodes; strictly decreasing on j < n."""
+    """Positions x_j of the n physical nodes, strictly decreasing in j."""
     return s_to_x(cfg, nodes(cfg))
 
 

@@ -27,7 +27,7 @@ from scipy.special import hyp1f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
 from fraclap.opmatrix import OperatorMatrix, build_matrix, fractional_laplacian
-from fraclap.symbol import SymbolParams, fractional_constant, symbol_samples
+from fraclap.symbol import fractional_constant, symbol_samples
 
 
 class QuadratureError(RuntimeError):
@@ -227,13 +227,13 @@ def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
     # both are unit-scale images; at map scale L each, and so their gap, carries L^(-alpha)
-    numeric = symbol_samples(SymbolParams(alpha, 2, cfg.n, l_lim))
-    exact = closed_form_mode2(nodes(cfg)[: cfg.n], alpha)
+    numeric = symbol_samples(alpha, 2, cfg.n, l_lim)
+    exact = closed_form_mode2(nodes(cfg), alpha)
     return float(np.max(np.abs(numeric - exact))) * cfg.l_scale**-alpha
 
 
 def _gaussian_error(matrix: OperatorMatrix, cfg: GridConfig) -> float:
-    x = node_positions(cfg)[: cfg.n]
+    x = node_positions(cfg)
     numeric = fractional_laplacian(np.exp(-x * x), matrix, cfg)
     return float(np.max(np.abs(numeric - closed_form_gaussian(x, matrix.meta.alpha))))
 
@@ -245,7 +245,7 @@ def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
     excluded by the caller: that case is exact by construction and the grid
     for it is conventionally skipped).  ``target="gaussian"`` assembles the
     full matrix per alpha and applies it to exp(-x^2) extended with the
-    parity of ``cfg``.  Errors are measured on the physical nodes j < n.
+    parity of ``cfg``.  Errors are measured at the n nodes of the grid.
     """
     alphas = np.asarray(alphas, dtype=float)
     if target == "mode2":

@@ -25,13 +25,13 @@ rows of every column at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import ifft, ifftshift
 
 from fraclap.gammaratio import build_tables
+from fraclap.grid import GridConfig, nodes
 
 
 def fractional_constant(alpha: float) -> float:
@@ -44,26 +44,6 @@ def fractional_constant(alpha: float) -> float:
         * math.gamma(0.5 + alpha / 2.0)
         / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
     )
-
-
-@dataclass(frozen=True)
-class SymbolParams:
-    """Inputs for evaluating one mode column: alpha, mode k, node count n, truncation."""
-
-    alpha: float
-    k: int
-    n: int
-    l_lim: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.n < 2 or self.n % 2:
-            raise ValueError(f"n must be an even integer >= 2, got {self.n}")
-        if self.l_lim < 0:
-            raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
-        if not isinstance(self.k, (int, np.integer)):
-            raise TypeError(f"k must be an integer, got {self.k!r}")
 
 
 def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
@@ -85,18 +65,27 @@ def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
 def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
-    Every k must lie in 1..n-1; the gamma tables are built for the parities
-    of ``ks`` (alpha = 1 needs none).  Per parity of k each term of the l1
+    The gamma tables are built for the parities of ``ks`` (alpha = 1 needs
+    none).  Per parity of k each term of the l1
     sum is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums
     are the reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a
     sliding window of G that holds only the pairs (l2, d) the columns read:
     O(l_lim*n) work for one column.  The l2 series at the nodes is then one
     shifted inverse FFT per parity, O(n log n) per column.  The reductions
     run in np.einsum and the FFT in pocketfft, neither in BLAS, so the
-    result does not depend on the BLAS thread count.
+    result does not depend on the BLAS thread count.  Raises TypeError for
+    a non-integer k or l_lim and ValueError for an odd or too small n, a
+    negative l_lim or a k outside 1..n-1.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    s = np.pi * (2 * np.arange(n) + 1) / (2 * n)  # grid.nodes, j < n
+    ks = np.asarray(ks)
+    if ks.dtype.kind not in "iu" or not isinstance(l_lim, (int, np.integer)):
+        raise TypeError(f"k and l_lim must be integers, got k = {ks.tolist()!r}, l_lim = {l_lim!r}")
+    s = nodes(GridConfig(n, 1.0))  # checks n
+    if l_lim < 0:
+        raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
+    if ks.size == 0 or ks.min() < 1 or ks.max() > n - 1:
+        raise ValueError(f"every k must lie in 1..n-1 = 1..{n - 1}, got {ks.tolist()}")
+    ks = ks.astype(np.int64)
     l2 = np.arange(-(n // 2), n // 2)
     l1 = np.arange(-l_lim, l_lim + 1)
     l1 = l1[np.argsort(-np.abs(l1), kind="stable")][:, None]  # smallest terms first
@@ -145,16 +134,9 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     return out
 
 
-def symbol_samples(params: SymbolParams) -> np.ndarray:
+def symbol_samples(alpha: float, k: int, n: int, l_lim: int) -> np.ndarray:
     """Values of the unit-scale operator applied to exp(i*k*s) at the n physical nodes.
 
-    k = 0 returns the zero vector, k must lie in {0, ..., n-1}.  This is
-    the one-column case of :func:`mode_columns`.
+    k must lie in 1..n-1.  This is the one-column case of :func:`mode_columns`.
     """
-    n = params.n
-    k = int(params.k)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in 0..n-1 = 0..{n - 1}, got {k}")
-    if k == 0:
-        return np.zeros(n, dtype=np.complex128)
-    return mode_columns(n, params.alpha, params.l_lim, [k])[:, 0]
+    return mode_columns(n, alpha, l_lim, [k])[:, 0]

@@ -36,7 +36,7 @@ from fraclap.oracles import (
     test_function,
 )
 from fraclap.spectral import evaluate, krasny_filter, transform
-from fraclap.symbol import SymbolParams, symbol_samples
+from fraclap.symbol import symbol_samples
 
 THIN_GRID_WITH_ONE = alpha_grid(0.05, 1.95, 0.05)
 THIN_GRID = THIN_GRID_WITH_ONE[np.abs(THIN_GRID_WITH_ONE - 1.0) > 1e-12]
@@ -76,9 +76,9 @@ def test_criterion2_truncation_stability():
     coarse = error_scan("mode2", cfg, 0, THIN_GRID).global_max
 
     def single_alpha_error(l_lim):
-        numeric = symbol_samples(SymbolParams(0.5, 2, cfg.n, l_lim))
+        numeric = symbol_samples(0.5, 2, cfg.n, l_lim)
         exact = closed_form_mode2(nodes(cfg), 0.5)
-        return float(np.max(np.abs(numeric[:128] - exact[:128])))
+        return float(np.max(np.abs(numeric - exact)))
 
     drift = abs(single_alpha_error(300) - single_alpha_error(1000))
     ok = 1e-3 <= coarse <= 1e-2 and drift <= 1e-12
@@ -98,7 +98,7 @@ def test_criterion2_truncation_stability():
 def _gaussian_table_errors(n: int):
     worst = {"even": 0.0, "odd": 0.0}
     cfg_even = GridConfig(n, 1.0, extension=Extension.EVEN)
-    x = node_positions(cfg_even)[:n]
+    x = node_positions(cfg_even)
     u = np.exp(-x * x)
     for alpha in THIN_GRID_WITH_ONE:
         matrix = build_matrix(cfg_even, float(alpha), 500)
@@ -158,9 +158,9 @@ def test_criterion5_alpha_one_even_modes_exact():
         even = GridConfig(n, l_scale)
         odd = GridConfig(n, l_scale, extension=Extension.ODD)
         matrix = build_matrix(even, 1.0, 0)
-        s, unit = nodes(even)[:n], np.eye(n)
+        s, unit = nodes(even), np.eye(n)
         for k in range(2, n - 1, 2):
-            numeric = symbol_samples(SymbolParams(1.0, k, n, 0))
+            numeric = symbol_samples(1.0, k, n, 0)
             exact = k * np.sin(s) ** 2 * np.exp(1j * k * s)
             scaled = (apply(matrix, unit[k], even), apply(matrix, unit[k - 1], odd))
             worst = max(worst, float(np.max(np.abs(numeric - exact))),
@@ -176,7 +176,7 @@ def test_criterion5_alpha_one_even_modes_exact():
 
 def test_criterion6_oracle_equivalence():
     cfg = GridConfig(128, 4.6)
-    x_nodes = node_positions(cfg)[:128]
+    x_nodes = node_positions(cfg)
     u = np.exp(-x_nodes * x_nodes)
     gauss = test_function("u3_gaussian")
     worst = 0.0
@@ -368,7 +368,7 @@ def test_criterion8_gamma_tables_vs_log_gamma(rng):
 def test_criterion8_rk4_measured_order():
     cfg = GridConfig(64, 50.0)
     op = fused_sample_operator(build_matrix(cfg, 1.2, 200), cfg)
-    u0 = initial_condition(node_positions(cfg)[:64], 1.2)
+    u0 = initial_condition(node_positions(cfg), 1.2)
 
     def integrate(dt, t_end=0.8):
         u = u0.copy()

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import cache_file_bytes
 from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from fraclap.opmatrix import load_matrix
+from fraclap.fisher import FisherRun, run_simulation
+from fraclap.grid import GridConfig
+from fraclap.opmatrix import build_matrix, load_matrix
 
 
 def run_cli(*args):
@@ -234,6 +236,24 @@ class TestFisher:
         assert spacing["front"] == pytest.approx(np.pi / 64 * (50.0 + front**2 / 50.0), rel=1e-15)
         assert spacing["front"] > spacing["x0"]
 
+    def test_manifest_final_extremes(self, tmp_path):
+        # the smallest and largest final node value of the same run, bit for bit
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--n", "64", "--dt", "0.01", "--tfinal", "0.2",
+            "--L", "50.0", "--llim", "200", "--fit-window", "0.05:0.2",
+            "--sample-stride", "5", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        entry = _manifest_diagnostics(out_dir)["alpha_1.2"]
+        cfg = GridConfig(64, 50.0)
+        run = FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=0.2, l_lim=200,
+                        sample_stride=5, fit_window=(0.05, 0.2))
+        u = run_simulation(run, build_matrix(cfg, 1.2, 200)).final_samples
+        assert entry["final_min"] == float(np.min(u))
+        assert entry["final_max"] == float(np.max(u))
+        assert 0.0 < entry["final_min"] < 0.5 < entry["final_max"] <= 1.0
+
     def test_matrix_cache_reuse(self, tmp_path):
         cache = tmp_path / "cache"
         args = [
@@ -361,6 +381,20 @@ class TestFisher:
             )
             assert code == EXIT_INVALID
             assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("bad", [
+        ("--alpha-sweep", "1.0:1.2:0.2", "--llim", "-1"),
+        ("--alpha-sweep", "1.0:1.2:0.2", "--sample-stride", "0"),
+        ("--alpha-sweep", "0:0.2:0.2"),  # checked before L = 1000/alpha^3 divides by it
+    ], ids=["llim", "sample-stride", "alpha0"])
+    def test_bad_run_parameter_writes_nothing(self, tmp_path, bad):
+        # every alpha of the sweep is checked before the output directory exists
+        code = run_cli(
+            "fisher", *bad, "--n", "16", "--dt", "0.01", "--tfinal", "0.3",
+            "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == EXIT_INVALID
+        assert not (tmp_path / "x").exists()
 
     def test_blowup_exit_code(self, tmp_path):
         # a huge step on a stiff grid blows up immediately

@@ -66,7 +66,7 @@ class TestInitialCondition:
         # on the criterion-7x grid the outer nodes sit near x = 1e5, where
         # 1/2 - x/(2*sqrt(1+x^2)) loses seven digits to cancellation
         alpha = 1.95
-        x = node_positions(GridConfig(512, 1000.0 / alpha**3))[:512]
+        x = node_positions(GridConfig(512, 1000.0 / alpha**3))
         got = initial_condition(x, alpha)
         with mpmath.workdps(40):
             worst = 0.0
@@ -93,7 +93,7 @@ class TestRhs:
 
     def test_gaussian_state_matches_closed_form(self, gauss_setup):
         cfg, matrix, op = gauss_setup
-        x = node_positions(cfg)[:128]
+        x = node_positions(cfg)
         out = rhs(np.exp(-x * x), op)
         expected = -closed_form_gaussian(x, 1.5) + np.exp(-x * x) * (1 - np.exp(-x * x))
         assert np.max(np.abs(out - expected)) < 1e-8
@@ -125,7 +125,7 @@ class TestRk4Step:
         # one small step from eps*u3: to first order in dt and eps,
         # u1 = eps*u3 + dt*eps*(-Lap(u3) + u3)
         cfg, matrix, op = gauss_setup
-        x = node_positions(cfg)[:128]
+        x = node_positions(cfg)
         eps, dt = 1e-6, 1e-3
         u3 = np.exp(-x * x)
         stepped = rk4_step(eps * u3, dt, op)
@@ -138,7 +138,7 @@ class TestRk4Step:
         # two-sided sum over the stored unit-scale columns and their conjugates,
         # times L^(-alpha)
         cfg, matrix, op = gauss_setup
-        x = node_positions(cfg)[:128]
+        x = node_positions(cfg)
         u = initial_condition(x, 1.5)
         dt = 0.01
 
@@ -160,7 +160,7 @@ class TestRk4Step:
         # ~16 (measured order >= 3.8)
         cfg = GridConfig(64, 50.0)
         op = fused_sample_operator(build_matrix(cfg, 1.2, 200), cfg)
-        u0 = initial_condition(node_positions(cfg)[:64], 1.2)
+        u0 = initial_condition(node_positions(cfg), 1.2)
 
         def integrate(dt, t_end=0.8):
             u = u0.copy()
@@ -188,7 +188,7 @@ class TestCosineTransform:
 
     def test_cosine_series_matches_interpolant(self):
         cfg = GridConfig(64, 2.0, 0.4)
-        x = node_positions(cfg)[:64]
+        x = node_positions(cfg)
         u = np.exp(-x * x) + 0.3 / (1.0 + x * x)
         pts = 0.5 * (x[:-1] + x[1:])  # between the nodes
         series = evaluate(transform(u, Extension.EVEN), Extension.EVEN, cfg, pts)
@@ -199,19 +199,19 @@ class TestCosineTransform:
 class TestFrontPosition:
     def test_initial_crossing_alpha_one(self):
         cfg = GridConfig(256, 10.0)
-        x = node_positions(cfg)[:256]
+        x = node_positions(cfg)
         got = front_position(initial_condition(x, 1.0), cfg)
         assert got == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-8)
 
     def test_synthetic_tanh_front(self):
         cfg = GridConfig(256, 5.0)
-        x = node_positions(cfg)[:256]
+        x = node_positions(cfg)
         assert front_position(0.5 * (1.0 - np.tanh(x - 3.0)), cfg) == pytest.approx(3.0, abs=1e-6)
 
     def test_rightmost_crossing_wins(self):
         # a pulse ahead of the main front adds crossings near x = 6
         cfg = GridConfig(512, 5.0)
-        x = node_positions(cfg)[:512]
+        x = node_positions(cfg)
         profile = 0.5 * (1.0 - np.tanh(x - 3.0)) + 0.8 * np.exp(-((x - 6.0) ** 2))
         got = front_position(profile, cfg)
         assert got > 6.0
@@ -225,7 +225,7 @@ class TestFrontPosition:
         # the series at x_j can fall below 1/2 by round-off although u_j > 1/2
         # (at 54 of 110 nodes tried, u_j one ulp either side); the bracket must hold
         cfg = GridConfig(64, 5.0)
-        x = node_positions(cfg)[:64]
+        x = node_positions(cfg)
         for j in range(5, 60):
             u = 0.5 * (1.0 - np.tanh(x - x[j]))
             u[j] = np.nextafter(0.5, 1.0)
@@ -235,7 +235,7 @@ class TestFrontPosition:
         # the same crossing through the direct 2n complex transform and series
         # and a scalar root finder
         cfg = GridConfig(128, 7.0, -0.5)
-        x = node_positions(cfg)[:128]
+        x = node_positions(cfg)
         u = initial_condition(x - 1.3, 1.6)
         coeffs = dft_oracle(continued(u, "even"))
         expected = brentq(
@@ -329,7 +329,7 @@ class TestRunSimulation:
                         sample_stride=1, fit_window=(0.0, 0.02))
         result = run_simulation(run, matrix)
         op = fused_sample_operator(matrix, cfg)
-        u = initial_condition(node_positions(cfg)[:64], alpha)
+        u = initial_condition(node_positions(cfg), alpha)
         assert result.diagnostics["krasny_zeroed"] == 0
         np.testing.assert_array_equal(
             result.final_samples, rk4_step(rk4_step(u, 0.01, op), 0.01, op)
@@ -423,6 +423,8 @@ class TestRunSimulation:
             FisherRun(cfg=cfg, alpha=2.4, dt=0.01, t_final=1.0)
         with pytest.raises(ValueError):
             FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=-1.0)
+        with pytest.raises(ValueError, match="l_lim"):
+            FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=1.0, l_lim=-1)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 FisherRun(cfg=cfg, alpha=1.2, dt=bad, t_final=1.0)

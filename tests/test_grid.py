@@ -38,8 +38,16 @@ class TestGridConfig:
 class TestNodes:
     def test_n2_values(self):
         s = nodes(GridConfig(2, 1.0))
-        expected = np.array([np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4])
+        expected = np.array([np.pi / 4, 3 * np.pi / 4])
         np.testing.assert_allclose(s, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 16, 1024])
+    def test_only_physical_nodes(self, n):
+        # the n nodes in (0, pi), bit for bit the half-shifted formula
+        s = nodes(GridConfig(n, 1.0))
+        assert s.shape == (n,)
+        assert np.array_equal(s, np.pi * (2 * np.arange(n) + 1) / (2 * n))
+        assert node_positions(GridConfig(n, 1.0)).shape == (n,)
 
     def test_n4_endpoints(self):
         s = nodes(GridConfig(4, 1.0))
@@ -95,14 +103,12 @@ class TestMap:
         cfg = GridConfig(n, l_scale, x_center)
         s = nodes(cfg)
         x = s_to_x(cfg, s)
-        for j in range(2 * n):
-            # s_j and s_j - pi are the same x; the inverse lands in (0, pi)
-            upper = np.pi if j >= n else 0.0
-            assert x_to_s(cfg, x[j]) + upper == pytest.approx(s[j], rel=1e-12)
+        for j in range(n):
+            assert x_to_s(cfg, x[j]) == pytest.approx(s[j], rel=1e-12)
 
     def test_node_positions_decreasing(self):
         cfg = GridConfig(32, 2.0, x_center=1.0)
-        x = node_positions(cfg)[:32]
+        x = node_positions(cfg)
         assert np.all(np.diff(x) < 0)
 
 
@@ -111,7 +117,7 @@ class TestNodeSpacing:
         # x_j - x_(j+1) against the local spacing at the pair's s-midpoint,
         # on the middle half of the grid where the two agree to O((pi/n)^2)
         cfg = GridConfig(512, 100.0, 3.0)
-        gaps = -np.diff(node_positions(cfg)[:512])
+        gaps = -np.diff(node_positions(cfg))
         local = np.asarray([node_spacing(cfg, s_to_x(cfg, np.pi * j / 512)) for j in range(1, 512)])
         middle = slice(128, 383)
         np.testing.assert_allclose(gaps[middle], local[middle], rtol=1e-4)

@@ -7,7 +7,7 @@ from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
 from fraclap import symbol
-from fraclap.symbol import SymbolParams, fractional_constant, mode_columns, symbol_samples
+from fraclap.symbol import fractional_constant, mode_columns, symbol_samples
 
 
 class TestFractionalConstant:
@@ -90,30 +90,47 @@ class TestBCoeff:
 
 
 class TestSymbolSamples:
-    def test_k0_is_zero(self):
-        p = SymbolParams(0.5, 0, 8, 10)
-        assert np.all(symbol_samples(p) == 0.0)
+    def test_k0_rejected(self):
+        # the constant mode has no column; the matrix maps constants to 0
+        with pytest.raises(ValueError, match="1..n-1"):
+            symbol_samples(0.5, 0, 8, 10)
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            symbol_samples(SymbolParams(0.5, 8, 8, 10))
-        with pytest.raises(ValueError):
-            symbol_samples(SymbolParams(0.5, -1, 8, 10))
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("k", [0, 8, -1, 20])
+    def test_k_out_of_range(self, alpha, k):
+        with pytest.raises(ValueError, match="1..n-1"):
+            mode_columns(8, alpha, 10, [k])
+
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(TypeError):
+            symbol_samples(0.5, 2.5, 8, 10)
+
+    def test_non_integer_l_lim_rejected(self):
+        # alpha = 1 would sum over half-integer l1 without complaint
+        with pytest.raises(TypeError):
+            symbol_samples(1.0, 3, 8, 2.5)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            SymbolParams(2.0, 2, 8, 10)
+            symbol_samples(2.0, 2, 8, 10)
 
-    def test_odd_n_rejected(self):
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_odd_n_rejected(self, alpha):
         # the l2 range {-n/2, ..., n/2-1} needs an even node count
         with pytest.raises(ValueError, match="even integer"):
-            SymbolParams(0.5, 2, 7, 10)
+            symbol_samples(alpha, 2, 7, 10)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_negative_l_lim_rejected(self, alpha):
+        # alpha = 1 builds no gamma tables, so the kernel checks l_lim itself
+        with pytest.raises(ValueError, match="l_lim"):
+            symbol_samples(alpha, 2, 8, -1)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.95, 1.05, 1.5, 1.95])
     def test_mode2_closed_form_small_grid(self, alpha):
         cfg = GridConfig(4, 1.0)
-        numeric = symbol_samples(SymbolParams(alpha, 2, cfg.n, 530))
-        exact = closed_form_mode2(nodes(cfg)[:4], alpha)
+        numeric = symbol_samples(alpha, 2, cfg.n, 530)
+        exact = closed_form_mode2(nodes(cfg), alpha)
         assert np.max(np.abs(numeric - exact)) < 1e-12
 
     def test_mode2_closed_form_other_scale(self):
@@ -121,7 +138,7 @@ class TestSymbolSamples:
         even = GridConfig(8, 2.5)
         odd = GridConfig(8, 2.5, extension=Extension.ODD)
         matrix = build_matrix(even, 0.7, 400)
-        exact = closed_form_mode2(nodes(even)[:8], 0.7) / 2.5**0.7
+        exact = closed_form_mode2(nodes(even), 0.7) / 2.5**0.7
         unit = np.eye(8)
         assert np.max(np.abs(apply(matrix, unit[2], even) - 2.0 * exact.real)) < 2e-12
         assert np.max(np.abs(apply(matrix, unit[1], odd) - 2.0 * exact.imag)) < 2e-12
@@ -129,15 +146,15 @@ class TestSymbolSamples:
     @pytest.mark.parametrize("k", [2, 4, 6, 14])
     def test_alpha_one_even_modes_exact(self, k):
         cfg = GridConfig(16, 1.0)
-        s = nodes(cfg)[:16]
-        numeric = symbol_samples(SymbolParams(1.0, k, cfg.n, 0))
+        s = nodes(cfg)
+        numeric = symbol_samples(1.0, k, cfg.n, 0)
         exact = k * np.sin(s) ** 2 * np.exp(1j * k * s)
         assert np.max(np.abs(numeric - exact)) < 1e-13
 
     def test_alpha_one_odd_mode_vs_quadrature(self):
         cfg = GridConfig(16, 1.0)
         s = nodes(cfg)
-        numeric = symbol_samples(SymbolParams(1.0, 3, cfg.n, 500))
+        numeric = symbol_samples(1.0, 3, cfg.n, 500)
         f = test_function("mode_k", k=3)
         for j in (0, 2, 9):
             x = np.cos(s[j]) / np.sin(s[j])
@@ -146,7 +163,7 @@ class TestSymbolSamples:
     def test_fractional_odd_mode_vs_quadrature(self):
         cfg = GridConfig(16, 1.0)
         s = nodes(cfg)
-        numeric = symbol_samples(SymbolParams(0.5, 3, cfg.n, 500))
+        numeric = symbol_samples(0.5, 3, cfg.n, 500)
         f = test_function("mode_k", k=3)
         for j in (1, 5):
             x = np.cos(s[j]) / np.sin(s[j])
@@ -173,17 +190,17 @@ class TestSymbolSamples:
                 return pref / np.tan(np.pi * alpha / 2.0) * series
             return 1j * pref * series
 
-        numeric = symbol_samples(SymbolParams(alpha, k, cfg.n, l_lim))
-        s = nodes(cfg)[:n]
+        numeric = symbol_samples(alpha, k, cfg.n, l_lim)
+        s = nodes(cfg)
         assert np.max(np.abs(numeric - direct(s))) < 1e-12
         assert np.max(np.abs(numeric - direct(s + np.pi))) < 1e-12
 
     def test_truncation_stability(self):
         cfg = GridConfig(128, 1.0)
-        exact = closed_form_mode2(nodes(cfg)[:128], 0.5)
+        exact = closed_form_mode2(nodes(cfg), 0.5)
         errs = {}
         for l_lim in (0, 50, 210, 300):
-            numeric = symbol_samples(SymbolParams(0.5, 2, cfg.n, l_lim))
+            numeric = symbol_samples(0.5, 2, cfg.n, l_lim)
             errs[l_lim] = np.max(np.abs(numeric - exact))
         assert errs[0] > errs[50] > errs[210]
         assert abs(errs[210] - errs[300]) < 1e-12
@@ -193,7 +210,7 @@ class TestSymbolSamples:
         # equal the operator applied to exp(-i*k*s); checked by quadrature
         cfg = GridConfig(8, 1.0)
         s = nodes(cfg)
-        numeric = np.conj(symbol_samples(SymbolParams(0.6, 3, cfg.n, 400)))
+        numeric = np.conj(symbol_samples(0.6, 3, cfg.n, 400))
         f = test_function("mode_k", k=-3)
         x = np.cos(s[2]) / np.sin(s[2])
         assert numeric[2] == pytest.approx(quadrature_fraclap(f, x, 0.6), abs=1e-8)
@@ -205,7 +222,7 @@ def _direct_columns(n, alpha, l_lim, ks):
     2*l2*s_j = pi*l2*(2j+1)/n is reduced mod 2*pi in integers before exp,
     so no phase error grows with |l2*(2j+1)|.
     """
-    s = nodes(GridConfig(n, 1.0))[:n]
+    s = nodes(GridConfig(n, 1.0))
     l2s = np.arange(-(n // 2), n // 2)
     phase = np.exp(1j * np.pi * np.mod(np.outer(2 * np.arange(n) + 1, l2s), 2 * n) / n)
     tables = None if alpha == 1.0 else build_tables(alpha, n, l_lim)
@@ -243,8 +260,8 @@ class TestModeColumns:
         # the l2 series as one FFT carries no phase error of exp(i*theta) at
         # |theta| up to pi*n/2; with the explicit phase matrix this read 4.9e-13
         cfg = GridConfig(1024, 1.0)
-        numeric = symbol_samples(SymbolParams(0.1, 2, cfg.n, 500))
-        exact = closed_form_mode2(nodes(cfg)[:1024], 0.1)
+        numeric = symbol_samples(0.1, 2, cfg.n, 500)
+        exact = closed_form_mode2(nodes(cfg), 0.1)
         assert np.max(np.abs(numeric - exact)) <= 2e-13
 
     def test_even_mode_builds_no_odd_vector(self, monkeypatch):
@@ -255,6 +272,6 @@ class TestModeColumns:
             return built[-1]
 
         monkeypatch.setattr(symbol, "build_tables", recording)
-        symbol_samples(SymbolParams(0.5, 2, 16, 20))
+        symbol_samples(0.5, 2, 16, 20)
         assert len(built) == 1
         assert built[0].vec_c.size == 0 and built[0].vec_b.size > 0
