@@ -10,7 +10,7 @@ involved.
 Subpackages
 -----------
 grid        coordinate map and node generation
-spectral    real transforms (DCT-II/DST-II), Krasny filter, series evaluation
+spectral    real transforms (DCT-II/DST-II) and series evaluation
 gammaratio  stable precomputation of the gamma-function ratio tables
 symbol      closed-form operator action on Fourier modes, one or many at once
 opmatrix    assembly, caching and application of the operational matrix
@@ -20,7 +20,7 @@ cli         command line driver
 """
 
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s
-from fraclap.spectral import KRASNY_THRESHOLD, evaluate, krasny_filter, transform
+from fraclap.spectral import evaluate, transform
 from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import fractional_constant, symbol_samples
 from fraclap.opmatrix import (
@@ -70,9 +70,7 @@ __all__ = [
     "node_spacing",
     "s_to_x",
     "x_to_s",
-    "KRASNY_THRESHOLD",
     "transform",
-    "krasny_filter",
     "evaluate",
     "GammaRatioTables",
     "build_tables",

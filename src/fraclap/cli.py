@@ -324,7 +324,7 @@ def _cmd_fisher(args) -> int:
             "sigma": trace.sigma,
             "rel_gap": rel_gap,
             "fit_residual": trace.fit_residual,
-            "krasny_zeroed": result.diagnostics["krasny_zeroed"],
+            "spectral_tail": result.diagnostics["spectral_tail"],
             "L": cfg.l_scale,
             "final_min": result.diagnostics["final_min"],
             "final_max": result.diagnostics["final_max"],

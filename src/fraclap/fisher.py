@@ -9,13 +9,11 @@ about x_center, so the linear term is two real n/2 x n/2 blocks, one for
 the reflection-even and one for the reflection-odd part of the state
 (:func:`fraclap.opmatrix.fused_sample_operator`).  For such data the
 phase-shifted transform is the DCT-II of :func:`fraclap.spectral.transform`
-and the interpolant is its cosine series.  The Krasny filter is a DCT-II
-once per step, and a DCT-III back only when it zeroes a coefficient.  The
-stable state u = 1 invades u = 0 with exponentially increasing speed; the
-front position x05(t), where the solution crosses 1/2, is located by
-bracketing on the nodes plus Brent's method on the cosine series, and the
-rate sigma in x05 ~ exp(sigma*t) is obtained from a least-squares line
-through ln x05(t).
+and the interpolant is its cosine series.  The stable state u = 1 invades
+u = 0 with exponentially increasing speed; the front position x05(t), where
+the solution crosses 1/2, is located by bracketing on the nodes plus
+Brent's method on the cosine series, and the rate sigma in x05 ~
+exp(sigma*t) is obtained from a least-squares line through ln x05(t).
 """
 
 from __future__ import annotations
@@ -25,12 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import idct
 from scipy.optimize import brentq
 
 from fraclap.grid import Extension, GridConfig, node_positions
 from fraclap.opmatrix import OperatorMatrix, apply_sample_operator, fused_sample_operator
-from fraclap.spectral import evaluate, krasny_filter, transform
+from fraclap.spectral import evaluate, transform
 
 #: solutions of the monostable problem live in [0, 1]; exceeding this
 #: max-norm can only come from numerical instability
@@ -126,11 +123,7 @@ def rhs(samples, op: np.ndarray) -> np.ndarray:
 
 
 def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
-    """One classical Runge-Kutta step of the n physical values.
-
-    Every stage derivative is :func:`rhs` with the parity blocks ``op``;
-    no filtering happens inside stages.
-    """
+    """One classical Runge-Kutta step of the n physical values; each stage is :func:`rhs`."""
     u = np.asarray(samples, dtype=float)
     k1 = rhs(u, op)
     k2 = rhs(u + 0.5 * dt * k1, op)
@@ -163,6 +156,11 @@ def front_position(samples, cfg: GridConfig) -> float:
     u = np.asarray(samples, dtype=float)
     if u.shape != (cfg.n,):
         raise ValueError(f"expected {cfg.n} physical samples, got shape {u.shape}")
+    return _crossing(u, transform(u, Extension.EVEN), cfg)
+
+
+def _crossing(u: np.ndarray, c: np.ndarray, cfg: GridConfig) -> float:
+    """:func:`front_position` of the n values u whose cosine coefficients are c."""
     x = _physical_positions(cfg)
     d = u - 0.5
     hit = np.nonzero(d == 0.0)[0]
@@ -173,13 +171,18 @@ def front_position(samples, cfg: GridConfig) -> float:
         raise FrontEscapeError("no 1/2-crossing between adjacent nodes")
     j = int(crossings[0])
     lo, hi = float(x[j + 1]), float(x[j])  # lo < hi
-    c = transform(u, Extension.EVEN)
     ends = {lo: d[j + 1], hi: d[j]}  # node values: their signs are known to differ
 
     def g(pt: float) -> float:
         return ends[pt] if pt in ends else evaluate(c, Extension.EVEN, cfg, pt) - 0.5
 
     return float(brentq(g, lo, hi, xtol=_FRONT_XTOL * max(1.0, abs(hi))))
+
+
+def _spectral_tail(coeffs) -> float:
+    """max |c_k| over the last eighth of the coefficients over max |c_k| (Boyd 2001, ch. 2)."""
+    c = np.abs(coeffs)
+    return float(np.max(c[7 * c.size // 8 :]) / np.max(c))
 
 
 def _ols_rate(trace_times, trace_x05, window: tuple[float, float]) -> tuple[float, float]:
@@ -214,18 +217,15 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     ``matrix`` (the unit-scale block, built or loaded from a cache file)
     must match the run's n, alpha and l_lim; it is folded once, at the run's
     map scale, into the two n/2 x n/2 parity blocks of the stage operator.
-    The Krasny filter runs once per accepted step, on the cosine
-    coefficients of the n values; the inverse DCT runs only in steps where
-    it zeroes a nonzero coefficient.  RK stages see the unfiltered operator.
-    Front positions are recorded every ``sample_stride`` steps.  The fit
-    window defaults to the last 40% of the run.  The final samples are the
-    n physical values.  Numpy floating-point warnings are silenced in the
-    step loop: a step that overflows ends in :class:`BlowUpError` instead.
-    ``diagnostics["krasny_zeroed"]`` is the most nonzero coefficients the
-    filter zeroed in one step, ``final_min`` and ``final_max`` the extreme
-    final node values.  ``diagnostics["max_imag"]`` is always 0.0,
-    as no imaginary part exists on the real path; the key stays because the
-    fisher-front benchmark gate reads it.
+    Each step's state is the RK4 result.  At t = 0, every ``sample_stride``
+    steps and at the last step, one DCT of the state gives the front
+    position and the spectral tail (:func:`_spectral_tail`).  The fit window
+    defaults to the last 40% of the run.  Numpy floating-point warnings are
+    silenced in the loop: a step that overflows ends in :class:`BlowUpError`.
+    ``diagnostics`` holds ``spectral_tail`` (``initial``, ``final`` and
+    ``max`` over the samples), the extreme final node values ``final_min``
+    and ``final_max``, and ``max_imag``: always 0.0 on the real path, kept
+    because the fisher-front benchmark gate reads it.
     """
     cfg, meta = run.cfg, matrix.meta
     wanted = {"n": cfg.n, "alpha": run.alpha, "l_lim": run.l_lim}
@@ -236,29 +236,23 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     u = initial_condition(_physical_positions(cfg), run.alpha)
 
     n_steps = run.n_steps
-    krasny_zeroed = 0
-    times = [0.0]
-    fronts = [front_position(u, cfg)]
-
+    times, fronts, tails = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
+        for step in range(n_steps + 1):  # step 0 samples the initial condition
             t = step * run.dt
-            try:
-                u = rk4_step(u, run.dt, op)
-            except BlowUpError as exc:
-                raise BlowUpError(f"t = {t:.6g}: {exc}") from exc
-            c = transform(u, Extension.EVEN)
-            filtered = krasny_filter(c)
-            zeroed = int(np.count_nonzero(filtered != c))
-            if zeroed:  # with nothing zeroed the round trip would only add round-off
-                u = idct(filtered * (2 * cfg.n), type=2)
-            krasny_zeroed = max(krasny_zeroed, zeroed)
-            if step % run.sample_stride == 0 or step == n_steps:
+            if step:
                 try:
-                    fronts.append(front_position(u, cfg))
+                    u = rk4_step(u, run.dt, op)
+                except BlowUpError as exc:
+                    raise BlowUpError(f"t = {t:.6g}: {exc}") from exc
+            if step % run.sample_stride == 0 or step == n_steps:
+                c = transform(u, Extension.EVEN)
+                try:
+                    fronts.append(_crossing(u, c, cfg))
                 except FrontEscapeError as exc:
                     raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
                 times.append(t)
+                tails.append(_spectral_tail(c))
 
     window = run.fit_window if run.fit_window is not None else (0.6 * run.t_final, run.t_final)
     sigma, residual = _ols_rate(times, fronts, window)
@@ -271,7 +265,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     )
     diagnostics = {
         "max_imag": 0.0,
-        "krasny_zeroed": krasny_zeroed,
+        "spectral_tail": {"initial": tails[0], "final": tails[-1], "max": max(tails)},
         "final_max": float(np.max(u)),
         "final_min": float(np.min(u)),
     }

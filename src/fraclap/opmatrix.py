@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from fraclap.grid import Extension, GridConfig, nodes
-from fraclap.spectral import krasny_filter, transform
+from fraclap.spectral import transform
 from fraclap.symbol import mode_columns
 
 _MAGIC = b"FLAPMAT1"
@@ -132,11 +132,11 @@ def apply(matrix: OperatorMatrix, coeffs, cfg: GridConfig) -> np.ndarray:
 
 
 def fractional_laplacian(samples, matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray:
-    """Operator on the grid ``cfg`` applied to its n physical values: transform, filter, apply.
+    """Operator on the grid ``cfg`` applied to its n physical values: transform, then apply.
 
     The samples are continued with the parity of ``cfg``.
     """
-    return apply(matrix, krasny_filter(transform(samples, cfg.extension)), cfg)
+    return apply(matrix, transform(samples, cfg.extension), cfg)
 
 
 def fused_sample_operator(matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray:
@@ -154,9 +154,8 @@ def fused_sample_operator(matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray
 
     with L the scale of ``cfg``, returned as one (2, n/2, n/2) float64
     array; the n x n matrix is never formed.  :func:`apply_sample_operator`
-    applies them, and agrees with ``apply`` on the unfiltered coefficients
-    to round-off.  Raises ValueError for an
-    odd-extension grid.
+    applies them, and agrees with ``apply`` on the even transform's
+    coefficients to round-off.  Raises ValueError for an odd-extension grid.
     """
     if cfg.extension is not Extension.EVEN:
         raise ValueError("the folded sample operator needs an even-extension grid")

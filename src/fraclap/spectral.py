@@ -12,9 +12,7 @@ then reduce to a real transform of the n values:
 
 The interpolant is then a cosine or sine series in theta =
 arccot((x - x_center)/l_scale), the rational Chebyshev functions TB_k and
-SB_k of Boyd, *Chebyshev and Fourier Spectral Methods* (2001), ch. 17.  The
-module also provides a Krasny filter that zeroes coefficients below a
-round-off threshold.
+SB_k of Boyd, *Chebyshev and Fourier Spectral Methods* (2001), ch. 17.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from scipy.fft import dct, dst
 
 from fraclap.grid import Extension, GridConfig, x_to_s
 
-#: Krasny threshold: double precision machine epsilon (absolute).
-KRASNY_THRESHOLD = float(np.finfo(np.float64).eps)
-
 
 def transform(samples, extension) -> np.ndarray:
     """The n real coefficients of n physical values: c (even) or d (odd)."""
@@ -35,12 +30,6 @@ def transform(samples, extension) -> np.ndarray:
         raise ValueError("samples must be one-dimensional")
     real_transform = dct if Extension(extension) is Extension.EVEN else dst
     return real_transform(u, type=2) / (2 * u.size)
-
-
-def krasny_filter(coeffs) -> np.ndarray:
-    """Zero every coefficient with modulus below ``KRASNY_THRESHOLD`` (absolute)."""
-    c = np.asarray(coeffs, dtype=float)
-    return np.where(np.abs(c) < KRASNY_THRESHOLD, 0.0, c)
 
 
 def evaluate(coeffs, extension, cfg: GridConfig, xs):

@@ -35,7 +35,7 @@ from fraclap.oracles import (
     scale_sweep,
     test_function,
 )
-from fraclap.spectral import evaluate, krasny_filter, transform
+from fraclap.spectral import evaluate, transform
 from fraclap.symbol import symbol_samples
 
 THIN_GRID_WITH_ONE = alpha_grid(0.05, 1.95, 0.05)
@@ -105,7 +105,7 @@ def _gaussian_table_errors(n: int):
         exact = closed_form_gaussian(x, float(alpha))
         for parity in ("even", "odd"):
             cfg = GridConfig(n, 1.0, extension=Extension(parity))
-            numeric = apply(matrix, krasny_filter(transform(u, parity)), cfg)
+            numeric = fractional_laplacian(u, matrix, cfg)
             worst[parity] = max(worst[parity], float(np.max(np.abs(numeric - exact))))
     return worst
 

@@ -237,7 +237,8 @@ class TestFisher:
         assert spacing["front"] > spacing["x0"]
 
     def test_manifest_final_extremes(self, tmp_path):
-        # the smallest and largest final node value of the same run, bit for bit
+        # the smallest and largest final node value and the spectral tail of the
+        # same run, bit for bit
         out_dir = tmp_path / "runs"
         code = run_cli(
             "fisher", "--alpha", "1.2", "--n", "64", "--dt", "0.01", "--tfinal", "0.2",
@@ -249,7 +250,9 @@ class TestFisher:
         cfg = GridConfig(64, 50.0)
         run = FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=0.2, l_lim=200,
                         sample_stride=5, fit_window=(0.05, 0.2))
-        u = run_simulation(run, build_matrix(cfg, 1.2, 200)).final_samples
+        result = run_simulation(run, build_matrix(cfg, 1.2, 200))
+        u = result.final_samples
+        assert entry["spectral_tail"] == result.diagnostics["spectral_tail"]
         assert entry["final_min"] == float(np.min(u))
         assert entry["final_max"] == float(np.max(u))
         assert 0.0 < entry["final_min"] < 0.5 < entry["final_max"] <= 1.0

@@ -20,6 +20,7 @@ from fraclap.fisher import (
     rk4_step,
     run_simulation,
     _ols_rate,
+    _spectral_tail,
 )
 from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
 from fraclap.opmatrix import build_matrix, fused_sample_operator
@@ -302,7 +303,13 @@ class TestRunSimulation:
                         sample_stride=10, fit_window=(0.1, 0.3))
         result = run_simulation(run, matrix)
         assert result.diagnostics["max_imag"] == 0.0  # no imaginary part on the real path
-        assert result.diagnostics["krasny_zeroed"] >= 0
+        # the tail is read at the samples: t = 0 gives u0's, the last one the final state's
+        tail = result.diagnostics["spectral_tail"]
+        assert set(tail) == {"initial", "final", "max"}
+        u0 = initial_condition(node_positions(cfg), alpha)
+        assert tail["initial"] == _spectral_tail(transform(u0, Extension.EVEN))
+        assert tail["final"] == _spectral_tail(transform(result.final_samples, Extension.EVEN))
+        assert 0.0 < tail["initial"] <= tail["max"] and 0.0 < tail["final"] <= tail["max"]
         assert result.trace.times[0] == 0.0
         assert result.trace.times[-1] == pytest.approx(0.3)
         assert len(result.trace.times) == len(result.trace.x05)
@@ -319,9 +326,9 @@ class TestRunSimulation:
         assert result.final_samples.shape == (64,)
         assert front_position(result.final_samples, cfg) == result.trace.x05[-1]
 
-    def test_step_that_zeroes_nothing_skips_the_round_trip(self):
-        # two steps from the initial condition, where the filter zeroes no
-        # coefficient: the state is the RK4 result itself, not its DCT round trip
+    def test_every_step_state_is_the_rk4_result(self):
+        # two steps from the initial condition: the state is the RK4 result
+        # itself, with no transform round trip between steps
         alpha = 1.2
         cfg = GridConfig(64, 50.0)
         matrix = build_matrix(cfg, alpha, 200)
@@ -330,10 +337,24 @@ class TestRunSimulation:
         result = run_simulation(run, matrix)
         op = fused_sample_operator(matrix, cfg)
         u = initial_condition(node_positions(cfg), alpha)
-        assert result.diagnostics["krasny_zeroed"] == 0
         np.testing.assert_array_equal(
             result.final_samples, rk4_step(rk4_step(u, 0.01, op), 0.01, op)
         )
+
+    def test_spectral_tail_orders_the_grids(self):
+        # tail(u0) as measured at n = 512: the criteria grids L = 1000/alpha^3
+        # resolve the datum's algebraic tail less well than L = 40
+        measured = {(1.95, 1000.0 / 1.95**3): 1.6870588638867785e-4,
+                    (1.95, 40.0): 8.227135667476871e-8,
+                    (1.5, 1000.0 / 1.5**3): 7.601497378309321e-4,
+                    (1.5, 40.0): 5.700236961474764e-8}
+        tails = {}
+        for (alpha, l_scale), figure in measured.items():
+            u0 = initial_condition(node_positions(GridConfig(512, l_scale)), alpha)
+            tails[alpha, l_scale] = _spectral_tail(transform(u0, Extension.EVEN))
+            assert tails[alpha, l_scale] == pytest.approx(figure, rel=1e-6)
+        for alpha in (1.95, 1.5):
+            assert tails[alpha, 1000.0 / alpha**3] > tails[alpha, 40.0]
 
     def test_rerun_is_bit_identical(self):
         alpha = 1.2

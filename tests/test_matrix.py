@@ -154,6 +154,15 @@ class TestApply:
 
 
 class TestFractionalLaplacian:
+    def test_is_transform_then_apply(self, small_matrix, rng):
+        # one path: the samples' real transform, then the matrix, bit for bit
+        u = rng.standard_normal(8)
+        for cfg in (EVEN8, ODD8):
+            np.testing.assert_array_equal(
+                fractional_laplacian(u, small_matrix, cfg),
+                apply(small_matrix, transform(u, cfg.extension), cfg),
+            )
+
     def test_constant_maps_to_zero(self, small_matrix):
         out = fractional_laplacian(np.ones(8), small_matrix, EVEN8)
         assert np.all(out == 0.0)

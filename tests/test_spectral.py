@@ -3,7 +3,7 @@ import pytest
 
 from conftest import continued, dft_oracle, series_oracle
 from fraclap.grid import Extension, GridConfig, node_positions, nodes, x_to_s
-from fraclap.spectral import KRASNY_THRESHOLD, evaluate, krasny_filter, transform
+from fraclap.spectral import evaluate, transform
 
 PARITIES = (Extension.EVEN, Extension.ODD)
 
@@ -143,26 +143,6 @@ class TestExtend:
         x = node_positions(GridConfig(32, 1.0))
         d = transform(np.exp(-x * x), Extension.ODD)
         assert np.max(np.abs(d[1::2])) < 1e-12
-
-
-class TestKrasnyFilter:
-    def test_untouched_above_threshold(self, rng):
-        c = transform(rng.standard_normal(8) + 2.0, Extension.EVEN)
-        np.testing.assert_array_equal(krasny_filter(c), c)
-
-    def test_zeroes_small_entry(self):
-        vals = np.full(4, 1.0)
-        vals[3] = -KRASNY_THRESHOLD / 2
-        filtered = krasny_filter(vals)
-        assert filtered[3] == 0.0
-        assert np.all(filtered[:3] == 1.0)
-
-    def test_cleans_synthetic_round_trip_noise(self, rng):
-        vals = np.zeros(16)
-        vals[1] = 1.0
-        filtered = krasny_filter(vals + 1e-18 * rng.standard_normal(16))
-        assert filtered[1] != 0.0
-        assert np.all(np.delete(filtered, 1) == 0.0)
 
 
 class TestInterpolate:
