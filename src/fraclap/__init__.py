@@ -42,6 +42,7 @@ from fraclap.oracles import (
     closed_form_gaussian,
     closed_form_mode2,
     error_scan,
+    mode2_error,
     quadrature_fraclap,
     scale_sweep,
     test_function,
@@ -92,6 +93,7 @@ __all__ = [
     "closed_form_gaussian",
     "quadrature_fraclap",
     "error_scan",
+    "mode2_error",
     "scale_sweep",
     "ErrorScan",
     "QuadratureError",

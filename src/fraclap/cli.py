@@ -8,10 +8,13 @@ Subcommands
 
 Every invocation writes a JSON manifest next to its outputs recording the
 command, resolved parameters, tool version, wall-clock time and diagnostics;
-identical flags produce bit-identical numeric outputs.  A ``fisher`` manifest
-also gives, per alpha, the node spacing at x = 0 and at the final front,
-the smallest and largest final node value, the time spent on the matrix and
-on the simulation, and whether the matrix was loaded from the cache.
+identical flags produce bit-identical numeric outputs.  ``matrix build``
+and ``validate`` manifests time each phase.  A ``fisher`` manifest also
+gives, per alpha, the node spacing at x = 0 and at the final front, the
+smallest and largest final node value, the time spent on the matrix and on
+the simulation, and whether the matrix was loaded from the cache.  The
+``matrix build`` and ``fisher`` manifests record each block's mode-2 error
+(:func:`fraclap.oracles.mode2_error`).
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
 3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
@@ -50,6 +53,7 @@ from fraclap.opmatrix import (
 from fraclap.oracles import (
     alpha_grid,
     error_scan,
+    mode2_error,
     quadrature_fraclap,
     scale_sweep,
     test_function,
@@ -132,10 +136,13 @@ def _fmt(v: float) -> str:
 def _cmd_matrix_build(args) -> int:
     t0 = time.perf_counter()
     matrix = build_matrix(GridConfig(args.n, 1.0), args.alpha, args.llim)
-    build_seconds = time.perf_counter() - t0
+    t_built = time.perf_counter()
     out = Path(args.out)
     save_matrix(matrix, out)
+    t_saved = time.perf_counter()
     checks = column_checksums(matrix)
+    t_checked = time.perf_counter()
+    build_seconds = t_built - t0
     print(f"assembled {args.n}x{args.n - 1} matrix in {build_seconds:.3f} s -> {out}")
     for k, c in enumerate(checks, start=1):
         print(f"column k={k} crc32=0x{c:08x}")
@@ -145,7 +152,15 @@ def _cmd_matrix_build(args) -> int:
         _parameters(args, out=str(out)),
         [str(out)],
         build_seconds,
-        {"column_crc32": [f"0x{c:08x}" for c in checks]},
+        {
+            "column_crc32": [f"0x{c:08x}" for c in checks],
+            "mode2_error": mode2_error(matrix),
+            "timings": {
+                "build_s": build_seconds,
+                "save_s": t_saved - t_built,
+                "checksum_s": t_checked - t_saved,
+            },
+        },
     )
     return EXIT_OK
 
@@ -197,11 +212,7 @@ def _cmd_validate(args) -> int:
                              Extension(args.extension), x_center=args.xc)
         min_error = float(np.min(errors))
         best = float(l_values[int(np.argmin(errors))])
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["L", "global_error"])
-            for lv, ev in zip(l_values, errors):
-                w.writerow([_fmt(lv), _fmt(ev)])
+        header, rows = ["L", "global_error"], zip(l_values, errors)
         print(f"minimum global error {min_error:.6e} at L = {best}")
         diagnostics.update({"best_L": best, "min_error": min_error})
         gate_value = min_error  # a sweep gates on the best achievable error
@@ -213,28 +224,27 @@ def _cmd_validate(args) -> int:
         if args.target == "mode2":
             alphas = alphas[np.abs(alphas - 1.0) > 1e-12]
         scan = error_scan(args.target, cfg, args.llim, alphas)
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha", "max_node_error"])
-            for a, e in zip(scan.alphas, scan.errors):
-                w.writerow([_fmt(a), _fmt(e)])
+        header, rows = ["alpha", "max_node_error"], zip(scan.alphas, scan.errors)
         print(f"global max error over {len(alphas)} alpha values: {scan.global_max:.6e}")
         diagnostics.update({"global_max": scan.global_max})
         gate_value = scan.global_max
     elif args.target == "quadrature":
         alphas, errs, rows = _validate_quadrature(args)
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha", "x", "matrix_value", "quadrature_value", "abs_diff"])
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+        header = ["alpha", "x", "matrix_value", "quadrature_value", "abs_diff"]
         gate_value = float(np.max(errs))
         print(f"max |matrix - quadrature| over probes: {gate_value:.6e}")
         diagnostics.update({"global_max": gate_value})
     else:
         raise ParameterError(f"unknown target {args.target!r}")
 
-    wall = time.perf_counter() - t0
+    t_scanned = time.perf_counter()
+    with open(out, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+    t_written = time.perf_counter()
+    wall = t_written - t0
+    diagnostics["timings"] = {"scan_s": t_scanned - t0, "write_s": t_written - t_scanned}
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "validate",
@@ -329,6 +339,7 @@ def _cmd_fisher(args) -> int:
             "final_min": result.diagnostics["final_min"],
             "final_max": result.diagnostics["final_max"],
             "matrix_loaded": loaded,
+            "mode2_error": mode2_error(matrix),
             "node_spacing": {
                 "x0": node_spacing(cfg, 0.0),
                 "front": node_spacing(cfg, trace.x05[-1]),

@@ -228,8 +228,28 @@ def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
     # both are unit-scale images; at map scale L each, and so their gap, carries L^(-alpha)
     numeric = symbol_samples(alpha, 2, cfg.n, l_lim)
-    exact = closed_form_mode2(nodes(cfg), alpha)
-    return float(np.max(np.abs(numeric - exact))) * cfg.l_scale**-alpha
+    return _mode2_error_of(numeric, cfg.n, alpha) * cfg.l_scale**-alpha
+
+
+def _mode2_error_of(column: np.ndarray, n: int, alpha: float) -> float:
+    """max |column - closed_form_mode2| at the n nodes, both at unit scale."""
+    exact = closed_form_mode2(nodes(GridConfig(n, 1.0)), alpha)
+    return float(np.max(np.abs(column - exact)))
+
+
+def mode2_error(matrix: OperatorMatrix) -> float | None:
+    """Self-check of a unit-scale block: max node error of its k = 2 column.
+
+    The column is compared with :func:`closed_form_mode2` at the n nodes, as
+    ``error_scan("mode2", GridConfig(n, 1.0), l_lim, [alpha])`` compares the
+    one-column kernel; the kernel gives both the same bits.  alpha = 1 is
+    included (its even columns are exact).  None when n = 2 leaves no
+    column k = 2.
+    """
+    meta = matrix.meta
+    if meta.n < 4:
+        return None
+    return _mode2_error_of(matrix.entries[:, 1], meta.n, meta.alpha)
 
 
 def _gaussian_error(matrix: OperatorMatrix, cfg: GridConfig) -> float:

@@ -7,10 +7,26 @@ outer index through l = l1*n + l2:
     exp(2i*l*s_j) = (-1)^l1 * exp(2i*l2*s_j),   l2 in {-n/2, ..., n/2-1},
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
-(2*l_lim+1) x n table of products of gamma ratios, summed over l1.  The
-special case alpha = 1 has an exact closed form for even k and a rational
-series for odd k.  :func:`mode_columns` evaluates any set of modes at once;
+(2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
+smallest terms (largest |l1|) first.  The special case alpha = 1 has an
+exact closed form for even k and a rational series for odd k.
+:func:`mode_columns` evaluates any set of modes at once;
 :func:`symbol_samples` is its one-mode case.
+
+A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
+d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
+odd k).  Along a row of fixed l1 != 0 neither index changes sign, so each
+row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
+
+    l1 = +p:  |l| = p*n + l2, a forward run of vec_a;
+              e = d - p*n < 0, a reversed run of vec_b, or of vec_c one
+              entry lower and negated;
+    l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
+              e = d + p*n > 0, a forward run of vec_b or vec_c.
+
+The rows are read as strided views of the tables and copied once into the
+summation order, the exact sign (-1)^l1 folded into the copy; only the
+l1 = 0 rows, where l and e change sign, are gathered.
 
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
@@ -51,6 +67,7 @@ def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
 
     ``e`` is overwritten.  Gamma ratio B(|k/2 - l|) for even k, signed
     C(|k/2 - l| - 1/2) for odd k, the rational term for alpha = 1 (odd k).
+    Used for the l1 = 0 row, and for every row at alpha = 1.
     """
     if alpha == 1.0:
         dd = 2.0 * e + 1.0  # k - 2l
@@ -62,15 +79,31 @@ def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
     return np.negative(c, out=c, where=neg)
 
 
+def _rows(l_lim: int, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
+    """The rows of l1 in summation order: -p and +p for p = l_lim..1, then 0.
+
+    ``minus`` and ``plus`` hold the rows of l1 = -p and +p in that order of
+    p; each is multiplied by its sign (an exact +-1) as it is copied in.
+    """
+    out = np.empty((2 * l_lim + 1, np.shape(zero)[-1]))
+    np.multiply(minus, minus_sign, out=out[0:-1:2])
+    np.multiply(plus, plus_sign, out=out[1:-1:2])
+    out[-1] = zero
+    return out
+
+
 def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
     The gamma tables are built for the parities of ``ks`` (alpha = 1 needs
-    none).  Per parity of k each term of the l1
-    sum is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums
-    are the reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a
-    sliding window of G that holds only the pairs (l2, d) the columns read:
-    O(l_lim*n) work for one column.  The l2 series at the nodes is then one
+    none).  Per parity of k each term of the l1 sum is W[l1, l2] times
+    G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
+    P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window of G that
+    holds only the pairs (l2, d) the columns read: O(l_lim*n) work for one
+    column.  Every row of W and G but l1 = 0 is one contiguous run of a
+    gamma table, read as a strided view (module docstring); the l1 = 0 rows
+    are gathered.  A window one column wide takes P1 as a three-operand
+    einsum, which forms no W*l1.  The l2 series at the nodes is then one
     shifted inverse FFT per parity, O(n log n) per column.  The reductions
     run in np.einsum and the FFT in pocketfft, neither in BLAS, so the
     result does not depend on the BLAS thread count.  Raises TypeError for
@@ -86,19 +119,20 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     if ks.size == 0 or ks.min() < 1 or ks.max() > n - 1:
         raise ValueError(f"every k must lie in 1..n-1 = 1..{n - 1}, got {ks.tolist()}")
     ks = ks.astype(np.int64)
-    l2 = np.arange(-(n // 2), n // 2)
-    l1 = np.arange(-l_lim, l_lim + 1)
-    l1 = l1[np.argsort(-np.abs(l1), kind="stable")][:, None]  # smallest terms first
-    l_full = l1 * n + l2
-    sign1 = np.where(l1 % 2 == 0, 1.0, -1.0)
+    half = n // 2
+    l2 = np.arange(-half, half)
+    p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest (smallest terms) first
+    sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
+    l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
     if alpha == 1.0:
-        weights, tables = (sign1 * np.sign(l_full),), None
+        tables, w = None, _rows(l_lim, -1.0, 1.0, np.sign(l2), sign, sign)  # (-1)^l1 * sign(l)
     else:
         tables = build_tables(alpha, n, l_lim, parities=set((ks % 2).tolist()))
-        w = sign1 * tables.vec_a[np.abs(l_full)]
-        weights = (w, w * l1)
+        a = tables.vec_a  # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
+        up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
+        down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
+        w = _rows(l_lim, down, up, a[np.abs(l2)], sign, sign)
         pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
-    del l_full
     half_step = np.exp(1j * np.pi * l2 / n)[:, None]
     out = np.empty((n, ks.size), dtype=np.complex128)
 
@@ -113,16 +147,29 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
         # G at every d = h - l2, h = floor(k/2) from min(h) to max(h); the
         # window [l1, l2, c] holds G at d = min(h) + c - l2
         h = k // 2
+        width = h.max() - h.min() + 1
         d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
-        g = _k_factor(d - l1 * n, alpha, parity, tables)
-        window = sliding_window_view(g, h.max() - h.min() + 1, axis=1)[:, ::-1]
-        sums = [np.einsum("ij,ijc->jc", wt, window)[:, h - h.min()] for wt in weights]
-        del g, window
         if alpha == 1.0:
-            (l2_sums,) = sums
+            g = _k_factor(d - l1[:, None] * n, alpha, parity, tables)
         else:
-            p0, p1 = sums
+            # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p):
+            # reversed runs, for odd k one entry lower and negated
+            runs = sliding_window_view(tables.vec_c if parity else tables.vec_b, d.size)
+            fwd = runs[d[0] + n :: n][:l_lim][::-1]
+            rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
+            g0 = _k_factor(d.copy(), alpha, parity, tables)
+            g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
+        window = sliding_window_view(g, width, axis=1)[:, ::-1]
+        cols = h - h.min()
+        p0 = np.einsum("ij,ijc->jc", w, window)[:, cols]
+        if alpha == 1.0:
+            l2_sums = p0
+        else:
+            # wider windows form W*l1 once: the three-operand sum is 2-2.5x slower there
+            p1 = (np.einsum("i,ij,ijc->jc", l1, w, window) if width == 1
+                  else np.einsum("ij,ijc->jc", w * l1[:, None], window))[:, cols]
             l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
+        del g, window
         # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
         series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
         if alpha == 1.0:

@@ -9,6 +9,7 @@ from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
 from fraclap.opmatrix import build_matrix, load_matrix
+from fraclap.oracles import error_scan
 
 
 def run_cli(*args):
@@ -32,7 +33,13 @@ class TestMatrixBuild:
         manifest = json.loads((tmp_path / "m.bin.manifest.json").read_text())
         assert manifest["command"] == "matrix build"
         assert manifest["parameters"]["n"] == 8
-        assert "column_crc32" in manifest["diagnostics"]
+        diagnostics = manifest["diagnostics"]
+        assert "column_crc32" in diagnostics
+        scan = error_scan("mode2", GridConfig(8, 1.0), 60, [0.5])
+        assert diagnostics["mode2_error"] == scan.global_max
+        timings = diagnostics["timings"]
+        assert set(timings) == {"build_s", "save_s", "checksum_s"}
+        assert all(v >= 0.0 for v in timings.values())
         shown = capsys.readouterr().out
         assert "crc32" in shown
 
@@ -86,6 +93,16 @@ class TestMatrixBuild:
         assert list(tmp_path.iterdir()) == []
 
 
+def _check_validate_timings(path):
+    # the scan and the CSV write split the manifest's wall-clock time
+    manifest = json.loads(path.read_text())
+    timings = manifest["diagnostics"]["timings"]
+    assert set(timings) == {"scan_s", "write_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    total = timings["scan_s"] + timings["write_s"]
+    assert total == pytest.approx(manifest["wall_clock_seconds"], rel=1e-12)
+
+
 class TestValidate:
     def test_mode2_scan_passes_tolerance(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -100,6 +117,7 @@ class TestValidate:
         alphas = [float(r[0]) for r in rows[1:]]
         assert 1.0 not in alphas
         assert max(float(r[1]) for r in rows[1:]) < 1e-11
+        _check_validate_timings(tmp_path / "scan.csv.manifest.json")
 
     def test_mode2_default_grid_skips_one(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -158,6 +176,7 @@ class TestValidate:
         assert len(errs) == 8
         best = min(errs, key=errs.get)
         assert 1.0 < best < 8.0
+        _check_validate_timings(tmp_path / "sweep.csv.manifest.json")
 
     def test_negative_scale_writes_nothing(self, tmp_path):
         code = run_cli(
@@ -178,6 +197,7 @@ class TestValidate:
         rows = list(csv.reader(out.open()))
         assert rows[0][0] == "alpha"
         assert len(rows) == 4  # header + 3 probe points
+        _check_validate_timings(tmp_path / "q.csv.manifest.json")
 
 
 class TestFisher:
@@ -274,6 +294,20 @@ class TestFisher:
         loaded = [_manifest_diagnostics(tmp_path / r)["alpha_1.2"]["matrix_loaded"]
                   for r in ("r1", "r2")]
         assert loaded == [False, True]
+
+    def test_manifest_mode2_error(self, tmp_path):
+        # the block's own k = 2 check, for a built and a loaded block, alpha = 1 too
+        args = ["fisher", "--alpha-sweep", "1.0:1.2:0.2", "--n", "16", "--dt", "0.01",
+                "--tfinal", "0.3", "--L", "30.0", "--llim", "20", "--sample-stride", "2",
+                "--matrix-cache", str(tmp_path / "mc")]
+        for run in ("built", "loaded"):
+            assert run_cli(*args, "--out-dir", str(tmp_path / run)) == EXIT_OK
+            diagnostics = _manifest_diagnostics(tmp_path / run)
+            for tag, alpha in (("alpha_1", 1.0), ("alpha_1.2", 1.2)):
+                entry = diagnostics[tag]
+                assert entry["matrix_loaded"] == (run == "loaded")
+                scan = error_scan("mode2", GridConfig(16, 1.0), 20, [alpha])
+                assert entry["mode2_error"] == scan.global_max
 
     def test_matrix_cache_shared_across_maps(self, tmp_path):
         # the block is the unit-scale operator: any L and x_c use one file,

@@ -105,6 +105,17 @@ class TestBuildMatrix:
         old, new = both(lambda: mode_columns(1024, alpha, 500, [2]))
         np.testing.assert_array_equal(new, old)
 
+    @pytest.mark.parametrize("alpha,crc", [
+        (0.3, 0x84296ED3), (1.0, 0xF27A2759), (1.7, 0x957D55B8),
+    ])
+    def test_entries_are_pinned(self, alpha, crc):
+        # any change to the kernel's arithmetic or summation order moves these
+        entries = build_matrix(GridConfig(16, 1.0), alpha, 40).entries
+        assert zlib.crc32(entries.tobytes()) == crc
+
+    def test_single_column_is_pinned(self):
+        assert zlib.crc32(mode_columns(64, 0.45, 30, [2]).tobytes()) == 0x5851DD74
+
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)
         matrix = build_matrix(cfg, 0.5, 530)

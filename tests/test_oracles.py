@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from fraclap.grid import Extension, GridConfig
+from fraclap.opmatrix import build_matrix
 from fraclap.oracles import (
     alpha_grid,
     closed_form_gaussian,
     closed_form_mode2,
     error_scan,
+    mode2_error,
     quadrature_fraclap,
     test_function,
 )
@@ -181,3 +183,18 @@ class TestErrorScan:
         grid = grid[np.abs(grid - 1.0) > 1e-12]
         scan = error_scan("mode2", GridConfig(128, 1.0), 210, grid)
         assert 5.0219e-13 / 3 <= scan.global_max <= 3 * 5.0219e-13
+
+
+class TestMode2Error:
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
+    @pytest.mark.parametrize("n,l_lim", [(4, 0), (16, 40), (128, 500)])
+    def test_equals_the_mode2_scan_of_the_same_block(self, n, l_lim, alpha):
+        # column 2 of the full build and the one-column kernel carry the same bits
+        got = mode2_error(build_matrix(GridConfig(n, 1.0), alpha, l_lim))
+        assert got == error_scan("mode2", GridConfig(n, 1.0), l_lim, [alpha]).global_max
+
+    def test_alpha_one_block_is_exact(self):
+        assert mode2_error(build_matrix(GridConfig(64, 1.0), 1.0, 20)) < 1e-14
+
+    def test_no_column_two_at_n_two(self):
+        assert mode2_error(build_matrix(GridConfig(2, 1.0), 0.5, 10)) is None

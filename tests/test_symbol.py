@@ -256,6 +256,17 @@ class TestModeColumns:
         err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
         assert np.all(err <= 1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("l_lim", [0, 1, 7])
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_columns_equal_the_full_build(self, n, l_lim, alpha):
+        # unsorted, repeated, both parities: the l1 = 0 row, the reversed runs
+        # and the negative-e vec_c rows are read the same as in the full block
+        ks = [k for k in (n - 1, 1, 2, n // 2, 3, 2) if k < n]
+        full = mode_columns(n, alpha, l_lim, np.arange(1, n))
+        got = mode_columns(n, alpha, l_lim, ks)
+        np.testing.assert_array_equal(got, full[:, np.array(ks) - 1])
+
     def test_mode2_error_n1024(self):
         # the l2 series as one FFT carries no phase error of exp(i*theta) at
         # |theta| up to pi*n/2; with the explicit phase matrix this read 4.9e-13
