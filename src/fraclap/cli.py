@@ -7,12 +7,15 @@ Subcommands
 ``fisher``        Fisher-KPP front simulations, single alpha or a sweep
 
 Every invocation writes a JSON manifest next to its outputs recording the
-command, resolved parameters, tool version, wall-clock time and diagnostics;
-identical flags produce bit-identical numeric outputs.  ``matrix build``
-and ``validate`` manifests time each phase.  A ``fisher`` manifest also
-gives, per alpha, the node spacing at x = 0 and at the final front, the
-smallest and largest final node value, the time spent on the matrix and on
-the simulation, and whether the matrix was loaded from the cache.  The
+command, resolved parameters, tool version, environment (numpy and scipy
+versions, numpy's BLAS, the CPU count and whether the BLAS thread pin of
+:mod:`fraclap.symbol` was found), the wall-clock time of the whole command
+and diagnostics; identical flags produce bit-identical numeric outputs.
+``matrix build`` and ``validate`` manifests time each phase.  A ``fisher``
+manifest also gives, per alpha, the node spacing at x = 0 and at the final
+front, the smallest and largest final node value, the time spent on the
+matrix and on the simulation, and whether the matrix was loaded from the
+cache.  The
 ``matrix build`` and ``fisher`` manifests record each block's mode-2 error
 (:func:`fraclap.oracles.mode2_error`).
 
@@ -28,11 +31,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import fraclap
 from fraclap.fisher import (
@@ -59,6 +64,7 @@ from fraclap.oracles import (
     test_function,
 )
 from fraclap.spectral import evaluate, transform
+from fraclap.symbol import blas_thread_setter
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -111,6 +117,18 @@ def _parameters(args, **resolved) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip} | resolved
 
 
+def _environment() -> dict:
+    """Library versions, numpy's BLAS, the CPU count and whether the BLAS thread pin was found."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "blas_pin": blas_thread_setter() is not None,
+    }
+
+
 def _write_manifest(path: Path, command: str, params: dict, outputs: list[str],
                     wall: float, diagnostics: dict) -> None:
     doc = {
@@ -118,6 +136,7 @@ def _write_manifest(path: Path, command: str, params: dict, outputs: list[str],
         "parameters": params,
         "outputs": outputs,
         "tool_version": fraclap.__version__,
+        "environment": _environment(),
         "wall_clock_seconds": wall,
         "diagnostics": diagnostics,
     }
@@ -151,7 +170,7 @@ def _cmd_matrix_build(args) -> int:
         "matrix build",
         _parameters(args, out=str(out)),
         [str(out)],
-        build_seconds,
+        time.perf_counter() - t0,
         {
             "column_crc32": [f"0x{c:08x}" for c in checks],
             "mode2_error": mode2_error(matrix),

@@ -98,8 +98,10 @@ def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
 
     Nothing of ``cfg`` but n is read: the block serves every scale, shift
     and parity.  The columns k = 1..n-1 come from one batched evaluation of
-    the mode symbols (:func:`fraclap.symbol.mode_columns`).  The entries do
-    not depend on the BLAS thread count.
+    the mode symbols (:func:`fraclap.symbol.mode_columns`), whose l1 sums
+    are matrix products run on one OpenBLAS thread, so the entries do not
+    depend on the caller's BLAS thread count (where numpy's OpenBLAS has no
+    thread setter the pin is a no-op).
     """
     meta = MatrixMeta(alpha=alpha, n=cfg.n, l_lim=l_lim)
     return OperatorMatrix(mode_columns(cfg.n, alpha, l_lim, np.arange(1, cfg.n)), meta)

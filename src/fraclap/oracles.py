@@ -242,9 +242,10 @@ def mode2_error(matrix: OperatorMatrix) -> float | None:
 
     The column is compared with :func:`closed_form_mode2` at the n nodes, as
     ``error_scan("mode2", GridConfig(n, 1.0), l_lim, [alpha])`` compares the
-    one-column kernel; the kernel gives both the same bits.  alpha = 1 is
-    included (its even columns are exact).  None when n = 2 leaves no
-    column k = 2.
+    one-column kernel.  The full build sums column 2 as part of a matrix
+    product and the one-column kernel as an einsum, so the two figures agree
+    to round-off, not bit for bit.  alpha = 1 is included (its even columns
+    are exact).  None when n = 2 leaves no column k = 2.
     """
     meta = matrix.meta
     if meta.n < 4:

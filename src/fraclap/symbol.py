@@ -28,6 +28,13 @@ The rows are read as strided views of the tables and copied once into the
 summation order, the exact sign (-1)^l1 folded into the copy; only the
 l1 = 0 rows, where l and e change sign, are gathered.
 
+The l1 sums of many columns at once are a sliding-window reduction
+P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
+read along a skewed band.  They run as blocked GEMMs (Goto & van de Geijn,
+ACM TOMS 34, 2008) pinned to one OpenBLAS thread, since dgemm sums in a
+different order at different thread counts; a single column keeps its
+einsum.
+
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
 factor L^(-alpha), which :mod:`fraclap.opmatrix` applies.  The image of a
@@ -40,6 +47,9 @@ rows of every column at once.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -48,6 +58,8 @@ from scipy.fft import ifft, ifftshift
 
 from fraclap.gammaratio import build_tables
 from fraclap.grid import GridConfig, nodes
+
+_NODE_BLOCK = 64  # nodes per product: the unused part of each Q is about b/(b + width)
 
 
 def fractional_constant(alpha: float) -> float:
@@ -92,6 +104,70 @@ def _rows(l_lim: int, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.nd
     return out
 
 
+@functools.cache
+def blas_thread_setter():
+    """numpy's ``openblas_set_num_threads_local``, or None where numpy has no such OpenBLAS.
+
+    The symbol is looked up once, through numpy's linear-algebra extension,
+    so the search covers the BLAS library numpy itself is linked to and no
+    other (scipy's OpenBLAS has a count of its own).  The setter returns the
+    previous thread count.
+    """
+    try:
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+
+    OpenBLAS dgemm sums in a different order at different thread counts, so
+    pinning is what makes the products bit-identical at any count.  Where
+    :func:`blas_thread_setter` finds no setter this is a no-op.
+    """
+    setter = blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c in ``cols``, and P1 with W*l1 for W.
+
+    Returned stacked as (2, n, cols.size), or (1, n, cols.size) for ``l1``
+    None.  For a block of b = ``_NODE_BLOCK`` nodes from j0 the sums are one
+    product Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
+    lo = n - j0 - b and width = max(cols) + 1, and P[j0 + r, c] is the
+    skewed band Q[r, b-1 - r + c]: a row pitch of b + width - 2 in Q's flat
+    storage.  W*l1 is formed per block only, and the rows i keep their
+    summation order.  The products run on one OpenBLAS thread
+    (:func:`_one_blas_thread`).
+    """
+    n = w.shape[1]
+    width = int(cols.max()) + 1
+    out = np.empty((1 if l1 is None else 2, n, cols.size))
+    with _one_blas_thread():
+        for j0 in range(0, n, _NODE_BLOCK):
+            b = min(_NODE_BLOCK, n - j0)
+            lo = n - j0 - b
+            wb = w[:, j0 : j0 + b]
+            a = wb if l1 is None else np.concatenate((wb, wb * l1[:, None]), axis=1)
+            q = a.T @ g[:, lo : lo + b + width - 1]
+            band = q.reshape(-1, b * (b + width - 1))[:, b - 1 : b - 1 + b * (b + width - 2)]
+            out[:, j0 : j0 + b] = band.reshape(-1, b, b + width - 2)[:, :, cols]
+    return out
+
+
 def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
@@ -102,11 +178,15 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     holds only the pairs (l2, d) the columns read: O(l_lim*n) work for one
     column.  Every row of W and G but l1 = 0 is one contiguous run of a
     gamma table, read as a strided view (module docstring); the l1 = 0 rows
-    are gathered.  A window one column wide takes P1 as a three-operand
-    einsum, which forms no W*l1.  The l2 series at the nodes is then one
-    shifted inverse FFT per parity, O(n log n) per column.  The reductions
-    run in np.einsum and the FFT in pocketfft, neither in BLAS, so the
-    result does not depend on the BLAS thread count.  Raises TypeError for
+    are gathered.  A window one column wide takes P0 and P1 as einsums (the
+    three-operand one for P1 forms no W*l1), outside BLAS.  A wider window
+    is a matrix product followed by a skewed gather (:func:`_window_sums`),
+    blocked over the nodes and run on one OpenBLAS thread, so the result
+    does not depend on the caller's BLAS thread count; where numpy has no
+    OpenBLAS thread setter (:func:`blas_thread_setter`) the pin is a no-op
+    and that guarantee is the BLAS library's own.  The l2 series at the
+    nodes is then one shifted inverse FFT per parity in pocketfft,
+    O(n log n) per column.  Raises TypeError for
     a non-integer k or l_lim and ValueError for an odd or too small n, a
     negative l_lim or a k outside 1..n-1.
     """
@@ -159,17 +239,21 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
             rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
             g0 = _k_factor(d.copy(), alpha, parity, tables)
             g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
-        window = sliding_window_view(g, width, axis=1)[:, ::-1]
         cols = h - h.min()
-        p0 = np.einsum("ij,ijc->jc", w, window)[:, cols]
+        if width == 1:
+            window = sliding_window_view(g, width, axis=1)[:, ::-1]
+            p0 = np.einsum("ij,ijc->jc", w, window)[:, cols]
+            if alpha != 1.0:
+                p1 = np.einsum("i,ij,ijc->jc", l1, w, window)[:, cols]
+            del window
+        else:
+            sums = _window_sums(w, None if alpha == 1.0 else l1, g, cols)
+            p0, p1 = sums[0], sums[-1]  # p1 is unused at alpha = 1
+        del g
         if alpha == 1.0:
             l2_sums = p0
         else:
-            # wider windows form W*l1 once: the three-operand sum is 2-2.5x slower there
-            p1 = (np.einsum("i,ij,ijc->jc", l1, w, window) if width == 1
-                  else np.einsum("ij,ijc->jc", w * l1[:, None], window))[:, cols]
             l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
-        del g, window
         # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
         series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
         if alpha == 1.0:

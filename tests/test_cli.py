@@ -1,15 +1,18 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import cache_file_bytes
 from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
 from fraclap.opmatrix import build_matrix, load_matrix
-from fraclap.oracles import error_scan
+from fraclap.oracles import mode2_error
+from fraclap.symbol import blas_thread_setter
 
 
 def run_cli(*args):
@@ -35,11 +38,11 @@ class TestMatrixBuild:
         assert manifest["parameters"]["n"] == 8
         diagnostics = manifest["diagnostics"]
         assert "column_crc32" in diagnostics
-        scan = error_scan("mode2", GridConfig(8, 1.0), 60, [0.5])
-        assert diagnostics["mode2_error"] == scan.global_max
+        assert diagnostics["mode2_error"] == mode2_error(build_matrix(GridConfig(8, 1.0), 0.5, 60))
         timings = diagnostics["timings"]
         assert set(timings) == {"build_s", "save_s", "checksum_s"}
         assert all(v >= 0.0 for v in timings.values())
+        assert manifest["wall_clock_seconds"] >= sum(timings.values())
         shown = capsys.readouterr().out
         assert "crc32" in shown
 
@@ -306,8 +309,8 @@ class TestFisher:
             for tag, alpha in (("alpha_1", 1.0), ("alpha_1.2", 1.2)):
                 entry = diagnostics[tag]
                 assert entry["matrix_loaded"] == (run == "loaded")
-                scan = error_scan("mode2", GridConfig(16, 1.0), 20, [alpha])
-                assert entry["mode2_error"] == scan.global_max
+                block = build_matrix(GridConfig(16, 1.0), alpha, 20)
+                assert entry["mode2_error"] == mode2_error(block)
 
     def test_matrix_cache_shared_across_maps(self, tmp_path):
         # the block is the unit-scale operator: any L and x_c use one file,
@@ -473,28 +476,41 @@ class TestFisher:
         assert "FAILED (t = 1e+100:" in capsys.readouterr().out
 
 
+_EVERY_COMMAND = pytest.mark.parametrize("command,args,manifest,keys", [
+    (["matrix", "build", "--n", "8", "--alpha", "0.5", "--llim", "20"],
+     ["--out", "m.bin"], "m.bin.manifest.json",
+     {"n", "alpha", "llim", "out"}),
+    (["validate", "--target", "mode2", "--n", "4", "--llim", "10",
+      "--alpha-grid", "0.5:0.5:1.0"],
+     ["--out", "s.csv"], "s.csv.manifest.json",
+     {"target", "n", "L", "xc", "llim", "extension", "alpha_grid", "l_sweep",
+      "tolerance", "out"}),
+    (["fisher", "--alpha", "1.2", "--n", "16", "--dt", "0.01", "--tfinal", "0.3",
+      "--llim", "20", "--sample-stride", "2"],
+     ["--out-dir", "r"], "r/fisher.manifest.json",
+     {"alpha", "alpha_sweep", "n", "dt", "tfinal", "L", "xc", "llim", "fit_window",
+      "sample_stride", "out_dir", "matrix_cache"}),
+], ids=["matrix_build", "validate", "fisher"])
+
+
 class TestManifestParameters:
-    @pytest.mark.parametrize("command,args,manifest,keys", [
-        (["matrix", "build", "--n", "8", "--alpha", "0.5", "--llim", "20"],
-         ["--out", "m.bin"], "m.bin.manifest.json",
-         {"n", "alpha", "llim", "out"}),
-        (["validate", "--target", "mode2", "--n", "4", "--llim", "10",
-          "--alpha-grid", "0.5:0.5:1.0"],
-         ["--out", "s.csv"], "s.csv.manifest.json",
-         {"target", "n", "L", "xc", "llim", "extension", "alpha_grid", "l_sweep",
-          "tolerance", "out"}),
-        (["fisher", "--alpha", "1.2", "--n", "16", "--dt", "0.01", "--tfinal", "0.3",
-          "--llim", "20", "--sample-stride", "2"],
-         ["--out-dir", "r"], "r/fisher.manifest.json",
-         {"alpha", "alpha_sweep", "n", "dt", "tfinal", "L", "xc", "llim", "fit_window",
-          "sample_stride", "out_dir", "matrix_cache"}),
-    ], ids=["matrix_build", "validate", "fisher"])
+    @_EVERY_COMMAND
     def test_parameter_keys(self, tmp_path, command, args, manifest, keys):
         out = [args[0], str(tmp_path / args[1])]
         assert run_cli(*command, *out) == EXIT_OK
         params = json.loads((tmp_path / manifest).read_text())["parameters"]
         assert set(params) == keys
         assert params[out[0][2:].replace("-", "_")] == out[1]
+
+    @_EVERY_COMMAND
+    def test_environment_block(self, tmp_path, command, args, manifest, keys):
+        assert run_cli(*command, args[0], str(tmp_path / args[1])) == EXIT_OK
+        env = json.loads((tmp_path / manifest).read_text())["environment"]
+        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "blas_pin"}
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas_pin"] == (blas_thread_setter() is not None)
 
 
 class TestSpanGrammar:

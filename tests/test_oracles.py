@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fraclap.grid import Extension, GridConfig
+from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import build_matrix
 from fraclap.oracles import (
     alpha_grid,
@@ -15,6 +15,7 @@ from fraclap.oracles import (
     quadrature_fraclap,
     test_function,
 )
+from fraclap.symbol import mode_columns
 
 # 20-digit references for 1F1(1/2+alpha/2, 1/2, -x^2), from a high-precision
 # series evaluation
@@ -189,9 +190,15 @@ class TestMode2Error:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
     @pytest.mark.parametrize("n,l_lim", [(4, 0), (16, 40), (128, 500)])
     def test_equals_the_mode2_scan_of_the_same_block(self, n, l_lim, alpha):
-        # column 2 of the full build and the one-column kernel carry the same bits
-        got = mode2_error(build_matrix(GridConfig(n, 1.0), alpha, l_lim))
-        assert got == error_scan("mode2", GridConfig(n, 1.0), l_lim, [alpha]).global_max
+        # the figure is the node error of column 2, exactly; that column comes
+        # from the blocked products, the scan's from the one-column kernel, and
+        # the two agree to round-off
+        matrix = build_matrix(GridConfig(n, 1.0), alpha, l_lim)
+        column = matrix.entries[:, 1]
+        exact = closed_form_mode2(nodes(GridConfig(n, 1.0)), alpha)
+        assert mode2_error(matrix) == np.max(np.abs(column - exact))
+        single = mode_columns(n, alpha, l_lim, [2])[:, 0]
+        assert np.max(np.abs(column - single)) <= 1e-15 * np.max(np.abs(single))
 
     def test_alpha_one_block_is_exact(self):
         assert mode2_error(build_matrix(GridConfig(64, 1.0), 1.0, 20)) < 1e-14
