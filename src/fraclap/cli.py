@@ -8,9 +8,10 @@ Subcommands
 
 Every invocation writes a JSON manifest next to its outputs recording the
 command, resolved parameters, tool version, environment (numpy and scipy
-versions, numpy's BLAS, the CPU count and whether the BLAS thread pin of
-:mod:`fraclap.symbol` was found), the wall-clock time of the whole command
-and diagnostics; identical flags produce bit-identical numeric outputs.
+versions, numpy's BLAS and its thread count, the CPU count and whether
+the BLAS thread pin of :mod:`fraclap.symbol` was found), the wall-clock
+time of the whole command and diagnostics; identical flags produce
+bit-identical numeric outputs.
 ``matrix build`` and ``validate`` manifests time each phase.  A ``fisher``
 manifest also gives, per alpha, the node spacing at x = 0 and at the final
 front, the smallest and largest final node value, the time spent on the
@@ -64,7 +65,7 @@ from fraclap.oracles import (
     test_function,
 )
 from fraclap.spectral import evaluate, transform
-from fraclap.symbol import blas_thread_setter
+from fraclap.symbol import blas_thread_setter, blas_threads
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -118,7 +119,7 @@ def _parameters(args, **resolved) -> dict:
 
 
 def _environment() -> dict:
-    """Library versions, numpy's BLAS, the CPU count and whether the BLAS thread pin was found."""
+    """Library versions, numpy's BLAS and its thread count, the CPU count and whether the pin was found."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
@@ -126,6 +127,7 @@ def _environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
         "blas_pin": blas_thread_setter() is not None,
+        "blas_threads": blas_threads(),
     }
 
 

@@ -33,7 +33,10 @@ P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
 read along a skewed band.  They run as blocked GEMMs (Goto & van de Geijn,
 ACM TOMS 34, 2008) pinned to one OpenBLAS thread, since dgemm sums in a
 different order at different thread counts; a single column keeps its
-einsum.
+einsum.  A block of b nodes computes b + width - 1 columns of the product
+to read a band of width, so the block narrows with the window (16 to 64
+nodes) and the unused part stays below 1/5 wherever the window is at least
+63 columns wide.
 
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
@@ -59,7 +62,12 @@ from scipy.fft import ifft, ifftshift
 from fraclap.gammaratio import build_tables
 from fraclap.grid import GridConfig, nodes
 
-_NODE_BLOCK = 64  # nodes per product: the unused part of each Q is about b/(b + width)
+_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 def fractional_constant(alpha: float) -> float:
@@ -105,21 +113,46 @@ def _rows(l_lim: int, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.nd
 
 
 @functools.cache
+def _numpy_blas():
+    """numpy's linear-algebra extension as a ctypes library, or None.
+
+    Its symbol search covers the BLAS library numpy itself is linked to and
+    no other (scipy's OpenBLAS has a thread count of its own).
+    """
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
+        return None
+
+
+@functools.cache
 def blas_thread_setter():
     """numpy's ``openblas_set_num_threads_local``, or None where numpy has no such OpenBLAS.
 
-    The symbol is looked up once, through numpy's linear-algebra extension,
-    so the search covers the BLAS library numpy itself is linked to and no
-    other (scipy's OpenBLAS has a count of its own).  The setter returns the
-    previous thread count.
+    The symbol is looked up once, in :func:`_numpy_blas`.  The setter
+    returns the previous thread count.
     """
-    try:
-        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
+    setter = getattr(_numpy_blas(), "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
     return setter
+
+
+def blas_threads() -> int | None:
+    """numpy's OpenBLAS thread count, or None where no getter is found.
+
+    The getter is looked up in :func:`_numpy_blas` under the names that the
+    scipy-openblas wheels (64- and 32-bit integer builds) and plain OpenBLAS
+    export.
+    """
+    lib = _numpy_blas()
+    for name in _THREAD_GETTERS:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
 
 
 @contextlib.contextmanager
@@ -141,24 +174,40 @@ def _one_blas_thread():
         setter(previous)
 
 
+def _node_block(width: int) -> int:
+    """Nodes per product for a window ``width`` columns wide: 16, 32 or 64.
+
+    A block of b nodes computes Q of b x (b + width - 1) but reads only its
+    b x width band, so the unused part is (b - 1)/(b + width - 1).  The
+    largest power of two b <= (width + 1)/4 keeps it below 1/5 for windows
+    of 63 columns or more.  b is held within 16..64: in a sweep of narrow
+    windows at n = 512, blocks of fewer than 16 nodes were slower (the
+    per-block overhead outweighs the saved products), and blocks of 128
+    were slower than 64 at every width swept.
+    """
+    return min(64, 1 << (max(16, (width + 1) // 4).bit_length() - 1))
+
+
 def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c in ``cols``, and P1 with W*l1 for W.
 
     Returned stacked as (2, n, cols.size), or (1, n, cols.size) for ``l1``
-    None.  For a block of b = ``_NODE_BLOCK`` nodes from j0 the sums are one
-    product Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
-    lo = n - j0 - b and width = max(cols) + 1, and P[j0 + r, c] is the
-    skewed band Q[r, b-1 - r + c]: a row pitch of b + width - 2 in Q's flat
-    storage.  W*l1 is formed per block only, and the rows i keep their
-    summation order.  The products run on one OpenBLAS thread
-    (:func:`_one_blas_thread`).
+    None.  For a block of b = :func:`_node_block` (width) nodes from j0, with
+    width = max(cols) + 1, the sums are one product
+    Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
+    lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
+    a row pitch of b + width - 2 in Q's flat storage.  The last block holds
+    what is left of the n nodes.  W*l1 is formed per block only, and the
+    rows i keep their summation order.  The products run on one OpenBLAS
+    thread (:func:`_one_blas_thread`).
     """
     n = w.shape[1]
     width = int(cols.max()) + 1
+    block = _node_block(width)
     out = np.empty((1 if l1 is None else 2, n, cols.size))
     with _one_blas_thread():
-        for j0 in range(0, n, _NODE_BLOCK):
-            b = min(_NODE_BLOCK, n - j0)
+        for j0 in range(0, n, block):
+            b = min(block, n - j0)
             lo = n - j0 - b
             wb = w[:, j0 : j0 + b]
             a = wb if l1 is None else np.concatenate((wb, wb * l1[:, None]), axis=1)
@@ -184,7 +233,12 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     blocked over the nodes and run on one OpenBLAS thread, so the result
     does not depend on the caller's BLAS thread count; where numpy has no
     OpenBLAS thread setter (:func:`blas_thread_setter`) the pin is a no-op
-    and that guarantee is the BLAS library's own.  The l2 series at the
+    and that guarantee is the BLAS library's own.  A column taken in a
+    subset of ``ks`` is not always bit-identical to the same column of the
+    full build: the window, and with it the product's shape, follows the
+    subset, and OpenBLAS picks its kernel, hence its summation order, by
+    shape.  The two agree to round-off (at most 6.2e-15 column-relative in
+    the builds measured at n = 64..512, l_lim = 500).  The l2 series at the
     nodes is then one shifted inverse FFT per parity in pocketfft,
     O(n log n) per column.  Raises TypeError for
     a non-integer k or l_lim and ValueError for an odd or too small n, a

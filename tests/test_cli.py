@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy
 
-from conftest import cache_file_bytes
+from conftest import cache_file_bytes, run_fresh_python
 from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
 from fraclap.opmatrix import build_matrix, load_matrix
 from fraclap.oracles import mode2_error
-from fraclap.symbol import blas_thread_setter
+from fraclap.symbol import blas_thread_setter, blas_threads
 
 
 def run_cli(*args):
@@ -506,11 +506,23 @@ class TestManifestParameters:
     def test_environment_block(self, tmp_path, command, args, manifest, keys):
         assert run_cli(*command, args[0], str(tmp_path / args[1])) == EXIT_OK
         env = json.loads((tmp_path / manifest).read_text())["environment"]
-        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "blas_pin"}
+        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "blas_pin", "blas_threads"}
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] == os.cpu_count()
         assert env["blas_pin"] == (blas_thread_setter() is not None)
+        assert env["blas_threads"] == blas_threads()
+
+    def test_environment_records_the_callers_blas_thread_count(self, tmp_path):
+        # written after the build, whose products ran pinned to one thread
+        if blas_threads() is None:
+            pytest.skip("numpy's OpenBLAS exports no thread-count getter")
+        out = tmp_path / "m.bin"
+        argv = ["matrix", "build", "--n", "128", "--alpha", "0.5", "--llim", "20", "--out", str(out)]
+        script = f"from fraclap.cli import main; main({argv!r})"
+        run_fresh_python(script, "2")
+        env = json.loads(out.with_name("m.bin.manifest.json").read_text())["environment"]
+        assert env["blas_threads"] == 2
 
 
 class TestSpanGrammar:

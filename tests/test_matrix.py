@@ -124,6 +124,15 @@ class TestBuildMatrix:
         entries = build_matrix(GridConfig(16, 1.0), alpha, 40).entries
         assert zlib.crc32(entries.tobytes()) == crc
 
+    @pytest.mark.parametrize("n,alpha,crc", [
+        (128, 0.3, 0xE463B205), (128, 1.0, 0x735BB340), (128, 1.7, 0x6612C73B),
+        (512, 1.95, 0x30081C4A),
+    ])
+    def test_multi_block_builds_are_pinned(self, n, alpha, crc):
+        # several node blocks per product; n = 512 is the fisher-front block
+        entries = build_matrix(GridConfig(n, 1.0), alpha, 500).entries
+        assert zlib.crc32(entries.tobytes()) == crc
+
     def test_single_column_is_pinned(self):
         assert zlib.crc32(mode_columns(64, 0.45, 30, [2]).tobytes()) == 0x5851DD74
 

@@ -267,6 +267,24 @@ class TestModeColumns:
         got = mode_columns(n, alpha, l_lim, ks)
         np.testing.assert_array_equal(got, full[:, np.array(ks) - 1])
 
+    @pytest.mark.parametrize("with_p1", [False, True], ids=["P0", "P0+P1"])
+    @pytest.mark.parametrize("width", [2, 126, 127, 254, 255])
+    @pytest.mark.parametrize("n", [34, 130, 300])
+    def test_window_sums_follow_the_band_definition(self, n, width, with_p1):
+        # n leaves a partial last block at every block size; the widths sit on
+        # both sides of each change of block size.  Integer entries make every
+        # sum exact in any order, so the blocked products must match exactly.
+        rng = np.random.default_rng(n + width)
+        w = rng.integers(-8, 9, (41, n)).astype(float)
+        g = rng.integers(-8, 9, (41, n + width - 1)).astype(float)
+        l1 = np.arange(-20.0, 21.0) if with_p1 else None
+        for cols in (np.arange(width), np.array([width - 1, 0, width // 2, 0])):
+            window = g[:, n - 1 - np.arange(n)[:, None] + cols]  # [i, j, c] = g[i, n-1-j+c]
+            ref = [np.einsum("ij,ijc->jc", w, window)]
+            if l1 is not None:
+                ref.append(np.einsum("i,ij,ijc->jc", l1, w, window))
+            np.testing.assert_array_equal(symbol._window_sums(w, l1, g, cols), np.stack(ref))
+
     def test_mode2_error_n1024(self):
         # the l2 series as one FFT carries no phase error of exp(i*theta) at
         # |theta| up to pi*n/2; with the explicit phase matrix this read 4.9e-13
