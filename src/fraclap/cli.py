@@ -191,17 +191,15 @@ def _cmd_matrix_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+def _validate_quadrature(cfg: GridConfig, alphas, llim: int) -> tuple[np.ndarray, list[tuple]]:
     """Matrix Laplacian of the Gaussian vs the quadrature oracle at probe points."""
     xs = [-2.0, 0.0, 1.0]
-    alphas = np.asarray([0.4, 1.0, 1.6]) if args.alpha_grid is None else _parse_span(args.alpha_grid)
     gauss = test_function("u3_gaussian")
-    cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
     x_nodes = node_positions(cfg)
     rows = []
     errs = []
     for alpha in alphas:
-        matrix = build_matrix(cfg, float(alpha), args.llim)
+        matrix = build_matrix(cfg, float(alpha), llim)
         # the image is a function of x: its cosine series interpolates the node values
         lap_coeffs = transform(fractional_laplacian(gauss.u(x_nodes), matrix, cfg), Extension.EVEN)
         worst = 0.0
@@ -211,7 +209,7 @@ def _validate_quadrature(args) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
             worst = max(worst, diff)
             rows.append((float(alpha), x, numeric, reference, diff))
         errs.append(worst)
-    return alphas, np.asarray(errs), rows
+    return np.asarray(errs), rows
 
 
 def _cmd_validate(args) -> int:
@@ -219,16 +217,17 @@ def _cmd_validate(args) -> int:
     cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
     t0 = time.perf_counter()
     diagnostics: dict = {}
+    if args.l_sweep is not None and args.target != "gaussian":
+        raise ParameterError("--l-sweep only applies to --target gaussian")
+    if args.alpha_grid is not None:
+        alphas = _parse_span(args.alpha_grid)
+    elif args.target == "quadrature":
+        alphas = np.asarray([0.4, 1.0, 1.6])  # each probe is an adaptive quadrature
+    else:
+        alphas = alpha_grid(0.05, 1.95, 0.05)
 
     if args.l_sweep is not None:
-        if args.target != "gaussian":
-            raise ParameterError("--l-sweep only applies to --target gaussian")
         l_values = _parse_span(args.l_sweep)
-        alphas = (
-            alpha_grid(0.05, 1.95, 0.05)
-            if args.alpha_grid is None
-            else _parse_span(args.alpha_grid)
-        )
         errors = scale_sweep(args.n, l_values, alphas, args.llim,
                              Extension(args.extension), x_center=args.xc)
         min_error = float(np.min(errors))
@@ -238,10 +237,6 @@ def _cmd_validate(args) -> int:
         diagnostics.update({"best_L": best, "min_error": min_error})
         gate_value = min_error  # a sweep gates on the best achievable error
     elif args.target in ("mode2", "gaussian"):
-        if args.alpha_grid is not None:
-            alphas = _parse_span(args.alpha_grid)
-        else:
-            alphas = alpha_grid(0.05, 1.95, 0.05)
         if args.target == "mode2":
             alphas = alphas[np.abs(alphas - 1.0) > 1e-12]
         scan = error_scan(args.target, cfg, args.llim, alphas)
@@ -250,7 +245,7 @@ def _cmd_validate(args) -> int:
         diagnostics.update({"global_max": scan.global_max})
         gate_value = scan.global_max
     elif args.target == "quadrature":
-        alphas, errs, rows = _validate_quadrature(args)
+        errs, rows = _validate_quadrature(cfg, alphas, args.llim)
         header = ["alpha", "x", "matrix_value", "quadrature_value", "abs_diff"]
         gate_value = float(np.max(errs))
         print(f"max |matrix - quadrature| over probes: {gate_value:.6e}")
@@ -425,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--xc", type=float, default=0.0)
     p_val.add_argument("--llim", type=int, default=500)
     p_val.add_argument("--extension", choices=["even", "odd"], default="even")
-    p_val.add_argument("--alpha-grid", help="a:b:step (default 0.05:1.95:0.05)")
+    p_val.add_argument("--alpha-grid", help="a:b:step (default 0.05:1.95:0.05; 0.4, 1, 1.6 for quadrature)")
     p_val.add_argument("--l-sweep", help="a:b:step sweep of the map scale")
     p_val.add_argument("--tolerance", type=float, help="exit 2 when the scan exceeds this")
     p_val.add_argument("--out", help="CSV output path")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -136,14 +135,6 @@ def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _physical_positions(cfg: GridConfig) -> np.ndarray:
-    """Read-only x_j of the n physical nodes, computed once per grid."""
-    x = node_positions(cfg)
-    x.flags.writeable = False
-    return x
-
-
 def front_position(samples, cfg: GridConfig) -> float:
     """x where the solution crosses 1/2, from the right-most node bracket.
 
@@ -156,12 +147,11 @@ def front_position(samples, cfg: GridConfig) -> float:
     u = np.asarray(samples, dtype=float)
     if u.shape != (cfg.n,):
         raise ValueError(f"expected {cfg.n} physical samples, got shape {u.shape}")
-    return _crossing(u, transform(u, Extension.EVEN), cfg)
+    return _crossing(u, transform(u, Extension.EVEN), cfg, node_positions(cfg))
 
 
-def _crossing(u: np.ndarray, c: np.ndarray, cfg: GridConfig) -> float:
-    """:func:`front_position` of the n values u whose cosine coefficients are c."""
-    x = _physical_positions(cfg)
+def _crossing(u: np.ndarray, c: np.ndarray, cfg: GridConfig, x: np.ndarray) -> float:
+    """:func:`front_position` of the n values u at the nodes x, whose cosine coefficients are c."""
     d = u - 0.5
     hit = np.nonzero(d == 0.0)[0]
     crossings = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
@@ -233,7 +223,8 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     if differ:
         raise ValueError(f"matrix was built for a different {', '.join(differ)}")
     op = fused_sample_operator(matrix, cfg)
-    u = initial_condition(_physical_positions(cfg), run.alpha)
+    x = node_positions(cfg)
+    u = initial_condition(x, run.alpha)
 
     n_steps = run.n_steps
     times, fronts, tails = [], [], []
@@ -248,7 +239,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
             if step % run.sample_stride == 0 or step == n_steps:
                 c = transform(u, Extension.EVEN)
                 try:
-                    fronts.append(_crossing(u, c, cfg))
+                    fronts.append(_crossing(u, c, cfg, x))
                 except FrontEscapeError as exc:
                     raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
                 times.append(t)

@@ -36,9 +36,10 @@ class GammaRatioTables:
     vec_c[m] = Gamma(-alpha/2 + m)     / Gamma(2+alpha/2 + m)     (odd modes)
 
     vec_a is indexed by |l|, vec_b by |k/2 - l| and vec_c by |k/2 - l| - 1/2,
-    which are integers in the respective cases.  A vector no requested
-    parity reads is empty, so reading it raises IndexError.  Vectors are
-    stored read-only; writeable input is copied first.
+    which are integers in the respective cases.  At alpha = 1, vec_a[0] is
+    Gamma's pole at 0 and is stored as inf.  A vector no requested parity
+    reads is empty, so reading it raises IndexError.  Vectors are stored
+    read-only; writeable input is copied first.
     """
 
     alpha: float
@@ -71,8 +72,14 @@ def _ratio_vector(a: float, b: float, length: int) -> np.ndarray:
     9.9e-14.  The tail form from m = 0 would double the mode-2 error of the
     n = 1024 alpha scan (2.4e-13); with the long-double head the operator
     entries of the benchmark's seed-0 scans are bit-identical to those
-    built from all-long-double tables.  The result is read-only.
+    built from all-long-double tables.  a = 0 puts Gamma's pole at m = 0:
+    that entry is inf and the recursion starts from m = 1.  The result is
+    read-only.
     """
+    if a == 0.0:
+        out = np.concatenate(([np.inf], _ratio_vector(1.0, b + 1.0, length - 1)))
+        out.flags.writeable = False
+        return out
     out = np.empty(length, dtype=np.float64)
     base = math.gamma(a) / math.gamma(b)
     out[:1] = base
@@ -111,23 +118,20 @@ def build_tables(alpha: float, n: int, l_lim: int, parities=(0, 1)) -> GammaRati
 
     ``parities`` holds the parities (0 even, 1 odd) of the modes the tables
     will serve: vec_b is built only for 0, vec_c only for 1, and an unbuilt
-    vector is empty.  alpha = 1 is rejected: that case has its own closed
-    forms and needs no tables.
+    vector is empty and evaluates no gamma function.  At alpha = 1, vec_a
+    and vec_c are built (vec_a[0] = inf) and parity 0 is rejected: vec_b has
+    poles there, and the even modes have a closed form.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 uses dedicated formulas; no tables required")
+    if alpha == 1.0 and 0 in parities:
+        raise ValueError("vec_b has poles at alpha = 1; even modes there need no tables")
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
     if l_lim < 0:
         raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
     len_a, len_b, len_c = table_lengths(n, l_lim)
-    len_b = len_b if 0 in parities else 0
-    len_c = len_c if 1 in parities else 0
-    return GammaRatioTables(
-        alpha=alpha,
-        vec_a=_ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, len_a),
-        vec_b=_ratio_vector((-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0, len_b),
-        vec_c=_ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, len_c),
-    )
+    vec_a = _ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, len_a)
+    vec_b = _ratio_vector((-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0, len_b) if 0 in parities else ()
+    vec_c = _ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, len_c) if 1 in parities else ()
+    return GammaRatioTables(alpha=alpha, vec_a=vec_a, vec_b=vec_b, vec_c=vec_c)

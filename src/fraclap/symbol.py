@@ -8,8 +8,11 @@ outer index through l = l1*n + l2:
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
-smallest terms (largest |l1|) first.  The special case alpha = 1 has an
-exact closed form for even k and a rational series for odd k.
+smallest terms (largest |l1|) first.  At alpha = 1 the even modes have the
+exact closed form k*sin(s)^2*exp(i*k*s).  The odd modes there are the
+alpha -> 1 limit of the same sums: A(|l|) = 1/|l| for l != 0, and the pole
+A(0) = Gamma(0) enters only through (1 - alpha)*A(0) -> -2, which adds the
+constant -2i*k/(pi*(k^2 - 4)) to each column.
 :func:`mode_columns` evaluates any set of modes at once;
 :func:`symbol_samples` is its one-mode case.
 
@@ -82,16 +85,13 @@ def fractional_constant(alpha: float) -> float:
     )
 
 
-def _k_factor(e: np.ndarray, alpha: float, parity: int, tables) -> np.ndarray:
+def _k_factor(e: np.ndarray, parity: int, tables) -> np.ndarray:
     """G at e = d - l1*n = floor(k/2) - l: the k-dependent factor of a term.
 
     ``e`` is overwritten.  Gamma ratio B(|k/2 - l|) for even k, signed
-    C(|k/2 - l| - 1/2) for odd k, the rational term for alpha = 1 (odd k).
-    Used for the l1 = 0 row, and for every row at alpha = 1.
+    C(|k/2 - l| - 1/2) for odd k.  Used for the l1 = 0 row, the only row
+    that is not a contiguous run of a table.
     """
-    if alpha == 1.0:
-        dd = 2.0 * e + 1.0  # k - 2l
-        return 4.0 / (dd * (dd * dd - 4.0))
     if parity == 0:
         return tables.vec_b[np.abs(e, out=e)]
     neg = e < 0
@@ -191,9 +191,9 @@ def _node_block(width: int) -> int:
 def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c in ``cols``, and P1 with W*l1 for W.
 
-    Returned stacked as (2, n, cols.size), or (1, n, cols.size) for ``l1``
-    None.  For a block of b = :func:`_node_block` (width) nodes from j0, with
-    width = max(cols) + 1, the sums are one product
+    Returned stacked as (2, n, cols.size).  For a block of
+    b = :func:`_node_block` (width) nodes from j0, with width = max(cols) + 1,
+    the sums are one product
     Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
     a row pitch of b + width - 2 in Q's flat storage.  The last block holds
@@ -204,13 +204,13 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarr
     n = w.shape[1]
     width = int(cols.max()) + 1
     block = _node_block(width)
-    out = np.empty((1 if l1 is None else 2, n, cols.size))
+    out = np.empty((2, n, cols.size))
     with _one_blas_thread():
         for j0 in range(0, n, block):
             b = min(block, n - j0)
             lo = n - j0 - b
             wb = w[:, j0 : j0 + b]
-            a = wb if l1 is None else np.concatenate((wb, wb * l1[:, None]), axis=1)
+            a = np.concatenate((wb, wb * l1[:, None]), axis=1)
             q = a.T @ g[:, lo : lo + b + width - 1]
             band = q.reshape(-1, b * (b + width - 1))[:, b - 1 : b - 1 + b * (b + width - 2)]
             out[:, j0 : j0 + b] = band.reshape(-1, b, b + width - 2)[:, :, cols]
@@ -220,12 +220,14 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarr
 def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
-    The gamma tables are built for the parities of ``ks`` (alpha = 1 needs
-    none).  Per parity of k each term of the l1 sum is W[l1, l2] times
-    G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
-    P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window of G that
-    holds only the pairs (l2, d) the columns read: O(l_lim*n) work for one
-    column.  Every row of W and G but l1 = 0 is one contiguous run of a
+    The gamma tables are built for the parities of ``ks``, at alpha = 1 for
+    the odd ones only (none when every k is even): the even columns there are
+    the closed form, and the odd ones zero the weight A(0) = inf and add its
+    limit term instead (module docstring).  Per parity of k each term of the l1 sum is
+    W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums are the
+    reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window
+    of G that holds only the pairs (l2, d) the columns read: O(l_lim*n) work
+    for one column.  Every row of W and G but l1 = 0 is one contiguous run of a
     gamma table, read as a strided view (module docstring); the l1 = 0 rows
     are gathered.  A window one column wide takes P0 and P1 as einsums (the
     three-operand one for P1 forms no W*l1), outside BLAS.  A wider window
@@ -258,15 +260,18 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest (smallest terms) first
     sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
     l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
+    parities = set((ks % 2).tolist())
     if alpha == 1.0:
-        tables, w = None, _rows(l_lim, -1.0, 1.0, np.sign(l2), sign, sign)  # (-1)^l1 * sign(l)
-    else:
-        tables = build_tables(alpha, n, l_lim, parities=set((ks % 2).tolist()))
+        parities.discard(0)
+    if parities:  # some column runs through the sums
+        tables = build_tables(alpha, n, l_lim, parities=parities)
         a = tables.vec_a  # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
         up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
         down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
         w = _rows(l_lim, down, up, a[np.abs(l2)], sign, sign)
-        pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
+        if alpha == 1.0:
+            w[-1, half] = 0.0  # the pole A(0); its term is the limit added below
+    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     half_step = np.exp(1j * np.pi * l2 / n)[:, None]
     out = np.empty((n, ks.size), dtype=np.complex128)
 
@@ -283,39 +288,31 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
         h = k // 2
         width = h.max() - h.min() + 1
         d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
-        if alpha == 1.0:
-            g = _k_factor(d - l1[:, None] * n, alpha, parity, tables)
-        else:
-            # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p):
-            # reversed runs, for odd k one entry lower and negated
-            runs = sliding_window_view(tables.vec_c if parity else tables.vec_b, d.size)
-            fwd = runs[d[0] + n :: n][:l_lim][::-1]
-            rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
-            g0 = _k_factor(d.copy(), alpha, parity, tables)
-            g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
+        # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p):
+        # reversed runs, for odd k one entry lower and negated
+        runs = sliding_window_view(tables.vec_c if parity else tables.vec_b, d.size)
+        fwd = runs[d[0] + n :: n][:l_lim][::-1]
+        rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
+        g0 = _k_factor(d.copy(), parity, tables)
+        g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
         cols = h - h.min()
         if width == 1:
-            window = sliding_window_view(g, width, axis=1)[:, ::-1]
+            window = g[:, ::-1, None]  # [i, j, 0] = g[i, n-1-j]
             p0 = np.einsum("ij,ijc->jc", w, window)[:, cols]
-            if alpha != 1.0:
-                p1 = np.einsum("i,ij,ijc->jc", l1, w, window)[:, cols]
+            p1 = np.einsum("i,ij,ijc->jc", l1, w, window)[:, cols]
             del window
         else:
-            sums = _window_sums(w, None if alpha == 1.0 else l1, g, cols)
-            p0, p1 = sums[0], sums[-1]  # p1 is unused at alpha = 1
+            p0, p1 = _window_sums(w, l1, g, cols)
         del g
-        if alpha == 1.0:
-            l2_sums = p0
-        else:
-            l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
+        l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
         # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
         series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
-        if alpha == 1.0:
-            out[:, sel] = (1j * k / np.pi) * (-2.0 / (k * k - 4.0) - series)
-        elif parity == 0:
+        if parity == 0:
             out[:, sel] = (pref / math.tan(math.pi * alpha / 2.0))[:, None] * series
         else:
             out[:, sel] = 1j * pref[:, None] * series
+        if alpha == 1.0:
+            out[:, sel] -= 2j * k / (np.pi * (k * k - 4.0))  # the limit of the A(0) term
     return out
 
 

@@ -7,8 +7,22 @@ from fraclap.gammaratio import _HEAD, GammaRatioTables, build_tables, table_leng
 
 class TestBuildTables:
     def test_rejects_alpha_one(self):
-        with pytest.raises(ValueError):
-            build_tables(1.0, 8, 10)
+        # vec_b has poles at alpha = 1, so even-mode tables are refused there
+        for parities in ((0, 1), (0,)):
+            with pytest.raises(ValueError):
+                build_tables(1.0, 8, 10, parities=parities)
+
+    def test_alpha_one_odd_tables(self):
+        # vec_a[0] is Gamma's pole at 0; vec_a[m] = Gamma(m)/Gamma(1+m) = 1/m after it
+        tables = build_tables(1.0, 128, 40, parities=(1,))  # past the long-double head
+        assert tables.vec_a.size > _HEAD
+        assert tables.vec_a[0] == np.inf
+        m = np.arange(1, tables.vec_a.size)
+        np.testing.assert_allclose(tables.vec_a[1:], 1.0 / m, rtol=1e-13, atol=0.0)
+        assert tables.vec_b.size == 0
+        for m in (0, 1, 7, 100, 300):
+            expected = gamma_ratio_ref(m - 0.5, m + 2.5)
+            assert tables.vec_c[m] == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_out_of_range_alpha(self):
         for alpha in (0.0, 2.0, -0.5, 2.5):

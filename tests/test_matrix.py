@@ -117,7 +117,7 @@ class TestBuildMatrix:
         np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("alpha,crc", [
-        (0.3, 0x7ACAD0C9), (1.0, 0xF27A2759), (1.7, 0xEC57A459),
+        (0.3, 0x7ACAD0C9), (1.0, 0x0942CA3A), (1.7, 0xEC57A459),
     ])
     def test_entries_are_pinned(self, alpha, crc):
         # any change to the kernel's arithmetic or summation order moves these
@@ -125,7 +125,7 @@ class TestBuildMatrix:
         assert zlib.crc32(entries.tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,crc", [
-        (128, 0.3, 0xE463B205), (128, 1.0, 0x735BB340), (128, 1.7, 0x6612C73B),
+        (128, 0.3, 0xE463B205), (128, 1.0, 0x7AAFCD95), (128, 1.7, 0x6612C73B),
         (512, 1.95, 0x30081C4A),
     ])
     def test_multi_block_builds_are_pinned(self, n, alpha, crc):

@@ -267,23 +267,31 @@ class TestModeColumns:
         got = mode_columns(n, alpha, l_lim, ks)
         np.testing.assert_array_equal(got, full[:, np.array(ks) - 1])
 
-    @pytest.mark.parametrize("with_p1", [False, True], ids=["P0", "P0+P1"])
+    @pytest.mark.parametrize("sums", ["P0+P1"])
     @pytest.mark.parametrize("width", [2, 126, 127, 254, 255])
     @pytest.mark.parametrize("n", [34, 130, 300])
-    def test_window_sums_follow_the_band_definition(self, n, width, with_p1):
+    def test_window_sums_follow_the_band_definition(self, n, width, sums):
         # n leaves a partial last block at every block size; the widths sit on
         # both sides of each change of block size.  Integer entries make every
         # sum exact in any order, so the blocked products must match exactly.
         rng = np.random.default_rng(n + width)
         w = rng.integers(-8, 9, (41, n)).astype(float)
         g = rng.integers(-8, 9, (41, n + width - 1)).astype(float)
-        l1 = np.arange(-20.0, 21.0) if with_p1 else None
+        l1 = np.arange(-20.0, 21.0)
         for cols in (np.arange(width), np.array([width - 1, 0, width // 2, 0])):
             window = g[:, n - 1 - np.arange(n)[:, None] + cols]  # [i, j, c] = g[i, n-1-j+c]
-            ref = [np.einsum("ij,ijc->jc", w, window)]
-            if l1 is not None:
-                ref.append(np.einsum("i,ij,ijc->jc", l1, w, window))
+            ref = [np.einsum("ij,ijc->jc", w, window), np.einsum("i,ij,ijc->jc", l1, w, window)]
             np.testing.assert_array_equal(symbol._window_sums(w, l1, g, cols), np.stack(ref))
+
+    def test_alpha_one_is_the_limit(self):
+        # the odd columns at alpha = 1 drop the pole A(0) and add its limit;
+        # the mean of both sides agrees with them to O(eps^2) plus round-off
+        n, l_lim, eps = 64, 500, 1e-4
+        at_one = mode_columns(n, 1.0, l_lim, np.arange(1, n))
+        mean = (mode_columns(n, 1.0 - eps, l_lim, np.arange(1, n))
+                + mode_columns(n, 1.0 + eps, l_lim, np.arange(1, n))) / 2.0
+        err = np.max(np.abs(mean - at_one), axis=0) / np.max(np.abs(at_one), axis=0)
+        assert err.max() <= 2e-7
 
     def test_mode2_error_n1024(self):
         # the l2 series as one FFT carries no phase error of exp(i*theta) at
@@ -304,3 +312,9 @@ class TestModeColumns:
         symbol_samples(0.5, 2, 16, 20)
         assert len(built) == 1
         assert built[0].vec_c.size == 0 and built[0].vec_b.size > 0
+
+    def test_alpha_one_even_modes_build_no_tables(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(symbol, "build_tables", lambda *args, **kwargs: built.append(args))
+        symbol_samples(1.0, 2, 16, 20)
+        assert built == []
