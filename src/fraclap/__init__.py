@@ -14,7 +14,7 @@ spectral    real transforms (DCT-II/DST-II) and series evaluation
 gammaratio  stable precomputation of the gamma-function ratio tables
 symbol      closed-form operator action on Fourier modes, one or many at once
 opmatrix    assembly, caching and application of the operational matrix
-oracles     independent ground truths: closed forms (scipy hyp1f1), quadrature
+oracles     independent ground truths: closed forms (scipy hyp1f1, hyp2f1), quadrature
 fisher      fractional Fisher-KPP time integration and front-speed fitting
 cli         command line driver
 """
@@ -25,6 +25,7 @@ from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import fractional_constant, symbol_samples
 from fraclap.opmatrix import (
     MatrixCacheError,
+    MatrixFormatError,
     MatrixMeta,
     OperatorMatrix,
     apply,
@@ -40,8 +41,10 @@ from fraclap.oracles import (
     QuadratureError,
     TestFunction,
     closed_form_gaussian,
+    closed_form_mode1,
     closed_form_mode2,
     error_scan,
+    mode1_error,
     mode2_error,
     quadrature_fraclap,
     scale_sweep,
@@ -80,6 +83,7 @@ __all__ = [
     "OperatorMatrix",
     "MatrixMeta",
     "MatrixCacheError",
+    "MatrixFormatError",
     "build_matrix",
     "apply",
     "fractional_laplacian",
@@ -89,10 +93,12 @@ __all__ = [
     "load_matrix",
     "TestFunction",
     "test_function",
+    "closed_form_mode1",
     "closed_form_mode2",
     "closed_form_gaussian",
     "quadrature_fraclap",
     "error_scan",
+    "mode1_error",
     "mode2_error",
     "scale_sweep",
     "ErrorScan",

@@ -17,8 +17,10 @@ manifest also gives, per alpha, the node spacing at x = 0 and at the final
 front, the smallest and largest final node value, the time spent on the
 matrix and on the simulation, and whether the matrix was loaded from the
 cache.  The
-``matrix build`` and ``fisher`` manifests record each block's mode-2 error
-(:func:`fraclap.oracles.mode2_error`).
+``matrix build`` and ``fisher`` manifests record each block's node errors
+in its k = 1 and k = 2 columns (:func:`fraclap.oracles.mode1_error`, which
+sees the l_lim truncation of the odd columns, and
+:func:`fraclap.oracles.mode2_error`, a closed form against itself).
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
 3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
@@ -50,6 +52,7 @@ from fraclap.fisher import (
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing
 from fraclap.opmatrix import (
     MatrixCacheError,
+    MatrixFormatError,
     build_matrix,
     column_checksums,
     fractional_laplacian,
@@ -59,6 +62,7 @@ from fraclap.opmatrix import (
 from fraclap.oracles import (
     alpha_grid,
     error_scan,
+    mode1_error,
     mode2_error,
     quadrature_fraclap,
     scale_sweep,
@@ -175,6 +179,7 @@ def _cmd_matrix_build(args) -> int:
         time.perf_counter() - t0,
         {
             "column_crc32": [f"0x{c:08x}" for c in checks],
+            "mode1_error": mode1_error(matrix),
             "mode2_error": mode2_error(matrix),
             "timings": {
                 "build_s": build_seconds,
@@ -281,7 +286,11 @@ def _cmd_validate(args) -> int:
 
 
 def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
-    """The unit-scale block and whether it was loaded; one cache file serves every L and x_c."""
+    """The unit-scale block and whether it was loaded; one cache file serves every L and x_c.
+
+    A cache file of an older format version is rebuilt and overwritten; any
+    other unreadable file raises :class:`MatrixCacheError` and is left alone.
+    """
     if cache_dir is None:
         return build_matrix(cfg, alpha, llim), False
     cache_dir = Path(cache_dir)
@@ -289,9 +298,12 @@ def _matrix_for(cfg: GridConfig, alpha: float, llim: int, cache_dir):
     # the exact alpha: a rounded one would let nearby orders share (and reject) a file
     path = cache_dir / f"matrix_n{cfg.n}_alpha{float(alpha).hex()}_llim{llim}.bin"
     if path.exists():
-        return load_matrix(path, expect_n=cfg.n, expect_alpha=alpha, expect_l_lim=llim), True
+        try:
+            return load_matrix(path, expect_n=cfg.n, expect_alpha=alpha, expect_l_lim=llim), True
+        except MatrixFormatError:
+            pass  # an intact file of an older format: rebuilt and replaced below
     matrix = build_matrix(cfg, alpha, llim)
-    save_matrix(matrix, path)
+    save_matrix(matrix, path)  # written aside, then moved onto the name
     return matrix, False
 
 
@@ -355,6 +367,7 @@ def _cmd_fisher(args) -> int:
             "final_min": result.diagnostics["final_min"],
             "final_max": result.diagnostics["final_max"],
             "matrix_loaded": loaded,
+            "mode1_error": mode1_error(matrix),
             "mode2_error": mode2_error(matrix),
             "node_spacing": {
                 "x0": node_spacing(cfg, 0.0),

@@ -20,7 +20,7 @@ column each, which :func:`apply` uses.  On the samples of an even function
 the operator also folds, by reflection parity, into the two n/2 x n/2
 blocks of :func:`fused_sample_operator`.
 
-The binary cache format (version 3) is a fixed 64-byte little-endian header
+The binary cache format (version 4) is a fixed 64-byte little-endian header
 
     0:8   magic  b"FLAPMAT1"
     8:12  format version (uint32)
@@ -32,9 +32,11 @@ The binary cache format (version 3) is a fixed 64-byte little-endian header
 
 followed by the n*(n-1) complex128 entries of the unit-scale block in
 row-major order and a trailing 8-byte CRC32 of header plus payload.  Round
-trips are bit exact.  Files of version 1 (the full 2n x 2n matrix) and
-version 2 (the block at one map scale, with L, x_c and the extension in the
-header) are rejected.
+trips are bit exact.  Files of an older version are rejected with
+:class:`MatrixFormatError`: version 1 held the full 2n x 2n matrix,
+version 2 the block at one map scale (L, x_c and the extension in the
+header), and version 3 summed the even columns through the truncated series
+that version 4 replaces by their closed form.
 """
 
 from __future__ import annotations
@@ -49,16 +51,20 @@ import numpy as np
 
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.spectral import transform
-from fraclap.symbol import mode_columns
+from fraclap.symbol import even_mode_columns, mode_columns
 
 _MAGIC = b"FLAPMAT1"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _HEADER = struct.Struct("<8sIII4xd32x")
 _TRAILER = struct.Struct("<Q")
 
 
 class MatrixCacheError(RuntimeError):
     """Raised when a cache file is malformed or does not match expectations."""
+
+
+class MatrixFormatError(MatrixCacheError):
+    """Raised for an intact cache file of another format version: safe to rebuild over."""
 
 
 @dataclass(frozen=True)
@@ -97,14 +103,20 @@ def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
     """Assemble the unit-scale block for one alpha on grids of ``cfg.n`` nodes.
 
     Nothing of ``cfg`` but n is read: the block serves every scale, shift
-    and parity.  The columns k = 1..n-1 come from one batched evaluation of
-    the mode symbols (:func:`fraclap.symbol.mode_columns`), whose l1 sums
-    are matrix products run on one OpenBLAS thread, so the entries do not
-    depend on the caller's BLAS thread count (where numpy's OpenBLAS has no
-    thread setter the pin is a no-op).
+    and parity.  The even columns k = 2, 4, ..., n-2 are the finite closed
+    form of :func:`fraclap.symbol.even_mode_columns`, which reads no gamma
+    table and no l_lim.  The odd columns come from one batched evaluation of
+    the truncated series (:func:`fraclap.symbol.mode_columns` on the odd k),
+    so l_lim governs only them.  Their l1 sums are matrix products run on
+    one OpenBLAS thread, so the entries do not depend on the caller's BLAS
+    thread count (where numpy's OpenBLAS has no thread setter the pin is a
+    no-op).
     """
     meta = MatrixMeta(alpha=alpha, n=cfg.n, l_lim=l_lim)
-    return OperatorMatrix(mode_columns(cfg.n, alpha, l_lim, np.arange(1, cfg.n)), meta)
+    entries = np.empty((cfg.n, cfg.n - 1), dtype=np.complex128)  # column k at index k - 1
+    entries[:, 0::2] = mode_columns(cfg.n, alpha, l_lim, np.arange(1, cfg.n, 2))
+    entries[:, 1::2] = even_mode_columns(cfg.n, alpha)
+    return OperatorMatrix(entries, meta)
 
 
 def _scale(matrix: OperatorMatrix, cfg: GridConfig) -> float:
@@ -205,10 +217,13 @@ def save_matrix(matrix: OperatorMatrix, path) -> None:
 
 
 def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) -> OperatorMatrix:
-    """Read a cache file back, verifying magic, version, checksum and header.
+    """Read a cache file back, verifying magic, checksum, header and version.
 
-    Every header field must equal its ``expect_*`` argument, so a file is
-    never taken for the block of another (n, alpha, l_lim).
+    Every header field must be valid and equal its ``expect_*`` argument, so
+    a file is never taken for the block of another (n, alpha, l_lim).  Each
+    failure raises :class:`MatrixCacheError`.  A file that passes all of
+    these checks but has another format version raises its subclass
+    :class:`MatrixFormatError`: the file is intact and only stale.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + _TRAILER.size:
@@ -217,8 +232,6 @@ def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) 
     magic, version, n, l_lim, alpha = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise MatrixCacheError(f"{path}: bad magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise MatrixCacheError(f"{path}: unsupported format version {version}")
     payload = raw[_HEADER.size : -_TRAILER.size]
     (stored,) = _TRAILER.unpack(raw[-_TRAILER.size :])
     actual = zlib.crc32(payload, zlib.crc32(header))
@@ -228,12 +241,14 @@ def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) 
         meta = MatrixMeta(alpha=alpha, n=n, l_lim=l_lim)
     except ValueError as exc:
         raise MatrixCacheError(f"{path}: invalid header ({exc})") from exc
-    if len(payload) != n * (n - 1) * 16:
-        raise MatrixCacheError(f"{path}: payload size does not match n = {n}")
     for name, got, want in (("n", n, expect_n), ("alpha", alpha, expect_alpha),
                             ("l_lim", l_lim, expect_l_lim)):
         if got != want:
             raise MatrixCacheError(f"{path}: cache has {name} = {got}, expected {want}")
+    if version != _FORMAT_VERSION:
+        raise MatrixFormatError(f"{path}: unsupported format version {version}")
+    if len(payload) != n * (n - 1) * 16:
+        raise MatrixCacheError(f"{path}: payload size does not match n = {n}")
     entries = np.frombuffer(payload, dtype=np.complex128).reshape(n, n - 1).copy()
     return OperatorMatrix(entries=entries, meta=meta)
 

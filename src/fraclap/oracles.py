@@ -3,7 +3,8 @@
 Two routes that never touch the matrix assembly:
 
 * closed forms: the k = 2 mode has the exact image
-  -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha), and the Gaussian
+  -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha), the k = 1 mode a sum
+  of two Gauss 2F1 of -x^2 (``scipy.special.hyp2f1``), and the Gaussian
   exp(-x^2) maps to Kummer's 1F1(1/2+alpha/2, 1/2, -x^2), evaluated by
   ``scipy.special.hyp1f1``;
 * adaptive quadrature of the regularized singular-integral representation
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import hyp1f1
+from scipy.special import hyp1f1, hyp2f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
 from fraclap.opmatrix import OperatorMatrix, build_matrix, fractional_laplacian
@@ -111,12 +112,36 @@ def closed_form_mode2(s, alpha: float):
 
     -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha) with the principal
     branch of the complex power: the k = 2 column of the unit-scale block,
-    as :func:`fraclap.symbol.symbol_samples` gives it.  At map scale L the
-    image is L^(-alpha) times this.
+    which :func:`fraclap.symbol.symbol_samples` approximates by the paper's
+    truncated series.  At map scale L the image is L^(-alpha) times this.
     """
     s = np.asarray(s, dtype=float)
     base = -1j * np.sin(s) * np.exp(1j * s)
     out = -2.0 * math.gamma(1.0 + alpha) * base ** (1.0 + alpha)
+    return complex(out) if out.ndim == 0 else out
+
+
+def closed_form_mode1(s, alpha: float):
+    """Exact operator image of exp(i*s) at unit map scale, at x = cot(s).
+
+    exp(i*s) = x*(1+x^2)^(-1/2) + i*(1+x^2)^(-1/2), and the image of each part
+    is a Gauss hypergeometric function of -x^2 (Dyda, Fract. Calc. Appl.
+    Anal. 15, 2012), here from ``scipy.special.hyp2f1``:
+
+        c1*x*2F1((1+alpha)/2, (3+alpha)/2; 3/2; -x^2)
+            + i*c0*2F1((1+alpha)/2, (1+alpha)/2; 1/2; -x^2),
+        c1 = 2^alpha*Gamma((1+alpha)/2)*Gamma((3+alpha)/2) / (Gamma(1/2)*Gamma(3/2)),
+        c0 = 2^alpha*Gamma((1+alpha)/2)^2 / Gamma(1/2)^2.
+
+    The k = 1 column of the unit-scale block; at map scale L the image is
+    L^(-alpha) times this.
+    """
+    s = np.asarray(s, dtype=float)
+    x = np.cos(s) / np.sin(s)
+    h = (1.0 + alpha) / 2.0
+    c1 = 2.0**alpha * math.gamma(h) * math.gamma(h + 1.0) / (math.gamma(0.5) * math.gamma(1.5))
+    c0 = 2.0**alpha * math.gamma(h) ** 2 / math.gamma(0.5) ** 2
+    out = c1 * x * hyp2f1(h, h + 1.0, 1.5, -(x * x)) + 1j * c0 * hyp2f1(h, h, 0.5, -(x * x))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -238,19 +263,31 @@ def _mode2_error_of(column: np.ndarray, n: int, alpha: float) -> float:
 
 
 def mode2_error(matrix: OperatorMatrix) -> float | None:
-    """Self-check of a unit-scale block: max node error of its k = 2 column.
+    """Max node error of a unit-scale block's k = 2 column against :func:`closed_form_mode2`.
 
-    The column is compared with :func:`closed_form_mode2` at the n nodes, as
-    ``error_scan("mode2", GridConfig(n, 1.0), l_lim, [alpha])`` compares the
-    one-column kernel.  The full build sums column 2 as part of a matrix
-    product and the one-column kernel as an einsum, so the two figures agree
-    to round-off, not bit for bit.  alpha = 1 is included (its even columns
-    are exact).  None when n = 2 leaves no column k = 2.
+    The block's even columns are the closed form
+    (:func:`fraclap.symbol.even_mode_columns`), whose k = 2 case is
+    ``closed_form_mode2`` bit for bit, so off alpha = 1 this reads 0.0; at
+    alpha = 1 it is the round-off between two exact expressions.  It is not
+    ``error_scan("mode2", ...)``: that scan keeps the paper's truncated
+    series.  None when n = 2 leaves no column k = 2.  :func:`mode1_error`
+    is the check that sees the truncation.
     """
     meta = matrix.meta
     if meta.n < 4:
         return None
     return _mode2_error_of(matrix.entries[:, 1], meta.n, meta.alpha)
+
+
+def mode1_error(matrix: OperatorMatrix) -> float:
+    """Self-check of a unit-scale block: max node error of its k = 1 column.
+
+    The column, a truncated series at the block's l_lim, is compared with
+    :func:`closed_form_mode1` at the n nodes, both at unit scale.
+    """
+    meta = matrix.meta
+    exact = closed_form_mode1(nodes(GridConfig(meta.n, 1.0)), meta.alpha)
+    return float(np.max(np.abs(matrix.entries[:, 0] - exact)))
 
 
 def _gaussian_error(matrix: OperatorMatrix, cfg: GridConfig) -> float:

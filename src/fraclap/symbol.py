@@ -8,13 +8,21 @@ outer index through l = l1*n + l2:
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
-smallest terms (largest |l1|) first.  At alpha = 1 the even modes have the
-exact closed form k*sin(s)^2*exp(i*k*s).  The odd modes there are the
+smallest terms (largest |l1|) first.  At alpha = 1 the odd modes are the
 alpha -> 1 limit of the same sums: A(|l|) = 1/|l| for l != 0, and the pole
 A(0) = Gamma(0) enters only through (1 - alpha)*A(0) -> -2, which adds the
 constant -2i*k/(pi*(k^2 - 4)) to each column.
 :func:`mode_columns` evaluates any set of modes at once;
 :func:`symbol_samples` is its one-mode case.
+
+The even modes also have a finite closed form at every alpha, a polynomial
+of degree k/2 - 1 in exp(2i*s) times (-i*sin(s)*exp(i*s))^(1+alpha)
+(:func:`even_mode_columns`; at alpha = 1 it is k*sin(s)^2*exp(i*k*s)).  The
+operator block (:func:`fraclap.opmatrix.build_matrix`) takes its even
+columns from it and only its odd columns from :func:`mode_columns`, so l_lim
+governs only the odd columns of a built block.  :func:`symbol_samples`
+keeps the paper's series for every k: criteria 1 and 2 and the mode-2
+scan test that truncation at its stated l_lim.
 
 A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
 d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
@@ -217,14 +225,60 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarr
     return out
 
 
+def even_mode_columns(n: int, alpha: float) -> np.ndarray:
+    """Unit-scale operator on exp(i*k*s), k = 2, 4, ..., n-2, at the n physical nodes.
+
+    The even modes have a finite closed form.  For k = 2m, with
+    t = -i*sin(s)*exp(i*s) (principal branch: arg t in (-pi/2, pi/2)) and
+    z = exp(2i*s),
+
+        E_2m(s) = -2*Gamma(1+alpha) * t^(1+alpha) * sum_{i<m} a_i*b_(m-1-i)*z^i,
+        a_i = (1+alpha)_i/i!,  b_j = (1-alpha)_j/j!.
+
+    a_i and b_j are running products in long double, so nothing cancels in
+    the coefficients; row m-1 of the lower-triangular coefficient array is
+    a_i*exp(i*pi*i/n) times a reversed run of b.  Since 2i*s_j =
+    2*pi*i*j/n + pi*i/n, the polynomial at all n nodes is then one batched
+    n-point inverse DFT, with exact phases.  m = 1 is
+    :func:`fraclap.oracles.closed_form_mode2`, bit for bit.  At alpha = 1
+    only i = m-1 survives, and the columns are the double expression
+    k*sin(s)^2*exp(i*k*s) itself.  No gamma table and no truncation enter.
+    Returns an (n, n/2 - 1) array; raises ValueError for an odd or too small
+    n, or alpha outside (0, 2).
+    """
+    s = nodes(GridConfig(n, 1.0))  # checks n
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    k = np.arange(2, n, 2)
+    if alpha == 1.0:
+        return k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
+    size = k.size
+    i = np.arange(1, size, dtype=np.longdouble)
+    a = np.cumprod(np.concatenate(([1.0], (alpha + i) / i)))[:size]  # (1+alpha)_i/i!
+    b = np.cumprod(np.concatenate(([1.0], (i - alpha) / i)))[:size]  # (1-alpha)_j/j!
+    # [m-1, i] = b_(m-1-i) for i < m, else 0: windows of b reversed and padded
+    runs = sliding_window_view(np.concatenate((b[::-1], np.zeros(size))).astype(np.float64), size)
+    phased = a.astype(np.float64) * np.exp(1j * np.pi * np.arange(size) / n)
+    poly = ifft(runs[:size][::-1] * phased, n=n, axis=1, norm="forward")
+    t = -1j * np.sin(s) * np.exp(1j * s)
+    return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
+
+
 def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
-    The gamma tables are built for the parities of ``ks``, at alpha = 1 for
-    the odd ones only (none when every k is even): the even columns there are
-    the closed form, and the odd ones zero the weight A(0) = inf and add its
-    limit term instead (module docstring).  Per parity of k each term of the l1 sum is
-    W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums are the
+    Every column is the paper's series truncated at |l1| <= l_lim.  The
+    gamma tables are built for the parities of ``ks``, at alpha = 1 for the
+    odd ones only (none when every k is even): the even columns there are
+    those of :func:`even_mode_columns`, and the odd ones zero the weight
+    A(0) = inf and add its limit term instead (module docstring).  Near
+    alpha = 1 the even columns lose digits: the even prefactor
+    1/tan(pi*alpha/2) -> 0 meets the poles of vec_b, and every even column
+    carries the same 2.2e-12 column-relative error at alpha = 1.0001 (n = 64
+    to 256, l_lim = 500; at n = 64 the closed form is within 1e-15 of
+    mpmath).  The operator block therefore takes only its odd columns from
+    here.  Per parity of k each term of the l1 sum is W[l1, l2] times
+    G[l1, d] with d = floor(k/2) - l2, so the sums are the
     reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window
     of G that holds only the pairs (l2, d) the columns read: O(l_lim*n) work
     for one column.  Every row of W and G but l1 = 0 is one contiguous run of a
@@ -281,7 +335,7 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
             continue
         k = ks[sel]
         if alpha == 1.0 and parity == 0:
-            out[:, sel] = k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
+            out[:, sel] = even_mode_columns(n, 1.0)[:, k // 2 - 1]
             continue
         # G at every d = h - l2, h = floor(k/2) from min(h) to max(h); the
         # window [l1, l2, c] holds G at d = min(h) + c - l2

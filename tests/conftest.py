@@ -2,10 +2,12 @@
 
 The oracles deliberately avoid the package's own computational paths: the
 DFT oracle is a direct O(N^2) summation, the gamma-ratio reference goes
-through SciPy's log-gamma, which the package never uses, and ``a_coeff`` and
-``b_coeff`` give single terms of the symbol sums one scalar at a time.
+through SciPy's log-gamma, which the package never uses, ``a_coeff`` and
+``b_coeff`` give single terms of the symbol sums one scalar at a time, and
+``even_mode_images`` sums the even modes' closed form term by term in mpmath.
 """
 
+import functools
 import math
 import os
 import struct
@@ -142,6 +144,39 @@ def b_coeff(k: int, l1: int, l2: int, n: int) -> float:
     return 4.0 * sign1 * math.copysign(1.0, l) / (d * (d * d - 4.0))
 
 
+@functools.cache
+def even_mode_images(n: int, alpha: float) -> np.ndarray:
+    """Image of exp(i*k*s), k = 2, 4, ..., n-2, at the n nodes: an (n, n/2 - 1) array.
+
+    E_2m(s) = -2*Gamma(1+alpha)*t^(1+alpha)*sum_{i<m} a_i*b_(m-1-i)*z^i with
+    t = -i*sin(s)*exp(i*s), z = exp(2i*s), a_i = (1+alpha)_i/i! and
+    b_j = (1-alpha)_j/j!, summed term by term in mpmath at 40 digits at the
+    exact nodes s_j = pi*(2j+1)/(2n); the coefficients are mpmath rising
+    factorials, not running products.  The image of an even mode is
+    conjugated by the reflection s -> pi - s, so the second half of the
+    rows is the conjugate of the first, reversed.
+    """
+    import mpmath
+
+    size = n // 2 - 1
+    out = np.empty((n, size), dtype=np.complex128)
+    with mpmath.workdps(40):
+        al = mpmath.mpf(alpha)
+        a = [mpmath.rf(1 + al, i) / mpmath.factorial(i) for i in range(size)]
+        b = [mpmath.rf(1 - al, j) / mpmath.factorial(j) for j in range(size)]
+        coef = [[a[i] * b[m - 1 - i] for i in range(m)] for m in range(1, size + 1)]
+        pref = -2 * mpmath.gamma(1 + al)
+        for row in range(n // 2):
+            s = mpmath.pi * (2 * row + 1) / (2 * n)
+            amp = pref * (-1j * mpmath.sin(s) * mpmath.exp(1j * s)) ** (1 + al)
+            z = mpmath.exp(2j * s)
+            powers = [z**i for i in range(size)]
+            for m, c in enumerate(coef):
+                out[row, m] = complex(amp * mpmath.fdot(c, powers[: m + 1]))
+    out[n // 2 :] = np.conj(out[: n // 2][::-1])
+    return out
+
+
 def run_fresh_python(script: str, blas_threads: str) -> str:
     """stdout of ``script`` run in a new interpreter with OPENBLAS_NUM_THREADS set.
 
@@ -161,7 +196,7 @@ def run_fresh_python(script: str, blas_threads: str) -> str:
 
 
 def cache_file_bytes(version: int, n: int, payload_entries: int, *, alpha: float = 0.5) -> bytes:
-    """A hand-built version-3 layout cache file (l_lim = 200): zero payload, valid CRC."""
+    """A hand-built cache file of the version-3/4 layout (l_lim = 200): zero payload, valid CRC."""
     header = struct.pack("<8sIII4xd32x", b"FLAPMAT1", version, n, 200, alpha)
     payload = np.zeros(payload_entries, np.complex128).tobytes()
     return header + payload + struct.pack("<Q", zlib.crc32(payload, zlib.crc32(header)))

@@ -11,7 +11,7 @@ from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
 from fraclap.opmatrix import build_matrix, load_matrix
-from fraclap.oracles import mode2_error
+from fraclap.oracles import mode1_error, mode2_error
 from fraclap.symbol import blas_thread_setter, blas_threads
 
 
@@ -38,7 +38,9 @@ class TestMatrixBuild:
         assert manifest["parameters"]["n"] == 8
         diagnostics = manifest["diagnostics"]
         assert "column_crc32" in diagnostics
-        assert diagnostics["mode2_error"] == mode2_error(build_matrix(GridConfig(8, 1.0), 0.5, 60))
+        block = build_matrix(GridConfig(8, 1.0), 0.5, 60)
+        assert diagnostics["mode2_error"] == mode2_error(block)
+        assert diagnostics["mode1_error"] == mode1_error(block)
         timings = diagnostics["timings"]
         assert set(timings) == {"build_s", "save_s", "checksum_s"}
         assert all(v >= 0.0 for v in timings.values())
@@ -299,7 +301,7 @@ class TestFisher:
         assert loaded == [False, True]
 
     def test_manifest_mode2_error(self, tmp_path):
-        # the block's own k = 2 check, for a built and a loaded block, alpha = 1 too
+        # the block's own k = 1 and k = 2 checks, for a built and a loaded block, alpha = 1 too
         args = ["fisher", "--alpha-sweep", "1.0:1.2:0.2", "--n", "16", "--dt", "0.01",
                 "--tfinal", "0.3", "--L", "30.0", "--llim", "20", "--sample-stride", "2",
                 "--matrix-cache", str(tmp_path / "mc")]
@@ -311,6 +313,7 @@ class TestFisher:
                 assert entry["matrix_loaded"] == (run == "loaded")
                 block = build_matrix(GridConfig(16, 1.0), alpha, 20)
                 assert entry["mode2_error"] == mode2_error(block)
+                assert entry["mode1_error"] == mode1_error(block)
 
     def test_matrix_cache_shared_across_maps(self, tmp_path):
         # the block is the unit-scale operator: any L and x_c use one file,
@@ -381,6 +384,20 @@ class TestFisher:
         assert (out_dir / "trace_alpha1.csv").exists()
         manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
         assert "alpha_1" in manifest["diagnostics"]
+
+    def test_older_format_cache_is_rebuilt_in_place(self, tmp_path):
+        # an intact version-3 file at the cache name: rebuilt, replaced, exit 0
+        cache = tmp_path / "mc"
+        args = ["fisher", "--alpha", "1.5", "--n", "16", "--llim", "200", "--dt", "0.01",
+                "--tfinal", "0.3", "--sample-stride", "2", "--matrix-cache", str(cache)]
+        assert run_cli(*args, "--out-dir", str(tmp_path / "a")) == EXIT_OK
+        (path,) = cache.glob("*.bin")
+        fresh = path.read_bytes()
+        path.write_bytes(cache_file_bytes(3, 16, 16 * 15, alpha=1.5))
+        assert run_cli(*args, "--out-dir", str(tmp_path / "b")) == EXIT_OK
+        assert path.read_bytes() == fresh
+        assert _manifest_diagnostics(tmp_path / "b")["alpha_1.5"]["matrix_loaded"] is False
+        assert not list(cache.glob("*.tmp"))
 
     @pytest.mark.parametrize(
         "n, alpha", [(0, 0.5), (3, 0.5), (8, 2.0)], ids=["n0", "n3", "alpha2"]

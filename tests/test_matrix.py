@@ -10,14 +10,16 @@ from conftest import (
     cache_file_bytes,
     continued,
     dft_oracle,
+    even_mode_images,
     ratio_vector_long_double,
     run_fresh_python,
     two_sided_image,
 )
-from fraclap import gammaratio
+from fraclap import gammaratio, symbol
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
+    MatrixFormatError,
     apply,
     apply_sample_operator,
     build_matrix,
@@ -29,7 +31,7 @@ from fraclap.opmatrix import (
 )
 from fraclap.oracles import closed_form_gaussian, closed_form_mode2
 from fraclap.spectral import transform
-from fraclap.symbol import blas_thread_setter, mode_columns, symbol_samples
+from fraclap.symbol import blas_thread_setter, mode_columns
 
 
 EVEN8 = GridConfig(8, 1.0)
@@ -63,16 +65,27 @@ class TestBuildMatrix:
             np.testing.assert_array_equal(odd, 2.0 * column.imag)
 
     def test_columns_are_mode_symbols(self, small_matrix):
-        # the batched (many-column) reduction against the one-column one
-        for k in range(1, 8):
-            expected = symbol_samples(0.5, k, 8, 200)
-            np.testing.assert_allclose(small_matrix.entries[:, k - 1], expected, atol=1e-15)
-        for alpha in (1.0, 1.5):
-            matrix = build_matrix(EVEN8, alpha, 200)
-            for k in range(1, 8):
-                expected = symbol_samples(alpha, k, 8, 200)
-                bound = 1e-14 * np.max(np.abs(expected))
-                assert np.max(np.abs(matrix.entries[:, k - 1] - expected)) <= bound
+        # odd columns: the series kernel on the odd k alone, bit for bit;
+        # even columns: the closed form, against mpmath
+        for alpha in (0.5, 1.0, 1.5):
+            matrix = small_matrix if alpha == 0.5 else build_matrix(EVEN8, alpha, 200)
+            odd = mode_columns(8, alpha, 200, [1, 3, 5, 7])
+            np.testing.assert_array_equal(matrix.entries[:, 0::2], odd)
+            ref = even_mode_images(8, alpha)
+            err = np.max(np.abs(matrix.entries[:, 1::2] - ref), axis=0)
+            assert np.all(err <= 5e-14 * np.max(np.abs(ref), axis=0))
+
+    def test_even_columns_build_no_even_table(self, monkeypatch):
+        # the closed form reads no gamma table: only the odd parity is asked for
+        asked = []
+
+        def recording(*args, **kwargs):
+            asked.append(kwargs["parities"])
+            return gammaratio.build_tables(*args, **kwargs)
+
+        monkeypatch.setattr(symbol, "build_tables", recording)
+        build_matrix(GridConfig(16, 1.0), 0.5, 20)
+        assert asked == [{1}]
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
@@ -117,7 +130,7 @@ class TestBuildMatrix:
         np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("alpha,crc", [
-        (0.3, 0x7ACAD0C9), (1.0, 0x0942CA3A), (1.7, 0xEC57A459),
+        (0.3, 0xA845B744), (1.0, 0x0942CA3A), (1.7, 0x525B66B9),
     ])
     def test_entries_are_pinned(self, alpha, crc):
         # any change to the kernel's arithmetic or summation order moves these
@@ -125,8 +138,8 @@ class TestBuildMatrix:
         assert zlib.crc32(entries.tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,crc", [
-        (128, 0.3, 0xE463B205), (128, 1.0, 0x7AAFCD95), (128, 1.7, 0x6612C73B),
-        (512, 1.95, 0x30081C4A),
+        (128, 0.3, 0xC1F5AD96), (128, 1.0, 0x7AAFCD95), (128, 1.7, 0x3CEE4D9C),
+        (512, 1.95, 0xFA34AAC1),
     ])
     def test_multi_block_builds_are_pinned(self, n, alpha, crc):
         # several node blocks per product; n = 512 is the fisher-front block
@@ -317,6 +330,22 @@ class TestCacheFile:
         path.write_bytes(header + payload + crc)
         with pytest.raises(MatrixCacheError, match="version 2"):
             load_matrix(path, **SMALL_KEY)
+
+    def test_version3_file_is_a_format_error(self, tmp_path):
+        # an intact file of the format with series even columns: stale, not corrupt
+        path = tmp_path / "v3.bin"
+        path.write_bytes(cache_file_bytes(3, 8, 8 * 7))
+        with pytest.raises(MatrixFormatError, match="version 3"):
+            load_matrix(path, **SMALL_KEY)
+
+    def test_corrupt_old_version_is_not_a_format_error(self, tmp_path):
+        path = tmp_path / "v3.bin"
+        raw = bytearray(cache_file_bytes(3, 8, 8 * 7))
+        raw[100] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MatrixCacheError, match="checksum") as caught:
+            load_matrix(path, **SMALL_KEY)
+        assert not isinstance(caught.value, MatrixFormatError)
 
     @pytest.mark.parametrize(
         "n, alpha", [(0, 0.5), (3, 0.5), (8, 2.0)], ids=["n0", "n3", "alpha2"]

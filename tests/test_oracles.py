@@ -9,13 +9,14 @@ from fraclap.opmatrix import build_matrix
 from fraclap.oracles import (
     alpha_grid,
     closed_form_gaussian,
+    closed_form_mode1,
     closed_form_mode2,
     error_scan,
+    mode1_error,
     mode2_error,
     quadrature_fraclap,
     test_function,
 )
-from fraclap.symbol import mode_columns
 
 # 20-digit references for 1F1(1/2+alpha/2, 1/2, -x^2), from a high-precision
 # series evaluation
@@ -190,18 +191,66 @@ class TestMode2Error:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
     @pytest.mark.parametrize("n,l_lim", [(4, 0), (16, 40), (128, 500)])
     def test_equals_the_mode2_scan_of_the_same_block(self, n, l_lim, alpha):
-        # the figure is the node error of column 2, exactly; that column comes
-        # from the blocked products, the scan's from the one-column kernel, and
-        # the two agree to round-off
+        # the figure is the node error of column 2, exactly; that column is the
+        # closed form itself, so off alpha = 1 it reads 0 at any l_lim (the
+        # series' own k = 2 error stays with error_scan("mode2") and criterion 1)
         matrix = build_matrix(GridConfig(n, 1.0), alpha, l_lim)
         column = matrix.entries[:, 1]
         exact = closed_form_mode2(nodes(GridConfig(n, 1.0)), alpha)
         assert mode2_error(matrix) == np.max(np.abs(column - exact))
-        single = mode_columns(n, alpha, l_lim, [2])[:, 0]
-        assert np.max(np.abs(column - single)) <= 1e-15 * np.max(np.abs(single))
+        if alpha != 1.0:
+            assert mode2_error(matrix) == 0.0
 
     def test_alpha_one_block_is_exact(self):
         assert mode2_error(build_matrix(GridConfig(64, 1.0), 1.0, 20)) < 1e-14
 
     def test_no_column_two_at_n_two(self):
         assert mode2_error(build_matrix(GridConfig(2, 1.0), 0.5, 10)) is None
+
+
+class TestMode1:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.999, 1.0, 1.5, 1.95])
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_closed_form_against_mpmath(self, n, alpha):
+        # scipy's hyp2f1 out to the outermost node, |x| = cot(pi/(2n))
+        s = nodes(GridConfig(n, 1.0))[:: n // 8]
+        got = closed_form_mode1(s, alpha)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            h = (1 + a) / 2
+            c1 = 2**a * mpmath.gamma(h) * mpmath.gamma(h + 1) / (mpmath.gamma(0.5) * mpmath.gamma(1.5))
+            c0 = 2**a * mpmath.gamma(h) ** 2 / mpmath.gamma(0.5) ** 2
+            exact = []
+            for sv in s:
+                x = mpmath.cot(mpmath.mpf(float(sv)))
+                exact.append(complex(c1 * x * mpmath.hyp2f1(h, h + 1, 1.5, -x * x)
+                                     + 1j * c0 * mpmath.hyp2f1(h, h, 0.5, -x * x)))
+        exact = np.array(exact)
+        assert np.max(np.abs(got - exact)) <= 2e-15 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.6])
+    def test_closed_form_against_quadrature(self, alpha):
+        f = test_function("mode_k", k=1)
+        for s in (0.4, 1.3, 2.9):
+            value = quadrature_fraclap(f, math.cos(s) / math.sin(s), alpha)
+            assert closed_form_mode1(s, alpha) == pytest.approx(value, abs=1e-8)
+
+    @pytest.mark.parametrize("n,l_lim,alpha", [(8, 30, 0.5), (64, 20, 1.0)])
+    def test_is_the_node_error_of_column_one(self, n, l_lim, alpha):
+        matrix = build_matrix(GridConfig(n, 1.0), alpha, l_lim)
+        exact = closed_form_mode1(nodes(GridConfig(n, 1.0)), alpha)
+        assert mode1_error(matrix) == np.max(np.abs(matrix.entries[:, 0] - exact))
+
+    @pytest.mark.parametrize("n,alpha,pin", [
+        (64, 0.3, 1.43e-12), (1024, 0.05, 2.0e-13),
+    ])
+    def test_sees_the_truncation(self, n, alpha, pin):
+        # column-relative error of the l_lim = 500 series, as measured
+        matrix = build_matrix(GridConfig(n, 1.0), alpha, 500)
+        rel = mode1_error(matrix) / np.max(np.abs(matrix.entries[:, 0]))
+        assert rel == pytest.approx(pin, rel=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.999, 1.0, 1.5, 1.95])
+    def test_small_near_and_above_one(self, alpha):
+        matrix = build_matrix(GridConfig(1024, 1.0), alpha, 500)
+        assert mode1_error(matrix) <= 1.4e-15 * np.max(np.abs(matrix.entries[:, 0]))

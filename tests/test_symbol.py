@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import a_coeff, b_coeff, gamma_ratio_ref
+from conftest import a_coeff, b_coeff, even_mode_images, gamma_ratio_ref
 from fraclap.gammaratio import build_tables
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
 from fraclap import symbol
-from fraclap.symbol import fractional_constant, mode_columns, symbol_samples
+from fraclap.symbol import even_mode_columns, fractional_constant, mode_columns, symbol_samples
 
 
 class TestFractionalConstant:
@@ -318,3 +318,41 @@ class TestModeColumns:
         monkeypatch.setattr(symbol, "build_tables", lambda *args, **kwargs: built.append(args))
         symbol_samples(1.0, 2, 16, 20)
         assert built == []
+
+
+class TestEvenModeColumns:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.0 - 1e-4, 1.0 + 1e-4, 1.5, 1.95])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_mpmath(self, n, alpha):
+        # every column; alpha = 1 is the double expression k*sin^2*exp(iks),
+        # whose phase at the rounded nodes puts it 1.5e-14 off at n = 64
+        ref = even_mode_images(n, alpha)
+        err = np.max(np.abs(even_mode_columns(n, alpha) - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert err.max() <= 5e-14
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
+    def test_agrees_with_the_series(self, alpha):
+        # the paper's truncated series at l_lim = 500 (measured <= 6.9e-14)
+        n = 128
+        series = mode_columns(n, alpha, 500, np.arange(2, n, 2))
+        err = np.max(np.abs(even_mode_columns(n, alpha) - series), axis=0)
+        assert np.max(err / np.max(np.abs(series), axis=0)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
+    def test_mode2_is_the_closed_form(self, alpha):
+        s = nodes(GridConfig(64, 1.0))
+        np.testing.assert_array_equal(even_mode_columns(64, alpha)[:, 0], closed_form_mode2(s, alpha))
+
+    def test_alpha_one_is_the_double_expression(self):
+        s, k = nodes(GridConfig(16, 1.0)), np.arange(2, 16, 2)
+        expected = k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
+        np.testing.assert_array_equal(even_mode_columns(16, 1.0), expected)
+        np.testing.assert_array_equal(mode_columns(16, 1.0, 3, [6, 2]), expected[:, [2, 0]])
+
+    def test_no_even_column_at_n_two(self):
+        assert even_mode_columns(2, 0.5).shape == (2, 0)
+
+    @pytest.mark.parametrize("n,alpha", [(7, 0.5), (0, 0.5), (8, 0.0), (8, 2.0)])
+    def test_bad_input_rejected(self, n, alpha):
+        with pytest.raises(ValueError):
+            even_mode_columns(n, alpha)
