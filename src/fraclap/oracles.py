@@ -138,10 +138,11 @@ def closed_form_mode1(s, alpha: float):
     """
     s = np.asarray(s, dtype=float)
     x = np.cos(s) / np.sin(s)
+    z = -(x * x)
     h = (1.0 + alpha) / 2.0
     c1 = 2.0**alpha * math.gamma(h) * math.gamma(h + 1.0) / (math.gamma(0.5) * math.gamma(1.5))
     c0 = 2.0**alpha * math.gamma(h) ** 2 / math.gamma(0.5) ** 2
-    out = c1 * x * hyp2f1(h, h + 1.0, 1.5, -(x * x)) + 1j * c0 * hyp2f1(h, h, 0.5, -(x * x))
+    out = c1 * x * hyp2f1(h, h + 1.0, 1.5, z) + 1j * c0 * hyp2f1(h, h, 0.5, z)
     return complex(out) if out.ndim == 0 else out
 
 
