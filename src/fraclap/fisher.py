@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from fraclap.grid import Extension, GridConfig, node_positions
 from fraclap.opmatrix import OperatorMatrix, apply_sample_operator, fused_sample_operator
@@ -152,6 +151,8 @@ def front_position(samples, cfg: GridConfig) -> float:
 
 def _crossing(u: np.ndarray, c: np.ndarray, cfg: GridConfig, x: np.ndarray) -> float:
     """:func:`front_position` of the n values u at the nodes x, whose cosine coefficients are c."""
+    from scipy.optimize import brentq  # on first use, like quad in fraclap.oracles
+
     d = u - 0.5
     hit = np.nonzero(d == 0.0)[0]
     crossings = np.nonzero(d[:-1] * d[1:] < 0.0)[0]

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import hyp1f1, hyp2f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
@@ -169,6 +168,7 @@ _QUAD_LIMIT = 400
 
 def _integrate_halfline(g: Callable[[float], float]) -> tuple[float, float]:
     """Integral of g over (0, inf) via t = cot(theta) on (0, pi/2)."""
+    from scipy.integrate import quad  # on first use: it and scipy.optimize took ~0.3 s of import fraclap
 
     def mapped(theta: float) -> float:
         sin = math.sin(theta)

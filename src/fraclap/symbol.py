@@ -35,19 +35,22 @@ row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
     l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
               e = d + p*n > 0, a forward run of vec_b or vec_c.
 
-The rows are read as strided views of the tables and copied once into the
-summation order, the exact sign (-1)^l1 folded into the copy; only the
-l1 = 0 rows, where l and e change sign, are gathered.
+A column one wide in its parity never forms W or G: its terms are
+elementwise products of those runs, the -p and +p products fused into each
+row's P0 and P1 parts and reduced chunk by chunk (:func:`_column_sums`).
+For wider windows the rows are read as strided views of the tables and
+copied once into the summation order, the exact sign (-1)^l1 folded into
+the copy; only the l1 = 0 rows, where l and e change sign, are gathered.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
 read along a skewed band.  They run as blocked GEMMs (Goto & van de Geijn,
 ACM TOMS 34, 2008) pinned to one OpenBLAS thread, since dgemm sums in a
-different order at different thread counts; a single column keeps its
-einsum.  A block of b nodes computes b + width - 1 columns of the product
-to read a band of width, so the block narrows with the window (16 to 64
-nodes) and the unused part stays below 1/5 wherever the window is at least
-63 columns wide.
+different order at different thread counts; the one-column reductions run
+under the same pin.  A block of b nodes computes b + width - 1 columns of
+the product to read a band of width, so the block narrows with the window
+(16 to 64 nodes) and the unused part stays below 1/5 wherever the window is
+at least 63 columns wide.
 
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
@@ -79,6 +82,7 @@ _THREAD_GETTERS = (
     "openblas_get_num_threads64_",
     "openblas_get_num_threads",
 )
+_CHUNK = 32768  # product entries per chunk of a one-column sum: 256 KB buffers
 
 
 def fractional_constant(alpha: float) -> float:
@@ -264,6 +268,56 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
 
 
+def _column_sums(a, vec, n: int, l_lim: int, h: int, parity: int, zero: np.ndarray):
+    """P0 and P1 of a window one column wide, h = floor(k/2), each an n-vector over the nodes.
+
+    For l1 = -p the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
+    A(p*n + l2)*G(p*n + l2 - h), which for odd k is -vec_c one entry lower.
+    Over all p and l2 each is an elementwise product of two contiguous runs
+    of ``a`` and ``vec`` (vec_b or vec_c), read as (l_lim, n) views, the -p
+    runs with their nodes reversed.  The rows are walked in chunks of
+    _CHUNK // n, largest p first, with the products t- and t+ in buffers
+    allocated once per call.  Each chunk's +-p products are fused into P0
+    rows t- + t+ and P1 rows t+ - t- (for odd k, where t+ enters negated,
+    t- - t+ and -(t- + t+)) and then reduced with one dot against (-1)^p
+    and (-1)^p*p, on one OpenBLAS thread (:func:`_one_blas_thread`).
+    ``zero``, the l1 = 0 row, is added to P0 last; it has no share in P1.
+    Forming the products of all rows at once gained nothing: the
+    table-sized temporaries are first touched on every call.
+    """
+    half, size = n // 2, l_lim * n
+    # rows p = l_lim..1, columns the nodes: A(p*n + l2), G(p*n + l2 - h - parity),
+    # A(p*n - l2) and G(p*n - l2 + h)
+    plus_a = a[half : half + size].reshape(l_lim, n)[::-1]
+    plus_g = vec[half - h - parity :][:size].reshape(l_lim, n)[::-1]
+    minus_a = a[half + 1 :][:size].reshape(l_lim, n)[::-1, ::-1]
+    minus_g = vec[half + 1 + h :][:size].reshape(l_lim, n)[::-1, ::-1]
+    p = np.arange(l_lim, 0, -1)
+    w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
+    w1 = w0 * p if parity == 0 else -w0 * p
+    rows = max(1, _CHUNK // n)
+    t_minus, t_plus, diff = np.empty((3, min(rows, l_lim), n))
+    p0 = np.zeros(n)
+    p1 = np.zeros(n)
+    with _one_blas_thread():
+        for i in range(0, l_lim, rows):
+            r = slice(i, i + rows)
+            m = min(rows, l_lim - i)
+            tm, tp, d = t_minus[:m], t_plus[:m], diff[:m]
+            np.multiply(minus_a[r], minus_g[r], out=tm)
+            np.multiply(plus_a[r], plus_g[r], out=tp)
+            if parity == 0:
+                np.subtract(tp, tm, out=d)
+                np.add(tm, tp, out=tp)
+            else:
+                np.add(tm, tp, out=d)  # its sign is in w1
+                np.subtract(tm, tp, out=tp)
+            p0 += w0[r] @ tp
+            p1 += w1[r] @ d
+    p0 += zero
+    return p0, p1
+
+
 def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
@@ -281,24 +335,27 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     G[l1, d] with d = floor(k/2) - l2, so the sums are the
     reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window
     of G that holds only the pairs (l2, d) the columns read: O(l_lim*n) work
-    for one column.  Every row of W and G but l1 = 0 is one contiguous run of a
-    gamma table, read as a strided view (module docstring); the l1 = 0 rows
-    are gathered.  A window one column wide takes P0 and P1 as einsums (the
-    three-operand one for P1 forms no W*l1), outside BLAS.  A wider window
-    is a matrix product followed by a skewed gather (:func:`_window_sums`),
-    blocked over the nodes and run on one OpenBLAS thread, so the result
-    does not depend on the caller's BLAS thread count; where numpy has no
-    OpenBLAS thread setter (:func:`blas_thread_setter`) the pin is a no-op
-    and that guarantee is the BLAS library's own.  A column taken in a
-    subset of ``ks`` is not always bit-identical to the same column of the
-    full build: the window, and with it the product's shape, follows the
-    subset, and OpenBLAS picks its kernel, hence its summation order, by
-    shape.  The two agree to round-off (at most 6.2e-15 column-relative in
-    the builds measured at n = 64..512, l_lim = 500).  The l2 series at the
-    nodes is then one shifted inverse FFT per parity in pocketfft,
-    O(n log n) per column.  Raises TypeError for
-    a non-integer k or l_lim and ValueError for an odd or too small n, a
-    negative l_lim or a k outside 1..n-1.
+    for one column.  Every term with l1 != 0 reads contiguous runs of the
+    gamma tables (module docstring).  The window's width picks the path.  A
+    window one column wide (one k of its parity, or one k repeated) forms
+    no W or G: :func:`_column_sums` multiplies the runs in chunks that stay
+    in cache and reduces each with one dot, l1 = 0 last.  A wider window
+    copies W and G once from strided views of the runs (the l1 = 0 rows
+    gathered) and sums them as a matrix product followed by a skewed gather
+    (:func:`_window_sums`), blocked over the nodes.  Both reductions run on
+    one OpenBLAS thread, so the result does not depend on the caller's BLAS
+    thread count; where numpy has no OpenBLAS thread setter
+    (:func:`blas_thread_setter`) the pin is a no-op and that guarantee is
+    the BLAS library's own.  A column taken in a subset of ``ks`` is not
+    always bit-identical to the same column of the full build: the path and
+    the product's shape follow the subset's window, and OpenBLAS picks its
+    kernel, hence its summation order, by shape.  The two agree to
+    round-off: at most 6.2e-15 column-relative between wide windows (n =
+    64..512, l_lim = 500) and 8.8e-14 between one column and a wide window
+    (n = 64..1024, l_lim = 500, alpha in 0.05..1.95).  The l2 series at the
+    nodes is one shifted inverse FFT per parity in pocketfft, O(n log n) per
+    column.  Raises TypeError for a non-integer k or l_lim and ValueError
+    for an odd or too small n, a negative l_lim or a k outside 1..n-1.
     """
     ks = np.asarray(ks)
     if ks.dtype.kind not in "iu" or not isinstance(l_lim, (int, np.integer)):
@@ -311,23 +368,19 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     ks = ks.astype(np.int64)
     half = n // 2
     l2 = np.arange(-half, half)
-    p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest (smallest terms) first
-    sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
-    l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
     parities = set((ks % 2).tolist())
     if alpha == 1.0:
         parities.discard(0)
     if parities:  # some column runs through the sums
         tables = build_tables(alpha, n, l_lim, parities=parities)
-        a = tables.vec_a  # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
-        up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
-        down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
-        w = _rows(l_lim, down, up, a[np.abs(l2)], sign, sign)
+        a = tables.vec_a
+        a0 = a[np.abs(l2)]  # the l1 = 0 row of W
         if alpha == 1.0:
-            w[-1, half] = 0.0  # the pole A(0); its term is the limit added below
+            a0[half] = 0.0  # the pole A(0); its term is the limit added below
     pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     half_step = np.exp(1j * np.pi * l2 / n)[:, None]
     out = np.empty((n, ks.size), dtype=np.complex128)
+    w = None
 
     for parity in (0, 1):
         sel = np.flatnonzero(ks % 2 == parity)
@@ -337,27 +390,33 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
         if alpha == 1.0 and parity == 0:
             out[:, sel] = even_mode_columns(n, 1.0)[:, k // 2 - 1]
             continue
-        # G at every d = h - l2, h = floor(k/2) from min(h) to max(h); the
-        # window [l1, l2, c] holds G at d = min(h) + c - l2
         h = k // 2
-        width = h.max() - h.min() + 1
-        d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
-        # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p):
-        # reversed runs, for odd k one entry lower and negated
-        runs = sliding_window_view(tables.vec_c if parity else tables.vec_b, d.size)
-        fwd = runs[d[0] + n :: n][:l_lim][::-1]
-        rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
-        g0 = _k_factor(d.copy(), parity, tables)
-        g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
-        cols = h - h.min()
-        if width == 1:
-            window = g[:, ::-1, None]  # [i, j, 0] = g[i, n-1-j]
-            p0 = np.einsum("ij,ijc->jc", w, window)[:, cols]
-            p1 = np.einsum("i,ij,ijc->jc", l1, w, window)[:, cols]
-            del window
+        vec = tables.vec_c if parity else tables.vec_b
+        if h.min() == h.max():  # one column wide
+            g0 = _k_factor(h[0] - l2, parity, tables)
+            p0, p1 = _column_sums(a, vec, n, l_lim, int(h[0]), parity, a0 * g0)
+            p0, p1 = p0[:, None], p1[:, None]
         else:
-            p0, p1 = _window_sums(w, l1, g, cols)
-        del g
+            if w is None:  # one W serves both parities
+                # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
+                p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
+                sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
+                l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
+                up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
+                down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
+                w = _rows(l_lim, down, up, a0, sign, sign)
+            # G at every d = h - l2 from min(h) to max(h); the window
+            # [l1, l2, c] holds G at d = min(h) + c - l2
+            d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
+            # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p):
+            # reversed runs, for odd k one entry lower and negated
+            runs = sliding_window_view(vec, d.size)
+            fwd = runs[d[0] + n :: n][:l_lim][::-1]
+            rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
+            g0 = _k_factor(d, parity, tables)
+            g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
+            p0, p1 = _window_sums(w, l1, g, h - h.min())
+            del g
         l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
         # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
         series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")

@@ -101,6 +101,15 @@ class TestBuildMatrix:
         checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert checksums[0] == checksums[1]
 
+    def test_blas_thread_count_does_not_change_single_columns(self):
+        script = (
+            "import json, zlib; from fraclap.symbol import mode_columns; "
+            "print(json.dumps([zlib.crc32(mode_columns(n, a, 500, [k]).tobytes()) for n, a, k in "
+            "((1024, 0.3, 2), (1024, 0.3, 1023), (512, 1.5, 1), (512, 1.95, 256), (64, 1.0, 3))]))"
+        )
+        checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
+        assert checksums[0] == checksums[1]
+
     def test_build_restores_the_blas_thread_count(self):
         # the products run pinned to one thread; the caller's count of 2 comes back
         if blas_thread_setter() is None:
@@ -148,6 +157,14 @@ class TestBuildMatrix:
 
     def test_single_column_is_pinned(self):
         assert zlib.crc32(mode_columns(64, 0.45, 30, [2]).tobytes()) == 0x5851DD74
+
+    @pytest.mark.parametrize("alpha,crc", [
+        (0.05, 0x9000C958), (0.5, 0x939F0D92), (1.95, 0x7EBEF27A),
+    ])
+    def test_mode2_scan_column_is_pinned(self, alpha, crc):
+        # criterion 1's column, one column wide: the chunked run products left it
+        # bit-identical to the einsum over W and G copies that they replaced
+        assert zlib.crc32(mode_columns(1024, alpha, 500, [2]).tobytes()) == crc
 
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)
