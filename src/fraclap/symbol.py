@@ -35,9 +35,11 @@ row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
     l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
               e = d + p*n > 0, a forward run of vec_b or vec_c.
 
-A column one wide in its parity never forms W or G: its terms are
-elementwise products of those runs, the -p and +p products fused into each
-row's P0 and P1 parts and reduced chunk by chunk (:func:`_column_sums`).
+A column one wide in its parity never forms W or G, nor a table: its terms
+are elementwise products of those runs, read from windows of the ratio
+vectors as :func:`fraclap.gammaratio.ratio_stream` computes them, smallest
+p first.  The -p and +p products are fused into each row's P0 and P1 parts
+and reduced chunk by chunk (:func:`_column_sums`).
 For wider windows the rows are read as strided views of the tables and
 copied once into the summation order, the exact sign (-1)^l1 folded into
 the copy; only the l1 = 0 rows, where l and e change sign, are gathered.
@@ -73,7 +75,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import ifft, ifftshift
 
-from fraclap.gammaratio import build_tables
+from fraclap.gammaratio import build_tables, ratio_stream
 from fraclap.grid import GridConfig, nodes
 
 _THREAD_GETTERS = (
@@ -97,18 +99,31 @@ def fractional_constant(alpha: float) -> float:
     )
 
 
-def _k_factor(e: np.ndarray, parity: int, tables) -> np.ndarray:
+def _k_factor(e: np.ndarray, parity: int, vec) -> np.ndarray:
     """G at e = d - l1*n = floor(k/2) - l: the k-dependent factor of a term.
 
     ``e`` is overwritten.  Gamma ratio B(|k/2 - l|) for even k, signed
-    C(|k/2 - l| - 1/2) for odd k.  Used for the l1 = 0 row, the only row
-    that is not a contiguous run of a table.
+    C(|k/2 - l| - 1/2) for odd k, with ``vec`` the start of vec_b or vec_c.
+    Used for the l1 = 0 row, the only row that is not a contiguous run of a
+    table.
     """
     if parity == 0:
-        return tables.vec_b[np.abs(e, out=e)]
+        return vec[np.abs(e, out=e)]
     neg = e < 0
-    c = tables.vec_c[np.invert(e, out=e, where=neg)]
+    c = vec[np.invert(e, out=e, where=neg)]
     return np.negative(c, out=c, where=neg)
+
+
+def _zero_row(a, n: int, alpha: float) -> np.ndarray:
+    """A(|l2|) for l2 = -n/2..n/2-1, the l1 = 0 row of W, from the start of vec_a.
+
+    At alpha = 1 the pole A(0) = inf is zeroed: its term is the limit that
+    :func:`mode_columns` adds instead.
+    """
+    a0 = a[np.abs(np.arange(-(n // 2), n // 2))]
+    if alpha == 1.0:
+        a0[n // 2] = 0.0
+    return a0
 
 
 def _rows(l_lim: int, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
@@ -268,52 +283,63 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
 
 
-def _column_sums(a, vec, n: int, l_lim: int, h: int, parity: int, zero: np.ndarray):
+def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
     """P0 and P1 of a window one column wide, h = floor(k/2), each an n-vector over the nodes.
 
     For l1 = -p the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
     A(p*n + l2)*G(p*n + l2 - h), which for odd k is -vec_c one entry lower.
-    Over all p and l2 each is an elementwise product of two contiguous runs
-    of ``a`` and ``vec`` (vec_b or vec_c), read as (l_lim, n) views, the -p
-    runs with their nodes reversed.  The rows are walked in chunks of
-    _CHUNK // n, largest p first, with the products t- and t+ in buffers
-    allocated once per call.  Each chunk's +-p products are fused into P0
-    rows t- + t+ and P1 rows t+ - t- (for odd k, where t+ enters negated,
-    t- - t+ and -(t- + t+)) and then reduced with one dot against (-1)^p
-    and (-1)^p*p, on one OpenBLAS thread (:func:`_one_blas_thread`).
-    ``zero``, the l1 = 0 row, is added to P0 last; it has no share in P1.
-    Forming the products of all rows at once gained nothing: the
-    table-sized temporaries are first touched on every call.
+    For a chunk of _CHUNK // n values of p each is an elementwise product of
+    two contiguous runs of vec_a and of vec_b or vec_c, read as
+    (rows, n) views of one window of each vector, the -p runs with their
+    nodes reversed.  The windows come from two
+    :func:`fraclap.gammaratio.ratio_stream` buffers of (rows + 1)*n entries,
+    allocated once per call, so no table is built: the chunks are walked
+    from the smallest p up, the order in which the streams produce their
+    entries.  Each chunk's rows stand largest p first, its +-p products t-
+    and t+ are fused into P0 rows t- + t+ and P1 rows t+ - t- (for odd k,
+    where t+ enters negated, t- - t+ and -(t- + t+)), and then reduced with
+    one dot against (-1)^p and (-1)^p*p, on one OpenBLAS thread
+    (:func:`_one_blas_thread`).  The chunk sums are kept and added largest p
+    first after the walk, and the l1 = 0 row, read from the first windows,
+    is added to P0 last; it has no share in P1.
     """
-    half, size = n // 2, l_lim * n
-    # rows p = l_lim..1, columns the nodes: A(p*n + l2), G(p*n + l2 - h - parity),
-    # A(p*n - l2) and G(p*n - l2 + h)
-    plus_a = a[half : half + size].reshape(l_lim, n)[::-1]
-    plus_g = vec[half - h - parity :][:size].reshape(l_lim, n)[::-1]
-    minus_a = a[half + 1 :][:size].reshape(l_lim, n)[::-1, ::-1]
-    minus_g = vec[half + 1 + h :][:size].reshape(l_lim, n)[::-1, ::-1]
+    half = n // 2
+    rows = max(1, _CHUNK // n)
+    capacity = (min(rows, l_lim) + 1) * n
+    a = ratio_stream("vec_a", alpha, n, l_lim, capacity)
+    g = ratio_stream("vec_c" if parity else "vec_b", alpha, n, l_lim, capacity)
+    a0 = _zero_row(a.window(0, half + 1), n, alpha)
+    zero = a0 * _k_factor(h - np.arange(-half, half), parity, g.window(0, n))
+    lead = 2 * h + parity + 1  # offset of the -p runs of G in its window
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
     w1 = w0 * p if parity == 0 else -w0 * p
-    rows = max(1, _CHUNK // n)
     t_minus, t_plus, diff = np.empty((3, min(rows, l_lim), n))
-    p0 = np.zeros(n)
-    p1 = np.zeros(n)
+    sums = []
     with _one_blas_thread():
-        for i in range(0, l_lim, rows):
-            r = slice(i, i + rows)
+        for i in reversed(range(0, l_lim, rows)):  # row i holds p = l_lim - i; smallest p first
             m = min(rows, l_lim - i)
+            top = l_lim - i  # the chunk holds p = top - m + 1 .. top
+            wa = a.window(half + (top - m) * n, half + top * n + 1)
+            wg = g.window(half - h - parity + (top - m) * n, half + h + top * n + 1)
             tm, tp, d = t_minus[:m], t_plus[:m], diff[:m]
-            np.multiply(minus_a[r], minus_g[r], out=tm)
-            np.multiply(plus_a[r], plus_g[r], out=tp)
+            # A(p*n - l2)*G(p*n - l2 + h) and A(p*n + l2)*G(p*n + l2 - h - parity), largest p first
+            np.multiply(
+                wa[1:].reshape(m, n)[::-1, ::-1], wg[lead:].reshape(m, n)[::-1, ::-1], out=tm
+            )
+            np.multiply(wa[:-1].reshape(m, n)[::-1], wg[: m * n].reshape(m, n)[::-1], out=tp)
             if parity == 0:
                 np.subtract(tp, tm, out=d)
                 np.add(tm, tp, out=tp)
             else:
                 np.add(tm, tp, out=d)  # its sign is in w1
                 np.subtract(tm, tp, out=tp)
-            p0 += w0[r] @ tp
-            p1 += w1[r] @ d
+            sums.append((w0[i : i + m] @ tp, w1[i : i + m] @ d))
+    p0 = np.zeros(n)
+    p1 = np.zeros(n)
+    for s0, s1 in reversed(sums):
+        p0 += s0
+        p1 += s1
     p0 += zero
     return p0, p1
 
@@ -322,9 +348,9 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
 
     Every column is the paper's series truncated at |l1| <= l_lim.  The
-    gamma tables are built for the parities of ``ks``, at alpha = 1 for the
-    odd ones only (none when every k is even): the even columns there are
-    those of :func:`even_mode_columns`, and the odd ones zero the weight
+    gamma ratios are computed for the parities of ``ks``, at alpha = 1 for
+    the odd ones only (none when every k is even): the even columns there
+    are those of :func:`even_mode_columns`, and the odd ones zero the weight
     A(0) = inf and add its limit term instead (module docstring).  Near
     alpha = 1 the even columns lose digits: the even prefactor
     1/tan(pi*alpha/2) -> 0 meets the poles of vec_b, and every even column
@@ -336,13 +362,17 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window
     of G that holds only the pairs (l2, d) the columns read: O(l_lim*n) work
     for one column.  Every term with l1 != 0 reads contiguous runs of the
-    gamma tables (module docstring).  The window's width picks the path.  A
-    window one column wide (one k of its parity, or one k repeated) forms
-    no W or G: :func:`_column_sums` multiplies the runs in chunks that stay
-    in cache and reduces each with one dot, l1 = 0 last.  A wider window
-    copies W and G once from strided views of the runs (the l1 = 0 rows
-    gathered) and sums them as a matrix product followed by a skewed gather
-    (:func:`_window_sums`), blocked over the nodes.  Both reductions run on
+    gamma ratio vectors (module docstring).  The window's width picks the
+    path.  A window one column wide (one k of its parity, or one k
+    repeated) builds no gamma table and forms no W or G:
+    :func:`_column_sums` streams the two vectors it reads a chunk of rows at
+    a time, multiplies their runs while they are in cache and reduces each
+    chunk with one dot, l1 = 0 last; it allocates about 2 MB at n = 1024,
+    l_lim = 500, where the tables alone would take 8.2 MB.  A wider window
+    builds the tables of its parities, copies W and G once from strided
+    views of the runs (the l1 = 0 rows gathered) and sums them as a matrix
+    product followed by a skewed gather (:func:`_window_sums`), blocked over
+    the nodes.  Both reductions run on
     one OpenBLAS thread, so the result does not depend on the caller's BLAS
     thread count; where numpy has no OpenBLAS thread setter
     (:func:`blas_thread_setter`) the pin is a no-op and that guarantee is
@@ -368,15 +398,12 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     ks = ks.astype(np.int64)
     half = n // 2
     l2 = np.arange(-half, half)
-    parities = set((ks % 2).tolist())
+    # the parities whose window is wider than one column read whole tables
+    wide = {parity for parity in (0, 1) if np.unique(ks[ks % 2 == parity] // 2).size > 1}
     if alpha == 1.0:
-        parities.discard(0)
-    if parities:  # some column runs through the sums
-        tables = build_tables(alpha, n, l_lim, parities=parities)
-        a = tables.vec_a
-        a0 = a[np.abs(l2)]  # the l1 = 0 row of W
-        if alpha == 1.0:
-            a0[half] = 0.0  # the pole A(0); its term is the limit added below
+        wide.discard(0)
+    if wide:
+        tables = build_tables(alpha, n, l_lim, parities=wide)
     pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     half_step = np.exp(1j * np.pi * l2 / n)[:, None]
     out = np.empty((n, ks.size), dtype=np.complex128)
@@ -391,20 +418,20 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
             out[:, sel] = even_mode_columns(n, 1.0)[:, k // 2 - 1]
             continue
         h = k // 2
-        vec = tables.vec_c if parity else tables.vec_b
-        if h.min() == h.max():  # one column wide
-            g0 = _k_factor(h[0] - l2, parity, tables)
-            p0, p1 = _column_sums(a, vec, n, l_lim, int(h[0]), parity, a0 * g0)
+        if parity not in wide:  # one column wide
+            p0, p1 = _column_sums(alpha, n, l_lim, int(h[0]), parity)
             p0, p1 = p0[:, None], p1[:, None]
         else:
+            vec = tables.vec_c if parity else tables.vec_b
             if w is None:  # one W serves both parities
                 # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
+                a = tables.vec_a
                 p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
                 sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
                 l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
                 up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
                 down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
-                w = _rows(l_lim, down, up, a0, sign, sign)
+                w = _rows(l_lim, down, up, _zero_row(a, n, alpha), sign, sign)
             # G at every d = h - l2 from min(h) to max(h); the window
             # [l1, l2, c] holds G at d = min(h) + c - l2
             d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
@@ -413,7 +440,7 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
             runs = sliding_window_view(vec, d.size)
             fwd = runs[d[0] + n :: n][:l_lim][::-1]
             rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
-            g0 = _k_factor(d, parity, tables)
+            g0 = _k_factor(d, parity, vec)
             g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
             p0, p1 = _window_sums(w, l1, g, h - h.min())
             del g

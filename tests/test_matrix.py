@@ -127,12 +127,13 @@ class TestBuildMatrix:
         def both(build):
             new = build()
             with monkeypatch.context() as patch:
-                patch.setattr(gammaratio, "_ratio_vector", ratio_vector_long_double)
+                patch.setattr(gammaratio, "_HEAD", 2**20)  # no tail in tables or streams
                 return build(), new
 
         a, b = (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0  # the swap does change the tables
-        tail = gammaratio._ratio_vector(a, b, 10**5)
-        assert not np.array_equal(tail, ratio_vector_long_double(a, b, 10**5))
+        long_double, tail = both(lambda: gammaratio._ratio_vector(a, b, 10**5))
+        np.testing.assert_array_equal(long_double, ratio_vector_long_double(a, b, 10**5))
+        assert not np.array_equal(tail, long_double)
         old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)
         np.testing.assert_array_equal(new, old)
         old, new = both(lambda: mode_columns(1024, alpha, 500, [2]))
@@ -165,6 +166,24 @@ class TestBuildMatrix:
         # criterion 1's column, one column wide: the chunked run products left it
         # bit-identical to the einsum over W and G copies that they replaced
         assert zlib.crc32(mode_columns(1024, alpha, 500, [2]).tobytes()) == crc
+
+    @pytest.mark.parametrize("n,alpha,l_lim,k,crc", [
+        # odd columns at alpha = 1, where vec_a starts with the pole A(0)
+        (1024, 1.0, 500, 1, 0xB27E43A3), (1024, 1.0, 500, 3, 0xDCF231B5),
+        (1024, 1.0, 500, 1023, 0x2E0F2A35),
+        # l_lim around one 32-row chunk of the one-column sums at n = 1024
+        (1024, 0.5, 0, 2, 0x1A6CB351), (1024, 0.5, 1, 2, 0x51B0E2AE),
+        (1024, 0.5, 31, 2, 0x63E38BD2), (1024, 0.5, 32, 2, 0xDCBF8291),
+        (1024, 0.5, 33, 2, 0xBE5A3669), (1024, 1.3, 0, 3, 0x15E49875),
+        (1024, 1.3, 1, 3, 0x73F79272), (1024, 1.3, 31, 3, 0x5D9A4B28),
+        (1024, 1.3, 32, 3, 0xA5A3B203), (1024, 1.3, 33, 3, 0xB9D05101),
+        # n = 4: one chunk holds more rows than l_lim
+        (4, 0.45, 500, 1, 0x7885B528), (4, 0.45, 500, 2, 0x9256362A),
+        (4, 0.45, 500, 3, 0x0B1087AB), (4, 1.0, 500, 3, 0xBE0B8D7E),
+    ])
+    def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
+        # taken from the sums over whole gamma tables, before the columns streamed them
+        assert zlib.crc32(mode_columns(n, alpha, l_lim, [k]).tobytes()) == crc
 
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)

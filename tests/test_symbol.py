@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import a_coeff, b_coeff, even_mode_images, gamma_ratio_ref
-from fraclap.gammaratio import build_tables
+from fraclap.gammaratio import build_tables, ratio_stream
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
@@ -324,16 +326,29 @@ class TestModeColumns:
         assert np.max(np.abs(numeric - exact)) <= 2e-13
 
     def test_even_mode_builds_no_odd_vector(self, monkeypatch):
-        built = []
+        # one even column streams vec_a and vec_b, never vec_c, and builds no table
+        streamed, built = [], []
 
-        def recording(*args, **kwargs):
-            built.append(build_tables(*args, **kwargs))
-            return built[-1]
+        def recording(name, *args):
+            streamed.append(name)
+            return ratio_stream(name, *args)
 
-        monkeypatch.setattr(symbol, "build_tables", recording)
+        monkeypatch.setattr(symbol, "ratio_stream", recording)
+        monkeypatch.setattr(symbol, "build_tables", lambda *args, **kwargs: built.append(args))
         symbol_samples(0.5, 2, 16, 20)
-        assert len(built) == 1
-        assert built[0].vec_c.size == 0 and built[0].vec_b.size > 0
+        assert sorted(streamed) == ["vec_a", "vec_b"]
+        assert built == []
+
+    def test_one_column_allocates_no_tables(self):
+        # the whole vec_a and vec_b at n = 1024, l_lim = 500 would take 8.2 MB
+        symbol_samples(0.5, 2, 1024, 500)  # one-time set-up out of the count
+        tracemalloc.start()
+        try:
+            symbol_samples(0.5, 2, 1024, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 10**6
 
     def test_alpha_one_even_modes_build_no_tables(self, monkeypatch):
         built = []
