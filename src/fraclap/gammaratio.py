@@ -17,11 +17,13 @@ all-long-double recursion takes ~92% of a mode-2 column (46 of 50 ms on a
 vector out as windows in increasing m from a buffer allocated once; a
 table (:func:`build_tables`) is one window as wide as each vector.  A
 single mode column reads its two vectors as streams (:func:`ratio_stream`)
-and builds no table; the recursion still takes ~70% of that column (8 of
-11 ms), most of it the float64 running product, whose steps depend on one
-another.  No step forms a temporary the size of a window.  Even modes read
-vec_b and odd modes vec_c, so a table set holds only the vectors of the
-parities asked for.  No step calls BLAS.
+and builds no table; the recursion still takes ~70% of such a column (8 of
+11 ms at n = 1024, l_lim = 500), most of it the float64 running product,
+whose steps depend on one another.  The k = 2 column (criteria 1 and 2,
+the mode-2 scan) reads no vector: its terms A(m)*B(m +- 1) are rational in
+m (:func:`fraclap.symbol._mode2_terms`).  No step forms a temporary the
+size of a window.  Even modes read vec_b and odd modes vec_c, so a table
+set holds only the vectors of the parities asked for.  No step calls BLAS.
 """
 
 from __future__ import annotations

@@ -38,8 +38,11 @@ row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
 A column one wide in its parity never forms W or G, nor a table: its terms
 are elementwise products of those runs, read from windows of the ratio
 vectors as :func:`fraclap.gammaratio.ratio_stream` computes them, smallest
-p first.  The -p and +p products are fused into each row's P0 and P1 parts
-and reduced chunk by chunk (:func:`_column_sums`).
+p first.  The k = 2 column, which criteria 1 and 2 and the mode-2 scan
+sum, evaluates no gamma ratio at all: its two ratios differ by exactly 2 in
+their arguments, so each term is a rational function of |l|
+(:func:`_mode2_terms`).  The -p and +p terms are fused into each row's P0
+and P1 parts and reduced chunk by chunk (:func:`_column_sums`).
 For wider windows the rows are read as strided views of the tables and
 copied once into the summation order, the exact sign (-1)^l1 folded into
 the copy; only the l1 = 0 rows, where l and e change sign, are gathered.
@@ -283,58 +286,138 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
 
 
-def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
-    """P0 and P1 of a window one column wide, h = floor(k/2), each an n-vector over the nodes.
+def _stream_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: int):
+    """The l1 = 0 row and the chunk terms of a one-column window, from the ratio streams.
 
-    For l1 = -p the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
+    Returns (zero, chunk): ``chunk(top, count)`` gives the terms t- of
+    l1 = -p and t+ of l1 = +p for p = top - count + 1 .. top, largest p
+    first, as two (count, n) buffers that the next call reuses.  For l1 = -p
+    the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
     A(p*n + l2)*G(p*n + l2 - h), which for odd k is -vec_c one entry lower.
-    For a chunk of _CHUNK // n values of p each is an elementwise product of
-    two contiguous runs of vec_a and of vec_b or vec_c, read as
-    (rows, n) views of one window of each vector, the -p runs with their
-    nodes reversed.  The windows come from two
+    Each is an elementwise product of two contiguous runs of vec_a and of
+    vec_b or vec_c, read as (count, n) views of one window of each vector,
+    the -p runs with their nodes reversed.  The windows come from two
     :func:`fraclap.gammaratio.ratio_stream` buffers of (rows + 1)*n entries,
-    allocated once per call, so no table is built: the chunks are walked
-    from the smallest p up, the order in which the streams produce their
-    entries.  Each chunk's rows stand largest p first, its +-p products t-
-    and t+ are fused into P0 rows t- + t+ and P1 rows t+ - t- (for odd k,
-    where t+ enters negated, t- - t+ and -(t- + t+)), and then reduced with
-    one dot against (-1)^p and (-1)^p*p, on one OpenBLAS thread
-    (:func:`_one_blas_thread`).  The chunk sums are kept and added largest p
-    first after the walk, and the l1 = 0 row, read from the first windows,
-    is added to P0 last; it has no share in P1.
+    so no table is built.  Streams only move forward: the l1 = 0 row is read
+    from their first windows, and the chunks must be asked for from the
+    smallest p up.
     """
     half = n // 2
-    rows = max(1, _CHUNK // n)
     capacity = (min(rows, l_lim) + 1) * n
     a = ratio_stream("vec_a", alpha, n, l_lim, capacity)
     g = ratio_stream("vec_c" if parity else "vec_b", alpha, n, l_lim, capacity)
     a0 = _zero_row(a.window(0, half + 1), n, alpha)
     zero = a0 * _k_factor(h - np.arange(-half, half), parity, g.window(0, n))
     lead = 2 * h + parity + 1  # offset of the -p runs of G in its window
+    t_minus, t_plus = np.empty((2, min(rows, l_lim), n))
+
+    def chunk(top: int, count: int):
+        wa = a.window(half + (top - count) * n, half + top * n + 1)
+        wg = g.window(half - h - parity + (top - count) * n, half + h + top * n + 1)
+        tm, tp = t_minus[:count], t_plus[:count]
+        # A(p*n - l2)*G(p*n - l2 + h) and A(p*n + l2)*G(p*n + l2 - h - parity), largest p first
+        shape = (count, n)
+        np.multiply(wa[1:].reshape(shape)[::-1, ::-1], wg[lead:].reshape(shape)[::-1, ::-1], out=tm)
+        np.multiply(wa[:-1].reshape(shape)[::-1], wg[: count * n].reshape(shape)[::-1], out=tp)
+        return tm, tp
+
+    return zero, chunk
+
+
+def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int):
+    """The l1 = 0 row and the chunk terms of the k = 2 column, from their rational form.
+
+    Returns (zero, chunk) as :func:`_stream_terms` does, but evaluates no
+    gamma ratio.  The two ratios of a k = 2 term differ by exactly 2 in
+    their arguments (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z)
+    cancels them.  With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c,
+    L(m) = m - c and R(m) = m + c,
+
+        A(m)*B(m + 1) = 1/((m^2 - c^2)(m + e)(m + e + 1)) = 1/(L(m+2)*L(m+1) * L(m)*R(m)),
+        A(m)*B(m - 1) = 1/((m^2 - c^2)(m - e)(m - e - 1)) = 1/(R(m-1)*R(m-2) * L(m)*R(m)),
+
+    the first at m = p*n - l2 (l1 = -p), the second at m = p*n + l2
+    (l1 = +p).  A chunk's terms take m from M = top*n + n/2 down to
+    M - count*n, so L and R are formed once over that descending window,
+    each rounded once from the exact integer m, and the three pair products
+    are elementwise products of shifted runs of them.  The t- rows are the
+    first terms as they lie in the window; the t+ rows are the second terms
+    one entry later, each row reversed as its reciprocal is taken.  The
+    l1 = 0 row, m = |l2|, holds the largest terms: it is formed in long
+    double and rounded once (the first form for l2 <= 0, the second for
+    l2 > 0).  alpha must not be 1, where c = 0 puts a pole at m = 0.
+    """
+    half = n // 2
+    c = (1.0 - alpha) / 2.0
+    l2 = np.arange(-half, half)
+    m = np.abs(l2).astype(np.longdouble)
+    cl = (1 - np.longdouble(alpha)) / 2
+    side = np.where(l2 <= 0, 1, -1).astype(np.longdouble)  # A(m)*B(m + side)
+    near = m + side * (1 - cl)  # m + e, or m - e
+    zero = (1 / ((m - cl) * (m + cl) * near * (near + side))).astype(np.float64)
+    size = min(rows, l_lim) * n
+    ramp = np.arange(size + 5, dtype=np.float64)
+    lo, hi = np.empty((2, size + 5))  # L and R at m = M + 2 - j
+    t_minus, pairs = np.empty((2, size))
+
+    def chunk(top: int, count: int):
+        k = count * n
+        lf, rf = lo[: k + 5], hi[: k + 5]
+        np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
+        np.subtract(rf, c, out=lf)
+        rf += c
+        tm, q = t_minus[:k], pairs[:k]
+        np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
+        np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
+        np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
+        tm *= lf[2 : k + 2]
+        q *= lf[3 : k + 3]
+        np.divide(1.0, tm, out=tm)
+        tp = rf[:k].reshape(count, n)
+        np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
+        return tm.reshape(count, n), tp
+
+    return zero, chunk
+
+
+def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
+    """P0 and P1 of a window one column wide, h = floor(k/2), each an n-vector over the nodes.
+
+    The terms come in chunks of _CHUNK // n values of p: for the k = 2
+    column from their rational form (:func:`_mode2_terms`), for every other
+    column from products of runs of the ratio streams
+    (:func:`_stream_terms`).  The chunks are walked from the smallest p up,
+    the order in which the streams produce their entries.  Each chunk's
+    rows stand largest p first; its terms t- of l1 = -p and t+ of l1 = +p
+    are fused into P0 rows t- + t+ and P1 rows t+ - t- (for odd k, where t+
+    enters negated, t- - t+ and -(t- + t+)), and then reduced with one dot
+    against (-1)^p and (-1)^p*p, on one OpenBLAS thread
+    (:func:`_one_blas_thread`).  The chunk sums are kept and added largest
+    p first after the walk, and the l1 = 0 row is added to P0 last; it has
+    no share in P1.
+    """
+    rows = max(1, _CHUNK // n)
+    if parity == 0 and h == 1:
+        zero, chunk = _mode2_terms(alpha, n, l_lim, rows)
+    else:
+        zero, chunk = _stream_terms(alpha, n, l_lim, h, parity, rows)
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
     w1 = w0 * p if parity == 0 else -w0 * p
-    t_minus, t_plus, diff = np.empty((3, min(rows, l_lim), n))
+    diff = np.empty((min(rows, l_lim), n))
     sums = []
     with _one_blas_thread():
         for i in reversed(range(0, l_lim, rows)):  # row i holds p = l_lim - i; smallest p first
-            m = min(rows, l_lim - i)
-            top = l_lim - i  # the chunk holds p = top - m + 1 .. top
-            wa = a.window(half + (top - m) * n, half + top * n + 1)
-            wg = g.window(half - h - parity + (top - m) * n, half + h + top * n + 1)
-            tm, tp, d = t_minus[:m], t_plus[:m], diff[:m]
-            # A(p*n - l2)*G(p*n - l2 + h) and A(p*n + l2)*G(p*n + l2 - h - parity), largest p first
-            np.multiply(
-                wa[1:].reshape(m, n)[::-1, ::-1], wg[lead:].reshape(m, n)[::-1, ::-1], out=tm
-            )
-            np.multiply(wa[:-1].reshape(m, n)[::-1], wg[: m * n].reshape(m, n)[::-1], out=tp)
+            count = min(rows, l_lim - i)
+            tm, tp = chunk(l_lim - i, count)  # p = l_lim - i - count + 1 .. l_lim - i
+            d = diff[:count]
             if parity == 0:
                 np.subtract(tp, tm, out=d)
                 np.add(tm, tp, out=tp)
             else:
                 np.add(tm, tp, out=d)  # its sign is in w1
                 np.subtract(tm, tp, out=tp)
-            sums.append((w0[i : i + m] @ tp, w1[i : i + m] @ d))
+            sums.append((w0[i : i + count] @ tp, w1[i : i + count] @ d))
     p0 = np.zeros(n)
     p1 = np.zeros(n)
     for s0, s1 in reversed(sums):
@@ -353,26 +436,29 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     are those of :func:`even_mode_columns`, and the odd ones zero the weight
     A(0) = inf and add its limit term instead (module docstring).  Near
     alpha = 1 the even columns lose digits: the even prefactor
-    1/tan(pi*alpha/2) -> 0 meets the poles of vec_b, and every even column
-    carries the same 2.2e-12 column-relative error at alpha = 1.0001 (n = 64
-    to 256, l_lim = 500; at n = 64 the closed form is within 1e-15 of
-    mpmath).  The operator block therefore takes only its odd columns from
-    here.  Per parity of k each term of the l1 sum is W[l1, l2] times
-    G[l1, d] with d = floor(k/2) - l2, so the sums are the
-    reductions P0 = sum W*G and P1 = sum W*l1*G, taken over a sliding window
-    of G that holds only the pairs (l2, d) the columns read: O(l_lim*n) work
-    for one column.  Every term with l1 != 0 reads contiguous runs of the
-    gamma ratio vectors (module docstring).  The window's width picks the
-    path.  A window one column wide (one k of its parity, or one k
-    repeated) builds no gamma table and forms no W or G:
+    1/tan(pi*alpha/2) -> 0 meets the poles of vec_b.  Against the closed
+    form (n = 64 to 256, l_lim = 500; at n = 64 it is within 1e-15 of
+    mpmath) every even column is 7.2e-13 column-relative off at alpha =
+    0.9999; at 1.0001 every streamed one (k >= 4) is 2.2e-12 off and the
+    k = 2 column, from its rational terms, 5.9e-14.  The k = 2 figures are
+    the rounding of pi*alpha/2 in the prefactor.  The operator block
+    therefore takes only its odd columns from here.  Per parity of k each
+    term of the l1 sum is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2,
+    so the sums are the reductions P0 = sum W*G and P1 = sum W*l1*G, taken
+    over a sliding window of G that holds only the pairs (l2, d) the columns
+    read: O(l_lim*n) work for one column.  Every term with l1 != 0 reads
+    contiguous runs of the gamma ratio vectors (module docstring).  The
+    window's width picks the path.  A window one column wide (one k of its
+    parity, or one k repeated) builds no gamma table and forms no W or G:
     :func:`_column_sums` streams the two vectors it reads a chunk of rows at
     a time, multiplies their runs while they are in cache and reduces each
     chunk with one dot, l1 = 0 last; it allocates about 2 MB at n = 1024,
-    l_lim = 500, where the tables alone would take 8.2 MB.  A wider window
-    builds the tables of its parities, copies W and G once from strided
-    views of the runs (the l1 = 0 rows gathered) and sums them as a matrix
-    product followed by a skewed gather (:func:`_window_sums`), blocked over
-    the nodes.  Both reductions run on
+    l_lim = 500, where the tables alone would take 8.2 MB.  The k = 2
+    column streams nothing: it forms the same chunks from the rational form
+    of its terms.  A wider window builds the tables of its parities, copies
+    W and G once from strided views of the runs (the l1 = 0 rows gathered)
+    and sums them as a matrix product followed by a skewed gather
+    (:func:`_window_sums`), blocked over the nodes.  Both reductions run on
     one OpenBLAS thread, so the result does not depend on the caller's BLAS
     thread count; where numpy has no OpenBLAS thread setter
     (:func:`blas_thread_setter`) the pin is a no-op and that guarantee is

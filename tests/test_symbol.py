@@ -326,7 +326,9 @@ class TestModeColumns:
         assert np.max(np.abs(numeric - exact)) <= 2e-13
 
     def test_even_mode_builds_no_odd_vector(self, monkeypatch):
-        # one even column streams vec_a and vec_b, never vec_c, and builds no table
+        # one even column k >= 4 streams vec_a and vec_b, never vec_c; the k = 2
+        # column takes its terms from their rational form and streams nothing.
+        # Neither builds a table.
         streamed, built = [], []
 
         def recording(name, *args):
@@ -335,9 +337,31 @@ class TestModeColumns:
 
         monkeypatch.setattr(symbol, "ratio_stream", recording)
         monkeypatch.setattr(symbol, "build_tables", lambda *args, **kwargs: built.append(args))
-        symbol_samples(0.5, 2, 16, 20)
+        symbol_samples(0.5, 4, 16, 20)
         assert sorted(streamed) == ["vec_a", "vec_b"]
+        streamed.clear()
+        symbol_samples(0.5, 2, 16, 20)
+        assert streamed == []
         assert built == []
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
+    @pytest.mark.parametrize("n,l_lim", [(4, 40), (64, 40), (1024, 33)])
+    def test_rational_mode2_terms_are_the_run_products(self, n, l_lim, alpha):
+        # chunk by chunk, the k = 2 terms from the rational form against the
+        # products of vec_a and vec_b runs that they replace; n = 4 takes one
+        # chunk of more rows than l_lim, n = 1024 two, the second of one row.
+        # The l1 = 0 rows differ by the rounding of the tables' gamma base
+        # values, math.gamma(a)/math.gamma(b) (measured <= 2.0e-15).
+        rows = max(1, symbol._CHUNK // n)
+        zero, terms = symbol._mode2_terms(alpha, n, l_lim, rows)
+        zero_ref, runs = symbol._stream_terms(alpha, n, l_lim, 1, 0, rows)
+        assert np.max(np.abs(zero / zero_ref - 1)) <= 5e-15
+        for i in reversed(range(0, l_lim, rows)):
+            count = min(rows, l_lim - i)
+            got, ref = terms(l_lim - i, count), runs(l_lim - i, count)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape == (count, n)
+                assert np.max(np.abs(g / r - 1)) <= 1e-13
 
     def test_one_column_allocates_no_tables(self):
         # the whole vec_a and vec_b at n = 1024, l_lim = 500 would take 8.2 MB
@@ -349,6 +373,22 @@ class TestModeColumns:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 10**6
+
+    @pytest.mark.parametrize("alpha,k,err", [
+        (1.0 + 1e-4, 2, 5.88e-14), (1.0 - 1e-4, 2, 7.21e-13), (1.0 + 1e-4, 4, 2.16e-12),
+    ])
+    def test_even_columns_near_alpha_one(self, alpha, k, err):
+        # measured figures, pinned to show where digits go, not bounds.  Against
+        # the closed form (within 1e-15 of mpmath here), at n = 64 to 256 and
+        # l_lim = 500 alike: the k = 2 column from its rational terms is 5.9e-14
+        # off at alpha = 1.0001, where the streamed columns (every even k >= 4,
+        # and k = 2 before) are 2.2e-12 off; at 0.9999 every even column is
+        # 7.2e-13 off either way.  The k = 2 figures are those of the prefactor
+        # 1/tan(pi*alpha/2), whose argument is rounded next to the pole of tan.
+        n = 64
+        ref = even_mode_columns(n, alpha)[:, k // 2 - 1]
+        got = symbol_samples(alpha, k, n, 500)
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) == pytest.approx(err, rel=0.05)
 
     def test_alpha_one_even_modes_build_no_tables(self, monkeypatch):
         built = []
