@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import hyp1f1, hyp2f1
 
 from fraclap.grid import GridConfig, node_positions, nodes
 from fraclap.opmatrix import OperatorMatrix, build_matrix, fractional_laplacian
@@ -135,6 +134,8 @@ def closed_form_mode1(s, alpha: float):
     The k = 1 column of the unit-scale block; at map scale L the image is
     L^(-alpha) times this.
     """
+    from scipy.special import hyp2f1  # on first use, like quad below
+
     s = np.asarray(s, dtype=float)
     x = np.cos(s) / np.sin(s)
     z = -(x * x)
@@ -152,6 +153,8 @@ def closed_form_gaussian(x, alpha: float):
     with Kummer's 1F1 from ``scipy.special.hyp1f1``.  Even in x; decays like
     -c_alpha*sqrt(pi)*|x|^(-1-alpha) in the far field.
     """
+    from scipy.special import hyp1f1  # on first use, like quad below
+
     pref = 2.0**alpha * math.gamma(0.5 + alpha / 2.0) / math.sqrt(math.pi)
     xs = np.asarray(x, dtype=float)
     out = pref * hyp1f1(0.5 + alpha / 2.0, 0.5, -(xs * xs))

@@ -18,13 +18,14 @@ SB_k of Boyd, *Chebyshev and Fourier Spectral Methods* (2001), ch. 17.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct, dst
 
 from fraclap.grid import Extension, GridConfig, x_to_s
 
 
 def transform(samples, extension) -> np.ndarray:
     """The n real coefficients of n physical values: c (even) or d (odd)."""
+    from scipy.fft import dct, dst  # on first use: scipy.fft and the scipy.special it loads took ~0.35 s of import fraclap
+
     u = np.asarray(samples, dtype=float)
     if u.ndim != 1:
         raise ValueError("samples must be one-dimensional")

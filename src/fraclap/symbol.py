@@ -75,8 +75,8 @@ import functools
 import math
 
 import numpy as np
+from numpy.fft import ifft, ifftshift
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import ifft, ifftshift
 
 from fraclap.gammaratio import build_tables, ratio_stream
 from fraclap.grid import GridConfig, nodes
