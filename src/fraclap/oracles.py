@@ -14,6 +14,11 @@ Two routes that never touch the matrix assembly:
 ``error_scan`` measures the maximum node-wise deviation of the numeric
 operator from a closed form over a grid of alpha values, the quantity used
 for accuracy reporting, and ``scale_sweep`` repeats it across map scales.
+
+Each SciPy module is imported on first use, so ``import fraclap`` loads
+none: the mode-1 and Gaussian closed forms (and so ``mode1_error``) load
+scipy.special, the quadrature scipy.integrate.  The mode-2 closed form and
+``mode2_error`` need numpy alone.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ then reduce to a real transform of the n values:
 The interpolant is then a cosine or sine series in theta =
 arccot((x - x_center)/l_scale), the rational Chebyshev functions TB_k and
 SB_k of Boyd, *Chebyshev and Fourier Spectral Methods* (2001), ch. 17.
+
+:func:`transform` imports ``dct``/``dst`` from scipy.fft on its first call,
+so ``import fraclap`` loads no SciPy module.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fraclap.grid import Extension, GridConfig, x_to_s
 
 def transform(samples, extension) -> np.ndarray:
     """The n real coefficients of n physical values: c (even) or d (odd)."""
-    from scipy.fft import dct, dst  # on first use: scipy.fft and the scipy.special it loads took ~0.35 s of import fraclap
+    from scipy.fft import dct, dst  # on first use: with scipy.special it took ~0.3 s of import fraclap
 
     u = np.asarray(samples, dtype=float)
     if u.ndim != 1:

@@ -64,7 +64,8 @@ mode is a function of x, so it only needs the n physical nodes: s_{j+n} =
 s_j + pi is the same point x_j.  There 2*l2*s_j = 2*pi*l2*j/n + pi*l2/n,
 so the remaining l2 series is one n-point inverse DFT of the l1 sums times
 exp(i*pi*l2/n) (Cooley & Tukey, Math. Comp. 19, 1965), which gives all n
-rows of every column at once.
+rows of every column at once.  It is numpy.fft's pocketfft, the same code
+as scipy.fft's, so nothing here loads SciPy.
 """
 
 from __future__ import annotations
@@ -435,14 +436,15 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
     the odd ones only (none when every k is even): the even columns there
     are those of :func:`even_mode_columns`, and the odd ones zero the weight
     A(0) = inf and add its limit term instead (module docstring).  Near
-    alpha = 1 the even columns lose digits: the even prefactor
-    1/tan(pi*alpha/2) -> 0 meets the poles of vec_b.  Against the closed
-    form (n = 64 to 256, l_lim = 500; at n = 64 it is within 1e-15 of
-    mpmath) every even column is 7.2e-13 column-relative off at alpha =
-    0.9999; at 1.0001 every streamed one (k >= 4) is 2.2e-12 off and the
-    k = 2 column, from its rational terms, 5.9e-14.  The k = 2 figures are
-    the rounding of pi*alpha/2 in the prefactor.  The operator block
-    therefore takes only its odd columns from here.  Per parity of k each
+    alpha = 1 the even prefactor 1/tan(pi*alpha/2) -> 0 meets the poles of
+    vec_b.  The prefactor is formed as tan(pi*(1 - alpha)/2) from the exact
+    1 - alpha, but vec_b's factor a + 1, a = (-1 - alpha)/2, comes from a
+    rounded a, so every even column read from vec_b loses digits: against
+    the closed form (n = 64, l_lim = 500, within 1e-15 of mpmath there) a
+    column k >= 4 is 1.1e-13 column-relative off at alpha = 0.999, 1.1e-11
+    at 0.99999 and 2.2e-12 at 1.0001.  A lone k = 2 column, from its
+    rational terms, stays within 1.3e-15 from 0.99 to 1.01.  The operator
+    block therefore takes only its odd columns from here.  Per parity of k each
     term of the l1 sum is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2,
     so the sums are the reductions P0 = sum W*G and P1 = sum W*l1*G, taken
     over a sliding window of G that holds only the pairs (l2, d) the columns
@@ -534,7 +536,8 @@ def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
         # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
         series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
         if parity == 0:
-            out[:, sel] = (pref / math.tan(math.pi * alpha / 2.0))[:, None] * series
+            # 1/tan(pi*alpha/2), with 1 - alpha exact: pi*alpha/2 rounds next to the pole
+            out[:, sel] = (pref * math.tan(math.pi * (1.0 - alpha) / 2.0))[:, None] * series
         else:
             out[:, sel] = 1j * pref[:, None] * series
         if alpha == 1.0:

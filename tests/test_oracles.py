@@ -248,7 +248,7 @@ class TestMode1:
         # column-relative error of the l_lim = 500 series, as measured
         matrix = build_matrix(GridConfig(n, 1.0), alpha, 500)
         rel = mode1_error(matrix) / np.max(np.abs(matrix.entries[:, 0]))
-        assert rel == pytest.approx(pin, rel=0.05)
+        assert rel == pytest.approx(pin, rel=0.05, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.999, 1.0, 1.5, 1.95])
     def test_small_near_and_above_one(self, alpha):
