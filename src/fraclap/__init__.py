@@ -18,15 +18,15 @@ oracles     independent ground truths: closed forms (scipy hyp1f1, hyp2f1), quad
 fisher      fractional Fisher-KPP time integration and front-speed fitting
 cli         command line driver
 
-``import fraclap`` loads numpy and no SciPy module: 0.08-0.13 s in a fresh
-process on a 2-core VM, of which numpy is about 0.09 s (0.29-0.43 s when
-it loaded scipy.fft and scipy.special).  The block build, the
-single-column symbol, the cache and the RK4 stage need numpy alone.  These
-calls load a SciPy module on first use: ``transform`` loads scipy.fft
-(about 0.26 s, scipy.special with it), ``closed_form_mode1`` and
-``closed_form_gaussian`` load scipy.special (about 0.23 s),
-``quadrature_fraclap`` loads scipy.integrate, and ``front_position`` and
-the front tracking of ``run_simulation`` load scipy.optimize.
+``import fraclap`` loads numpy and no SciPy module: 0.08-0.14 s in a fresh
+process with one OpenBLAS thread on a 2-core VM, of which numpy is about
+0.09 s.  The block build, the single-column symbol, the cache and the RK4
+stage need numpy alone.  These calls load a SciPy module on first use:
+``transform`` loads scipy.fft (about 0.26 s, scipy.special with it),
+``closed_form_mode1`` and ``closed_form_gaussian`` load scipy.special
+(about 0.23 s), ``quadrature_fraclap`` loads scipy.integrate, and
+``front_position`` and the front tracking of ``run_simulation`` load
+scipy.optimize.
 """
 
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s

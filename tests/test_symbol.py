@@ -375,17 +375,16 @@ class TestModeColumns:
         assert peak <= 3 * 10**6
 
     @pytest.mark.parametrize("alpha,k,err", [
-        (1.0 + 1e-4, 2, 5.56e-16), (1.0 - 1e-4, 2, 6.96e-16), (1.0 + 1e-4, 4, 2.22e-12),
+        (1.0 + 1e-4, 2, 5.56e-16), (1.0 - 1e-4, 2, 6.96e-16), (1.0 + 1e-4, 4, 2.16e-12),
     ])
     def test_even_columns_near_alpha_one(self, alpha, k, err):
         # measured figures, pinned to show where digits go, not bounds.  Against
         # the closed form (within 1e-15 of mpmath here), at n = 64: the k = 2
         # column from its rational terms keeps every digit on both sides of 1,
-        # since its prefactor tan(pi*(1 - alpha)/2) is formed from the exact
-        # 1 - alpha (1/tan(pi*alpha/2), rounded next to the pole of tan, put it
-        # 5.9e-14 off at 1.0001 and 7.2e-13 off at 0.9999).  The streamed
-        # columns (every even k >= 4) are 2.2e-12 off at 1.0001: vec_b's factor
-        # a + 1 is formed from a rounded a.
+        # since its prefactor is tan(pi*(1 - alpha)/2) of the exact 1 - alpha,
+        # not 1/tan(pi*alpha/2) of an argument rounded next to the pole of tan.
+        # The streamed columns (every even k >= 4) are 2.2e-12 off at 1.0001:
+        # vec_b's factor a + 1 is formed from a rounded a.
         n = 64
         ref = even_mode_columns(n, alpha)[:, k // 2 - 1]
         got = symbol_samples(alpha, k, n, 500)
