@@ -55,7 +55,6 @@ from fraclap.oracles import (
     closed_form_mode2,
     error_scan,
     mode1_error,
-    mode2_error,
     quadrature_fraclap,
     scale_sweep,
     test_function,
@@ -109,7 +108,6 @@ __all__ = [
     "quadrature_fraclap",
     "error_scan",
     "mode1_error",
-    "mode2_error",
     "scale_sweep",
     "ErrorScan",
     "QuadratureError",

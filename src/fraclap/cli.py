@@ -17,10 +17,9 @@ manifest also gives, per alpha, the node spacing at x = 0 and at the final
 front, the smallest and largest final node value, the time spent on the
 matrix and on the simulation, and whether the matrix was loaded from the
 cache.  The
-``matrix build`` and ``fisher`` manifests record each block's node errors
-in its k = 1 and k = 2 columns (:func:`fraclap.oracles.mode1_error`, which
-sees the l_lim truncation of the odd columns, and
-:func:`fraclap.oracles.mode2_error`, a closed form against itself).
+``matrix build`` and ``fisher`` manifests record each block's node error
+in its k = 1 column (:func:`fraclap.oracles.mode1_error`), which sees the
+l_lim truncation of the odd columns; the even columns are a closed form.
 
 Exit codes: 0 success, 2 invalid parameters or tolerance exceeded,
 3 numerical blow-up or front escape, 4 I/O or cache-format errors.  A
@@ -63,7 +62,6 @@ from fraclap.oracles import (
     alpha_grid,
     error_scan,
     mode1_error,
-    mode2_error,
     quadrature_fraclap,
     scale_sweep,
     test_function,
@@ -180,7 +178,6 @@ def _cmd_matrix_build(args) -> int:
         {
             "column_crc32": [f"0x{c:08x}" for c in checks],
             "mode1_error": mode1_error(matrix),
-            "mode2_error": mode2_error(matrix),
             "timings": {
                 "build_s": build_seconds,
                 "save_s": t_saved - t_built,
@@ -368,7 +365,6 @@ def _cmd_fisher(args) -> int:
             "final_max": result.diagnostics["final_max"],
             "matrix_loaded": loaded,
             "mode1_error": mode1_error(matrix),
-            "mode2_error": mode2_error(matrix),
             "node_spacing": {
                 "x0": node_spacing(cfg, 0.0),
                 "front": node_spacing(cfg, trace.x05[-1]),

@@ -97,13 +97,26 @@ class RatioStream:
     slice of the whole vector (:func:`_ratio_vector`).  a = 0 puts Gamma's
     pole at m = 0: that entry is inf, and the rest are the vector of
     (1, b + 1) one entry later, whose head therefore ends one entry later.
+    vec_b is shifted the same way (:func:`_stream`).
     """
 
     def __init__(self, a: float, b: float, length: int, capacity: int):
+        if a == 0.0:
+            self._start(np.inf, 1.0, b + 1.0, length, capacity)
+        else:
+            self._start(None, a, b, length, capacity)
+
+    @classmethod
+    def _shifted(cls, first: float, a: float, b: float, length: int, capacity: int) -> RatioStream:
+        """The entry ``first``, then the vector of (a, b) one entry later."""
+        stream = cls.__new__(cls)
+        stream._start(first, a, b, length, capacity)
+        return stream
+
+    def _start(self, first, a: float, b: float, length: int, capacity: int) -> None:
         self.length = length
-        self._shift = int(a == 0.0)  # entries before the recursion: the pole
-        if self._shift:
-            a, b = 1.0, b + 1.0
+        self._first = first
+        self._shift = int(first is not None)  # entries before the recursion
         self._a, self._b = a, b
         self._head = np.empty(max(0, min(length - self._shift, _HEAD)), dtype=np.float64)
         base = math.gamma(a) / math.gamma(b)
@@ -140,7 +153,7 @@ class RatioStream:
         """Compute entries start..hi-1 into the buffer, which holds lo..start-1."""
         buf, pos = self._buf[: self._hi - self._lo], start - self._lo
         if start < self._shift:
-            buf[pos] = np.inf
+            buf[pos] = self._first
         head = self._head[max(start - self._shift, 0) : self._hi - self._shift]
         pos = max(pos, self._shift - self._lo)
         buf[pos : pos + head.size] = head
@@ -178,13 +191,21 @@ def table_lengths(n: int, l_lim: int) -> tuple[int, int, int]:
     return len_a, len_bc, len_bc
 
 
-def _arguments(name: str, alpha: float) -> tuple[float, float]:
-    """(a, b) of the vector ``name`` of :class:`GammaRatioTables` at alpha."""
-    return {
-        "vec_a": ((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-        "vec_b": ((-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0),
-        "vec_c": (-alpha / 2.0, 2.0 + alpha / 2.0),
-    }[name]
+def _stream(name: str, alpha: float, length: int, capacity: int) -> RatioStream:
+    """The vector ``name`` of :class:`GammaRatioTables` at alpha, as a :class:`RatioStream`.
+
+    vec_b starts with Gamma(a+1)/(a*Gamma(b)), followed by the vector of
+    (a + 1, b + 1) one entry later, with a + 1 = (1 - alpha)/2 formed from
+    the exact 1 - alpha: near alpha = 1 it is close to Gamma's pole at 0,
+    and a + 1 from a rounded a = (-1 - alpha)/2 would lose the digits
+    1 - alpha has below the rounding of a.
+    """
+    if name == "vec_b":
+        a, b, c = (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0, (1.0 - alpha) / 2.0
+        return RatioStream._shifted(math.gamma(c) / (a * math.gamma(b)), c, b + 1.0, length, capacity)
+    if name == "vec_a":
+        return RatioStream((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, length, capacity)
+    return RatioStream(-alpha / 2.0, 2.0 + alpha / 2.0, length, capacity)
 
 
 def _check(alpha: float, n: int, l_lim: int, parities) -> None:
@@ -210,9 +231,9 @@ def build_tables(alpha: float, n: int, l_lim: int, parities=(0, 1)) -> GammaRati
     """
     _check(alpha, n, l_lim, parities)
     len_a, len_b, len_c = table_lengths(n, l_lim)
-    vec_a = _ratio_vector(*_arguments("vec_a", alpha), len_a)
-    vec_b = _ratio_vector(*_arguments("vec_b", alpha), len_b) if 0 in parities else ()
-    vec_c = _ratio_vector(*_arguments("vec_c", alpha), len_c) if 1 in parities else ()
+    vec_a = _stream("vec_a", alpha, len_a, len_a).window(0, len_a)
+    vec_b = _stream("vec_b", alpha, len_b, len_b).window(0, len_b) if 0 in parities else ()
+    vec_c = _stream("vec_c", alpha, len_c, len_c).window(0, len_c) if 1 in parities else ()
     return GammaRatioTables(alpha=alpha, vec_a=vec_a, vec_b=vec_b, vec_c=vec_c)
 
 
@@ -224,5 +245,4 @@ def ratio_stream(name: str, alpha: float, n: int, l_lim: int, capacity: int) -> 
     parity 0 and vec_c parity 1.
     """
     _check(alpha, n, l_lim, {"vec_b": (0,), "vec_c": (1,)}.get(name, ()))
-    length = table_lengths(n, l_lim)[_NAMES.index(name)]
-    return RatioStream(*_arguments(name, alpha), length, capacity)
+    return _stream(name, alpha, table_lengths(n, l_lim)[_NAMES.index(name)], capacity)

@@ -51,7 +51,7 @@ import numpy as np
 
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.spectral import transform
-from fraclap.symbol import even_mode_columns, mode_columns
+from fraclap.symbol import even_mode_columns, odd_mode_columns
 
 _MAGIC = b"FLAPMAT1"
 _FORMAT_VERSION = 4
@@ -105,16 +105,15 @@ def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
     Nothing of ``cfg`` but n is read: the block serves every scale, shift
     and parity.  The even columns k = 2, 4, ..., n-2 are the finite closed
     form of :func:`fraclap.symbol.even_mode_columns`, which reads no gamma
-    table and no l_lim.  The odd columns come from one batched evaluation of
-    the truncated series (:func:`fraclap.symbol.mode_columns` on the odd k),
-    so l_lim governs only them.  Their l1 sums are matrix products run on
-    one OpenBLAS thread, so the entries do not depend on the caller's BLAS
-    thread count (where numpy's OpenBLAS has no thread setter the pin is a
-    no-op).
+    table and no l_lim.  The odd columns are the truncated series of
+    :func:`fraclap.symbol.odd_mode_columns`, so l_lim governs only them.
+    Their l1 sums are matrix products run on one OpenBLAS thread, so the
+    entries do not depend on the caller's BLAS thread count (where numpy's
+    OpenBLAS has no thread setter the pin is a no-op).
     """
     meta = MatrixMeta(alpha=alpha, n=cfg.n, l_lim=l_lim)
     entries = np.empty((cfg.n, cfg.n - 1), dtype=np.complex128)  # column k at index k - 1
-    entries[:, 0::2] = mode_columns(cfg.n, alpha, l_lim, np.arange(1, cfg.n, 2))
+    entries[:, 0::2] = odd_mode_columns(cfg.n, alpha, l_lim)
     entries[:, 1::2] = even_mode_columns(cfg.n, alpha)
     return OperatorMatrix(entries, meta)
 

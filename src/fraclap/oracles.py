@@ -17,8 +17,8 @@ for accuracy reporting, and ``scale_sweep`` repeats it across map scales.
 
 Each SciPy module is imported on first use, so ``import fraclap`` loads
 none: the mode-1 and Gaussian closed forms (and so ``mode1_error``) load
-scipy.special, the quadrature scipy.integrate.  The mode-2 closed form and
-``mode2_error`` need numpy alone.
+scipy.special, the quadrature scipy.integrate.  The mode-2 closed form
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -262,30 +262,8 @@ def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
     # both are unit-scale images; at map scale L each, and so their gap, carries L^(-alpha)
     numeric = symbol_samples(alpha, 2, cfg.n, l_lim)
-    return _mode2_error_of(numeric, cfg.n, alpha) * cfg.l_scale**-alpha
-
-
-def _mode2_error_of(column: np.ndarray, n: int, alpha: float) -> float:
-    """max |column - closed_form_mode2| at the n nodes, both at unit scale."""
-    exact = closed_form_mode2(nodes(GridConfig(n, 1.0)), alpha)
-    return float(np.max(np.abs(column - exact)))
-
-
-def mode2_error(matrix: OperatorMatrix) -> float | None:
-    """Max node error of a unit-scale block's k = 2 column against :func:`closed_form_mode2`.
-
-    The block's even columns are the closed form
-    (:func:`fraclap.symbol.even_mode_columns`), whose k = 2 case is
-    ``closed_form_mode2`` bit for bit, so off alpha = 1 this reads 0.0; at
-    alpha = 1 it is the round-off between two exact expressions.  It is not
-    ``error_scan("mode2", ...)``: that scan keeps the paper's truncated
-    series.  None when n = 2 leaves no column k = 2.  :func:`mode1_error`
-    is the check that sees the truncation.
-    """
-    meta = matrix.meta
-    if meta.n < 4:
-        return None
-    return _mode2_error_of(matrix.entries[:, 1], meta.n, meta.alpha)
+    exact = closed_form_mode2(nodes(cfg), alpha)
+    return float(np.max(np.abs(numeric - exact))) * cfg.l_scale**-alpha
 
 
 def mode1_error(matrix: OperatorMatrix) -> float:

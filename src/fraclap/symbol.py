@@ -11,18 +11,18 @@ so truncating |l1| <= l_lim turns the doubly infinite series into an
 smallest terms (largest |l1|) first.  At alpha = 1 the odd modes are the
 alpha -> 1 limit of the same sums: A(|l|) = 1/|l| for l != 0, and the pole
 A(0) = Gamma(0) enters only through (1 - alpha)*A(0) -> -2, which adds the
-constant -2i*k/(pi*(k^2 - 4)) to each column.
-:func:`mode_columns` evaluates any set of modes at once;
-:func:`symbol_samples` is its one-mode case.
+constant -2i*k/(pi*(k^2 - 4)) to each column.  The series has two entry
+points, one per shape the package asks for: :func:`odd_mode_columns`, every
+odd column of a block, and :func:`symbol_samples`, one column.
 
 The even modes also have a finite closed form at every alpha, a polynomial
 of degree k/2 - 1 in exp(2i*s) times (-i*sin(s)*exp(i*s))^(1+alpha)
 (:func:`even_mode_columns`; at alpha = 1 it is k*sin(s)^2*exp(i*k*s)).  The
 operator block (:func:`fraclap.opmatrix.build_matrix`) takes its even
-columns from it and only its odd columns from :func:`mode_columns`, so l_lim
+columns from it and its odd columns from :func:`odd_mode_columns`, so l_lim
 governs only the odd columns of a built block.  :func:`symbol_samples`
-keeps the paper's series for every k: criteria 1 and 2 and the mode-2
-scan test that truncation at its stated l_lim.
+keeps the paper's series for every k off alpha = 1: criteria 1 and 2 and
+the mode-2 scan test that truncation at its stated l_lim.
 
 A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
 d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
@@ -35,17 +35,17 @@ row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
     l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
               e = d + p*n > 0, a forward run of vec_b or vec_c.
 
-A column one wide in its parity never forms W or G, nor a table: its terms
-are elementwise products of those runs, read from windows of the ratio
-vectors as :func:`fraclap.gammaratio.ratio_stream` computes them, smallest
-p first.  The k = 2 column, which criteria 1 and 2 and the mode-2 scan
-sum, evaluates no gamma ratio at all: its two ratios differ by exactly 2 in
+One column never forms W or G, nor a table: its terms are elementwise
+products of those runs, read from windows of the ratio vectors as
+:func:`fraclap.gammaratio.ratio_stream` computes them, smallest p first.
+The k = 2 column, which criteria 1 and 2 and the mode-2 scan sum,
+evaluates no gamma ratio at all: its two ratios differ by exactly 2 in
 their arguments, so each term is a rational function of |l|
 (:func:`_mode2_terms`).  The -p and +p terms are fused into each row's P0
-and P1 parts and reduced chunk by chunk (:func:`_column_sums`).
-For wider windows the rows are read as strided views of the tables and
-copied once into the summation order, the exact sign (-1)^l1 folded into
-the copy; only the l1 = 0 rows, where l and e change sign, are gathered.
+and P1 parts and reduced chunk by chunk (:func:`_column_sums`).  The odd
+block reads its rows as strided views of the tables and copies them once
+into the summation order, the exact sign (-1)^l1 folded into the copy;
+only the l1 = 0 rows, where l and e change sign, are gathered.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
@@ -64,8 +64,8 @@ mode is a function of x, so it only needs the n physical nodes: s_{j+n} =
 s_j + pi is the same point x_j.  There 2*l2*s_j = 2*pi*l2*j/n + pi*l2/n,
 so the remaining l2 series is one n-point inverse DFT of the l1 sums times
 exp(i*pi*l2/n) (Cooley & Tukey, Math. Comp. 19, 1965), which gives all n
-rows of every column at once.  It is numpy.fft's pocketfft, the same code
-as scipy.fft's, so nothing here loads SciPy.
+rows of every column at once (:func:`_series`).  It is numpy.fft's
+pocketfft, the same code as scipy.fft's, so nothing here loads SciPy.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _zero_row(a, n: int, alpha: float) -> np.ndarray:
     """A(|l2|) for l2 = -n/2..n/2-1, the l1 = 0 row of W, from the start of vec_a.
 
     At alpha = 1 the pole A(0) = inf is zeroed: its term is the limit that
-    :func:`mode_columns` adds instead.
+    :func:`_series` adds instead.
     """
     a0 = a[np.abs(np.arange(-(n // 2), n // 2))]
     if alpha == 1.0:
@@ -219,12 +219,11 @@ def _node_block(width: int) -> int:
     return min(64, 1 << (max(16, (width + 1) // 4).bit_length() - 1))
 
 
-def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c in ``cols``, and P1 with W*l1 for W.
+def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int) -> np.ndarray:
+    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < ``width``, and P1 with W*l1 for W.
 
-    Returned stacked as (2, n, cols.size).  For a block of
-    b = :func:`_node_block` (width) nodes from j0, with width = max(cols) + 1,
-    the sums are one product
+    Returned stacked as (2, n, width).  For a block of
+    b = :func:`_node_block` (width) nodes from j0 the sums are one product
     Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
     a row pitch of b + width - 2 in Q's flat storage.  The last block holds
@@ -233,9 +232,8 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarr
     thread (:func:`_one_blas_thread`).
     """
     n = w.shape[1]
-    width = int(cols.max()) + 1
     block = _node_block(width)
-    out = np.empty((2, n, cols.size))
+    out = np.empty((2, n, width))
     with _one_blas_thread():
         for j0 in range(0, n, block):
             b = min(block, n - j0)
@@ -244,7 +242,7 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, cols: np.ndarray) -> np.ndarr
             a = np.concatenate((wb, wb * l1[:, None]), axis=1)
             q = a.T @ g[:, lo : lo + b + width - 1]
             band = q.reshape(-1, b * (b + width - 1))[:, b - 1 : b - 1 + b * (b + width - 2)]
-            out[:, j0 : j0 + b] = band.reshape(-1, b, b + width - 2)[:, :, cols]
+            out[:, j0 : j0 + b] = band.reshape(-1, b, b + width - 2)[:, :, :width]
     return out
 
 
@@ -428,126 +426,107 @@ def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
     return p0, p1
 
 
-def mode_columns(n: int, alpha: float, l_lim: int, ks) -> np.ndarray:
-    """Unit-scale operator on exp(i*k*s) at the n physical nodes, one column per k in ``ks``.
-
-    Every column is the paper's series truncated at |l1| <= l_lim.  The
-    gamma ratios are computed for the parities of ``ks``, at alpha = 1 for
-    the odd ones only (none when every k is even): the even columns there
-    are those of :func:`even_mode_columns`, and the odd ones zero the weight
-    A(0) = inf and add its limit term instead (module docstring).  Near
-    alpha = 1 the even prefactor 1/tan(pi*alpha/2) -> 0 meets the poles of
-    vec_b.  The prefactor is formed as tan(pi*(1 - alpha)/2) from the exact
-    1 - alpha, but vec_b's factor a + 1, a = (-1 - alpha)/2, comes from a
-    rounded a, so every even column read from vec_b loses digits: against
-    the closed form (n = 64, l_lim = 500, within 1e-15 of mpmath there) a
-    column k >= 4 is 1.1e-13 column-relative off at alpha = 0.999, 1.1e-11
-    at 0.99999 and 2.2e-12 at 1.0001.  A lone k = 2 column, from its
-    rational terms, stays within 1.3e-15 from 0.99 to 1.01.  The operator
-    block therefore takes only its odd columns from here.  Per parity of k each
-    term of the l1 sum is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2,
-    so the sums are the reductions P0 = sum W*G and P1 = sum W*l1*G, taken
-    over a sliding window of G that holds only the pairs (l2, d) the columns
-    read: O(l_lim*n) work for one column.  Every term with l1 != 0 reads
-    contiguous runs of the gamma ratio vectors (module docstring).  The
-    window's width picks the path.  A window one column wide (one k of its
-    parity, or one k repeated) builds no gamma table and forms no W or G:
-    :func:`_column_sums` streams the two vectors it reads a chunk of rows at
-    a time, multiplies their runs while they are in cache and reduces each
-    chunk with one dot, l1 = 0 last; it allocates about 2 MB at n = 1024,
-    l_lim = 500, where the tables alone would take 8.2 MB.  The k = 2
-    column streams nothing: it forms the same chunks from the rational form
-    of its terms.  A wider window builds the tables of its parities, copies
-    W and G once from strided views of the runs (the l1 = 0 rows gathered)
-    and sums them as a matrix product followed by a skewed gather
-    (:func:`_window_sums`), blocked over the nodes.  Both reductions run on
-    one OpenBLAS thread, so the result does not depend on the caller's BLAS
-    thread count; where numpy has no OpenBLAS thread setter
-    (:func:`blas_thread_setter`) the pin is a no-op and that guarantee is
-    the BLAS library's own.  A column taken in a subset of ``ks`` is not
-    always bit-identical to the same column of the full build: the path and
-    the product's shape follow the subset's window, and OpenBLAS picks its
-    kernel, hence its summation order, by shape.  The two agree to
-    round-off: at most 6.2e-15 column-relative between wide windows (n =
-    64..512, l_lim = 500) and 8.8e-14 between one column and a wide window
-    (n = 64..1024, l_lim = 500, alpha in 0.05..1.95).  The l2 series at the
-    nodes is one shifted inverse FFT per parity in pocketfft, O(n log n) per
-    column.  Raises TypeError for a non-integer k or l_lim and ValueError
-    for an odd or too small n, a negative l_lim or a k outside 1..n-1.
-    """
-    ks = np.asarray(ks)
-    if ks.dtype.kind not in "iu" or not isinstance(l_lim, (int, np.integer)):
-        raise TypeError(f"k and l_lim must be integers, got k = {ks.tolist()!r}, l_lim = {l_lim!r}")
-    s = nodes(GridConfig(n, 1.0))  # checks n
+def _check(n: int, l_lim: int) -> None:
+    """Raise TypeError for a non-integer l_lim, ValueError for an odd or too small n or a negative l_lim."""
+    if not isinstance(l_lim, (int, np.integer)):
+        raise TypeError(f"l_lim must be an integer, got {l_lim!r}")
+    GridConfig(n, 1.0)  # checks n
     if l_lim < 0:
         raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
-    if ks.size == 0 or ks.min() < 1 or ks.max() > n - 1:
-        raise ValueError(f"every k must lie in 1..n-1 = 1..{n - 1}, got {ks.tolist()}")
-    ks = ks.astype(np.int64)
-    half = n // 2
-    l2 = np.arange(-half, half)
-    # the parities whose window is wider than one column read whole tables
-    wide = {parity for parity in (0, 1) if np.unique(ks[ks % 2 == parity] // 2).size > 1}
-    if alpha == 1.0:
-        wide.discard(0)
-    if wide:
-        tables = build_tables(alpha, n, l_lim, parities=wide)
-    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
-    half_step = np.exp(1j * np.pi * l2 / n)[:, None]
-    out = np.empty((n, ks.size), dtype=np.complex128)
-    w = None
 
-    for parity in (0, 1):
-        sel = np.flatnonzero(ks % 2 == parity)
-        if sel.size == 0:
-            continue
-        k = ks[sel]
-        if alpha == 1.0 and parity == 0:
-            out[:, sel] = even_mode_columns(n, 1.0)[:, k // 2 - 1]
-            continue
-        h = k // 2
-        if parity not in wide:  # one column wide
-            p0, p1 = _column_sums(alpha, n, l_lim, int(h[0]), parity)
-            p0, p1 = p0[:, None], p1[:, None]
-        else:
-            vec = tables.vec_c if parity else tables.vec_b
-            if w is None:  # one W serves both parities
-                # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
-                a = tables.vec_a
-                p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
-                sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
-                l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
-                up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
-                down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
-                w = _rows(l_lim, down, up, _zero_row(a, n, alpha), sign, sign)
-            # G at every d = h - l2 from min(h) to max(h); the window
-            # [l1, l2, c] holds G at d = min(h) + c - l2
-            d = np.arange(h.min() - l2[-1], h.max() - l2[0] + 1)
-            # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p):
-            # reversed runs, for odd k one entry lower and negated
-            runs = sliding_window_view(vec, d.size)
-            fwd = runs[d[0] + n :: n][:l_lim][::-1]
-            rev = runs[n - d[-1] - parity :: n][:l_lim][::-1, ::-1]
-            g0 = _k_factor(d, parity, vec)
-            g = _rows(l_lim, fwd, rev, g0, plus_sign=1.0 - 2.0 * parity)
-            p0, p1 = _window_sums(w, l1, g, h - h.min())
-            del g
-        l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2[:, None] * p0)
-        # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
-        series = ifft(ifftshift(half_step * l2_sums, axes=0), axis=0, norm="forward")
-        if parity == 0:
-            # 1/tan(pi*alpha/2), with 1 - alpha exact: pi*alpha/2 rounds next to the pole
-            out[:, sel] = (pref * math.tan(math.pi * (1.0 - alpha) / 2.0))[:, None] * series
-        else:
-            out[:, sel] = 1j * pref[:, None] * series
-        if alpha == 1.0:
-            out[:, sel] -= 2j * k / (np.pi * (k * k - 4.0))  # the limit of the A(0) term
+
+def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Columns k of one parity at the n nodes from their l1 sums P0 and P1, each (n, k.size).
+
+    The l2 series is one shifted inverse FFT per column in pocketfft,
+    O(n log n), times the prefactor; odd columns at alpha = 1 add the limit
+    of the A(0) term (module docstring).
+    """
+    s = nodes(GridConfig(n, 1.0))
+    l2 = np.arange(-(n // 2), n // 2)[:, None]
+    l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2 * p0)
+    # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
+    series = ifft(ifftshift(np.exp(1j * np.pi * l2 / n) * l2_sums, axes=0), axis=0, norm="forward")
+    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
+    if k[0] % 2 == 0:
+        # 1/tan(pi*alpha/2), with 1 - alpha exact: pi*alpha/2 rounds next to the pole
+        return (pref * math.tan(math.pi * (1.0 - alpha) / 2.0))[:, None] * series
+    out = 1j * pref[:, None] * series
+    if alpha == 1.0:
+        out -= 2j * k / (np.pi * (k * k - 4.0))  # the limit of the A(0) term
     return out
+
+
+def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
+    """Unit-scale operator on exp(i*k*s), k = 1, 3, ..., n-1, at the n physical nodes.
+
+    Every column is the paper's series truncated at |l1| <= l_lim; at
+    alpha = 1 the weight A(0) = inf is zeroed and its limit term added
+    instead (module docstring).  Each term of the l1 sum is W[l1, l2] times
+    G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
+    P0 = sum W*G and P1 = sum W*l1*G over a sliding window of G n/2 columns
+    wide.  W and G are copied once from strided views of vec_a and vec_c
+    (the l1 = 0 rows gathered) and summed as a matrix product followed by a
+    skewed gather (:func:`_window_sums`), blocked over the nodes.  The
+    products run on one OpenBLAS thread, so the result does not depend on
+    the caller's BLAS thread count; where numpy has no OpenBLAS thread
+    setter (:func:`blas_thread_setter`) the pin is a no-op and that
+    guarantee is the BLAS library's own.  A column agrees with the same k
+    from :func:`symbol_samples` to round-off, not bit for bit: the two
+    reductions sum in different orders (at most 8.8e-14 column-relative,
+    n = 64..1024, l_lim = 500, alpha in 0.05..1.95).  Returns an
+    (n, n/2) array.  Raises TypeError for a non-integer l_lim and
+    ValueError for an odd or too small n, a negative l_lim or alpha outside
+    (0, 2).
+    """
+    _check(n, l_lim)
+    half = n // 2
+    tables = build_tables(alpha, n, l_lim, parities=(1,))
+    a, c = tables.vec_a, tables.vec_c
+    p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
+    sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
+    l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
+    # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
+    up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
+    down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
+    w = _rows(l_lim, down, up, _zero_row(a, n, alpha), sign, sign)
+    # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
+    d = np.arange(1 - half, n)
+    # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
+    # runs one entry lower, negated
+    runs = sliding_window_view(c, d.size)
+    fwd = runs[d[0] + n :: n][:l_lim][::-1]
+    rev = runs[::n][:l_lim][::-1, ::-1]
+    g = _rows(l_lim, fwd, rev, _k_factor(d, 1, c), plus_sign=-1.0)
+    p0, p1 = _window_sums(w, l1, g, half)
+    del w, g
+    return _series(alpha, n, np.arange(1, n, 2), p0, p1)
 
 
 def symbol_samples(alpha: float, k: int, n: int, l_lim: int) -> np.ndarray:
     """Values of the unit-scale operator applied to exp(i*k*s) at the n physical nodes.
 
-    k must lie in 1..n-1.  This is the one-column case of :func:`mode_columns`.
+    The paper's series truncated at |l1| <= l_lim, for one k in 1..n-1; at
+    alpha = 1 an even k takes its column of :func:`even_mode_columns`, and
+    an odd k zeroes the weight A(0) = inf and adds its limit term instead
+    (module docstring).  No gamma table is built and no W or G formed:
+    :func:`_column_sums` streams the two ratio vectors it reads a chunk of
+    rows at a time, multiplies their runs while they are in cache and
+    reduces each chunk with one dot, l1 = 0 last; it allocates about 2 MB
+    at n = 1024, l_lim = 500, where the tables alone would take 8.2 MB.
+    The k = 2 column streams nothing: it forms the same chunks from the
+    rational form of its terms.  The reductions run on one OpenBLAS thread
+    (see :func:`odd_mode_columns`).  Raises TypeError for a non-integer k
+    or l_lim and ValueError for an odd or too small n, a negative l_lim, a
+    k outside 1..n-1 or alpha outside (0, 2).
     """
-    return mode_columns(n, alpha, l_lim, [k])[:, 0]
+    if not isinstance(k, (int, np.integer)):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    k = int(k)
+    _check(n, l_lim)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in 1..n-1 = 1..{n - 1}, got {k}")
+    if alpha == 1.0 and k % 2 == 0:
+        return even_mode_columns(n, 1.0)[:, k // 2 - 1]
+    p0, p1 = _column_sums(alpha, n, l_lim, k // 2, k % 2)
+    return _series(alpha, n, np.array([k]), p0[:, None], p1[:, None])[:, 0]

@@ -11,7 +11,7 @@ from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
 from fraclap.opmatrix import build_matrix, load_matrix
-from fraclap.oracles import mode1_error, mode2_error
+from fraclap.oracles import mode1_error
 from fraclap.symbol import blas_thread_setter, blas_threads
 
 
@@ -39,7 +39,6 @@ class TestMatrixBuild:
         diagnostics = manifest["diagnostics"]
         assert "column_crc32" in diagnostics
         block = build_matrix(GridConfig(8, 1.0), 0.5, 60)
-        assert diagnostics["mode2_error"] == mode2_error(block)
         assert diagnostics["mode1_error"] == mode1_error(block)
         timings = diagnostics["timings"]
         assert set(timings) == {"build_s", "save_s", "checksum_s"}
@@ -301,7 +300,7 @@ class TestFisher:
         assert loaded == [False, True]
 
     def test_manifest_mode2_error(self, tmp_path):
-        # the block's own k = 1 and k = 2 checks, for a built and a loaded block, alpha = 1 too
+        # the block's own k = 1 check, for a built and a loaded block, alpha = 1 too
         args = ["fisher", "--alpha-sweep", "1.0:1.2:0.2", "--n", "16", "--dt", "0.01",
                 "--tfinal", "0.3", "--L", "30.0", "--llim", "20", "--sample-stride", "2",
                 "--matrix-cache", str(tmp_path / "mc")]
@@ -312,7 +311,6 @@ class TestFisher:
                 entry = diagnostics[tag]
                 assert entry["matrix_loaded"] == (run == "loaded")
                 block = build_matrix(GridConfig(16, 1.0), alpha, 20)
-                assert entry["mode2_error"] == mode2_error(block)
                 assert entry["mode1_error"] == mode1_error(block)
 
     def test_matrix_cache_shared_across_maps(self, tmp_path):

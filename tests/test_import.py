@@ -20,16 +20,6 @@ from fraclap import closed_form_gaussian, closed_form_mode1, transform
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def test_import_leaves_integrate_and_optimize_unloaded():
-    # quadrature and front tracking import them on first use; together they
-    # were about a third of the time `import fraclap` took
-    script = (
-        "import json, sys, fraclap; "
-        "print(json.dumps([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]))"
-    )
-    assert json.loads(run_fresh_python(script, "1")) == []
-
-
 def test_import_loads_no_scipy_module():
     script = f"import json, sys, fraclap; print(json.dumps({SCIPY_LOADED}))"
     assert json.loads(run_fresh_python(script, "1")) == []

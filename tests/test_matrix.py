@@ -31,7 +31,7 @@ from fraclap.opmatrix import (
 )
 from fraclap.oracles import closed_form_gaussian, closed_form_mode2
 from fraclap.spectral import transform
-from fraclap.symbol import blas_thread_setter, mode_columns
+from fraclap.symbol import blas_thread_setter, odd_mode_columns, symbol_samples
 
 
 EVEN8 = GridConfig(8, 1.0)
@@ -65,11 +65,11 @@ class TestBuildMatrix:
             np.testing.assert_array_equal(odd, 2.0 * column.imag)
 
     def test_columns_are_mode_symbols(self, small_matrix):
-        # odd columns: the series kernel on the odd k alone, bit for bit;
+        # odd columns: the series kernel's odd block, bit for bit;
         # even columns: the closed form, against mpmath
         for alpha in (0.5, 1.0, 1.5):
             matrix = small_matrix if alpha == 0.5 else build_matrix(EVEN8, alpha, 200)
-            odd = mode_columns(8, alpha, 200, [1, 3, 5, 7])
+            odd = odd_mode_columns(8, alpha, 200)
             np.testing.assert_array_equal(matrix.entries[:, 0::2], odd)
             ref = even_mode_images(8, alpha)
             err = np.max(np.abs(matrix.entries[:, 1::2] - ref), axis=0)
@@ -85,7 +85,7 @@ class TestBuildMatrix:
 
         monkeypatch.setattr(symbol, "build_tables", recording)
         build_matrix(GridConfig(16, 1.0), 0.5, 20)
-        assert asked == [{1}]
+        assert asked == [(1,)]
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
@@ -103,8 +103,8 @@ class TestBuildMatrix:
 
     def test_blas_thread_count_does_not_change_single_columns(self):
         script = (
-            "import json, zlib; from fraclap.symbol import mode_columns; "
-            "print(json.dumps([zlib.crc32(mode_columns(n, a, 500, [k]).tobytes()) for n, a, k in "
+            "import json, zlib; from fraclap.symbol import symbol_samples; "
+            "print(json.dumps([zlib.crc32(symbol_samples(a, k, n, 500).tobytes()) for n, a, k in "
             "((1024, 0.3, 2), (1024, 0.3, 1023), (512, 1.5, 1), (512, 1.95, 256), (64, 1.0, 3))]))"
         )
         checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
@@ -137,7 +137,7 @@ class TestBuildMatrix:
         old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)
         np.testing.assert_array_equal(new, old)
         # the k = 2 column reads no table; k = 4 streams the same vectors it did
-        old, new = both(lambda: mode_columns(1024, alpha, 500, [4]))
+        old, new = both(lambda: symbol_samples(alpha, 4, 1024, 500))
         np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("alpha,crc", [
@@ -158,14 +158,14 @@ class TestBuildMatrix:
         assert zlib.crc32(entries.tobytes()) == crc
 
     def test_single_column_is_pinned(self):
-        assert zlib.crc32(mode_columns(64, 0.45, 30, [2]).tobytes()) == 0x10316464
+        assert zlib.crc32(symbol_samples(0.45, 2, 64, 30).tobytes()) == 0x10316464
 
     @pytest.mark.parametrize("alpha,crc", [
         (0.05, 0xE687F569), (0.5, 0x967B8CF5), (1.95, 0x5CD62DA8),
     ])
     def test_mode2_scan_column_is_pinned(self, alpha, crc):
         # criterion 1's column, one column wide, summed from its rational terms
-        assert zlib.crc32(mode_columns(1024, alpha, 500, [2]).tobytes()) == crc
+        assert zlib.crc32(symbol_samples(alpha, 2, 1024, 500).tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,l_lim,k,crc", [
         # odd columns at alpha = 1, where vec_a starts with the pole A(0)
@@ -184,7 +184,7 @@ class TestBuildMatrix:
     def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
         # the odd columns taken from the sums over whole gamma tables, before the
         # columns streamed them; the k = 2 ones from the rational terms
-        assert zlib.crc32(mode_columns(n, alpha, l_lim, [k]).tobytes()) == crc
+        assert zlib.crc32(symbol_samples(alpha, k, n, l_lim).tobytes()) == crc
 
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)

@@ -13,7 +13,6 @@ from fraclap.oracles import (
     closed_form_mode2,
     error_scan,
     mode1_error,
-    mode2_error,
     quadrature_fraclap,
     test_function,
 )
@@ -185,27 +184,6 @@ class TestErrorScan:
         grid = grid[np.abs(grid - 1.0) > 1e-12]
         scan = error_scan("mode2", GridConfig(128, 1.0), 210, grid)
         assert 5.0219e-13 / 3 <= scan.global_max <= 3 * 5.0219e-13
-
-
-class TestMode2Error:
-    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
-    @pytest.mark.parametrize("n,l_lim", [(4, 0), (16, 40), (128, 500)])
-    def test_equals_the_mode2_scan_of_the_same_block(self, n, l_lim, alpha):
-        # the figure is the node error of column 2, exactly; that column is the
-        # closed form itself, so off alpha = 1 it reads 0 at any l_lim (the
-        # series' own k = 2 error stays with error_scan("mode2") and criterion 1)
-        matrix = build_matrix(GridConfig(n, 1.0), alpha, l_lim)
-        column = matrix.entries[:, 1]
-        exact = closed_form_mode2(nodes(GridConfig(n, 1.0)), alpha)
-        assert mode2_error(matrix) == np.max(np.abs(column - exact))
-        if alpha != 1.0:
-            assert mode2_error(matrix) == 0.0
-
-    def test_alpha_one_block_is_exact(self):
-        assert mode2_error(build_matrix(GridConfig(64, 1.0), 1.0, 20)) < 1e-14
-
-    def test_no_column_two_at_n_two(self):
-        assert mode2_error(build_matrix(GridConfig(2, 1.0), 0.5, 10)) is None
 
 
 class TestMode1:

@@ -9,7 +9,7 @@ from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
 from fraclap import symbol
-from fraclap.symbol import even_mode_columns, fractional_constant, mode_columns, symbol_samples
+from fraclap.symbol import even_mode_columns, fractional_constant, odd_mode_columns, symbol_samples
 
 
 class TestFractionalConstant:
@@ -101,7 +101,7 @@ class TestSymbolSamples:
     @pytest.mark.parametrize("k", [0, 8, -1, 20])
     def test_k_out_of_range(self, alpha, k):
         with pytest.raises(ValueError, match="1..n-1"):
-            mode_columns(8, alpha, 10, [k])
+            symbol_samples(alpha, k, 8, 10)
 
     def test_non_integer_k_rejected(self):
         with pytest.raises(TypeError):
@@ -253,45 +253,37 @@ class TestModeColumns:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
     @pytest.mark.parametrize("n,ks", [(2, [1]), (8, [1, 2, 5, 6, 7]), (64, [1, 2, 33, 62, 63])])
     def test_matches_direct_sum_with_reduced_phases(self, n, ks, alpha):
-        got = mode_columns(n, alpha, 4, ks)
-        ref = _direct_columns(n, alpha, 4, ks)
-        err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
-        assert np.all(err <= 1e-13)
-
-    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
-    @pytest.mark.parametrize("l_lim", [0, 1, 7])
-    @pytest.mark.parametrize("n", [2, 4, 16, 64])
-    def test_columns_equal_the_full_build(self, n, l_lim, alpha):
-        # unsorted, repeated, both parities: the l1 = 0 row, the reversed runs
-        # and the negative-e vec_c rows are read the same as in the full block
-        ks = [k for k in (n - 1, 1, 2, n // 2, 3, 2) if k < n]
-        full = mode_columns(n, alpha, l_lim, np.arange(1, n))
-        got = mode_columns(n, alpha, l_lim, ks)
-        np.testing.assert_array_equal(got, full[:, np.array(ks) - 1])
+        # the odd block (at n = 2 a window one column wide) and each column alone
+        odd = np.arange(1, n, 2)
+        one = np.stack([symbol_samples(alpha, k, n, 4) for k in ks], axis=1)
+        for got, cols in ((odd_mode_columns(n, alpha, 4), odd), (one, ks)):
+            ref = _direct_columns(n, alpha, 4, cols)
+            err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+            assert np.all(err <= 1e-13)
 
     @pytest.mark.parametrize("sums", ["P0+P1"])
-    @pytest.mark.parametrize("width", [2, 126, 127, 254, 255])
+    @pytest.mark.parametrize("width", [1, 2, 126, 127, 254, 255])
     @pytest.mark.parametrize("n", [34, 130, 300])
     def test_window_sums_follow_the_band_definition(self, n, width, sums):
         # n leaves a partial last block at every block size; the widths sit on
-        # both sides of each change of block size.  Integer entries make every
-        # sum exact in any order, so the blocked products must match exactly.
+        # both sides of each change of block size, and 1 is the odd block at
+        # n = 2.  Integer entries make every sum exact in any order, so the
+        # blocked products must match exactly.
         rng = np.random.default_rng(n + width)
         w = rng.integers(-8, 9, (41, n)).astype(float)
         g = rng.integers(-8, 9, (41, n + width - 1)).astype(float)
         l1 = np.arange(-20.0, 21.0)
-        for cols in (np.arange(width), np.array([width - 1, 0, width // 2, 0])):
-            window = g[:, n - 1 - np.arange(n)[:, None] + cols]  # [i, j, c] = g[i, n-1-j+c]
-            ref = [np.einsum("ij,ijc->jc", w, window), np.einsum("i,ij,ijc->jc", l1, w, window)]
-            np.testing.assert_array_equal(symbol._window_sums(w, l1, g, cols), np.stack(ref))
+        window = g[:, n - 1 - np.arange(n)[:, None] + np.arange(width)]  # [i, j, c] = g[i, n-1-j+c]
+        ref = [np.einsum("ij,ijc->jc", w, window), np.einsum("i,ij,ijc->jc", l1, w, window)]
+        np.testing.assert_array_equal(symbol._window_sums(w, l1, g, width), np.stack(ref))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.5, 1.95])
     @pytest.mark.parametrize("n", [64, 512, 1024])
     def test_one_column_agrees_with_a_wide_window(self, n, alpha):
-        # one k per call runs the chunked one-column sums, all seven at once the
+        # one k per call runs the chunked one-column sums, the odd block the
         # blocked GEMM; measured <= 8.8e-14 (1.22e-13 for the einsum it replaced)
-        ks = [1, 2, 3, n // 2 - 1, n // 2, n - 2, n - 1]
-        wide = mode_columns(n, alpha, 500, ks)
+        ks = np.array([1, 3, n // 2 - 1, n - 1])
+        wide = odd_mode_columns(n, alpha, 500)[:, ks // 2]
         one = np.stack([symbol_samples(alpha, k, n, 500) for k in ks], axis=1)
         err = np.max(np.abs(one - wide), axis=0) / np.max(np.abs(wide), axis=0)
         assert err.max() <= 2e-13
@@ -302,8 +294,7 @@ class TestModeColumns:
         # the differences S_2L - S_L and S_4L - S_2L of the odd columns shrink 8x
         # per doubling of l_lim (measured 7.94-7.95 per column).  The truncation
         # error alternates in sign with the parity of l_lim, so L = 125 reads 10.23.
-        ks = np.arange(1, n, 2)
-        s1, s2, s4 = (mode_columns(n, alpha, l_lim, ks) for l_lim in (128, 256, 512))
+        s1, s2, s4 = (odd_mode_columns(n, alpha, l_lim) for l_lim in (128, 256, 512))
         ratio = np.max(np.abs(s2 - s1), axis=0) / np.max(np.abs(s4 - s2), axis=0)
         assert np.all((ratio >= 7.9) & (ratio <= 8.0))
 
@@ -311,9 +302,8 @@ class TestModeColumns:
         # the odd columns at alpha = 1 drop the pole A(0) and add its limit;
         # the mean of both sides agrees with them to O(eps^2) plus round-off
         n, l_lim, eps = 64, 500, 1e-4
-        at_one = mode_columns(n, 1.0, l_lim, np.arange(1, n))
-        mean = (mode_columns(n, 1.0 - eps, l_lim, np.arange(1, n))
-                + mode_columns(n, 1.0 + eps, l_lim, np.arange(1, n))) / 2.0
+        at_one = odd_mode_columns(n, 1.0, l_lim)
+        mean = (odd_mode_columns(n, 1.0 - eps, l_lim) + odd_mode_columns(n, 1.0 + eps, l_lim)) / 2.0
         err = np.max(np.abs(mean - at_one), axis=0) / np.max(np.abs(at_one), axis=0)
         assert err.max() <= 2e-7
 
@@ -375,7 +365,8 @@ class TestModeColumns:
         assert peak <= 3 * 10**6
 
     @pytest.mark.parametrize("alpha,k,err", [
-        (1.0 + 1e-4, 2, 5.56e-16), (1.0 - 1e-4, 2, 6.96e-16), (1.0 + 1e-4, 4, 2.16e-12),
+        (1.0 + 1e-4, 2, 5.56e-16), (1.0 - 1e-4, 2, 6.96e-16), (1.0 + 1e-4, 4, 8.96e-16),
+        (1.0 - 1e-5, 4, 1.59e-15),
     ])
     def test_even_columns_near_alpha_one(self, alpha, k, err):
         # measured figures, pinned to show where digits go, not bounds.  Against
@@ -383,8 +374,8 @@ class TestModeColumns:
         # column from its rational terms keeps every digit on both sides of 1,
         # since its prefactor is tan(pi*(1 - alpha)/2) of the exact 1 - alpha,
         # not 1/tan(pi*alpha/2) of an argument rounded next to the pole of tan.
-        # The streamed columns (every even k >= 4) are 2.2e-12 off at 1.0001:
-        # vec_b's factor a + 1 is formed from a rounded a.
+        # The streamed columns (every even k >= 4) keep them too: vec_b's factor
+        # a + 1 is (1 - alpha)/2 of the exact 1 - alpha, not a rounded a plus 1.
         n = 64
         ref = even_mode_columns(n, alpha)[:, k // 2 - 1]
         got = symbol_samples(alpha, k, n, 500)
@@ -409,9 +400,9 @@ class TestEvenModeColumns:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
     def test_agrees_with_the_series(self, alpha):
-        # the paper's truncated series at l_lim = 500 (measured <= 6.9e-14)
+        # the paper's truncated series at l_lim = 500, one column per call (measured <= 7.2e-14)
         n = 128
-        series = mode_columns(n, alpha, 500, np.arange(2, n, 2))
+        series = np.stack([symbol_samples(alpha, k, n, 500) for k in range(2, n, 2)], axis=1)
         err = np.max(np.abs(even_mode_columns(n, alpha) - series), axis=0)
         assert np.max(err / np.max(np.abs(series), axis=0)) <= 1e-13
 
@@ -424,7 +415,8 @@ class TestEvenModeColumns:
         s, k = nodes(GridConfig(16, 1.0)), np.arange(2, 16, 2)
         expected = k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
         np.testing.assert_array_equal(even_mode_columns(16, 1.0), expected)
-        np.testing.assert_array_equal(mode_columns(16, 1.0, 3, [6, 2]), expected[:, [2, 0]])
+        for k in (6, 2):
+            np.testing.assert_array_equal(symbol_samples(1.0, k, 16, 3), expected[:, k // 2 - 1])
 
     def test_no_even_column_at_n_two(self):
         assert even_mode_columns(2, 0.5).shape == (2, 0)
