@@ -10,20 +10,15 @@ the functional equation Gamma(z+1) = z*Gamma(z):
 a multiplicative recursion whose factors tend to 1 and keep every entry
 finite.  Gamma itself (``math.gamma``) is only needed at the handful of
 base arguments.  The running product is long double for the first _HEAD
-entries and float64 after them (see :class:`RatioStream` for the form and
+entries and float64 after them (see :func:`_ratio_vector` for the form and
 its accuracy): x87 long double has no SIMD, and at n = 1024, l_lim = 500 an
 all-long-double recursion takes ~92% of a mode-2 column (46 of 50 ms on a
-2-core Xeon VM).  The one recursion is :class:`RatioStream`, which hands a
-vector out as windows in increasing m from a buffer allocated once; a
-table (:func:`build_tables`) is one window as wide as each vector.  A
-single mode column reads its two vectors as streams (:func:`ratio_stream`)
-and builds no table; the recursion still takes ~70% of such a column (8 of
-11 ms at n = 1024, l_lim = 500), most of it the float64 running product,
-whose steps depend on one another.  The k = 2 column (criteria 1 and 2,
-the mode-2 scan) reads no vector: its terms A(m)*B(m +- 1) are rational in
-m (:func:`fraclap.symbol._mode2_terms`).  No step forms a temporary the
-size of a window.  Even modes read vec_b and odd modes vec_c, so a table
-set holds only the vectors of the parities asked for.  No step calls BLAS.
+2-core Xeon VM).  One function, :func:`_ratio_vector`, computes each vector
+whole, and :func:`build_tables` holds the vectors of the parities asked
+for: even modes read vec_b and odd modes vec_c.  The k = 2 column
+(criteria 1 and 2, the mode-2 scan) reads no vector: its terms
+A(m)*B(m +- 1) are rational in m (:func:`fraclap.symbol._mode2_terms`).
+No step forms a temporary the size of a vector, and no step calls BLAS.
 """
 
 from __future__ import annotations
@@ -69,19 +64,18 @@ class GammaRatioTables:
             object.__setattr__(self, name, arr)
 
 
-class RatioStream:
-    """The ratio vector [Gamma(a+m)/Gamma(b+m) for m < length], read as windows in increasing m.
+def _ratio_vector(a: float, b: float, length: int, first: float | None = None) -> np.ndarray:
+    """[Gamma(a+m)/Gamma(b+m) for m = 0..length-1] (length may be 0), read-only.
 
-    :meth:`window` returns entries lo..hi-1 from a buffer of ``capacity``
-    entries allocated once.  The buffer keeps the entries from the last
-    window's start on, so no window may start before the one before it; one
-    that starts past the end of the one before runs through the entries
-    between.
+    With ``first``, the entry ``first`` and then the vector of (a, b) one
+    entry later, length entries in all.  a = 0 puts Gamma's pole at m = 0:
+    that entry is inf, and the rest are the vector of (1, b + 1) one entry
+    later.  vec_b is shifted the same way (:func:`_vector`).
 
-    The first _HEAD entries multiply the factors (a+m)/(b+m) in long double
-    and are computed once.  Every later entry continues from the one before
-    it, carried over from the previous window, as a float64 running product
-    of the same factors written 1 + (a-b)/(b+m).  In float64 the form
+    The first _HEAD entries of the recursion multiply the factors
+    (a+m)/(b+m) in long double.  Every later entry continues from the one
+    before it as a float64 running product of the same factors written
+    1 + (a-b)/(b+m), formed _STEP entries per pass.  In float64 the form
     matters: a+m rounds the same way for every m in a binade, so a product
     of (a+m)/(b+m) drifts (1.8e-11 relative at m ~ 5e5), while
     1 + (a-b)/(b+m) only rounds its small offset from 1 and the error grows
@@ -92,91 +86,37 @@ class RatioStream:
     9.9e-14.  The tail form from m = 0 would double the mode-2 error of the
     n = 1024 alpha scan (2.4e-13); with the long-double head the operator
     entries of the benchmark's seed-0 scans are bit-identical to those
-    built from all-long-double tables.  Since a running product is summed
-    in order whatever the window, every window is bit-identical to the same
-    slice of the whole vector (:func:`_ratio_vector`).  a = 0 puts Gamma's
-    pole at m = 0: that entry is inf, and the rest are the vector of
-    (1, b + 1) one entry later, whose head therefore ends one entry later.
-    vec_b is shifted the same way (:func:`_stream`).
+    built from all-long-double tables.
     """
-
-    def __init__(self, a: float, b: float, length: int, capacity: int):
-        if a == 0.0:
-            self._start(np.inf, 1.0, b + 1.0, length, capacity)
-        else:
-            self._start(None, a, b, length, capacity)
-
-    @classmethod
-    def _shifted(cls, first: float, a: float, b: float, length: int, capacity: int) -> RatioStream:
-        """The entry ``first``, then the vector of (a, b) one entry later."""
-        stream = cls.__new__(cls)
-        stream._start(first, a, b, length, capacity)
-        return stream
-
-    def _start(self, first, a: float, b: float, length: int, capacity: int) -> None:
-        self.length = length
-        self._first = first
-        self._shift = int(first is not None)  # entries before the recursion
-        self._a, self._b = a, b
-        self._head = np.empty(max(0, min(length - self._shift, _HEAD)), dtype=np.float64)
-        base = math.gamma(a) / math.gamma(b)
-        self._head[:1] = base
-        if self._head.size > 1:
-            factors = np.arange(self._head.size - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
-            den = factors + np.longdouble(b)
-            factors += np.longdouble(a)
-            np.divide(factors, den, out=factors)
-            np.cumprod(factors, out=factors)
-            np.multiply(factors, np.longdouble(base), out=self._head[1:])
-        self._buf = np.empty(max(capacity, 2), dtype=np.float64)  # a carried entry and one more
-        self._lo = self._hi = 0  # the buffer holds the entries lo..hi-1
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..hi-1 as a read-only view, valid until the next call."""
-        if not self._lo <= lo <= hi <= self.length or hi - lo > self._buf.size:
-            raise IndexError(
-                f"window [{lo}, {hi}) after [{self._lo}, {self._hi}) of a vector of "
-                f"{self.length} entries read {self._buf.size} at a time"
-            )
-        while self._hi < hi:
-            keep = min(lo, max(self._hi - 1, 0))  # the recursion goes on from the last entry
-            kept = self._buf[keep - self._lo : self._hi - self._lo]
-            self._buf[: kept.size] = kept
-            self._lo, start = keep, self._hi
-            self._hi = min(hi, keep + self._buf.size)
-            self._fill(start)
-        out = self._buf[lo - self._lo : hi - self._lo]
-        out.flags.writeable = False
-        return out
-
-    def _fill(self, start: int) -> None:
-        """Compute entries start..hi-1 into the buffer, which holds lo..start-1."""
-        buf, pos = self._buf[: self._hi - self._lo], start - self._lo
-        if start < self._shift:
-            buf[pos] = self._first
-        head = self._head[max(start - self._shift, 0) : self._hi - self._shift]
-        pos = max(pos, self._shift - self._lo)
-        buf[pos : pos + head.size] = head
-        pos += head.size
-        if pos == buf.size:
-            return
-        tail = buf[pos - 1 :]  # the last entry so far, then b+m, then the factors
-        first = self._lo + pos - 1 - self._shift  # m of that entry in the recursion
+    if first is None and a == 0.0:
+        a, b, first = 1.0, b + 1.0, np.inf
+    out = np.empty(length, dtype=np.float64)
+    shift = int(first is not None)  # entries before the recursion
+    if shift:
+        out[:1] = first
+    head = out[shift : shift + _HEAD]
+    base = math.gamma(a) / math.gamma(b)
+    head[:1] = base
+    if head.size > 1:
+        factors = np.arange(head.size - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
+        den = factors + np.longdouble(b)
+        factors += np.longdouble(a)
+        np.divide(factors, den, out=factors)
+        np.cumprod(factors, out=factors)
+        np.multiply(factors, np.longdouble(base), out=head[1:])
+    pos = shift + head.size
+    if pos < length:
+        tail = out[pos - 1 :]  # the last head entry, then b+m, then the factors
+        start = head.size - 1  # m of that entry in the recursion
         for j in range(1, tail.size, _STEP):
             run = tail[j : j + _STEP]
-            np.add(_RAMP[: run.size], first + j - 1, out=run)  # m, exact
-            run += self._b
-        np.divide(self._a - self._b, tail[1:], out=tail[1:])
+            np.add(_RAMP[: run.size], start + j - 1, out=run)  # m, exact
+            run += b
+        np.divide(a - b, tail[1:], out=tail[1:])
         tail[1:] += 1.0
         np.cumprod(tail, out=tail)
-
-
-def _ratio_vector(a: float, b: float, length: int) -> np.ndarray:
-    """[Gamma(a+m)/Gamma(b+m) for m = 0..length-1] (length may be 0), read-only.
-
-    One window of a :class:`RatioStream` as wide as the vector.
-    """
-    return RatioStream(a, b, length, length).window(0, length)
+    out.flags.writeable = False
+    return out
 
 
 def table_lengths(n: int, l_lim: int) -> tuple[int, int, int]:
@@ -191,8 +131,8 @@ def table_lengths(n: int, l_lim: int) -> tuple[int, int, int]:
     return len_a, len_bc, len_bc
 
 
-def _stream(name: str, alpha: float, length: int, capacity: int) -> RatioStream:
-    """The vector ``name`` of :class:`GammaRatioTables` at alpha, as a :class:`RatioStream`.
+def _vector(name: str, alpha: float, length: int) -> np.ndarray:
+    """The vector ``name`` of :class:`GammaRatioTables` at alpha, ``length`` entries.
 
     vec_b starts with Gamma(a+1)/(a*Gamma(b)), followed by the vector of
     (a + 1, b + 1) one entry later, with a + 1 = (1 - alpha)/2 formed from
@@ -202,22 +142,10 @@ def _stream(name: str, alpha: float, length: int, capacity: int) -> RatioStream:
     """
     if name == "vec_b":
         a, b, c = (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0, (1.0 - alpha) / 2.0
-        return RatioStream._shifted(math.gamma(c) / (a * math.gamma(b)), c, b + 1.0, length, capacity)
+        return _ratio_vector(c, b + 1.0, length, math.gamma(c) / (a * math.gamma(b)))
     if name == "vec_a":
-        return RatioStream((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, length, capacity)
-    return RatioStream(-alpha / 2.0, 2.0 + alpha / 2.0, length, capacity)
-
-
-def _check(alpha: float, n: int, l_lim: int, parities) -> None:
-    """Raise ValueError for arguments no table is built for (see :func:`build_tables`)."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if alpha == 1.0 and 0 in parities:
-        raise ValueError("vec_b has poles at alpha = 1; even modes there need no tables")
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
-    if l_lim < 0:
-        raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
+        return _ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, length)
+    return _ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, length)
 
 
 def build_tables(alpha: float, n: int, l_lim: int, parities=(0, 1)) -> GammaRatioTables:
@@ -229,20 +157,16 @@ def build_tables(alpha: float, n: int, l_lim: int, parities=(0, 1)) -> GammaRati
     and vec_c are built (vec_a[0] = inf) and parity 0 is rejected: vec_b has
     poles there, and the even modes have a closed form.
     """
-    _check(alpha, n, l_lim, parities)
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if alpha == 1.0 and 0 in parities:
+        raise ValueError("vec_b has poles at alpha = 1; even modes there need no tables")
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    if l_lim < 0:
+        raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
     len_a, len_b, len_c = table_lengths(n, l_lim)
-    vec_a = _stream("vec_a", alpha, len_a, len_a).window(0, len_a)
-    vec_b = _stream("vec_b", alpha, len_b, len_b).window(0, len_b) if 0 in parities else ()
-    vec_c = _stream("vec_c", alpha, len_c, len_c).window(0, len_c) if 1 in parities else ()
+    vec_a = _vector("vec_a", alpha, len_a)
+    vec_b = _vector("vec_b", alpha, len_b) if 0 in parities else ()
+    vec_c = _vector("vec_c", alpha, len_c) if 1 in parities else ()
     return GammaRatioTables(alpha=alpha, vec_a=vec_a, vec_b=vec_b, vec_c=vec_c)
-
-
-def ratio_stream(name: str, alpha: float, n: int, l_lim: int, capacity: int) -> RatioStream:
-    """Vector ``name`` of ``build_tables(alpha, n, l_lim)``, read ``capacity`` entries at a time.
-
-    Its windows are bit-identical to slices of the table (:class:`RatioStream`),
-    and the arguments are checked as in :func:`build_tables`, vec_b serving
-    parity 0 and vec_c parity 1.
-    """
-    _check(alpha, n, l_lim, {"vec_b": (0,), "vec_c": (1,)}.get(name, ()))
-    return _stream(name, alpha, table_lengths(n, l_lim)[_NAMES.index(name)], capacity)

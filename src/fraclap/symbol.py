@@ -35,17 +35,16 @@ row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
     l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
               e = d + p*n > 0, a forward run of vec_b or vec_c.
 
-One column never forms W or G, nor a table: its terms are elementwise
-products of those runs, read from windows of the ratio vectors as
-:func:`fraclap.gammaratio.ratio_stream` computes them, smallest p first.
-The k = 2 column, which criteria 1 and 2 and the mode-2 scan sum,
-evaluates no gamma ratio at all: its two ratios differ by exactly 2 in
-their arguments, so each term is a rational function of |l|
+One column never forms W or G: its terms are elementwise products of those
+runs, read as slices of the gamma tables a chunk of rows at a time,
+smallest p first.  The k = 2 column, which criteria 1 and 2 and the mode-2
+scan sum, evaluates no gamma ratio at all: its two ratios differ by exactly
+2 in their arguments, so each term is a rational function of |l|
 (:func:`_mode2_terms`).  The -p and +p terms are fused into each row's P0
 and P1 parts and reduced chunk by chunk (:func:`_column_sums`).  The odd
 block reads its rows as strided views of the tables and copies them once
-into the summation order, the exact sign (-1)^l1 folded into the copy;
-only the l1 = 0 rows, where l and e change sign, are gathered.
+into the summation order, the exact sign (-1)^l1 folded into the copy; only
+the l1 = 0 rows, where l and e change sign, are gathered.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
@@ -79,7 +78,7 @@ import numpy as np
 from numpy.fft import ifft, ifftshift
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fraclap.gammaratio import build_tables, ratio_stream
+from fraclap.gammaratio import build_tables
 from fraclap.grid import GridConfig, nodes
 
 _THREAD_GETTERS = (
@@ -246,6 +245,11 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _alpha_one_even(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """k*sin(s)^2*exp(i*k*s): the even columns k at alpha = 1, at the nodes s."""
+    return k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
+
+
 def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s), k = 2, 4, ..., n-2, at the n physical nodes.
 
@@ -272,7 +276,7 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     k = np.arange(2, n, 2)
     if alpha == 1.0:
-        return k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
+        return _alpha_one_even(s, k)
     size = k.size
     i = np.arange(1, size, dtype=np.longdouble)
     a = np.cumprod(np.concatenate(([1.0], (alpha + i) / i)))[:size]  # (1+alpha)_i/i!
@@ -285,8 +289,8 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
 
 
-def _stream_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: int):
-    """The l1 = 0 row and the chunk terms of a one-column window, from the ratio streams.
+def _table_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: int):
+    """The l1 = 0 row and the chunk terms of a one-column window, from the gamma tables.
 
     Returns (zero, chunk): ``chunk(top, count)`` gives the terms t- of
     l1 = -p and t+ of l1 = +p for p = top - count + 1 .. top, largest p
@@ -294,25 +298,20 @@ def _stream_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: i
     the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
     A(p*n + l2)*G(p*n + l2 - h), which for odd k is -vec_c one entry lower.
     Each is an elementwise product of two contiguous runs of vec_a and of
-    vec_b or vec_c, read as (count, n) views of one window of each vector,
-    the -p runs with their nodes reversed.  The windows come from two
-    :func:`fraclap.gammaratio.ratio_stream` buffers of (rows + 1)*n entries,
-    so no table is built.  Streams only move forward: the l1 = 0 row is read
-    from their first windows, and the chunks must be asked for from the
-    smallest p up.
+    vec_b or vec_c, read as (count, n) views of one slice of each vector,
+    the -p runs with their nodes reversed.  The tables hold vec_a and the
+    one vector of k's parity.
     """
     half = n // 2
-    capacity = (min(rows, l_lim) + 1) * n
-    a = ratio_stream("vec_a", alpha, n, l_lim, capacity)
-    g = ratio_stream("vec_c" if parity else "vec_b", alpha, n, l_lim, capacity)
-    a0 = _zero_row(a.window(0, half + 1), n, alpha)
-    zero = a0 * _k_factor(h - np.arange(-half, half), parity, g.window(0, n))
-    lead = 2 * h + parity + 1  # offset of the -p runs of G in its window
+    tables = build_tables(alpha, n, l_lim, parities=(parity,))
+    a, g = tables.vec_a, tables.vec_c if parity else tables.vec_b
+    zero = _zero_row(a, n, alpha) * _k_factor(h - np.arange(-half, half), parity, g)
+    lead = 2 * h + parity + 1  # offset of the -p runs of G in its slice
     t_minus, t_plus = np.empty((2, min(rows, l_lim), n))
 
     def chunk(top: int, count: int):
-        wa = a.window(half + (top - count) * n, half + top * n + 1)
-        wg = g.window(half - h - parity + (top - count) * n, half + h + top * n + 1)
+        wa = a[half + (top - count) * n : half + top * n + 1]
+        wg = g[half - h - parity + (top - count) * n : half + h + top * n + 1]
         tm, tp = t_minus[:count], t_plus[:count]
         # A(p*n - l2)*G(p*n - l2 + h) and A(p*n + l2)*G(p*n + l2 - h - parity), largest p first
         shape = (count, n)
@@ -326,7 +325,7 @@ def _stream_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: i
 def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int):
     """The l1 = 0 row and the chunk terms of the k = 2 column, from their rational form.
 
-    Returns (zero, chunk) as :func:`_stream_terms` does, but evaluates no
+    Returns (zero, chunk) as :func:`_table_terms` does, but evaluates no
     gamma ratio.  The two ratios of a k = 2 term differ by exactly 2 in
     their arguments (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z)
     cancels them.  With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c,
@@ -384,13 +383,12 @@ def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
 
     The terms come in chunks of _CHUNK // n values of p: for the k = 2
     column from their rational form (:func:`_mode2_terms`), for every other
-    column from products of runs of the ratio streams
-    (:func:`_stream_terms`).  The chunks are walked from the smallest p up,
-    the order in which the streams produce their entries.  Each chunk's
-    rows stand largest p first; its terms t- of l1 = -p and t+ of l1 = +p
-    are fused into P0 rows t- + t+ and P1 rows t+ - t- (for odd k, where t+
-    enters negated, t- - t+ and -(t- + t+)), and then reduced with one dot
-    against (-1)^p and (-1)^p*p, on one OpenBLAS thread
+    column from products of runs of the gamma tables
+    (:func:`_table_terms`).  The chunks are walked from the smallest p up.
+    Each chunk's rows stand largest p first; its terms t- of l1 = -p and t+
+    of l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t- (for odd
+    k, where t+ enters negated, t- - t+ and -(t- + t+)), and then reduced
+    with one dot against (-1)^p and (-1)^p*p, on one OpenBLAS thread
     (:func:`_one_blas_thread`).  The chunk sums are kept and added largest
     p first after the walk, and the l1 = 0 row is added to P0 last; it has
     no share in P1.
@@ -399,7 +397,7 @@ def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
     if parity == 0 and h == 1:
         zero, chunk = _mode2_terms(alpha, n, l_lim, rows)
     else:
-        zero, chunk = _stream_terms(alpha, n, l_lim, h, parity, rows)
+        zero, chunk = _table_terms(alpha, n, l_lim, h, parity, rows)
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
     w1 = w0 * p if parity == 0 else -w0 * p
@@ -507,18 +505,19 @@ def symbol_samples(alpha: float, k: int, n: int, l_lim: int) -> np.ndarray:
     """Values of the unit-scale operator applied to exp(i*k*s) at the n physical nodes.
 
     The paper's series truncated at |l1| <= l_lim, for one k in 1..n-1; at
-    alpha = 1 an even k takes its column of :func:`even_mode_columns`, and
-    an odd k zeroes the weight A(0) = inf and adds its limit term instead
-    (module docstring).  No gamma table is built and no W or G formed:
-    :func:`_column_sums` streams the two ratio vectors it reads a chunk of
-    rows at a time, multiplies their runs while they are in cache and
-    reduces each chunk with one dot, l1 = 0 last; it allocates about 2 MB
-    at n = 1024, l_lim = 500, where the tables alone would take 8.2 MB.
-    The k = 2 column streams nothing: it forms the same chunks from the
-    rational form of its terms.  The reductions run on one OpenBLAS thread
-    (see :func:`odd_mode_columns`).  Raises TypeError for a non-integer k
-    or l_lim and ValueError for an odd or too small n, a negative l_lim, a
-    k outside 1..n-1 or alpha outside (0, 2).
+    alpha = 1 an even k is its column of :func:`even_mode_columns`, the
+    same expression evaluated for k alone, and an odd k zeroes the weight
+    A(0) = inf and adds its limit term instead (module docstring).  No W or
+    G is formed: :func:`_column_sums` reads the runs of vec_a and of k's
+    vector a chunk of rows at a time, multiplies them while they are in
+    cache and reduces each chunk with one dot, l1 = 0 last.  The k = 2
+    column reads no gamma table: it forms the same chunks from the rational
+    form of its terms and allocates about 2 MB at n = 1024, l_lim = 500.
+    Any other k builds the two vectors it reads, about 9.4 MB there.  The
+    reductions run on one OpenBLAS thread (see :func:`odd_mode_columns`).
+    Raises TypeError for a non-integer k or l_lim and ValueError for an odd
+    or too small n, a negative l_lim, a k outside 1..n-1 or alpha outside
+    (0, 2).
     """
     if not isinstance(k, (int, np.integer)):
         raise TypeError(f"k must be an integer, got {k!r}")
@@ -527,6 +526,6 @@ def symbol_samples(alpha: float, k: int, n: int, l_lim: int) -> np.ndarray:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1..n-1 = 1..{n - 1}, got {k}")
     if alpha == 1.0 and k % 2 == 0:
-        return even_mode_columns(n, 1.0)[:, k // 2 - 1]
+        return _alpha_one_even(nodes(GridConfig(n, 1.0)), np.array([k]))[:, 0]
     p0, p1 = _column_sums(alpha, n, l_lim, k // 2, k % 2)
     return _series(alpha, n, np.array([k]), p0[:, None], p1[:, None])[:, 0]

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gamma_ratio_ref, gamma_ratio_ref_hp
-from fraclap.gammaratio import (
-    _HEAD, _STEP, GammaRatioTables, RatioStream, _ratio_vector, build_tables, ratio_stream,
-    table_lengths,
-)
+from fraclap.gammaratio import _HEAD, GammaRatioTables, _ratio_vector, build_tables, table_lengths
 
 
 class TestBuildTables:
@@ -33,6 +30,11 @@ class TestBuildTables:
         for alpha in (0.0, 2.0, -0.5, 2.5):
             with pytest.raises(ValueError):
                 build_tables(alpha, 8, 10)
+
+    def test_rejects_bad_n_and_l_lim(self):
+        for n, l_lim in ((7, 10), (0, 10), (8, -1)):
+            with pytest.raises(ValueError):
+                build_tables(0.5, n, l_lim)
 
     def test_lengths_meet_minimum(self):
         n, l_lim = 16, 30
@@ -160,24 +162,7 @@ class TestRationalMode2Terms:
 
 
 class TestRatioStream:
-    @pytest.mark.parametrize("a,b", [
-        (-0.25, 1.25), (0.0, 1.0), (0.0, 1.7), (-0.5, 2.5), (-0.975, 2.975),
-    ])
-    def test_windows_are_slices_of_the_vector(self, a, b):
-        # byte for byte across the head/tail seam (entries _HEAD - 1 and _HEAD,
-        # one later for a = 0), across the float64 tail's _STEP edges, and after
-        # gaps wider than the buffer, which the stream runs through
-        length = _HEAD + 2 * _STEP + 100
-        whole = _ratio_vector(a, b, length)
-        stream = RatioStream(a, b, length, 16)
-        read = [(0, 3), (1, 16)]
-        for edge in (_HEAD, _HEAD + _STEP, _HEAD + 2 * _STEP):
-            read += [(lo, lo + 5) for lo in range(edge - 6, edge + 6, 3)] + [(edge + 7, edge + 23)]
-        for lo, hi in read + [(length - 16, length)]:
-            assert stream.window(lo, hi).tobytes() == whole[lo:hi].tobytes()
-        if a == 0.0:
-            assert whole[0] == np.inf
-
+    # the class keeps its name so that the pins' test ids stay the same
     @pytest.mark.parametrize("a,b,crc", [
         (-0.25, 1.25, 0x5315FDF3), (0.0, 1.0, 0xA3607469), (-0.5, 2.5, 0xE141D114),
         (-0.975, 2.975, 0xF9068C32), (0.0, 1.7, 0x92121956),
@@ -187,34 +172,3 @@ class TestRatioStream:
         # these.  At (0, 1) the entries 1/m come out the same with the long-double
         # head one entry shorter; at (0, 1.7) they do not.
         assert zlib.crc32(_ratio_vector(a, b, 80000).tobytes()) == crc
-
-    def test_windows_are_read_only(self):
-        window = RatioStream(-0.25, 1.25, 100, 10).window(0, 10)
-        with pytest.raises(ValueError):
-            window[0] = 7.0
-
-    @pytest.mark.parametrize("lo,hi", [(4, 20), (2, 8), (10, 101), (12, 10)])
-    def test_bad_windows_rejected(self, lo, hi):
-        # wider than the buffer, back below the last window's start, past the end, reversed
-        stream = RatioStream(-0.25, 1.25, 100, 10)
-        stream.window(4, 12)
-        with pytest.raises(IndexError):
-            stream.window(lo, hi)
-
-    def test_streams_are_the_tables(self):
-        n, l_lim = 16, 300  # past the long-double head
-        for alpha, names in ((0.35, ("vec_a", "vec_b", "vec_c")), (1.0, ("vec_a", "vec_c"))):
-            tables = build_tables(alpha, n, l_lim, parities=(1,) if alpha == 1.0 else (0, 1))
-            for name in names:
-                stream = ratio_stream(name, alpha, n, l_lim, 1000)
-                vec = getattr(tables, name)
-                assert stream.length == vec.size
-                for lo in range(0, vec.size - 1000, 999):
-                    assert stream.window(lo, lo + 1000).tobytes() == vec[lo : lo + 1000].tobytes()
-
-    def test_stream_arguments_checked(self):
-        with pytest.raises(ValueError):
-            ratio_stream("vec_b", 1.0, 8, 10, 16)  # the poles of vec_b at alpha = 1
-        for alpha, n, l_lim in ((2.0, 8, 10), (0.5, 7, 10), (0.5, 8, -1)):
-            with pytest.raises(ValueError):
-                ratio_stream("vec_a", alpha, n, l_lim, 16)

@@ -127,7 +127,7 @@ class TestBuildMatrix:
         def both(build):
             new = build()
             with monkeypatch.context() as patch:
-                patch.setattr(gammaratio, "_HEAD", 2**20)  # no tail in tables or streams
+                patch.setattr(gammaratio, "_HEAD", 2**20)  # no float64 tail in any vector
                 return build(), new
 
         a, b = (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0  # the swap does change the tables
@@ -136,7 +136,7 @@ class TestBuildMatrix:
         assert not np.array_equal(tail, long_double)
         old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)
         np.testing.assert_array_equal(new, old)
-        # the k = 2 column reads no table; k = 4 streams the same vectors it did
+        # the k = 2 column reads no table; k = 4 reads vec_a and vec_b
         old, new = both(lambda: symbol_samples(alpha, 4, 1024, 500))
         np.testing.assert_array_equal(new, old)
 
@@ -180,10 +180,13 @@ class TestBuildMatrix:
         # n = 4: one chunk holds more rows than l_lim
         (4, 0.45, 500, 1, 0x7885B528), (4, 0.45, 500, 2, 0x74521FF5),
         (4, 0.45, 500, 3, 0x0B1087AB), (4, 1.0, 500, 3, 0xBE0B8D7E),
+        # even k >= 4, read from vec_a and vec_b: near alpha = 1, and k = n - 2
+        (1024, 0.5, 500, 4, 0x69C44AD3), (512, 1.95, 500, 256, 0x4D085FCC),
+        (64, 0.99999, 500, 62, 0x04FE3170), (1024, 1.3, 33, 1022, 0xE3A72749),
     ])
     def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
-        # the odd columns taken from the sums over whole gamma tables, before the
-        # columns streamed them; the k = 2 ones from the rational terms
+        # the odd and even k >= 4 columns from runs of the gamma tables; the
+        # k = 2 ones from the rational terms
         assert zlib.crc32(symbol_samples(alpha, k, n, l_lim).tobytes()) == crc
 
     def test_mode2_delta_reproduces_closed_form(self):

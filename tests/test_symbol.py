@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import a_coeff, b_coeff, even_mode_images, gamma_ratio_ref
-from fraclap.gammaratio import build_tables, ratio_stream
+from fraclap.gammaratio import build_tables
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
@@ -316,23 +316,20 @@ class TestModeColumns:
         assert np.max(np.abs(numeric - exact)) <= 2e-13
 
     def test_even_mode_builds_no_odd_vector(self, monkeypatch):
-        # one even column k >= 4 streams vec_a and vec_b, never vec_c; the k = 2
-        # column takes its terms from their rational form and streams nothing.
-        # Neither builds a table.
-        streamed, built = [], []
+        # one column builds vec_a and the vector of its own parity only: vec_b
+        # for even k >= 4, vec_c for odd k; the k = 2 column takes its terms
+        # from their rational form and builds no table
+        parities = []
 
-        def recording(name, *args):
-            streamed.append(name)
-            return ratio_stream(name, *args)
+        def recording(*args, **kwargs):
+            parities.append(kwargs["parities"])
+            return build_tables(*args, **kwargs)
 
-        monkeypatch.setattr(symbol, "ratio_stream", recording)
-        monkeypatch.setattr(symbol, "build_tables", lambda *args, **kwargs: built.append(args))
-        symbol_samples(0.5, 4, 16, 20)
-        assert sorted(streamed) == ["vec_a", "vec_b"]
-        streamed.clear()
-        symbol_samples(0.5, 2, 16, 20)
-        assert streamed == []
-        assert built == []
+        monkeypatch.setattr(symbol, "build_tables", recording)
+        for k, expected in ((4, [(0,)]), (3, [(1,)]), (2, [])):
+            parities.clear()
+            symbol_samples(0.5, k, 16, 20)
+            assert parities == expected
 
     @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
     @pytest.mark.parametrize("n,l_lim", [(4, 40), (64, 40), (1024, 33)])
@@ -344,7 +341,7 @@ class TestModeColumns:
         # values, math.gamma(a)/math.gamma(b) (measured <= 2.0e-15).
         rows = max(1, symbol._CHUNK // n)
         zero, terms = symbol._mode2_terms(alpha, n, l_lim, rows)
-        zero_ref, runs = symbol._stream_terms(alpha, n, l_lim, 1, 0, rows)
+        zero_ref, runs = symbol._table_terms(alpha, n, l_lim, 1, 0, rows)
         assert np.max(np.abs(zero / zero_ref - 1)) <= 5e-15
         for i in reversed(range(0, l_lim, rows)):
             count = min(rows, l_lim - i)
@@ -417,6 +414,10 @@ class TestEvenModeColumns:
         np.testing.assert_array_equal(even_mode_columns(16, 1.0), expected)
         for k in (6, 2):
             np.testing.assert_array_equal(symbol_samples(1.0, k, 16, 3), expected[:, k // 2 - 1])
+        # one column is evaluated alone, bit for bit the block's column
+        block = even_mode_columns(1024, 1.0)
+        for k in (2, 1022):
+            np.testing.assert_array_equal(symbol_samples(1.0, k, 1024, 3), block[:, k // 2 - 1])
 
     def test_no_even_column_at_n_two(self):
         assert even_mode_columns(2, 0.5).shape == (2, 0)
