@@ -45,7 +45,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -224,15 +223,18 @@ def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) 
     these checks but has another format version raises its subclass
     :class:`MatrixFormatError`: the file is intact and only stale.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # the one copy of the file: the entries are a view of it
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw) :]
     if len(raw) < _HEADER.size + _TRAILER.size:
         raise MatrixCacheError(f"{path}: file too short for a matrix cache")
-    header = raw[: _HEADER.size]
+    view = memoryview(raw)
+    header = view[: _HEADER.size]
     magic, version, n, l_lim, alpha = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise MatrixCacheError(f"{path}: bad magic {magic!r}")
-    payload = raw[_HEADER.size : -_TRAILER.size]
-    (stored,) = _TRAILER.unpack(raw[-_TRAILER.size :])
+    payload = view[_HEADER.size : -_TRAILER.size]
+    (stored,) = _TRAILER.unpack(view[-_TRAILER.size :])
     actual = zlib.crc32(payload, zlib.crc32(header))
     if stored != actual:
         raise MatrixCacheError(f"{path}: checksum mismatch (corrupt file)")
@@ -248,7 +250,7 @@ def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) 
         raise MatrixFormatError(f"{path}: unsupported format version {version}")
     if len(payload) != n * (n - 1) * 16:
         raise MatrixCacheError(f"{path}: payload size does not match n = {n}")
-    entries = np.frombuffer(payload, dtype=np.complex128).reshape(n, n - 1).copy()
+    entries = np.frombuffer(raw, np.complex128, n * (n - 1), _HEADER.size).reshape(n, n - 1)
     return OperatorMatrix(entries=entries, meta=meta)
 
 

@@ -42,9 +42,16 @@ scan sum, evaluates no gamma ratio at all: its two ratios differ by exactly
 2 in their arguments, so each term is a rational function of |l|
 (:func:`_mode2_terms`).  The -p and +p terms are fused into each row's P0
 and P1 parts and reduced chunk by chunk (:func:`_column_sums`).  The odd
-block reads its rows as strided views of the tables and copies them once
-into the summation order, the exact sign (-1)^l1 folded into the copy; only
-the l1 = 0 rows, where l and e change sign, are gathered.
+block reads its rows as strided views of the tables and copies W and G once
+per call into the summation order, the exact sign (-1)^l1 folded into the
+copy; only the l1 = 0 rows, where l and e change sign, are gathered.
+
+Each call takes its large work arrays from one allocation: W, G and the
+product operand for the odd block, the chunk buffers for one column.  With
+glibc's malloc that keeps their pages resident from one alpha to the next
+(the comment in :func:`odd_mode_columns` says why), where separate arrays
+were mapped and faulted in afresh at every call.  Nothing is kept between
+calls, and no result is a view of the buffer.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
@@ -129,13 +136,13 @@ def _zero_row(a, n: int, alpha: float) -> np.ndarray:
     return a0
 
 
-def _rows(l_lim: int, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
-    """The rows of l1 in summation order: -p and +p for p = l_lim..1, then 0.
+def _rows(out: np.ndarray, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
+    """Fill ``out`` with the rows of l1 in summation order: -p and +p for p = l_lim..1, then 0.
 
-    ``minus`` and ``plus`` hold the rows of l1 = -p and +p in that order of
-    p; each is multiplied by its sign (an exact +-1) as it is copied in.
+    ``out`` has 2*l_lim + 1 rows.  ``minus`` and ``plus`` hold the rows of
+    l1 = -p and +p in that order of p; each is multiplied by its sign (an
+    exact +-1) as it is copied in.  Returns ``out``.
     """
-    out = np.empty((2 * l_lim + 1, np.shape(zero)[-1]))
     np.multiply(minus, minus_sign, out=out[0:-1:2])
     np.multiply(plus, plus_sign, out=out[1:-1:2])
     out[-1] = zero
@@ -218,7 +225,7 @@ def _node_block(width: int) -> int:
     return min(64, 1 << (max(16, (width + 1) // 4).bit_length() - 1))
 
 
-def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int) -> np.ndarray:
+def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int, work: np.ndarray) -> np.ndarray:
     """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < ``width``, and P1 with W*l1 for W.
 
     Returned stacked as (2, n, width).  For a block of
@@ -226,11 +233,13 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int) -> np.ndarray:
     Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
     a row pitch of b + width - 2 in Q's flat storage.  The last block holds
-    what is left of the n nodes.  W*l1 is formed per block only, and the
-    rows i keep their summation order.  The products run on one OpenBLAS
-    thread (:func:`_one_blas_thread`).
+    what is left of the n nodes.  The operand [W_blk | (W*l1)_blk] is
+    written into the flat float64 buffer ``work``, which holds at least
+    2*b*rows entries, block after block; the rows i keep their summation
+    order.  The products run on one OpenBLAS thread
+    (:func:`_one_blas_thread`).
     """
-    n = w.shape[1]
+    rows, n = w.shape
     block = _node_block(width)
     out = np.empty((2, n, width))
     with _one_blas_thread():
@@ -238,7 +247,9 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int) -> np.ndarray:
             b = min(block, n - j0)
             lo = n - j0 - b
             wb = w[:, j0 : j0 + b]
-            a = np.concatenate((wb, wb * l1[:, None]), axis=1)
+            a = work[: rows * 2 * b].reshape(rows, 2 * b)
+            a[:, :b] = wb
+            np.multiply(wb, l1[:, None], out=a[:, b:])
             q = a.T @ g[:, lo : lo + b + width - 1]
             band = q.reshape(-1, b * (b + width - 1))[:, b - 1 : b - 1 + b * (b + width - 2)]
             out[:, j0 : j0 + b] = band.reshape(-1, b, b + width - 2)[:, :, :width]
@@ -289,13 +300,14 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
 
 
-def _table_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: int):
+def _table_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: int, work: np.ndarray):
     """The l1 = 0 row and the chunk terms of a one-column window, from the gamma tables.
 
     Returns (zero, chunk): ``chunk(top, count)`` gives the terms t- of
     l1 = -p and t+ of l1 = +p for p = top - count + 1 .. top, largest p
-    first, as two (count, n) buffers that the next call reuses.  For l1 = -p
-    the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
+    first, as two (count, n) views of the flat float64 buffer ``work`` (at
+    least 2*min(rows, l_lim)*n entries) that the next call reuses.  For
+    l1 = -p the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
     A(p*n + l2)*G(p*n + l2 - h), which for odd k is -vec_c one entry lower.
     Each is an elementwise product of two contiguous runs of vec_a and of
     vec_b or vec_c, read as (count, n) views of one slice of each vector,
@@ -307,7 +319,7 @@ def _table_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: in
     a, g = tables.vec_a, tables.vec_c if parity else tables.vec_b
     zero = _zero_row(a, n, alpha) * _k_factor(h - np.arange(-half, half), parity, g)
     lead = 2 * h + parity + 1  # offset of the -p runs of G in its slice
-    t_minus, t_plus = np.empty((2, min(rows, l_lim), n))
+    t_minus, t_plus = work[: 2 * min(rows, l_lim) * n].reshape(2, -1, n)
 
     def chunk(top: int, count: int):
         wa = a[half + (top - count) * n : half + top * n + 1]
@@ -322,13 +334,13 @@ def _table_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: in
     return zero, chunk
 
 
-def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int):
+def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
     """The l1 = 0 row and the chunk terms of the k = 2 column, from their rational form.
 
-    Returns (zero, chunk) as :func:`_table_terms` does, but evaluates no
-    gamma ratio.  The two ratios of a k = 2 term differ by exactly 2 in
-    their arguments (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z)
-    cancels them.  With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c,
+    Returns (zero, chunk) as :func:`_table_terms` does, with ``work`` of at
+    least 4*min(rows, l_lim)*n + 10 entries, but evaluates no gamma ratio.
+    The two ratios of a k = 2 term differ by exactly 2 in their arguments
+    (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.  With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c,
     L(m) = m - c and R(m) = m + c,
 
         A(m)*B(m + 1) = 1/((m^2 - c^2)(m + e)(m + e + 1)) = 1/(L(m+2)*L(m+1) * L(m)*R(m)),
@@ -355,8 +367,8 @@ def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int):
     zero = (1 / ((m - cl) * (m + cl) * near * (near + side))).astype(np.float64)
     size = min(rows, l_lim) * n
     ramp = np.arange(size + 5, dtype=np.float64)
-    lo, hi = np.empty((2, size + 5))  # L and R at m = M + 2 - j
-    t_minus, pairs = np.empty((2, size))
+    lo, hi = work[: 2 * size + 10].reshape(2, size + 5)  # L and R at m = M + 2 - j
+    t_minus, pairs = work[2 * size + 10 : 4 * size + 10].reshape(2, size)
 
     def chunk(top: int, count: int):
         k = count * n
@@ -394,14 +406,18 @@ def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
     no share in P1.
     """
     rows = max(1, _CHUNK // n)
-    if parity == 0 and h == 1:
-        zero, chunk = _mode2_terms(alpha, n, l_lim, rows)
+    size = min(rows, l_lim) * n  # entries of one chunk buffer
+    mode2 = parity == 0 and h == 1
+    # diff and the term buffers share one allocation; see odd_mode_columns
+    work = np.empty(size + (4 * size + 10 if mode2 else 2 * size))
+    diff = work[:size].reshape(-1, n)
+    if mode2:
+        zero, chunk = _mode2_terms(alpha, n, l_lim, rows, work[size:])
     else:
-        zero, chunk = _table_terms(alpha, n, l_lim, h, parity, rows)
+        zero, chunk = _table_terms(alpha, n, l_lim, h, parity, rows, work[size:])
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
     w1 = w0 * p if parity == 0 else -w0 * p
-    diff = np.empty((min(rows, l_lim), n))
     sums = []
     with _one_blas_thread():
         for i in reversed(range(0, l_lim, rows)):  # row i holds p = l_lim - i; smallest p first
@@ -463,17 +479,17 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     instead (module docstring).  Each term of the l1 sum is W[l1, l2] times
     G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
     P0 = sum W*G and P1 = sum W*l1*G over a sliding window of G n/2 columns
-    wide.  W and G are copied once from strided views of vec_a and vec_c
-    (the l1 = 0 rows gathered) and summed as a matrix product followed by a
-    skewed gather (:func:`_window_sums`), blocked over the nodes.  The
-    products run on one OpenBLAS thread, so the result does not depend on
-    the caller's BLAS thread count; where numpy has no OpenBLAS thread
-    setter (:func:`blas_thread_setter`) the pin is a no-op and that
-    guarantee is the BLAS library's own.  A column agrees with the same k
-    from :func:`symbol_samples` to round-off, not bit for bit: the two
-    reductions sum in different orders (at most 8.8e-14 column-relative,
-    n = 64..1024, l_lim = 500, alpha in 0.05..1.95).  Returns an
-    (n, n/2) array.  Raises TypeError for a non-integer l_lim and
+    wide.  W and G are copied once per call, into one work buffer, from
+    strided views of vec_a and vec_c (the l1 = 0 rows gathered) and summed
+    as a matrix product followed by a skewed gather (:func:`_window_sums`),
+    blocked over the nodes.  The products run on one OpenBLAS thread, so
+    the result does not depend on the caller's BLAS thread count; where
+    numpy has no OpenBLAS thread setter (:func:`blas_thread_setter`) the pin
+    is a no-op and that guarantee is the BLAS library's own.  A column
+    agrees with the same k from :func:`symbol_samples` to round-off, not
+    bit for bit: the two reductions sum in different orders (at most 8.8e-14
+    column-relative, n = 64..1024, l_lim = 500, alpha in 0.05..1.95).
+    Returns an (n, n/2) array.  Raises TypeError for a non-integer l_lim and
     ValueError for an odd or too small n, a negative l_lim or alpha outside
     (0, 2).
     """
@@ -483,21 +499,31 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     a, c = tables.vec_a, tables.vec_c
     p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
     sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
-    l1 = _rows(l_lim, -p, p, np.zeros(1))[:, 0]
+    rows = 2 * l_lim + 1
+    l1 = _rows(np.empty((rows, 1)), -p, p, 0.0)[:, 0]
+    # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
+    d = np.arange(1 - half, n)
+    # W, G and the operand of _window_sums share one allocation.  glibc maps
+    # a request of 128 KB or more afresh and unmaps it when freed, but that
+    # free raises its mmap threshold to the freed size.  From the second call
+    # on, this buffer is the largest request, so it and the smaller arrays
+    # come from the heap, whose freed top glibc keeps: the pages stay
+    # resident from one alpha to the next instead of faulting in again.
+    work = np.empty(rows * (n + d.size + 2 * _node_block(half)))
+    w = work[: rows * n].reshape(rows, n)
+    g = work[rows * n : rows * (n + d.size)].reshape(rows, d.size)
     # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
     up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
     down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
-    w = _rows(l_lim, down, up, _zero_row(a, n, alpha), sign, sign)
-    # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
-    d = np.arange(1 - half, n)
+    _rows(w, down, up, _zero_row(a, n, alpha), sign, sign)
     # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
     # runs one entry lower, negated
     runs = sliding_window_view(c, d.size)
     fwd = runs[d[0] + n :: n][:l_lim][::-1]
     rev = runs[::n][:l_lim][::-1, ::-1]
-    g = _rows(l_lim, fwd, rev, _k_factor(d, 1, c), plus_sign=-1.0)
-    p0, p1 = _window_sums(w, l1, g, half)
-    del w, g
+    _rows(g, fwd, rev, _k_factor(d, 1, c), plus_sign=-1.0)
+    p0, p1 = _window_sums(w, l1, g, half, work[rows * (n + d.size) :])
+    del work, w, g
     return _series(alpha, n, np.arange(1, n, 2), p0, p1)
 
 
