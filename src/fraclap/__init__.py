@@ -12,7 +12,7 @@ Subpackages
 grid        coordinate map and node generation
 spectral    real transforms (DCT-II/DST-II) and series evaluation
 gammaratio  stable precomputation of the gamma-function ratio tables
-symbol      closed-form operator action on Fourier modes, one or many at once
+symbol      closed-form operator action on Fourier modes: block columns, or k = 2 alone
 opmatrix    assembly, caching and application of the operational matrix
 oracles     independent ground truths: closed forms (scipy hyp1f1, hyp2f1), quadrature
 fisher      fractional Fisher-KPP time integration and front-speed fitting
@@ -20,10 +20,10 @@ cli         command line driver
 
 ``import fraclap`` loads numpy and no SciPy module: 0.08-0.14 s in a fresh
 process with one OpenBLAS thread on a 2-core VM, of which numpy is about
-0.09 s.  The block build, the single-column symbol, the cache and the RK4
-stage need numpy alone.  These calls load a SciPy module on first use:
-``transform`` loads scipy.fft (about 0.26 s, scipy.special with it),
-``closed_form_mode1`` and ``closed_form_gaussian`` load scipy.special
+0.09 s.  The block build, the k = 2 column (``symbol_samples``), the cache
+and the RK4 stage need numpy alone.  These calls load a SciPy module on
+first use: ``transform`` loads scipy.fft (about 0.26 s, scipy.special with
+it), ``closed_form_mode1`` and ``closed_form_gaussian`` load scipy.special
 (about 0.23 s), ``quadrature_fraclap`` loads scipy.integrate, and
 ``front_position`` and the front tracking of ``run_simulation`` load
 scipy.optimize.

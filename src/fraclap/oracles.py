@@ -261,7 +261,7 @@ def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 def _mode2_error(cfg: GridConfig, l_lim: int, alpha: float) -> float:
     # both are unit-scale images; at map scale L each, and so their gap, carries L^(-alpha)
-    numeric = symbol_samples(alpha, 2, cfg.n, l_lim)
+    numeric = symbol_samples(alpha, cfg.n, l_lim)
     exact = closed_form_mode2(nodes(cfg), alpha)
     return float(np.max(np.abs(numeric - exact))) * cfg.l_scale**-alpha
 

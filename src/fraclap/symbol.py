@@ -12,8 +12,8 @@ smallest terms (largest |l1|) first.  At alpha = 1 the odd modes are the
 alpha -> 1 limit of the same sums: A(|l|) = 1/|l| for l != 0, and the pole
 A(0) = Gamma(0) enters only through (1 - alpha)*A(0) -> -2, which adds the
 constant -2i*k/(pi*(k^2 - 4)) to each column.  The series has two entry
-points, one per shape the package asks for: :func:`odd_mode_columns`, every
-odd column of a block, and :func:`symbol_samples`, one column.
+points: :func:`odd_mode_columns`, every odd column of a block, and
+:func:`symbol_samples`, the k = 2 column alone.
 
 The even modes also have a finite closed form at every alpha, a polynomial
 of degree k/2 - 1 in exp(2i*s) times (-i*sin(s)*exp(i*s))^(1+alpha)
@@ -21,47 +21,49 @@ of degree k/2 - 1 in exp(2i*s) times (-i*sin(s)*exp(i*s))^(1+alpha)
 operator block (:func:`fraclap.opmatrix.build_matrix`) takes its even
 columns from it and its odd columns from :func:`odd_mode_columns`, so l_lim
 governs only the odd columns of a built block.  :func:`symbol_samples`
-keeps the paper's series for every k off alpha = 1: criteria 1 and 2 and
-the mode-2 scan test that truncation at its stated l_lim.
+keeps the paper's series for k = 2 off alpha = 1: criteria 1 and 2 and the
+mode-2 scan test that truncation at its stated l_lim.
 
 A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
 d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
-odd k).  Along a row of fixed l1 != 0 neither index changes sign, so each
-row is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
+odd k), where A, B and C are the ratios Gamma(a + m)/Gamma(b + m) with
+(a, b) = ((-1+alpha)/2, (3-alpha)/2), ((-1-alpha)/2, (3+alpha)/2) and
+(-alpha/2, 2+alpha/2); A and C are tabulated as vec_a and vec_c.  Along a
+row of fixed l1 != 0 neither index changes sign, so each row of an odd
+column is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
 
     l1 = +p:  |l| = p*n + l2, a forward run of vec_a;
-              e = d - p*n < 0, a reversed run of vec_b, or of vec_c one
-              entry lower and negated;
+              e = d - p*n < 0, a reversed run of vec_c one entry lower,
+              negated;
     l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
-              e = d + p*n > 0, a forward run of vec_b or vec_c.
+              e = d + p*n > 0, a forward run of vec_c.
 
-One column never forms W or G: its terms are elementwise products of those
-runs, read as slices of the gamma tables a chunk of rows at a time,
-smallest p first.  The k = 2 column, which criteria 1 and 2 and the mode-2
-scan sum, evaluates no gamma ratio at all: its two ratios differ by exactly
-2 in their arguments, so each term is a rational function of |l|
-(:func:`_mode2_terms`).  The -p and +p terms are fused into each row's P0
-and P1 parts and reduced chunk by chunk (:func:`_column_sums`).  The odd
-block reads its rows as strided views of the tables and copies W and G once
-per call into the summation order, the exact sign (-1)^l1 folded into the
-copy; only the l1 = 0 rows, where l and e change sign, are gathered.
+The odd block reads its rows as strided views of the tables and copies W
+and G once per call into the summation order, the exact sign (-1)^l1
+folded into the copy; only the l1 = 0 rows, where l and e change sign, are
+gathered.  The k = 2 column evaluates no gamma ratio at all: its two
+ratios differ by exactly 2 in their arguments, so each term is a rational
+function of |l| (:func:`_mode2_terms`), formed a chunk of rows at a time,
+smallest p first, and never as W or G.  The -p and +p terms are fused into
+each row's P0 and P1 parts and reduced chunk by chunk
+(:func:`_column_sums`).
 
 Each call takes its large work arrays from one allocation: W, G and the
-product operand for the odd block, the chunk buffers for one column.  With
-glibc's malloc that keeps their pages resident from one alpha to the next
-(the comment in :func:`odd_mode_columns` says why), where separate arrays
-were mapped and faulted in afresh at every call.  Nothing is kept between
+product operand for the odd block, the chunk buffers for the k = 2
+column.  With glibc's malloc that keeps their pages resident from one
+alpha to the next (the comment in :func:`odd_mode_columns` says why), where
+separate arrays were mapped and faulted in afresh at every call.  Nothing is kept between
 calls, and no result is a view of the buffer.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
 read along a skewed band.  They run as blocked GEMMs (Goto & van de Geijn,
 ACM TOMS 34, 2008) pinned to one OpenBLAS thread, since dgemm sums in a
-different order at different thread counts; the one-column reductions run
-under the same pin.  A block of b nodes computes b + width - 1 columns of
-the product to read a band of width, so the block narrows with the window
-(16 to 64 nodes) and the unused part stays below 1/5 wherever the window is
-at least 63 columns wide.
+different order at different thread counts; the k = 2 column's reductions
+run under the same pin.  A block of b nodes computes b + width - 1 columns
+of the product to read a band of width, so the block narrows with the
+window (16 to 64 nodes) and the unused part stays below 1/5 wherever the
+window is at least 63 columns wide.
 
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
@@ -94,7 +96,7 @@ _THREAD_GETTERS = (
     "openblas_get_num_threads64_",
     "openblas_get_num_threads",
 )
-_CHUNK = 32768  # product entries per chunk of a one-column sum: 256 KB buffers
+_CHUNK = 32768  # terms per chunk of the k = 2 column's sums: 256 KB buffers
 
 
 def fractional_constant(alpha: float) -> float:
@@ -107,33 +109,6 @@ def fractional_constant(alpha: float) -> float:
         * math.gamma(0.5 + alpha / 2.0)
         / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
     )
-
-
-def _k_factor(e: np.ndarray, parity: int, vec) -> np.ndarray:
-    """G at e = d - l1*n = floor(k/2) - l: the k-dependent factor of a term.
-
-    ``e`` is overwritten.  Gamma ratio B(|k/2 - l|) for even k, signed
-    C(|k/2 - l| - 1/2) for odd k, with ``vec`` the start of vec_b or vec_c.
-    Used for the l1 = 0 row, the only row that is not a contiguous run of a
-    table.
-    """
-    if parity == 0:
-        return vec[np.abs(e, out=e)]
-    neg = e < 0
-    c = vec[np.invert(e, out=e, where=neg)]
-    return np.negative(c, out=c, where=neg)
-
-
-def _zero_row(a, n: int, alpha: float) -> np.ndarray:
-    """A(|l2|) for l2 = -n/2..n/2-1, the l1 = 0 row of W, from the start of vec_a.
-
-    At alpha = 1 the pole A(0) = inf is zeroed: its term is the limit that
-    :func:`_series` adds instead.
-    """
-    a0 = a[np.abs(np.arange(-(n // 2), n // 2))]
-    if alpha == 1.0:
-        a0[n // 2] = 0.0
-    return a0
 
 
 def _rows(out: np.ndarray, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
@@ -300,48 +275,18 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
 
 
-def _table_terms(alpha: float, n: int, l_lim: int, h: int, parity: int, rows: int, work: np.ndarray):
-    """The l1 = 0 row and the chunk terms of a one-column window, from the gamma tables.
-
-    Returns (zero, chunk): ``chunk(top, count)`` gives the terms t- of
-    l1 = -p and t+ of l1 = +p for p = top - count + 1 .. top, largest p
-    first, as two (count, n) views of the flat float64 buffer ``work`` (at
-    least 2*min(rows, l_lim)*n entries) that the next call reuses.  For
-    l1 = -p the term is A(p*n - l2)*G(p*n - l2 + h), for l1 = +p it is
-    A(p*n + l2)*G(p*n + l2 - h), which for odd k is -vec_c one entry lower.
-    Each is an elementwise product of two contiguous runs of vec_a and of
-    vec_b or vec_c, read as (count, n) views of one slice of each vector,
-    the -p runs with their nodes reversed.  The tables hold vec_a and the
-    one vector of k's parity.
-    """
-    half = n // 2
-    tables = build_tables(alpha, n, l_lim, parities=(parity,))
-    a, g = tables.vec_a, tables.vec_c if parity else tables.vec_b
-    zero = _zero_row(a, n, alpha) * _k_factor(h - np.arange(-half, half), parity, g)
-    lead = 2 * h + parity + 1  # offset of the -p runs of G in its slice
-    t_minus, t_plus = work[: 2 * min(rows, l_lim) * n].reshape(2, -1, n)
-
-    def chunk(top: int, count: int):
-        wa = a[half + (top - count) * n : half + top * n + 1]
-        wg = g[half - h - parity + (top - count) * n : half + h + top * n + 1]
-        tm, tp = t_minus[:count], t_plus[:count]
-        # A(p*n - l2)*G(p*n - l2 + h) and A(p*n + l2)*G(p*n + l2 - h - parity), largest p first
-        shape = (count, n)
-        np.multiply(wa[1:].reshape(shape)[::-1, ::-1], wg[lead:].reshape(shape)[::-1, ::-1], out=tm)
-        np.multiply(wa[:-1].reshape(shape)[::-1], wg[: count * n].reshape(shape)[::-1], out=tp)
-        return tm, tp
-
-    return zero, chunk
-
-
 def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
     """The l1 = 0 row and the chunk terms of the k = 2 column, from their rational form.
 
-    Returns (zero, chunk) as :func:`_table_terms` does, with ``work`` of at
-    least 4*min(rows, l_lim)*n + 10 entries, but evaluates no gamma ratio.
-    The two ratios of a k = 2 term differ by exactly 2 in their arguments
-    (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.  With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c,
-    L(m) = m - c and R(m) = m + c,
+    Returns (zero, chunk): ``zero`` is the l1 = 0 row, and ``chunk(top,
+    count)`` gives the terms t- of l1 = -p and t+ of l1 = +p for
+    p = top - count + 1 .. top, largest p first, as two (count, n) views of
+    the flat float64 buffer ``work`` (at least 4*min(rows, l_lim)*n + 10
+    entries) that the next call reuses.  No gamma ratio is evaluated: the
+    two ratios of a k = 2 term differ by exactly 2 in their arguments
+    (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.
+    With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c, L(m) = m - c and
+    R(m) = m + c,
 
         A(m)*B(m + 1) = 1/((m^2 - c^2)(m + e)(m + e + 1)) = 1/(L(m+2)*L(m+1) * L(m)*R(m)),
         A(m)*B(m - 1) = 1/((m^2 - c^2)(m - e)(m - e - 1)) = 1/(R(m-1)*R(m-2) * L(m)*R(m)),
@@ -390,46 +335,35 @@ def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
     return zero, chunk
 
 
-def _column_sums(alpha: float, n: int, l_lim: int, h: int, parity: int):
-    """P0 and P1 of a window one column wide, h = floor(k/2), each an n-vector over the nodes.
+def _column_sums(alpha: float, n: int, l_lim: int):
+    """P0 and P1 of the k = 2 column, each an n-vector over the nodes.
 
-    The terms come in chunks of _CHUNK // n values of p: for the k = 2
-    column from their rational form (:func:`_mode2_terms`), for every other
-    column from products of runs of the gamma tables
-    (:func:`_table_terms`).  The chunks are walked from the smallest p up.
-    Each chunk's rows stand largest p first; its terms t- of l1 = -p and t+
-    of l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t- (for odd
-    k, where t+ enters negated, t- - t+ and -(t- + t+)), and then reduced
-    with one dot against (-1)^p and (-1)^p*p, on one OpenBLAS thread
-    (:func:`_one_blas_thread`).  The chunk sums are kept and added largest
-    p first after the walk, and the l1 = 0 row is added to P0 last; it has
-    no share in P1.
+    The terms come from their rational form (:func:`_mode2_terms`) in
+    chunks of _CHUNK // n values of p, walked from the smallest p up.  Each
+    chunk's rows stand largest p first; its terms t- of l1 = -p and t+ of
+    l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t-, and then
+    reduced with one dot against (-1)^p and (-1)^p*p, on one OpenBLAS
+    thread (:func:`_one_blas_thread`).  The chunk sums are kept and added
+    largest p first after the walk, and the l1 = 0 row is added to P0 last;
+    it has no share in P1.
     """
     rows = max(1, _CHUNK // n)
     size = min(rows, l_lim) * n  # entries of one chunk buffer
-    mode2 = parity == 0 and h == 1
     # diff and the term buffers share one allocation; see odd_mode_columns
-    work = np.empty(size + (4 * size + 10 if mode2 else 2 * size))
+    work = np.empty(5 * size + 10)
     diff = work[:size].reshape(-1, n)
-    if mode2:
-        zero, chunk = _mode2_terms(alpha, n, l_lim, rows, work[size:])
-    else:
-        zero, chunk = _table_terms(alpha, n, l_lim, h, parity, rows, work[size:])
+    zero, chunk = _mode2_terms(alpha, n, l_lim, rows, work[size:])
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
-    w1 = w0 * p if parity == 0 else -w0 * p
+    w1 = w0 * p
     sums = []
     with _one_blas_thread():
         for i in reversed(range(0, l_lim, rows)):  # row i holds p = l_lim - i; smallest p first
             count = min(rows, l_lim - i)
             tm, tp = chunk(l_lim - i, count)  # p = l_lim - i - count + 1 .. l_lim - i
             d = diff[:count]
-            if parity == 0:
-                np.subtract(tp, tm, out=d)
-                np.add(tm, tp, out=tp)
-            else:
-                np.add(tm, tp, out=d)  # its sign is in w1
-                np.subtract(tm, tp, out=tp)
+            np.subtract(tp, tm, out=d)
+            np.add(tm, tp, out=tp)
             sums.append((w0[i : i + count] @ tp, w1[i : i + count] @ d))
     p0 = np.zeros(n)
     p1 = np.zeros(n)
@@ -485,17 +419,13 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     blocked over the nodes.  The products run on one OpenBLAS thread, so
     the result does not depend on the caller's BLAS thread count; where
     numpy has no OpenBLAS thread setter (:func:`blas_thread_setter`) the pin
-    is a no-op and that guarantee is the BLAS library's own.  A column
-    agrees with the same k from :func:`symbol_samples` to round-off, not
-    bit for bit: the two reductions sum in different orders (at most 8.8e-14
-    column-relative, n = 64..1024, l_lim = 500, alpha in 0.05..1.95).
-    Returns an (n, n/2) array.  Raises TypeError for a non-integer l_lim and
-    ValueError for an odd or too small n, a negative l_lim or alpha outside
-    (0, 2).
+    is a no-op and that guarantee is the BLAS library's own.  Returns an
+    (n, n/2) array.  Raises TypeError for a non-integer l_lim and ValueError
+    for an odd or too small n, a negative l_lim or alpha outside (0, 2).
     """
     _check(n, l_lim)
     half = n // 2
-    tables = build_tables(alpha, n, l_lim, parities=(1,))
+    tables = build_tables(alpha, n, l_lim)
     a, c = tables.vec_a, tables.vec_c
     p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
     sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
@@ -515,43 +445,43 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
     up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
     down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
-    _rows(w, down, up, _zero_row(a, n, alpha), sign, sign)
+    a0 = a[np.abs(np.arange(-half, half))]  # l1 = 0: A(|l2|)
+    if alpha == 1.0:
+        a0[half] = 0.0  # the pole A(0): _series adds the limit of its term
+    _rows(w, down, up, a0, sign, sign)
     # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
     # runs one entry lower, negated
     runs = sliding_window_view(c, d.size)
     fwd = runs[d[0] + n :: n][:l_lim][::-1]
     rev = runs[::n][:l_lim][::-1, ::-1]
-    _rows(g, fwd, rev, _k_factor(d, 1, c), plus_sign=-1.0)
+    # l1 = 0, gathered since e = d changes sign: C(|d + 1/2| - 1/2), negated for d < 0
+    neg = d < 0
+    c0 = c[np.invert(d, out=d, where=neg)]
+    _rows(g, fwd, rev, np.negative(c0, out=c0, where=neg), plus_sign=-1.0)
     p0, p1 = _window_sums(w, l1, g, half, work[rows * (n + d.size) :])
     del work, w, g
     return _series(alpha, n, np.arange(1, n, 2), p0, p1)
 
 
-def symbol_samples(alpha: float, k: int, n: int, l_lim: int) -> np.ndarray:
-    """Values of the unit-scale operator applied to exp(i*k*s) at the n physical nodes.
+def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
+    """Values of the unit-scale operator applied to exp(2i*s) at the n physical nodes.
 
-    The paper's series truncated at |l1| <= l_lim, for one k in 1..n-1; at
-    alpha = 1 an even k is its column of :func:`even_mode_columns`, the
-    same expression evaluated for k alone, and an odd k zeroes the weight
-    A(0) = inf and adds its limit term instead (module docstring).  No W or
-    G is formed: :func:`_column_sums` reads the runs of vec_a and of k's
-    vector a chunk of rows at a time, multiplies them while they are in
-    cache and reduces each chunk with one dot, l1 = 0 last.  The k = 2
-    column reads no gamma table: it forms the same chunks from the rational
-    form of its terms and allocates about 2 MB at n = 1024, l_lim = 500.
-    Any other k builds the two vectors it reads, about 9.4 MB there.  The
-    reductions run on one OpenBLAS thread (see :func:`odd_mode_columns`).
-    Raises TypeError for a non-integer k or l_lim and ValueError for an odd
-    or too small n, a negative l_lim, a k outside 1..n-1 or alpha outside
+    The paper's series for the k = 2 column truncated at |l1| <= l_lim; at
+    alpha = 1 the column 2*sin(s)^2*exp(2i*s) of :func:`even_mode_columns`,
+    evaluated alone.  No W or G is formed and no gamma table is built:
+    :func:`_column_sums` forms the rational terms a chunk of rows at a
+    time, reduces each chunk with one dot, l1 = 0 last, and allocates about
+    2 MB at n = 1024, l_lim = 500.  The reductions run on one OpenBLAS
+    thread (see :func:`odd_mode_columns`).  Raises TypeError for a
+    non-integer l_lim and ValueError for an odd n or one below 4 (k = 2
+    must be a column, 1 <= k <= n-1), a negative l_lim or alpha outside
     (0, 2).
     """
-    if not isinstance(k, (int, np.integer)):
-        raise TypeError(f"k must be an integer, got {k!r}")
-    k = int(k)
     _check(n, l_lim)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in 1..n-1 = 1..{n - 1}, got {k}")
-    if alpha == 1.0 and k % 2 == 0:
-        return _alpha_one_even(nodes(GridConfig(n, 1.0)), np.array([k]))[:, 0]
-    p0, p1 = _column_sums(alpha, n, l_lim, k // 2, k % 2)
-    return _series(alpha, n, np.array([k]), p0[:, None], p1[:, None])[:, 0]
+    if n < 4:
+        raise ValueError(f"n must be at least 4 for the column k = 2, got {n}")
+    k = np.array([2])
+    if alpha == 1.0:
+        return _alpha_one_even(nodes(GridConfig(n, 1.0)), k)[:, 0]
+    p0, p1 = _column_sums(alpha, n, l_lim)
+    return _series(alpha, n, k, p0[:, None], p1[:, None])[:, 0]

@@ -3,7 +3,9 @@
 The oracles deliberately avoid the package's own computational paths: the
 DFT oracle is a direct O(N^2) summation, the gamma-ratio reference goes
 through SciPy's log-gamma, which the package never uses, ``a_coeff`` and
-``b_coeff`` give single terms of the symbol sums one scalar at a time, and
+``b_coeff`` give single terms of the symbol sums one scalar at a time (the
+even modes' ratio B from that log-gamma reference: the package tabulates no
+B), ``mode2_term_ref`` gives the terms of the k = 2 series from mpmath, and
 ``even_mode_images`` sums the even modes' closed form term by term in mpmath.
 """
 
@@ -114,18 +116,61 @@ def ratio_vector_long_double(a: float, b: float, length: int) -> np.ndarray:
 def a_coeff(k: int, l1: int, l2: int, tables, alpha: float, n: int) -> float:
     """One term of the truncated double sum of the mode-k symbol for alpha != 1.
 
-    The gamma ratios are read from the tables at the absolute-value indices
-    |l1*n + l2| and |k/2 - l1*n - l2| (shifted by 1/2 for odd k, where a
-    sign factor sgn(k/2 - l) also enters).  An index beyond the tables
-    raises IndexError.
+    A(|l1*n + l2|) is read from vec_a; the second ratio is
+    B(|k/2 - l1*n - l2|) from :func:`gamma_ratio_ref` for even k, and
+    sgn(k/2 - l)*C(|k/2 - l| - 1/2) from vec_c for odd k.  An index beyond
+    the tables raises IndexError.
     """
     l = l1 * n + l2
     sign1 = -1.0 if l1 % 2 else 1.0
     base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * tables.vec_a[abs(l)]
     if k % 2 == 0:
-        return base * tables.vec_b[abs(k // 2 - l)]
+        e = abs(k // 2 - l)
+        return base * gamma_ratio_ref((-1.0 - alpha) / 2.0 + e, (3.0 + alpha) / 2.0 + e)
     half = k / 2.0 - l
     return base * math.copysign(1.0, half) * tables.vec_c[int(abs(half) - 0.5)]
+
+
+def mode2_term_ref(alpha: float, n: int, l1: int, l2: int) -> float:
+    """A(|l|)*B(|1 - l|), l = l1*n + l2: a k = 2 term without its sign and polynomial factor.
+
+    Each ratio from :func:`gamma_ratio_ref_hp` (mpmath), so the product is
+    within a few ulps of the exact term.
+    """
+    l = l1 * n + l2
+    a = gamma_ratio_ref_hp((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, abs(l))
+    return a * gamma_ratio_ref_hp((-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0, abs(1 - l))
+
+
+def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8):
+    """Largest relative errors of ``symbol._mode2_terms`` against :func:`mode2_term_ref`.
+
+    Returns (l1 = 0 row, chunk terms).  The chunks are walked as the k = 2
+    column walks them, _CHUNK // n rows at a time, smallest p first; each
+    must give t- (l1 = -p) and t+ (l1 = +p) as (count, n) arrays whose row r
+    is p = top - r and whose column j is l2 = j - n/2.  Of each, the four
+    corners and ``per_chunk`` random entries are checked; of the l1 = 0 row,
+    its ends, l2 = 0 and 1, and up to 60 random nodes.
+    """
+    from fraclap import symbol
+
+    rows = max(1, symbol._CHUNK // n)
+    size = min(rows, l_lim) * n
+    zero, chunk = symbol._mode2_terms(alpha, n, l_lim, rows, np.empty(4 * size + 10))
+    half = n // 2
+    nodes_ = np.unique(np.concatenate([[0, half, half + 1, n - 1], rng.integers(0, n, 60)]))
+    zero_err = max(abs(zero[j] / mode2_term_ref(alpha, n, 0, int(j) - half) - 1) for j in nodes_)
+    term_err = 0.0
+    for i in reversed(range(0, l_lim, rows)):
+        top, count = l_lim - i, min(rows, l_lim - i)
+        for side, terms in zip((-1, 1), chunk(top, count)):
+            assert terms.shape == (count, n)
+            picks = [(0, 0), (0, n - 1), (count - 1, 0), (count - 1, n - 1)]
+            picks += zip(rng.integers(0, count, per_chunk), rng.integers(0, n, per_chunk))
+            for r, j in picks:
+                ref = mode2_term_ref(alpha, n, side * (top - int(r)), int(j) - half)
+                term_err = max(term_err, abs(terms[r, j] / ref - 1))
+    return zero_err, term_err
 
 
 def b_coeff(k: int, l1: int, l2: int, n: int) -> float:

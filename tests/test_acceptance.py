@@ -36,7 +36,7 @@ from fraclap.oracles import (
     test_function,
 )
 from fraclap.spectral import evaluate, transform
-from fraclap.symbol import symbol_samples
+from fraclap.symbol import even_mode_columns, symbol_samples
 
 THIN_GRID_WITH_ONE = alpha_grid(0.05, 1.95, 0.05)
 THIN_GRID = THIN_GRID_WITH_ONE[np.abs(THIN_GRID_WITH_ONE - 1.0) > 1e-12]
@@ -76,7 +76,7 @@ def test_criterion2_truncation_stability():
     coarse = error_scan("mode2", cfg, 0, THIN_GRID).global_max
 
     def single_alpha_error(l_lim):
-        numeric = symbol_samples(0.5, 2, cfg.n, l_lim)
+        numeric = symbol_samples(0.5, cfg.n, l_lim)
         exact = closed_form_mode2(nodes(cfg), 0.5)
         return float(np.max(np.abs(numeric - exact)))
 
@@ -159,8 +159,9 @@ def test_criterion5_alpha_one_even_modes_exact():
         odd = GridConfig(n, l_scale, extension=Extension.ODD)
         matrix = build_matrix(even, 1.0, 0)
         s, unit = nodes(even), np.eye(n)
+        columns = even_mode_columns(n, 1.0)
         for k in range(2, n - 1, 2):
-            numeric = symbol_samples(1.0, k, n, 0)
+            numeric = columns[:, k // 2 - 1]
             exact = k * np.sin(s) ** 2 * np.exp(1j * k * s)
             scaled = (apply(matrix, unit[k], even), apply(matrix, unit[k - 1], odd))
             worst = max(worst, float(np.max(np.abs(numeric - exact))),
@@ -349,12 +350,11 @@ def test_criterion8_gamma_tables_vs_log_gamma(rng):
     tables = build_tables(alpha, 32, 40)
     specs = [
         (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-        (tables.vec_b, (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0),
         (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
     ]
     worst = 0.0
     for _ in range(100):
-        vec, a, b = specs[int(rng.integers(0, 3))]
+        vec, a, b = specs[int(rng.integers(0, 2))]
         m = int(rng.integers(0, vec.size))
         ref = gamma_ratio_ref_hp(a + m, b + m)
         worst = max(worst, abs(vec[m] - ref) / abs(ref))

@@ -3,25 +3,18 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import gamma_ratio_ref, gamma_ratio_ref_hp
+from conftest import gamma_ratio_ref, gamma_ratio_ref_hp, mode2_chunk_errors
 from fraclap.gammaratio import _HEAD, GammaRatioTables, _ratio_vector, build_tables, table_lengths
 
 
 class TestBuildTables:
-    def test_rejects_alpha_one(self):
-        # vec_b has poles at alpha = 1, so even-mode tables are refused there
-        for parities in ((0, 1), (0,)):
-            with pytest.raises(ValueError):
-                build_tables(1.0, 8, 10, parities=parities)
-
     def test_alpha_one_odd_tables(self):
         # vec_a[0] is Gamma's pole at 0; vec_a[m] = Gamma(m)/Gamma(1+m) = 1/m after it
-        tables = build_tables(1.0, 128, 40, parities=(1,))  # past the long-double head
+        tables = build_tables(1.0, 128, 40)  # past the long-double head
         assert tables.vec_a.size > _HEAD
         assert tables.vec_a[0] == np.inf
         m = np.arange(1, tables.vec_a.size)
         np.testing.assert_allclose(tables.vec_a[1:], 1.0 / m, rtol=1e-13, atol=0.0)
-        assert tables.vec_b.size == 0
         for m in (0, 1, 7, 100, 300):
             expected = gamma_ratio_ref(m - 0.5, m + 2.5)
             assert tables.vec_c[m] == pytest.approx(expected, rel=1e-13)
@@ -39,9 +32,8 @@ class TestBuildTables:
     def test_lengths_meet_minimum(self):
         n, l_lim = 16, 30
         tables = build_tables(0.5, n, l_lim)
-        len_a, len_b, len_c = table_lengths(n, l_lim)
+        len_a, len_c = table_lengths(n, l_lim)
         assert tables.vec_a.size == len_a >= l_lim * n + n // 2 + 1
-        assert tables.vec_b.size == len_b >= (l_lim + 1) * n
         assert tables.vec_c.size == len_c >= (l_lim + 1) * n
 
     def test_base_entry_alpha_half(self):
@@ -53,17 +45,20 @@ class TestBuildTables:
         # consecutive entries differ by the exact rational factor
         alpha = 0.7
         tables = build_tables(alpha, 8, 5)
-        a, b = (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0
-        for m in (0, 3, 11):
-            factor = (a + m) / (b + m)
-            assert tables.vec_b[m + 1] == pytest.approx(tables.vec_b[m] * factor, rel=1e-15)
+        specs = [
+            (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
+            (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
+        ]
+        for vec, a, b in specs:
+            for m in (0, 3, 11):
+                factor = (a + m) / (b + m)
+                assert vec[m + 1] == pytest.approx(vec[m] * factor, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.99, 1.3, 1.95])
     def test_spot_entries_vs_log_gamma(self, alpha):
         tables = build_tables(alpha, 16, 70)
         specs = [
             (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            (tables.vec_b, (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0),
             (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
         ]
         for vec, a, b in specs:
@@ -78,7 +73,6 @@ class TestBuildTables:
         tables = build_tables(alpha, 32, 40)
         specs = {
             "a": (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            "b": (tables.vec_b, (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0),
             "c": (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
         }
         for vec, a, b in specs.values():
@@ -93,7 +87,6 @@ class TestBuildTables:
         tables = build_tables(alpha, 1024, 500)
         specs = [
             (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            (tables.vec_b, (-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0),
             (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
         ]
         for vec, a, b in specs:
@@ -110,7 +103,7 @@ class TestBuildTables:
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99, 1.01, 1.5, 1.99])
     def test_all_entries_finite(self, alpha):
         tables = build_tables(alpha, 64, 100)
-        for vec in (tables.vec_a, tables.vec_b, tables.vec_c):
+        for vec in (tables.vec_a, tables.vec_c):
             assert np.all(np.isfinite(vec))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9, 1.7])
@@ -118,16 +111,6 @@ class TestBuildTables:
         tables = build_tables(alpha, 8, 50)
         ratios = tables.vec_a[6:100] / tables.vec_a[5:99]
         assert np.all((ratios > 0) & (ratios < 1))
-
-    @pytest.mark.parametrize("parity,built,unbuilt", [(0, "vec_b", "vec_c"), (1, "vec_c", "vec_b")])
-    def test_one_parity_builds_only_its_vector(self, parity, built, unbuilt):
-        full = build_tables(0.35, 32, 40)
-        part = build_tables(0.35, 32, 40, parities=(parity,))
-        np.testing.assert_array_equal(part.vec_a, full.vec_a)
-        np.testing.assert_array_equal(getattr(part, built), getattr(full, built))
-        assert getattr(part, unbuilt).shape == (0,)
-        with pytest.raises(IndexError):
-            getattr(part, unbuilt)[0]
 
     def test_tables_immutable(self):
         tables = build_tables(0.5, 8, 5)
@@ -142,23 +125,13 @@ class TestBuildTables:
 
 class TestRationalMode2Terms:
     @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
-    def test_table_products_are_the_rational_terms(self, alpha):
+    def test_table_products_are_the_rational_terms(self, alpha, rng):
         # b_A - a_B = b_B - a_A = 2, so the k = 2 terms A(m)*B(m +- 1) cancel to
-        # 1/((m^2 - c^2)(m +- e)(m +- e +- 1)), c = (1 - alpha)/2, e = 1 - c: an
-        # exact reference, in long double, for the float64 tails of the full-size
-        # vec_a and vec_b (n = 1024, l_lim = 500) that needs no mpmath.  Each
-        # vector is within 1e-13 of its ratio, so the product errors add: measured
-        # 1.25e-13 at alpha = 0.05, <= 6.4e-14 at the other three.
-        tables = build_tables(alpha, 1024, 500, parities=(0,))
-        spread = np.geomspace(1, 5.1e5, 400).astype(np.int64)
-        m = np.unique(np.concatenate([spread, np.arange(_HEAD - 3, _HEAD + 4)]))
-        c = (1 - np.longdouble(alpha)) / 2
-        e = 1 - c
-        x = m.astype(np.longdouble)
-        up = 1 / ((x * x - c * c) * (x + e) * (x + e + 1))
-        down = 1 / ((x * x - c * c) * (x - e) * (x - e - 1))
-        for run, ref in ((tables.vec_b[m + 1], up), (tables.vec_b[m - 1], down)):
-            assert np.max(np.abs(tables.vec_a[m] * run / ref - 1)) <= 1.5e-13
+        # 1/((m^2 - c^2)(m +- e)(m +- e +- 1)), c = (1 - alpha)/2, e = 1 - c.  The
+        # terms formed from that rational form, chunk by chunk at full size
+        # (n = 1024, l_lim = 500: 16 chunks of 32 rows, m up to 5.1e5), against
+        # products of two mpmath ratios, on sampled entries of every chunk
+        assert max(mode2_chunk_errors(alpha, 1024, 500, rng)) <= 1.5e-13
 
 
 class TestRatioStream:

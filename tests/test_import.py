@@ -43,8 +43,7 @@ matrix = build_matrix(GridConfig(16, 1.0), 0.7, 40)
 save_matrix(matrix, {str(tmp_path / "m.bin")!r})
 loaded = load_matrix({str(tmp_path / "m.bin")!r}, expect_n=16, expect_alpha=0.7, expect_l_lim=40)
 assert np.array_equal(loaded.entries, matrix.entries)
-symbol_samples(0.7, 2, 1024, 500)
-symbol_samples(0.7, 3, 64, 100)
+symbol_samples(0.7, 1024, 500)
 print(json.dumps({SCIPY_LOADED}))
 """
     assert json.loads(run_fresh_python(script, "1")) == []

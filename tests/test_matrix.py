@@ -76,16 +76,16 @@ class TestBuildMatrix:
             assert np.all(err <= 5e-14 * np.max(np.abs(ref), axis=0))
 
     def test_even_columns_build_no_even_table(self, monkeypatch):
-        # the closed form reads no gamma table: only the odd parity is asked for
+        # the closed form reads no gamma table: the odd block builds the only one
         asked = []
 
-        def recording(*args, **kwargs):
-            asked.append(kwargs["parities"])
-            return gammaratio.build_tables(*args, **kwargs)
+        def recording(*args):
+            asked.append(args)
+            return gammaratio.build_tables(*args)
 
         monkeypatch.setattr(symbol, "build_tables", recording)
         build_matrix(GridConfig(16, 1.0), 0.5, 20)
-        assert asked == [(1,)]
+        assert asked == [(0.5, 16, 20)]
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
@@ -102,10 +102,12 @@ class TestBuildMatrix:
         assert checksums[0] == checksums[1]
 
     def test_blas_thread_count_does_not_change_single_columns(self):
+        # the k = 2 column, and the odd block at sizes past the full builds' n = 128
         script = (
-            "import json, zlib; from fraclap.symbol import symbol_samples; "
-            "print(json.dumps([zlib.crc32(symbol_samples(a, k, n, 500).tobytes()) for n, a, k in "
-            "((1024, 0.3, 2), (1024, 0.3, 1023), (512, 1.5, 1), (512, 1.95, 256), (64, 1.0, 3))]))"
+            "import json, zlib; from fraclap.symbol import odd_mode_columns, symbol_samples; "
+            "print(json.dumps([zlib.crc32(symbol_samples(0.3, 1024, 500).tobytes())] + "
+            "[zlib.crc32(odd_mode_columns(n, a, 500).tobytes()) "
+            "for n, a in ((512, 1.5), (1024, 0.3))]))"
         )
         checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert checksums[0] == checksums[1]
@@ -136,9 +138,6 @@ class TestBuildMatrix:
         assert not np.array_equal(tail, long_double)
         old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)
         np.testing.assert_array_equal(new, old)
-        # the k = 2 column reads no table; k = 4 reads vec_a and vec_b
-        old, new = both(lambda: symbol_samples(alpha, 4, 1024, 500))
-        np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("alpha,crc", [
         (0.3, 0xA845B744), (1.0, 0x0942CA3A), (1.7, 0x525B66B9),
@@ -158,36 +157,37 @@ class TestBuildMatrix:
         assert zlib.crc32(entries.tobytes()) == crc
 
     def test_single_column_is_pinned(self):
-        assert zlib.crc32(symbol_samples(0.45, 2, 64, 30).tobytes()) == 0x10316464
+        assert zlib.crc32(symbol_samples(0.45, 64, 30).tobytes()) == 0x10316464
 
     @pytest.mark.parametrize("alpha,crc", [
         (0.05, 0xE687F569), (0.5, 0x967B8CF5), (1.95, 0x5CD62DA8),
     ])
     def test_mode2_scan_column_is_pinned(self, alpha, crc):
         # criterion 1's column, one column wide, summed from its rational terms
-        assert zlib.crc32(symbol_samples(alpha, 2, 1024, 500).tobytes()) == crc
+        assert zlib.crc32(symbol_samples(alpha, 1024, 500).tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,l_lim,k,crc", [
-        # odd columns at alpha = 1, where vec_a starts with the pole A(0)
-        (1024, 1.0, 500, 1, 0xB27E43A3), (1024, 1.0, 500, 3, 0xDCF231B5),
-        (1024, 1.0, 500, 1023, 0x2E0F2A35),
-        # l_lim around one 32-row chunk of the one-column sums at n = 1024
+        # l_lim around one 32-row chunk of the k = 2 sums at n = 1024
         (1024, 0.5, 0, 2, 0xF7A84EA4), (1024, 0.5, 1, 2, 0x6D90983E),
         (1024, 0.5, 31, 2, 0x2B6AF6EC), (1024, 0.5, 32, 2, 0xDE17FD4D),
-        (1024, 0.5, 33, 2, 0xB323E7D8), (1024, 1.3, 0, 3, 0x15E49875),
-        (1024, 1.3, 1, 3, 0x73F79272), (1024, 1.3, 31, 3, 0x5D9A4B28),
-        (1024, 1.3, 32, 3, 0xA5A3B203), (1024, 1.3, 33, 3, 0xB9D05101),
+        (1024, 0.5, 33, 2, 0xB323E7D8),
         # n = 4: one chunk holds more rows than l_lim
-        (4, 0.45, 500, 1, 0x7885B528), (4, 0.45, 500, 2, 0x74521FF5),
-        (4, 0.45, 500, 3, 0x0B1087AB), (4, 1.0, 500, 3, 0xBE0B8D7E),
-        # even k >= 4, read from vec_a and vec_b: near alpha = 1, and k = n - 2
-        (1024, 0.5, 500, 4, 0x69C44AD3), (512, 1.95, 500, 256, 0x4D085FCC),
-        (64, 0.99999, 500, 62, 0x04FE3170), (1024, 1.3, 33, 1022, 0xE3A72749),
+        (4, 0.45, 500, 2, 0x74521FF5),
     ])
     def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
-        # the odd and even k >= 4 columns from runs of the gamma tables; the
-        # k = 2 ones from the rational terms
-        assert zlib.crc32(symbol_samples(alpha, k, n, l_lim).tobytes()) == crc
+        # k is 2 in every case: the one column the series forms alone
+        assert zlib.crc32(symbol_samples(alpha, n, l_lim).tobytes()) == crc
+
+    @pytest.mark.parametrize("n,alpha,l_lim,crc", [
+        # alpha = 1, where vec_a starts with the pole A(0)
+        (1024, 1.0, 500, 0xE270C03D),
+        # n = 4: a window two columns wide; l_lim = 0 and 1: the l1 = 0 row
+        # alone, and one row pair with it
+        (4, 0.45, 500, 0xAF8EB19F), (4, 1.0, 500, 0xE72EACD7),
+        (1024, 1.3, 0, 0xB1B18E81), (1024, 1.3, 1, 0x611E3D63),
+    ])
+    def test_odd_block_edges_are_pinned(self, n, alpha, l_lim, crc):
+        assert zlib.crc32(odd_mode_columns(n, alpha, l_lim).tobytes()) == crc
 
     def test_mode2_delta_reproduces_closed_form(self):
         cfg = GridConfig(4, 1.0)
