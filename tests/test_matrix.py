@@ -167,16 +167,26 @@ class TestBuildMatrix:
         assert zlib.crc32(symbol_samples(alpha, 1024, 500).tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,l_lim,k,crc", [
+        # odd columns at alpha = 1, where vec_a starts with the pole A(0)
+        (1024, 1.0, 500, 1, 0xCD6A1A5D), (1024, 1.0, 500, 3, 0xD41297D6),
+        (1024, 1.0, 500, 1023, 0xCF229084),
         # l_lim around one 32-row chunk of the k = 2 sums at n = 1024
         (1024, 0.5, 0, 2, 0xF7A84EA4), (1024, 0.5, 1, 2, 0x6D90983E),
         (1024, 0.5, 31, 2, 0x2B6AF6EC), (1024, 0.5, 32, 2, 0xDE17FD4D),
         (1024, 0.5, 33, 2, 0xB323E7D8),
-        # n = 4: one chunk holds more rows than l_lim
-        (4, 0.45, 500, 2, 0x74521FF5),
+        # n = 4: one chunk holds more rows than l_lim; the odd block is two
+        # columns wide
+        (4, 0.45, 500, 1, 0x7885B528), (4, 0.45, 500, 2, 0x74521FF5),
+        (4, 0.45, 500, 3, 0x47A510C7),
     ])
     def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
-        # k is 2 in every case: the one column the series forms alone
-        assert zlib.crc32(symbol_samples(alpha, n, l_lim).tobytes()) == crc
+        # k = 2 is the one column the series forms alone; an odd k is read
+        # from the odd block
+        if k == 2:
+            column = symbol_samples(alpha, n, l_lim)
+        else:
+            column = odd_mode_columns(n, alpha, l_lim)[:, k // 2]
+        assert zlib.crc32(column.tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,l_lim,crc", [
         # alpha = 1, where vec_a starts with the pole A(0)
