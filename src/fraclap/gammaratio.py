@@ -45,8 +45,9 @@ class GammaRatioTables:
 
     vec_a is indexed by |l| and vec_c by |k/2 - l| - 1/2, an integer for the
     odd modes k that read it.  At alpha = 1, vec_a[0] is Gamma's pole at 0
-    and is stored as inf.  Vectors are stored read-only; writeable input is
-    copied first.
+    and is stored as inf; no build reads vec_a[0], since the odd columns add
+    A(0)'s term in finite form.  Vectors are stored read-only; writeable
+    input is copied first.
     """
 
     alpha: float
@@ -127,7 +128,7 @@ def table_lengths(n: int, l_lim: int) -> tuple[int, int]:
 def build_tables(alpha: float, n: int, l_lim: int) -> GammaRatioTables:
     """Build the ratio vectors for a given alpha, n and l1 truncation.
 
-    At alpha = 1, vec_a[0] = inf (Gamma's pole at 0).
+    At alpha = 1, vec_a[0] = inf (Gamma's pole at 0), read by no build.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")

@@ -287,8 +287,8 @@ def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:
     """Maximum node error against the closed form, per alpha and globally.
 
     ``target="mode2"`` checks the single k = 2 mode (alpha = 1 must be
-    excluded by the caller: that case is exact by construction and the grid
-    for it is conventionally skipped).  ``target="gaussian"`` assembles the
+    excluded by the caller: there the column is the closed form itself, and
+    the paper's grid skips it by convention).  ``target="gaussian"`` assembles the
     full matrix per alpha and applies it to exp(-x^2) extended with the
     parity of ``cfg``.  Errors are measured at the n nodes of the grid.
     """

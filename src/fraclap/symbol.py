@@ -8,21 +8,22 @@ outer index through l = l1*n + l2:
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
-smallest terms (largest |l1|) first.  At alpha = 1 the odd modes are the
-alpha -> 1 limit of the same sums: A(|l|) = 1/|l| for l != 0, and the pole
-A(0) = Gamma(0) enters only through (1 - alpha)*A(0) -> -2, which adds the
-constant -2i*k/(pi*(k^2 - 4)) to each column.  The series has two entry
-points: :func:`odd_mode_columns`, every odd column of a block, and
-:func:`symbol_samples`, the k = 2 column alone.
+smallest terms (largest |l1|) first.  In the odd modes the l1 = l2 = 0
+weight A(0) is Gamma's pole at alpha = 1, but its term enters only through
+(1 - alpha)*A(0) = -2*Gamma((1+alpha)/2)/Gamma((3-alpha)/2), finite at every
+alpha, so the sums leave A(0) out and add the term in that form.  The series
+has two entry points: :func:`odd_mode_columns`, every odd column of a
+block, and :func:`symbol_samples`, the k = 2 column alone.
 
 The even modes also have a finite closed form at every alpha, a polynomial
-of degree k/2 - 1 in exp(2i*s) times (-i*sin(s)*exp(i*s))^(1+alpha)
+of degree k/2 - 1 in exp(2i*s) times the image of exp(2i*s)
 (:func:`even_mode_columns`; at alpha = 1 it is k*sin(s)^2*exp(i*k*s)).  The
 operator block (:func:`fraclap.opmatrix.build_matrix`) takes its even
 columns from it and its odd columns from :func:`odd_mode_columns`, so l_lim
 governs only the odd columns of a built block.  :func:`symbol_samples`
-keeps the paper's series for k = 2 off alpha = 1: criteria 1 and 2 and the
-mode-2 scan test that truncation at its stated l_lim.
+keeps the paper's series for k = 2 off alpha = 1, where the series'
+prefactor 1/tan(pi*alpha/2) vanishes: criteria 1 and 2 and the mode-2 scan
+test that truncation at its stated l_lim.
 
 A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
 d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
@@ -231,17 +232,18 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int, work: np.ndarray)
     return out
 
 
-def _alpha_one_even(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """k*sin(s)^2*exp(i*k*s): the even columns k at alpha = 1, at the nodes s."""
-    return k * np.sin(s)[:, None] ** 2 * np.exp(1j * np.outer(s, k))
+def _mode2_image(s: np.ndarray, alpha: float) -> np.ndarray:
+    """-2*Gamma(1+alpha)*t^(1+alpha), t = -i*sin(s)*exp(i*s): the image of exp(2i*s) at s."""
+    t = -1j * np.sin(s) * np.exp(1j * s)
+    return -2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha)
 
 
 def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s), k = 2, 4, ..., n-2, at the n physical nodes.
 
     The even modes have a finite closed form.  For k = 2m, with
-    t = -i*sin(s)*exp(i*s) (principal branch: arg t in (-pi/2, pi/2)) and
-    z = exp(2i*s),
+    t = -i*sin(s)*exp(i*s) (principal branch: arg t in (-pi/2, pi/2)),
+    z = exp(2i*s) and the prefactor from :func:`_mode2_image`,
 
         E_2m(s) = -2*Gamma(1+alpha) * t^(1+alpha) * sum_{i<m} a_i*b_(m-1-i)*z^i,
         a_i = (1+alpha)_i/i!,  b_j = (1-alpha)_j/j!.
@@ -252,18 +254,16 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     2*pi*i*j/n + pi*i/n, the polynomial at all n nodes is then one batched
     n-point inverse DFT, with exact phases.  m = 1 is
     :func:`fraclap.oracles.closed_form_mode2`, bit for bit.  At alpha = 1
-    only i = m-1 survives, and the columns are the double expression
-    k*sin(s)^2*exp(i*k*s) itself.  No gamma table and no truncation enter.
+    b_j = 0 for j >= 1 and a_(m-1) = m, so only i = m-1 survives and
+    E_2m = 2m*sin(s)^2*exp(2i*m*s), with the phases of the same DFT; no
+    branch is taken.  No gamma table and no truncation enter.
     Returns an (n, n/2 - 1) array; raises ValueError for an odd or too small
     n, or alpha outside (0, 2).
     """
     s = nodes(GridConfig(n, 1.0))  # checks n
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    k = np.arange(2, n, 2)
-    if alpha == 1.0:
-        return _alpha_one_even(s, k)
-    size = k.size
+    size = n // 2 - 1
     i = np.arange(1, size, dtype=np.longdouble)
     a = np.cumprod(np.concatenate(([1.0], (alpha + i) / i)))[:size]  # (1+alpha)_i/i!
     b = np.cumprod(np.concatenate(([1.0], (i - alpha) / i)))[:size]  # (1-alpha)_j/j!
@@ -271,8 +271,7 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     runs = sliding_window_view(np.concatenate((b[::-1], np.zeros(size))).astype(np.float64), size)
     phased = a.astype(np.float64) * np.exp(1j * np.pi * np.arange(size) / n)
     poly = ifft(runs[:size][::-1] * phased, n=n, axis=1, norm="forward")
-    t = -1j * np.sin(s) * np.exp(1j * s)
-    return (-2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha))[:, None] * poly.T
+    return _mode2_image(s, alpha)[:, None] * poly.T
 
 
 def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
@@ -387,8 +386,7 @@ def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray)
     """Columns k of one parity at the n nodes from their l1 sums P0 and P1, each (n, k.size).
 
     The l2 series is one shifted inverse FFT per column in pocketfft,
-    O(n log n), times the prefactor; odd columns at alpha = 1 add the limit
-    of the A(0) term (module docstring).
+    O(n log n), times the prefactor.
     """
     s = nodes(GridConfig(n, 1.0))
     l2 = np.arange(-(n // 2), n // 2)[:, None]
@@ -399,19 +397,15 @@ def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray)
     if k[0] % 2 == 0:
         # 1/tan(pi*alpha/2), with 1 - alpha exact: pi*alpha/2 rounds next to the pole
         return (pref * math.tan(math.pi * (1.0 - alpha) / 2.0))[:, None] * series
-    out = 1j * pref[:, None] * series
-    if alpha == 1.0:
-        out -= 2j * k / (np.pi * (k * k - 4.0))  # the limit of the A(0) term
-    return out
+    return 1j * pref[:, None] * series
 
 
 def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s), k = 1, 3, ..., n-1, at the n physical nodes.
 
-    Every column is the paper's series truncated at |l1| <= l_lim; at
-    alpha = 1 the weight A(0) = inf is zeroed and its limit term added
-    instead (module docstring).  Each term of the l1 sum is W[l1, l2] times
-    G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
+    Every column is the paper's series truncated at |l1| <= l_lim, its
+    A(0) term in finite form (module docstring).  Each term of the l1 sum
+    is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
     P0 = sum W*G and P1 = sum W*l1*G over a sliding window of G n/2 columns
     wide.  W and G are copied once per call, into one work buffer, from
     strided views of vec_a and vec_c (the l1 = 0 rows gathered) and summed
@@ -446,8 +440,7 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
     down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
     a0 = a[np.abs(np.arange(-half, half))]  # l1 = 0: A(|l2|)
-    if alpha == 1.0:
-        a0[half] = 0.0  # the pole A(0): _series adds the limit of its term
+    a0[half] = 0.0  # A(0), a pole at alpha = 1: its term is added below in finite form
     _rows(w, down, up, a0, sign, sign)
     # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
     # runs one entry lower, negated
@@ -460,15 +453,20 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     _rows(g, fwd, rev, np.negative(c0, out=c0, where=neg), plus_sign=-1.0)
     p0, p1 = _window_sums(w, l1, g, half, work[rows * (n + d.size) :])
     del work, w, g
-    return _series(alpha, n, np.arange(1, n, 2), p0, p1)
+    k = np.arange(1, n, 2)
+    # A(0)'s term, (1 - alpha)*k^2*A(0)*C((k-1)/2) in the l2 sums, enters as
+    # -(1 - alpha)*A(0)*k*C((k-1)/2)/(4n) on P1's l2 = 0 row
+    ratio = math.gamma((1.0 + alpha) / 2.0) / math.gamma((3.0 - alpha) / 2.0)
+    p1[half] += ratio / (2 * n) * k * c[:half]
+    return _series(alpha, n, k, p0, p1)
 
 
 def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     """Values of the unit-scale operator applied to exp(2i*s) at the n physical nodes.
 
     The paper's series for the k = 2 column truncated at |l1| <= l_lim; at
-    alpha = 1 the column 2*sin(s)^2*exp(2i*s) of :func:`even_mode_columns`,
-    evaluated alone.  No W or G is formed and no gamma table is built:
+    alpha = 1 the closed form 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`),
+    bit for bit the block's column from :func:`even_mode_columns`.  No W or G is formed and no gamma table is built:
     :func:`_column_sums` forms the rational terms a chunk of rows at a
     time, reduces each chunk with one dot, l1 = 0 last, and allocates about
     2 MB at n = 1024, l_lim = 500.  The reductions run on one OpenBLAS
@@ -480,8 +478,7 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     _check(n, l_lim)
     if n < 4:
         raise ValueError(f"n must be at least 4 for the column k = 2, got {n}")
-    k = np.array([2])
     if alpha == 1.0:
-        return _alpha_one_even(nodes(GridConfig(n, 1.0)), k)[:, 0]
+        return _mode2_image(nodes(GridConfig(n, 1.0)), alpha)
     p0, p1 = _column_sums(alpha, n, l_lim)
-    return _series(alpha, n, k, p0[:, None], p1[:, None])[:, 0]
+    return _series(alpha, n, np.array([2]), p0[:, None], p1[:, None])[:, 0]

@@ -222,6 +222,19 @@ def even_mode_images(n: int, alpha: float) -> np.ndarray:
     return out
 
 
+def alpha_one_even_images(n: int, ks) -> np.ndarray:
+    """k*sin(s)^2*exp(i*k*s) at the n nodes for the even modes ``ks``: their images at alpha = 1.
+
+    The phase k*s_j = pi*k*(2j+1)/(2n) is reduced mod 2*pi in integers
+    before exp, so it carries no rounding of the double node s_j.  Returns
+    an (n, len(ks)) array.
+    """
+    ks = np.asarray(ks)
+    s = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    phase = np.mod(np.outer(2 * np.arange(n) + 1, ks), 4 * n)
+    return ks * np.sin(s)[:, None] ** 2 * np.exp(1j * np.pi * phase / (2 * n))
+
+
 def run_fresh_python(script: str, blas_threads: str) -> str:
     """stdout of ``script`` run in a new interpreter with OPENBLAS_NUM_THREADS set.
 
