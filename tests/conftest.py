@@ -156,7 +156,7 @@ def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8
 
     rows = max(1, symbol._CHUNK // n)
     size = min(rows, l_lim) * n
-    zero, chunk = symbol._mode2_terms(alpha, n, l_lim, rows, np.empty(4 * size + 10))
+    zero, chunk = symbol._mode2_terms(alpha, n, l_lim, rows, symbol.aligned_empty(5 * symbol._section(size)))
     half = n // 2
     nodes_ = np.unique(np.concatenate([[0, half, half + 1, n - 1], rng.integers(0, n, 60)]))
     zero_err = max(abs(zero[j] / mode2_term_ref(alpha, n, 0, int(j) - half) - 1) for j in nodes_)
@@ -251,6 +251,15 @@ def run_fresh_python(script: str, blas_threads: str) -> str:
         check=True, timeout=300,
     )
     return done.stdout
+
+
+def copy_off_line(array: np.ndarray, offset: int) -> np.ndarray:
+    """A C-ordered float64 copy of ``array`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(array.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + array.nbytes].view(np.float64).reshape(array.shape)
+    out[...] = array
+    return out
 
 
 def cache_file_bytes(version: int, n: int, payload_entries: int, *, alpha: float = 0.5) -> bytes:

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import continued, dft_oracle, run_fresh_python, series_oracle, two_sided_image
+from conftest import (
+    continued,
+    copy_off_line,
+    dft_oracle,
+    run_fresh_python,
+    series_oracle,
+    two_sided_image,
+)
 from fraclap.fisher import (
     BlowUpError,
     FisherRun,
@@ -23,7 +30,7 @@ from fraclap.fisher import (
     _spectral_tail,
 )
 from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
-from fraclap.opmatrix import build_matrix, fused_sample_operator
+from fraclap.opmatrix import apply_sample_operator, build_matrix, fused_sample_operator
 from fraclap.oracles import closed_form_gaussian
 from fraclap.spectral import evaluate, transform
 
@@ -154,6 +161,29 @@ class TestRk4Step:
         k4 = f(u + dt * k3)
         expected = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.max(np.abs(rk4_step(u, dt, op) - expected)) < 1e-11
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_block_placement_does_not_change_steps(self, n):
+        # the stage's GEMVs and ufuncs stream the blocks as they lie, and
+        # fused_sample_operator puts them on a cache line: blocks 8, 16 and 48
+        # bytes off one must give the same bits
+        alpha = 1.95
+        cfg = GridConfig(n, 1000.0 / alpha**3)
+        blocks = fused_sample_operator(build_matrix(cfg, alpha, 40), cfg)
+        u0 = initial_condition(node_positions(cfg), alpha)
+
+        def run(op):
+            states = [apply_sample_operator(op, u0), u0]
+            for _ in range(3):
+                states.append(rk4_step(states[-1], 0.01, op))
+            return states
+
+        expected = run(blocks)
+        for offset in (8, 16, 48):
+            moved = copy_off_line(blocks, offset)
+            assert moved.ctypes.data % 64 == offset
+            for got, want in zip(run(moved), expected):
+                assert np.array_equal(got, want)
 
     def test_temporal_order(self):
         # self-convergence on a smooth, mildly stiff run (dt*lambda well

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -327,6 +328,12 @@ class TestFractionalLaplacian:
         image = np.stack([apply_sample_operator(blocks, e) for e in np.eye(n)], axis=1)
         assert np.max(np.abs(image - fold)) <= 1e-12 * np.max(np.abs(fold))
 
+    @pytest.mark.parametrize("n", [2, 16, 512])
+    def test_fused_blocks_start_on_a_cache_line(self, n):
+        cfg = GridConfig(n, 50.0)
+        blocks = fused_sample_operator(build_matrix(cfg, 1.95, 20), cfg)
+        assert blocks.flags.c_contiguous and blocks.ctypes.data % 64 == 0
+
     def test_fused_operator_rejects_odd_extension(self):
         with pytest.raises(ValueError, match="even-extension"):
             fused_sample_operator(build_matrix(ODD8, 0.5, 50), ODD8)
@@ -432,6 +439,26 @@ class TestCacheFile:
             save_matrix(build_matrix(GridConfig(8, 1.0), 0.7, 50), path)
         assert path.read_bytes() == good
         np.testing.assert_array_equal(load_matrix(path, **SMALL_KEY).entries, small_matrix.entries)
+
+    def test_file_is_header_entries_and_crc(self, small_matrix, tmp_path):
+        path = tmp_path / "m.bin"
+        save_matrix(small_matrix, path)
+        raw = path.read_bytes()
+        payload = small_matrix.entries.tobytes()
+        assert raw[64:-8] == payload
+        assert struct.unpack("<Q", raw[-8:])[0] == zlib.crc32(payload, zlib.crc32(raw[:64]))
+
+    def test_save_copies_no_payload(self, tmp_path):
+        # the CRC and the write read the entries' own buffer; a payload copy
+        # would take the whole 260 KB at n = 128
+        matrix = build_matrix(GridConfig(128, 1.0), 0.5, 20)
+        tracemalloc.start()
+        try:
+            save_matrix(matrix, tmp_path / "m.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.entries.nbytes / 4
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

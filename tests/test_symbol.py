@@ -399,6 +399,37 @@ class TestWorkBuffers:
         assert not np.shares_memory(first, second)
         assert zlib.crc32(first.tobytes()) == crc
 
+    @pytest.mark.parametrize("shape", [0, 1, (5,), (2, 7, 3)], ids=str)
+    def test_aligned_empty_starts_on_a_cache_line(self, shape):
+        out = symbol.aligned_empty(shape)
+        assert out.shape == np.empty(shape).shape and out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert out.ctypes.data % 64 == 0
+        out[...] = 1.0
+        assert np.all(out == 1.0)
+
+    @pytest.mark.parametrize("n,l_lim", [(6, 7), (1024, 500)])
+    def test_k2_sections_start_on_a_cache_line(self, n, l_lim):
+        # the chunk terms are views of two sections of the work buffer
+        rows = max(1, symbol._CHUNK // n)
+        size = min(rows, l_lim) * n
+        work = symbol.aligned_empty(5 * symbol._section(size))
+        _, chunk = symbol._mode2_terms(0.5, n, l_lim, rows, work)
+        for terms in chunk(l_lim, min(rows, l_lim)):
+            assert terms.ctypes.data % 64 == 0
+
+    def test_k2_result_is_not_a_view_of_its_buffer(self, monkeypatch):
+        original, buffers = symbol.aligned_empty, []
+
+        def recorded(shape):
+            buffers.append(original(shape))
+            return buffers[-1]
+
+        monkeypatch.setattr(symbol, "aligned_empty", recorded)
+        out = symbol_samples(0.5, 1024, 500)
+        assert len(buffers) == 1
+        assert not np.shares_memory(out, buffers[0])
+
 
 class TestEvenModeColumns:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.0 - 1e-4, 1.0 + 1e-4, 1.5, 1.95])
