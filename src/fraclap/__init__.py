@@ -11,7 +11,7 @@ Subpackages
 -----------
 grid        coordinate map and node generation
 spectral    real transforms (DCT-II/DST-II) and series evaluation
-gammaratio  stable precomputation of the gamma-function ratio tables
+gammaratio  stable gamma-ratio vectors Gamma(a+m)/Gamma(b+m) by recursion
 symbol      closed-form operator action on Fourier modes: block columns, or k = 2 alone
 opmatrix    assembly, caching and application of the operational matrix
 oracles     independent ground truths: closed forms (scipy hyp1f1, hyp2f1), quadrature
@@ -31,7 +31,6 @@ scipy.optimize.
 
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s
 from fraclap.spectral import evaluate, transform
-from fraclap.gammaratio import GammaRatioTables, build_tables
 from fraclap.symbol import fractional_constant, symbol_samples
 from fraclap.opmatrix import (
     MatrixCacheError,
@@ -85,8 +84,6 @@ __all__ = [
     "x_to_s",
     "transform",
     "evaluate",
-    "GammaRatioTables",
-    "build_tables",
     "fractional_constant",
     "symbol_samples",
     "OperatorMatrix",

@@ -29,9 +29,10 @@ A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
 d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
 odd k), where A, B and C are the ratios Gamma(a + m)/Gamma(b + m) with
 (a, b) = ((-1+alpha)/2, (3-alpha)/2), ((-1-alpha)/2, (3+alpha)/2) and
-(-alpha/2, 2+alpha/2); A and C are tabulated as vec_a and vec_c.  Along a
-row of fixed l1 != 0 neither index changes sign, so each row of an odd
-column is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
+(-alpha/2, 2+alpha/2).  The odd block requests A and C as two vectors,
+vec_a and vec_c (:func:`fraclap.gammaratio.ratio_vector`), of the lengths
+its indices need.  Along a row of fixed l1 != 0 neither index changes sign,
+so each row of an odd column is one contiguous run of a vector:
 
     l1 = +p:  |l| = p*n + l2, a forward run of vec_a;
               e = d - p*n < 0, a reversed run of vec_c one entry lower,
@@ -39,15 +40,15 @@ column is one contiguous run of a gamma table (:mod:`fraclap.gammaratio`):
     l1 = -p:  |l| = p*n - l2, a reversed run of vec_a;
               e = d + p*n > 0, a forward run of vec_c.
 
-The odd block reads its rows as strided views of the tables and copies W
+The odd block reads its rows as strided views of the vectors and copies W
 and G once per call into the summation order, the exact sign (-1)^l1
 folded into the copy; only the l1 = 0 rows, where l and e change sign, are
 gathered.  The k = 2 column evaluates no gamma ratio at all: its two
 ratios differ by exactly 2 in their arguments, so each term is a rational
-function of |l| (:func:`_mode2_terms`), formed a chunk of rows at a time,
-smallest p first, and never as W or G.  The -p and +p terms are fused into
-each row's P0 and P1 parts and reduced chunk by chunk
-(:func:`_column_sums`).
+function of |l|, formed a chunk of rows at a time, smallest p first, by
+one generator that owns the chunk buffer (:func:`_mode2_chunks`), and
+never as W or G.  The -p and +p terms are fused into each row's P0 and P1
+parts and reduced chunk by chunk (:func:`_column_sums`).
 
 Each call takes its large work arrays from one allocation: W, G and the
 product operand for the odd block, the chunk buffers for the k = 2
@@ -99,7 +100,7 @@ import numpy as np
 from numpy.fft import ifft, ifftshift
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fraclap.gammaratio import build_tables
+from fraclap.gammaratio import ratio_vector
 from fraclap.grid import GridConfig, nodes
 
 _THREAD_GETTERS = (
@@ -298,24 +299,34 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     return _mode2_image(s, alpha)[:, None] * poly.T
 
 
-def _section(size: int) -> int:
-    """Entries of one k = 2 chunk section for ``size`` terms: size + 5, rounded up to whole cache lines."""
-    return -(-(size + 5) // 8) * 8
+def _mode2_zero(alpha: float, n: int) -> np.ndarray:
+    """The l1 = 0 row of the k = 2 column's terms, m = |l2|: the largest terms.
+
+    Formed in long double from the rational form of :func:`_mode2_chunks`
+    and rounded once: A(m)*B(m + 1) for l2 <= 0, A(m)*B(m - 1) for l2 > 0.
+    """
+    half = n // 2
+    l2 = np.arange(-half, half)
+    m = np.abs(l2).astype(np.longdouble)
+    c = (1 - np.longdouble(alpha)) / 2
+    side = np.where(l2 <= 0, 1, -1).astype(np.longdouble)  # A(m)*B(m + side)
+    near = m + side * (1 - c)  # m + e, or m - e
+    return (1 / ((m - c) * (m + c) * near * (near + side))).astype(np.float64)
 
 
-def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
-    """The l1 = 0 row and the chunk terms of the k = 2 column, from their rational form.
+def _mode2_chunks(alpha: float, n: int, l_lim: int):
+    """Yield the k = 2 column's terms for p = 1..l_lim, a chunk of _CHUNK // n rows at a time, smallest p first.
 
-    Returns (zero, chunk): ``zero`` is the l1 = 0 row, and ``chunk(top,
-    count)`` gives the terms t- of l1 = -p and t+ of l1 = +p for
-    p = top - count + 1 .. top, largest p first, as two (count, n) views of
-    the flat float64 buffer ``work`` that the next call reuses.  ``work``
-    starts on a cache line and holds at least 5*_section(size) entries,
-    size = min(rows, l_lim)*n: the ramp j, L, R, t- and the pair products,
-    one section each, so each section starts on a cache line too.  No
-    gamma ratio is evaluated: the two ratios of a k = 2 term differ by
-    exactly 2 in their arguments (b_A - a_B = b_B - a_A = 2), so
-    Gamma(z + 1) = z*Gamma(z) cancels them.
+    Each chunk is (top, t_minus, t_plus, spare): three (count, n) views of
+    one work buffer that the next chunk reuses, row r at p = top - r and
+    column j at l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of
+    l1 = +p, and ``spare`` is free for the caller.  The buffer starts on a
+    cache line (:func:`aligned_empty`) and holds six sections, each of
+    size + 5 entries (size = min(_CHUNK // n, l_lim)*n) padded to whole
+    cache lines, so each starts on a line too: the spare, the ramp j, L, R,
+    t- and the pair products.  No gamma ratio is evaluated: the two ratios
+    of a k = 2 term differ by exactly 2 in their arguments
+    (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.
     With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c, L(m) = m - c and
     R(m) = m + c,
 
@@ -329,25 +340,21 @@ def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
     are elementwise products of shifted runs of them.  The t- rows are the
     first terms as they lie in the window; the t+ rows are the second terms
     one entry later, each row reversed as its reciprocal is taken.  The
-    l1 = 0 row, m = |l2|, holds the largest terms: it is formed in long
-    double and rounded once (the first form for l2 <= 0, the second for
-    l2 > 0).  alpha must not be 1, where c = 0 puts a pole at m = 0.
+    l1 = 0 row is :func:`_mode2_zero`.  alpha must not be 1, where c = 0
+    puts a pole at m = 0.
     """
     half = n // 2
     c = (1.0 - alpha) / 2.0
-    l2 = np.arange(-half, half)
-    m = np.abs(l2).astype(np.longdouble)
-    cl = (1 - np.longdouble(alpha)) / 2
-    side = np.where(l2 <= 0, 1, -1).astype(np.longdouble)  # A(m)*B(m + side)
-    near = m + side * (1 - cl)  # m + e, or m - e
-    zero = (1 / ((m - cl) * (m + cl) * near * (near + side))).astype(np.float64)
+    rows = max(1, _CHUNK // n)
     size = min(rows, l_lim) * n
-    span = _section(size)
+    span = -(-(size + 5) // 8) * 8  # size + 5 entries, rounded up to whole cache lines
+    work = aligned_empty(6 * span)
     # lo and hi hold L and R at m = M + 2 - j
-    ramp, lo, hi, t_minus, pairs = (work[i * span : i * span + size + 5] for i in range(5))
+    spare, ramp, lo, hi, t_minus, pairs = (work[i * span : i * span + size + 5] for i in range(6))
     ramp[:] = np.arange(size + 5)
-
-    def chunk(top: int, count: int):
+    # the first chunk holds what is left over after whole chunks: the smallest p
+    for top in range((l_lim - 1) % rows + 1, l_lim + 1, rows):
+        count = min(rows, top)
         k = count * n
         lf, rf = lo[: k + 5], hi[: k + 5]
         np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
@@ -362,57 +369,46 @@ def _mode2_terms(alpha: float, n: int, l_lim: int, rows: int, work: np.ndarray):
         np.divide(1.0, tm, out=tm)
         tp = rf[:k].reshape(count, n)
         np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
-        return tm.reshape(count, n), tp
-
-    return zero, chunk
+        yield top, tm.reshape(count, n), tp, spare[:k].reshape(count, n)
 
 
 def _column_sums(alpha: float, n: int, l_lim: int):
     """P0 and P1 of the k = 2 column, each an n-vector over the nodes.
 
-    The terms come from their rational form (:func:`_mode2_terms`) in
-    chunks of _CHUNK // n values of p, walked from the smallest p up.  Each
-    chunk's rows stand largest p first; its terms t- of l1 = -p and t+ of
-    l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t-, and then
-    reduced with one dot against (-1)^p and (-1)^p*p, on one OpenBLAS
-    thread (:func:`_one_blas_thread`).  The chunk sums are kept and added
-    largest p first after the walk, and the l1 = 0 row is added to P0 last;
-    it has no share in P1.
+    The terms come chunk by chunk from :func:`_mode2_chunks`, smallest p
+    first.  Each chunk's rows stand largest p first; its terms t- of
+    l1 = -p and t+ of l1 = +p are fused into P0 rows t- + t+ and P1 rows
+    t+ - t-, and then reduced with one dot against (-1)^p and (-1)^p*p, on
+    one OpenBLAS thread (:func:`_one_blas_thread`).  The chunk sums are kept
+    and added largest p first after the walk, and the l1 = 0 row
+    (:func:`_mode2_zero`) is added to P0 last; it has no share in P1.
     """
-    rows = max(1, _CHUNK // n)
-    size = min(rows, l_lim) * n  # entries of one chunk buffer
-    # diff and the term buffers share one allocation (see odd_mode_columns),
-    # each on its own cache line (see the module docstring)
-    span = _section(size)
-    work = aligned_empty(6 * span)
-    diff = work[:size].reshape(-1, n)
-    zero, chunk = _mode2_terms(alpha, n, l_lim, rows, work[span:])
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
     w1 = w0 * p
     sums = []
     with _one_blas_thread():
-        for i in reversed(range(0, l_lim, rows)):  # row i holds p = l_lim - i; smallest p first
-            count = min(rows, l_lim - i)
-            tm, tp = chunk(l_lim - i, count)  # p = l_lim - i - count + 1 .. l_lim - i
-            d = diff[:count]
-            np.subtract(tp, tm, out=d)
+        for top, tm, tp, diff in _mode2_chunks(alpha, n, l_lim):
+            chunk = slice(l_lim - top, l_lim - top + len(tp))  # row i of w0 holds p = l_lim - i
+            np.subtract(tp, tm, out=diff)
             np.add(tm, tp, out=tp)
-            sums.append((w0[i : i + count] @ tp, w1[i : i + count] @ d))
+            sums.append((w0[chunk] @ tp, w1[chunk] @ diff))
     p0 = np.zeros(n)
     p1 = np.zeros(n)
     for s0, s1 in reversed(sums):
         p0 += s0
         p1 += s1
-    p0 += zero
+    p0 += _mode2_zero(alpha, n)
     return p0, p1
 
 
-def _check(n: int, l_lim: int) -> None:
-    """Raise TypeError for a non-integer l_lim, ValueError for an odd or too small n or a negative l_lim."""
+def _check(n: int, alpha: float, l_lim: int) -> None:
+    """Raise TypeError for a non-integer l_lim, ValueError for an odd or too small n, alpha outside (0, 2) or a negative l_lim."""
     if not isinstance(l_lim, (int, np.integer)):
         raise TypeError(f"l_lim must be an integer, got {l_lim!r}")
     GridConfig(n, 1.0)  # checks n
+    if not 0.0 < alpha < 2.0:  # NaN too
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if l_lim < 0:
         raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
 
@@ -442,20 +438,25 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     A(0) term in finite form (module docstring).  Each term of the l1 sum
     is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
     P0 = sum W*G and P1 = sum W*l1*G over a sliding window of G n/2 columns
-    wide.  W and G are copied once per call, into one work buffer, from
-    strided views of vec_a and vec_c (the l1 = 0 rows gathered) and summed
-    as a matrix product followed by a skewed gather (:func:`_window_sums`),
-    blocked over the nodes.  The products run on one OpenBLAS thread, so
+    wide.  The block requests vec_a and vec_c from
+    :func:`fraclap.gammaratio.ratio_vector` at the lengths its indices
+    need.  W and G are copied once per call, into one work buffer, from
+    strided views of them (the l1 = 0 rows gathered) and summed as a matrix
+    product followed by a skewed gather (:func:`_window_sums`), blocked
+    over the nodes.  The products run on one OpenBLAS thread, so
     the result does not depend on the caller's BLAS thread count; where
     numpy has no OpenBLAS thread setter (:func:`blas_thread_setter`) the pin
     is a no-op and that guarantee is the BLAS library's own.  Returns an
     (n, n/2) array.  Raises TypeError for a non-integer l_lim and ValueError
     for an odd or too small n, a negative l_lim or alpha outside (0, 2).
     """
-    _check(n, l_lim)
+    _check(n, alpha, l_lim)
     half = n // 2
-    tables = build_tables(alpha, n, l_lim)
-    a, c = tables.vec_a, tables.vec_c
+    # vec_a up to |l| = l_lim*n + n/2 and vec_c up to |e| = (l_lim + 1)*n - 1,
+    # each with n entries to spare (at l_lim = 0 the window view of vec_c
+    # below still needs n + n/2 - 1 entries)
+    a = ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, l_lim * n + half + 1 + n)
+    c = ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, (l_lim + 2) * n)
     p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
     sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
     rows = 2 * l_lim + 1
@@ -501,16 +502,17 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
 
     The paper's series for the k = 2 column truncated at |l1| <= l_lim; at
     alpha = 1 the closed form 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`),
-    bit for bit the block's column from :func:`even_mode_columns`.  No W or G is formed and no gamma table is built:
-    :func:`_column_sums` forms the rational terms a chunk of rows at a
-    time, reduces each chunk with one dot, l1 = 0 last, and allocates about
-    2 MB at n = 1024, l_lim = 500.  The reductions run on one OpenBLAS
-    thread (see :func:`odd_mode_columns`).  Raises TypeError for a
-    non-integer l_lim and ValueError for an odd n or one below 4 (k = 2
-    must be a column, 1 <= k <= n-1), a negative l_lim or alpha outside
-    (0, 2).
+    bit for bit the block's column from :func:`even_mode_columns`.  No W or
+    G is formed and no gamma ratio vector is built: :func:`_column_sums`
+    reduces the rational terms of :func:`_mode2_chunks` with one dot per
+    chunk, l1 = 0 last, and allocates about 2 MB at n = 1024, l_lim = 500.
+    The reductions run on one OpenBLAS thread (see
+    :func:`odd_mode_columns`).  Raises TypeError for a non-integer l_lim
+    and ValueError for an odd n or one below 4 (k = 2 must be a column,
+    1 <= k <= n-1), a negative l_lim or alpha outside (0, 2), before any
+    work.
     """
-    _check(n, l_lim)
+    _check(n, alpha, l_lim)
     if n < 4:
         raise ValueError(f"n must be at least 4 for the column k = 2, got {n}")
     if alpha == 1.0:

@@ -97,7 +97,7 @@ def ratio_vector_long_double(a: float, b: float, length: int) -> np.ndarray:
 
     The table builder's former all-long-double path, kept as a reference:
     the factors (a+m)/(b+m) and their running product are extended
-    precision at every index.  Drop-in for ``gammaratio._ratio_vector``.
+    precision at every index.  Drop-in for ``gammaratio.ratio_vector``.
     """
     out = np.empty(length, dtype=np.float64)
     base = math.gamma(a) / math.gamma(b)
@@ -113,22 +113,27 @@ def ratio_vector_long_double(a: float, b: float, length: int) -> np.ndarray:
     return out
 
 
-def a_coeff(k: int, l1: int, l2: int, tables, alpha: float, n: int) -> float:
+def odd_ratio_args(alpha: float):
+    """(a, b) of the odd block's two ratio vectors at alpha: A (vec_a), then C (vec_c)."""
+    return ((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0), (-alpha / 2.0, 2.0 + alpha / 2.0)
+
+
+def a_coeff(k: int, l1: int, l2: int, vec_a, vec_c, alpha: float, n: int) -> float:
     """One term of the truncated double sum of the mode-k symbol for alpha != 1.
 
     A(|l1*n + l2|) is read from vec_a; the second ratio is
     B(|k/2 - l1*n - l2|) from :func:`gamma_ratio_ref` for even k, and
     sgn(k/2 - l)*C(|k/2 - l| - 1/2) from vec_c for odd k.  An index beyond
-    the tables raises IndexError.
+    the vectors raises IndexError.
     """
     l = l1 * n + l2
     sign1 = -1.0 if l1 % 2 else 1.0
-    base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * tables.vec_a[abs(l)]
+    base = sign1 * ((1.0 - alpha) * k * k - 4.0 * k * l) * vec_a[abs(l)]
     if k % 2 == 0:
         e = abs(k // 2 - l)
         return base * gamma_ratio_ref((-1.0 - alpha) / 2.0 + e, (3.0 + alpha) / 2.0 + e)
     half = k / 2.0 - l
-    return base * math.copysign(1.0, half) * tables.vec_c[int(abs(half) - 0.5)]
+    return base * math.copysign(1.0, half) * vec_c[int(abs(half) - 0.5)]
 
 
 def mode2_term_ref(alpha: float, n: int, l1: int, l2: int) -> float:
@@ -143,33 +148,34 @@ def mode2_term_ref(alpha: float, n: int, l1: int, l2: int) -> float:
 
 
 def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8):
-    """Largest relative errors of ``symbol._mode2_terms`` against :func:`mode2_term_ref`.
+    """Largest relative errors of ``symbol._mode2_chunks`` and ``_mode2_zero`` against :func:`mode2_term_ref`.
 
     Returns (l1 = 0 row, chunk terms).  The chunks are walked as the k = 2
-    column walks them, _CHUNK // n rows at a time, smallest p first; each
-    must give t- (l1 = -p) and t+ (l1 = +p) as (count, n) arrays whose row r
+    column walks them; they must cover p = 1..l_lim once, smallest p first,
+    each giving t- (l1 = -p) and t+ (l1 = +p) as (count, n) arrays whose row r
     is p = top - r and whose column j is l2 = j - n/2.  Of each, the four
     corners and ``per_chunk`` random entries are checked; of the l1 = 0 row,
     its ends, l2 = 0 and 1, and up to 60 random nodes.
     """
     from fraclap import symbol
 
-    rows = max(1, symbol._CHUNK // n)
-    size = min(rows, l_lim) * n
-    zero, chunk = symbol._mode2_terms(alpha, n, l_lim, rows, symbol.aligned_empty(5 * symbol._section(size)))
+    zero = symbol._mode2_zero(alpha, n)
     half = n // 2
     nodes_ = np.unique(np.concatenate([[0, half, half + 1, n - 1], rng.integers(0, n, 60)]))
     zero_err = max(abs(zero[j] / mode2_term_ref(alpha, n, 0, int(j) - half) - 1) for j in nodes_)
     term_err = 0.0
-    for i in reversed(range(0, l_lim, rows)):
-        top, count = l_lim - i, min(rows, l_lim - i)
-        for side, terms in zip((-1, 1), chunk(top, count)):
+    done = 0  # the largest p walked so far
+    for top, t_minus, t_plus, _ in symbol._mode2_chunks(alpha, n, l_lim):
+        count = top - done
+        done = top
+        for side, terms in ((-1, t_minus), (1, t_plus)):
             assert terms.shape == (count, n)
             picks = [(0, 0), (0, n - 1), (count - 1, 0), (count - 1, n - 1)]
             picks += zip(rng.integers(0, count, per_chunk), rng.integers(0, n, per_chunk))
             for r, j in picks:
                 ref = mode2_term_ref(alpha, n, side * (top - int(r)), int(j) - half)
                 term_err = max(term_err, abs(terms[r, j] / ref - 1))
+    assert done == l_lim
     return zero_err, term_err
 
 

@@ -26,10 +26,11 @@ from conftest import (
     continued,
     dft_oracle,
     gamma_ratio_ref_hp,
+    odd_ratio_args,
     two_sided_image,
 )
 from fraclap.fisher import FisherRun, fit_sigma, initial_condition, rk4_step, run_simulation
-from fraclap.gammaratio import build_tables
+from fraclap.gammaratio import ratio_vector
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import apply, build_matrix, fractional_laplacian, fused_sample_operator
 from fraclap.oracles import (
@@ -354,12 +355,9 @@ def test_criterion8_matrix_linearity_and_conjugation(rng):
 
 
 def test_criterion8_gamma_tables_vs_log_gamma(rng):
-    alpha = 0.65
-    tables = build_tables(alpha, 32, 40)
-    specs = [
-        (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-        (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
-    ]
+    # the odd block's two vectors at n = 32, l_lim = 40
+    lengths = (1329, 1344)
+    specs = [(ratio_vector(a, b, size), a, b) for (a, b), size in zip(odd_ratio_args(0.65), lengths)]
     worst = 0.0
     for _ in range(100):
         vec, a, b = specs[int(rng.integers(0, 2))]

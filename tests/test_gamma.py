@@ -3,94 +3,82 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import gamma_ratio_ref, gamma_ratio_ref_hp, mode2_chunk_errors
-from fraclap.gammaratio import _HEAD, GammaRatioTables, _ratio_vector, build_tables, table_lengths
+from conftest import gamma_ratio_ref, gamma_ratio_ref_hp, mode2_chunk_errors, odd_ratio_args
+from fraclap import symbol
+from fraclap.gammaratio import _HEAD, ratio_vector
+from fraclap.symbol import odd_mode_columns
+
+
+def odd_vectors(alpha, length):
+    """[(vector, a, b)] for the odd block's A (vec_a) and C (vec_c) at alpha, ``length`` entries each."""
+    return [(ratio_vector(a, b, length), a, b) for a, b in odd_ratio_args(alpha)]
 
 
 class TestBuildTables:
+    # the class keeps its name so that the test ids stay the same: it tests
+    # ratio_vector, and the odd block's checks before it requests a vector
     def test_alpha_one_odd_tables(self):
         # vec_a[0] is Gamma's pole at 0; vec_a[m] = Gamma(m)/Gamma(1+m) = 1/m after it
-        tables = build_tables(1.0, 128, 40)  # past the long-double head
-        assert tables.vec_a.size > _HEAD
-        assert tables.vec_a[0] == np.inf
-        m = np.arange(1, tables.vec_a.size)
-        np.testing.assert_allclose(tables.vec_a[1:], 1.0 / m, rtol=1e-13, atol=0.0)
+        (vec_a, _, _), (vec_c, _, _) = odd_vectors(1.0, 5313)  # past the long-double head
+        assert vec_a.size > _HEAD
+        assert vec_a[0] == np.inf
+        m = np.arange(1, vec_a.size)
+        np.testing.assert_allclose(vec_a[1:], 1.0 / m, rtol=1e-13, atol=0.0)
         for m in (0, 1, 7, 100, 300):
             expected = gamma_ratio_ref(m - 0.5, m + 2.5)
-            assert tables.vec_c[m] == pytest.approx(expected, rel=1e-13)
+            assert vec_c[m] == pytest.approx(expected, rel=1e-13)
 
-    def test_rejects_out_of_range_alpha(self):
+    def test_rejects_out_of_range_alpha(self, monkeypatch):
+        # the odd block checks alpha before it requests a vector
+        asked = []
+        monkeypatch.setattr(symbol, "ratio_vector", lambda *args: asked.append(args))
         for alpha in (0.0, 2.0, -0.5, 2.5):
             with pytest.raises(ValueError):
-                build_tables(alpha, 8, 10)
+                odd_mode_columns(8, alpha, 10)
+        assert asked == []
 
-    def test_rejects_bad_n_and_l_lim(self):
+    def test_rejects_bad_n_and_l_lim(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(symbol, "ratio_vector", lambda *args: asked.append(args))
         for n, l_lim in ((7, 10), (0, 10), (8, -1)):
             with pytest.raises(ValueError):
-                build_tables(0.5, n, l_lim)
-
-    def test_lengths_meet_minimum(self):
-        n, l_lim = 16, 30
-        tables = build_tables(0.5, n, l_lim)
-        len_a, len_c = table_lengths(n, l_lim)
-        assert tables.vec_a.size == len_a >= l_lim * n + n // 2 + 1
-        assert tables.vec_c.size == len_c >= (l_lim + 1) * n
+                odd_mode_columns(n, 0.5, l_lim)
+        assert asked == []
 
     def test_base_entry_alpha_half(self):
-        tables = build_tables(0.5, 8, 5)
+        (vec_a, _, _), _ = odd_vectors(0.5, 57)
         expected = gamma_ratio_ref(-0.25, 1.25)
-        assert tables.vec_a[0] == pytest.approx(expected, rel=1e-13)
+        assert vec_a[0] == pytest.approx(expected, rel=1e-13)
 
     def test_construction_identity(self):
         # consecutive entries differ by the exact rational factor
-        alpha = 0.7
-        tables = build_tables(alpha, 8, 5)
-        specs = [
-            (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
-        ]
-        for vec, a, b in specs:
+        for vec, a, b in odd_vectors(0.7, 57):
             for m in (0, 3, 11):
                 factor = (a + m) / (b + m)
                 assert vec[m + 1] == pytest.approx(vec[m] * factor, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.99, 1.3, 1.95])
     def test_spot_entries_vs_log_gamma(self, alpha):
-        tables = build_tables(alpha, 16, 70)
-        specs = [
-            (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
-        ]
-        for vec, a, b in specs:
+        for vec, a, b in odd_vectors(alpha, 1145):
             for m in (0, 17, 1000):
                 ref = gamma_ratio_ref(a + m, b + m)
                 assert vec[m] == pytest.approx(ref, rel=1e-12)
 
     def test_random_entries_vs_log_gamma(self, rng):
         # high-precision log-gamma reference: at large m the double-precision
-        # exp(gammaln - gammaln) route carries more noise than the bound
-        alpha = 0.35
-        tables = build_tables(alpha, 32, 40)
-        specs = {
-            "a": (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            "c": (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
-        }
-        for vec, a, b in specs.values():
+        # exp(gammaln - gammaln) route carries more noise than the bound.  The
+        # lengths are those of the odd block at n = 32, l_lim = 40
+        for (a, b), length in zip(odd_ratio_args(0.35), (1329, 1344)):
+            vec = ratio_vector(a, b, length)
             for m in rng.integers(0, vec.size, size=100):
                 ref = gamma_ratio_ref_hp(a, b, int(m))
                 assert abs(vec[m] - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
     def test_tail_entries_vs_log_gamma(self, alpha):
-        # full-size tables (n = 1024, l_lim = 500): ~5.2e5 entries per vector,
+        # full-size vectors (n = 1024, l_lim = 500): ~5.1e5 entries each,
         # all but the first _HEAD from the float64 tail of the recursion
-        tables = build_tables(alpha, 1024, 500)
-        specs = [
-            (tables.vec_a, (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0),
-            (tables.vec_c, -alpha / 2.0, 2.0 + alpha / 2.0),
-        ]
-        for vec, a, b in specs:
-            assert vec.size > 5 * 10**5
+        for vec, a, b in odd_vectors(alpha, 513537):
             seam = np.arange(_HEAD - 2, _HEAD + 3)
             spread = np.geomspace(1, vec.size - 1, 32).astype(np.int64)
             for m in np.unique(np.concatenate([[0], spread, seam])):
@@ -102,25 +90,19 @@ class TestBuildTables:
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99, 1.01, 1.5, 1.99])
     def test_all_entries_finite(self, alpha):
-        tables = build_tables(alpha, 64, 100)
-        for vec in (tables.vec_a, tables.vec_c):
+        for vec, _, _ in odd_vectors(alpha, 6528):
             assert np.all(np.isfinite(vec))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9, 1.7])
     def test_asymptotic_decay(self, alpha):
-        tables = build_tables(alpha, 8, 50)
-        ratios = tables.vec_a[6:100] / tables.vec_a[5:99]
+        (vec_a, _, _), _ = odd_vectors(alpha, 413)
+        ratios = vec_a[6:100] / vec_a[5:99]
         assert np.all((ratios > 0) & (ratios < 1))
 
     def test_tables_immutable(self):
-        tables = build_tables(0.5, 8, 5)
-        with pytest.raises(ValueError):
-            tables.vec_a[0] = 7.0
-
-    def test_is_dataclass_with_alpha(self):
-        tables = build_tables(0.5, 8, 5)
-        assert isinstance(tables, GammaRatioTables)
-        assert tables.alpha == 0.5
+        for vec, _, _ in odd_vectors(0.5, 57):
+            with pytest.raises(ValueError):
+                vec[0] = 7.0
 
 
 class TestRationalMode2Terms:
@@ -144,4 +126,4 @@ class TestRatioStream:
         # 80000 entries, two _STEP runs of tail: any change to the recursion moves
         # these.  At (0, 1) the entries 1/m come out the same with the long-double
         # head one entry shorter; at (0, 1.7) they do not.
-        assert zlib.crc32(_ratio_vector(a, b, 80000).tobytes()) == crc
+        assert zlib.crc32(ratio_vector(a, b, 80000).tobytes()) == crc

@@ -13,6 +13,7 @@ from conftest import (
     continued,
     dft_oracle,
     even_mode_images,
+    odd_ratio_args,
     ratio_vector_long_double,
     run_fresh_python,
     two_sided_image,
@@ -78,16 +79,16 @@ class TestBuildMatrix:
             assert np.all(err <= 5e-14 * np.max(np.abs(ref), axis=0))
 
     def test_even_columns_build_no_even_table(self, monkeypatch):
-        # the closed form reads no gamma table: the odd block builds the only one
+        # the closed form reads no ratio vector: the odd block requests the only two, A and C
         asked = []
 
-        def recording(*args):
-            asked.append(args)
-            return gammaratio.build_tables(*args)
+        def recording(a, b, length):
+            asked.append((a, b))
+            return gammaratio.ratio_vector(a, b, length)
 
-        monkeypatch.setattr(symbol, "build_tables", recording)
+        monkeypatch.setattr(symbol, "ratio_vector", recording)
         build_matrix(GridConfig(16, 1.0), 0.5, 20)
-        assert asked == [(0.5, 16, 20)]
+        assert asked == list(odd_ratio_args(0.5))
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ class TestBuildMatrix:
                 return build(), new
 
         a, b = (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0  # the swap does change the tables
-        long_double, tail = both(lambda: gammaratio._ratio_vector(a, b, 10**5))
+        long_double, tail = both(lambda: gammaratio.ratio_vector(a, b, 10**5))
         np.testing.assert_array_equal(long_double, ratio_vector_long_double(a, b, 10**5))
         assert not np.array_equal(tail, long_double)
         old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)

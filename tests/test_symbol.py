@@ -12,14 +12,20 @@ from conftest import (
     even_mode_images,
     gamma_ratio_ref,
     mode2_chunk_errors,
+    odd_ratio_args,
     run_fresh_python,
 )
-from fraclap.gammaratio import build_tables
+from fraclap.gammaratio import ratio_vector
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
 from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
 from fraclap import symbol
 from fraclap.symbol import even_mode_columns, fractional_constant, odd_mode_columns, symbol_samples
+
+
+def _odd_vectors(alpha, n, l_lim):
+    """vec_a and vec_c at alpha with (l_lim + 2)*n entries each: every index of the truncated sums."""
+    return tuple(ratio_vector(a, b, (l_lim + 2) * n) for a, b in odd_ratio_args(alpha))
 
 
 class TestFractionalConstant:
@@ -40,15 +46,15 @@ class TestACoeff:
         # l1 = 0, l2 = k/2 lands on index 0 of the even-mode vector and the
         # polynomial factor collapses to -(1+alpha)*k^2
         alpha, n, k = 0.5, 8, 4
-        tables = build_tables(alpha, n, 6)
-        got = a_coeff(k, 0, k // 2, tables, alpha, n)
+        vecs = _odd_vectors(alpha, n, 6)
+        got = a_coeff(k, 0, k // 2, *vecs, alpha, n)
         b0 = gamma_ratio_ref((-1.0 - alpha) / 2.0, (3.0 + alpha) / 2.0)
-        expected = -(1.0 + alpha) * k * k * tables.vec_a[k // 2] * b0
+        expected = -(1.0 + alpha) * k * k * vecs[0][k // 2] * b0
         assert got == pytest.approx(expected, rel=1e-15)
 
     def test_matches_log_gamma_formula(self):
         alpha, n = 0.5, 8
-        tables = build_tables(alpha, n, 6)
+        vecs = _odd_vectors(alpha, n, 6)
         for k, l1, l2 in [(2, 0, 0), (2, 3, -2), (6, -2, 3)]:
             l = l1 * n + l2
             expected = (
@@ -59,11 +65,11 @@ class TestACoeff:
                     (-1 - alpha) / 2 + abs(k / 2 - l), (3 + alpha) / 2 + abs(k / 2 - l)
                 )
             )
-            assert a_coeff(k, l1, l2, tables, alpha, n) == pytest.approx(expected, rel=1e-12)
+            assert a_coeff(k, l1, l2, *vecs, alpha, n) == pytest.approx(expected, rel=1e-12)
 
     def test_odd_mode_sign_factor(self):
         alpha, n = 0.75, 8
-        tables = build_tables(alpha, n, 6)
+        vecs = _odd_vectors(alpha, n, 6)
         for k, l1, l2 in [(3, 0, 0), (3, 0, 2), (5, -1, 1)]:
             l = l1 * n + l2
             h = k / 2 - l
@@ -74,12 +80,12 @@ class TestACoeff:
                 * gamma_ratio_ref((-1 + alpha) / 2 + abs(l), (3 - alpha) / 2 + abs(l))
                 * gamma_ratio_ref((-1 - alpha) / 2 + abs(h), (3 + alpha) / 2 + abs(h))
             )
-            assert a_coeff(k, l1, l2, tables, alpha, n) == pytest.approx(expected, rel=1e-12)
+            assert a_coeff(k, l1, l2, *vecs, alpha, n) == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_range_index(self):
-        tables = build_tables(0.5, 8, 2)
+        vecs = _odd_vectors(0.5, 8, 2)
         with pytest.raises(IndexError):
-            a_coeff(2, 100, 0, tables, 0.5, 8)
+            a_coeff(2, 100, 0, *vecs, 0.5, 8)
 
 
 class TestBCoeff:
@@ -181,12 +187,12 @@ class TestSymbolSamples:
         # k = 2 is the column alone, k = 3 a column of the odd block
         n, l_lim = 8, 150
         cfg = GridConfig(n, 1.0)
-        tables = build_tables(alpha, n, l_lim)
+        vecs = _odd_vectors(alpha, n, l_lim)
         sums = np.zeros(n)
         l2s = np.arange(-n // 2, n // 2)
         for i, l2 in enumerate(l2s):
             sums[i] = sum(
-                a_coeff(k, l1, int(l2), tables, alpha, n) for l1 in range(-l_lim, l_lim + 1)
+                a_coeff(k, l1, int(l2), *vecs, alpha, n) for l1 in range(-l_lim, l_lim + 1)
             )
 
         def direct(s):
@@ -234,7 +240,7 @@ def _direct_columns(n, alpha, l_lim, ks):
     s = nodes(GridConfig(n, 1.0))
     l2s = np.arange(-(n // 2), n // 2)
     phase = np.exp(1j * np.pi * np.mod(np.outer(2 * np.arange(n) + 1, l2s), 2 * n) / n)
-    tables = None if alpha == 1.0 else build_tables(alpha, n, l_lim)
+    vecs = None if alpha == 1.0 else _odd_vectors(alpha, n, l_lim)
     pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     l1s = range(-l_lim, l_lim + 1)
     cols = []
@@ -245,7 +251,7 @@ def _direct_columns(n, alpha, l_lim, ks):
         if alpha == 1.0:
             sums = [sum(b_coeff(k, l1, int(l2), n) for l1 in l1s) for l2 in l2s]
         else:
-            sums = [sum(a_coeff(k, l1, int(l2), tables, alpha, n) for l1 in l1s) for l2 in l2s]
+            sums = [sum(a_coeff(k, l1, int(l2), *vecs, alpha, n) for l1 in l1s) for l2 in l2s]
         series = phase @ np.array(sums)
         if alpha == 1.0:
             cols.append(1j * k / np.pi * (-2.0 / (k * k - 4.0) - series))
@@ -320,9 +326,9 @@ class TestModeColumns:
 
     def test_even_mode_builds_no_odd_vector(self, monkeypatch):
         # the k = 2 column takes its terms from their rational form and builds
-        # no table at all
+        # no ratio vector at all
         built = []
-        monkeypatch.setattr(symbol, "build_tables", lambda *args: built.append(args))
+        monkeypatch.setattr(symbol, "ratio_vector", lambda *args: built.append(args))
         symbol_samples(0.5, 16, 20)
         assert built == []
 
@@ -362,9 +368,26 @@ class TestModeColumns:
 
     def test_alpha_one_even_modes_build_no_tables(self, monkeypatch):
         built = []
-        monkeypatch.setattr(symbol, "build_tables", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(symbol, "ratio_vector", lambda *args, **kwargs: built.append(args))
         symbol_samples(1.0, 16, 20)
         assert built == []
+
+
+class TestAlphaCheck:
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.5, 2.5, float("nan")])
+    @pytest.mark.parametrize("kernel", [
+        lambda alpha: odd_mode_columns(16, alpha, 20),
+        lambda alpha: symbol_samples(alpha, 16, 20),
+    ], ids=["odd-block", "k2"])
+    def test_rejected_before_any_work(self, kernel, alpha, monkeypatch):
+        # alpha outside (0, 2), NaN included, is refused before either kernel
+        # requests a ratio vector or a work buffer
+        calls = []
+        monkeypatch.setattr(symbol, "ratio_vector", lambda *args: calls.append("ratio_vector"))
+        monkeypatch.setattr(symbol, "aligned_empty", lambda *args: calls.append("aligned_empty"))
+        with pytest.raises(ValueError, match="alpha"):
+            kernel(alpha)
+        assert calls == []
 
 
 class TestWorkBuffers:
@@ -410,13 +433,10 @@ class TestWorkBuffers:
 
     @pytest.mark.parametrize("n,l_lim", [(6, 7), (1024, 500)])
     def test_k2_sections_start_on_a_cache_line(self, n, l_lim):
-        # the chunk terms are views of two sections of the work buffer
-        rows = max(1, symbol._CHUNK // n)
-        size = min(rows, l_lim) * n
-        work = symbol.aligned_empty(5 * symbol._section(size))
-        _, chunk = symbol._mode2_terms(0.5, n, l_lim, rows, work)
-        for terms in chunk(l_lim, min(rows, l_lim)):
-            assert terms.ctypes.data % 64 == 0
+        # the chunk terms and the spare are views of three sections of the work buffer
+        for _, *views in symbol._mode2_chunks(0.5, n, l_lim):
+            for view in views:
+                assert view.ctypes.data % 64 == 0
 
     def test_k2_result_is_not_a_view_of_its_buffer(self, monkeypatch):
         original, buffers = symbol.aligned_empty, []
