@@ -26,6 +26,7 @@ import numpy as np
 from fraclap.grid import Extension, GridConfig, node_positions
 from fraclap.opmatrix import OperatorMatrix, apply_sample_operator, fused_sample_operator
 from fraclap.spectral import evaluate, transform
+from fraclap.symbol import check_block
 
 #: solutions of the monostable problem live in [0, 1]; exceeding this
 #: max-norm can only come from numerical instability
@@ -44,7 +45,7 @@ class FrontEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class FisherRun:
-    """Parameters of one simulation."""
+    """Parameters of one simulation, each checked at construction."""
 
     cfg: GridConfig
     alpha: float
@@ -55,16 +56,19 @@ class FisherRun:
     fit_window: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        check_block(self.cfg.n, self.alpha, self.l_lim)
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if self.l_lim < 0:
-            raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
+        if not isinstance(self.sample_stride, (int, np.integer)):
+            raise TypeError(f"sample_stride must be an integer, got {self.sample_stride!r}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        if self.fit_window is not None:
+            lo, hi = self.fit_window
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"fit_window must be finite with lo < hi, got {self.fit_window}")
         if self.cfg.extension is not Extension.EVEN:
             raise ValueError("simulations use the even extension")
 

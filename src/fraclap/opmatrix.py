@@ -50,7 +50,7 @@ import numpy as np
 
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.spectral import transform
-from fraclap.symbol import aligned_empty, even_mode_columns, odd_mode_columns
+from fraclap.symbol import aligned_empty, check_block, even_mode_columns, odd_mode_columns
 
 _MAGIC = b"FLAPMAT1"
 _FORMAT_VERSION = 4
@@ -75,12 +75,7 @@ class MatrixMeta:
     l_lim: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.n < 2 or self.n % 2:
-            raise ValueError(f"n must be an even integer >= 2, got {self.n}")
-        if self.l_lim < 0:
-            raise ValueError(f"l_lim must be nonnegative, got {self.l_lim}")
+        check_block(self.n, self.alpha, self.l_lim)
 
 
 @dataclass(frozen=True)

@@ -170,68 +170,75 @@ def closed_form_gaussian(x, alpha: float):
 # Adaptive quadrature of the singular-integral representation
 # ---------------------------------------------------------------------------
 
-_QUAD_TOL = 1e-9
+_QUAD_TOL = 1e-9  # absolute: near the data
+_QUAD_REL = 1e-7  # relative: far from the data the value is small
 _QUAD_LIMIT = 400
 
 
-def _integrate_halfline(g: Callable[[float], float]) -> tuple[float, float]:
-    """Integral of g over (0, inf) via t = cot(theta) on (0, pi/2)."""
+def _quad_sum(pieces, is_complex: bool, epsabs: float) -> tuple:
+    """Sums of the integrals of g over (a, b), (g, a, b) in pieces, and of their error estimates."""
     from scipy.integrate import quad  # on first use: it and scipy.optimize took ~0.3 s of import fraclap
 
-    def mapped(theta: float) -> float:
-        sin = math.sin(theta)
-        return g(math.cos(theta) / sin) / (sin * sin)
-
-    return quad(mapped, 0.0, 0.5 * math.pi, epsabs=_QUAD_TOL / 10, epsrel=1e-12,
-                limit=_QUAD_LIMIT)
-
-
-def _quad_real(g: Callable[[float], float]) -> float:
-    val, err = _integrate_halfline(g)
-    if err > _QUAD_TOL:
-        raise QuadratureError(f"quadrature error estimate {err:.2e} exceeds {_QUAD_TOL}")
-    return val
+    total = err = 0.0
+    for g, a, b in pieces:
+        val, est = quad(g, a, b, epsabs=epsabs, epsrel=1e-12, limit=_QUAD_LIMIT,
+                        complex_func=is_complex)
+        total += val
+        err += max(est.real, est.imag)  # for a complex g, the larger part's
+    return total, err
 
 
 def quadrature_fraclap(f: TestFunction, x: float, alpha: float):
     """Operator value at one point by adaptive quadrature.
 
-    alpha = 1 integrates (u_x(x-z) - u_x(x+z))/z over z > 0 (the symmetric
-    principal-value form of the Hilbert transform of u_x; the integrand is
-    smooth at z = 0).  alpha != 1 integrates u_xx against |x-y|^(1-alpha);
-    the substitution y = x +/- t^(1/(2-alpha)) removes the weak endpoint
-    singularity, and the half-lines are mapped to finite intervals through
-    t = cot(theta).
+    alpha = 1 integrates u_x(y)/(x - y) (the Hilbert transform of u_x),
+    alpha != 1 u_xx(y)*|x - y|^(1 - alpha), split at |y - x| = r =
+    max(1, |x|/2).  Inside, both sides form one integrand of the distance:
+    (u_x(x-z) - u_x(x+z))/z, smooth at z = 0, or u_xx at
+    y = x +/- t^(1/(2-alpha)), free of the weight's weak singularity.
+    Outside, y = cot(phi) puts the data (every profile here varies on a
+    unit scale about y = 0) near phi = pi/2, however far away x is.  The
+    summed error estimate must be at most 1e-9, and where |x| > 2, where
+    the values decay, also at most 1e-7 of the value: failing that, the
+    integrals are redone to a tolerance scaled to the value, then
+    :class:`QuadratureError` is raised.
     """
     x = float(x)
+    c = fractional_constant(alpha)  # checks alpha before 1/(2 - alpha) is formed
+    r = max(1.0, abs(x) / 2.0)
     if alpha == 1.0:
+        def near(z: float):
+            return (f.u_x(x - z) - f.u_x(x + z)) / z
 
-        def make(part):
-            def g(z: float) -> float:
-                return part(f.u_x(x - z) - f.u_x(x + z)) / z
+        def weighted(y: float):
+            return f.u_x(y) / (x - y)
 
-            return g
+        factor, end = 1.0 / math.pi, r
+    else:
+        p = 1.0 / (2.0 - alpha)
 
-        if f.is_complex:
-            return complex(_quad_real(make(np.real)), _quad_real(make(np.imag))) / math.pi
-        return _quad_real(make(float)) / math.pi
+        def near(t: float):
+            return p * (f.u_xx(x - t**p) + f.u_xx(x + t**p))
 
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    p = 1.0 / (2.0 - alpha)
-    factor = fractional_constant(alpha) / (alpha * (1.0 - alpha)) * p
+        def weighted(y: float):
+            return f.u_xx(y) * abs(x - y) ** (1.0 - alpha)
 
-    def make(part, side):
-        def g(t: float) -> float:
-            return part(f.u_xx(x + side * t**p))
+        factor, end = c / (alpha * (1.0 - alpha)), r ** (2.0 - alpha)
 
-        return g
+    def far(phi: float):
+        sin = math.sin(phi)
+        return weighted(math.cos(phi) / sin) / (sin * sin)
 
-    if f.is_complex:
-        re = _quad_real(make(np.real, -1.0)) + _quad_real(make(np.real, +1.0))
-        im = _quad_real(make(np.imag, -1.0)) + _quad_real(make(np.imag, +1.0))
-        return factor * complex(re, im)
-    return factor * (_quad_real(make(float, -1.0)) + _quad_real(make(float, +1.0)))
+    pieces = ((near, 0.0, end), (far, 0.0, math.atan2(1.0, x + r)),
+              (far, math.atan2(1.0, x - r), math.pi))
+    far_out = r > 1.0  # the values decay: accept them relative to themselves too
+    total, err = _quad_sum(pieces, f.is_complex, _QUAD_TOL / 10)
+    if far_out and err > _QUAD_REL * abs(total):
+        total, err = _quad_sum(pieces, f.is_complex, _QUAD_REL * abs(total) / 10)
+    if err > _QUAD_TOL or far_out and err > _QUAD_REL * abs(total):
+        raise QuadratureError(
+            f"quadrature error estimate {err:.2e} exceeds {_QUAD_TOL} or {_QUAD_REL} of the value")
+    return factor * total
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,21 @@ def fractional_constant(alpha: float) -> float:
     )
 
 
+def check_block(n: int, alpha: float, l_lim: int) -> None:
+    """The one check of the (n, alpha, l_lim) that fixes a block, a column or a run.
+
+    Raises TypeError for a non-integer n or l_lim and ValueError for an odd
+    or too small n, alpha outside (0, 2) (NaN too) or a negative l_lim.
+    """
+    if not isinstance(l_lim, (int, np.integer)):
+        raise TypeError(f"l_lim must be an integer, got {l_lim!r}")
+    GridConfig(n, 1.0)  # checks n
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if l_lim < 0:
+        raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
+
+
 def _rows(out: np.ndarray, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
     """Fill ``out`` with the rows of l1 in summation order: -p and +p for p = l_lim..1, then 0.
 
@@ -282,12 +297,11 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     b_j = 0 for j >= 1 and a_(m-1) = m, so only i = m-1 survives and
     E_2m = 2m*sin(s)^2*exp(2i*m*s), with the phases of the same DFT; no
     branch is taken.  No gamma table and no truncation enter.
-    Returns an (n, n/2 - 1) array; raises ValueError for an odd or too small
-    n, or alpha outside (0, 2).
+    Returns an (n, n/2 - 1) array; raises as :func:`check_block` does for
+    a bad n or alpha.
     """
-    s = nodes(GridConfig(n, 1.0))  # checks n
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    check_block(n, alpha, 0)
+    s = nodes(GridConfig(n, 1.0))
     size = n // 2 - 1
     i = np.arange(1, size, dtype=np.longdouble)
     a = np.cumprod(np.concatenate(([1.0], (alpha + i) / i)))[:size]  # (1+alpha)_i/i!
@@ -402,17 +416,6 @@ def _column_sums(alpha: float, n: int, l_lim: int):
     return p0, p1
 
 
-def _check(n: int, alpha: float, l_lim: int) -> None:
-    """Raise TypeError for a non-integer l_lim, ValueError for an odd or too small n, alpha outside (0, 2) or a negative l_lim."""
-    if not isinstance(l_lim, (int, np.integer)):
-        raise TypeError(f"l_lim must be an integer, got {l_lim!r}")
-    GridConfig(n, 1.0)  # checks n
-    if not 0.0 < alpha < 2.0:  # NaN too
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if l_lim < 0:
-        raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
-
-
 def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Columns k of one parity at the n nodes from their l1 sums P0 and P1, each (n, k.size).
 
@@ -447,10 +450,9 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     the result does not depend on the caller's BLAS thread count; where
     numpy has no OpenBLAS thread setter (:func:`blas_thread_setter`) the pin
     is a no-op and that guarantee is the BLAS library's own.  Returns an
-    (n, n/2) array.  Raises TypeError for a non-integer l_lim and ValueError
-    for an odd or too small n, a negative l_lim or alpha outside (0, 2).
+    (n, n/2) array; raises as :func:`check_block` does, before any work.
     """
-    _check(n, alpha, l_lim)
+    check_block(n, alpha, l_lim)
     half = n // 2
     # vec_a up to |l| = l_lim*n + n/2 and vec_c up to |e| = (l_lim + 1)*n - 1,
     # each with n entries to spare (at l_lim = 0 the window view of vec_c
@@ -507,12 +509,11 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     reduces the rational terms of :func:`_mode2_chunks` with one dot per
     chunk, l1 = 0 last, and allocates about 2 MB at n = 1024, l_lim = 500.
     The reductions run on one OpenBLAS thread (see
-    :func:`odd_mode_columns`).  Raises TypeError for a non-integer l_lim
-    and ValueError for an odd n or one below 4 (k = 2 must be a column,
-    1 <= k <= n-1), a negative l_lim or alpha outside (0, 2), before any
-    work.
+    :func:`odd_mode_columns`).  Raises as :func:`check_block` does, and
+    ValueError for n below 4 (k = 2 must be a column, 1 <= k <= n-1),
+    before any work.
     """
-    _check(n, alpha, l_lim)
+    check_block(n, alpha, l_lim)
     if n < 4:
         raise ValueError(f"n must be at least 4 for the column k = 2, got {n}")
     if alpha == 1.0:

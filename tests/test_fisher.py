@@ -481,3 +481,15 @@ class TestRunSimulation:
                 FisherRun(cfg=cfg, alpha=1.2, dt=bad, t_final=1.0)
             with pytest.raises(ValueError, match="positive and finite"):
                 FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=bad)
+
+    @pytest.mark.parametrize("changes, error", [
+        ({"fit_window": (0.3, 0.1)}, ValueError),
+        ({"fit_window": (math.nan, 1.0)}, ValueError),
+        ({"fit_window": (0.1, math.inf)}, ValueError),
+        ({"sample_stride": 2.5}, TypeError),
+        ({"l_lim": 20.0}, TypeError),
+    ], ids=["empty-window", "nan-window", "inf-window", "float-stride", "float-l_lim"])
+    def test_bad_run_parameter_rejected_at_construction(self, changes, error):
+        # before any step is taken, not at the fit or by a silently rounded stride
+        with pytest.raises(error):
+            FisherRun(cfg=GridConfig(16, 50.0), alpha=1.2, dt=0.01, t_final=1.0, **changes)

@@ -23,6 +23,7 @@ from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
     MatrixFormatError,
+    MatrixMeta,
     apply,
     apply_sample_operator,
     build_matrix,
@@ -350,6 +351,13 @@ class TestFractionalLaplacian:
                 x = node_positions(cfg)
                 out = fractional_laplacian(np.exp(-x * x), matrix, cfg)
                 assert np.max(np.abs(out - closed_form_gaussian(x, alpha))) <= 1e-13
+
+
+class TestMatrixMeta:
+    @pytest.mark.parametrize("n, l_lim", [(4.0, 2), (4, 2.5)], ids=["float-n", "float-l_lim"])
+    def test_non_integer_field_rejected(self, n, l_lim):
+        with pytest.raises(TypeError, match="must be an integer"):
+            MatrixMeta(alpha=1.0, n=n, l_lim=l_lim)
 
 
 class TestCacheFile:

@@ -7,6 +7,7 @@ import pytest
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import build_matrix
 from fraclap.oracles import (
+    QuadratureError,
     alpha_grid,
     closed_form_gaussian,
     closed_form_mode1,
@@ -151,6 +152,22 @@ class TestQuadrature:
             s = math.atan2(1.0, x)
             assert abs(quadrature_fraclap(m, x, alpha) - closed_form_mode2(s, alpha)) < 1e-7
 
+    @pytest.mark.parametrize("alpha, x", [(0.5, 1e4), (0.5, 999.0), (1.5, 1.07e4), (1.95, 1016.0)])
+    def test_far_from_the_data_exact_or_refused(self, alpha, x):
+        # the image of exp(i*s) far out on the line, where it is small: the
+        # oracle either meets the closed form to 1e-6 relative or raises
+        exact = closed_form_mode1(math.atan2(1.0, x), alpha)
+        try:
+            got = quadrature_fraclap(test_function("mode_k", 1), x, alpha)
+        except QuadratureError:
+            return
+        assert abs(got - exact) <= 1e-6 * abs(exact)
+
+    def test_alpha_two_is_a_value_error(self):
+        # alpha is checked before 1/(2 - alpha) is formed
+        with pytest.raises(ValueError, match="alpha"):
+            quadrature_fraclap(test_function("u3_gaussian"), 0.5, 2.0)
+
 
 _GRID = alpha_grid(0.05, 1.95, 0.05)
 THIN_GRID = _GRID[np.abs(_GRID - 1.0) > 1e-12]
@@ -177,9 +194,8 @@ class TestErrorScan:
         with pytest.raises(ValueError):
             error_scan("mode3", GridConfig(16, 1.0), 10, [0.5])
 
-    @pytest.mark.slow
     def test_mode2_full_alpha_grid(self):
-        # the complete 1998-value grid; several minutes, run with -m slow
+        # the complete 198-value grid, alpha = 0.01..1.99 without 1
         grid = alpha_grid(0.01, 1.99, 0.01)
         grid = grid[np.abs(grid - 1.0) > 1e-12]
         scan = error_scan("mode2", GridConfig(128, 1.0), 210, grid)
