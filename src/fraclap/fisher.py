@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fraclap.grid import Extension, GridConfig, node_positions
+from fraclap.grid import Extension, GridConfig, _check_integer, node_positions
 from fraclap.opmatrix import OperatorMatrix, apply_sample_operator, fused_sample_operator
 from fraclap.spectral import evaluate, transform
 from fraclap.symbol import check_block
@@ -61,8 +61,7 @@ class FisherRun:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if not isinstance(self.sample_stride, (int, np.integer)):
-            raise TypeError(f"sample_stride must be an integer, got {self.sample_stride!r}")
+        _check_integer("sample_stride", self.sample_stride)
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.fit_window is not None:

@@ -24,6 +24,12 @@ class Extension(enum.Enum):
     ODD = "odd"
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Discretization: n physical nodes, map scale, shift and extension parity.
@@ -38,8 +44,7 @@ class GridConfig:
     extension: Extension = Extension.EVEN
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise TypeError(f"n must be an integer, got {self.n!r}")
+        _check_integer("n", self.n)
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
         if not math.isfinite(self.l_scale) or self.l_scale <= 0.0:

@@ -48,7 +48,6 @@ class TestFunction:
     u: Callable
     u_x: Callable
     u_xx: Callable
-    is_complex: bool = False
 
 
 def _mode_profile(k: int) -> TestFunction:
@@ -62,7 +61,7 @@ def _mode_profile(k: int) -> TestFunction:
     def u_xx(x):
         return u(x) * (-(k * k) + 2j * k * x) / (1.0 + x * x) ** 2
 
-    return TestFunction(f"mode_{k}", u, u_x, u_xx, is_complex=True)
+    return TestFunction(f"mode_{k}", u, u_x, u_xx)
 
 
 def test_function(name: str, k: int = 2) -> TestFunction:
@@ -201,7 +200,8 @@ def quadrature_fraclap(f: TestFunction, x: float, alpha: float):
     summed error estimate must be at most 1e-9, and where |x| > 2, where
     the values decay, also at most 1e-7 of the value: failing that, the
     integrals are redone to a tolerance scaled to the value, then
-    :class:`QuadratureError` is raised.
+    :class:`QuadratureError` is raised.  A profile whose value at x is
+    complex is integrated as a complex function.
     """
     x = float(x)
     c = fractional_constant(alpha)  # checks alpha before 1/(2 - alpha) is formed
@@ -232,9 +232,10 @@ def quadrature_fraclap(f: TestFunction, x: float, alpha: float):
     pieces = ((near, 0.0, end), (far, 0.0, math.atan2(1.0, x + r)),
               (far, math.atan2(1.0, x - r), math.pi))
     far_out = r > 1.0  # the values decay: accept them relative to themselves too
-    total, err = _quad_sum(pieces, f.is_complex, _QUAD_TOL / 10)
+    is_complex = np.iscomplexobj(f.u(x))
+    total, err = _quad_sum(pieces, is_complex, _QUAD_TOL / 10)
     if far_out and err > _QUAD_REL * abs(total):
-        total, err = _quad_sum(pieces, f.is_complex, _QUAD_REL * abs(total) / 10)
+        total, err = _quad_sum(pieces, is_complex, _QUAD_REL * abs(total) / 10)
     if err > _QUAD_TOL or far_out and err > _QUAD_REL * abs(total):
         raise QuadratureError(
             f"quadrature error estimate {err:.2e} exceeds {_QUAD_TOL} or {_QUAD_REL} of the value")

@@ -69,14 +69,17 @@ is not aligned.  The alignment changes no result: the same kernels add in
 the same order.
 
 The l1 sums of many columns at once are a sliding-window reduction
-P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], which is the matrix product W^T G
-read along a skewed band.  They run as blocked GEMMs (Goto & van de Geijn,
-ACM TOMS 34, 2008) pinned to one OpenBLAS thread, since dgemm sums in a
-different order at different thread counts; the k = 2 column's reductions
-run under the same pin.  A block of b nodes computes b + width - 1 columns
-of the product to read a band of width, so the block narrows with the
-window (16 to 64 nodes) and the unused part stays below 1/5 wherever the
-window is at least 63 columns wide.
+P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], c < n/2, which is the matrix product
+W^T G read along a skewed band.  They run as blocked GEMMs (Goto & van de
+Geijn, ACM TOMS 34, 2008) pinned to one OpenBLAS thread, since dgemm sums in
+a different order at different thread counts; the k = 2 column's reductions
+run under the same pin.  A block of b = 32 nodes computes b + n/2 - 1
+columns of the product to read a band n/2 wide, so (b - 1)/(b + n/2 - 1) of
+each product goes unread: a third at n = 128, 6% at n = 1024.  One size
+serves every n: timing the odd block alone on one BLAS thread (n = 32 to
+1024, l_lim = 40 and 500, 2 MB of L2), 16 or 64 nodes were at most 8%
+faster at l_lim = 40 or n <= 256 (1% at n = 128), and at l_lim = 500 and
+n >= 512 64 was 2-12% faster and 16 up to 29% slower.
 
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
@@ -101,7 +104,7 @@ from numpy.fft import ifft, ifftshift
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fraclap.gammaratio import ratio_vector
-from fraclap.grid import GridConfig, nodes
+from fraclap.grid import GridConfig, _check_integer, nodes
 
 _THREAD_GETTERS = (
     "scipy_openblas_get_num_threads64_",
@@ -110,6 +113,7 @@ _THREAD_GETTERS = (
     "openblas_get_num_threads",
 )
 _CHUNK = 32768  # terms per chunk of the k = 2 column's sums: 256 KB buffers
+_NODE_BLOCK = 32  # nodes per product of the odd block's band GEMM (module docstring)
 
 
 def fractional_constant(alpha: float) -> float:
@@ -127,11 +131,10 @@ def fractional_constant(alpha: float) -> float:
 def check_block(n: int, alpha: float, l_lim: int) -> None:
     """The one check of the (n, alpha, l_lim) that fixes a block, a column or a run.
 
-    Raises TypeError for a non-integer n or l_lim and ValueError for an odd
-    or too small n, alpha outside (0, 2) (NaN too) or a negative l_lim.
+    Raises TypeError for a non-integer or bool n or l_lim and ValueError for
+    an odd or too small n, alpha outside (0, 2) (NaN too) or a negative l_lim.
     """
-    if not isinstance(l_lim, (int, np.integer)):
-        raise TypeError(f"l_lim must be an integer, got {l_lim!r}")
+    _check_integer("l_lim", l_lim)
     GridConfig(n, 1.0)  # checks n
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
@@ -227,40 +230,27 @@ def _one_blas_thread():
         setter(previous)
 
 
-def _node_block(width: int) -> int:
-    """Nodes per product for a window ``width`` columns wide: 16, 32 or 64.
+def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < n/2, and P1 with W*l1 for W.
 
-    A block of b nodes computes Q of b x (b + width - 1) but reads only its
-    b x width band, so the unused part is (b - 1)/(b + width - 1).  The
-    largest power of two b <= (width + 1)/4 keeps it below 1/5 for windows
-    of 63 columns or more.  b is held within 16..64: in a sweep of narrow
-    windows at n = 512, blocks of fewer than 16 nodes were slower (the
-    per-block overhead outweighs the saved products), and blocks of 128
-    were slower than 64 at every width swept.
-    """
-    return min(64, 1 << (max(16, (width + 1) // 4).bit_length() - 1))
-
-
-def _window_sums(w: np.ndarray, l1, g: np.ndarray, width: int, work: np.ndarray) -> np.ndarray:
-    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < ``width``, and P1 with W*l1 for W.
-
-    Returned stacked as (2, n, width).  For a block of
-    b = :func:`_node_block` (width) nodes from j0 the sums are one product
-    Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
+    Returned stacked as (2, n, n/2).  For a block of b = _NODE_BLOCK nodes
+    from j0 the sums are one product
+    Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + n/2 - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
-    a row pitch of b + width - 2 in Q's flat storage.  The last block holds
-    what is left of the n nodes.  The operand [W_blk | (W*l1)_blk] is
-    written into the flat float64 buffer ``work``, which holds at least
-    2*b*rows entries, block after block; the rows i keep their summation
-    order.  The products run on one OpenBLAS thread
-    (:func:`_one_blas_thread`).
+    a row pitch of b + n/2 - 2 in Q's flat storage.  The last block holds
+    what is left of the n nodes.  (b - 1)/(b + n/2 - 1) of each product,
+    a third at n = 128 and 6% at n = 1024, goes unread (module docstring).
+    The operand [W_blk | (W*l1)_blk] is written into the flat float64
+    buffer ``work``, which holds at least 2*b*rows entries, block after
+    block; the rows i keep their summation order.  The products run on one
+    OpenBLAS thread (:func:`_one_blas_thread`).
     """
     rows, n = w.shape
-    block = _node_block(width)
+    width = n // 2
     out = np.empty((2, n, width))
     with _one_blas_thread():
-        for j0 in range(0, n, block):
-            b = min(block, n - j0)
+        for j0 in range(0, n, _NODE_BLOCK):
+            b = min(_NODE_BLOCK, n - j0)
             lo = n - j0 - b
             wb = w[:, j0 : j0 + b]
             a = work[: rows * 2 * b].reshape(rows, 2 * b)
@@ -471,7 +461,7 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     # on, this buffer is the largest request, so it and the smaller arrays
     # come from the heap, whose freed top glibc keeps: the pages stay
     # resident from one alpha to the next instead of faulting in again.
-    work = np.empty(rows * (n + d.size + 2 * _node_block(half)))
+    work = np.empty(rows * (n + d.size + 2 * _NODE_BLOCK))
     w = work[: rows * n].reshape(rows, n)
     g = work[rows * n : rows * (n + d.size)].reshape(rows, d.size)
     # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
@@ -489,7 +479,7 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     neg = d < 0
     c0 = c[np.invert(d, out=d, where=neg)]
     _rows(g, fwd, rev, np.negative(c0, out=c0, where=neg), plus_sign=-1.0)
-    p0, p1 = _window_sums(w, l1, g, half, work[rows * (n + d.size) :])
+    p0, p1 = _window_sums(w, l1, g, work[rows * (n + d.size) :])
     del work, w, g
     k = np.arange(1, n, 2)
     # A(0)'s term, (1 - alpha)*k^2*A(0)*C((k-1)/2) in the l2 sums, enters as

@@ -5,8 +5,10 @@ DFT oracle is a direct O(N^2) summation, the gamma-ratio reference goes
 through SciPy's log-gamma, which the package never uses, ``a_coeff`` and
 ``b_coeff`` give single terms of the symbol sums one scalar at a time (the
 even modes' ratio B from that log-gamma reference: the package tabulates no
-B), ``mode2_term_ref`` gives the terms of the k = 2 series from mpmath, and
-``even_mode_images`` sums the even modes' closed form term by term in mpmath.
+B), ``mode2_term_ref`` gives the terms of the k = 2 series from mpmath,
+``even_mode_images`` sums the even modes' closed form term by term in mpmath,
+and ``odd_mode_images`` sums Dyda's hypergeometric images of the odd modes
+in mpmath.
 """
 
 import functools
@@ -225,6 +227,69 @@ def even_mode_images(n: int, alpha: float) -> np.ndarray:
             for m, c in enumerate(coef):
                 out[row, m] = complex(amp * mpmath.fdot(c, powers[: m + 1]))
     out[n // 2 :] = np.conj(out[: n // 2][::-1])
+    return out
+
+
+@functools.cache
+def odd_mode_images(n: int, alpha: float) -> np.ndarray:
+    """Image of exp(i*k*s), k = 1, 3, ..., n-1, at the n nodes: an (n, n/2) array.
+
+    At x = cot(s), exp(i*k*s) = (x + i)^k*(1 + x^2)^(-k/2).  Expanding
+    (x + i)^k and writing each x^(2q) as ((1 + x^2) - 1)^q turns it into a
+    sum of x^l*(1 + x^2)^(-beta), l in {0, 1}, beta = 1/2, 3/2, ..., k/2,
+    with exact integer (times i) coefficients.  Dyda (Fract. Calc. Appl.
+    Anal. 15, 2012) gives each image as a 2F1 of -x^2:
+
+        x^l*(1+x^2)^(-beta)  ->  2^alpha*Gamma(beta + alpha/2)*Gamma(l + (1+alpha)/2)
+                                 / (Gamma(beta)*Gamma(l + 1/2))
+                                 * x^l * 2F1(beta + alpha/2, l + (1+alpha)/2; l + 1/2; -x^2).
+
+    Each beta's two 2F1 are taken once per node in mpmath at 40 digits and
+    shared by every column: those of beta = 1/2 and 3/2 from
+    ``mpmath.hyp2f1``, the rest from them by Gauss's contiguous relation in
+    the first parameter (DLMF 15.5.11), which kept 39 digits over 15 steps
+    at x up to 20.  The binomial coefficients reach about 1e12 at k = 31, so
+    40 digits leave more than 25 after the cancellation; keep n <= 32 or
+    raise the precision with k.  The image of an odd mode is minus its
+    conjugate under s -> pi - s, so the second half of the rows is the first
+    half reversed, conjugated and negated.
+    """
+    import mpmath
+
+    half = n // 2
+    out = np.empty((n, half), dtype=np.complex128)
+    with mpmath.workdps(40):
+        al = mpmath.mpf(alpha)
+        # coef[col][r][l]: the coefficient of x^l*(1+x^2)^(-(r + 1/2)) in mode
+        # k = 2*col + 1, a Gaussian integer below 2^53, so exact as a complex
+        coef = [[[0, 0] for _ in range(half)] for _ in range(half)]
+        for col in range(half):
+            k = 2 * col + 1
+            for j in range(k + 1):
+                l, q = j % 2, j // 2
+                for r in range(q + 1):  # (1+x^2)^(r - k/2): beta = k/2 - r
+                    coef[col][col - r][l] += math.comb(k, j) * math.comb(q, r) * (-1) ** (q - r) * 1j ** (k - j)
+        a = [r + (1 + al) / 2 for r in range(half)]  # beta + alpha/2 at beta = r + 1/2
+        b = [l + (1 + al) / 2 for l in (0, 1)]
+        c = [l + mpmath.mpf(1) / 2 for l in (0, 1)]
+        scale = [[2**al * mpmath.gamma(a[r]) * mpmath.gamma(b[l]) / (mpmath.gamma(a[r] - al / 2) * mpmath.gamma(c[l]))
+                  for l in (0, 1)] for r in range(half)]
+        for row in range(half):
+            x = mpmath.cot(mpmath.pi * (2 * row + 1) / (2 * n))
+            z = -x * x
+            images = [[0, 0] for _ in range(half)]
+            for l in (0, 1):
+                f = [mpmath.hyp2f1(a[r], b[l], c[l], z) for r in range(min(2, half))]
+                for r in range(1, half - 1):  # F(a + 1) from F(a) and F(a - 1)
+                    f.append(-((c[l] - a[r]) * f[r - 1] + (2 * a[r] - c[l] + (b[l] - a[r]) * z) * f[r])
+                             / (a[r] * (z - 1)))
+                for r in range(half):
+                    images[r][l] = scale[r][l] * x**l * f[r]
+            for col in range(half):
+                out[row, col] = complex(mpmath.fsum(
+                    mpmath.mpc(cf) * images[r][l] for r in range(col + 1) for l, cf in enumerate(coef[col][r])
+                ))
+    out[half:] = -np.conj(out[:half][::-1])
     return out
 
 

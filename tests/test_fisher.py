@@ -488,7 +488,8 @@ class TestRunSimulation:
         ({"fit_window": (0.1, math.inf)}, ValueError),
         ({"sample_stride": 2.5}, TypeError),
         ({"l_lim": 20.0}, TypeError),
-    ], ids=["empty-window", "nan-window", "inf-window", "float-stride", "float-l_lim"])
+        ({"sample_stride": True}, TypeError),
+    ], ids=["empty-window", "nan-window", "inf-window", "float-stride", "float-l_lim", "bool-stride"])
     def test_bad_run_parameter_rejected_at_construction(self, changes, error):
         # before any step is taken, not at the fit or by a silently rounded stride
         with pytest.raises(error):

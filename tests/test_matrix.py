@@ -107,11 +107,12 @@ class TestBuildMatrix:
 
     def test_blas_thread_count_does_not_change_single_columns(self):
         # the k = 2 column, and the odd block at sizes past the full builds' n = 128
+        # and at n = 130, whose last block of nodes holds 2
         script = (
             "import json, zlib; from fraclap.symbol import odd_mode_columns, symbol_samples; "
             "print(json.dumps([zlib.crc32(symbol_samples(0.3, 1024, 500).tobytes())] + "
             "[zlib.crc32(odd_mode_columns(n, a, 500).tobytes()) "
-            "for n, a in ((512, 1.5), (1024, 0.3))]))"
+            "for n, a in ((130, 0.7), (512, 1.5), (1024, 0.3))]))"
         )
         checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
         assert checksums[0] == checksums[1]
@@ -354,7 +355,7 @@ class TestFractionalLaplacian:
 
 
 class TestMatrixMeta:
-    @pytest.mark.parametrize("n, l_lim", [(4.0, 2), (4, 2.5)], ids=["float-n", "float-l_lim"])
+    @pytest.mark.parametrize("n, l_lim", [(4.0, 2), (4, 2.5), (4, True)], ids=["float-n", "float-l_lim", "bool-l_lim"])
     def test_non_integer_field_rejected(self, n, l_lim):
         with pytest.raises(TypeError, match="must be an integer"):
             MatrixMeta(alpha=1.0, n=n, l_lim=l_lim)

@@ -12,13 +12,14 @@ from conftest import (
     even_mode_images,
     gamma_ratio_ref,
     mode2_chunk_errors,
+    odd_mode_images,
     odd_ratio_args,
     run_fresh_python,
 )
 from fraclap.gammaratio import ratio_vector
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import apply, build_matrix
-from fraclap.oracles import closed_form_mode2, quadrature_fraclap, test_function
+from fraclap.oracles import closed_form_mode1, closed_form_mode2, quadrature_fraclap, test_function
 from fraclap import symbol
 from fraclap.symbol import even_mode_columns, fractional_constant, odd_mode_columns, symbol_samples
 
@@ -279,23 +280,49 @@ class TestModeColumns:
             err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
             assert np.all(err <= 1e-13)
 
-    @pytest.mark.parametrize("sums", ["P0+P1"])
-    @pytest.mark.parametrize("width", [1, 2, 126, 127, 254, 255])
-    @pytest.mark.parametrize("n", [34, 130, 300])
-    def test_window_sums_follow_the_band_definition(self, n, width, sums):
-        # n leaves a partial last block at every block size; the widths sit on
-        # both sides of each change of block size, and 1 is the odd block at
-        # n = 2.  Integer entries make every sum exact in any order, so the
-        # blocked products must match exactly.
-        rng = np.random.default_rng(n + width)
+    @pytest.mark.parametrize("n", [2, 34, 130, 300])
+    def test_window_sums_follow_the_band_definition(self, n):
+        # the window is n/2 columns wide; 34, 130 and 300 leave a partial last
+        # block of nodes, and 2 is the odd block at n = 2.  Integer entries make
+        # every sum exact in any order, so the blocked products must match exactly.
+        width = n // 2
+        rng = np.random.default_rng(n)
         w = rng.integers(-8, 9, (41, n)).astype(float)
         g = rng.integers(-8, 9, (41, n + width - 1)).astype(float)
         l1 = np.arange(-20.0, 21.0)
         window = g[:, n - 1 - np.arange(n)[:, None] + np.arange(width)]  # [i, j, c] = g[i, n-1-j+c]
         ref = [np.einsum("ij,ijc->jc", w, window), np.einsum("i,ij,ijc->jc", l1, w, window)]
         # the operand buffer starts as NaN, so an entry left unwritten would show
-        work = np.full(2 * 41 * symbol._node_block(width), np.nan)
-        np.testing.assert_array_equal(symbol._window_sums(w, l1, g, width, work), np.stack(ref))
+        work = np.full(2 * 41 * symbol._NODE_BLOCK, np.nan)
+        np.testing.assert_array_equal(symbol._window_sums(w, l1, g, work), np.stack(ref))
+
+    # each odd column's error against odd_mode_images at l_lim = 500,
+    # column-relative: the series' l_lim^(-3) tail, k = 1, 3, ..., n-1
+    ODD_COLUMN_ERRORS = {
+        (16, 0.3): [8.71e-12, 1.2e-11, 1.94e-11, 2.35e-11, 2.88e-11, 3.37e-11, 3.81e-11, 4.33e-11],
+        (16, 1.0): [4.97e-12, 3.02e-12, 3.26e-12, 3.16e-12, 3.21e-12, 3.19e-12, 3.2e-12, 3.19e-12],
+        (16, 1.7): [5.31e-13, 2.08e-13, 1.44e-13, 1.14e-13, 9.54e-14, 8.28e-14, 7.37e-14, 6.67e-14],
+        (32, 0.3): [3.53e-12, 4.83e-12, 7.88e-12, 9.38e-12, 1.17e-11, 1.33e-11, 1.51e-11, 1.68e-11,
+                    1.84e-11, 2.01e-11, 2.13e-11, 2.32e-11, 2.43e-11, 2.59e-11, 2.76e-11, 2.93e-11],
+        (32, 1.0): [1.24e-12, 7.46e-13, 8.1e-13, 7.82e-13, 7.97e-13, 7.88e-13, 7.94e-13, 7.9e-13,
+                    7.93e-13, 7.91e-13, 7.92e-13, 7.91e-13, 7.92e-13, 7.91e-13, 7.92e-13, 7.91e-13],
+        (32, 1.7): [8.17e-14, 3.16e-14, 2.2e-14, 1.73e-14, 1.45e-14, 1.26e-14, 1.12e-14, 1.01e-14,
+                    9.29e-15, 8.58e-15, 8.01e-15, 7.52e-15, 7.09e-15, 6.72e-15, 6.38e-15, 6.1e-15],
+    }
+
+    @pytest.mark.parametrize("n,alpha", list(ODD_COLUMN_ERRORS))
+    def test_odd_columns_against_the_exact_images(self, n, alpha):
+        # measured figures, not bounds: each column within 2x of its pin either way
+        ref = odd_mode_images(n, alpha)
+        err = np.max(np.abs(odd_mode_columns(n, alpha, 500) - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        pin = np.array(self.ODD_COLUMN_ERRORS[n, alpha])
+        assert np.all((err >= pin / 2) & (err <= 2 * pin)), err
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+    def test_exact_odd_images_hold_closed_form_mode1(self, alpha):
+        # the oracle's k = 1 column against the two-term closed form (measured <= 1.3e-15)
+        ref = closed_form_mode1(nodes(GridConfig(32, 1.0)), alpha)
+        assert np.max(np.abs(odd_mode_images(32, alpha)[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
     @pytest.mark.parametrize("n", [32, 64])
