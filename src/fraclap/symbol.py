@@ -231,14 +231,15 @@ def _one_blas_thread():
 
 
 def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < n/2, and P1 with W*l1 for W.
+    """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < width, and P1 with W*l1 for W.
 
-    Returned stacked as (2, n, n/2).  For a block of b = _NODE_BLOCK nodes
-    from j0 the sums are one product
-    Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + n/2 - 1] with
+    g holds n + width - 1 columns, which fix the window: width = n/2 in
+    the odd block.  Returned stacked as (2, n, width).  For a block of
+    b = _NODE_BLOCK nodes from j0 the sums are one product
+    Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
-    a row pitch of b + n/2 - 2 in Q's flat storage.  The last block holds
-    what is left of the n nodes.  (b - 1)/(b + n/2 - 1) of each product,
+    a row pitch of b + width - 2 in Q's flat storage.  The last block holds
+    what is left of the n nodes.  (b - 1)/(b + width - 1) of each product,
     a third at n = 128 and 6% at n = 1024, goes unread (module docstring).
     The operand [W_blk | (W*l1)_blk] is written into the flat float64
     buffer ``work``, which holds at least 2*b*rows entries, block after
@@ -246,7 +247,7 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray) -> np.ndarr
     OpenBLAS thread (:func:`_one_blas_thread`).
     """
     rows, n = w.shape
-    width = n // 2
+    width = g.shape[1] - n + 1
     out = np.empty((2, n, width))
     with _one_blas_thread():
         for j0 in range(0, n, _NODE_BLOCK):

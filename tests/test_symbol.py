@@ -280,13 +280,15 @@ class TestModeColumns:
             err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
             assert np.all(err <= 1e-13)
 
-    @pytest.mark.parametrize("n", [2, 34, 130, 300])
-    def test_window_sums_follow_the_band_definition(self, n):
-        # the window is n/2 columns wide; 34, 130 and 300 leave a partial last
-        # block of nodes, and 2 is the odd block at n = 2.  Integer entries make
+    @pytest.mark.parametrize("sums", ["P0+P1"])
+    @pytest.mark.parametrize("width", [1, 2, 126, 127, 254, 255])
+    @pytest.mark.parametrize("n", [34, 130, 300])
+    def test_window_sums_follow_the_band_definition(self, n, width, sums):
+        # the window is read from g's columns (n/2 in the odd block); n leaves a
+        # partial last block of nodes, the widths run from narrower to wider than
+        # a block, and 1 is the odd block's window at n = 2.  Integer entries make
         # every sum exact in any order, so the blocked products must match exactly.
-        width = n // 2
-        rng = np.random.default_rng(n)
+        rng = np.random.default_rng(n + width)
         w = rng.integers(-8, 9, (41, n)).astype(float)
         g = rng.integers(-8, 9, (41, n + width - 1)).astype(float)
         l1 = np.arange(-20.0, 21.0)
