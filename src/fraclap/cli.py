@@ -39,7 +39,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 import fraclap
 from fraclap.fisher import (
@@ -114,6 +113,8 @@ def _parameters(args, **resolved) -> dict:
 
 def _environment() -> dict:
     """Library versions, numpy's BLAS and its thread count, the CPU count and whether the pin was found."""
+    import scipy  # here, for its version, so that ``import fraclap.cli`` loads no SciPy module
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
@@ -329,18 +330,18 @@ def _cmd_fisher(args) -> int:
             t_matrix = time.perf_counter()
             result = run_simulation(run, matrix)
             t_done = time.perf_counter()
-        except (BlowUpError, FrontEscapeError, MatrixCacheError, ValueError) as exc:
+            trace = result.trace
+            trace_path = out_dir / f"trace_alpha{tag}.csv"
+            with open(trace_path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["t", "x05", "ln_x05"])
+                for t, x in zip(trace.times, trace.x05):
+                    w.writerow([_fmt(t), _fmt(x), _fmt(float(np.log(x)))])
+        except (BlowUpError, FrontEscapeError, MatrixCacheError, ValueError, OSError) as exc:
             print(f"alpha={tag}: FAILED ({exc})")
             summary_rows.append((alpha, None, 1.0 / alpha, None, None, type(exc).__name__))
             first_failure = first_failure or exc
             continue
-        trace = result.trace
-        trace_path = out_dir / f"trace_alpha{tag}.csv"
-        with open(trace_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x05", "ln_x05"])
-            for t, x in zip(trace.times, trace.x05):
-                w.writerow([_fmt(t), _fmt(x), _fmt(float(np.log(x)))])
         outputs.append(str(trace_path))
         rel_gap = abs(trace.sigma - 1.0 / alpha) * alpha
         summary_rows.append(

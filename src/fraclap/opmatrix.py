@@ -202,20 +202,32 @@ def apply_sample_operator(blocks: np.ndarray, samples) -> np.ndarray:
 def save_matrix(matrix: OperatorMatrix, path) -> None:
     """Write the binary cache file described in the module docstring.
 
-    The file is written to ``<path>.tmp`` and then moved onto ``path``, so an
-    interrupted write never leaves a partial file under the cache name (a
-    stale ``.tmp`` is overwritten by the next save).
+    It goes to ``<path>.<pid>.<k>.tmp``, created exclusively with the first
+    free k from 0, and is then renamed onto ``path``: an interrupted write
+    leaves no partial cache, and saves to one path never share a temporary
+    (the last rename wins).  A failed write or rename deletes it.
     """
     meta = matrix.meta
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, meta.n, meta.l_lim, meta.alpha)
     payload = memoryview(np.ascontiguousarray(matrix.entries)).cast("B")  # no copy of a C-ordered block
     checksum = zlib.crc32(payload, zlib.crc32(header))
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(_TRAILER.pack(checksum))
-    os.replace(tmp, path)
+    k = 0
+    while True:
+        tmp = f"{path}.{os.getpid()}.{k}.tmp"
+        try:
+            fh = open(tmp, "xb")
+            break
+        except FileExistsError:
+            k += 1
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(payload)
+            fh.write(_TRAILER.pack(checksum))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) -> OperatorMatrix:

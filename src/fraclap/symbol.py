@@ -106,12 +106,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fraclap.gammaratio import ratio_vector
 from fraclap.grid import GridConfig, _check_integer, nodes
 
-_THREAD_GETTERS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
 _CHUNK = 32768  # terms per chunk of the k = 2 column's sums: 256 KB buffers
 _NODE_BLOCK = 32  # nodes per product of the odd block's band GEMM (module docstring)
 
@@ -156,46 +150,38 @@ def _rows(out: np.ndarray, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> 
 
 
 @functools.cache
-def _numpy_blas():
-    """numpy's linear-algebra extension as a ctypes library, or None.
+def _openblas(f: str, *argtypes):
+    """numpy's OpenBLAS function ``f`` as a ctypes function of ``argtypes`` returning an int, or None.
 
-    Its symbol search covers the BLAS library numpy itself is linked to and
-    no other (scipy's OpenBLAS has a thread count of its own).
+    The lookup is in numpy's linear-algebra extension, whose symbol search
+    covers the BLAS numpy is linked to and no other (scipy's OpenBLAS has a
+    thread count of its own).  It tries four export names in turn: the
+    scipy-openblas wheels' ``scipy_openblas_<f>64_`` and ``scipy_openblas_<f>``
+    (64- and 32-bit integer builds), then plain OpenBLAS's ``openblas_<f>64_``
+    and ``openblas_<f>``.  numpy 2.4's wheel exports ``get_num_threads``
+    under the first and ``set_num_threads_local`` under the last.
     """
     try:
-        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (OSError, AttributeError):
         return None
+    names = (f"scipy_openblas_{f}64_", f"scipy_openblas_{f}", f"openblas_{f}64_", f"openblas_{f}")
+    function = next(filter(None, (getattr(lib, name, None) for name in names)), None)
+    if function is not None:
+        function.argtypes = list(argtypes)
+        function.restype = ctypes.c_int
+    return function
 
 
-@functools.cache
 def blas_thread_setter():
-    """numpy's ``openblas_set_num_threads_local``, or None where numpy has no such OpenBLAS.
-
-    The symbol is looked up once, in :func:`_numpy_blas`.  The setter
-    returns the previous thread count.
-    """
-    setter = getattr(_numpy_blas(), "openblas_set_num_threads_local", None)
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-    return setter
+    """numpy's OpenBLAS ``set_num_threads_local(count)``, which returns the previous count, or None."""
+    return _openblas("set_num_threads_local", ctypes.c_int)
 
 
 def blas_threads() -> int | None:
-    """numpy's OpenBLAS thread count, or None where no getter is found.
-
-    The getter is looked up in :func:`_numpy_blas` under the names that the
-    scipy-openblas wheels (64- and 32-bit integer builds) and plain OpenBLAS
-    export.
-    """
-    lib = _numpy_blas()
-    for name in _THREAD_GETTERS:
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.restype = ctypes.c_int
-            return getter()
-    return None
+    """numpy's OpenBLAS thread count, or None where it exports no ``get_num_threads``."""
+    getter = _openblas("get_num_threads")
+    return None if getter is None else getter()
 
 
 def aligned_empty(shape) -> np.ndarray:

@@ -12,6 +12,7 @@ in mpmath.
 """
 
 import functools
+import json
 import math
 import os
 import struct
@@ -309,8 +310,12 @@ def alpha_one_even_images(n: int, ks) -> np.ndarray:
 def run_fresh_python(script: str, blas_threads: str) -> str:
     """stdout of ``script`` run in a new interpreter with OPENBLAS_NUM_THREADS set.
 
-    OpenBLAS reads its thread count when it loads, so each count needs a
-    fresh process.  The interpreter imports this checkout's ``fraclap``.
+    OpenBLAS reads its thread count when it loads, and only a fresh
+    interpreter shows which modules an import loads, so such checks need a
+    new process.  Each costs 0.2 s or more, so tests share one where they
+    can: one per thread count (the ``thread_count_runs`` fixture), one for
+    the import checks of ``test_import``.  The interpreter imports this
+    checkout's ``fraclap``; it may run for up to 300 s.
     """
     import fraclap
 
@@ -322,6 +327,61 @@ def run_fresh_python(script: str, blas_threads: str) -> str:
         check=True, timeout=300,
     )
     return done.stdout
+
+
+_THREAD_COUNT_SCRIPT = """
+import json, zlib
+from fraclap.cli import main
+from fraclap.fisher import FisherRun, run_simulation
+from fraclap.grid import GridConfig
+from fraclap.opmatrix import build_matrix, column_checksums
+from fraclap.symbol import blas_thread_setter, odd_mode_columns, symbol_samples
+
+def fisher(n, l_scale, alpha, t_final, l_lim, stride, window):
+    cfg = GridConfig(n, l_scale)
+    run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=t_final, l_lim=l_lim,
+                    sample_stride=stride, fit_window=window)
+    r = run_simulation(run, build_matrix(cfg, alpha, l_lim))
+    return [[v.hex() for v in a] for a in (r.trace.x05, r.final_samples)]
+
+record = dict(
+    entries=[column_checksums(build_matrix(GridConfig(128, 1.0), a, 500)) for a in (0.5, 1.0, 1.95)],
+    single_columns=[zlib.crc32(symbol_samples(0.3, 1024, 500).tobytes())] + [
+        zlib.crc32(odd_mode_columns(n, a, 500).tobytes())
+        for n, a in ((130, 0.7), (512, 1.5), (1024, 0.3))
+    ],
+    run=fisher(64, 50.0, 1.2, 0.3, 200, 5, (0.1, 0.3)),
+    run_512=fisher(512, 1000.0 / 1.95**3, 1.95, 0.05, 20, 1, (0.0, 0.05)),
+)
+out = {out!r}
+main(["matrix", "build", "--n", "128", "--alpha", "0.5", "--llim", "20", "--out", out])
+with open(out + ".manifest.json") as fh:
+    record["manifest_blas_threads"] = json.load(fh)["environment"]["blas_threads"]
+setter = blas_thread_setter()
+record["restored"] = None if setter is None else setter(2)
+print(json.dumps(record))
+"""
+
+
+@pytest.fixture(scope="session")
+def thread_count_runs(tmp_path_factory) -> dict:
+    """What one script records in a fresh interpreter per OpenBLAS thread count, by count ("1", "2").
+
+    The keys: ``entries``, the column CRCs of full builds at n = 128;
+    ``single_columns``, the CRCs of the k = 2 column and of three odd
+    blocks past n = 128; ``run`` and ``run_512``, the hex trace and final
+    samples of Fisher runs at n = 64 and 512; ``manifest_blas_threads``,
+    the thread count in a ``matrix build`` manifest; and ``restored``,
+    what ``blas_thread_setter()(2)`` returns after all of these (None
+    without a setter).  The last line of stdout is the record: the
+    ``matrix build`` prints before it.
+    """
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path_factory.mktemp(f"threads{threads}") / "m.bin"
+        stdout = run_fresh_python(_THREAD_COUNT_SCRIPT.format(out=str(out)), threads)
+        runs[threads] = json.loads(stdout.splitlines()[-1])
+    return runs
 
 
 def copy_off_line(array: np.ndarray, offset: int) -> np.ndarray:

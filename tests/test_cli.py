@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from conftest import cache_file_bytes, run_fresh_python
+from conftest import cache_file_bytes
 from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
@@ -383,6 +383,42 @@ class TestFisher:
         manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
         assert "alpha_1" in manifest["diagnostics"]
 
+    def test_sweep_keeps_rows_past_a_failed_cache_write(self, tmp_path, monkeypatch):
+        # the second alpha's cache write raises OSError: that row fails, the
+        # first stays, and the summary and manifest are still written
+        replace = os.replace
+        calls = []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        cache = tmp_path / "mc"
+        out_dir = tmp_path / "sweep"
+        code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", "--n", "16", "--llim", "20",
+                       "--dt", "0.01", "--tfinal", "0.3", "--sample-stride", "2",
+                       "--matrix-cache", str(cache), "--out-dir", str(out_dir))
+        assert code == EXIT_IO
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert [row[-1] for row in summary[1:]] == ["ok", "OSError"]
+        assert "alpha_1" in _manifest_diagnostics(out_dir)
+        assert len(list(cache.iterdir())) == 1  # the first alpha's cache, and no temporary
+
+    def test_sweep_keeps_rows_past_a_failed_trace_write(self, tmp_path):
+        # a directory holds the first alpha's trace name: that row fails, the second stays
+        out_dir = tmp_path / "sweep"
+        (out_dir / "trace_alpha1.csv").mkdir(parents=True)
+        code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", "--n", "16", "--llim", "20",
+                       "--dt", "0.01", "--tfinal", "0.3", "--sample-stride", "2",
+                       "--out-dir", str(out_dir))
+        assert code == EXIT_IO
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert [row[-1] for row in summary[1:]] == ["IsADirectoryError", "ok"]
+        assert set(_manifest_diagnostics(out_dir)) == {"alpha_1.5"}
+
     def test_older_format_cache_is_rebuilt_in_place(self, tmp_path):
         # an intact version-3 file at the cache name: rebuilt, replaced, exit 0
         cache = tmp_path / "mc"
@@ -528,16 +564,12 @@ class TestManifestParameters:
         assert env["blas_pin"] == (blas_thread_setter() is not None)
         assert env["blas_threads"] == blas_threads()
 
-    def test_environment_records_the_callers_blas_thread_count(self, tmp_path):
+    def test_environment_records_the_callers_blas_thread_count(self, thread_count_runs):
         # written after the build, whose products ran pinned to one thread
         if blas_threads() is None:
             pytest.skip("numpy's OpenBLAS exports no thread-count getter")
-        out = tmp_path / "m.bin"
-        argv = ["matrix", "build", "--n", "128", "--alpha", "0.5", "--llim", "20", "--out", str(out)]
-        script = f"from fraclap.cli import main; main({argv!r})"
-        run_fresh_python(script, "2")
-        env = json.loads(out.with_name("m.bin.manifest.json").read_text())["environment"]
-        assert env["blas_threads"] == 2
+        counts = {k: run["manifest_blas_threads"] for k, run in thread_count_runs.items()}
+        assert counts == {"1": 1, "2": 2}
 
 
 class TestSpanGrammar:

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -11,7 +10,6 @@ from conftest import (
     continued,
     copy_off_line,
     dft_oracle,
-    run_fresh_python,
     series_oracle,
     two_sided_image,
 )
@@ -397,33 +395,14 @@ class TestRunSimulation:
         np.testing.assert_array_equal(a.trace.x05, b.trace.x05)
         np.testing.assert_array_equal(a.final_samples, b.final_samples)
 
-    def test_blas_thread_count_does_not_change_run(self):
-        script = (
-            "import json; from fraclap.grid import GridConfig; "
-            "from fraclap.fisher import FisherRun, run_simulation; "
-            "from fraclap.opmatrix import build_matrix; "
-            "cfg = GridConfig(64, 50.0); "
-            "r = run_simulation(FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=0.3, "
-            "l_lim=200, sample_stride=5, fit_window=(0.1, 0.3)), build_matrix(cfg, 1.2, 200)); "
-            "print(json.dumps([[v.hex() for v in a] for a in (r.trace.x05, r.final_samples)]))"
-        )
-        outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
-        assert outputs[0] == outputs[1]
+    def test_blas_thread_count_does_not_change_run(self, thread_count_runs):
+        # n = 64, alpha = 1.2, t_final = 0.3: x05 trace and final samples, as hex
+        assert thread_count_runs["1"]["run"] == thread_count_runs["2"]["run"]
 
-    def test_blas_thread_count_does_not_change_run_at_block_size_256(self):
+    def test_blas_thread_count_does_not_change_run_at_block_size_256(self, thread_count_runs):
         # n = 512: the stage matvecs run on 256 x 256 parity blocks, large
         # enough for OpenBLAS to split them across threads
-        script = (
-            "import json; from fraclap.grid import GridConfig; "
-            "from fraclap.fisher import FisherRun, run_simulation; "
-            "from fraclap.opmatrix import build_matrix; "
-            "cfg = GridConfig(512, 1000.0 / 1.95**3); "
-            "r = run_simulation(FisherRun(cfg=cfg, alpha=1.95, dt=0.01, t_final=0.05, "
-            "l_lim=20, sample_stride=1, fit_window=(0.0, 0.05)), build_matrix(cfg, 1.95, 20)); "
-            "print(json.dumps([[v.hex() for v in a] for a in (r.trace.x05, r.final_samples)]))"
-        )
-        outputs = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
-        assert outputs[0] == outputs[1]
+        assert thread_count_runs["1"]["run_512"] == thread_count_runs["2"]["run_512"]
 
     @pytest.mark.parametrize("field,changes", [
         ("l_lim", {"l_lim": 40}),

@@ -1,4 +1,3 @@
-import json
 import os
 import struct
 import tracemalloc
@@ -15,7 +14,6 @@ from conftest import (
     even_mode_images,
     odd_ratio_args,
     ratio_vector_long_double,
-    run_fresh_python,
     two_sided_image,
 )
 from fraclap import gammaratio, symbol
@@ -95,38 +93,21 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix(GridConfig(4, 1.0), 2.0, 10)
 
-    def test_blas_thread_count_does_not_change_entries(self):
-        script = (
-            "import json; from fraclap.grid import GridConfig; "
-            "from fraclap.opmatrix import build_matrix, column_checksums; "
-            "print(json.dumps([column_checksums(build_matrix(GridConfig(128, 1.0), a, 500)) "
-            "for a in (0.5, 1.0, 1.95)]))"
-        )
-        checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
-        assert checksums[0] == checksums[1]
+    def test_blas_thread_count_does_not_change_entries(self, thread_count_runs):
+        # column CRCs of full builds at n = 128, l_lim = 500, alpha = 0.5, 1.0, 1.95
+        assert thread_count_runs["1"]["entries"] == thread_count_runs["2"]["entries"]
 
-    def test_blas_thread_count_does_not_change_single_columns(self):
+    def test_blas_thread_count_does_not_change_single_columns(self, thread_count_runs):
         # the k = 2 column, and the odd block at sizes past the full builds' n = 128
         # and at n = 130, whose last block of nodes holds 2
-        script = (
-            "import json, zlib; from fraclap.symbol import odd_mode_columns, symbol_samples; "
-            "print(json.dumps([zlib.crc32(symbol_samples(0.3, 1024, 500).tobytes())] + "
-            "[zlib.crc32(odd_mode_columns(n, a, 500).tobytes()) "
-            "for n, a in ((130, 0.7), (512, 1.5), (1024, 0.3))]))"
-        )
-        checksums = [json.loads(run_fresh_python(script, threads)) for threads in ("1", "2")]
-        assert checksums[0] == checksums[1]
+        runs = thread_count_runs
+        assert runs["1"]["single_columns"] == runs["2"]["single_columns"]
 
-    def test_build_restores_the_blas_thread_count(self):
-        # the products run pinned to one thread; the caller's count of 2 comes back
+    def test_build_restores_the_blas_thread_count(self, thread_count_runs):
+        # the products run pinned to one thread; the caller's count comes back
         if blas_thread_setter() is None:
             pytest.skip("numpy is not linked to an OpenBLAS with a thread-count setter")
-        script = (
-            "from fraclap.grid import GridConfig; from fraclap.opmatrix import build_matrix; "
-            "from fraclap.symbol import blas_thread_setter; "
-            "build_matrix(GridConfig(128, 1.0), 0.5, 50); print(blas_thread_setter()(2))"
-        )
-        assert run_fresh_python(script, "2").strip() == "2"
+        assert {k: run["restored"] for k, run in thread_count_runs.items()} == {"1": 1, "2": 2}
 
     @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
     def test_float64_table_tail_leaves_entries_unchanged(self, alpha, monkeypatch):
@@ -449,6 +430,25 @@ class TestCacheFile:
             save_matrix(build_matrix(GridConfig(8, 1.0), 0.7, 50), path)
         assert path.read_bytes() == good
         np.testing.assert_array_equal(load_matrix(path, **SMALL_KEY).entries, small_matrix.entries)
+        assert list(tmp_path.iterdir()) == [path]  # the failed save's temporary is gone
+
+    def test_nested_save_to_one_path_writes_its_own_temporary(self, small_matrix, tmp_path,
+                                                               monkeypatch):
+        # a save of another block to the same path runs just before the first
+        # save's rename; with one shared <path>.tmp it truncated the first
+        # save's finished file, whose rename then raised FileNotFoundError
+        path = tmp_path / "m.bin"
+        replace = os.replace
+
+        def nested_save_then_replace(src, dst):
+            monkeypatch.setattr(os, "replace", replace)
+            save_matrix(build_matrix(GridConfig(8, 1.0), 0.7, 50), path)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", nested_save_then_replace)
+        save_matrix(small_matrix, path)
+        np.testing.assert_array_equal(load_matrix(path, **SMALL_KEY).entries, small_matrix.entries)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_file_is_header_entries_and_crc(self, small_matrix, tmp_path):
         path = tmp_path / "m.bin"
