@@ -15,8 +15,8 @@ bit-identical numeric outputs.
 ``matrix build`` and ``validate`` manifests time each phase.  A ``fisher``
 manifest also gives, per alpha, the node spacing at x = 0 and at the final
 front, the smallest and largest final node value, the time spent on the
-matrix and on the simulation, and whether the matrix was loaded from the
-cache.  The
+matrix and on the simulation (split into the fold, the RK4 steps and the
+front tracking), and whether the matrix was loaded from the cache.  The
 ``matrix build`` and ``fisher`` manifests record each block's node error
 in its k = 1 column (:func:`fraclap.oracles.mode1_error`), which sees the
 l_lim truncation of the odd columns; the even columns are a closed form.
@@ -343,6 +343,7 @@ def _cmd_fisher(args) -> int:
             first_failure = first_failure or exc
             continue
         outputs.append(str(trace_path))
+        timings = result.diagnostics["timings"]
         rel_gap = abs(trace.sigma - 1.0 / alpha) * alpha
         summary_rows.append(
             (alpha, trace.sigma, 1.0 / alpha, rel_gap, trace.fit_residual, "ok")
@@ -364,7 +365,8 @@ def _cmd_fisher(args) -> int:
             "timings": {
                 "matrix_s": t_matrix - t_start,
                 "simulate_s": t_done - t_matrix,
-                "steps_per_s": run.n_steps / (t_done - t_matrix),
+                **timings,
+                "steps_per_s": run.n_steps / timings["step_s"] if timings["step_s"] else 0.0,
             },
         }
         print(

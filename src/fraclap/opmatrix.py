@@ -18,7 +18,10 @@ contribute zero.  For the real coefficients of
 :func:`fraclap.spectral.transform` the columns k and -k fold into one real
 column each, which :func:`apply` uses.  On the samples of an even function
 the operator also folds, by reflection parity, into the two n/2 x n/2
-blocks of :func:`fused_sample_operator`.
+blocks of :func:`fused_sample_operator`.  They act on the rows of the
+reflection-parity coordinates [v + w; v - w] of the samples, v the first
+half and w the second half reversed; :func:`split_parity` and
+:func:`join_parity` are the one place that layout is formed and undone.
 
 The binary cache format (version 4) is a fixed 64-byte little-endian header
 
@@ -184,19 +187,35 @@ def fused_sample_operator(matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray
     return blocks
 
 
+def split_parity(samples) -> np.ndarray:
+    """Reflection-parity coordinates of n physical samples: the (2, n/2) array [v + w; v - w].
+
+    v = u[:n/2] and w = u[n/2:] reversed, so node j and its mirror n-1-j
+    share a column; row 0 is the reflection-even part of the samples, row 1
+    the reflection-odd part.  The blocks of :func:`fused_sample_operator`
+    act on these rows directly.  :func:`join_parity` is the inverse.
+    """
+    u = np.asarray(samples, dtype=float)
+    half = u.shape[0] // 2
+    v, w = u[:half], u[half:][::-1]
+    return np.stack((v + w, v - w))
+
+
+def join_parity(p) -> np.ndarray:
+    """The n physical samples of parity coordinates [e; o]: (e + o)/2, then (e - o)/2 reversed."""
+    e, o = p
+    return 0.5 * np.concatenate((e + o, (e - o)[::-1]))
+
+
 def apply_sample_operator(blocks: np.ndarray, samples) -> np.ndarray:
     """The operator on n physical samples, through the blocks of :func:`fused_sample_operator`.
 
-    With v = u[:n/2] and w = u[n/2:] reversed, the even block acts on v + w
-    and the odd block on v - w; their sum and difference, halved, are the
-    image on the first half and, reversed, on the second.
+    The even block acts on the even row of :func:`split_parity` and the odd
+    block on the odd row; :func:`join_parity` of the two images is the
+    image at the n nodes.
     """
-    u = np.asarray(samples, dtype=float)
-    half = blocks.shape[1]
-    v, w = u[:half], u[half:][::-1]
-    y_even = blocks[0] @ (v + w)
-    y_odd = blocks[1] @ (v - w)
-    return 0.5 * np.concatenate((y_even + y_odd, (y_even - y_odd)[::-1]))
+    e, o = split_parity(samples)
+    return join_parity((blocks[0] @ e, blocks[1] @ o))
 
 
 def save_matrix(matrix: OperatorMatrix, path) -> None:

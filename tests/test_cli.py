@@ -239,9 +239,26 @@ class TestFisher:
         diagnostics = json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
         for tag in ("alpha_1", "alpha_1.2"):
             timings = diagnostics[tag]["timings"]
-            assert set(timings) == {"matrix_s", "simulate_s", "steps_per_s"}
+            assert set(timings) == {
+                "matrix_s", "simulate_s", "fold_s", "step_s", "track_s", "steps_per_s"
+            }
             assert all(v > 0.0 for v in timings.values())
-            assert timings["steps_per_s"] == pytest.approx(30 / timings["simulate_s"])
+            # the steps alone: first-use imports of the tracking land in track_s
+            assert timings["steps_per_s"] == 30 / timings["step_s"]
+
+    def test_manifest_phase_timings_fit_in_simulate_s(self, tmp_path):
+        # fold_s, step_s and track_s are disjoint parts of the simulation
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--n", "16", "--dt", "0.01", "--tfinal", "0.3",
+            "--L", "30.0", "--llim", "20", "--sample-stride", "2", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        diagnostics = json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
+        timings = diagnostics["alpha_1.2"]["timings"]
+        phases = [timings[key] for key in ("fold_s", "step_s", "track_s")]
+        assert all(v >= 0.0 for v in phases)
+        assert sum(phases) <= timings["simulate_s"]
 
     def test_manifest_node_spacing(self, tmp_path):
         # (pi/n)*(L + x^2/L) at x = 0 and at the last front position

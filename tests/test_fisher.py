@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -25,10 +26,17 @@ from fraclap.fisher import (
     rk4_step,
     run_simulation,
     _ols_rate,
+    _parity_stepper,
     _spectral_tail,
 )
 from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
-from fraclap.opmatrix import apply_sample_operator, build_matrix, fused_sample_operator
+from fraclap.opmatrix import (
+    apply_sample_operator,
+    build_matrix,
+    fused_sample_operator,
+    join_parity,
+    split_parity,
+)
 from fraclap.oracles import closed_form_gaussian
 from fraclap.spectral import evaluate, transform
 
@@ -182,6 +190,24 @@ class TestRk4Step:
             assert moved.ctypes.data % 64 == offset
             for got, want in zip(run(moved), expected):
                 assert np.array_equal(got, want)
+
+    def test_bound_step_allocates_no_vector(self):
+        # the bound stepper writes every GEMV and ufunc into its own work
+        # arrays: 50 steps at n = 512 stay below one n-vector of allocations
+        n, alpha = 512, 1.95
+        cfg = GridConfig(n, 1000.0 / alpha**3)
+        op = fused_sample_operator(build_matrix(cfg, alpha, 20), cfg)
+        p, _, step = _parity_stepper(op, 0.01)
+        p[...] = split_parity(initial_condition(node_positions(cfg), alpha))
+        step()
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
     def test_temporal_order(self):
         # self-convergence on a smooth, mildly stiff run (dt*lambda well
@@ -356,18 +382,19 @@ class TestRunSimulation:
 
     def test_every_step_state_is_the_rk4_result(self):
         # two steps from the initial condition: the state is the RK4 result
-        # itself, with no transform round trip between steps
+        # itself, kept in parity coordinates with no transform round trip and
+        # no node values between steps, so it is two bound steps from split(u0)
         alpha = 1.2
         cfg = GridConfig(64, 50.0)
         matrix = build_matrix(cfg, alpha, 200)
         run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.02, l_lim=200,
                         sample_stride=1, fit_window=(0.0, 0.02))
         result = run_simulation(run, matrix)
-        op = fused_sample_operator(matrix, cfg)
-        u = initial_condition(node_positions(cfg), alpha)
-        np.testing.assert_array_equal(
-            result.final_samples, rk4_step(rk4_step(u, 0.01, op), 0.01, op)
-        )
+        p, _, step = _parity_stepper(fused_sample_operator(matrix, cfg), 0.01)
+        p[...] = split_parity(initial_condition(node_positions(cfg), alpha))
+        step()
+        step()
+        np.testing.assert_array_equal(result.final_samples, join_parity(p))
 
     def test_spectral_tail_orders_the_grids(self):
         # tail(u0) as measured at n = 512: the criteria grids L = 1000/alpha^3

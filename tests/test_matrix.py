@@ -28,8 +28,10 @@ from fraclap.opmatrix import (
     column_checksums,
     fractional_laplacian,
     fused_sample_operator,
+    join_parity,
     load_matrix,
     save_matrix,
+    split_parity,
 )
 from fraclap.oracles import closed_form_gaussian, closed_form_mode2
 from fraclap.spectral import transform
@@ -321,6 +323,31 @@ class TestFractionalLaplacian:
     def test_fused_operator_rejects_odd_extension(self):
         with pytest.raises(ValueError, match="even-extension"):
             fused_sample_operator(build_matrix(ODD8, 0.5, 50), ODD8)
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_sample_operator_is_the_halved_block_images(self, n, rng):
+        # bit for bit the halved sum and difference of the two block images,
+        # written out on the halves v and w reversed
+        cfg = GridConfig(n, 1000.0 / 1.95**3)
+        blocks = fused_sample_operator(build_matrix(cfg, 1.95, 40), cfg)
+        half = n // 2
+        for u in (rng.standard_normal(n), 0.5 - 0.5 * np.tanh(node_positions(cfg) / 50.0)):
+            v, w = u[:half], u[half:][::-1]
+            y_even, y_odd = blocks[0] @ (v + w), blocks[1] @ (v - w)
+            expected = 0.5 * np.concatenate((y_even + y_odd, (y_even - y_odd)[::-1]))
+            assert np.array_equal(apply_sample_operator(blocks, u), expected)
+
+    @pytest.mark.parametrize("n", [2, 16, 512])
+    def test_parity_join_inverts_split(self, n, rng):
+        # ((v + w) + (v - w))/2 rounds twice: within 2 ulp of the larger of
+        # each node's value and its mirror's
+        u = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        p = split_parity(u)
+        assert p.shape == (2, n // 2)
+        assert np.array_equal(p[0], u[: n // 2] + u[n // 2 :][::-1])
+        assert np.array_equal(p[1], u[: n // 2] - u[n // 2 :][::-1])
+        scale = np.maximum(np.abs(u), np.abs(u[::-1]))
+        assert np.all(np.abs(join_parity(p) - u) <= 2.0 * np.spacing(scale))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_one_block_serves_every_map(self, alpha):
