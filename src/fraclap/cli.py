@@ -140,8 +140,13 @@ def _write_manifest(path: Path, command: str, params: dict, outputs: list[str],
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One CSV, one cell rule: None is an empty cell, a string stays as it is, a number is %.17g."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(["" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row]
+                    for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +225,17 @@ def _cmd_validate(args) -> int:
         alphas = np.asarray([0.4, 1.0, 1.6])  # each probe is an adaptive quadrature
     else:
         alphas = alpha_grid(0.05, 1.95, 0.05)
+    if args.target == "mode2":
+        alphas = alphas[np.abs(alphas - 1.0) > 1e-12]  # the column is the closed form there
+    if not alphas.size:
+        raise ParameterError(f"no alpha left to scan for --target {args.target}")
+    for alpha in alphas:  # every input is checked before the first build
+        check_block(args.n, float(alpha), args.llim)
 
     if args.l_sweep is not None:
         l_values = _parse_span(args.l_sweep)
+        for l_scale in l_values:  # checks every L before the first build
+            GridConfig(args.n, float(l_scale), args.xc, Extension(args.extension))
         errors = scale_sweep(args.n, l_values, alphas, args.llim,
                              Extension(args.extension), x_center=args.xc)
         min_error = float(np.min(errors))
@@ -232,8 +245,6 @@ def _cmd_validate(args) -> int:
         diagnostics.update({"best_L": best, "min_error": min_error})
         gate_value = min_error  # a sweep gates on the best achievable error
     elif args.target in ("mode2", "gaussian"):
-        if args.target == "mode2":
-            alphas = alphas[np.abs(alphas - 1.0) > 1e-12]
         scan = error_scan(args.target, cfg, args.llim, alphas)
         header, rows = ["alpha", "max_node_error"], zip(scan.alphas, scan.errors)
         print(f"global max error over {len(alphas)} alpha values: {scan.global_max:.6e}")
@@ -247,10 +258,7 @@ def _cmd_validate(args) -> int:
         diagnostics.update({"global_max": gate_value})
 
     t_scanned = time.perf_counter()
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_fmt(v) for v in row] for row in rows)
+    _write_csv(out, header, rows)
     t_written = time.perf_counter()
     wall = t_written - t0
     diagnostics["timings"] = {"scan_s": t_scanned - t0, "write_s": t_written - t_scanned}
@@ -332,11 +340,8 @@ def _cmd_fisher(args) -> int:
             t_done = time.perf_counter()
             trace = result.trace
             trace_path = out_dir / f"trace_alpha{tag}.csv"
-            with open(trace_path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "x05", "ln_x05"])
-                for t, x in zip(trace.times, trace.x05):
-                    w.writerow([_fmt(t), _fmt(x), _fmt(float(np.log(x)))])
+            _write_csv(trace_path, ["t", "x05", "ln_x05"],
+                       ((t, x, np.log(x)) for t, x in zip(trace.times, trace.x05)))
         except (BlowUpError, FrontEscapeError, MatrixCacheError, ValueError, OSError) as exc:
             print(f"alpha={tag}: FAILED ({exc})")
             summary_rows.append((alpha, None, 1.0 / alpha, None, None, type(exc).__name__))
@@ -375,11 +380,8 @@ def _cmd_fisher(args) -> int:
         )
 
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "sigma", "predicted", "rel_gap", "fit_residual", "status"])
-        for row in summary_rows:
-            w.writerow(["" if v is None else (v if isinstance(v, str) else _fmt(v)) for v in row])
+    _write_csv(summary_path, ["alpha", "sigma", "predicted", "rel_gap", "fit_residual", "status"],
+               summary_rows)
     outputs.append(str(summary_path))
 
     _write_manifest(

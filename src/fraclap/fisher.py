@@ -128,10 +128,11 @@ def _parity_stepper(op: np.ndarray, dt: float):
     u(1-u) splits into e - (e^2 + o^2)/2 and o - e*o.  ``stage(s, e, o)``
     writes the right-hand side at the state s = [e; o] into a work array
     and returns it.  ``step()`` advances ``p`` in place by one classical
-    RK4 step of ``dt`` and raises :class:`BlowUpError` when the max-norm of
-    the node values, max(|e| + |o|)/2, exceeds :data:`BLOWUP_LIMIT` or is
-    NaN.  Every work array and row view is bound here, and every GEMV and
-    ufunc writes through ``out=``, so a step allocates no array.
+    RK4 step of ``dt``, k2 and k3 through one loop over h = dt/2, dt, and
+    raises :class:`BlowUpError` when the max-norm of the node values,
+    max(|e| + |o|)/2, exceeds :data:`BLOWUP_LIMIT` or is NaN.  Every work
+    array and row view is bound here, and every GEMV and ufunc writes
+    through ``out=``, so a step allocates no array.
     """
     half = op.shape[1]
     work = aligned_empty((10, half))
@@ -160,16 +161,12 @@ def _parity_stepper(op: np.ndarray, dt: float):
         np.copyto(acc, k)
         multiply(k, half_dt, out=y)
         add(p, y, out=y)
-        stage(y, y0, y1)  # k2
-        multiply(k, half_dt, out=y)
-        add(p, y, out=y)
-        multiply(k, 2.0, out=k)
-        add(acc, k, out=acc)
-        stage(y, y0, y1)  # k3
-        multiply(k, dt, out=y)
-        add(p, y, out=y)
-        multiply(k, 2.0, out=k)
-        add(acc, k, out=acc)
+        for h in (half_dt, dt):  # k2, then k3; each moves y to the next stage's point p + h*k
+            stage(y, y0, y1)
+            multiply(k, h, out=y)
+            add(p, y, out=y)
+            multiply(k, 2.0, out=k)
+            add(acc, k, out=acc)
         stage(y, y0, y1)  # k4
         add(acc, k, out=acc)  # k1 + 2*k2 + 2*k3 + k4
         multiply(acc, sixth_dt, out=acc)

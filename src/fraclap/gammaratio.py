@@ -18,13 +18,15 @@ series are rational in m (:func:`fraclap.symbol._mode2_chunks`).
 
 The running product is long double for the first _HEAD entries and float64
 after them (see :func:`ratio_vector` for the form and its accuracy).  The
-float64 tail is there for speed: x87 long double has no SIMD, and when the
-mode-2 column still read tables at n = 1024, l_lim = 500, an all-long-double
-recursion took 46 of its 50 ms (2-core Xeon VM).  The long-double head is
-there for the odd block's results: with it, the blocks built at n = 128,
-l_lim = 500 are bit-identical to blocks built from all-long-double vectors
-(pinned at alpha 0.3, 1.5 and 1.95).  No step forms a temporary the size of
-a vector, and no step calls BLAS.
+float64 tail is there for the speed of the odd block's vectors, its only
+caller: x87 long double has no SIMD, and at l_lim = 500 an all-long-double
+vector took 3.01 ms against 0.66 ms for this head and tail at n = 128, and
+21.0 ms against 3.92 ms at n = 1024 (alpha = 0.3, medians of 30 calls,
+2-core Xeon VM).  The long-double
+head is there for the odd block's results: with it, the blocks built at
+n = 128, l_lim = 500 are bit-identical to blocks built from
+all-long-double vectors (pinned at alpha 0.3, 1.5 and 1.95).  The tail
+forms one temporary, the exact m of its entries, and no step calls BLAS.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ import math
 import numpy as np
 
 _HEAD = 4096  # entries accumulated in long double before the float64 tail
-_STEP = 32768  # tail entries of b+m formed per pass: no temporary at all
-_RAMP = np.arange(_STEP, dtype=np.float64)  # 0.._STEP-1, shifted to the m of each pass
-_RAMP.flags.writeable = False
 
 
 def ratio_vector(a: float, b: float, length: int) -> np.ndarray:
@@ -48,7 +47,9 @@ def ratio_vector(a: float, b: float, length: int) -> np.ndarray:
     The first _HEAD entries of the recursion multiply the factors
     (a+m)/(b+m) in long double.  Every later entry continues from the one
     before it as a float64 running product of the same factors written
-    1 + (a-b)/(b+m), formed _STEP entries per pass.  In float64 the form
+    1 + (a-b)/(b+m).  b+m is formed for the whole tail at once, from the
+    exact integers m rounded once by the addition of b, through one float64
+    temporary of the tail's length.  In float64 the form
     matters: a+m rounds the same way for every m in a binade, so a product
     of (a+m)/(b+m) drifts (1.8e-11 relative at m ~ 5e5), while
     1 + (a-b)/(b+m) only rounds its small offset from 1 and the error grows
@@ -80,11 +81,8 @@ def ratio_vector(a: float, b: float, length: int) -> np.ndarray:
     pos = shift + head.size
     if pos < length:
         tail = out[pos - 1 :]  # the last head entry, then b+m, then the factors
-        start = head.size - 1  # m of that entry in the recursion
-        for j in range(1, tail.size, _STEP):
-            run = tail[j : j + _STEP]
-            np.add(_RAMP[: run.size], start + j - 1, out=run)  # m, exact
-            run += b
+        m0 = head.size - 1  # m of that entry in the recursion
+        np.add(np.arange(m0, m0 + tail.size - 1, dtype=np.float64), b, out=tail[1:])  # m exact
         np.divide(a - b, tail[1:], out=tail[1:])
         tail[1:] += 1.0
         np.cumprod(tail, out=tail)

@@ -8,13 +8,15 @@ Laplacian.  On the map x = x_c + L*cot(s) it is homogeneous of degree
 scale it by L^(-alpha) of the grid they are given, whatever its shift or
 extension parity.
 
-Only the independent n x (n-1) block is stored: rows are the n physical
-nodes j < n, columns the modes k = 1..n-1.  The rest is implicit.  The
-image of a mode is a function of x, and s_j + pi is the same point as s_j,
-so the nodes j >= n would repeat the physical rows.  The column of -k
-is the conjugate of the column of k.  Constants (k = 0) are annihilated,
-and the k = -n mode's image is not representable on the grid, so both
-contribute zero.  For the real coefficients of
+Only an n x (n-1) block is stored: rows are the n physical nodes j < n,
+columns the modes k = 1..n-1.  The rest is implicit.  The image of a mode
+is a function of x, and s_j + pi is the same point as s_j, so the nodes
+j >= n would repeat the physical rows.  The column of -k is the conjugate
+of the column of k.  Constants (k = 0) are annihilated, and the k = -n
+mode's image is not representable on the grid, so both contribute zero.
+The stored block still repeats itself: the operator commutes with
+s -> pi - s, so row n-1-j is (-1)^k times the conjugate of row j, and the
+rows j >= n/2 mirror the rows j < n/2.  For the real coefficients of
 :func:`fraclap.spectral.transform` the columns k and -k fold into one real
 column each, which :func:`apply` uses.  On the samples of an even function
 the operator also folds, by reflection parity, into the two n/2 x n/2
@@ -83,7 +85,7 @@ class MatrixMeta:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """The unit-scale operator's independent block: n physical rows, columns k = 1..n-1."""
+    """The unit-scale operator's stored block: n physical rows, columns k = 1..n-1."""
 
     entries: np.ndarray
     meta: MatrixMeta

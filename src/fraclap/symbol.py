@@ -45,10 +45,11 @@ and G once per call into the summation order, the exact sign (-1)^l1
 folded into the copy; only the l1 = 0 rows, where l and e change sign, are
 gathered.  The k = 2 column evaluates no gamma ratio at all: its two
 ratios differ by exactly 2 in their arguments, so each term is a rational
-function of |l|, formed a chunk of rows at a time, smallest p first, by
-one generator that owns the chunk buffer (:func:`_mode2_chunks`), and
-never as W or G.  The -p and +p terms are fused into each row's P0 and P1
-parts and reduced chunk by chunk (:func:`_column_sums`).
+function of |l|, formed a chunk of rows at a time, largest p first as
+they are summed, by one generator that owns the chunk buffer
+(:func:`_mode2_chunks`), and never as W or G.  The -p and +p terms are
+fused into each row's P0 and P1 parts and reduced chunk by chunk, each
+chunk's sums added in as it arrives (:func:`_column_sums`).
 
 Each call takes its large work arrays from one allocation: W, G and the
 product operand for the odd block, the chunk buffers for the k = 2
@@ -58,7 +59,7 @@ separate arrays were mapped and faulted in afresh at every call.  Nothing is kep
 calls, and no result is a view of the buffer.
 
 The k = 2 column's buffer starts on a 64-byte cache line
-(:func:`aligned_empty`), and so does each of its sections: every section is
+(:func:`aligned_empty`), and so does each of its six rows: every row is
 padded to whole lines.  Its chunk passes are elementwise ufuncs and GEMVs,
 which stream their operands as they lie, and numpy aligns an allocation to
 16 bytes only.  On an AVX-512 machine a chunk's multiplies and subtracts
@@ -306,16 +307,18 @@ def _mode2_zero(alpha: float, n: int) -> np.ndarray:
 
 
 def _mode2_chunks(alpha: float, n: int, l_lim: int):
-    """Yield the k = 2 column's terms for p = 1..l_lim, a chunk of _CHUNK // n rows at a time, smallest p first.
+    """Yield the k = 2 column's terms for p = l_lim..1, a chunk of _CHUNK // n rows at a time, largest p first.
 
-    Each chunk is (top, t_minus, t_plus, spare): three (count, n) views of
-    one work buffer that the next chunk reuses, row r at p = top - r and
-    column j at l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of
-    l1 = +p, and ``spare`` is free for the caller.  The buffer starts on a
-    cache line (:func:`aligned_empty`) and holds six sections, each of
-    size + 5 entries (size = min(_CHUNK // n, l_lim)*n) padded to whole
-    cache lines, so each starts on a line too: the spare, the ramp j, L, R,
-    t- and the pair products.  No gamma ratio is evaluated: the two ratios
+    The chunks are walked in summation order: top = l_lim, l_lim - rows,
+    ..., and the short chunk, if any, comes last.  Each chunk is (top,
+    t_minus, t_plus, spare): three (count, n) views of one work buffer that
+    the next chunk reuses, row r at p = top - r and column j at
+    l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of l1 = +p, and
+    ``spare`` is free for the caller.  The buffer is one
+    :func:`aligned_empty` array of six rows, each of size + 5 entries
+    (size = min(_CHUNK // n, l_lim)*n) padded to whole cache lines, so each
+    row starts on a line: the spare, the ramp j, L, R, t- and the pair
+    products.  No gamma ratio is evaluated: the two ratios
     of a k = 2 term differ by exactly 2 in their arguments
     (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.
     With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c, L(m) = m - c and
@@ -339,12 +342,10 @@ def _mode2_chunks(alpha: float, n: int, l_lim: int):
     rows = max(1, _CHUNK // n)
     size = min(rows, l_lim) * n
     span = -(-(size + 5) // 8) * 8  # size + 5 entries, rounded up to whole cache lines
-    work = aligned_empty(6 * span)
     # lo and hi hold L and R at m = M + 2 - j
-    spare, ramp, lo, hi, t_minus, pairs = (work[i * span : i * span + size + 5] for i in range(6))
+    spare, ramp, lo, hi, t_minus, pairs = aligned_empty((6, span))[:, : size + 5]
     ramp[:] = np.arange(size + 5)
-    # the first chunk holds what is left over after whole chunks: the smallest p
-    for top in range((l_lim - 1) % rows + 1, l_lim + 1, rows):
+    for top in range(l_lim, 0, -rows):
         count = min(rows, top)
         k = count * n
         lf, rf = lo[: k + 5], hi[: k + 5]
@@ -366,29 +367,26 @@ def _mode2_chunks(alpha: float, n: int, l_lim: int):
 def _column_sums(alpha: float, n: int, l_lim: int):
     """P0 and P1 of the k = 2 column, each an n-vector over the nodes.
 
-    The terms come chunk by chunk from :func:`_mode2_chunks`, smallest p
-    first.  Each chunk's rows stand largest p first; its terms t- of
-    l1 = -p and t+ of l1 = +p are fused into P0 rows t- + t+ and P1 rows
-    t+ - t-, and then reduced with one dot against (-1)^p and (-1)^p*p, on
-    one OpenBLAS thread (:func:`_one_blas_thread`).  The chunk sums are kept
-    and added largest p first after the walk, and the l1 = 0 row
-    (:func:`_mode2_zero`) is added to P0 last; it has no share in P1.
+    The terms come chunk by chunk from :func:`_mode2_chunks`, largest p
+    first, and so do each chunk's rows.  A chunk's terms t- of l1 = -p and
+    t+ of l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t-, and
+    reduced with one dot against (-1)^p and (-1)^p*p, on one OpenBLAS
+    thread (:func:`_one_blas_thread`); the two dots are added into P0 and
+    P1 as the chunk arrives.  The l1 = 0 row (:func:`_mode2_zero`) is added
+    to P0 last; it has no share in P1.
     """
     p = np.arange(l_lim, 0, -1)
     w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
     w1 = w0 * p
-    sums = []
+    p0 = np.zeros(n)
+    p1 = np.zeros(n)
     with _one_blas_thread():
         for top, tm, tp, diff in _mode2_chunks(alpha, n, l_lim):
             chunk = slice(l_lim - top, l_lim - top + len(tp))  # row i of w0 holds p = l_lim - i
             np.subtract(tp, tm, out=diff)
             np.add(tm, tp, out=tp)
-            sums.append((w0[chunk] @ tp, w1[chunk] @ diff))
-    p0 = np.zeros(n)
-    p1 = np.zeros(n)
-    for s0, s1 in reversed(sums):
-        p0 += s0
-        p1 += s1
+            p0 += w0[chunk] @ tp
+            p1 += w1[chunk] @ diff
     p0 += _mode2_zero(alpha, n)
     return p0, p1
 

@@ -7,6 +7,7 @@ import pytest
 import scipy
 
 from conftest import cache_file_bytes
+from fraclap import cli
 from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
@@ -188,6 +189,32 @@ class TestValidate:
             "--out", str(tmp_path / "scan.csv"),
         )
         assert code == EXIT_INVALID
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode2_grid_of_alpha_one_alone_is_a_parameter_error(self, tmp_path, capsys):
+        # alpha = 1 is dropped first; an empty grid is named, not a numpy error
+        code = run_cli(
+            "validate", "--target", "mode2", "--n", "16", "--llim", "10",
+            "--alpha-grid", "1:1:0.1", "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: no alpha left to scan for --target mode2\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [
+        ("--target", "gaussian", "--alpha-grid", "0.5:2:0.5"),
+        ("--target", "quadrature", "--alpha-grid", "0.5:2:0.5"),
+        ("--target", "gaussian", "--alpha-grid", "0.5:1:0.5", "--l-sweep", "0:2:1"),
+    ], ids=["gaussian-alpha2", "quadrature-alpha2", "l-sweep-L0"])
+    def test_every_input_is_checked_before_any_scan(self, tmp_path, monkeypatch, bad):
+        # a bad alpha or L late in a grid exits 2 before the first build
+        calls = []
+        for name in ("build_matrix", "error_scan", "scale_sweep"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        code = run_cli("validate", *bad, "--n", "16", "--llim", "10",
+                       "--out", str(tmp_path / "scan.csv"))
+        assert code == EXIT_INVALID
+        assert calls == []
         assert list(tmp_path.iterdir()) == []
 
     def test_quadrature_target(self, tmp_path):

@@ -123,7 +123,7 @@ class TestRatioStream:
         (-0.975, 2.975, 0xF9068C32), (0.0, 1.7, 0x92121956),
     ])
     def test_ratio_vectors_are_pinned(self, a, b, crc):
-        # 80000 entries, two _STEP runs of tail: any change to the recursion moves
+        # 80000 entries, about 76000 in the float64 tail: any change to the recursion moves
         # these.  At (0, 1) the entries 1/m come out the same with the long-double
         # head one entry shorter; at (0, 1.7) they do not.
         assert zlib.crc32(ratio_vector(a, b, 80000).tobytes()) == crc

@@ -460,6 +460,13 @@ class TestWorkBuffers:
         out[...] = 1.0
         assert np.all(out == 1.0)
 
+    @pytest.mark.parametrize("n,l_lim,tops", [
+        (1024, 33, [33, 1]), (4, 40, [40]), (1024, 500, list(range(500, 0, -32))),
+    ])
+    def test_k2_chunks_walk_in_summation_order(self, n, l_lim, tops):
+        # largest p first, as the column sums them: the short chunk comes last
+        assert [top for top, *_ in symbol._mode2_chunks(0.5, n, l_lim)] == tops
+
     @pytest.mark.parametrize("n,l_lim", [(6, 7), (1024, 500)])
     def test_k2_sections_start_on_a_cache_line(self, n, l_lim):
         # the chunk terms and the spare are views of three sections of the work buffer
