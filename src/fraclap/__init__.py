@@ -10,7 +10,7 @@ involved.
 Subpackages
 -----------
 grid        coordinate map and node generation
-spectral    real transforms (DCT-II/DST-II) and series evaluation
+spectral    real transforms (DCT-II/DST-II from one real FFT) and series evaluation
 gammaratio  stable gamma-ratio vectors Gamma(a+m)/Gamma(b+m) by recursion
 symbol      closed-form operator action on Fourier modes: block columns, or k = 2 alone
 opmatrix    assembly, caching and application of the operational matrix
@@ -20,13 +20,12 @@ cli         command line driver
 
 ``import fraclap`` loads numpy and no SciPy module: 0.08-0.14 s in a fresh
 process with one OpenBLAS thread on a 2-core VM, of which numpy is about
-0.09 s.  The block build, the k = 2 column (``symbol_samples``), the cache
-and the RK4 stage need numpy alone.  These calls load a SciPy module on
-first use: ``transform`` loads scipy.fft (about 0.26 s, scipy.special with
-it), ``closed_form_mode1`` and ``closed_form_gaussian`` load scipy.special
-(about 0.23 s), ``quadrature_fraclap`` loads scipy.integrate, and
-``front_position`` and the front tracking of ``run_simulation`` load
-scipy.optimize.
+0.09 s.  The block build, the k = 2 column (``symbol_samples``), the cache,
+``transform`` and the whole Fisher path (the RK4 stage, ``front_position``
+and the front tracking of ``run_simulation``) need numpy alone.  These
+calls load a SciPy module on first use: ``closed_form_mode1`` and
+``closed_form_gaussian`` load scipy.special (about 0.23 s), and
+``quadrature_fraclap`` loads scipy.integrate.
 """
 
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s

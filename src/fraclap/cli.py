@@ -436,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fish.add_argument("--alpha-sweep", help="a:b:step sweep of orders")
     p_fish.add_argument("--n", type=int, default=1024)
     p_fish.add_argument("--dt", type=float, required=True)
-    p_fish.add_argument("--tfinal", type=float, required=True)
+    p_fish.add_argument("--tfinal", type=float, required=True, help="horizon, a whole number of --dt steps")
     p_fish.add_argument("--L", type=float, help="map scale (default 1000/alpha^3)")
     p_fish.add_argument("--xc", type=float, default=0.0)
     p_fish.add_argument("--llim", type=int, default=500)

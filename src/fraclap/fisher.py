@@ -16,9 +16,10 @@ For evenly extended data the phase-shifted transform is the DCT-II of
 :func:`fraclap.spectral.transform` and the interpolant is its cosine
 series.  The stable state u = 1 invades
 u = 0 with exponentially increasing speed; the front position x05(t), where
-the solution crosses 1/2, is located by bracketing on the nodes plus
-Brent's method on the cosine series, and the rate sigma in x05 ~
-exp(sigma*t) is obtained from a least-squares line through ln x05(t).
+the solution crosses 1/2, is located by bracketing on the nodes plus a
+safeguarded Newton iteration on the cosine series, and the rate sigma in
+x05 ~ exp(sigma*t) is obtained from a least-squares line through
+ln x05(t).  The path needs numpy alone.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fraclap.grid import Extension, GridConfig, _check_integer, node_positions
+from fraclap.grid import Extension, GridConfig, _check_integer, node_positions, nodes
 from fraclap.opmatrix import OperatorMatrix, fused_sample_operator, join_parity, split_parity
-from fraclap.spectral import evaluate, transform
+from fraclap.spectral import cosine_transform
 from fraclap.symbol import aligned_empty, check_block
 
 #: solutions of the monostable problem live in [0, 1]; exceeding this
@@ -66,6 +67,11 @@ class FisherRun:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        ratio = self.t_final / self.dt
+        if not abs(ratio - round(ratio)) <= 1e-9 * ratio:
+            raise ValueError(
+                f"t_final must be a whole number of steps dt, got t_final/dt = {ratio:.12g}"
+            )
         _check_integer("sample_stride", self.sample_stride)
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
@@ -78,7 +84,7 @@ class FisherRun:
 
     @property
     def n_steps(self) -> int:
-        """Number of RK4 steps from t = 0 to t_final."""
+        """Number of RK4 steps from t = 0 to t_final, a whole number at construction."""
         return int(round(self.t_final / self.dt))
 
 
@@ -206,35 +212,93 @@ def front_position(samples, cfg: GridConfig) -> float:
 
     ``samples`` are the n physical node values.  Node positions decrease with
     j, so the smallest j with a sign change of u - 1/2 between neighbours
-    gives the largest-x (invading) crossing.  Brent's method then finds the
-    root of the cosine-series interpolant inside that bracket to
-    1e-10 * max(1, |x|).
+    gives the largest-x (invading) crossing.  A safeguarded Newton iteration
+    on the cosine-series interpolant then finds the root inside that
+    bracket to 1e-10 * max(1, |x|) (:func:`_front_finder`).
     """
     u = np.asarray(samples, dtype=float)
     if u.shape != (cfg.n,):
         raise ValueError(f"expected {cfg.n} physical samples, got shape {u.shape}")
-    return _crossing(u, transform(u, Extension.EVEN), cfg, node_positions(cfg))
+    return _front_finder(cfg)(u)[0]
 
 
-def _crossing(u: np.ndarray, c: np.ndarray, cfg: GridConfig, x: np.ndarray) -> float:
-    """:func:`front_position` of the n values u at the nodes x, whose cosine coefficients are c."""
-    from scipy.optimize import brentq  # on first use, like quad in fraclap.oracles
+def _front_finder(cfg: GridConfig):
+    """One grid's front finder, bound to its constants and work arrays: ``find(u) -> (x05, c)``.
 
-    d = u - 0.5
-    hit = np.nonzero(d == 0.0)[0]
-    crossings = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
-    if hit.size and (not crossings.size or hit[0] < crossings[0]):
-        return float(x[hit[0]])
-    if not crossings.size:
-        raise FrontEscapeError("no 1/2-crossing between adjacent nodes")
-    j = int(crossings[0])
-    lo, hi = float(x[j + 1]), float(x[j])  # lo < hi
-    ends = {lo: d[j + 1], hi: d[j]}  # node values: their signs are known to differ
+    ``find`` takes the n node values u, forms their cosine coefficients c
+    (:func:`fraclap.spectral.cosine_transform`) and returns the crossing of
+    :func:`front_position` with c.  The bracket is the right-most pair of
+    nodes whose values u - 1/2 differ in sign (a node value of exactly 1/2
+    further right is returned as it is), and those signs stay the bracket's
+    signs.  Inside it Newton runs in theta = arccot((x - x_center)/l_scale)
+    on f(theta) = c_0 + 2*sum_k c_k*cos(k*theta) - 1/2, with the exact
+    derivative -2*sum_k k*c_k*sin(k*theta) (Boyd, *Chebyshev and Fourier
+    Spectral Methods*, 2001, ch. 17), from the secant of the node values.
+    Each series value narrows the bracket.  A step that would leave the
+    bracket, or that is longer than half the step before it, is replaced
+    by bisection.  Iteration stops once a Newton step moves x by at most
+    1e-10 * max(1, |x|), or once the bracket is that narrow in x.
+    The k ramp, the node angles and the DCT's twiddles are bound here once.
+    """
+    n, l_scale, x_center = cfg.n, cfg.l_scale, cfg.x_center
+    dct2 = cosine_transform(n)
+    x, s = node_positions(cfg), nodes(cfg)
+    k = np.arange(n, dtype=float)
+    w, wk, ks, cos_ks, sin_ks = np.empty((5, n))
+    cos, sin, multiply, dot = math.cos, math.sin, np.multiply, np.dot
 
-    def g(pt: float) -> float:
-        return ends[pt] if pt in ends else evaluate(c, Extension.EVEN, cfg, pt) - 0.5
+    def x_at(theta: float) -> float:
+        return x_center + l_scale * cos(theta) / sin(theta)
 
-    return float(brentq(g, lo, hi, xtol=_FRONT_XTOL * max(1.0, abs(hi))))
+    def find(u: np.ndarray) -> tuple[float, np.ndarray]:
+        c = dct2(u)
+        d = u - 0.5
+        hit = np.nonzero(d == 0.0)[0]
+        crossings = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+        if hit.size and (not crossings.size or hit[0] < crossings[0]):
+            return float(x[hit[0]]), c
+        if not crossings.size:
+            raise FrontEscapeError("no 1/2-crossing between adjacent nodes")
+        j = int(crossings[0])
+        tol = _FRONT_XTOL * max(1.0, abs(float(x[j])))
+        a, b = float(s[j]), float(s[j + 1])  # a < b in theta; x decreases with theta
+        da, db = float(d[j]), float(d[j + 1])
+        a_positive = da > 0.0
+        theta = a + (b - a) * da / (da - db)
+        if not a < theta < b:
+            theta = 0.5 * (a + b)
+        multiply(c, 2.0, out=w)  # f = w.cos(k*theta) - 1/2 and f' = -wk.sin(k*theta)
+        w[0] = c[0]
+        multiply(w, k, out=wk)
+        x_theta, last = x_at(theta), b - a
+        while True:
+            multiply(k, theta, out=ks)
+            np.cos(ks, out=cos_ks)
+            np.sin(ks, out=sin_ks)
+            f = float(dot(cos_ks, w)) - 0.5
+            if f == 0.0:
+                return x_theta, c
+            if (f > 0.0) == a_positive:
+                a = theta
+            else:
+                b = theta
+            slope = -float(dot(sin_ks, wk))
+            step = f / slope if slope else math.inf
+            new = theta - step
+            if a <= new <= b and abs(step) <= 0.5 * last:  # a step below an ulp of theta lands on it
+                x_new = x_at(new)
+                if abs(x_new - x_theta) <= tol:
+                    return x_new, c
+                last = abs(step)
+            else:
+                new = 0.5 * (a + b)
+                x_new = x_at(new)
+                if abs(x_at(a) - x_at(b)) <= tol or not a < new < b:
+                    return x_new, c
+                last = b - a
+            theta, x_theta = new, x_new
+
+    return find
 
 
 def _spectral_tail(coeffs) -> float:
@@ -280,14 +344,16 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     step's state is the RK4 result.  Node values are formed only at t = 0,
     every ``sample_stride`` steps and at the last step, where one DCT of
     them gives the front position and the spectral tail
-    (:func:`_spectral_tail`).  The fit window defaults to the last 40% of
+    (:func:`_spectral_tail`), through a :func:`_front_finder` bound once
+    per run like the stepper.  The fit window defaults to the last 40% of
     the run.  Numpy floating-point warnings are silenced in the loop: a
     step that overflows ends in :class:`BlowUpError`.  ``diagnostics``
     holds ``spectral_tail`` (``initial``, ``final`` and ``max`` over the
     samples), the extreme final node values ``final_min`` and
     ``final_max``, ``max_imag``: always 0.0 on the real path, kept because
     the fisher-front benchmark gate reads it, and ``timings``: ``fold_s``
-    (folding the blocks, binding the stepper and the initial state),
+    (folding the blocks, binding the stepper and the front finder, and the
+    initial state),
     ``step_s`` (the RK4 steps) and ``track_s`` (node values, DCT, front
     position and tail at the samples), clocked once per front sample.
     """
@@ -304,6 +370,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     u = initial_condition(x, run.alpha)
     p, _, step_once = _parity_stepper(op, run.dt)
     p[...] = split_parity(u)
+    find = _front_finder(cfg)
 
     n_steps = run.n_steps
     times, fronts, tails = [], [], []
@@ -323,11 +390,11 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
             step_s += now - mark
             if step:
                 u = join_parity(p)
-            c = transform(u, Extension.EVEN)
             try:
-                fronts.append(_crossing(u, c, cfg, x))
+                front, c = find(u)
             except FrontEscapeError as exc:
                 raise FrontEscapeError(f"t = {t:.6g}: {exc}") from exc
+            fronts.append(front)
             times.append(t)
             tails.append(_spectral_tail(c))
             mark = perf_counter()

@@ -176,7 +176,7 @@ _QUAD_LIMIT = 400
 
 def _quad_sum(pieces, is_complex: bool, epsabs: float) -> tuple:
     """Sums of the integrals of g over (a, b), (g, a, b) in pieces, and of their error estimates."""
-    from scipy.integrate import quad  # on first use: it and scipy.optimize took ~0.3 s of import fraclap
+    from scipy.integrate import quad  # on first use, like hyp1f1 above
 
     total = err = 0.0
     for g, a, b in pieces:

@@ -90,7 +90,7 @@ s_j + pi is the same point x_j.  There 2*l2*s_j = 2*pi*l2*j/n + pi*l2/n,
 so the remaining l2 series is one n-point inverse DFT of the l1 sums times
 exp(i*pi*l2/n) (Cooley & Tukey, Math. Comp. 19, 1965), which gives all n
 rows of every column at once (:func:`_series`).  It is numpy.fft's
-pocketfft, the same code as scipy.fft's, so nothing here loads SciPy.
+pocketfft, so nothing here loads SciPy.
 """
 
 from __future__ import annotations

@@ -517,6 +517,16 @@ class TestFisher:
             assert code == EXIT_INVALID
             assert not (tmp_path / "x").exists()
 
+    def test_horizon_off_the_step_grid_rejected(self, tmp_path, capsys):
+        # dt = 0.4 to t_final = 1 used to end the run at t = 0.8
+        code = run_cli(
+            "fisher", "--alpha", "1.2", "--n", "16", "--dt", "0.4", "--tfinal", "1",
+            "--llim", "20", "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == EXIT_INVALID
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("bad", [
         ("--alpha-sweep", "1.0:1.2:0.2", "--llim", "-1"),
         ("--alpha-sweep", "1.0:1.2:0.2", "--sample-stride", "0"),

@@ -29,7 +29,7 @@ from fraclap.fisher import (
     _parity_stepper,
     _spectral_tail,
 )
-from fraclap.grid import Extension, GridConfig, node_positions, x_to_s
+from fraclap.grid import Extension, GridConfig, node_positions, nodes, x_to_s
 from fraclap.opmatrix import (
     apply_sample_operator,
     build_matrix,
@@ -299,6 +299,34 @@ class TestFrontPosition:
         )
         assert front_position(u, cfg) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("alpha", [1.5, 1.95])
+    def test_newton_matches_brentq_on_final_states(self, n, alpha):
+        # the final state of a criterion-7 grid run; brentq on the same cosine
+        # series and node bracket, run to the last few ulps
+        cfg = GridConfig(n, 1000.0 / alpha**3)
+        run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=3.0, l_lim=40)
+        u = run_simulation(run, build_matrix(cfg, alpha, 40)).final_samples
+        x = node_positions(cfg)
+        c = transform(u, Extension.EVEN)
+        d = u - 0.5
+        j = int(np.nonzero(d[:-1] * d[1:] < 0.0)[0][0])
+        expected = brentq(lambda pt: evaluate(c, Extension.EVEN, cfg, pt) - 0.5,
+                          x[j + 1], x[j], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert abs(front_position(u, cfg) - expected) <= 1e-12 * abs(expected)
+
+    def test_bisection_where_series_derivative_vanishes(self):
+        # u - 1/2 = g(cos s) with g(c) = (c - b)((c - m)^2 + e) has one root, at
+        # c = b, inside the node bracket |c| < 0.098.  This m puts an extremum
+        # of g at the secant start of the node values (c = -0.0335, g' ~ 1e-16),
+        # so the first Newton step is unbounded, and Newton left to itself never
+        # returns.  Bisection must take over
+        cfg = GridConfig(16, 1.0)
+        b, m, e = -0.06, 0.0174764608894931, 1e-4
+        c = np.cos(nodes(cfg))
+        u = 0.5 + (c - b) * ((c - m) ** 2 + e)
+        assert front_position(u, cfg) == pytest.approx(b / math.sqrt(1.0 - b * b), abs=1e-12)
+
     def test_rejects_extended_samples(self):
         cfg = GridConfig(64, 1.0)
         with pytest.raises(ValueError):
@@ -487,6 +515,15 @@ class TestRunSimulation:
                 FisherRun(cfg=cfg, alpha=1.2, dt=bad, t_final=1.0)
             with pytest.raises(ValueError, match="positive and finite"):
                 FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=bad)
+
+    def test_t_final_must_be_a_whole_number_of_steps(self):
+        # round(t_final/dt) steps used to stop short: dt = 0.4 ended at t = 0.8, dt = 0.3 at 0.9
+        cfg = GridConfig(16, 50.0)
+        for dt in (0.4, 0.3):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                FisherRun(cfg=cfg, alpha=1.2, dt=dt, t_final=1.0)
+        # a ratio off an integer by round-off only (0.3/0.1 = 2.9999999999999996) is whole
+        assert FisherRun(cfg=cfg, alpha=1.2, dt=0.1, t_final=0.3).n_steps == 3
 
     @pytest.mark.parametrize("changes, error", [
         ({"fit_window": (0.3, 0.1)}, ValueError),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import dct, dst
 
 from conftest import continued, dft_oracle, series_oracle
 from fraclap.grid import Extension, GridConfig, node_positions, nodes, x_to_s
@@ -42,6 +43,20 @@ class TestForward:
         for parity in PARITIES:
             full = dft_oracle(continued(u, parity.value))
             np.testing.assert_allclose(_two_sided(transform(u, parity), parity), full, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 511, 512, 1024, 2048])
+    def test_matches_scipy_type_2(self, n, rng):
+        # one real FFT in place of scipy.fft: the same coefficients at round-off, any length
+        u = rng.standard_normal(n)
+        for parity, scipy_transform in ((Extension.EVEN, dct), (Extension.ODD, dst)):
+            want = scipy_transform(u, type=2) / (2 * n)
+            got = transform(u, parity)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            transform(np.ones(0), Extension.EVEN)
 
     def test_length_mismatch(self):
         # one transform per vector of n values: 2-D input is refused
