@@ -18,14 +18,12 @@ oracles     independent ground truths: closed forms (scipy hyp1f1, hyp2f1), quad
 fisher      fractional Fisher-KPP time integration and front-speed fitting
 cli         command line driver
 
-``import fraclap`` loads numpy and no SciPy module: 0.08-0.14 s in a fresh
-process with one OpenBLAS thread on a 2-core VM, of which numpy is about
-0.09 s.  The block build, the k = 2 column (``symbol_samples``), the cache,
-``transform`` and the whole Fisher path (the RK4 stage, ``front_position``
-and the front tracking of ``run_simulation``) need numpy alone.  These
-calls load a SciPy module on first use: ``closed_form_mode1`` and
-``closed_form_gaussian`` load scipy.special (about 0.23 s), and
-``quadrature_fraclap`` loads scipy.integrate.
+``import fraclap`` loads numpy and no SciPy module (its timings are in
+CHANGES.md).  The block build, the k = 2 column (``symbol_samples``), the
+cache, ``transform`` and the whole Fisher path (the RK4 stage,
+``front_position`` and ``run_simulation``) need numpy alone.
+``closed_form_mode1`` and ``closed_form_gaussian`` load scipy.special on
+first use, and ``quadrature_fraclap`` loads scipy.integrate.
 """
 
 from fraclap.grid import Extension, GridConfig, node_positions, node_spacing, nodes, s_to_x, x_to_s
@@ -66,7 +64,6 @@ from fraclap.fisher import (
     fit_sigma,
     front_position,
     initial_condition,
-    rhs,
     rk4_step,
     run_simulation,
 )
@@ -113,7 +110,6 @@ __all__ = [
     "BlowUpError",
     "FrontEscapeError",
     "initial_condition",
-    "rhs",
     "rk4_step",
     "front_position",
     "fit_sigma",

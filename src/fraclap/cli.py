@@ -61,6 +61,7 @@ from fraclap.oracles import (
     alpha_grid,
     error_scan,
     mode1_error,
+    progression,
     quadrature_fraclap,
     scale_sweep,
     test_function,
@@ -73,15 +74,13 @@ EXIT_INVALID = 2
 EXIT_BLOWUP = 3
 EXIT_IO = 4
 
-_MAX_SPAN_POINTS = 10_000  # a sweep beyond this is a typo, not a plan
-
 
 class ParameterError(ValueError):
     pass
 
 
 def _parse_span(text: str) -> np.ndarray:
-    """Sweep grammar 'start:stop:step' -> inclusive arithmetic progression."""
+    """Sweep grammar 'start:stop:step' -> the points of :func:`fraclap.oracles.progression`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"expected start:stop:step, got {text!r}")
@@ -91,10 +90,7 @@ def _parse_span(text: str) -> np.ndarray:
         raise ParameterError(f"non-numeric span {text!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ParameterError(f"span must be finite with step > 0 and stop >= start: {text!r}")
-    count = int(round((stop - start) / step)) + 1
-    if count > _MAX_SPAN_POINTS:
-        raise ParameterError(f"span has {count} points, more than {_MAX_SPAN_POINTS}: {text!r}")
-    return np.round(start + step * np.arange(count), 12)
+    return progression(start, stop, step)
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -331,7 +327,7 @@ def _cmd_fisher(args) -> int:
     first_failure = None
     for run in runs:
         alpha, cfg = run.alpha, run.cfg
-        tag = f"{alpha:.6g}"
+        tag = np.format_float_positional(alpha, trim="-")  # shortest, so no two alphas share it
         try:
             t_start = time.perf_counter()
             matrix, loaded = _matrix_for(cfg, alpha, args.llim, args.matrix_cache)

@@ -2,24 +2,17 @@
 
 Solves u_t + (-Delta)^(alpha/2) u = u(1-u) on the mapped grid with the
 classical fourth-order Runge-Kutta scheme, starting from the monotone
-profile (1/2 - x/(2*sqrt(1+x^2)))^(alpha/2) that decays like (2x)^(-alpha)
-to the right.  The solution is evenly extended across s = pi, so it is
-given by its n real physical node values.  The operator commutes with
-reflection about x_center, so the linear term is two real n/2 x n/2
-blocks, one for the reflection-even and one for the reflection-odd part of
-the solution (:func:`fraclap.opmatrix.fused_sample_operator`).  Between
-steps the state is kept in those reflection-parity coordinates
-(:func:`fraclap.opmatrix.split_parity`), where the blocks act on its rows
-and the logistic term stays exact; node values are formed
-(:func:`fraclap.opmatrix.join_parity`) only where the front is sampled.
-For evenly extended data the phase-shifted transform is the DCT-II of
-:func:`fraclap.spectral.transform` and the interpolant is its cosine
-series.  The stable state u = 1 invades
-u = 0 with exponentially increasing speed; the front position x05(t), where
-the solution crosses 1/2, is located by bracketing on the nodes plus a
-safeguarded Newton iteration on the cosine series, and the rate sigma in
-x05 ~ exp(sigma*t) is obtained from a least-squares line through
-ln x05(t).  The path needs numpy alone.
+profile (1/2 - x/(2*sqrt(1+x^2)))^(alpha/2).  The solution is evenly
+extended across s = pi, so it is given by its n real physical node values.
+The operator commutes with reflection about x_center, so between steps the
+state is kept in reflection-parity coordinates
+(:func:`fraclap.opmatrix.split_parity`), where the linear term is the two
+real n/2 x n/2 blocks of :func:`fraclap.opmatrix.fused_sample_operator`
+and the logistic term stays exact; node values
+(:func:`fraclap.opmatrix.join_parity`) are formed only where the front is
+sampled.  The front position x05(t), where the solution crosses 1/2, comes
+from :func:`front_position`, and the rate sigma in x05 ~ exp(sigma*t) from
+a least-squares line through ln x05(t).  The path needs numpy alone.
 """
 
 from __future__ import annotations
@@ -109,13 +102,18 @@ class FisherResult:
 def initial_condition(x, alpha: float):
     """(1/2 - x/(2*sqrt(1+x^2)))^(alpha/2): monotone from 1 at -inf to 0 at +inf.
 
-    The right tail decays like (2x)^(-alpha), slower than the |x|^(-1-alpha)
-    kernel tail for every alpha in (0, 2), which is the slow-decay regime
-    whose half-level position grows like exp(t/alpha).  A steeper power
-    would put alpha > 1 in the kernel-dominated regime with the strictly
-    smaller rate 1/(1+alpha) and the measured front speeds would no longer
-    approach 1/alpha.  For x > 0 the base is evaluated as 1/(2r(r + x)),
-    r = sqrt(1 + x^2), which does not cancel in the far field.
+    Scalar input returns a float, array input an array.  The right tail
+    decays like (2x)^(-alpha).  The front rate is 1/alpha for this datum and
+    for any front datum (u = 1 at -inf) whose right tail decays at least
+    like x^(-alpha): the image of the left state decays like x^(-alpha), so
+    u ~ exp(t)*x^(-alpha) far right.  A steeper tail keeps that rate: the
+    datum B^2, B = 1/2 - x/(2*sqrt(1+x^2)), with tail (2x)^(-4), gave
+    sigma = 0.6607 and 0.6660 on t in [8, 12] and [11, 15] at alpha = 1.5
+    (1/alpha = 0.667), and 1.0088 and 0.9868 on [2, 6] and [5, 9] at
+    alpha = 1.  Only a datum that vanishes at both ends spreads at the
+    kernel-tail rate 1/(1+alpha).  For x > 0
+    the base is evaluated as 1/(2r(r + x)), r = sqrt(1 + x^2), which does
+    not cancel in the far field.
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(1.0 + x * x)
@@ -128,17 +126,14 @@ def _parity_stepper(op: np.ndarray, dt: float):
     """One run's RK4 stepper in reflection-parity coordinates, bound to work arrays allocated here.
 
     Returns ``(p, stage, step)``.  ``p`` is the (2, n/2) state [e; o] of
-    :func:`fraclap.opmatrix.split_parity`, with e = v + w and o = v - w for
-    v = u[:n/2] and w = u[n/2:] reversed.  The parity blocks ``op`` act on
-    its rows, and the logistic term is exact in these coordinates:
-    u(1-u) splits into e - (e^2 + o^2)/2 and o - e*o.  ``stage(s, e, o)``
-    writes the right-hand side at the state s = [e; o] into a work array
-    and returns it.  ``step()`` advances ``p`` in place by one classical
-    RK4 step of ``dt``, k2 and k3 through one loop over h = dt/2, dt, and
-    raises :class:`BlowUpError` when the max-norm of the node values,
-    max(|e| + |o|)/2, exceeds :data:`BLOWUP_LIMIT` or is NaN.  Every work
-    array and row view is bound here, and every GEMV and ufunc writes
-    through ``out=``, so a step allocates no array.
+    :func:`fraclap.opmatrix.split_parity`, on whose rows the parity blocks
+    ``op`` act; u(1-u) splits into e - (e^2 + o^2)/2 and o - e*o.
+    ``stage(s, e, o)`` writes the right-hand side at the state s = [e; o]
+    into a work array and returns it.  ``step()`` advances ``p`` in place by
+    one classical RK4 step of ``dt`` and raises :class:`BlowUpError` when
+    the max-norm of the node values, max(|e| + |o|)/2, exceeds
+    :data:`BLOWUP_LIMIT` or is NaN.  Every GEMV and ufunc writes through
+    ``out=`` into arrays bound here, so a step allocates no array.
     """
     half = op.shape[1]
     work = aligned_empty((10, half))
@@ -186,59 +181,36 @@ def _parity_stepper(op: np.ndarray, dt: float):
     return p, stage, step
 
 
-def rhs(samples, op: np.ndarray) -> np.ndarray:
-    """-(-Delta)^(alpha/2) u + u(1-u) on the n physical nodes (method of lines).
-
-    ``op`` is the pair of parity blocks from
-    :func:`fraclap.opmatrix.fused_sample_operator`.  The samples are split
-    into parity coordinates, go through the stage of
-    :func:`_parity_stepper` and are joined back.
-    """
-    p, stage, _ = _parity_stepper(op, 0.0)
-    p[...] = split_parity(samples)
-    return join_parity(stage(p, *p))
-
-
 def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
-    """One classical Runge-Kutta step of the n physical values: the step of :func:`_parity_stepper`."""
+    """One classical Runge-Kutta step of the n physical values: the step of :func:`_parity_stepper`.
+
+    Binds a whole stepper per call; kept because ``perfbench/tracing.py``
+    traces it by name.
+    """
     p, _, step = _parity_stepper(op, dt)
     p[...] = split_parity(samples)
     step()
     return join_parity(p)
 
 
-def front_position(samples, cfg: GridConfig) -> float:
-    """x where the solution crosses 1/2, from the right-most node bracket.
-
-    ``samples`` are the n physical node values.  Node positions decrease with
-    j, so the smallest j with a sign change of u - 1/2 between neighbours
-    gives the largest-x (invading) crossing.  A safeguarded Newton iteration
-    on the cosine-series interpolant then finds the root inside that
-    bracket to 1e-10 * max(1, |x|) (:func:`_front_finder`).
-    """
-    u = np.asarray(samples, dtype=float)
-    if u.shape != (cfg.n,):
-        raise ValueError(f"expected {cfg.n} physical samples, got shape {u.shape}")
-    return _front_finder(cfg)(u)[0]
-
-
-def _front_finder(cfg: GridConfig):
+def front_position(cfg: GridConfig):
     """One grid's front finder, bound to its constants and work arrays: ``find(u) -> (x05, c)``.
 
-    ``find`` takes the n node values u, forms their cosine coefficients c
-    (:func:`fraclap.spectral.cosine_transform`) and returns the crossing of
-    :func:`front_position` with c.  The bracket is the right-most pair of
-    nodes whose values u - 1/2 differ in sign (a node value of exactly 1/2
-    further right is returned as it is), and those signs stay the bracket's
-    signs.  Inside it Newton runs in theta = arccot((x - x_center)/l_scale)
-    on f(theta) = c_0 + 2*sum_k c_k*cos(k*theta) - 1/2, with the exact
-    derivative -2*sum_k k*c_k*sin(k*theta) (Boyd, *Chebyshev and Fourier
-    Spectral Methods*, 2001, ch. 17), from the secant of the node values.
-    Each series value narrows the bracket.  A step that would leave the
-    bracket, or that is longer than half the step before it, is replaced
-    by bisection.  Iteration stops once a Newton step moves x by at most
-    1e-10 * max(1, |x|), or once the bracket is that narrow in x.
-    The k ramp, the node angles and the DCT's twiddles are bound here once.
+    ``find`` takes the n physical node values u and returns x05, the
+    invading (largest-x) crossing of 1/2, with c, the cosine coefficients
+    of u (:func:`fraclap.spectral.cosine_transform`), a new array per
+    call.  It raises ValueError when u is not of shape (n,) and
+    :class:`FrontEscapeError` when no pair of neighbouring nodes brackets
+    1/2.  Node positions decrease with j, so the bracket is the first pair
+    whose values u - 1/2 differ in sign (a node value of exactly 1/2
+    before it is returned as it is).  Inside it Newton runs in theta =
+    arccot((x - x_center)/l_scale) on f(theta) = c_0 +
+    2*sum_k c_k*cos(k*theta) - 1/2 with its exact derivative (Boyd,
+    *Chebyshev and Fourier Spectral Methods*, 2001, ch. 17), from the
+    secant of the node values.  Each series value narrows the bracket, and
+    a step that would leave it, or is longer than half the step before it,
+    is replaced by bisection.  Iteration stops once a Newton step moves x,
+    or the bracket spans, at most 1e-10 * max(1, |x_j|).
     """
     n, l_scale, x_center = cfg.n, cfg.l_scale, cfg.x_center
     dct2 = cosine_transform(n)
@@ -250,7 +222,10 @@ def _front_finder(cfg: GridConfig):
     def x_at(theta: float) -> float:
         return x_center + l_scale * cos(theta) / sin(theta)
 
-    def find(u: np.ndarray) -> tuple[float, np.ndarray]:
+    def find(u) -> tuple[float, np.ndarray]:
+        u = np.asarray(u, dtype=float)
+        if u.shape != (n,):
+            raise ValueError(f"expected {n} physical samples, got shape {u.shape}")
         c = dct2(u)
         d = u - 0.5
         hit = np.nonzero(d == 0.0)[0]
@@ -337,25 +312,21 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     """Integrate from the standard initial condition and fit the front rate.
 
     ``matrix`` (the unit-scale block, built or loaded from a cache file)
-    must match the run's n, alpha and l_lim; it is folded once, at the run's
-    map scale, into the two n/2 x n/2 parity blocks of the stage operator.
-    Between steps the state stays in the reflection-parity coordinates of
-    :func:`_parity_stepper`, whose work arrays are bound once per run; each
-    step's state is the RK4 result.  Node values are formed only at t = 0,
-    every ``sample_stride`` steps and at the last step, where one DCT of
-    them gives the front position and the spectral tail
-    (:func:`_spectral_tail`), through a :func:`_front_finder` bound once
-    per run like the stepper.  The fit window defaults to the last 40% of
-    the run.  Numpy floating-point warnings are silenced in the loop: a
-    step that overflows ends in :class:`BlowUpError`.  ``diagnostics``
-    holds ``spectral_tail`` (``initial``, ``final`` and ``max`` over the
-    samples), the extreme final node values ``final_min`` and
-    ``final_max``, ``max_imag``: always 0.0 on the real path, kept because
-    the fisher-front benchmark gate reads it, and ``timings``: ``fold_s``
-    (folding the blocks, binding the stepper and the front finder, and the
-    initial state),
-    ``step_s`` (the RK4 steps) and ``track_s`` (node values, DCT, front
-    position and tail at the samples), clocked once per front sample.
+    must match the run's n, alpha and l_lim, or ValueError is raised; it is
+    folded once, at the run's map scale, into the parity blocks of
+    :func:`_parity_stepper`.  The stepper and a :func:`front_position`
+    finder are bound once per run.  Node values, the front position and the
+    spectral tail (:func:`_spectral_tail`) are taken at t = 0, every
+    ``sample_stride`` steps and at the last step.  The fit window defaults
+    to the last 40% of the run.  A step that overflows ends in
+    :class:`BlowUpError` (numpy's floating-point warnings are silenced in
+    the loop), and a front that leaves the grid in
+    :class:`FrontEscapeError`.  ``diagnostics`` holds ``spectral_tail``
+    (``initial``, ``final`` and ``max`` over the samples), the extreme
+    final node values ``final_min`` and ``final_max``, ``max_imag``
+    (always 0.0, kept because the fisher-front benchmark gate reads it) and ``timings``: ``fold_s`` (folding,
+    binding and the initial state), ``step_s`` (the RK4 steps) and
+    ``track_s`` (node values and front tracking at the samples).
     """
     from time import perf_counter  # here, so that import fraclap gains no module-level import
 
@@ -370,7 +341,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     u = initial_condition(x, run.alpha)
     p, _, step_once = _parity_stepper(op, run.dt)
     p[...] = split_parity(u)
-    find = _front_finder(cfg)
+    find = front_position(cfg)
 
     n_steps = run.n_steps
     times, fronts, tails = [], [], []

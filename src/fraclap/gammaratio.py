@@ -17,16 +17,12 @@ form (:func:`fraclap.symbol.even_mode_columns`), and the terms of the k = 2
 series are rational in m (:func:`fraclap.symbol._mode2_chunks`).
 
 The running product is long double for the first _HEAD entries and float64
-after them (see :func:`ratio_vector` for the form and its accuracy).  The
-float64 tail is there for the speed of the odd block's vectors, its only
-caller: x87 long double has no SIMD, and at l_lim = 500 an all-long-double
-vector took 3.01 ms against 0.66 ms for this head and tail at n = 128, and
-21.0 ms against 3.92 ms at n = 1024 (alpha = 0.3, medians of 30 calls,
-2-core Xeon VM).  The long-double
-head is there for the odd block's results: with it, the blocks built at
-n = 128, l_lim = 500 are bit-identical to blocks built from
-all-long-double vectors (pinned at alpha 0.3, 1.5 and 1.95).  The tail
-forms one temporary, the exact m of its entries, and no step calls BLAS.
+after them.  The float64 tail is there for speed (x87 long double has no
+SIMD), and the long-double head for the odd block's results: with it, the
+blocks built at n = 128, l_lim = 500 are bit-identical to blocks built
+from all-long-double vectors (pinned at alpha 0.3, 1.5 and 1.95).  The
+timing and accuracy tables are in CHANGES.md.  The tail forms one
+temporary, the exact m of its entries, and no step calls BLAS.
 """
 
 from __future__ import annotations
@@ -49,19 +45,11 @@ def ratio_vector(a: float, b: float, length: int) -> np.ndarray:
     before it as a float64 running product of the same factors written
     1 + (a-b)/(b+m).  b+m is formed for the whole tail at once, from the
     exact integers m rounded once by the addition of b, through one float64
-    temporary of the tail's length.  In float64 the form
-    matters: a+m rounds the same way for every m in a binade, so a product
-    of (a+m)/(b+m) drifts (1.8e-11 relative at m ~ 5e5), while
-    1 + (a-b)/(b+m) only rounds its small offset from 1 and the error grows
-    as a random walk.  Worst relative error, against mpmath at 40 digits at
-    200 points each of 18 vectors of 5.1e5 entries (alpha in {0.05, 0.3,
-    0.7, 1.3, 1.5, 1.95}): all long double 1.3e-14, float64 (a+m)/(b+m)
-    1.8e-11, float64 1 + (a-b)/(b+m) from m = 0 7.8e-14, this head and tail
-    9.9e-14.  The head is what keeps the odd block's results: with the tail
-    form from m = 0, the odd columns at l_lim = 500 moved by up to 2.8e-14
-    (n = 128) and 3.2e-13 (n = 1024) of the column's largest entry, both at
-    alpha = 0.05, the worst of {0.05, 0.3, 0.7, 1.3, 1.95}; with the head,
-    the n = 128 blocks match all-long-double vectors bit for bit.
+    temporary of the tail's length.  In float64 the form matters: a+m
+    rounds the same way for every m in a binade, so a product of
+    (a+m)/(b+m) drifts, while 1 + (a-b)/(b+m) only rounds its small offset
+    from 1 and the error grows as a random walk.  The worst relative error
+    against mpmath, on vectors of 5.1e5 entries, is 9.9e-14.
     """
     out = np.empty(length, dtype=np.float64)
     shift = int(a == 0.0)  # the pole, ahead of the recursion

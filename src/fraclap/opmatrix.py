@@ -168,9 +168,9 @@ def fused_sample_operator(matrix: OperatorMatrix, cfg: GridConfig) -> np.ndarray
     float64 array whose data starts on a 64-byte cache line
     (:func:`fraclap.symbol.aligned_empty`); the n x n matrix is never
     formed.  Each product is written straight into its block and scaled in
-    place.  Every RK4 stage streams both blocks through a GEMV, which ran
-    up to 1.3 times slower at n = 512 on blocks 8, 16 or 48 bytes off a
-    cache line; the results are the same bits wherever the blocks lie.
+    place.  Every RK4 stage streams both blocks through a GEMV, which runs
+    slower off a cache line (CHANGES.md); the results are the same bits
+    wherever the blocks lie.
     :func:`apply_sample_operator` applies them, and agrees with ``apply`` on
     the even transform's coefficients to round-off.  Raises ValueError for
     an odd-extension grid.

@@ -260,10 +260,24 @@ class ErrorScan:
         return float(np.max(self.errors))
 
 
+def progression(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... through the last point at or below stop, rounded to 12 decimals.
+
+    A rounded point within 1e-9 of a step above stop counts as at stop, so
+    0.05:1.95:0.05 ends at 1.95 and 0.5:1.96:0.1 at 1.9.  Raises
+    ValueError when stop - start is 10 000 steps or more: such a span is a
+    typo, not a plan.
+    """
+    steps = (stop - start) / step
+    if not steps < 10_000:
+        raise ValueError(f"span {start:g}:{stop:g}:{step:g} has more than 10000 points")
+    points = np.round(start + step * np.arange(math.floor(steps) + 2), 12)  # one past stop
+    return points[points <= stop + 1e-9 * step]
+
+
 def alpha_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Arithmetic progression of alpha values inside (0, 2)."""
-    count = int(round((stop - start) / step)) + 1
-    grid = np.round(start + step * np.arange(count), 12)
+    """The points of :func:`progression` inside (0, 2)."""
+    grid = progression(start, stop, step)
     return grid[(grid > 0.0) & (grid < 2.0)]
 
 

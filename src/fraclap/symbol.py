@@ -53,21 +53,12 @@ chunk's sums added in as it arrives (:func:`_column_sums`).
 
 Each call takes its large work arrays from one allocation: W, G and the
 product operand for the odd block, the chunk buffers for the k = 2
-column.  With glibc's malloc that keeps their pages resident from one
-alpha to the next (the comment in :func:`odd_mode_columns` says why), where
-separate arrays were mapped and faulted in afresh at every call.  Nothing is kept between
-calls, and no result is a view of the buffer.
-
-The k = 2 column's buffer starts on a 64-byte cache line
-(:func:`aligned_empty`), and so does each of its six rows: every row is
-padded to whole lines.  Its chunk passes are elementwise ufuncs and GEMVs,
-which stream their operands as they lie, and numpy aligns an allocation to
-16 bytes only.  On an AVX-512 machine a chunk's multiplies and subtracts
-ran 1.5 to 2.7 times slower on operands off a cache line, so each process
-drew its speed from where the heap happened to put the buffer.  GEMMs are
-immune, because BLAS packs their operands first, so the odd block's buffer
-is not aligned.  The alignment changes no result: the same kernels add in
-the same order.
+column.  Nothing is kept between calls, and no result is a view of the
+buffer.  The k = 2 column's buffer, and each of its six rows, starts on a
+64-byte cache line (:func:`aligned_empty`): its chunk passes stream their
+operands as they lie and ran slower off a line, while BLAS packs a GEMM's
+operands, so the odd block's buffer is not aligned.  Alignment changes no
+result.  The measurements behind both choices are in CHANGES.md.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], c < n/2, which is the matrix product
@@ -77,10 +68,7 @@ a different order at different thread counts; the k = 2 column's reductions
 run under the same pin.  A block of b = 32 nodes computes b + n/2 - 1
 columns of the product to read a band n/2 wide, so (b - 1)/(b + n/2 - 1) of
 each product goes unread: a third at n = 128, 6% at n = 1024.  One size
-serves every n: timing the odd block alone on one BLAS thread (n = 32 to
-1024, l_lim = 40 and 500, 2 MB of L2), 16 or 64 nodes were at most 8%
-faster at l_lim = 40 or n <= 256 (1% at n = 128), and at l_lim = 500 and
-n >= 512 64 was 2-12% faster and 16 up to 29% slower.
+serves every n (the timings of 16 and 64 are in CHANGES.md).
 
 Every value here is at unit map scale: the operator is homogeneous of
 degree -alpha, so on the map x = x_c + L*cot(s) each image carries the
@@ -188,9 +176,8 @@ def blas_threads() -> int | None:
 def aligned_empty(shape) -> np.ndarray:
     """An uninitialised C-contiguous float64 array of ``shape`` whose data starts on a 64-byte boundary.
 
-    numpy aligns its allocations to 16 bytes only.  This over-allocates a
-    byte array by one cache line and views it from the first 64-byte
-    boundary on (see the module docstring for why that matters).
+    numpy aligns its allocations to 16 bytes only, so this over-allocates
+    a byte array by one cache line and views it from the first boundary.
     """
     size = int(np.prod(shape))
     raw = np.empty(8 * size + 64, dtype=np.uint8)
@@ -226,12 +213,10 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray) -> np.ndarr
     Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
     a row pitch of b + width - 2 in Q's flat storage.  The last block holds
-    what is left of the n nodes.  (b - 1)/(b + width - 1) of each product,
-    a third at n = 128 and 6% at n = 1024, goes unread (module docstring).
-    The operand [W_blk | (W*l1)_blk] is written into the flat float64
-    buffer ``work``, which holds at least 2*b*rows entries, block after
-    block; the rows i keep their summation order.  The products run on one
-    OpenBLAS thread (:func:`_one_blas_thread`).
+    what is left of the n nodes.  The operand [W_blk | (W*l1)_blk] is
+    written into the flat float64 buffer ``work``, which holds at least
+    2*b*rows entries, block after block; the rows i keep their summation
+    order.  The products run on one OpenBLAS thread (:func:`_one_blas_thread`).
     """
     rows, n = w.shape
     width = g.shape[1] - n + 1
@@ -440,12 +425,8 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     l1 = _rows(np.empty((rows, 1)), -p, p, 0.0)[:, 0]
     # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
     d = np.arange(1 - half, n)
-    # W, G and the operand of _window_sums share one allocation.  glibc maps
-    # a request of 128 KB or more afresh and unmaps it when freed, but that
-    # free raises its mmap threshold to the freed size.  From the second call
-    # on, this buffer is the largest request, so it and the smaller arrays
-    # come from the heap, whose freed top glibc keeps: the pages stay
-    # resident from one alpha to the next instead of faulting in again.
+    # W, G and the operand of _window_sums share one allocation, so that under
+    # glibc's malloc its pages stay resident from one alpha to the next (CHANGES.md)
     work = np.empty(rows * (n + d.size + 2 * _NODE_BLOCK))
     w = work[: rows * n].reshape(rows, n)
     g = work[rows * n : rows * (n + d.size)].reshape(rows, d.size)
@@ -482,8 +463,7 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     bit for bit the block's column from :func:`even_mode_columns`.  No W or
     G is formed and no gamma ratio vector is built: :func:`_column_sums`
     reduces the rational terms of :func:`_mode2_chunks` with one dot per
-    chunk, l1 = 0 last, and allocates about 2 MB at n = 1024, l_lim = 500.
-    The reductions run on one OpenBLAS thread (see
+    chunk, l1 = 0 last.  The reductions run on one OpenBLAS thread (see
     :func:`odd_mode_columns`).  Raises as :func:`check_block` does, and
     ValueError for n below 4 (k = 2 must be a column, 1 <= k <= n-1),
     before any work.

@@ -384,7 +384,7 @@ class TestFisher:
         for i, alpha in enumerate(("0.3", "0.30000000000000004")):
             out_dir = tmp_path / f"r{i}"
             assert run_cli(*args, "--alpha", alpha, "--out-dir", str(out_dir)) == EXIT_OK
-            assert _manifest_diagnostics(out_dir)["alpha_0.3"]["matrix_loaded"] is False
+            assert _manifest_diagnostics(out_dir)[f"alpha_{alpha}"]["matrix_loaded"] is False
         assert len(list(cache.glob("*.bin"))) == 2
 
     def test_determinism_across_runs(self, tmp_path):
@@ -409,6 +409,33 @@ class TestFisher:
         assert code == EXIT_OK
         summary = list(csv.reader((out_dir / "summary.csv").open()))
         assert len(summary) == 4  # header + 3 alphas
+
+    def test_sweep_alphas_equal_to_six_digits_keep_their_own_outputs(self, tmp_path):
+        # 1.5000001 and 1.5000002 both read 1.5 at six significant digits
+        out_dir = tmp_path / "near"
+        code = run_cli(
+            "fisher", "--alpha-sweep", "1.5000001:1.5000002:0.0000001", "--n", "16",
+            "--dt", "0.01", "--tfinal", "1", "--L", "10", "--fit-window", "0.5:1",
+            "--llim", "20", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
+        assert set(manifest["diagnostics"]) == {"alpha_1.5000001", "alpha_1.5000002"}
+        traces = [out_dir / "trace_alpha1.5000001.csv", out_dir / "trace_alpha1.5000002.csv"]
+        assert manifest["outputs"] == [str(t) for t in traces] + [str(out_dir / "summary.csv")]
+        assert all(t.exists() for t in traces)
+
+    def test_sweep_stops_at_or_below_its_stop(self, tmp_path):
+        # 4.6 steps used to round up to 5 and end at alpha = 2.0, failing the whole sweep
+        out_dir = tmp_path / "span"
+        code = run_cli(
+            "fisher", "--alpha-sweep", "1.5:1.96:0.1", "--n", "16", "--dt", "0.01",
+            "--tfinal", "0.3", "--L", "10", "--fit-window", "0.1:0.3", "--llim", "20",
+            "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        summary = list(csv.DictReader((out_dir / "summary.csv").open()))
+        assert [float(row["alpha"]) for row in summary] == [1.5, 1.6, 1.7, 1.8, 1.9]
 
     def test_sweep_keeps_rows_past_a_bad_cache(self, tmp_path):
         # the second alpha's cache file is truncated: that row fails, the first stays

@@ -22,7 +22,6 @@ from fraclap.fisher import (
     fit_sigma,
     front_position,
     initial_condition,
-    rhs,
     rk4_step,
     run_simulation,
     _ols_rate,
@@ -93,22 +92,29 @@ class TestInitialCondition:
         assert worst <= 1e-15
 
 
+def _stage_at(u, op):
+    """The right-hand side at the n node values u, through the stage run_simulation's stepper runs."""
+    p, stage, _ = _parity_stepper(op, 0.0)
+    p[...] = split_parity(u)
+    return join_parity(stage(p, *p))
+
+
 class TestRhs:
     def test_zero_state_is_equilibrium(self, gauss_setup):
         cfg, matrix, op = gauss_setup
-        out = rhs(np.zeros(128), op)
+        out = _stage_at(np.zeros(128), op)
         assert np.all(out == 0.0)
 
     def test_one_state_is_equilibrium(self, gauss_setup):
         # constants are annihilated up to the round-off of the folded product
         cfg, matrix, op = gauss_setup
-        out = rhs(np.ones(128), op)
+        out = _stage_at(np.ones(128), op)
         assert np.max(np.abs(out)) <= 1e-11
 
     def test_gaussian_state_matches_closed_form(self, gauss_setup):
         cfg, matrix, op = gauss_setup
         x = node_positions(cfg)
-        out = rhs(np.exp(-x * x), op)
+        out = _stage_at(np.exp(-x * x), op)
         expected = -closed_form_gaussian(x, 1.5) + np.exp(-x * x) * (1 - np.exp(-x * x))
         assert np.max(np.abs(out - expected)) < 1e-8
 
@@ -255,36 +261,37 @@ class TestFrontPosition:
     def test_initial_crossing_alpha_one(self):
         cfg = GridConfig(256, 10.0)
         x = node_positions(cfg)
-        got = front_position(initial_condition(x, 1.0), cfg)
+        got = front_position(cfg)(initial_condition(x, 1.0))[0]
         assert got == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-8)
 
     def test_synthetic_tanh_front(self):
         cfg = GridConfig(256, 5.0)
         x = node_positions(cfg)
-        assert front_position(0.5 * (1.0 - np.tanh(x - 3.0)), cfg) == pytest.approx(3.0, abs=1e-6)
+        assert front_position(cfg)(0.5 * (1.0 - np.tanh(x - 3.0)))[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_rightmost_crossing_wins(self):
         # a pulse ahead of the main front adds crossings near x = 6
         cfg = GridConfig(512, 5.0)
         x = node_positions(cfg)
         profile = 0.5 * (1.0 - np.tanh(x - 3.0)) + 0.8 * np.exp(-((x - 6.0) ** 2))
-        got = front_position(profile, cfg)
+        got = front_position(cfg)(profile)[0]
         assert got > 6.0
 
     def test_no_crossing_raises(self):
         cfg = GridConfig(64, 1.0)
         with pytest.raises(FrontEscapeError):
-            front_position(np.full(64, 0.9), cfg)
+            front_position(cfg)(np.full(64, 0.9))
 
     def test_node_value_one_ulp_above_half(self):
         # the series at x_j can fall below 1/2 by round-off although u_j > 1/2
         # (at 54 of 110 nodes tried, u_j one ulp either side); the bracket must hold
         cfg = GridConfig(64, 5.0)
         x = node_positions(cfg)
+        find = front_position(cfg)
         for j in range(5, 60):
             u = 0.5 * (1.0 - np.tanh(x - x[j]))
             u[j] = np.nextafter(0.5, 1.0)
-            assert front_position(u, cfg) == pytest.approx(x[j], abs=1e-10 * max(1.0, abs(x[j])))
+            assert find(u)[0] == pytest.approx(x[j], abs=1e-10 * max(1.0, abs(x[j])))
 
     def test_matches_root_of_complex_interpolant(self):
         # the same crossing through the direct 2n complex transform and series
@@ -297,7 +304,7 @@ class TestFrontPosition:
             lambda pt: series_oracle(coeffs, [x_to_s(cfg, pt)])[0].real - 0.5,
             0.0, 10.0, xtol=1e-14,
         )
-        assert front_position(u, cfg) == pytest.approx(expected, rel=1e-9)
+        assert front_position(cfg)(u)[0] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("n", [512, 1024])
     @pytest.mark.parametrize("alpha", [1.5, 1.95])
@@ -313,7 +320,7 @@ class TestFrontPosition:
         j = int(np.nonzero(d[:-1] * d[1:] < 0.0)[0][0])
         expected = brentq(lambda pt: evaluate(c, Extension.EVEN, cfg, pt) - 0.5,
                           x[j + 1], x[j], xtol=1e-300, rtol=4 * np.finfo(float).eps)
-        assert abs(front_position(u, cfg) - expected) <= 1e-12 * abs(expected)
+        assert abs(front_position(cfg)(u)[0] - expected) <= 1e-12 * abs(expected)
 
     def test_bisection_where_series_derivative_vanishes(self):
         # u - 1/2 = g(cos s) with g(c) = (c - b)((c - m)^2 + e) has one root, at
@@ -325,12 +332,29 @@ class TestFrontPosition:
         b, m, e = -0.06, 0.0174764608894931, 1e-4
         c = np.cos(nodes(cfg))
         u = 0.5 + (c - b) * ((c - m) ** 2 + e)
-        assert front_position(u, cfg) == pytest.approx(b / math.sqrt(1.0 - b * b), abs=1e-12)
+        assert front_position(cfg)(u)[0] == pytest.approx(b / math.sqrt(1.0 - b * b), abs=1e-12)
 
     def test_rejects_extended_samples(self):
         cfg = GridConfig(64, 1.0)
         with pytest.raises(ValueError):
-            front_position(np.linspace(1.0, 0.0, 128), cfg)
+            front_position(cfg)(np.linspace(1.0, 0.0, 128))
+
+    def test_bound_finder_is_reusable(self):
+        # one finder serves every sample of a run: a state found again gives
+        # the same bits, and the coefficients it returned are its own array,
+        # untouched by later calls
+        cfg = GridConfig(128, 7.0)
+        x = node_positions(cfg)
+        a, b = initial_condition(x, 1.5), 0.5 * (1.0 - np.tanh(x - 2.0))
+        find = front_position(cfg)
+        x_a, c_a = find(a)
+        kept = c_a.copy()
+        x_b, c_b = find(b)
+        x_again, c_again = find(a)
+        assert x_again == x_a and x_b != x_a
+        np.testing.assert_array_equal(c_again, kept)
+        np.testing.assert_array_equal(c_a, kept)
+        assert not np.shares_memory(c_a, c_b) and not np.shares_memory(c_a, c_again)
 
 
 class TestFitSigma:
@@ -406,7 +430,7 @@ class TestRunSimulation:
                         sample_stride=5, fit_window=(0.05, 0.2))
         result = run_simulation(run, matrix)
         assert result.final_samples.shape == (64,)
-        assert front_position(result.final_samples, cfg) == result.trace.x05[-1]
+        assert front_position(cfg)(result.final_samples)[0] == result.trace.x05[-1]
 
     def test_every_step_state_is_the_rk4_result(self):
         # two steps from the initial condition: the state is the RK4 result

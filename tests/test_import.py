@@ -13,7 +13,7 @@ fresh interpreter sees these imports happen.
 One fresh interpreter runs five stages in turn and records, after each,
 which SciPy modules are loaded: ``import fraclap``; a build, cache round
 trip and k = 2 column; ``import fraclap.cli``; both transforms,
-``front_position`` and a short ``run_simulation``; then the first use of
+a ``front_position`` finder and a short ``run_simulation``; then the first use of
 each SciPy-backed function.  The values of the last two stages must equal
 this process's bit for bit.  Each test checks its own stage, so each stage
 also checks that the ones before it loaded nothing.
@@ -68,7 +68,7 @@ run = run_simulation(FisherRun(cfg=cfg, alpha=1.2, dt=0.01, t_final=0.1, l_lim=2
                                sample_stride=2, fit_window=(0.0, 0.1)),
                      build_matrix(cfg, 1.2, 20))
 values = [transform(u, "even"), transform(u, "odd"), run.trace.x05,
-          np.array([front_position(run.final_samples, cfg)])]
+          np.array([front_position(cfg)(run.final_samples)[0]])]
 record["fisher"] = dict(loaded=scipy_loaded(), values=hexes(values))
 
 from fraclap import closed_form_gaussian, closed_form_mode1
@@ -107,7 +107,7 @@ def test_transforms_and_fisher_path_load_no_scipy_module(stages):
                                    sample_stride=2, fit_window=(0.0, 0.1)),
                          build_matrix(cfg, 1.2, 20))
     want = [transform(u, "even"), transform(u, "odd"), run.trace.x05,
-            np.array([front_position(run.final_samples, cfg)])]
+            np.array([front_position(cfg)(run.final_samples)[0]])]
     assert stages["fisher"] == {"loaded": [], "values": _hexes(want)}
 
 

@@ -9,6 +9,7 @@ from fraclap.opmatrix import build_matrix
 from fraclap.oracles import (
     QuadratureError,
     alpha_grid,
+    progression,
     closed_form_gaussian,
     closed_form_mode1,
     closed_form_mode2,
@@ -167,6 +168,30 @@ class TestQuadrature:
         # alpha is checked before 1/(2 - alpha) is formed
         with pytest.raises(ValueError, match="alpha"):
             quadrature_fraclap(test_function("u3_gaussian"), 0.5, 2.0)
+
+
+class TestProgression:
+    @pytest.mark.parametrize("span, size, last", [
+        ((0.05, 1.95, 0.05), 39, 1.95),
+        ((0.1, 10.0, 0.1), 100, 10.0),
+        ((0.01, 1.99, 0.01), 199, 1.99),
+        ((0.5, 1.96, 0.1), 15, 1.9),
+        ((0.5, 1.85, 0.1), 14, 1.8),
+        ((0.3, 0.3, 0.1), 1, 0.3),
+    ])
+    def test_points_end_at_or_below_stop(self, span, size, last):
+        points = progression(*span)
+        assert points.size == size and points[-1] == last
+        assert np.all(points <= span[1] + 1e-9 * span[2])
+
+    def test_alpha_grid_follows_the_same_rule(self):
+        # 13.5 steps used to round to 14 and end the grid at 1.9
+        assert alpha_grid(0.5, 1.85, 0.1)[-1] == 1.8
+        np.testing.assert_array_equal(alpha_grid(0.05, 1.95, 0.05), progression(0.05, 1.95, 0.05))
+
+    def test_too_many_points_rejected(self):
+        with pytest.raises(ValueError, match="more than 10000"):
+            progression(0.0, 1.0, 1e-4)
 
 
 _GRID = alpha_grid(0.05, 1.95, 0.05)
