@@ -25,7 +25,7 @@ reflection-parity coordinates [v + w; v - w] of the samples, v the first
 half and w the second half reversed; :func:`split_parity` and
 :func:`join_parity` are the one place that layout is formed and undone.
 
-The binary cache format (version 4) is a fixed 64-byte little-endian header
+The binary cache format (version 5) is a fixed 64-byte little-endian header
 
     0:8   magic  b"FLAPMAT1"
     8:12  format version (uint32)
@@ -40,8 +40,11 @@ row-major order and a trailing 8-byte CRC32 of header plus payload.  Round
 trips are bit exact.  Files of an older version are rejected with
 :class:`MatrixFormatError`: version 1 held the full 2n x 2n matrix,
 version 2 the block at one map scale (L, x_c and the extension in the
-header), and version 3 summed the even columns through the truncated series
-that version 4 replaces by their closed form.
+header), version 3 summed the even columns through the truncated series
+that version 4 replaced by their closed form, and version 4 summed the odd
+columns over every row |l1| <= l_lim, which version 5 replaces past
+l_lim = 48 by 97 Euler-weighted rows: the same truncation to round-off,
+but not the same bytes (:func:`fraclap.symbol.odd_mode_columns`).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from fraclap.spectral import transform
 from fraclap.symbol import aligned_empty, check_block, even_mode_columns, odd_mode_columns
 
 _MAGIC = b"FLAPMAT1"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _HEADER = struct.Struct("<8sIII4xd32x")
 _TRAILER = struct.Struct("<Q")
 

@@ -8,7 +8,8 @@ outer index through l = l1*n + l2:
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
-smallest terms (largest |l1|) first.  In the odd modes the l1 = l2 = 0
+smallest terms (largest |l1|) first (in the odd block, past l_lim = 48, as
+a fixed plan of 97 of its rows; see below).  In the odd modes the l1 = l2 = 0
 weight A(0) is Gamma's pole at alpha = 1, but its term enters only through
 (1 - alpha)*A(0) = -2*Gamma((1+alpha)/2)/Gamma((3-alpha)/2), finite at every
 alpha, so the sums leave A(0) out and add the term in that form.  The series
@@ -29,9 +30,9 @@ A term is W = (-1)^l1 * A(|l|) times G, a function of e = d - l1*n with
 d = floor(k/2) - l2 (B(|e|) for even k, sign(e)*C(|e + 1/2| - 1/2) for
 odd k), where A, B and C are the ratios Gamma(a + m)/Gamma(b + m) with
 (a, b) = ((-1+alpha)/2, (3-alpha)/2), ((-1-alpha)/2, (3+alpha)/2) and
-(-alpha/2, 2+alpha/2).  The odd block requests A and C as two vectors,
-vec_a and vec_c (:func:`fraclap.gammaratio.ratio_vector`), of the lengths
-its indices need.  Along a row of fixed l1 != 0 neither index changes sign,
+(-alpha/2, 2+alpha/2).  The odd block requests A and C as vectors,
+vec_a and vec_c (:func:`fraclap.gammaratio.ratio_vector`), over the m its
+rows need.  Along a row of fixed l1 != 0 neither index changes sign,
 so each row of an odd column is one contiguous run of a vector:
 
     l1 = +p:  |l| = p*n + l2, a forward run of vec_a;
@@ -43,7 +44,29 @@ so each row of an odd column is one contiguous run of a vector:
 The odd block reads its rows as strided views of the vectors and copies W
 and G once per call into the summation order, the exact sign (-1)^l1
 folded into the copy; only the l1 = 0 rows, where l and e change sign, are
-gathered.  The k = 2 column evaluates no gamma ratio at all: its two
+gathered.
+
+The odd block does not sum all 2*l_lim + 1 rows past l_lim = 48: its rows
+follow a fixed plan (:func:`_row_plan`) of 97.  The row pairs +-p carry
+(-1)^p, so the tail of the series alternates, and the Euler (van
+Wijngaarden) transform sums an alternating tail from a few of its first
+terms (*Numerical Recipes*, "Series and their convergence").  Averaging
+the nine partial sums up to p = L..L+8, neighbour with neighbour, eight
+times over is one sum in which
+the pairs p <= L keep weight 1 and the pair p = L + i gets weight
+u_i = 2^-8 * sum_{j>=i} C(8, j), an exact multiple of 1/256.  The plan
+applies it twice: with L = 32 it sums the pairs 1..40, which gives the
+whole series, and with L = l_lim it sums the pairs l_lim+1..l_lim+8 with
+the weights negated, which takes the series' tail beyond l_lim back off.
+The difference is the truncation at l_lim to round-off (within 2e-13
+column-relative of the plain sum at n <= 1024, where the plain sum's own
+round-off is about as large), while the block sums 97 rows and requests
+about 100*n vector entries at every l_lim: two vectors from m = 0 and two
+from about m = l_lim*n.  The 48 pairs equal the plain sum's at
+l_lim = 48, the switch point: up to it the plan is the plain truncation,
+row for row.
+The weights fold into W's exact sign, and the rows keep descending p with
+l1 = 0 last.  The k = 2 column evaluates no gamma ratio at all: its two
 ratios differ by exactly 2 in their arguments, so each term is a rational
 function of |l|, formed a chunk of rows at a time, largest p first as
 they are summed, by one generator that owns the chunk buffer
@@ -97,6 +120,11 @@ from fraclap.grid import GridConfig, _check_integer, nodes
 
 _CHUNK = 32768  # terms per chunk of the k = 2 column's sums: 256 KB buffers
 _NODE_BLOCK = 32  # nodes per product of the odd block's band GEMM (module docstring)
+_KEPT = 32  # row pairs the odd block's plan sums with weight 1
+_TAPER = 8  # row pairs of each Euler taper of the plan
+_PLAN_PAIRS = _KEPT + 2 * _TAPER  # 48: past this l_lim the plan sums fewer rows than the truncation
+# u_i = 2^-8 * sum_{j >= i} C(8, j), exact multiples of 1/256, as u_8..u_1 (descending p)
+_EULER = np.cumsum([math.comb(_TAPER, j) for j in range(_TAPER, 0, -1)]) / 2.0**_TAPER
 
 
 def fractional_constant(alpha: float) -> float:
@@ -125,17 +153,14 @@ def check_block(n: int, alpha: float, l_lim: int) -> None:
         raise ValueError(f"l_lim must be nonnegative, got {l_lim}")
 
 
-def _rows(out: np.ndarray, minus, plus, zero, minus_sign=1.0, plus_sign=1.0) -> np.ndarray:
-    """Fill ``out`` with the rows of l1 in summation order: -p and +p for p = l_lim..1, then 0.
+def _rows(out: np.ndarray, minus, plus, minus_sign=1.0, plus_sign=1.0) -> None:
+    """Fill ``out`` with row pairs in summation order: l1 = -p, then +p, for each p of a run.
 
-    ``out`` has 2*l_lim + 1 rows.  ``minus`` and ``plus`` hold the rows of
-    l1 = -p and +p in that order of p; each is multiplied by its sign (an
-    exact +-1) as it is copied in.  Returns ``out``.
+    ``minus`` and ``plus`` hold the rows of l1 = -p and +p in that order of
+    p; each is multiplied by its sign as it is copied in.
     """
-    np.multiply(minus, minus_sign, out=out[0:-1:2])
-    np.multiply(plus, plus_sign, out=out[1:-1:2])
-    out[-1] = zero
-    return out
+    np.multiply(minus, minus_sign, out=out[0::2])
+    np.multiply(plus, plus_sign, out=out[1::2])
 
 
 @functools.cache
@@ -394,6 +419,22 @@ def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray)
     return 1j * pref[:, None] * series
 
 
+def _row_plan(l_lim: int) -> list:
+    """The odd block's row pairs as runs of consecutive |l1|, largest first: [(top, weights)].
+
+    A run holds the pairs p = top, top-1, ..., top - weights.size + 1, the
+    pair p weighted by weights[top - p]; the last run ends at p = 1 (at
+    l_lim = 0 it is empty, top 0).  Up to l_lim = _PLAN_PAIRS the plan is
+    the truncation itself, one run of weight 1.  Past it the plan is the
+    same 48 pairs at every l_lim (module docstring): p = L+8..L+1 weighted
+    -u_8..-u_1, then p = 40..1 weighted u_8..u_1 and 32 ones, L = l_lim.
+    """
+    if l_lim <= _PLAN_PAIRS:
+        return [(l_lim, np.ones(l_lim))]
+    near = np.concatenate((_EULER, np.ones(_KEPT)))
+    return [(l_lim + _TAPER, -_EULER), (_KEPT + _TAPER, near)]
+
+
 def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s), k = 1, 3, ..., n-1, at the n physical nodes.
 
@@ -401,10 +442,19 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     A(0) term in finite form (module docstring).  Each term of the l1 sum
     is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
     P0 = sum W*G and P1 = sum W*l1*G over a sliding window of G n/2 columns
-    wide.  The block requests vec_a and vec_c from
-    :func:`fraclap.gammaratio.ratio_vector` at the lengths its indices
-    need.  W and G are copied once per call, into one work buffer, from
-    strided views of them (the l1 = 0 rows gathered) and summed as a matrix
+    wide.  The rows summed are those of :func:`_row_plan`: every row pair
+    |l1| = 1..l_lim up to l_lim = 48, and past it the same 97 rows at any
+    l_lim, whose Euler weights sum the whole series from the pairs 1..40
+    and subtract its tail beyond l_lim, summed from the pairs
+    l_lim+1..l_lim+8 (module docstring).  48 pairs is the plain sum's own
+    count at l_lim = 48, so the plan takes over where it sums fewer rows,
+    and its tail rows then lie past its rows 33..40.  For each run of the
+    plan the block requests vec_a and vec_c from
+    :func:`fraclap.gammaratio.ratio_vector` over the m its rows need, from
+    m = 0 for the run that ends at p = 1, so no vector grows with l_lim
+    past 48.  W and G are copied once per call, into one work buffer, from
+    strided views of them (the l1 = 0 rows gathered), each row pair's
+    weight folded into W's exact sign, and summed as a matrix
     product followed by a skewed gather (:func:`_window_sums`), blocked
     over the nodes.  The products run on one OpenBLAS thread, so
     the result does not depend on the caller's BLAS thread count; where
@@ -414,15 +464,8 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     """
     check_block(n, alpha, l_lim)
     half = n // 2
-    # vec_a up to |l| = l_lim*n + n/2 and vec_c up to |e| = (l_lim + 1)*n - 1,
-    # each with n entries to spare (at l_lim = 0 the window view of vec_c
-    # below still needs n + n/2 - 1 entries)
-    a = ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, l_lim * n + half + 1 + n)
-    c = ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, (l_lim + 2) * n)
-    p = np.arange(l_lim, 0, -1)[:, None]  # |l1| of the row pairs, largest first
-    sign = 1.0 - 2.0 * (p % 2)  # (-1)^l1
-    rows = 2 * l_lim + 1
-    l1 = _rows(np.empty((rows, 1)), -p, p, 0.0)[:, 0]
+    plan = _row_plan(l_lim)
+    rows = 2 * sum(weight.size for _, weight in plan) + 1
     # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
     d = np.arange(1 - half, n)
     # W, G and the operand of _window_sums share one allocation, so that under
@@ -430,28 +473,50 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     work = np.empty(rows * (n + d.size + 2 * _NODE_BLOCK))
     w = work[: rows * n].reshape(rows, n)
     g = work[rows * n : rows * (n + d.size)].reshape(rows, d.size)
-    # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
-    up = a[half : half + l_lim * n].reshape(l_lim, n)[::-1]
-    down = a[half + 1 : half + 1 + l_lim * n].reshape(l_lim, n)[::-1, ::-1]
-    a0 = a[np.abs(np.arange(-half, half))]  # l1 = 0: A(|l2|)
-    a0[half] = 0.0  # A(0), a pole at alpha = 1: its term is added below in finite form
-    _rows(w, down, up, a0, sign, sign)
-    # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
-    # runs one entry lower, negated
-    runs = sliding_window_view(c, d.size)
-    fwd = runs[d[0] + n :: n][:l_lim][::-1]
-    rev = runs[::n][:l_lim][::-1, ::-1]
+    l1 = np.zeros(rows)
+    i = 0
+    for top, weight in plan:
+        count = weight.size
+        bottom = top - count + 1
+        # vec_a over |l| = bottom*n - n/2 .. top*n + n/2, and vec_c over
+        # |e| = (bottom-1)*n .. (top+1)*n - 1 and n entries more (at l_lim = 0
+        # the window view of vec_c below still needs n + n/2 - 1); both from
+        # m = 0 for the run that ends at p = 1, which the l1 = 0 row reads
+        ma = 0 if bottom == 1 else bottom * n - half
+        mc = (bottom - 1) * n
+        a = ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, top * n + half + 1 - ma, start=ma)
+        c = ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, (top + 2) * n - mc, start=mc)
+        if bottom == 1:
+            near_a, near_c = a, c
+        # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
+        lo = bottom * n - half - ma
+        up = a[lo : lo + count * n].reshape(count, n)[::-1]
+        down = a[lo + 1 : lo + 1 + count * n].reshape(count, n)[::-1, ::-1]
+        # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
+        # runs one entry lower, negated
+        runs = sliding_window_view(c, d.size)
+        fwd = runs[d[0] + n :: n][:count][::-1]
+        rev = runs[::n][:count][::-1, ::-1]
+        p = np.arange(top, bottom - 1, -1)
+        sign = (weight * (1.0 - 2.0 * (p % 2)))[:, None]  # weight*(-1)^l1, exact
+        pairs = slice(i, i + 2 * count)
+        _rows(w[pairs], down, up, sign, sign)
+        _rows(g[pairs], fwd, rev, plus_sign=-1.0)
+        _rows(l1[pairs], -p, p)
+        i += 2 * count
+    w[-1] = near_a[np.abs(np.arange(-half, half))]  # l1 = 0: A(|l2|)
+    w[-1, half] = 0.0  # A(0), a pole at alpha = 1: its term is added below in finite form
     # l1 = 0, gathered since e = d changes sign: C(|d + 1/2| - 1/2), negated for d < 0
     neg = d < 0
-    c0 = c[np.invert(d, out=d, where=neg)]
-    _rows(g, fwd, rev, np.negative(c0, out=c0, where=neg), plus_sign=-1.0)
+    g[-1] = near_c[np.invert(d, out=d, where=neg)]
+    np.negative(g[-1], out=g[-1], where=neg)
     p0, p1 = _window_sums(w, l1, g, work[rows * (n + d.size) :])
     del work, w, g
     k = np.arange(1, n, 2)
     # A(0)'s term, (1 - alpha)*k^2*A(0)*C((k-1)/2) in the l2 sums, enters as
     # -(1 - alpha)*A(0)*k*C((k-1)/2)/(4n) on P1's l2 = 0 row
     ratio = math.gamma((1.0 + alpha) / 2.0) / math.gamma((3.0 - alpha) / 2.0)
-    p1[half] += ratio / (2 * n) * k * c[:half]
+    p1[half] += ratio / (2 * n) * k * near_c[:half]
     return _series(alpha, n, k, p0, p1)
 
 

@@ -88,6 +88,24 @@ class TestBuildTables:
                 factor = (a + m) / (b + m)
                 assert vec[m + 1] == pytest.approx(vec[m] * factor, rel=1e-15)
 
+    @pytest.mark.parametrize("start", [48 * 128, 500 * 1024])
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.0, 1.3, 1.95])
+    def test_segments_from_start_vs_log_gamma(self, alpha, start):
+        # a segment's base entry comes from the difference of two lgamma of
+        # size ~ start*log(start), so every entry carries about |lgamma|*eps
+        # relative error: measured <= 2.4e-11 at start = 6144 and <= 1.4e-9
+        # at start = 512000, against mpmath at 40 digits
+        import mpmath
+
+        for a, b in odd_ratio_args(alpha):
+            vec = ratio_vector(a, b, 8193, start=start)
+            picks = np.unique(np.concatenate([np.geomspace(1, vec.size - 1, 12).astype(np.int64), [0]]))
+            with mpmath.workdps(40):
+                for m in picks:
+                    ref = mpmath.exp(mpmath.loggamma(mpmath.mpf(a) + start + m)
+                                     - mpmath.loggamma(mpmath.mpf(b) + start + m))
+                    assert abs(vec[m] - ref) <= 1e-8 * ref
+
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99, 1.01, 1.5, 1.99])
     def test_all_entries_finite(self, alpha):
         for vec, _, _ in odd_vectors(alpha, 6528):

@@ -83,9 +83,9 @@ class TestBuildMatrix:
         # the closed form reads no ratio vector: the odd block requests the only two, A and C
         asked = []
 
-        def recording(a, b, length):
+        def recording(a, b, length, start=0):
             asked.append((a, b))
-            return gammaratio.ratio_vector(a, b, length)
+            return gammaratio.ratio_vector(a, b, length, start=start)
 
         monkeypatch.setattr(symbol, "ratio_vector", recording)
         build_matrix(GridConfig(16, 1.0), 0.5, 20)
@@ -136,8 +136,8 @@ class TestBuildMatrix:
         assert zlib.crc32(entries.tobytes()) == crc
 
     @pytest.mark.parametrize("n,alpha,crc", [
-        (128, 0.3, 0x4A765371), (128, 1.0, 0xBE1202CD), (128, 1.7, 0x2A10B82D),
-        (512, 1.95, 0xF758F66A),
+        (128, 0.3, 0xB5FF2672), (128, 1.0, 0x2819E8CA), (128, 1.7, 0x0D84997A),
+        (512, 1.95, 0x12BA7789),
     ])
     def test_multi_block_builds_are_pinned(self, n, alpha, crc):
         # several node blocks per product; n = 512 is the fisher-front block
@@ -156,16 +156,16 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize("n,alpha,l_lim,k,crc", [
         # odd columns at alpha = 1, where vec_a starts with the pole A(0)
-        (1024, 1.0, 500, 1, 0x56B35443), (1024, 1.0, 500, 3, 0x95E98D22),
-        (1024, 1.0, 500, 1023, 0x4E35213A),
+        (1024, 1.0, 500, 1, 0x56B35443), (1024, 1.0, 500, 3, 0x31C8712B),
+        (1024, 1.0, 500, 1023, 0x35C79CA8),
         # l_lim around one 32-row chunk of the k = 2 sums at n = 1024
         (1024, 0.5, 0, 2, 0xF7A84EA4), (1024, 0.5, 1, 2, 0x6D90983E),
         (1024, 0.5, 31, 2, 0x2B6AF6EC), (1024, 0.5, 32, 2, 0xDE17FD4D),
         (1024, 0.5, 33, 2, 0xB323E7D8),
         # n = 4: one chunk holds more rows than l_lim; the odd block is two
         # columns wide
-        (4, 0.45, 500, 1, 0x2AEB2D42), (4, 0.45, 500, 2, 0x74521FF5),
-        (4, 0.45, 500, 3, 0x15114711),
+        (4, 0.45, 500, 1, 0xAE904D2D), (4, 0.45, 500, 2, 0x74521FF5),
+        (4, 0.45, 500, 3, 0x10B0D76E),
     ])
     def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
         # k = 2 is the one column the series forms alone; an odd k is read
@@ -178,10 +178,10 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize("n,alpha,l_lim,crc", [
         # alpha = 1, where vec_a starts with the pole A(0)
-        (1024, 1.0, 500, 0xFF4BE150),
+        (1024, 1.0, 500, 0xB75102B0),
         # n = 4: a window two columns wide; l_lim = 0 and 1: the l1 = 0 row
         # alone, and one row pair with it
-        (4, 0.45, 500, 0x912667D0), (4, 1.0, 500, 0x1151046B),
+        (4, 0.45, 500, 0xB50987C0), (4, 1.0, 500, 0x77FA27D7),
         (1024, 1.3, 0, 0xE5279C5E), (1024, 1.3, 1, 0x9A8038DD),
     ])
     def test_odd_block_edges_are_pinned(self, n, alpha, l_lim, crc):
@@ -417,11 +417,13 @@ class TestCacheFile:
         with pytest.raises(MatrixCacheError, match="version 2"):
             load_matrix(path, **SMALL_KEY)
 
-    def test_version3_file_is_a_format_error(self, tmp_path):
-        # an intact file of the format with series even columns: stale, not corrupt
-        path = tmp_path / "v3.bin"
-        path.write_bytes(cache_file_bytes(3, 8, 8 * 7))
-        with pytest.raises(MatrixFormatError, match="version 3"):
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_older_format_file_is_a_format_error(self, tmp_path, version):
+        # an intact file of a format with series even columns (3) or every odd
+        # row summed (4): stale, not corrupt
+        path = tmp_path / f"v{version}.bin"
+        path.write_bytes(cache_file_bytes(version, 8, 8 * 7))
+        with pytest.raises(MatrixFormatError, match=f"version {version}"):
             load_matrix(path, **SMALL_KEY)
 
     def test_corrupt_old_version_is_not_a_format_error(self, tmp_path):

@@ -336,6 +336,39 @@ class TestModeColumns:
         ratio = np.max(np.abs(s2 - s1), axis=0) / np.max(np.abs(s4 - s2), axis=0)
         assert np.all((ratio >= 7.9) & (ratio <= 8.0))
 
+    @pytest.mark.parametrize("n", [4, 16, 128, 1024])
+    def test_row_plan_matches_the_plain_sum(self, n, monkeypatch):
+        # past l_lim = 48 the block sums 97 Euler-weighted rows in place of
+        # 2*l_lim + 1: the same truncation to round-off, column-relative
+        # (measured <= 1.7e-13, at n = 1024, alpha = 0.05, l_lim = 128, where
+        # the plain sum itself is 8.6e-14 off the same rows reduced in long double)
+        worst = 0.0
+        for l_lim in (49, 128, 500):
+            for alpha in (0.05, 0.3, 1.0, 1.7, 1.95):
+                planned = odd_mode_columns(n, alpha, l_lim)
+                with monkeypatch.context() as patch:
+                    patch.setattr(symbol, "_row_plan", lambda l_lim: [(l_lim, np.ones(l_lim))])
+                    plain = odd_mode_columns(n, alpha, l_lim)
+                err = np.max(np.abs(planned - plain), axis=0) / np.max(np.abs(plain), axis=0)
+                worst = max(worst, err.max())
+        assert worst <= 2e-13
+
+    def test_row_plan_requests_the_same_entries_at_any_l_lim(self, monkeypatch):
+        # past l_lim = 48 the vectors a build requests do not grow with l_lim
+        asked = []
+
+        def recording(a, b, length, start=0):
+            asked.append(length)
+            return ratio_vector(a, b, length, start=start)
+
+        monkeypatch.setattr(symbol, "ratio_vector", recording)
+        counts = []
+        for l_lim in (500, 10**6):
+            asked.clear()
+            build_matrix(GridConfig(128, 1.0), 0.7, l_lim)
+            counts.append(sum(asked))
+        assert counts[0] == counts[1]
+
     def test_alpha_one_is_the_limit(self):
         # the odd columns at alpha = 1 drop the pole A(0) and add its limit;
         # the mean of both sides agrees with them to O(eps^2) plus round-off
