@@ -12,8 +12,9 @@ finite.  Gamma itself is only needed at the base argument.
 This module owns that recursion alone: :func:`ratio_vector` computes one
 segment m = start..start+length-1 whole for any (a, b), and its caller
 decides which segments (:func:`fraclap.symbol.odd_mode_columns` requests
-two segments from m = 0 and, past l_lim = 48, two more near m = l_lim*n).  The even modes read none: they have a closed
-form (:func:`fraclap.symbol.even_mode_columns`), and the terms of the k = 2
+two from m = 0 and, past l_lim = 48, two more near m = l_lim*n).  The
+even modes read none: they have a closed form
+(:func:`fraclap.symbol.even_mode_columns`), and the terms of the k = 2
 series are rational in m (:func:`fraclap.symbol._mode2_chunks`).
 
 The running product is long double for the first _HEAD entries and float64
@@ -31,7 +32,9 @@ overflow at any start; the difference of two logarithms of size
 |lgamma| loses about |lgamma|*eps, so every entry of such a segment is off
 by a common relative error of about 1e-9 at start = 5e5 (within 1e-8 of
 mpmath, pinned in the tests).  The odd block reads these segments only in
-the rows beyond its truncation, which are at most 4.3e-11 of a column.
+the rows beyond its truncation, whose sum is the series' tail: 4.3e-11 of
+a column at l_lim = 500, about (500/l_lim)^3 times that below, so the
+error enters far below the last bit of a column.
 """
 
 from __future__ import annotations

@@ -490,20 +490,21 @@ class TestFisher:
         assert [row[-1] for row in summary[1:]] == ["IsADirectoryError", "ok"]
         assert set(_manifest_diagnostics(out_dir)) == {"alpha_1.5"}
 
-    @pytest.mark.parametrize("version", [3, 4])
-    def test_older_format_cache_is_rebuilt_in_place(self, tmp_path, version):
-        # an intact file of an older format at the cache name: rebuilt, replaced, exit 0
+    def test_older_format_cache_is_rebuilt_in_place(self, tmp_path):
+        # an intact file of format 3 or 4 at the cache name: rebuilt, replaced, exit 0
         cache = tmp_path / "mc"
         args = ["fisher", "--alpha", "1.5", "--n", "16", "--llim", "200", "--dt", "0.01",
                 "--tfinal", "0.3", "--sample-stride", "2", "--matrix-cache", str(cache)]
         assert run_cli(*args, "--out-dir", str(tmp_path / "a")) == EXIT_OK
         (path,) = cache.glob("*.bin")
         fresh = path.read_bytes()
-        path.write_bytes(cache_file_bytes(version, 16, 16 * 15, alpha=1.5))
-        assert run_cli(*args, "--out-dir", str(tmp_path / "b")) == EXIT_OK
-        assert path.read_bytes() == fresh
-        assert _manifest_diagnostics(tmp_path / "b")["alpha_1.5"]["matrix_loaded"] is False
-        assert not list(cache.glob("*.tmp"))
+        for version in (3, 4):
+            path.write_bytes(cache_file_bytes(version, 16, 16 * 15, alpha=1.5))
+            out_dir = tmp_path / f"v{version}"
+            assert run_cli(*args, "--out-dir", str(out_dir)) == EXIT_OK
+            assert path.read_bytes() == fresh
+            assert _manifest_diagnostics(out_dir)["alpha_1.5"]["matrix_loaded"] is False
+            assert not list(cache.glob("*.tmp"))
 
     @pytest.mark.parametrize(
         "n, alpha", [(0, 0.5), (3, 0.5), (8, 2.0)], ids=["n0", "n3", "alpha2"]
