@@ -74,10 +74,15 @@ they are summed, by one generator that owns the chunk buffer
 fused into each row's P0 and P1 parts and reduced chunk by chunk, each
 chunk's sums added in as it arrives (:func:`_column_sums`).
 
-Each call takes its large work arrays from one allocation: W, G and the
-product operand for the odd block, the chunk buffers for the k = 2
-column.  Nothing is kept between calls, and no result is a view of the
-buffer.  The k = 2 column's buffer, and each of its six rows, starts on a
+Each call takes its large work arrays from one allocation: W, G, the
+product operand, the sums P0 and P1 and the l2 series' work for the odd
+block, the chunk buffers for the k = 2 column.  Nothing is kept between
+calls, and no result is a view of the buffer.  The odd block's buffer is
+larger than all the call's other arrays together: glibc's malloc trims
+the top of its heap once it exceeds twice the largest block it has
+unmapped, so a buffer that dominates the call keeps its pages resident
+from one call to the next, while one that held only W and G (297 KB at
+n = 128 with 97 rows) let about 160 pages be faulted in afresh per call.  The k = 2 column's buffer, and each of its six rows, starts on a
 64-byte cache line (:func:`aligned_empty`): its chunk passes stream their
 operands as they lie and ran slower off a line, while BLAS packs a GEMM's
 operands, so the odd block's buffer is not aligned.  Alignment changes no
@@ -112,7 +117,7 @@ import functools
 import math
 
 import numpy as np
-from numpy.fft import ifft, ifftshift
+from numpy.fft import ifft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fraclap.gammaratio import ratio_vector
@@ -229,11 +234,11 @@ def _one_blas_thread():
         setter(previous)
 
 
-def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray, out=None) -> np.ndarray:
     """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < width, and P1 with W*l1 for W.
 
     g holds n + width - 1 columns, which fix the window: width = n/2 in
-    the odd block.  Returned stacked as (2, n, width).  For a block of
+    the odd block.  Returned stacked as (2, n, width), in ``out`` if given.  For a block of
     b = _NODE_BLOCK nodes from j0 the sums are one product
     Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
@@ -245,7 +250,8 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray) -> np.ndarr
     """
     rows, n = w.shape
     width = g.shape[1] - n + 1
-    out = np.empty((2, n, width))
+    if out is None:
+        out = np.empty((2, n, width))
     with _one_blas_thread():
         for j0 in range(0, n, _NODE_BLOCK):
             b = min(_NODE_BLOCK, n - j0)
@@ -401,17 +407,31 @@ def _column_sums(alpha: float, n: int, l_lim: int):
     return p0, p1
 
 
-def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray,
+            work: np.ndarray) -> np.ndarray:
     """Columns k of one parity at the n nodes from their l1 sums P0 and P1, each (n, k.size).
 
     The l2 series is one shifted inverse FFT per column in pocketfft,
-    O(n log n), times the prefactor.
+    O(n log n), times the prefactor.  P0 and P1 are overwritten, and the
+    series is formed in ``work``, a flat float64 buffer of at least
+    4*n*k.size entries; only the result is allocated.
     """
     s = nodes(GridConfig(n, 1.0))
     l2 = np.arange(-(n // 2), n // 2)[:, None]
-    l2_sums = (1.0 - alpha) * k * k * p0 - 4.0 * k * (n * p1 + l2 * p0)
+    shifted, series = work[: 4 * n * k.size].view(np.complex128).reshape(2, n, k.size)
+    # l2 sums (1 - alpha)*k^2*P0 - 4k*(n*P1 + l2*P0), formed in P0
+    spare = work[: n * k.size].reshape(n, k.size)  # free until shifted is written
+    np.multiply(l2, p0, out=spare)
+    p1 *= n
+    p1 += spare
+    p1 *= 4.0 * k
+    p0 *= (1.0 - alpha) * k * k
+    p0 -= p1
+    np.multiply(np.exp(1j * np.pi * l2 / n), p0, out=series)
     # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
-    series = ifft(ifftshift(np.exp(1j * np.pi * l2 / n) * l2_sums, axes=0), axis=0, norm="forward")
+    half = n // 2
+    shifted[:half], shifted[half:] = series[half:], series[:half]
+    ifft(shifted, axis=0, norm="forward", out=series)
     pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
     if k[0] % 2 == 0:
         # 1/tan(pi*alpha/2), with 1 - alpha exact: pi*alpha/2 rounds next to the pole
@@ -468,9 +488,13 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     rows = 2 * sum(weight.size for _, weight in plan) + 1
     # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
     d = np.arange(1 - half, n)
-    # W, G and the operand of _window_sums share one allocation, so that under
-    # glibc's malloc its pages stay resident from one alpha to the next (CHANGES.md)
-    work = np.empty(rows * (n + d.size + 2 * _NODE_BLOCK))
+    # One allocation holds the call's large arrays: W, G and the operand of
+    # _window_sums, then the sums P0 and P1 and the series' work.  It is larger
+    # than all the call's other arrays together, so under glibc's malloc, which
+    # trims the heap only past twice the largest block it has unmapped, its
+    # pages stay resident from one alpha to the next (CHANGES.md)
+    size = rows * (n + d.size + 2 * _NODE_BLOCK)
+    work = np.empty(size + n * n + 2 * n * n)
     w = work[: rows * n].reshape(rows, n)
     g = work[rows * n : rows * (n + d.size)].reshape(rows, d.size)
     l1 = np.zeros(rows)
@@ -510,14 +534,14 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     neg = d < 0
     g[-1] = near_c[np.invert(d, out=d, where=neg)]
     np.negative(g[-1], out=g[-1], where=neg)
-    p0, p1 = _window_sums(w, l1, g, work[rows * (n + d.size) :])
-    del work, w, g
+    sums = work[size : size + n * n].reshape(2, n, half)
+    p0, p1 = _window_sums(w, l1, g, work[rows * (n + d.size) : size], sums)
     k = np.arange(1, n, 2)
     # A(0)'s term, (1 - alpha)*k^2*A(0)*C((k-1)/2) in the l2 sums, enters as
     # -(1 - alpha)*A(0)*k*C((k-1)/2)/(4n) on P1's l2 = 0 row
     ratio = math.gamma((1.0 + alpha) / 2.0) / math.gamma((3.0 - alpha) / 2.0)
     p1[half] += ratio / (2 * n) * k * near_c[:half]
-    return _series(alpha, n, k, p0, p1)
+    return _series(alpha, n, k, p0, p1, work[size + n * n :])
 
 
 def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
@@ -539,4 +563,4 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     if alpha == 1.0:
         return _mode2_image(nodes(GridConfig(n, 1.0)), alpha)
     p0, p1 = _column_sums(alpha, n, l_lim)
-    return _series(alpha, n, np.array([2]), p0[:, None], p1[:, None])[:, 0]
+    return _series(alpha, n, np.array([2]), p0[:, None], p1[:, None], np.empty(4 * n))[:, 0]
