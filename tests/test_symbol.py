@@ -473,6 +473,24 @@ class TestWorkBuffers:
         )
         assert int(run_fresh_python(script, "1")) < 64
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page reuse")
+    def test_odd_block_faults_in_no_fresh_pages_at_any_size(self):
+        # the odd block's buffer holds its sums and series work too, so it
+        # outweighs the call's other arrays at every n and l_lim; holding only W
+        # and G it let 105-127 pages per call be faulted in afresh at n = 128,
+        # l_lim <= 48, and 1891 at n = 512 with 97 rows.  One interpreter, each
+        # size called three times in a row, the third call counted.
+        script = (
+            "import resource\n"
+            "from fraclap.symbol import odd_mode_columns\n"
+            "for n, l_lim in ((128, 20), (512, 20), (512, 500)):\n"
+            "    odd_mode_columns(n, 0.5, l_lim); odd_mode_columns(n, 0.5, l_lim)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    odd_mode_columns(n, 0.5, l_lim)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert all(int(faults) < 64 for faults in run_fresh_python(script, "1").split())
+
     @pytest.mark.parametrize("kernel", [
         lambda alpha: odd_mode_columns(128, alpha, 500),
         lambda alpha: symbol_samples(alpha, 1024, 500),
