@@ -17,14 +17,6 @@ even modes read none: they have a closed form
 (:func:`fraclap.symbol.even_mode_columns`), and the terms of the k = 2
 series are rational in m (:func:`fraclap.symbol._mode2_chunks`).
 
-The running product is long double for the first _HEAD entries and float64
-after them.  The float64 tail is there for speed (x87 long double has no
-SIMD), and the long-double head for the odd block's results: with it, the
-blocks built at n = 128, l_lim = 500 are bit-identical to blocks built
-from all-long-double vectors (pinned at alpha 0.3, 1.5 and 1.95).  The
-timing and accuracy tables are in CHANGES.md.  The tail forms one
-temporary, the exact m of its entries, and no step calls BLAS.
-
 A segment from m = 0 takes its base from ``math.gamma(a)/math.gamma(b)``.
 A segment from start > 0 takes it from
 exp(``math.lgamma(a+start)`` - ``math.lgamma(b+start)``), which does not
@@ -43,8 +35,6 @@ import math
 
 import numpy as np
 
-_HEAD = 4096  # entries accumulated in long double before the float64 tail
-
 
 def ratio_vector(a: float, b: float, length: int, start: int = 0) -> np.ndarray:
     """[Gamma(a+m)/Gamma(b+m) for m = start..start+length-1] (length may be 0), read-only.
@@ -52,45 +42,28 @@ def ratio_vector(a: float, b: float, length: int, start: int = 0) -> np.ndarray:
     a = 0 and start = 0 put Gamma's pole at m = 0 (the odd block's A at
     alpha = 1): that entry is inf, and the rest are the vector of (1, b + 1)
     one entry later.  A start > 0 needs a + start > 0 and b + start > 0,
-    and its base entry comes from lgamma (module docstring); the recursion
-    after it is the same.
+    and its base entry comes from lgamma (module docstring).
 
-    The first _HEAD entries of the recursion multiply the factors
-    (a+m)/(b+m) in long double.  Every later entry continues from the one
-    before it as a float64 running product of the same factors written
-    1 + (a-b)/(b+m).  b+m is formed for the whole tail at once, from the
-    exact integers m rounded once by the addition of b, through one float64
-    temporary of the tail's length.  In float64 the form matters: a+m
-    rounds the same way for every m in a binade, so a product of
-    (a+m)/(b+m) drifts, while 1 + (a-b)/(b+m) only rounds its small offset
-    from 1 and the error grows as a random walk.  The worst relative error
-    against mpmath, on vectors of 5.1e5 entries, is 9.9e-14.
+    After the base, the factors (a+m)/(b+m) and their running product are
+    long double.  The worst relative error against mpmath, on vectors from
+    m = 0 of 5.1e5 entries, is 1.3e-14.
     """
     out = np.empty(length, dtype=np.float64)
     shift = int(a == 0.0 and start == 0)  # the pole, ahead of the recursion
     if shift:
         a, b = 1.0, b + 1.0
         out[:1] = np.inf
-    head = out[shift : shift + _HEAD]
     if start:
         base = math.exp(math.lgamma(a + start) - math.lgamma(b + start))
     else:
         base = math.gamma(a) / math.gamma(b)
-    head[:1] = base
-    if head.size > 1:
-        factors = np.arange(start, start + head.size - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
+    out[shift : shift + 1] = base
+    if length > shift + 1:
+        factors = np.arange(start, start + length - shift - 1, dtype=np.longdouble)  # m, then (a+m)/(b+m)
         den = factors + np.longdouble(b)
         factors += np.longdouble(a)
         np.divide(factors, den, out=factors)
         np.cumprod(factors, out=factors)
-        np.multiply(factors, np.longdouble(base), out=head[1:])
-    pos = shift + head.size
-    if pos < length:
-        tail = out[pos - 1 :]  # the last head entry, then b+m, then the factors
-        m0 = start + head.size - 1  # m of that entry in the recursion
-        np.add(np.arange(m0, m0 + tail.size - 1, dtype=np.float64), b, out=tail[1:])  # m exact
-        np.divide(a - b, tail[1:], out=tail[1:])
-        tail[1:] += 1.0
-        np.cumprod(tail, out=tail)
+        np.multiply(factors, np.longdouble(base), out=out[shift + 1 :])
     out.flags.writeable = False
     return out

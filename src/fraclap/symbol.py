@@ -82,11 +82,12 @@ larger than all the call's other arrays together: glibc's malloc trims
 the top of its heap once it exceeds twice the largest block it has
 unmapped, so a buffer that dominates the call keeps its pages resident
 from one call to the next, while one that held only W and G (297 KB at
-n = 128 with 97 rows) let about 160 pages be faulted in afresh per call.  The k = 2 column's buffer, and each of its six rows, starts on a
-64-byte cache line (:func:`aligned_empty`): its chunk passes stream their
-operands as they lie and ran slower off a line, while BLAS packs a GEMM's
-operands, so the odd block's buffer is not aligned.  Alignment changes no
-result.  The measurements behind both choices are in CHANGES.md.
+n = 128 with 97 rows) let about 160 pages be faulted in afresh per call.
+The k = 2 column's buffer, and each of its six rows, starts on a 64-byte
+cache line (:func:`aligned_empty`): its chunk passes stream their operands
+as they lie and ran slower off a line, while BLAS packs a GEMM's operands,
+so the odd block's buffer is not aligned.  Alignment changes no result.
+The measurements behind both choices are in CHANGES.md.
 
 The l1 sums of many columns at once are a sliding-window reduction
 P[j, c] = sum_i W[i, j]*G[i, n-1-j+c], c < n/2, which is the matrix product
@@ -234,12 +235,12 @@ def _one_blas_thread():
         setter(previous)
 
 
-def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray, out=None) -> np.ndarray:
+def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
     """P0[j, c] = sum_i W[i, j]*g[i, n-1-j+c] for c < width, and P1 with W*l1 for W.
 
     g holds n + width - 1 columns, which fix the window: width = n/2 in
-    the odd block.  Returned stacked as (2, n, width), in ``out`` if given.
-    For a block of b = _NODE_BLOCK nodes from j0 the sums are one product
+    the odd block.  Written stacked as (2, n, width) into ``out``, which is
+    returned.  For a block of b = _NODE_BLOCK nodes from j0 the sums are one product
     Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
     a row pitch of b + width - 2 in Q's flat storage.  The last block holds
@@ -250,8 +251,6 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray, out=None) -
     """
     rows, n = w.shape
     width = g.shape[1] - n + 1
-    if out is None:
-        out = np.empty((2, n, width))
     with _one_blas_thread():
         for j0 in range(0, n, _NODE_BLOCK):
             b = min(_NODE_BLOCK, n - j0)

@@ -98,9 +98,9 @@ def gamma_ratio_ref_hp(a: float, b: float, m: int = 0) -> float:
 def ratio_vector_long_double(a: float, b: float, length: int) -> np.ndarray:
     """[Gamma(a+m)/Gamma(b+m) for m < length], the whole recursion in long double.
 
-    The table builder's former all-long-double path, kept as a reference:
-    the factors (a+m)/(b+m) and their running product are extended
-    precision at every index.  Drop-in for ``gammaratio.ratio_vector``.
+    An independent copy of ``gammaratio.ratio_vector``'s recursion from
+    m = 0, for a != 0: the factors (a+m)/(b+m) and their running product
+    are extended precision at every index.
     """
     out = np.empty(length, dtype=np.float64)
     base = math.gamma(a) / math.gamma(b)

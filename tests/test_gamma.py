@@ -3,9 +3,15 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import gamma_ratio_ref, gamma_ratio_ref_hp, mode2_chunk_errors, odd_ratio_args
+from conftest import (
+    gamma_ratio_ref,
+    gamma_ratio_ref_hp,
+    mode2_chunk_errors,
+    odd_ratio_args,
+    ratio_vector_long_double,
+)
 from fraclap import symbol
-from fraclap.gammaratio import _HEAD, ratio_vector
+from fraclap.gammaratio import ratio_vector
 from fraclap.symbol import odd_mode_columns
 
 
@@ -19,8 +25,7 @@ class TestBuildTables:
     # ratio_vector, and the odd block's checks before it requests a vector
     def test_alpha_one_odd_tables(self):
         # vec_a[0] is Gamma's pole at 0; vec_a[m] = Gamma(m)/Gamma(1+m) = 1/m after it
-        (vec_a, _, _), (vec_c, _, _) = odd_vectors(1.0, 5313)  # past the long-double head
-        assert vec_a.size > _HEAD
+        (vec_a, _, _), (vec_c, _, _) = odd_vectors(1.0, 5313)
         assert vec_a[0] == np.inf
         m = np.arange(1, vec_a.size)
         np.testing.assert_allclose(vec_a[1:], 1.0 / m, rtol=1e-13, atol=0.0)
@@ -76,10 +81,10 @@ class TestBuildTables:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.3, 1.95])
     def test_tail_entries_vs_log_gamma(self, alpha):
-        # full-size vectors (n = 1024, l_lim = 500): ~5.1e5 entries each,
-        # all but the first _HEAD from the float64 tail of the recursion
+        # full-size vectors (n = 1024, l_lim = 500): ~5.1e5 entries each.  The
+        # indices 4094..4098 are where a float64 tail once took over the recursion
         for vec, a, b in odd_vectors(alpha, 513537):
-            seam = np.arange(_HEAD - 2, _HEAD + 3)
+            seam = np.arange(4094, 4099)
             spread = np.geomspace(1, vec.size - 1, 32).astype(np.int64)
             for m in np.unique(np.concatenate([[0], spread, seam])):
                 ref = gamma_ratio_ref_hp(a, b, int(m))
@@ -135,13 +140,24 @@ class TestRationalMode2Terms:
 
 
 class TestRatioStream:
-    # the class keeps its name so that the pins' test ids stay the same
+    # the class keeps its name, and each pin its id, so that the test ids stay
+    # the same: the ids carry the CRCs the pins had when the recursion ran in
+    # float64 past its first 4096 entries
     @pytest.mark.parametrize("a,b,crc", [
-        (-0.25, 1.25, 0x5315FDF3), (0.0, 1.0, 0xA3607469), (-0.5, 2.5, 0xE141D114),
-        (-0.975, 2.975, 0xF9068C32), (0.0, 1.7, 0x92121956),
+        pytest.param(-0.25, 1.25, 0x81678AE8, id="-0.25-1.25-1393950195"),
+        pytest.param(0.0, 1.0, 0x288F3B21, id="0.0-1.0-2741007465"),
+        pytest.param(-0.5, 2.5, 0xF4A95125, id="-0.5-2.5-3779186964"),
+        pytest.param(-0.975, 2.975, 0xEBA8009E, id="-0.975-2.975-4177955890"),
+        pytest.param(0.0, 1.7, 0x258FC06D, id="0.0-1.7-2450659670"),
     ])
     def test_ratio_vectors_are_pinned(self, a, b, crc):
-        # 80000 entries, about 76000 in the float64 tail: any change to the recursion moves
-        # these.  At (0, 1) the entries 1/m come out the same with the long-double
-        # head one entry shorter; at (0, 1.7) they do not.
+        # 80000 entries: any change to the recursion moves these.  At (0, 1) and
+        # (0, 1.7) the pole comes first and the recursion of (1, b + 1) after it.
         assert zlib.crc32(ratio_vector(a, b, 80000).tobytes()) == crc
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
+    def test_ratio_vector_is_the_long_double_recursion(self, alpha):
+        # every entry, far past the first few thousand, comes from the one
+        # long-double running product of the reference
+        (a, b), _ = odd_ratio_args(alpha)
+        np.testing.assert_array_equal(ratio_vector(a, b, 10**5), ratio_vector_long_double(a, b, 10**5))

@@ -13,7 +13,6 @@ from conftest import (
     dft_oracle,
     even_mode_images,
     odd_ratio_args,
-    ratio_vector_long_double,
     two_sided_image,
 )
 from fraclap import gammaratio, symbol
@@ -110,22 +109,6 @@ class TestBuildMatrix:
         if blas_thread_setter() is None:
             pytest.skip("numpy is not linked to an OpenBLAS with a thread-count setter")
         assert {k: run["restored"] for k, run in thread_count_runs.items()} == {"1": 1, "2": 2}
-
-    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
-    def test_float64_table_tail_leaves_entries_unchanged(self, alpha, monkeypatch):
-        # the tail entries enter each sum far below the last bit of its total
-        def both(build):
-            new = build()
-            with monkeypatch.context() as patch:
-                patch.setattr(gammaratio, "_HEAD", 2**20)  # no float64 tail in any vector
-                return build(), new
-
-        a, b = (-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0  # the swap does change the tables
-        long_double, tail = both(lambda: gammaratio.ratio_vector(a, b, 10**5))
-        np.testing.assert_array_equal(long_double, ratio_vector_long_double(a, b, 10**5))
-        assert not np.array_equal(tail, long_double)
-        old, new = both(lambda: build_matrix(GridConfig(128, 1.0), alpha, 500).entries)
-        np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("alpha,crc", [
         (0.3, 0xB296C157), (1.0, 0x3268D378), (1.7, 0x7DBF5F79),

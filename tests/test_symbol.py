@@ -294,9 +294,11 @@ class TestModeColumns:
         l1 = np.arange(-20.0, 21.0)
         window = g[:, n - 1 - np.arange(n)[:, None] + np.arange(width)]  # [i, j, c] = g[i, n-1-j+c]
         ref = [np.einsum("ij,ijc->jc", w, window), np.einsum("i,ij,ijc->jc", l1, w, window)]
-        # the operand buffer starts as NaN, so an entry left unwritten would show
+        # the operand buffer and the sums start as NaN, so an entry left unwritten would show
         work = np.full(2 * 41 * symbol._NODE_BLOCK, np.nan)
-        np.testing.assert_array_equal(symbol._window_sums(w, l1, g, work), np.stack(ref))
+        out = np.full((2, n, width), np.nan)
+        assert symbol._window_sums(w, l1, g, work, out) is out
+        np.testing.assert_array_equal(out, np.stack(ref))
 
     # each odd column's error against odd_mode_images at l_lim = 500,
     # column-relative: the series' l_lim^(-3) tail, k = 1, 3, ..., n-1
