@@ -240,8 +240,8 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray, out: np.nda
 
     g holds n + width - 1 columns, which fix the window: width = n/2 in
     the odd block.  Written stacked as (2, n, width) into ``out``, which is
-    returned.  For a block of b = _NODE_BLOCK nodes from j0 the sums are one product
-    Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
+    returned.  For a block of b = _NODE_BLOCK nodes from j0 the sums are
+    one product Q = [W_blk | (W*l1)_blk]^T @ g[:, lo : lo + b + width - 1] with
     lo = n - j0 - b, and P[j0 + r, c] is the skewed band Q[r, b-1 - r + c]:
     a row pitch of b + width - 2 in Q's flat storage.  The last block holds
     what is left of the n nodes.  The operand [W_blk | (W*l1)_blk] is

@@ -20,6 +20,12 @@ def run_cli(*args):
     return main(list(args))
 
 
+def read_csv(path, reader=csv.reader):
+    """The rows of the CSV file at path, read through ``reader``; the file is closed after."""
+    with path.open(newline="") as f:
+        return list(reader(f))
+
+
 def _manifest_diagnostics(out_dir):
     return json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
 
@@ -117,7 +123,7 @@ class TestValidate:
             "--out", str(out),
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = read_csv(out)
         assert rows[0] == ["alpha", "max_node_error"]
         alphas = [float(r[0]) for r in rows[1:]]
         assert 1.0 not in alphas
@@ -131,7 +137,7 @@ class TestValidate:
             "--tolerance", "1.0", "--out", str(out),
         )
         assert code == EXIT_OK
-        alphas = [float(r[0]) for r in list(csv.reader(out.open()))[1:]]
+        alphas = [float(r[0]) for r in read_csv(out)[1:]]
         assert len(alphas) == 38 and 1.0 not in alphas
 
     def test_mode2_tolerance_failure_exit_code(self, tmp_path):
@@ -149,7 +155,7 @@ class TestValidate:
             "--alpha-grid", "0.5:1.5:0.5", "--out", str(out),
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = read_csv(out)
         assert len(rows) == 4  # header + 3 alphas (grid includes alpha = 1)
 
     def test_gaussian_odd_extension(self, tmp_path):
@@ -176,7 +182,7 @@ class TestValidate:
             "--out", str(out),
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(out.open()))[1:]
+        rows = read_csv(out)[1:]
         errs = {float(L): float(e) for L, e in rows}
         assert len(errs) == 8
         best = min(errs, key=errs.get)
@@ -225,7 +231,7 @@ class TestValidate:
             "--tolerance", "1e-5", "--out", str(out),
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        rows = read_csv(out)
         assert rows[0][0] == "alpha"
         assert len(rows) == 4  # header + 3 probe points
         _check_validate_timings(tmp_path / "q.csv.manifest.json")
@@ -242,13 +248,13 @@ class TestFisher:
         )
         assert code == EXIT_OK
         trace = out_dir / "trace_alpha1.2.csv"
-        rows = list(csv.reader(trace.open()))
+        rows = read_csv(trace)
         assert rows[0] == ["t", "x05", "ln_x05"]
         t = [float(r[0]) for r in rows[1:]]
         assert t[0] == 0.0 and t[-1] == pytest.approx(0.4)
         for r in rows[1:]:
             assert float(r[2]) == pytest.approx(np.log(float(r[1])), abs=1e-12)
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert summary[0] == ["alpha", "sigma", "predicted", "rel_gap", "fit_residual", "status"]
         assert summary[1][-1] == "ok"
         manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
@@ -298,7 +304,7 @@ class TestFisher:
         assert code == EXIT_OK
         diagnostics = json.loads((out_dir / "fisher.manifest.json").read_text())["diagnostics"]
         spacing = diagnostics["alpha_1.2"]["node_spacing"]
-        rows = list(csv.reader((out_dir / "trace_alpha1.2.csv").open()))
+        rows = read_csv(out_dir / "trace_alpha1.2.csv")
         front = float(rows[-1][1])
         assert spacing["x0"] == pytest.approx(np.pi / 64 * 50.0, rel=1e-15)
         assert spacing["front"] == pytest.approx(np.pi / 64 * (50.0 + front**2 / 50.0), rel=1e-15)
@@ -407,7 +413,7 @@ class TestFisher:
             "--fit-window", "0.1:0.3", "--out-dir", str(out_dir),
         )
         assert code == EXIT_OK
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert len(summary) == 4  # header + 3 alphas
 
     def test_sweep_alphas_equal_to_six_digits_keep_their_own_outputs(self, tmp_path):
@@ -434,7 +440,7 @@ class TestFisher:
             "--out-dir", str(out_dir),
         )
         assert code == EXIT_OK
-        summary = list(csv.DictReader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv", csv.DictReader)
         assert [float(row["alpha"]) for row in summary] == [1.5, 1.6, 1.7, 1.8, 1.9]
 
     def test_sweep_keeps_rows_past_a_bad_cache(self, tmp_path):
@@ -448,7 +454,7 @@ class TestFisher:
         out_dir = tmp_path / "sweep"
         code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", *args, "--out-dir", str(out_dir))
         assert code == EXIT_IO
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert [row[-1] for row in summary[1:]] == ["ok", "MatrixCacheError"]
         assert (out_dir / "trace_alpha1.csv").exists()
         manifest = json.loads((out_dir / "fisher.manifest.json").read_text())
@@ -473,7 +479,7 @@ class TestFisher:
                        "--dt", "0.01", "--tfinal", "0.3", "--sample-stride", "2",
                        "--matrix-cache", str(cache), "--out-dir", str(out_dir))
         assert code == EXIT_IO
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert [row[-1] for row in summary[1:]] == ["ok", "OSError"]
         assert "alpha_1" in _manifest_diagnostics(out_dir)
         assert len(list(cache.iterdir())) == 1  # the first alpha's cache, and no temporary
@@ -486,7 +492,7 @@ class TestFisher:
                        "--dt", "0.01", "--tfinal", "0.3", "--sample-stride", "2",
                        "--out-dir", str(out_dir))
         assert code == EXIT_IO
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert [row[-1] for row in summary[1:]] == ["IsADirectoryError", "ok"]
         assert set(_manifest_diagnostics(out_dir)) == {"alpha_1.5"}
 
@@ -520,7 +526,7 @@ class TestFisher:
         out_dir = tmp_path / "sweep"
         code = run_cli("fisher", "--alpha-sweep", "1.0:1.5:0.5", *args, "--out-dir", str(out_dir))
         assert code == EXIT_IO
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert [row[-1] for row in summary[1:]] == ["ok", "MatrixCacheError"]
 
     def test_fit_error_is_a_failed_row(self, tmp_path):
@@ -531,7 +537,7 @@ class TestFisher:
             "--llim", "20", "--fit-window", "0.25:0.3", "--out-dir", str(out_dir),
         )
         assert code == EXIT_INVALID
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert summary[1][-1] == "ValueError"
         assert (out_dir / "fisher.manifest.json").exists()
 
@@ -605,7 +611,7 @@ class TestFisher:
             "--L", "50", "--out-dir", str(out_dir),
         )
         assert code == EXIT_BLOWUP
-        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        summary = read_csv(out_dir / "summary.csv")
         assert summary[1][-1] == "BlowUpError"
         assert "FAILED (t = 1e+100:" in capsys.readouterr().out
 

@@ -157,7 +157,6 @@ class TestRatioStream:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.95])
     def test_ratio_vector_is_the_long_double_recursion(self, alpha):
-        # every entry, far past the first few thousand, comes from the one
-        # long-double running product of the reference
+        # the reference's long-double running product at every index, bit for bit
         (a, b), _ = odd_ratio_args(alpha)
         np.testing.assert_array_equal(ratio_vector(a, b, 10**5), ratio_vector_long_double(a, b, 10**5))
