@@ -20,7 +20,7 @@ cli         command line driver
 
 ``import fraclap`` loads numpy and no SciPy module (its timings are in
 CHANGES.md).  The block build, the k = 2 column (``symbol_samples``), the
-cache, ``transform`` and the whole Fisher path (the RK4 stage,
+cache, ``transform`` and the whole Fisher path (``rk4_stepper``,
 ``front_position`` and ``run_simulation``) need numpy alone.
 ``closed_form_mode1`` and ``closed_form_gaussian`` load scipy.special on
 first use, and ``quadrature_fraclap`` loads scipy.integrate.
@@ -64,7 +64,7 @@ from fraclap.fisher import (
     fit_sigma,
     front_position,
     initial_condition,
-    rk4_step,
+    rk4_stepper,
     run_simulation,
 )
 
@@ -110,7 +110,7 @@ __all__ = [
     "BlowUpError",
     "FrontEscapeError",
     "initial_condition",
-    "rk4_step",
+    "rk4_stepper",
     "front_position",
     "fit_sigma",
     "run_simulation",

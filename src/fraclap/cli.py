@@ -97,7 +97,10 @@ def _parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ParameterError(f"expected lo:hi, got {text!r}")
-    lo, hi = (float(p) for p in parts)  # FisherRun checks the window
+    try:
+        lo, hi = (float(p) for p in parts)  # FisherRun checks the window
+    except ValueError as exc:
+        raise ParameterError(f"non-numeric window {text!r}") from exc
     return lo, hi
 
 

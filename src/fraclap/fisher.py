@@ -106,14 +106,11 @@ def initial_condition(x, alpha: float):
     decays like (2x)^(-alpha).  The front rate is 1/alpha for this datum and
     for any front datum (u = 1 at -inf) whose right tail decays at least
     like x^(-alpha): the image of the left state decays like x^(-alpha), so
-    u ~ exp(t)*x^(-alpha) far right.  A steeper tail keeps that rate: the
-    datum B^2, B = 1/2 - x/(2*sqrt(1+x^2)), with tail (2x)^(-4), gave
-    sigma = 0.6607 and 0.6660 on t in [8, 12] and [11, 15] at alpha = 1.5
-    (1/alpha = 0.667), and 1.0088 and 0.9868 on [2, 6] and [5, 9] at
-    alpha = 1.  Only a datum that vanishes at both ends spreads at the
-    kernel-tail rate 1/(1+alpha).  For x > 0
-    the base is evaluated as 1/(2r(r + x)), r = sqrt(1 + x^2), which does
-    not cancel in the far field.
+    u ~ exp(t)*x^(-alpha) far right, and a steeper tail keeps that rate
+    (ROADMAP item 23 has the runs).  Only a datum that vanishes at both
+    ends spreads at the kernel-tail rate 1/(1+alpha).  For x > 0 the base
+    is evaluated as 1/(2r(r + x)), r = sqrt(1 + x^2), which does not cancel
+    in the far field.
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(1.0 + x * x)
@@ -122,18 +119,21 @@ def initial_condition(x, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _parity_stepper(op: np.ndarray, dt: float):
+def rk4_stepper(op: np.ndarray, dt: float):
     """One run's RK4 stepper in reflection-parity coordinates, bound to work arrays allocated here.
 
     Returns ``(p, stage, step)``.  ``p`` is the (2, n/2) state [e; o] of
     :func:`fraclap.opmatrix.split_parity`, on whose rows the parity blocks
-    ``op`` act; u(1-u) splits into e - (e^2 + o^2)/2 and o - e*o.
+    ``op`` of :func:`fraclap.opmatrix.fused_sample_operator` act; u(1-u)
+    splits into e - (e^2 + o^2)/2 and o - e*o.
     ``stage(s, e, o)`` writes the right-hand side at the state s = [e; o]
     into a work array and returns it.  ``step()`` advances ``p`` in place by
     one classical RK4 step of ``dt`` and raises :class:`BlowUpError` when
     the max-norm of the node values, max(|e| + |o|)/2, exceeds
     :data:`BLOWUP_LIMIT` or is NaN.  Every GEMV and ufunc writes through
-    ``out=`` into arrays bound here, so a step allocates no array.
+    ``out=`` into arrays bound here, so a step allocates no array.  Node
+    values go in as ``p[...] = split_parity(u)`` and come out as
+    ``join_parity(p)``, as in :func:`run_simulation`.
     """
     half = op.shape[1]
     work = aligned_empty((10, half))
@@ -179,18 +179,6 @@ def _parity_stepper(op: np.ndarray, dt: float):
             raise BlowUpError(f"max-norm {peak:.3g} exceeds {BLOWUP_LIMIT}; reduce dt or raise n")
 
     return p, stage, step
-
-
-def rk4_step(samples, dt: float, op: np.ndarray) -> np.ndarray:
-    """One classical Runge-Kutta step of the n physical values: the step of :func:`_parity_stepper`.
-
-    Binds a whole stepper per call; kept because ``perfbench/tracing.py``
-    traces it by name.
-    """
-    p, _, step = _parity_stepper(op, dt)
-    p[...] = split_parity(samples)
-    step()
-    return join_parity(p)
 
 
 def front_position(cfg: GridConfig):
@@ -314,7 +302,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     ``matrix`` (the unit-scale block, built or loaded from a cache file)
     must match the run's n, alpha and l_lim, or ValueError is raised; it is
     folded once, at the run's map scale, into the parity blocks of
-    :func:`_parity_stepper`.  The stepper and a :func:`front_position`
+    :func:`rk4_stepper`.  The stepper and a :func:`front_position`
     finder are bound once per run.  Node values, the front position and the
     spectral tail (:func:`_spectral_tail`) are taken at t = 0, every
     ``sample_stride`` steps and at the last step.  The fit window defaults
@@ -339,7 +327,7 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     op = fused_sample_operator(matrix, cfg)
     x = node_positions(cfg)
     u = initial_condition(x, run.alpha)
-    p, _, step_once = _parity_stepper(op, run.dt)
+    p, _, step_once = rk4_stepper(op, run.dt)
     p[...] = split_parity(u)
     find = front_position(cfg)
 

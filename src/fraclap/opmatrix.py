@@ -37,14 +37,8 @@ The binary cache format (version 5) is a fixed 64-byte little-endian header
 
 followed by the n*(n-1) complex128 entries of the unit-scale block in
 row-major order and a trailing 8-byte CRC32 of header plus payload.  Round
-trips are bit exact.  Files of an older version are rejected with
-:class:`MatrixFormatError`: version 1 held the full 2n x 2n matrix,
-version 2 the block at one map scale (L, x_c and the extension in the
-header), version 3 summed the even columns through the truncated series
-that version 4 replaced by their closed form, and version 4 summed the odd
-columns over every row |l1| <= l_lim, which version 5 replaces past
-l_lim = 48 by 97 Euler-weighted rows: the same truncation to round-off,
-but not the same bytes (:func:`fraclap.symbol.odd_mode_columns`).
+trips are bit exact.  An intact file of any other version raises
+:class:`MatrixFormatError` (README lists what versions 1-4 held).
 """
 
 from __future__ import annotations

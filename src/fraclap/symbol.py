@@ -64,7 +64,8 @@ round-off is about as large), while the block sums 97 rows and requests
 about 100*n vector entries at every l_lim: two vectors from m = 0 and two
 from about m = l_lim*n.  The 48 pairs equal the plain sum's at
 l_lim = 48, the switch point: up to it the plan is the plain truncation,
-row for row.
+row for row, and past it the plan sums fewer rows and its tail pairs lie
+beyond its pairs 33..40.
 The weights fold into W's exact sign, and the rows keep descending p with
 l1 = 0 last.  The k = 2 column evaluates no gamma ratio at all: its two
 ratios differ by exactly 2 in their arguments, so each term is a rational
@@ -443,10 +444,8 @@ def _row_plan(l_lim: int) -> list:
 
     A run holds the pairs p = top, top-1, ..., top - weights.size + 1, the
     pair p weighted by weights[top - p]; the last run ends at p = 1 (at
-    l_lim = 0 it is empty, top 0).  Up to l_lim = _PLAN_PAIRS the plan is
-    the truncation itself, one run of weight 1.  Past it the plan is the
-    same 48 pairs at every l_lim (module docstring): p = L+8..L+1 weighted
-    -u_8..-u_1, then p = 40..1 weighted u_8..u_1 and 32 ones, L = l_lim.
+    l_lim = 0 it is empty, top 0).  The plan is derived in the module
+    docstring.
     """
     if l_lim <= _PLAN_PAIRS:
         return [(l_lim, np.ones(l_lim))]
@@ -458,28 +457,14 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s), k = 1, 3, ..., n-1, at the n physical nodes.
 
     Every column is the paper's series truncated at |l1| <= l_lim, its
-    A(0) term in finite form (module docstring).  Each term of the l1 sum
-    is W[l1, l2] times G[l1, d] with d = floor(k/2) - l2, so the sums are the reductions
-    P0 = sum W*G and P1 = sum W*l1*G over a sliding window of G n/2 columns
-    wide.  The rows summed are those of :func:`_row_plan`: every row pair
-    |l1| = 1..l_lim up to l_lim = 48, and past it the same 97 rows at any
-    l_lim, whose Euler weights sum the whole series from the pairs 1..40
-    and subtract its tail beyond l_lim, summed from the pairs
-    l_lim+1..l_lim+8 (module docstring).  48 pairs is the plain sum's own
-    count at l_lim = 48, so the plan takes over where it sums fewer rows,
-    and its tail rows then lie past its rows 33..40.  For each run of the
-    plan the block requests vec_a and vec_c from
-    :func:`fraclap.gammaratio.ratio_vector` over the m its rows need, from
-    m = 0 for the run that ends at p = 1, so no vector grows with l_lim
-    past 48.  W and G are copied once per call, into one work buffer, from
-    strided views of them (the l1 = 0 rows gathered), each row pair's
-    weight folded into W's exact sign, and summed as a matrix
-    product followed by a skewed gather (:func:`_window_sums`), blocked
-    over the nodes.  The products run on one OpenBLAS thread, so
-    the result does not depend on the caller's BLAS thread count; where
-    numpy has no OpenBLAS thread setter (:func:`blas_thread_setter`) the pin
-    is a no-op and that guarantee is the BLAS library's own.  Returns an
-    (n, n/2) array; raises as :func:`check_block` does, before any work.
+    A(0) term in finite form, summed over the rows of :func:`_row_plan`
+    (all of them up to l_lim = 48, the same 97 at any l_lim past it) as the
+    module docstring derives, through :func:`_window_sums`.  The products
+    run on one OpenBLAS thread, so the result does not depend on the
+    caller's BLAS thread count; where numpy has no OpenBLAS thread setter
+    (:func:`blas_thread_setter`) the pin is a no-op and that guarantee is
+    the BLAS library's own.  Returns an (n, n/2) array; raises as
+    :func:`check_block` does, before any work.
     """
     check_block(n, alpha, l_lim)
     half = n // 2
@@ -487,11 +472,8 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     rows = 2 * sum(weight.size for _, weight in plan) + 1
     # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
     d = np.arange(1 - half, n)
-    # One allocation holds the call's large arrays: W, G and the operand of
-    # _window_sums, then the sums P0 and P1 and the series' work.  It is larger
-    # than all the call's other arrays together, so under glibc's malloc, which
-    # trims the heap only past twice the largest block it has unmapped, its
-    # pages stay resident from one alpha to the next (CHANGES.md)
+    # W, G and the operand of _window_sums, then P0 and P1 and the series'
+    # work: one allocation (module docstring)
     size = rows * (n + d.size + 2 * _NODE_BLOCK)
     work = np.empty(size + n * n + 2 * n * n)
     w = work[: rows * n].reshape(rows, n)

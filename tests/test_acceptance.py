@@ -29,10 +29,17 @@ from conftest import (
     odd_ratio_args,
     two_sided_image,
 )
-from fraclap.fisher import FisherRun, fit_sigma, initial_condition, rk4_step, run_simulation
+from fraclap.fisher import FisherRun, fit_sigma, initial_condition, rk4_stepper, run_simulation
 from fraclap.gammaratio import ratio_vector
 from fraclap.grid import Extension, GridConfig, node_positions, nodes
-from fraclap.opmatrix import apply, build_matrix, fractional_laplacian, fused_sample_operator
+from fraclap.opmatrix import (
+    apply,
+    build_matrix,
+    fractional_laplacian,
+    fused_sample_operator,
+    join_parity,
+    split_parity,
+)
 from fraclap.oracles import (
     alpha_grid,
     closed_form_gaussian,
@@ -376,11 +383,12 @@ def test_criterion8_rk4_measured_order():
     op = fused_sample_operator(build_matrix(cfg, 1.2, 200), cfg)
     u0 = initial_condition(node_positions(cfg), 1.2)
 
-    def integrate(dt, t_end=0.8):
-        u = u0.copy()
+    def integrate(dt, t_end=0.8):  # on one stepper bound per run, as run_simulation steps
+        p, _, step = rk4_stepper(op, dt)
+        p[...] = split_parity(u0)
         for _ in range(int(round(t_end / dt))):
-            u = rk4_step(u, dt, op)
-        return u
+            step()
+        return join_parity(p)
 
     ref = integrate(0.0125)
     errs = [np.max(np.abs(integrate(dt) - ref)) for dt in (0.2, 0.1, 0.05)]

@@ -223,6 +223,26 @@ class TestValidate:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_l_sweep_needs_the_gaussian_target(self, tmp_path, capsys):
+        code = run_cli(
+            "validate", "--target", "mode2", "--n", "16", "--llim", "10",
+            "--l-sweep", "1:2:1", "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: --l-sweep only applies to --target gaussian\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadrature_default_grid(self, tmp_path):
+        # without --alpha-grid each probe's adaptive quadrature runs at three orders
+        out = tmp_path / "q.csv"
+        code = run_cli(
+            "validate", "--target", "quadrature", "--n", "16", "--L", "4.6",
+            "--llim", "20", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rows = read_csv(out, csv.DictReader)
+        assert [float(row["alpha"]) for row in rows] == [0.4] * 3 + [1.0] * 3 + [1.6] * 3
+
     def test_quadrature_target(self, tmp_path):
         out = tmp_path / "q.csv"
         code = run_cli(
@@ -601,6 +621,21 @@ class TestFisher:
         assert code == EXIT_INVALID
         assert not (tmp_path / "x").exists()
 
+    def test_front_leaving_the_grid_is_an_escape_row(self, tmp_path, capsys):
+        # on 16 nodes at L = 1 the front passes the outermost node at t = 3.8
+        out_dir = tmp_path / "x"
+        code = run_cli(
+            "fisher", "--alpha", "1.5", "--n", "16", "--L", "1", "--dt", "0.01",
+            "--tfinal", "6", "--llim", "20", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_BLOWUP
+        summary = read_csv(out_dir / "summary.csv")
+        assert summary[1][-1] == "FrontEscapeError"
+        shown = capsys.readouterr()
+        escape = "t = 3.8: no 1/2-crossing between adjacent nodes"
+        assert f"FAILED ({escape})" in shown.out
+        assert shown.err == f"numerical failure: {escape}\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_step_is_a_blowup_row(self, tmp_path, capsys):
         # a step of 1e100 overflows to NaN at once; NaN must not pass the gate,
@@ -671,6 +706,22 @@ class TestSpanGrammar:
             )
             assert code == EXIT_INVALID
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha-grid", "a:b:c", "non-numeric span 'a:b:c'"),
+        ("--fit-window", "a:b", "non-numeric window 'a:b'"),
+        ("--fit-window", "1:2:3", "expected lo:hi, got '1:2:3'"),
+    ], ids=["span-letters", "window-letters", "window-three-parts"])
+    def test_malformed_grammar_is_named(self, tmp_path, capsys, flag, value, message):
+        if flag == "--alpha-grid":
+            command = ["validate", "--target", "mode2", "--n", "16", "--llim", "10",
+                       "--out", str(tmp_path / "s.csv")]
+        else:
+            command = ["fisher", "--alpha", "1.2", "--n", "32", "--dt", "0.01",
+                       "--tfinal", "1.0", "--out-dir", str(tmp_path / "x")]
+        assert run_cli(*command, f"{flag}={value}") == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_window_rejected(self, tmp_path):
         for window in ("3:1", "nan:0.3", "0.1:inf"):

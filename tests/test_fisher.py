@@ -22,10 +22,9 @@ from fraclap.fisher import (
     fit_sigma,
     front_position,
     initial_condition,
-    rk4_step,
+    rk4_stepper,
     run_simulation,
     _ols_rate,
-    _parity_stepper,
     _spectral_tail,
 )
 from fraclap.grid import Extension, GridConfig, node_positions, nodes, x_to_s
@@ -94,9 +93,18 @@ class TestInitialCondition:
 
 def _stage_at(u, op):
     """The right-hand side at the n node values u, through the stage run_simulation's stepper runs."""
-    p, stage, _ = _parity_stepper(op, 0.0)
+    p, stage, _ = rk4_stepper(op, 0.0)
     p[...] = split_parity(u)
     return join_parity(stage(p, *p))
+
+
+def _integrate(u, dt, op, steps):
+    """The node values after ``steps`` RK4 steps from u, on one stepper bound as run_simulation binds it."""
+    p, _, step = rk4_stepper(op, dt)
+    p[...] = split_parity(u)
+    for _ in range(steps):
+        step()
+    return join_parity(p)
 
 
 class TestRhs:
@@ -122,16 +130,14 @@ class TestRhs:
 class TestRk4Step:
     def test_one_state_is_fixed_point(self, gauss_setup):
         cfg, matrix, op = gauss_setup
-        u = np.ones(128)
-        for _ in range(5):
-            u = rk4_step(u, 0.01, op)
+        u = _integrate(np.ones(128), 0.01, op, 5)
         assert np.max(np.abs(u - 1.0)) <= 1e-13
 
     def test_blowup_detected(self, gauss_setup):
         cfg, matrix, op = gauss_setup
         u = np.full(128, 9.9)
         with pytest.raises(BlowUpError):
-            rk4_step(u, 0.5, op)
+            _integrate(u, 0.5, op, 1)
 
     def test_nan_is_a_blowup(self, gauss_setup):
         # NaN > BLOWUP_LIMIT is False: the gate must not let NaN through
@@ -139,7 +145,7 @@ class TestRk4Step:
         u = np.full(128, 0.5)
         u[7] = np.nan
         with pytest.raises(BlowUpError):
-            rk4_step(u, 0.01, op)
+            _integrate(u, 0.01, op, 1)
 
     def test_linearization_matches_closed_form(self, gauss_setup):
         # one small step from eps*u3: to first order in dt and eps,
@@ -148,7 +154,7 @@ class TestRk4Step:
         x = node_positions(cfg)
         eps, dt = 1e-6, 1e-3
         u3 = np.exp(-x * x)
-        stepped = rk4_step(eps * u3, dt, op)
+        stepped = _integrate(eps * u3, dt, op, 1)
         predicted = eps * u3 + dt * eps * (-closed_form_gaussian(x, 1.5) + u3)
         # neglected terms: O(dt^2 * eps) and O(dt * eps^2)
         assert np.max(np.abs(stepped - predicted)) < 5 * dt**2 * eps
@@ -172,7 +178,7 @@ class TestRk4Step:
         k3 = f(u + 0.5 * dt * k2)
         k4 = f(u + dt * k3)
         expected = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.max(np.abs(rk4_step(u, dt, op) - expected)) < 1e-11
+        assert np.max(np.abs(_integrate(u, dt, op, 1) - expected)) < 1e-11
 
     @pytest.mark.parametrize("n", [16, 512])
     def test_block_placement_does_not_change_steps(self, n):
@@ -186,8 +192,11 @@ class TestRk4Step:
 
         def run(op):
             states = [apply_sample_operator(op, u0), u0]
+            p, _, step = rk4_stepper(op, 0.01)
+            p[...] = split_parity(u0)
             for _ in range(3):
-                states.append(rk4_step(states[-1], 0.01, op))
+                step()
+                states.append(join_parity(p))
             return states
 
         expected = run(blocks)
@@ -203,7 +212,7 @@ class TestRk4Step:
         n, alpha = 512, 1.95
         cfg = GridConfig(n, 1000.0 / alpha**3)
         op = fused_sample_operator(build_matrix(cfg, alpha, 20), cfg)
-        p, _, step = _parity_stepper(op, 0.01)
+        p, _, step = rk4_stepper(op, 0.01)
         p[...] = split_parity(initial_condition(node_positions(cfg), alpha))
         step()
         tracemalloc.start()
@@ -224,10 +233,7 @@ class TestRk4Step:
         u0 = initial_condition(node_positions(cfg), 1.2)
 
         def integrate(dt, t_end=0.8):
-            u = u0.copy()
-            for _ in range(int(round(t_end / dt))):
-                u = rk4_step(u, dt, op)
-            return u
+            return _integrate(u0, dt, op, int(round(t_end / dt)))
 
         ref = integrate(0.0125)
         errs = [np.max(np.abs(integrate(dt) - ref)) for dt in (0.2, 0.1, 0.05)]
@@ -292,6 +298,20 @@ class TestFrontPosition:
             u = 0.5 * (1.0 - np.tanh(x - x[j]))
             u[j] = np.nextafter(0.5, 1.0)
             assert find(u)[0] == pytest.approx(x[j], abs=1e-10 * max(1.0, abs(x[j])))
+
+    def test_node_value_of_exactly_half_is_the_front(self):
+        # a node at exactly 1/2 before any sign change is returned as it is,
+        # whether or not a dip behind it crosses 1/2 again
+        cfg = GridConfig(64, 5.0)
+        x = node_positions(cfg)
+        find = front_position(cfg)
+        for j in range(7, 50):
+            front = 0.5 * (1.0 - np.tanh(x - x[j]))
+            dip = front - 0.8 * np.exp(-((x - x[j] + 3.0) ** 2))
+            front[j] = dip[j] = 0.5
+            behind = dip[j + 1 :] - 0.5
+            assert np.any(behind[:-1] * behind[1:] < 0.0)  # the dip crosses 1/2 behind x_j
+            assert find(front)[0] == find(dip)[0] == x[j]
 
     def test_matches_root_of_complex_interpolant(self):
         # the same crossing through the direct 2n complex transform and series
@@ -442,7 +462,7 @@ class TestRunSimulation:
         run = FisherRun(cfg=cfg, alpha=alpha, dt=0.01, t_final=0.02, l_lim=200,
                         sample_stride=1, fit_window=(0.0, 0.02))
         result = run_simulation(run, matrix)
-        p, _, step = _parity_stepper(fused_sample_operator(matrix, cfg), 0.01)
+        p, _, step = rk4_stepper(fused_sample_operator(matrix, cfg), 0.01)
         p[...] = split_parity(initial_condition(node_positions(cfg), alpha))
         step()
         step()

@@ -409,6 +409,15 @@ class TestCacheFile:
             with pytest.raises(MatrixFormatError, match=f"version {version}"):
                 load_matrix(path, **SMALL_KEY)
 
+    def test_short_payload_of_the_current_version_is_a_cache_error(self, tmp_path):
+        # version 5, valid CRC, a matching header and one entry too few:
+        # damaged, not stale, so nothing may rebuild over it
+        path = tmp_path / "short.bin"
+        path.write_bytes(cache_file_bytes(5, 8, 8 * 7 - 1))
+        with pytest.raises(MatrixCacheError, match="payload size does not match n = 8") as caught:
+            load_matrix(path, **SMALL_KEY)
+        assert not isinstance(caught.value, MatrixFormatError)
+
     def test_corrupt_old_version_is_not_a_format_error(self, tmp_path):
         path = tmp_path / "v3.bin"
         raw = bytearray(cache_file_bytes(3, 8, 8 * 7))
