@@ -216,6 +216,8 @@ def _cmd_validate(args) -> int:
     cfg = GridConfig(args.n, args.L, args.xc, Extension(args.extension))
     t0 = time.perf_counter()
     diagnostics: dict = {}
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise ParameterError(f"--tolerance must be finite and nonnegative, got {args.tolerance}")
     if args.l_sweep is not None and args.target != "gaussian":
         raise ParameterError("--l-sweep only applies to --target gaussian")
     if args.alpha_grid is not None:
@@ -269,7 +271,7 @@ def _cmd_validate(args) -> int:
         wall,
         diagnostics,
     )
-    if args.tolerance is not None and gate_value > args.tolerance:
+    if args.tolerance is not None and not gate_value <= args.tolerance:  # a NaN scan fails
         print(f"FAIL: {gate_value:.6e} exceeds tolerance {args.tolerance:.6e}")
         return EXIT_INVALID
     return EXIT_OK
@@ -426,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--extension", choices=["even", "odd"], default="even")
     p_val.add_argument("--alpha-grid", help="a:b:step (default 0.05:1.95:0.05; 0.4, 1, 1.6 for quadrature)")
     p_val.add_argument("--l-sweep", help="a:b:step sweep of the map scale")
-    p_val.add_argument("--tolerance", type=float, help="exit 2 when the scan exceeds this")
+    p_val.add_argument("--tolerance", type=float,
+                       help="exit 2 when the scan exceeds this or is NaN (finite, >= 0)")
     p_val.add_argument("--out", help="CSV output path")
     p_val.set_defaults(func=_cmd_validate)
 

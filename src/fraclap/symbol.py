@@ -8,8 +8,8 @@ outer index through l = l1*n + l2:
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
-smallest terms (largest |l1|) first (in the odd block, past l_lim = 48, as
-a fixed plan of 97 of its rows; see below).  In the odd modes the l1 = l2 = 0
+smallest terms (largest |l1|) first (past l_lim = 48, as a fixed plan of 97
+of its rows; see below).  In the odd modes the l1 = l2 = 0
 weight A(0) is Gamma's pole at alpha = 1, but its term enters only through
 (1 - alpha)*A(0) = -2*Gamma((1+alpha)/2)/Gamma((3-alpha)/2), finite at every
 alpha, so the sums leave A(0) out and add the term in that form.  The series
@@ -46,30 +46,32 @@ and G once per call into the summation order, the exact sign (-1)^l1
 folded into the copy; only the l1 = 0 rows, where l and e change sign, are
 gathered.
 
-The odd block does not sum all 2*l_lim + 1 rows past l_lim = 48: its rows
-follow a fixed plan (:func:`_row_plan`) of 97.  The row pairs +-p carry
-(-1)^p, so the tail of the series alternates, and the Euler (van
-Wijngaarden) transform sums an alternating tail from a few of its first
-terms (*Numerical Recipes*, "Series and their convergence").  Averaging
-the nine partial sums up to p = L..L+8, neighbour with neighbour, eight
-times over is one sum in which
-the pairs p <= L keep weight 1 and the pair p = L + i gets weight
+Neither series kernel sums all 2*l_lim + 1 rows past l_lim = 48: the odd
+block and the k = 2 column both follow a fixed plan (:func:`_row_plan`) of
+97 rows.  The row pairs +-p carry (-1)^p, so the tail of the series
+alternates, and the Euler (van Wijngaarden) transform sums an alternating
+tail from a few of its first terms (*Numerical Recipes*, "Series and their
+convergence").  Averaging the nine partial sums up to p = L..L+8,
+neighbour with neighbour, eight times over is one sum in which the pairs
+p <= L keep weight 1 and the pair p = L + i gets weight
 u_i = 2^-8 * sum_{j>=i} C(8, j), an exact multiple of 1/256.  The plan
 applies it twice: with L = 32 it sums the pairs 1..40, which gives the
 whole series, and with L = l_lim it sums the pairs l_lim+1..l_lim+8 with
 the weights negated, which takes the series' tail beyond l_lim back off.
 The difference is the truncation at l_lim to round-off (within 2e-13
-column-relative of the plain sum at n <= 1024, where the plain sum's own
-round-off is about as large), while the block sums 97 rows and requests
-about 100*n vector entries at every l_lim: two vectors from m = 0 and two
-from about m = l_lim*n.  The 48 pairs equal the plain sum's at
-l_lim = 48, the switch point: up to it the plan is the plain truncation,
-row for row, and past it the plan sums fewer rows and its tail pairs lie
-beyond its pairs 33..40.
-The weights fold into W's exact sign, and the rows keep descending p with
-l1 = 0 last.  The k = 2 column evaluates no gamma ratio at all: its two
-ratios differ by exactly 2 in their arguments, so each term is a rational
-function of |l|, formed a chunk of rows at a time, largest p first as
+column-relative of the plain sum at n <= 1024 in the odd block, where the
+plain sum's own round-off is about as large, and within 3.3e-16 in the
+k = 2 column), while the block sums 97 rows and requests about 100*n
+vector entries at every l_lim: two vectors from m = 0 and two from about
+m = l_lim*n; the k = 2 column forms 97*n terms.  The 48 pairs equal the
+plain sum's at l_lim = 48, the switch point: up to it the plan is the
+plain truncation, row for row, and past it the plan sums fewer rows and
+its tail pairs lie beyond its pairs 33..40.
+The weights fold into the exact sign (-1)^p of each pair, and the rows
+keep descending p within each run, with l1 = 0 last.  The k = 2 column
+evaluates no gamma ratio at all: its two ratios differ by exactly 2 in
+their arguments, so each term is a rational function of |l|, formed a
+chunk of the plan's rows at a time, run by run and largest p first as
 they are summed, by one generator that owns the chunk buffer
 (:func:`_mode2_chunks`), and never as W or G.  The -p and +p terms are
 fused into each row's P0 and P1 parts and reduced chunk by chunk, each
@@ -323,18 +325,19 @@ def _mode2_zero(alpha: float, n: int) -> np.ndarray:
 
 
 def _mode2_chunks(alpha: float, n: int, l_lim: int):
-    """Yield the k = 2 column's terms for p = l_lim..1, a chunk of _CHUNK // n rows at a time, largest p first.
+    """Yield the k = 2 column's terms for the pairs p of :func:`_row_plan`, a chunk of _CHUNK // n rows at a time.
 
-    The chunks are walked in summation order: top = l_lim, l_lim - rows,
-    ..., and the short chunk, if any, comes last.  Each chunk is (top,
+    The chunks are walked in summation order: run by run of the plan, and
+    within a run top, top - rows, ..., largest p first, with the run's
+    short chunk, if any, last.  Each chunk is (top,
     t_minus, t_plus, spare): three (count, n) views of one work buffer that
     the next chunk reuses, row r at p = top - r and column j at
     l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of l1 = +p, and
     ``spare`` is free for the caller.  The buffer is one
     :func:`aligned_empty` array of six rows, each of size + 5 entries
-    (size = min(_CHUNK // n, l_lim)*n) padded to whole cache lines, so each
-    row starts on a line: the spare, the ramp j, L, R, t- and the pair
-    products.  No gamma ratio is evaluated: the two ratios
+    (size = min(_CHUNK // n, longest run)*n) padded to whole cache lines,
+    so each row starts on a line: the spare, the ramp j, L, R, t- and the
+    pair products.  No gamma ratio is evaluated: the two ratios
     of a k = 2 term differ by exactly 2 in their arguments
     (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.
     With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c, L(m) = m - c and
@@ -355,50 +358,56 @@ def _mode2_chunks(alpha: float, n: int, l_lim: int):
     """
     half = n // 2
     c = (1.0 - alpha) / 2.0
+    plan = _row_plan(l_lim)
     rows = max(1, _CHUNK // n)
-    size = min(rows, l_lim) * n
+    size = min(rows, max(weight.size for _, weight in plan)) * n
     span = -(-(size + 5) // 8) * 8  # size + 5 entries, rounded up to whole cache lines
     # lo and hi hold L and R at m = M + 2 - j
     spare, ramp, lo, hi, t_minus, pairs = aligned_empty((6, span))[:, : size + 5]
     ramp[:] = np.arange(size + 5)
-    for top in range(l_lim, 0, -rows):
-        count = min(rows, top)
-        k = count * n
-        lf, rf = lo[: k + 5], hi[: k + 5]
-        np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
-        np.subtract(rf, c, out=lf)
-        rf += c
-        tm, q = t_minus[:k], pairs[:k]
-        np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
-        np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
-        np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
-        tm *= lf[2 : k + 2]
-        q *= lf[3 : k + 3]
-        np.divide(1.0, tm, out=tm)
-        tp = rf[:k].reshape(count, n)
-        np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
-        yield top, tm.reshape(count, n), tp, spare[:k].reshape(count, n)
+    for run, weight in plan:
+        for top in range(run, run - weight.size, -rows):
+            count = min(rows, top - run + weight.size)
+            k = count * n
+            lf, rf = lo[: k + 5], hi[: k + 5]
+            np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
+            np.subtract(rf, c, out=lf)
+            rf += c
+            tm, q = t_minus[:k], pairs[:k]
+            np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
+            np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
+            np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
+            tm *= lf[2 : k + 2]
+            q *= lf[3 : k + 3]
+            np.divide(1.0, tm, out=tm)
+            tp = rf[:k].reshape(count, n)
+            np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
+            yield top, tm.reshape(count, n), tp, spare[:k].reshape(count, n)
 
 
 def _column_sums(alpha: float, n: int, l_lim: int):
     """P0 and P1 of the k = 2 column, each an n-vector over the nodes.
 
-    The terms come chunk by chunk from :func:`_mode2_chunks`, largest p
-    first, and so do each chunk's rows.  A chunk's terms t- of l1 = -p and
+    The terms come chunk by chunk from :func:`_mode2_chunks`, over the
+    pairs p of :func:`_row_plan` in its order, largest p first within each
+    run, and so do each chunk's rows.  A chunk's terms t- of l1 = -p and
     t+ of l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t-, and
-    reduced with one dot against (-1)^p and (-1)^p*p, on one OpenBLAS
-    thread (:func:`_one_blas_thread`); the two dots are added into P0 and
-    P1 as the chunk arrives.  The l1 = 0 row (:func:`_mode2_zero`) is added
-    to P0 last; it has no share in P1.
+    reduced with one dot against w0 = weight*(-1)^p and w1 = w0*p, both
+    exact, on one OpenBLAS thread (:func:`_one_blas_thread`); the two dots
+    are added into P0 and P1 as the chunk arrives.  The l1 = 0 row
+    (:func:`_mode2_zero`) is added to P0 last; it has no share in P1.
     """
-    p = np.arange(l_lim, 0, -1)
-    w0 = 1.0 - 2.0 * (p % 2)  # (-1)^p
+    plan = _row_plan(l_lim)
+    p = np.concatenate([np.arange(top, top - weight.size, -1) for top, weight in plan])
+    w0 = np.concatenate([weight for _, weight in plan]) * (1.0 - 2.0 * (p % 2))
     w1 = w0 * p
     p0 = np.zeros(n)
     p1 = np.zeros(n)
+    i = 0  # row i of w0 holds the chunk's first pair: the chunks walk p in the plan's order
     with _one_blas_thread():
-        for top, tm, tp, diff in _mode2_chunks(alpha, n, l_lim):
-            chunk = slice(l_lim - top, l_lim - top + len(tp))  # row i of w0 holds p = l_lim - i
+        for _, tm, tp, diff in _mode2_chunks(alpha, n, l_lim):
+            chunk = slice(i, i + len(tp))
+            i += len(tp)
             np.subtract(tp, tm, out=diff)
             np.add(tm, tp, out=tp)
             p0 += w0[chunk] @ tp
@@ -440,7 +449,7 @@ def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray,
 
 
 def _row_plan(l_lim: int) -> list:
-    """The odd block's row pairs as runs of consecutive |l1|, largest first: [(top, weights)].
+    """The row pairs of both series kernels as runs of consecutive |l1|, largest first: [(top, weights)].
 
     A run holds the pairs p = top, top-1, ..., top - weights.size + 1, the
     pair p weighted by weights[top - p]; the last run ends at p = 1 (at
@@ -528,8 +537,10 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
 def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     """Values of the unit-scale operator applied to exp(2i*s) at the n physical nodes.
 
-    The paper's series for the k = 2 column truncated at |l1| <= l_lim; at
-    alpha = 1 the closed form 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`),
+    The paper's series for the k = 2 column truncated at |l1| <= l_lim,
+    summed over the rows of :func:`_row_plan` (all of them up to
+    l_lim = 48, the same 97 at any l_lim past it); at alpha = 1 the closed
+    form 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`),
     bit for bit the block's column from :func:`even_mode_columns`.  No W or
     G is formed and no gamma ratio vector is built: :func:`_column_sums`
     reduces the rational terms of :func:`_mode2_chunks` with one dot per

@@ -154,9 +154,10 @@ def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8
     """Largest relative errors of ``symbol._mode2_chunks`` and ``_mode2_zero`` against :func:`mode2_term_ref`.
 
     Returns (l1 = 0 row, chunk terms).  The chunks are walked as the k = 2
-    column walks them; they must cover p = l_lim..1 once, largest p first,
-    each giving t- (l1 = -p) and t+ (l1 = +p) as (count, n) arrays whose row r
-    is p = top - r and whose column j is l2 = j - n/2.  Of each, the four
+    column walks them; they must cover each run of ``symbol._row_plan(l_lim)``
+    once, in the plan's order and largest p first, each giving t- (l1 = -p)
+    and t+ (l1 = +p) as (count, n) arrays whose row r is p = top - r and
+    whose column j is l2 = j - n/2.  Of each, the four
     corners and ``per_chunk`` random entries are checked; of the l1 = 0 row,
     its ends, l2 = 0 and 1, and up to 60 random nodes.
     """
@@ -167,12 +168,11 @@ def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8
     nodes_ = np.unique(np.concatenate([[0, half, half + 1, n - 1], rng.integers(0, n, 60)]))
     zero_err = max(abs(zero[j] / mode2_term_ref(alpha, n, 0, int(j) - half) - 1) for j in nodes_)
     term_err = 0.0
-    left = l_lim  # the largest p not walked yet
+    walked = []
     for top, t_minus, t_plus, _ in symbol._mode2_chunks(alpha, n, l_lim):
-        assert top == left
         count = len(t_minus)
         assert count >= 1
-        left = top - count
+        walked += range(top, top - count, -1)
         for side, terms in ((-1, t_minus), (1, t_plus)):
             assert terms.shape == (count, n)
             picks = [(0, 0), (0, n - 1), (count - 1, 0), (count - 1, n - 1)]
@@ -180,7 +180,8 @@ def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8
             for r, j in picks:
                 ref = mode2_term_ref(alpha, n, side * (top - int(r)), int(j) - half)
                 term_err = max(term_err, abs(terms[r, j] / ref - 1))
-    assert left == 0
+    plan = symbol._row_plan(l_lim)
+    assert walked == [p for top, weight in plan for p in range(top, top - weight.size, -1)]
     return zero_err, term_err
 
 

@@ -12,7 +12,7 @@ from fraclap.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from fraclap.fisher import FisherRun, run_simulation
 from fraclap.grid import GridConfig
 from fraclap.opmatrix import build_matrix, load_matrix
-from fraclap.oracles import mode1_error
+from fraclap.oracles import ErrorScan, mode1_error
 from fraclap.symbol import blas_thread_setter, blas_threads
 
 
@@ -147,6 +147,32 @@ class TestValidate:
             "--out", str(tmp_path / "scan.csv"),
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.001"])
+    def test_bad_tolerance_is_a_parameter_error(self, tmp_path, monkeypatch, capsys, tolerance):
+        # NaN would pass any scan: every comparison with it is false
+        calls = []
+        monkeypatch.setattr(cli, "error_scan", lambda *a, **k: calls.append(a))
+        code = run_cli(
+            "validate", "--target", "mode2", "--n", "16", "--llim", "0",
+            "--alpha-grid", "0.5:0.5:1", "--tolerance", tolerance,
+            "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == EXIT_INVALID
+        assert "--tolerance" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_scan_fails_the_tolerance(self, tmp_path, monkeypatch, capsys):
+        scan = ErrorScan("mode2", np.array([0.5]), np.array([np.nan]))
+        monkeypatch.setattr(cli, "error_scan", lambda *a, **k: scan)
+        code = run_cli(
+            "validate", "--target", "mode2", "--n", "16", "--llim", "0",
+            "--alpha-grid", "0.5:0.5:1", "--tolerance", "1.0",
+            "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == EXIT_INVALID
+        assert "FAIL: nan exceeds tolerance" in capsys.readouterr().out
 
     def test_gaussian_scan(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -134,8 +134,9 @@ class TestRationalMode2Terms:
         # b_A - a_B = b_B - a_A = 2, so the k = 2 terms A(m)*B(m +- 1) cancel to
         # 1/((m^2 - c^2)(m +- e)(m +- e +- 1)), c = (1 - alpha)/2, e = 1 - c.  The
         # terms formed from that rational form, chunk by chunk at full size
-        # (n = 1024, l_lim = 500: 16 chunks of 32 rows, m up to 5.1e5), against
-        # products of two mpmath ratios, on sampled entries of every chunk
+        # (n = 1024, l_lim = 500: the plan's tail rows 508..501 in one chunk, m up
+        # to 5.2e5, then 40..1 in two), against products of two mpmath ratios, on
+        # sampled entries of every chunk
         assert max(mode2_chunk_errors(alpha, 1024, 500, rng)) <= 1.5e-13
 
 

@@ -355,6 +355,21 @@ class TestModeColumns:
                 worst = max(worst, err.max())
         assert worst <= 2e-13
 
+    @pytest.mark.parametrize("n", [4, 16, 128, 1024])
+    def test_k2_row_plan_matches_the_plain_sum(self, n, monkeypatch):
+        # the k = 2 column sums the same plan: past l_lim = 48 its 48 row pairs
+        # are the truncation at l_lim to round-off, column-relative (measured
+        # <= 3.3e-16, at n = 16, alpha = 0.3, l_lim = 500)
+        worst = 0.0
+        for l_lim in (49, 64, 128, 500, 1000):
+            for alpha in (0.05, 0.3, 0.7, 1.3, 1.7, 1.95):
+                planned = symbol_samples(alpha, n, l_lim)
+                with monkeypatch.context() as patch:
+                    patch.setattr(symbol, "_row_plan", lambda l_lim: [(l_lim, np.ones(l_lim))])
+                    plain = symbol_samples(alpha, n, l_lim)
+                worst = max(worst, np.max(np.abs(planned - plain)) / np.max(np.abs(plain)))
+        assert worst <= 1e-15
+
     def test_row_plan_requests_the_same_entries_at_any_l_lim(self, monkeypatch):
         # past l_lim = 48 the vectors a build requests do not grow with l_lim
         asked = []
@@ -387,6 +402,14 @@ class TestModeColumns:
         numeric = symbol_samples(0.1, cfg.n, 500)
         exact = closed_form_mode2(nodes(cfg), 0.1)
         assert np.max(np.abs(numeric - exact)) <= 2e-13
+
+    def test_mode2_column_at_a_million_rows(self):
+        # past l_lim = 48 the k = 2 column forms 48 row pairs at any l_lim; the
+        # plain walk would form about 2e9 terms here
+        column = symbol_samples(0.7, 1024, 10**6)
+        exact = closed_form_mode2(nodes(GridConfig(1024, 1.0)), 0.7)
+        assert np.all(np.isfinite(column))
+        assert np.max(np.abs(column - exact)) <= 2e-13
 
     def test_even_mode_builds_no_odd_vector(self, monkeypatch):
         # the k = 2 column takes its terms from their rational form and builds
@@ -514,11 +537,19 @@ class TestWorkBuffers:
         assert np.all(out == 1.0)
 
     @pytest.mark.parametrize("n,l_lim,tops", [
-        (1024, 33, [33, 1]), (4, 40, [40]), (1024, 500, list(range(500, 0, -32))),
+        (1024, 33, [33, 1]), (4, 40, [40]), (1024, 500, [508, 40, 8]),
     ])
     def test_k2_chunks_walk_in_summation_order(self, n, l_lim, tops):
-        # largest p first, as the column sums them: the short chunk comes last
+        # run by run of the plan, largest p first, as the column sums them: a
+        # run's short chunk comes last
         assert [top for top, *_ in symbol._mode2_chunks(0.5, n, l_lim)] == tops
+
+    @pytest.mark.parametrize("l_lim", [49, 500, 10**6])
+    def test_k2_chunks_cover_the_plan_rows_at_any_l_lim(self, l_lim):
+        # past l_lim = 48 the k = 2 column forms the pairs l_lim+8..l_lim+1 and 40..1
+        walked = [top - r for top, t_minus, *_ in symbol._mode2_chunks(0.5, 1024, l_lim)
+                  for r in range(len(t_minus))]
+        assert walked == [*range(l_lim + 8, l_lim, -1), *range(40, 0, -1)]
 
     @pytest.mark.parametrize("n,l_lim", [(6, 7), (1024, 500)])
     def test_k2_sections_start_on_a_cache_line(self, n, l_lim):
