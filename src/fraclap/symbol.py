@@ -8,8 +8,8 @@ outer index through l = l1*n + l2:
 
 so truncating |l1| <= l_lim turns the doubly infinite series into an
 (2*l_lim+1) x n table of products of gamma ratios, summed over l1 with the
-smallest terms (largest |l1|) first (past l_lim = 48, as a fixed plan of 97
-of its rows; see below).  In the odd modes the l1 = l2 = 0
+smallest terms (largest |l1|) first (past l_lim = 48, as a fixed plan of 65
+weighted rows; see below).  In the odd modes the l1 = l2 = 0
 weight A(0) is Gamma's pole at alpha = 1, but its term enters only through
 (1 - alpha)*A(0) = -2*Gamma((1+alpha)/2)/Gamma((3-alpha)/2), finite at every
 alpha, so the sums leave A(0) out and add the term in that form.  The series
@@ -48,34 +48,41 @@ gathered.
 
 Neither series kernel sums all 2*l_lim + 1 rows past l_lim = 48: the odd
 block and the k = 2 column both follow a fixed plan (:func:`_row_plan`) of
-97 rows.  The row pairs +-p carry (-1)^p, so the tail of the series
-alternates, and the Euler (van Wijngaarden) transform sums an alternating
-tail from a few of its first terms (*Numerical Recipes*, "Series and their
+65 rows.  The row pairs +-p carry (-1)^p, so the series alternates, and
+the plan sums it in two runs.  The near run sums the whole series from
+the pairs 1..24 with the weights of Cohen, Rodriguez Villegas and Zagier
+(Experiment. Math. 9, 2000, Algorithm 1; :func:`_cvz_weights`), which sum
+an alternating series of moments of a positive measure on [0, 1] from N
+terms to within about 5.83^-N: the weight is 1 at p = 1, within 2e-4 of
+1 up to p = 10 and 1.2e-4 at p = 24.  Without the tail run the odd
+columns are within 3e-15 of their exact images at n = 16 and 32.  The
+tail run takes the series' tail beyond l_lim back off with the Euler
+(van Wijngaarden) transform (*Numerical Recipes*, "Series and their
 convergence").  Averaging the nine partial sums up to p = L..L+8,
 neighbour with neighbour, eight times over is one sum in which the pairs
 p <= L keep weight 1 and the pair p = L + i gets weight
-u_i = 2^-8 * sum_{j>=i} C(8, j), an exact multiple of 1/256.  The plan
-applies it twice: with L = 32 it sums the pairs 1..40, which gives the
-whole series, and with L = l_lim it sums the pairs l_lim+1..l_lim+8 with
-the weights negated, which takes the series' tail beyond l_lim back off.
-The difference is the truncation at l_lim to round-off (within 2e-13
-column-relative of the plain sum at n <= 1024 in the odd block, where the
-plain sum's own round-off is about as large, and within 3.3e-16 in the
-k = 2 column), while the block sums 97 rows and requests about 100*n
-vector entries at every l_lim: two vectors from m = 0 and two from about
-m = l_lim*n; the k = 2 column forms 97*n terms.  The 48 pairs equal the
-plain sum's at l_lim = 48, the switch point: up to it the plan is the
-plain truncation, row for row, and past it the plan sums fewer rows and
-its tail pairs lie beyond its pairs 33..40.
-The weights fold into the exact sign (-1)^p of each pair, and the rows
-keep descending p within each run, with l1 = 0 last.  The k = 2 column
-evaluates no gamma ratio at all: its two ratios differ by exactly 2 in
-their arguments, so each term is a rational function of |l|, formed a
-chunk of the plan's rows at a time, run by run and largest p first as
-they are summed, by one generator that owns the chunk buffer
-(:func:`_mode2_chunks`), and never as W or G.  The -p and +p terms are
-fused into each row's P0 and P1 parts and reduced chunk by chunk, each
-chunk's sums added in as it arrives (:func:`_column_sums`).
+u_i = 2^-8 * sum_{j>=i} C(8, j); with L = l_lim the pairs
+l_lim+1..l_lim+8, weighted -u_i, subtract the tail.  (Eight CVZ pairs in
+their place were 3e-14 to 9e-14 off the plain sum.)  The difference is
+the truncation at l_lim to round-off (within 1.2e-13 column-relative of
+the plain sum at n <= 1024 in the odd block, where the plain sum's own
+round-off is about as large, and within 2.3e-16 in the k = 2 column),
+while the block sums 65 rows and requests about 69*n vector entries at
+every l_lim: two vectors from m = 0 and two from about m = l_lim*n; the
+k = 2 column forms 65*n terms.  Up to l_lim = 48, the switch point, the
+plan is the plain truncation, row for row; past it the tail pairs lie
+beyond the near run's.  The plan would sum fewer rows than the
+truncation from l_lim = 33 on; the switch stays at 48, so that the blocks
+and columns at l_lim 33..48 keep their bytes and their pins.  The weights
+fold into the exact sign (-1)^p of each pair, and the rows keep
+descending p within each run, with l1 = 0 last.  The k = 2 column evaluates no gamma ratio at all: its
+two ratios differ by exactly 2 in their arguments, so each term is a
+rational function of |l|, formed a chunk of the plan's rows at a time,
+run by run and largest p first as they are summed, by one generator that
+owns the chunk buffer (:func:`_mode2_chunks`), and never as W or G.  The
+-p and +p terms are fused into each row's P0 and P1 parts and reduced
+chunk by chunk, each chunk's sums added in as it arrives
+(:func:`_column_sums`).
 
 Each call takes its large work arrays from one allocation: W, G, the
 product operand, the sums P0 and P1 and the l2 series' work for the odd
@@ -85,7 +92,8 @@ larger than all the call's other arrays together: glibc's malloc trims
 the top of its heap once it exceeds twice the largest block it has
 unmapped, so a buffer that dominates the call keeps its pages resident
 from one call to the next, while one that held only W and G (297 KB at
-n = 128 with 97 rows) let about 160 pages be faulted in afresh per call.
+n = 128 with the 97 rows of the earlier Euler plan) let about 160 pages be
+faulted in afresh per call.
 The k = 2 column's buffer, and each of its six rows, starts on a 64-byte
 cache line (:func:`aligned_empty`): its chunk passes stream their operands
 as they lie and ran slower off a line, while BLAS packs a GEMM's operands,
@@ -129,11 +137,32 @@ from fraclap.grid import GridConfig, _check_integer, nodes
 
 _CHUNK = 32768  # terms per chunk of the k = 2 column's sums: 256 KB buffers
 _NODE_BLOCK = 32  # nodes per product of the odd block's band GEMM (module docstring)
-_KEPT = 32  # row pairs the odd block's plan sums with weight 1
-_TAPER = 8  # row pairs of each Euler taper of the plan
-_PLAN_PAIRS = _KEPT + 2 * _TAPER  # 48: past this l_lim the plan sums fewer rows than the truncation
-# u_i = 2^-8 * sum_{j >= i} C(8, j), exact multiples of 1/256, as u_8..u_1 (descending p)
+_PLAN_PAIRS = 48  # up to this l_lim the plan is the plain truncation (module docstring)
+_TAPER = 8  # row pairs of the plan's Euler tail
+# u_i = 2^-8 * sum_{j >= i} C(8, j), as u_8..u_1 (descending p)
 _EULER = np.cumsum([math.comb(_TAPER, j) for j in range(_TAPER, 0, -1)]) / 2.0**_TAPER
+
+
+def _cvz_weights(pairs: int) -> np.ndarray:
+    """|c_(p-1)/d| of Cohen, Rodriguez Villegas & Zagier's Algorithm 1 for p = pairs..1.
+
+    With N = pairs, d = ((3 + sqrt 8)^N + (3 - sqrt 8)^N)/2 is T_N(3), and
+    b and c stay integers (-b_k is the x^k coefficient of T_N(1 - 2x)), so
+    the recurrence runs in Python integers and each weight is one correctly
+    rounded division.
+    """
+    d_prev, d = 1, 3  # T_0(3), T_1(3)
+    for _ in range(pairs - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, weights = -1, -d, []
+    for k in range(pairs):
+        c = b - c
+        weights.append(abs(c) / d)
+        b = 2 * (k + pairs) * (k - pairs) * b // ((2 * k + 1) * (k + 1))
+    return np.array(weights[::-1])
+
+
+_CVZ = _cvz_weights(24)  # the near run's weights, as pairs 24..1 (descending p)
 
 
 def fractional_constant(alpha: float) -> float:
@@ -392,8 +421,9 @@ def _column_sums(alpha: float, n: int, l_lim: int):
     pairs p of :func:`_row_plan` in its order, largest p first within each
     run, and so do each chunk's rows.  A chunk's terms t- of l1 = -p and
     t+ of l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t-, and
-    reduced with one dot against w0 = weight*(-1)^p and w1 = w0*p, both
-    exact, on one OpenBLAS thread (:func:`_one_blas_thread`); the two dots
+    reduced with one dot against w0 = weight*(-1)^p and w1 = w0*p (rounded
+    once, since a CVZ weight times p need not be a double), on one OpenBLAS
+    thread (:func:`_one_blas_thread`); the two dots
     are added into P0 and P1 as the chunk arrives.  The l1 = 0 row
     (:func:`_mode2_zero`) is added to P0 last; it has no share in P1.
     """
@@ -458,8 +488,7 @@ def _row_plan(l_lim: int) -> list:
     """
     if l_lim <= _PLAN_PAIRS:
         return [(l_lim, np.ones(l_lim))]
-    near = np.concatenate((_EULER, np.ones(_KEPT)))
-    return [(l_lim + _TAPER, -_EULER), (_KEPT + _TAPER, near)]
+    return [(l_lim + _TAPER, -_EULER), (_CVZ.size, _CVZ)]
 
 
 def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
@@ -467,7 +496,7 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
 
     Every column is the paper's series truncated at |l1| <= l_lim, its
     A(0) term in finite form, summed over the rows of :func:`_row_plan`
-    (all of them up to l_lim = 48, the same 97 at any l_lim past it) as the
+    (all of them up to l_lim = 48, the same 65 at any l_lim past it) as the
     module docstring derives, through :func:`_window_sums`.  The products
     run on one OpenBLAS thread, so the result does not depend on the
     caller's BLAS thread count; where numpy has no OpenBLAS thread setter
@@ -539,7 +568,7 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
 
     The paper's series for the k = 2 column truncated at |l1| <= l_lim,
     summed over the rows of :func:`_row_plan` (all of them up to
-    l_lim = 48, the same 97 at any l_lim past it); at alpha = 1 the closed
+    l_lim = 48, the same 65 at any l_lim past it); at alpha = 1 the closed
     form 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`),
     bit for bit the block's column from :func:`even_mode_columns`.  No W or
     G is formed and no gamma ratio vector is built: :func:`_column_sums`

@@ -118,9 +118,14 @@ class TestBuildMatrix:
         entries = build_matrix(GridConfig(16, 1.0), alpha, 40).entries
         assert zlib.crc32(entries.tobytes()) == crc
 
+    # here and in the two edge tests below, a pin at l_lim = 500 keeps the id
+    # it had when the plan summed 97 Euler-weighted rows, so the test ids stay
+    # the same: the id carries that plan's CRC, the pin the 65-row plan's
     @pytest.mark.parametrize("n,alpha,crc", [
-        (128, 0.3, 0xB5FF2672), (128, 1.0, 0x2819E8CA), (128, 1.7, 0x0D84997A),
-        (512, 1.95, 0x12BA7789),
+        pytest.param(128, 0.3, 0x24CDE487, id="128-0.3-3053397618"),
+        pytest.param(128, 1.0, 0x29C34258, id="128-1.0-672786634"),
+        (128, 1.7, 0x0D84997A),
+        pytest.param(512, 1.95, 0x83E0F30B, id="512-1.95-314210185"),
     ])
     def test_multi_block_builds_are_pinned(self, n, alpha, crc):
         # several node blocks per product; n = 512 is the fisher-front block
@@ -139,16 +144,18 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize("n,alpha,l_lim,k,crc", [
         # odd columns at alpha = 1, where vec_a starts with the pole A(0)
-        (1024, 1.0, 500, 1, 0x56B35443), (1024, 1.0, 500, 3, 0x31C8712B),
-        (1024, 1.0, 500, 1023, 0x35C79CA8),
+        (1024, 1.0, 500, 1, 0x56B35443),
+        pytest.param(1024, 1.0, 500, 3, 0xBA066582, id="1024-1.0-500-3-835219755"),
+        pytest.param(1024, 1.0, 500, 1023, 0xE2F0033F, id="1024-1.0-500-1023-902274216"),
         # l_lim around one 32-row chunk of the k = 2 sums at n = 1024
         (1024, 0.5, 0, 2, 0xF7A84EA4), (1024, 0.5, 1, 2, 0x6D90983E),
         (1024, 0.5, 31, 2, 0x2B6AF6EC), (1024, 0.5, 32, 2, 0xDE17FD4D),
         (1024, 0.5, 33, 2, 0xB323E7D8),
         # n = 4: one chunk holds more rows than l_lim; the odd block is two
         # columns wide
-        (4, 0.45, 500, 1, 0xAE904D2D), (4, 0.45, 500, 2, 0x74521FF5),
-        (4, 0.45, 500, 3, 0x10B0D76E),
+        pytest.param(4, 0.45, 500, 1, 0x2AEB2D42, id="4-0.45-500-1-2928692525"),
+        pytest.param(4, 0.45, 500, 2, 0x0AD4EF13, id="4-0.45-500-2-1951539189"),
+        pytest.param(4, 0.45, 500, 3, 0x15114711, id="4-0.45-500-3-280024942"),
     ])
     def test_single_column_edges_are_pinned(self, n, alpha, l_lim, k, crc):
         # k = 2 is the one column the series forms alone; an odd k is read
@@ -161,10 +168,11 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize("n,alpha,l_lim,crc", [
         # alpha = 1, where vec_a starts with the pole A(0)
-        (1024, 1.0, 500, 0xB75102B0),
+        pytest.param(1024, 1.0, 500, 0x2451F4C0, id="1024-1.0-500-3075539632"),
         # n = 4: a window two columns wide; l_lim = 0 and 1: the l1 = 0 row
         # alone, and one row pair with it
-        (4, 0.45, 500, 0xB50987C0), (4, 1.0, 500, 0x77FA27D7),
+        pytest.param(4, 0.45, 500, 0x912667D0, id="4-0.45-500-3037300672"),
+        pytest.param(4, 1.0, 500, 0x1151046B, id="4-1.0-500-2012882903"),
         (1024, 1.3, 0, 0xE5279C5E), (1024, 1.3, 1, 0x9A8038DD),
     ])
     def test_odd_block_edges_are_pinned(self, n, alpha, l_lim, crc):
@@ -401,19 +409,20 @@ class TestCacheFile:
             load_matrix(path, **SMALL_KEY)
 
     def test_version3_file_is_a_format_error(self, tmp_path):
-        # an intact file of a format with series even columns (3) or every odd
-        # row summed (4): stale, not corrupt (one test id for both versions)
-        for version in (3, 4):
+        # an intact file of a format with series even columns (3), every odd
+        # row summed (4) or the 97-row Euler plan (5): stale, not corrupt (one
+        # test id for the three versions)
+        for version in (3, 4, 5):
             path = tmp_path / f"v{version}.bin"
             path.write_bytes(cache_file_bytes(version, 8, 8 * 7))
             with pytest.raises(MatrixFormatError, match=f"version {version}"):
                 load_matrix(path, **SMALL_KEY)
 
     def test_short_payload_of_the_current_version_is_a_cache_error(self, tmp_path):
-        # version 5, valid CRC, a matching header and one entry too few:
+        # version 6, valid CRC, a matching header and one entry too few:
         # damaged, not stale, so nothing may rebuild over it
         path = tmp_path / "short.bin"
-        path.write_bytes(cache_file_bytes(5, 8, 8 * 7 - 1))
+        path.write_bytes(cache_file_bytes(6, 8, 8 * 7 - 1))
         with pytest.raises(MatrixCacheError, match="payload size does not match n = 8") as caught:
             load_matrix(path, **SMALL_KEY)
         assert not isinstance(caught.value, MatrixFormatError)

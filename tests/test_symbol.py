@@ -340,10 +340,11 @@ class TestModeColumns:
 
     @pytest.mark.parametrize("n", [4, 16, 128, 1024])
     def test_row_plan_matches_the_plain_sum(self, n, monkeypatch):
-        # past l_lim = 48 the block sums 97 Euler-weighted rows in place of
-        # 2*l_lim + 1: the same truncation to round-off, column-relative
-        # (measured <= 1.7e-13, at n = 1024, alpha = 0.05, l_lim = 128, where
-        # the plain sum itself is 8.6e-14 off the same rows reduced in long double)
+        # past l_lim = 48 the block sums 65 rows of the CVZ and Euler weights in
+        # place of 2*l_lim + 1: the same truncation to round-off, column-relative
+        # (measured <= 1.2e-13, at n = 1024, alpha = 0.05, l_lim = 49; the 97
+        # rows of the Euler plan read 1.7e-13 at l_lim = 128, where the plain
+        # sum itself is 8.6e-14 off the same rows reduced in long double)
         worst = 0.0
         for l_lim in (49, 128, 500):
             for alpha in (0.05, 0.3, 1.0, 1.7, 1.95):
@@ -357,9 +358,9 @@ class TestModeColumns:
 
     @pytest.mark.parametrize("n", [4, 16, 128, 1024])
     def test_k2_row_plan_matches_the_plain_sum(self, n, monkeypatch):
-        # the k = 2 column sums the same plan: past l_lim = 48 its 48 row pairs
+        # the k = 2 column sums the same plan: past l_lim = 48 its 32 row pairs
         # are the truncation at l_lim to round-off, column-relative (measured
-        # <= 3.3e-16, at n = 16, alpha = 0.3, l_lim = 500)
+        # <= 2.3e-16, at n = 4, alpha = 1.3, l_lim = 500, and 0 at n >= 16)
         worst = 0.0
         for l_lim in (49, 64, 128, 500, 1000):
             for alpha in (0.05, 0.3, 0.7, 1.3, 1.7, 1.95):
@@ -369,6 +370,25 @@ class TestModeColumns:
                     plain = symbol_samples(alpha, n, l_lim)
                 worst = max(worst, np.max(np.abs(planned - plain)) / np.max(np.abs(plain)))
         assert worst <= 1e-15
+
+    def test_near_run_sums_the_alternating_harmonic_series(self):
+        # the CVZ weights alone sum sum_p (-1)^(p-1)/p = ln 2 from 24 pairs
+        _, (top, near) = symbol._row_plan(500)
+        p = np.arange(top, 0, -1)
+        total = np.sum(near * (1.0 - 2.0 * (p % 2 == 0)) / p)
+        assert abs(total - np.log(2.0)) <= 4 * np.spacing(np.log(2.0))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_near_run_is_the_limit(self, n, alpha, monkeypatch):
+        # without its tail run the plan sums the whole series: every odd
+        # column within 1e-14 of its exact image, column-relative (measured
+        # <= 2.7e-15), where the truncation at l_lim = 500 is up to 4.3e-11 off
+        plan = symbol._row_plan
+        monkeypatch.setattr(symbol, "_row_plan", lambda l_lim: plan(l_lim)[1:])
+        ref = odd_mode_images(n, alpha)
+        err = np.max(np.abs(odd_mode_columns(n, alpha, 500) - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert err.max() <= 1e-14
 
     def test_row_plan_requests_the_same_entries_at_any_l_lim(self, monkeypatch):
         # past l_lim = 48 the vectors a build requests do not grow with l_lim
@@ -404,7 +424,7 @@ class TestModeColumns:
         assert np.max(np.abs(numeric - exact)) <= 2e-13
 
     def test_mode2_column_at_a_million_rows(self):
-        # past l_lim = 48 the k = 2 column forms 48 row pairs at any l_lim; the
+        # past l_lim = 48 the k = 2 column forms 32 row pairs at any l_lim; the
         # plain walk would form about 2e9 terms here
         column = symbol_samples(0.7, 1024, 10**6)
         exact = closed_form_mode2(nodes(GridConfig(1024, 1.0)), 0.7)
@@ -503,7 +523,7 @@ class TestWorkBuffers:
         # the odd block's buffer holds its sums and series work too, so it
         # outweighs the call's other arrays at every n and l_lim; holding only W
         # and G it let 105-127 pages per call be faulted in afresh at n = 128,
-        # l_lim <= 48, and 1891 at n = 512 with 97 rows.  One interpreter, each
+        # l_lim <= 48, and 1891 at n = 512 with the 97-row plan.  One interpreter, each
         # size called three times in a row, the third call counted.
         script = (
             "import resource\n"
@@ -537,7 +557,7 @@ class TestWorkBuffers:
         assert np.all(out == 1.0)
 
     @pytest.mark.parametrize("n,l_lim,tops", [
-        (1024, 33, [33, 1]), (4, 40, [40]), (1024, 500, [508, 40, 8]),
+        (1024, 33, [33, 1]), (4, 40, [40]), (1024, 500, [508, 24]),
     ])
     def test_k2_chunks_walk_in_summation_order(self, n, l_lim, tops):
         # run by run of the plan, largest p first, as the column sums them: a
@@ -546,10 +566,10 @@ class TestWorkBuffers:
 
     @pytest.mark.parametrize("l_lim", [49, 500, 10**6])
     def test_k2_chunks_cover_the_plan_rows_at_any_l_lim(self, l_lim):
-        # past l_lim = 48 the k = 2 column forms the pairs l_lim+8..l_lim+1 and 40..1
+        # past l_lim = 48 the k = 2 column forms the pairs l_lim+8..l_lim+1 and 24..1
         walked = [top - r for top, t_minus, *_ in symbol._mode2_chunks(0.5, 1024, l_lim)
                   for r in range(len(t_minus))]
-        assert walked == [*range(l_lim + 8, l_lim, -1), *range(40, 0, -1)]
+        assert walked == [*range(l_lim + 8, l_lim, -1), *range(24, 0, -1)]
 
     @pytest.mark.parametrize("n,l_lim", [(6, 7), (1024, 500)])
     def test_k2_sections_start_on_a_cache_line(self, n, l_lim):
