@@ -25,7 +25,7 @@ reflection-parity coordinates [v + w; v - w] of the samples, v the first
 half and w the second half reversed; :func:`split_parity` and
 :func:`join_parity` are the one place that layout is formed and undone.
 
-The binary cache format (version 6) is a fixed 64-byte little-endian header
+The binary cache format (version 7) is a fixed 64-byte little-endian header
 
     0:8   magic  b"FLAPMAT1"
     8:12  format version (uint32)
@@ -38,7 +38,7 @@ The binary cache format (version 6) is a fixed 64-byte little-endian header
 followed by the n*(n-1) complex128 entries of the unit-scale block in
 row-major order and a trailing 8-byte CRC32 of header plus payload.  Round
 trips are bit exact.  An intact file of any other version raises
-:class:`MatrixFormatError` (README lists what versions 1-5 held).
+:class:`MatrixFormatError` (README lists what versions 1-6 held).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from fraclap.spectral import transform
 from fraclap.symbol import aligned_empty, check_block, even_mode_columns, odd_mode_columns
 
 _MAGIC = b"FLAPMAT1"
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 _HEADER = struct.Struct("<8sIII4xd32x")
 _TRAILER = struct.Struct("<Q")
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from fraclap.grid import GridConfig, node_positions, nodes
 from fraclap.opmatrix import OperatorMatrix, build_matrix, fractional_laplacian
-from fraclap.symbol import fractional_constant, symbol_samples
+from fraclap.symbol import _mode2_image, fractional_constant, symbol_samples
 
 
 class QuadratureError(RuntimeError):
@@ -110,16 +110,16 @@ test_function.__test__ = False  # not a pytest item
 
 
 def closed_form_mode2(s, alpha: float):
-    """Exact operator image of exp(2i*s) at unit map scale.
+    """Exact operator image of exp(2i*s) at unit map scale, at any real s.
 
-    -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha) with the principal
-    branch of the complex power: the k = 2 column of the unit-scale block,
-    which :func:`fraclap.symbol.symbol_samples` approximates by the paper's
+    -2*Gamma(1+alpha)*(-i*sin(s)*exp(i*s))^(1+alpha) on the principal
+    branch, from its one definition :func:`fraclap.symbol._mode2_image`
+    (in real arithmetic: |sin(s)|^(1+alpha) times a phase).  It is the k = 2
+    column of the unit-scale block, which
+    :func:`fraclap.symbol.symbol_samples` approximates by the paper's
     truncated series.  At map scale L the image is L^(-alpha) times this.
     """
-    s = np.asarray(s, dtype=float)
-    base = -1j * np.sin(s) * np.exp(1j * s)
-    out = -2.0 * math.gamma(1.0 + alpha) * base ** (1.0 + alpha)
+    out = _mode2_image(s, alpha)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -297,18 +297,39 @@ def _window_sums(w: np.ndarray, l1, g: np.ndarray, work: np.ndarray, out: np.nda
     return out
 
 
-def _mode2_image(s: np.ndarray, alpha: float) -> np.ndarray:
-    """-2*Gamma(1+alpha)*t^(1+alpha), t = -i*sin(s)*exp(i*s): the image of exp(2i*s) at s."""
-    t = -1j * np.sin(s) * np.exp(1j * s)
-    return -2.0 * math.gamma(1.0 + alpha) * t ** (1.0 + alpha)
+def _mode2_image(s, alpha: float) -> np.ndarray:
+    """The image of exp(2i*s) at real s: -2*Gamma(1+alpha)*t^(1+alpha), t = -i*sin(s)*exp(i*s).
+
+    The one definition of the k = 2 image, which the oracle
+    :func:`fraclap.oracles.closed_form_mode2` returns and
+    :func:`even_mode_columns` scales every even column by.  Re t =
+    sin(s)^2 >= 0, so on the principal branch |t| = |sin(s)| and
+    arg t = (s mod pi) - pi/2, and the power is taken in real arithmetic,
+    with no complex log or exp:
+
+        t^(1+alpha) = |sin(s)|^(1+alpha) * exp(i*phi),  phi = (1+alpha)*((s mod pi) - pi/2).
+
+    s mod pi is s - pi*floor(s/pi), which is s itself on (0, pi), where the
+    nodes lie.  Within a few ulps of a multiple of pi, where sin(s) is at
+    round-off, the branch can flip.  Returns an array of the shape of s
+    (0-d for a scalar).
+    """
+    s = np.asarray(s, dtype=float)
+    mag = -2.0 * math.gamma(1.0 + alpha) * np.abs(np.sin(s)) ** (1.0 + alpha)
+    phi = (1.0 + alpha) * (s - np.pi * np.floor(s / np.pi) - np.pi / 2)
+    out = np.empty(s.shape, dtype=complex)
+    np.multiply(mag, np.cos(phi), out=out.real)
+    np.multiply(mag, np.sin(phi), out=out.imag)
+    return out
 
 
 def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     """Unit-scale operator on exp(i*k*s), k = 2, 4, ..., n-2, at the n physical nodes.
 
     The even modes have a finite closed form.  For k = 2m, with
-    t = -i*sin(s)*exp(i*s) (principal branch: arg t in (-pi/2, pi/2)),
-    z = exp(2i*s) and the prefactor from :func:`_mode2_image`,
+    t = -i*sin(s)*exp(i*s), z = exp(2i*s) and the prefactor, the image of
+    exp(2i*s), from :func:`_mode2_image` (in real arithmetic, on the
+    principal branch: at the nodes |t| = sin(s) and arg t = s - pi/2),
 
         E_2m(s) = -2*Gamma(1+alpha) * t^(1+alpha) * sum_{i<m} a_i*b_(m-1-i)*z^i,
         a_i = (1+alpha)_i/i!,  b_j = (1-alpha)_j/j!.
@@ -317,8 +338,9 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     the coefficients; row m-1 of the lower-triangular coefficient array is
     a_i*exp(i*pi*i/n) times a reversed run of b.  Since 2i*s_j =
     2*pi*i*j/n + pi*i/n, the polynomial at all n nodes is then one batched
-    n-point inverse DFT, with exact phases.  m = 1 is
-    :func:`fraclap.oracles.closed_form_mode2`, bit for bit.  At alpha = 1
+    n-point inverse DFT, with exact phases.  Its row m = 1 is exactly 1, so
+    the column k = 2 is the oracle :func:`fraclap.oracles.closed_form_mode2`,
+    which returns the same one definition.  At alpha = 1
     b_j = 0 for j >= 1 and a_(m-1) = m, so only i = m-1 survives and
     E_2m = 2m*sin(s)^2*exp(2i*m*s), with the phases of the same DFT; no
     branch is taken.  No gamma table and no truncation enter.
@@ -568,9 +590,9 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
 
     The paper's series for the k = 2 column truncated at |l1| <= l_lim,
     summed over the rows of :func:`_row_plan` (all of them up to
-    l_lim = 48, the same 65 at any l_lim past it); at alpha = 1 the closed
-    form 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`),
-    bit for bit the block's column from :func:`even_mode_columns`.  No W or
+    l_lim = 48, the same 65 at any l_lim past it); at alpha = 1 the mode-2
+    image itself, 2*sin(s)^2*exp(2i*s) (:func:`_mode2_image`), which is also
+    the block's column from :func:`even_mode_columns`.  No W or
     G is formed and no gamma ratio vector is built: :func:`_column_sums`
     reduces the rational terms of :func:`_mode2_chunks` with one dot per
     chunk, l1 = 0 last.  The reductions run on one OpenBLAS thread (see

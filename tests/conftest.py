@@ -397,7 +397,7 @@ def copy_off_line(array: np.ndarray, offset: int) -> np.ndarray:
 
 
 def cache_file_bytes(version: int, n: int, payload_entries: int, *, alpha: float = 0.5) -> bytes:
-    """A hand-built cache file of the version-3 to 6 layout (l_lim = 200): zero payload, valid CRC."""
+    """A hand-built cache file of the version-3 to 7 layout (l_lim = 200): zero payload, valid CRC."""
     header = struct.pack("<8sIII4xd32x", b"FLAPMAT1", version, n, 200, alpha)
     payload = np.zeros(payload_entries, np.complex128).tobytes()
     return header + payload + struct.pack("<Q", zlib.crc32(payload, zlib.crc32(header)))

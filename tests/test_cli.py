@@ -543,14 +543,14 @@ class TestFisher:
         assert set(_manifest_diagnostics(out_dir)) == {"alpha_1.5"}
 
     def test_older_format_cache_is_rebuilt_in_place(self, tmp_path):
-        # an intact file of format 3, 4 or 5 at the cache name: rebuilt, replaced, exit 0
+        # an intact file of format 3, 4, 5 or 6 at the cache name: rebuilt, replaced, exit 0
         cache = tmp_path / "mc"
         args = ["fisher", "--alpha", "1.5", "--n", "16", "--llim", "200", "--dt", "0.01",
                 "--tfinal", "0.3", "--sample-stride", "2", "--matrix-cache", str(cache)]
         assert run_cli(*args, "--out-dir", str(tmp_path / "a")) == EXIT_OK
         (path,) = cache.glob("*.bin")
         fresh = path.read_bytes()
-        for version in (3, 4, 5):
+        for version in (3, 4, 5, 6):
             path.write_bytes(cache_file_bytes(version, 16, 16 * 15, alpha=1.5))
             out_dir = tmp_path / f"v{version}"
             assert run_cli(*args, "--out-dir", str(out_dir)) == EXIT_OK

@@ -110,8 +110,13 @@ class TestBuildMatrix:
             pytest.skip("numpy is not linked to an OpenBLAS with a thread-count setter")
         assert {k: run["restored"] for k, run in thread_count_runs.items()} == {"1": 1, "2": 2}
 
+    # the whole-block pins keep the ids they had before the even prefactor
+    # was formed in real arithmetic, so the test ids stay the same: the id
+    # carries the earlier CRC, the pin the current one
     @pytest.mark.parametrize("alpha,crc", [
-        (0.3, 0xB296C157), (1.0, 0x3268D378), (1.7, 0x7DBF5F79),
+        pytest.param(0.3, 0x93A67276, id="0.3-2996224343"),
+        pytest.param(1.0, 0x03EAFE41, id="1.0-845730680"),
+        pytest.param(1.7, 0xCB02BCDA, id="1.7-2109693817"),
     ])
     def test_entries_are_pinned(self, alpha, crc):
         # any change to the kernel's arithmetic or summation order moves these
@@ -119,13 +124,14 @@ class TestBuildMatrix:
         assert zlib.crc32(entries.tobytes()) == crc
 
     # here and in the two edge tests below, a pin at l_lim = 500 keeps the id
-    # it had when the plan summed 97 Euler-weighted rows, so the test ids stay
-    # the same: the id carries that plan's CRC, the pin the 65-row plan's
+    # it had when the plan summed 97 Euler-weighted rows (here also before
+    # the even prefactor moved), so the test ids stay the same: the id
+    # carries the earlier CRC, the pin the current one
     @pytest.mark.parametrize("n,alpha,crc", [
-        pytest.param(128, 0.3, 0x24CDE487, id="128-0.3-3053397618"),
-        pytest.param(128, 1.0, 0x29C34258, id="128-1.0-672786634"),
-        (128, 1.7, 0x0D84997A),
-        pytest.param(512, 1.95, 0x83E0F30B, id="512-1.95-314210185"),
+        pytest.param(128, 0.3, 0x21EC5994, id="128-0.3-3053397618"),
+        pytest.param(128, 1.0, 0x075879BA, id="128-1.0-672786634"),
+        pytest.param(128, 1.7, 0xB53E2D13, id="128-1.7-226793850"),
+        pytest.param(512, 1.95, 0x1ECC1DD8, id="512-1.95-314210185"),
     ])
     def test_multi_block_builds_are_pinned(self, n, alpha, crc):
         # several node blocks per product; n = 512 is the fisher-front block
@@ -410,19 +416,20 @@ class TestCacheFile:
 
     def test_version3_file_is_a_format_error(self, tmp_path):
         # an intact file of a format with series even columns (3), every odd
-        # row summed (4) or the 97-row Euler plan (5): stale, not corrupt (one
-        # test id for the three versions)
-        for version in (3, 4, 5):
+        # row summed (4), the 97-row Euler plan (5) or the even prefactor as
+        # a complex power (6): stale, not corrupt (one test id for the four
+        # versions)
+        for version in (3, 4, 5, 6):
             path = tmp_path / f"v{version}.bin"
             path.write_bytes(cache_file_bytes(version, 8, 8 * 7))
             with pytest.raises(MatrixFormatError, match=f"version {version}"):
                 load_matrix(path, **SMALL_KEY)
 
     def test_short_payload_of_the_current_version_is_a_cache_error(self, tmp_path):
-        # version 6, valid CRC, a matching header and one entry too few:
+        # version 7, valid CRC, a matching header and one entry too few:
         # damaged, not stale, so nothing may rebuild over it
         path = tmp_path / "short.bin"
-        path.write_bytes(cache_file_bytes(6, 8, 8 * 7 - 1))
+        path.write_bytes(cache_file_bytes(7, 8, 8 * 7 - 1))
         with pytest.raises(MatrixCacheError, match="payload size does not match n = 8") as caught:
             load_matrix(path, **SMALL_KEY)
         assert not isinstance(caught.value, MatrixFormatError)

@@ -65,6 +65,27 @@ class TestClosedFormMode2:
         got = closed_form_mode2(np.pi / 2, 0.5)
         assert got == pytest.approx(-2 * math.gamma(1.5) + 0j, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.3, 1.95])
+    def test_matches_mpmath_on_both_branches(self, alpha):
+        # the principal branch at 40 digits, at the float s the oracle gets:
+        # the nodes relative to the largest value (measured <= 6.4e-16), and
+        # points off (0, pi), where sin(s) < 0 or s mod pi is reduced,
+        # relative to each value (measured <= 9.5e-16)
+        def exact(s):
+            with mpmath.workdps(40):
+                a = mpmath.mpf(alpha)
+                pref = -2 * mpmath.gamma(1 + a)
+                return np.array([complex(pref * (-1j * mpmath.sin(x) * mpmath.exp(1j * x)) ** (1 + a))
+                                 for x in map(mpmath.mpf, s)])
+
+        for n in (64, 1024):
+            s = nodes(GridConfig(n, 1.0))
+            ref = exact(s)
+            assert np.max(np.abs(closed_form_mode2(s, alpha) - ref)) <= 2e-15 * np.max(np.abs(ref))
+        s = np.array([-2.0, -0.5, 3.2, 4.0, 7.0])
+        ref = exact(s)
+        assert np.all(np.abs(closed_form_mode2(s, alpha) - ref) <= 2e-15 * np.abs(ref))
+
     @pytest.mark.parametrize("s,alpha", [(0.7, 0.6), (2.2, 1.4), (1.0, 0.3)])
     def test_against_quadrature(self, s, alpha):
         f = test_function("mode_k", k=2)
