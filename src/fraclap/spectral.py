@@ -20,25 +20,40 @@ module needs numpy alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from fraclap.grid import Extension, GridConfig, x_to_s
 
+_SIZES = 8  # transform sizes whose constants are kept
+
+
+@functools.lru_cache(maxsize=_SIZES)
+def _makhoul(n: int) -> tuple:
+    """The read-only constants of :func:`cosine_transform` at n: Makhoul's order and the twiddles."""
+    order = np.concatenate((np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)))
+    twiddle = np.exp(np.arange(n // 2 + 1) * (-0.5j * np.pi / n)) / n
+    order.flags.writeable = twiddle.flags.writeable = False
+    return order, twiddle
+
 
 def cosine_transform(n: int):
-    """The DCT-II over 2n of n values, with its constants and work arrays bound once.
+    """The DCT-II over 2n of n values, with its work arrays bound once.
 
     Returns ``dct2(u) -> c``, c_k = sum_j u_j*cos(pi*k*(2j+1)/(2n))/n, a new
     array for each call.  Makhoul's reorder (*IEEE Trans. ASSP* 28, 1980)
     makes it one real FFT: v = [u_0, u_2, ..., u_3, u_1] (even entries, then
     odd ones reversed) and z_k = rfft(v)_k*exp(-i*pi*k/(2n))/n give
-    c_k = Re z_k for k <= n/2 and c_(n-k) = -Im z_k.
+    c_k = Re z_k for k <= n/2 and c_(n-k) = -Im z_k.  The order and the
+    twiddles are read-only constants shared by every transform of n points
+    (:func:`_makhoul`, at most _SIZES n kept); the work arrays belong to the
+    returned function alone, so two transforms never share one.
     """
     if n < 1:
         raise ValueError(f"invalid number of data points ({n}) specified")
     half = n // 2 + 1
-    order = np.concatenate((np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)))
-    twiddle = np.exp(np.arange(half) * (-0.5j * np.pi / n)) / n
+    order, twiddle = _makhoul(n)
     v = np.empty(n)
     z = np.empty(half, dtype=complex)
     tail = z.imag[(n + 1) // 2 - 1 : 0 : -1]  # Im z_k for k = (n-1)//2 .. 1, read into c_(n//2+1) ..

@@ -84,20 +84,31 @@ owns the chunk buffer (:func:`_mode2_chunks`), and never as W or G.  The
 chunk by chunk, each chunk's sums added in as it arrives
 (:func:`_column_sums`).
 
-Each call takes its large work arrays from one allocation: W, G, the
-product operand, the sums P0 and P1 and the l2 series' work for the odd
-block, the chunk buffers for the k = 2 column.  Nothing is kept between
-calls, and no result is a view of the buffer.  The odd block's buffer is
+What depends on n and l_lim alone is built once and kept, read-only, for
+every alpha that follows: the nodes, |sin s|, the l2 ramp and its phases
+in the DFT's order, the l1 = 0 rows' gather indices and the k = 2
+column's l1 = 0 row of m (:func:`_node_plan`, per n), and the row plan
+laid out at n, with its signs, its l1 vector and the k = 2 column's
+weights, chunk walk and ramp (:func:`_weight_plan`, per (n, l_lim)).
+Each cache keeps at most _CACHED_PLANS entries: 0.3 to 0.37 MB for one
+(n, l_lim) at n = 1024.  Beyond these and the m ramps of the ratio
+vectors' segments (:mod:`fraclap.gammaratio`) nothing is kept between
+calls.  Each call takes its large work arrays from one allocation: W, G,
+the product operand, the sums P0 and P1 and the l2 series' work for the
+odd block, the chunk buffers for the k = 2 column; no result is a view of
+the buffer or of a plan.  The odd block's buffer is
 larger than all the call's other arrays together: glibc's malloc trims
 the top of its heap once it exceeds twice the largest block it has
 unmapped, so a buffer that dominates the call keeps its pages resident
 from one call to the next, while one that held only W and G (297 KB at
 n = 128 with the 97 rows of the earlier Euler plan) let about 160 pages be
 faulted in afresh per call.
-The k = 2 column's buffer, and each of its six rows, starts on a 64-byte
+The k = 2 column's buffer, and each of its five rows, starts on a 64-byte
 cache line (:func:`aligned_empty`): its chunk passes stream their operands
 as they lie and ran slower off a line, while BLAS packs a GEMM's operands,
-so the odd block's buffer is not aligned.  Alignment changes no result.
+so the odd block's buffer is not aligned.  (The plan's ramp, read once
+per chunk, is not aligned either: on a line or off it, the column took
+the same time.)  Alignment changes no result.
 The measurements behind both choices are in CHANGES.md.
 
 The l1 sums of many columns at once are a sliding-window reduction
@@ -127,10 +138,10 @@ import contextlib
 import ctypes
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import ifft
-from numpy.lib.stride_tricks import sliding_window_view
 
 from fraclap.gammaratio import ratio_vector
 from fraclap.grid import GridConfig, _check_integer, nodes
@@ -163,6 +174,118 @@ def _cvz_weights(pairs: int) -> np.ndarray:
 
 
 _CVZ = _cvz_weights(24)  # the near run's weights, as pairs 24..1 (descending p)
+_CACHED_PLANS = 8  # entries each plan cache keeps: node plans by n, weight plans by (n, l_lim)
+
+
+def _frozen(**arrays) -> dict:
+    """The arrays, each made read-only: a plan is shared by every call that reads it."""
+    for array in arrays.values():
+        array.flags.writeable = False
+    return arrays
+
+
+class _NodePlan(NamedTuple):
+    """What the kernels read of n alone (:func:`_node_plan`), every array read-only."""
+
+    s: np.ndarray  # the n physical nodes
+    sin: np.ndarray  # |sin(s)|
+    l2: np.ndarray  # l2 = -n/2 .. n/2-1 as an (n, 1) float column
+    phase: np.ndarray  # exp(i*pi*l2/n) as an (n, 1) column, rows from l2 = 0: the DFT's order
+    k: np.ndarray  # the odd block's modes 1, 3, ..., n-1
+    abs_l2: np.ndarray  # |l2|: the odd block's l1 = 0 row of W, as indices into vec_a
+    d: np.ndarray  # d = 1-n/2 .. n-1, inverted (~d = -d-1) where negative: its row of G, into vec_c
+    neg: np.ndarray  # d < 0, where that row of G is negated
+    zero_m: np.ndarray  # |l2| in long double: m of the k = 2 column's l1 = 0 row
+    zero_side: np.ndarray  # 1 for l2 <= 0, else -1, in long double: that row is A(m)*B(m + side)
+
+
+@functools.lru_cache(maxsize=_CACHED_PLANS)
+def _node_plan(n: int) -> _NodePlan:
+    """The arrays of n alone that the series kernels read at every alpha, built once per n.
+
+    The phase column holds exp(i*pi*l2/n) with its two halves swapped, l2 = 0
+    first, the order in which the l2 series' inverse DFT reads its rows, so
+    :func:`_series` writes the phased sums straight into the DFT's operand.
+    Its first n/2 - 1 rows are the phases exp(i*pi*i/n) of the even block's
+    polynomial, the same bits.  At most _CACHED_PLANS n are kept, least recently
+    used first out: 100 KB each at n = 1024.
+    """
+    half = n // 2
+    s = nodes(GridConfig(n, 1.0))
+    l2 = np.arange(-half, half)
+    phase = np.exp(1j * np.pi * l2[:, None] / n)
+    d = np.arange(1 - half, n)
+    neg = d < 0
+    np.invert(d, out=d, where=neg)
+    return _NodePlan(**_frozen(
+        s=s, sin=np.abs(np.sin(s)), l2=l2[:, None].astype(np.float64),
+        phase=np.concatenate((phase[half:], phase[:half])), k=np.arange(1, n, 2),
+        abs_l2=np.abs(l2), d=d, neg=neg, zero_m=np.abs(l2).astype(np.longdouble),
+        zero_side=np.where(l2 <= 0, 1, -1).astype(np.longdouble),
+    ))
+
+
+class _Run(NamedTuple):
+    """One run of the row plan as the odd block lays it out at n (:func:`_weight_plan`)."""
+
+    pairs: slice  # its rows of W and G: l1 = -p, then +p, for p = top .. bottom
+    count: int  # its pairs
+    near: bool  # it ends at p = 1: its vectors, from m = 0, serve the l1 = 0 row too
+    ma: int  # vec_a from m = ma, length_a entries
+    length_a: int
+    mc: int  # vec_c from m = mc, length_c entries
+    length_c: int
+    lo: int  # the entry of vec_a at |l| = bottom*n - n/2
+    sign: np.ndarray  # weight*(-1)^p, exact, as a (count, 1) column
+
+
+class _WeightPlan(NamedTuple):
+    """The row plan laid out at n for both series kernels (:func:`_weight_plan`), arrays read-only."""
+
+    runs: tuple  # the odd block's _Run per run of the plan
+    l1: np.ndarray  # l1 of every row of the odd block, l1 = 0 last
+    w0: np.ndarray  # weight*(-1)^p of every pair in the plan's order
+    w1: np.ndarray  # w0*p, rounded once
+    chunks: tuple  # the k = 2 column's (top, count) of each chunk, in summation order
+    ramp: np.ndarray  # 0, 1, ..., the k = 2 chunk size + 4, in float64
+
+
+@functools.lru_cache(maxsize=_CACHED_PLANS)
+def _weight_plan(n: int, l_lim: int, row_plan) -> _WeightPlan:
+    """``row_plan(l_lim)`` (:func:`_row_plan`) laid out for both series kernels at n, built once.
+
+    The kernels pass the module's ``_row_plan``, so the cache is keyed by the
+    plan function as well as by (n, l_lim): a plan put in its place never
+    reads another's layout.  At most _CACHED_PLANS entries are kept, least recently
+    used first out: under 270 KB each at n = 1024, nearly all of it the k = 2
+    chunk ramp.
+    """
+    half = n // 2
+    plan = row_plan(l_lim)
+    p = np.concatenate([np.arange(top, top - weight.size, -1) for top, weight in plan])
+    w0 = np.concatenate([weight for _, weight in plan]) * (1.0 - 2.0 * (p % 2))
+    w0.flags.writeable = False  # before the runs take their signs as views of it
+    l1 = np.zeros(2 * p.size + 1)
+    runs, i = [], 0
+    for top, weight in plan:
+        count = weight.size
+        bottom = top - count + 1
+        # vec_a over |l| = bottom*n - n/2 .. top*n + n/2, and vec_c over
+        # |e| = (bottom-1)*n .. (top+1)*n - 1 and n entries more; both from
+        # m = 0 for the run that ends at p = 1, which the l1 = 0 row reads
+        ma = 0 if bottom == 1 else bottom * n - half
+        mc = (bottom - 1) * n
+        pairs = slice(2 * i, 2 * (i + count))
+        _rows(l1[pairs], -p[i : i + count], p[i : i + count])
+        runs.append(_Run(pairs, count, bottom == 1, ma, top * n + half + 1 - ma, mc, (top + 2) * n - mc,
+                         bottom * n - half - ma, w0[i : i + count, None]))
+        i += count
+    rows = max(1, _CHUNK // n)
+    chunks = tuple((top, min(rows, top - run + weight.size))
+                   for run, weight in plan for top in range(run, run - weight.size, -rows))
+    size = min(rows, max(weight.size for _, weight in plan)) * n
+    arrays = _frozen(l1=l1, w1=w0 * p, ramp=np.arange(size + 5, dtype=np.float64))
+    return _WeightPlan(runs=tuple(runs), w0=w0, chunks=chunks, **arrays)
 
 
 def fractional_constant(alpha: float) -> float:
@@ -348,16 +471,18 @@ def even_mode_columns(n: int, alpha: float) -> np.ndarray:
     a bad n or alpha.
     """
     check_block(n, alpha, 0)
-    s = nodes(GridConfig(n, 1.0))
+    plan = _node_plan(n)
     size = n // 2 - 1
     i = np.arange(1, size, dtype=np.longdouble)
     a = np.cumprod(np.concatenate(([1.0], (alpha + i) / i)))[:size]  # (1+alpha)_i/i!
     b = np.cumprod(np.concatenate(([1.0], (i - alpha) / i)))[:size]  # (1-alpha)_j/j!
-    # [m-1, i] = b_(m-1-i) for i < m, else 0: windows of b reversed and padded
-    runs = sliding_window_view(np.concatenate((b[::-1], np.zeros(size))).astype(np.float64), size)
-    phased = a.astype(np.float64) * np.exp(1j * np.pi * np.arange(size) / n)
-    poly = ifft(runs[:size][::-1] * phased, n=n, axis=1, norm="forward")
-    return _mode2_image(s, alpha)[:, None] * poly.T
+    # [m-1, i] = b_(m-1-i) for i < m, else 0: windows of b reversed and padded,
+    # row m-1 from entry size-1 - (m-1) of the padded run
+    padded = np.concatenate((b[::-1], np.zeros(size))).astype(np.float64)
+    runs = np.ndarray((size, size), np.float64, padded, 8 * max(size - 1, 0), (-8, 8))  # size 0 at n = 2
+    phased = a.astype(np.float64) * plan.phase[:size, 0]  # exp(i*pi*i/n)
+    poly = ifft(runs * phased, n=n, axis=1, norm="forward")
+    return _mode2_image(plan.s, alpha)[:, None] * poly.T
 
 
 def _mode2_zero(alpha: float, n: int) -> np.ndarray:
@@ -366,11 +491,9 @@ def _mode2_zero(alpha: float, n: int) -> np.ndarray:
     Formed in long double from the rational form of :func:`_mode2_chunks`
     and rounded once: A(m)*B(m + 1) for l2 <= 0, A(m)*B(m - 1) for l2 > 0.
     """
-    half = n // 2
-    l2 = np.arange(-half, half)
-    m = np.abs(l2).astype(np.longdouble)
+    plan = _node_plan(n)
+    m, side = plan.zero_m, plan.zero_side  # A(m)*B(m + side)
     c = (1 - np.longdouble(alpha)) / 2
-    side = np.where(l2 <= 0, 1, -1).astype(np.longdouble)  # A(m)*B(m + side)
     near = m + side * (1 - c)  # m + e, or m - e
     return (1 / ((m - c) * (m + c) * near * (near + side))).astype(np.float64)
 
@@ -380,15 +503,15 @@ def _mode2_chunks(alpha: float, n: int, l_lim: int):
 
     The chunks are walked in summation order: run by run of the plan, and
     within a run top, top - rows, ..., largest p first, with the run's
-    short chunk, if any, last.  Each chunk is (top,
-    t_minus, t_plus, spare): three (count, n) views of one work buffer that
-    the next chunk reuses, row r at p = top - r and column j at
-    l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of l1 = +p, and
-    ``spare`` is free for the caller.  The buffer is one
-    :func:`aligned_empty` array of six rows, each of size + 5 entries
+    short chunk, if any, last (the walk of :func:`_weight_plan`).  Each
+    chunk is (top, t_minus, t_plus, spare): three (count, n) views of one
+    work buffer that the next chunk reuses, row r at p = top - r and column
+    j at l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of l1 = +p,
+    and ``spare`` is free for the caller.  The buffer is one
+    :func:`aligned_empty` array of five rows, each of size + 5 entries
     (size = min(_CHUNK // n, longest run)*n) padded to whole cache lines,
-    so each row starts on a line: the spare, the ramp j, L, R, t- and the
-    pair products.  No gamma ratio is evaluated: the two ratios
+    so each row starts on a line: the spare, L, R, t- and the pair
+    products; the ramp j is the plan's.  No gamma ratio is evaluated: the two ratios
     of a k = 2 term differ by exactly 2 in their arguments
     (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.
     With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c, L(m) = m - c and
@@ -409,31 +532,27 @@ def _mode2_chunks(alpha: float, n: int, l_lim: int):
     """
     half = n // 2
     c = (1.0 - alpha) / 2.0
-    plan = _row_plan(l_lim)
-    rows = max(1, _CHUNK // n)
-    size = min(rows, max(weight.size for _, weight in plan)) * n
-    span = -(-(size + 5) // 8) * 8  # size + 5 entries, rounded up to whole cache lines
+    plan = _weight_plan(n, l_lim, _row_plan)
+    ramp = plan.ramp
+    span = -(-ramp.size // 8) * 8  # size + 5 entries, rounded up to whole cache lines
     # lo and hi hold L and R at m = M + 2 - j
-    spare, ramp, lo, hi, t_minus, pairs = aligned_empty((6, span))[:, : size + 5]
-    ramp[:] = np.arange(size + 5)
-    for run, weight in plan:
-        for top in range(run, run - weight.size, -rows):
-            count = min(rows, top - run + weight.size)
-            k = count * n
-            lf, rf = lo[: k + 5], hi[: k + 5]
-            np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
-            np.subtract(rf, c, out=lf)
-            rf += c
-            tm, q = t_minus[:k], pairs[:k]
-            np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
-            np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
-            np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
-            tm *= lf[2 : k + 2]
-            q *= lf[3 : k + 3]
-            np.divide(1.0, tm, out=tm)
-            tp = rf[:k].reshape(count, n)
-            np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
-            yield top, tm.reshape(count, n), tp, spare[:k].reshape(count, n)
+    spare, lo, hi, t_minus, pairs = aligned_empty((5, span))[:, : ramp.size]
+    for top, count in plan.chunks:
+        k = count * n
+        lf, rf = lo[: k + 5], hi[: k + 5]
+        np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
+        np.subtract(rf, c, out=lf)
+        rf += c
+        tm, q = t_minus[:k], pairs[:k]
+        np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
+        np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
+        np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
+        tm *= lf[2 : k + 2]
+        q *= lf[3 : k + 3]
+        np.divide(1.0, tm, out=tm)
+        tp = rf[:k].reshape(count, n)
+        np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
+        yield top, tm.reshape(count, n), tp, spare[:k].reshape(count, n)
 
 
 def _column_sums(alpha: float, n: int, l_lim: int):
@@ -449,10 +568,8 @@ def _column_sums(alpha: float, n: int, l_lim: int):
     are added into P0 and P1 as the chunk arrives.  The l1 = 0 row
     (:func:`_mode2_zero`) is added to P0 last; it has no share in P1.
     """
-    plan = _row_plan(l_lim)
-    p = np.concatenate([np.arange(top, top - weight.size, -1) for top, weight in plan])
-    w0 = np.concatenate([weight for _, weight in plan]) * (1.0 - 2.0 * (p % 2))
-    w1 = w0 * p
+    plan = _weight_plan(n, l_lim, _row_plan)
+    w0, w1 = plan.w0, plan.w1
     p0 = np.zeros(n)
     p1 = np.zeros(n)
     i = 0  # row i of w0 holds the chunk's first pair: the chunks walk p in the plan's order
@@ -473,27 +590,29 @@ def _series(alpha: float, n: int, k: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     """Columns k of one parity at the n nodes from their l1 sums P0 and P1, each (n, k.size).
 
     The l2 series is one shifted inverse FFT per column in pocketfft,
-    O(n log n), times the prefactor.  P0 and P1 are overwritten, and the
-    series is formed in ``work``, a flat float64 buffer of at least
-    4*n*k.size entries; only the result is allocated.
+    O(n log n), times the prefactor.  The phases of :func:`_node_plan` lie
+    in the FFT's order, l2 = 0 first, so the phased sums are written
+    straight into its operand.  P0 and P1 are overwritten, and the series
+    is formed in ``work``, a flat float64 buffer of at least 4*n*k.size
+    entries; only the result is allocated.
     """
-    s = nodes(GridConfig(n, 1.0))
-    l2 = np.arange(-(n // 2), n // 2)[:, None]
+    plan = _node_plan(n)
     shifted, series = work[: 4 * n * k.size].view(np.complex128).reshape(2, n, k.size)
     # l2 sums (1 - alpha)*k^2*P0 - 4k*(n*P1 + l2*P0), formed in P0
     spare = work[: n * k.size].reshape(n, k.size)  # free until shifted is written
-    np.multiply(l2, p0, out=spare)
+    np.multiply(plan.l2, p0, out=spare)
     p1 *= n
     p1 += spare
     p1 *= 4.0 * k
     p0 *= (1.0 - alpha) * k * k
     p0 -= p1
-    np.multiply(np.exp(1j * np.pi * l2 / n), p0, out=series)
-    # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0
+    # sum over l2 of exp(2i*l2*s_j) * l2_sums: the DFT with l2 = 0 moved to row 0,
+    # phased straight into that order
     half = n // 2
-    shifted[:half], shifted[half:] = series[half:], series[:half]
+    np.multiply(plan.phase[:half], p0[half:], out=shifted[:half])
+    np.multiply(plan.phase[half:], p0[:half], out=shifted[half:])
     ifft(shifted, axis=0, norm="forward", out=series)
-    pref = fractional_constant(alpha) * np.abs(np.sin(s)) ** (alpha - 1.0) / 8.0
+    pref = fractional_constant(alpha) * plan.sin ** (alpha - 1.0) / 8.0
     if k[0] % 2 == 0:
         # 1/tan(pi*alpha/2), with 1 - alpha exact: pi*alpha/2 rounds next to the pole
         return (pref * math.tan(math.pi * (1.0 - alpha) / 2.0))[:, None] * series
@@ -528,56 +647,41 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     """
     check_block(n, alpha, l_lim)
     half = n // 2
-    plan = _row_plan(l_lim)
-    rows = 2 * sum(weight.size for _, weight in plan) + 1
+    nodes_plan, plan = _node_plan(n), _weight_plan(n, l_lim, _row_plan)
+    rows = plan.l1.size
     # G at every d = h - l2 for h = 0..n/2-1; the window [l1, l2, h] holds G at d = h - l2
-    d = np.arange(1 - half, n)
+    width = n + half - 1
     # W, G and the operand of _window_sums, then P0 and P1 and the series'
     # work: one allocation (module docstring)
-    size = rows * (n + d.size + 2 * _NODE_BLOCK)
+    size = rows * (n + width + 2 * _NODE_BLOCK)
     work = np.empty(size + n * n + 2 * n * n)
     w = work[: rows * n].reshape(rows, n)
-    g = work[rows * n : rows * (n + d.size)].reshape(rows, d.size)
-    l1 = np.zeros(rows)
-    i = 0
-    for top, weight in plan:
-        count = weight.size
-        bottom = top - count + 1
-        # vec_a over |l| = bottom*n - n/2 .. top*n + n/2, and vec_c over
-        # |e| = (bottom-1)*n .. (top+1)*n - 1 and n entries more (at l_lim = 0
-        # the window view of vec_c below still needs n + n/2 - 1); both from
-        # m = 0 for the run that ends at p = 1, which the l1 = 0 row reads
-        ma = 0 if bottom == 1 else bottom * n - half
-        mc = (bottom - 1) * n
-        a = ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, top * n + half + 1 - ma, start=ma)
-        c = ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, (top + 2) * n - mc, start=mc)
-        if bottom == 1:
+    g = work[rows * n : rows * (n + width)].reshape(rows, width)
+    for run in plan.runs:
+        a = ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, run.length_a, start=run.ma)
+        c = ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, run.length_c, start=run.mc)
+        if run.near:
             near_a, near_c = a, c
+        if not run.count:  # l_lim = 0: the near run has no pairs, only its vectors
+            continue
+        count, lo = run.count, run.lo
         # |l1*n + l2| runs up from p*n - n/2 (l1 = p), down from p*n + n/2 (-p)
-        lo = bottom * n - half - ma
         up = a[lo : lo + count * n].reshape(count, n)[::-1]
         down = a[lo + 1 : lo + 1 + count * n].reshape(count, n)[::-1, ::-1]
-        # e = d + p*n (l1 = -p): forward runs; e = d - p*n (l1 = +p): reversed
-        # runs one entry lower, negated
-        runs = sliding_window_view(c, d.size)
-        fwd = runs[d[0] + n :: n][:count][::-1]
-        rev = runs[::n][:count][::-1, ::-1]
-        p = np.arange(top, bottom - 1, -1)
-        sign = (weight * (1.0 - 2.0 * (p % 2)))[:, None]  # weight*(-1)^l1, exact
-        pairs = slice(i, i + 2 * count)
-        _rows(w[pairs], down, up, sign, sign)
-        _rows(g[pairs], fwd, rev, plus_sign=-1.0)
-        _rows(l1[pairs], -p, p)
-        i += 2 * count
-    w[-1] = near_a[np.abs(np.arange(-half, half))]  # l1 = 0: A(|l2|)
+        # e = d + p*n (l1 = -p): forward runs of vec_c from 1 - n/2 + p*n; e = d - p*n
+        # (l1 = +p): reversed runs one entry lower, from (p-1)*n + width - 1, negated
+        fwd = np.ndarray((count, width), np.float64, c, 8 * (1 - half + count * n), (-8 * n, 8))
+        rev = np.ndarray((count, width), np.float64, c, 8 * ((count - 1) * n + width - 1), (-8 * n, -8))
+        _rows(w[run.pairs], down, up, run.sign, run.sign)
+        _rows(g[run.pairs], fwd, rev, plus_sign=-1.0)
+    np.take(near_a, nodes_plan.abs_l2, out=w[-1])  # l1 = 0: A(|l2|)
     w[-1, half] = 0.0  # A(0), a pole at alpha = 1: its term is added below in finite form
     # l1 = 0, gathered since e = d changes sign: C(|d + 1/2| - 1/2), negated for d < 0
-    neg = d < 0
-    g[-1] = near_c[np.invert(d, out=d, where=neg)]
-    np.negative(g[-1], out=g[-1], where=neg)
+    np.take(near_c, nodes_plan.d, out=g[-1])
+    np.negative(g[-1], out=g[-1], where=nodes_plan.neg)
     sums = work[size : size + n * n].reshape(2, n, half)
-    p0, p1 = _window_sums(w, l1, g, work[rows * (n + d.size) : size], sums)
-    k = np.arange(1, n, 2)
+    p0, p1 = _window_sums(w, plan.l1, g, work[rows * (n + width) : size], sums)
+    k = nodes_plan.k
     # A(0)'s term, (1 - alpha)*k^2*A(0)*C((k-1)/2) in the l2 sums, enters as
     # -(1 - alpha)*A(0)*k*C((k-1)/2)/(4n) on P1's l2 = 0 row
     ratio = math.gamma((1.0 + alpha) / 2.0) / math.gamma((3.0 - alpha) / 2.0)
@@ -604,6 +708,6 @@ def symbol_samples(alpha: float, n: int, l_lim: int) -> np.ndarray:
     if n < 4:
         raise ValueError(f"n must be at least 4 for the column k = 2, got {n}")
     if alpha == 1.0:
-        return _mode2_image(nodes(GridConfig(n, 1.0)), alpha)
+        return _mode2_image(_node_plan(n).s, alpha)
     p0, p1 = _column_sums(alpha, n, l_lim)
     return _series(alpha, n, np.array([2]), p0[:, None], p1[:, None], np.empty(4 * n))[:, 0]

@@ -10,7 +10,7 @@ from conftest import (
     odd_ratio_args,
     ratio_vector_long_double,
 )
-from fraclap import symbol
+from fraclap import gammaratio, symbol
 from fraclap.gammaratio import ratio_vector
 from fraclap.symbol import odd_mode_columns
 
@@ -126,6 +126,17 @@ class TestBuildTables:
         for vec, _, _ in odd_vectors(0.5, 57):
             with pytest.raises(ValueError):
                 vec[0] = 7.0
+
+    def test_shared_ramp_is_read_only_and_kept(self):
+        # every vector of a segment reads one ramp of its m, which no caller can write
+        ratio_vector(0.25, 1.5, 300, start=7)
+        ramp = gammaratio._ramp(7, 299)
+        np.testing.assert_array_equal(ramp, np.arange(7, 306, dtype=np.longdouble))
+        with pytest.raises(ValueError, match="read-only"):
+            ramp[0] = 1
+        ratio_vector(-0.5, 2.5, 300, start=7)
+        assert gammaratio._ramp(7, 299) is ramp
+        assert gammaratio._ramp.cache_info().maxsize == gammaratio._RAMPS
 
 
 class TestRationalMode2Terms:

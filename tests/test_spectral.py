@@ -4,7 +4,8 @@ from scipy.fft import dct, dst
 
 from conftest import continued, dft_oracle, series_oracle
 from fraclap.grid import Extension, GridConfig, node_positions, nodes, x_to_s
-from fraclap.spectral import evaluate, transform
+from fraclap import spectral
+from fraclap.spectral import cosine_transform, evaluate, transform
 
 PARITIES = (Extension.EVEN, Extension.ODD)
 
@@ -53,6 +54,22 @@ class TestForward:
             got = transform(u, parity)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_transforms_of_one_n_share_constants_not_work(self, rng):
+        # the order and twiddles are read-only and shared; each transform has
+        # its own work arrays, so a second one between two calls of the first
+        # changes nothing
+        order, twiddle = spectral._makhoul(16)
+        for constant in (order, twiddle):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 0
+        u, v = rng.standard_normal((2, 16))
+        first, second = cosine_transform(16), cosine_transform(16)
+        want = first(u)
+        second(v)
+        np.testing.assert_array_equal(first(u), want)
+        np.testing.assert_array_equal(transform(u, Extension.EVEN), want)
+        assert spectral._makhoul(16)[0] is order
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -591,6 +591,63 @@ class TestWorkBuffers:
         assert not np.shares_memory(out, buffers[0])
 
 
+class TestPlans:
+    """What the kernels read of n and l_lim alone is built once and shared read-only."""
+
+    def _plan_arrays(self, n, l_lim):
+        node_plan = symbol._node_plan(n)
+        weight_plan = symbol._weight_plan(n, l_lim, symbol._row_plan)
+        yield from ((f"node.{name}", getattr(node_plan, name)) for name in node_plan._fields)
+        for name in ("l1", "w0", "w1", "ramp"):
+            yield f"weight.{name}", getattr(weight_plan, name)
+        for i, run in enumerate(weight_plan.runs):
+            yield f"weight.runs[{i}].sign", run.sign
+
+    @pytest.mark.parametrize("n,l_lim", [(4, 0), (16, 40), (128, 500)])
+    def test_plan_arrays_are_read_only(self, n, l_lim):
+        for name, array in self._plan_arrays(n, l_lim):
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 7
+
+    def test_interleaved_sizes_keep_their_bytes(self):
+        # each (n, l_lim) first alone, on plans built for it from empty caches,
+        # then again between calls at the others: no entry of one n or l_lim
+        # leaks into another's results
+        def crcs(n, l_lim):
+            return (zlib.crc32(symbol_samples(0.7, n, l_lim).tobytes()),
+                    zlib.crc32(odd_mode_columns(n, 0.7, l_lim).tobytes()))
+
+        sizes = [(n, l_lim) for n in (128, 512, 1024) for l_lim in (40, 500)]
+        first = {}
+        for size in sizes:
+            symbol._node_plan.cache_clear()
+            symbol._weight_plan.cache_clear()
+            first[size] = crcs(*size)
+        for size in sizes[::-1] + sizes[1::2] + sizes[::2]:
+            assert crcs(*size) == first[size], size
+
+    def test_a_scan_builds_each_plan_once(self):
+        symbol._node_plan.cache_clear()
+        symbol._weight_plan.cache_clear()
+        for alpha in (0.3, 0.7, 1.3, 1.7):
+            symbol_samples(alpha, 256, 500)
+            odd_mode_columns(256, alpha, 500)
+            even_mode_columns(256, alpha)
+        assert symbol._node_plan.cache_info().misses == 1
+        assert symbol._weight_plan.cache_info().misses == 1
+        for cache in (symbol._node_plan, symbol._weight_plan):
+            assert cache.cache_info().maxsize == symbol._CACHED_PLANS
+
+    def test_phase_column_is_the_dft_order(self):
+        # exp(i*pi*l2/n) with l2 = 0 in row 0, and the even block's phases exp(i*pi*i/n) in front
+        n = 16
+        l2 = np.r_[0:n // 2, -n // 2:0]
+        phase = symbol._node_plan(n).phase[:, 0]
+        np.testing.assert_array_equal(phase, np.exp(1j * np.pi * l2 / n))
+        np.testing.assert_array_equal(phase[: n // 2 - 1], np.exp(1j * np.pi * np.arange(n // 2 - 1) / n))
+
+
 class TestEvenModeColumns:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.0 - 1e-4, 1.0 + 1e-4, 1.5, 1.95])
     @pytest.mark.parametrize("n", [16, 32, 64])
