@@ -32,7 +32,6 @@ from fraclap.symbol import fractional_constant, symbol_samples
 from fraclap.opmatrix import (
     MatrixCacheError,
     MatrixFormatError,
-    MatrixMeta,
     OperatorMatrix,
     apply,
     apply_sample_operator,
@@ -83,7 +82,6 @@ __all__ = [
     "fractional_constant",
     "symbol_samples",
     "OperatorMatrix",
-    "MatrixMeta",
     "MatrixCacheError",
     "MatrixFormatError",
     "build_matrix",

@@ -318,9 +318,9 @@ def run_simulation(run: FisherRun, matrix: OperatorMatrix) -> FisherResult:
     """
     from time import perf_counter  # here, so that import fraclap gains no module-level import
 
-    cfg, meta = run.cfg, matrix.meta
+    cfg = run.cfg
     wanted = {"n": cfg.n, "alpha": run.alpha, "l_lim": run.l_lim}
-    differ = [name for name, value in wanted.items() if getattr(meta, name) != value]
+    differ = [name for name, value in wanted.items() if getattr(matrix, name) != value]
     if differ:
         raise ValueError(f"matrix was built for a different {', '.join(differ)}")
     t_start = perf_counter()

@@ -38,7 +38,7 @@ The binary cache format (version 7) is a fixed 64-byte little-endian header
 followed by the n*(n-1) complex128 entries of the unit-scale block in
 row-major order and a trailing 8-byte CRC32 of header plus payload.  Round
 trips are bit exact.  An intact file of any other version raises
-:class:`MatrixFormatError` (README lists what versions 1-6 held).
+:class:`MatrixFormatError`.
 """
 
 from __future__ import annotations
@@ -69,30 +69,28 @@ class MatrixFormatError(MatrixCacheError):
 
 
 @dataclass(frozen=True)
-class MatrixMeta:
-    """What the unit-scale block depends on: order, node count, truncation."""
+class OperatorMatrix:
+    """The unit-scale operator's stored block: n physical rows, columns k = 1..n-1.
 
+    n is the block's row count; ``alpha`` and ``l_lim`` are the order and
+    truncation it was built for, checked with n by
+    :func:`fraclap.symbol.check_block`.
+    """
+
+    entries: np.ndarray
     alpha: float
-    n: int
     l_lim: int
 
     def __post_init__(self) -> None:
+        ent = np.asarray(self.entries, dtype=np.complex128)
+        if ent.ndim != 2 or ent.shape[1] != ent.shape[0] - 1:
+            raise ValueError(f"expected shape (n, n - 1), got {ent.shape}")
+        object.__setattr__(self, "entries", ent)
         check_block(self.n, self.alpha, self.l_lim)
 
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """The unit-scale operator's stored block: n physical rows, columns k = 1..n-1."""
-
-    entries: np.ndarray
-    meta: MatrixMeta
-
-    def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=np.complex128)
-        n = self.meta.n
-        if ent.shape != (n, n - 1):
-            raise ValueError(f"expected shape ({n}, {n - 1}), got {ent.shape}")
-        object.__setattr__(self, "entries", ent)
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
@@ -107,18 +105,17 @@ def build_matrix(cfg: GridConfig, alpha: float, l_lim: int) -> OperatorMatrix:
     entries do not depend on the caller's BLAS thread count (where numpy's
     OpenBLAS has no thread setter the pin is a no-op).
     """
-    meta = MatrixMeta(alpha=alpha, n=cfg.n, l_lim=l_lim)
     entries = np.empty((cfg.n, cfg.n - 1), dtype=np.complex128)  # column k at index k - 1
     entries[:, 0::2] = odd_mode_columns(cfg.n, alpha, l_lim)
     entries[:, 1::2] = even_mode_columns(cfg.n, alpha)
-    return OperatorMatrix(entries, meta)
+    return OperatorMatrix(entries, alpha, l_lim)
 
 
 def _scale(matrix: OperatorMatrix, cfg: GridConfig) -> float:
     """L^(-alpha): the factor of the unit-scale block on the grid ``cfg``."""
-    if cfg.n != matrix.meta.n:
-        raise ValueError(f"matrix has n = {matrix.meta.n}, grid has n = {cfg.n}")
-    return cfg.l_scale ** -matrix.meta.alpha
+    if cfg.n != matrix.n:
+        raise ValueError(f"matrix has n = {matrix.n}, grid has n = {cfg.n}")
+    return cfg.l_scale ** -matrix.alpha
 
 
 def apply(matrix: OperatorMatrix, coeffs, cfg: GridConfig) -> np.ndarray:
@@ -225,8 +222,7 @@ def save_matrix(matrix: OperatorMatrix, path) -> None:
     leaves no partial cache, and saves to one path never share a temporary
     (the last rename wins).  A failed write or rename deletes it.
     """
-    meta = matrix.meta
-    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, meta.n, meta.l_lim, meta.alpha)
+    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, matrix.n, matrix.l_lim, matrix.alpha)
     payload = memoryview(np.ascontiguousarray(matrix.entries)).cast("B")  # no copy of a C-ordered block
     checksum = zlib.crc32(payload, zlib.crc32(header))
     k = 0
@@ -273,7 +269,7 @@ def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) 
     if stored != actual:
         raise MatrixCacheError(f"{path}: checksum mismatch (corrupt file)")
     try:
-        meta = MatrixMeta(alpha=alpha, n=n, l_lim=l_lim)
+        check_block(n, alpha, l_lim)
     except ValueError as exc:
         raise MatrixCacheError(f"{path}: invalid header ({exc})") from exc
     for name, got, want in (("n", n, expect_n), ("alpha", alpha, expect_alpha),
@@ -285,7 +281,7 @@ def load_matrix(path, *, expect_n: int, expect_alpha: float, expect_l_lim: int) 
     if len(payload) != n * (n - 1) * 16:
         raise MatrixCacheError(f"{path}: payload size does not match n = {n}")
     entries = np.frombuffer(raw, np.complex128, n * (n - 1), _HEADER.size).reshape(n, n - 1)
-    return OperatorMatrix(entries=entries, meta=meta)
+    return OperatorMatrix(entries, alpha, l_lim)
 
 
 def column_checksums(matrix: OperatorMatrix) -> list[int]:

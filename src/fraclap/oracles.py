@@ -200,10 +200,13 @@ def quadrature_fraclap(f: TestFunction, x: float, alpha: float):
     summed error estimate must be at most 1e-9, and where |x| > 2, where
     the values decay, also at most 1e-7 of the value: failing that, the
     integrals are redone to a tolerance scaled to the value, then
-    :class:`QuadratureError` is raised.  A profile whose value at x is
-    complex is integrated as a complex function.
+    :class:`QuadratureError` is raised; a NaN estimate fails both.  A
+    profile whose value at x is complex is integrated as a complex
+    function.  Raises ValueError for a non-finite x, before any integral.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     c = fractional_constant(alpha)  # checks alpha before 1/(2 - alpha) is formed
     r = max(1.0, abs(x) / 2.0)
     if alpha == 1.0:
@@ -234,9 +237,9 @@ def quadrature_fraclap(f: TestFunction, x: float, alpha: float):
     far_out = r > 1.0  # the values decay: accept them relative to themselves too
     is_complex = np.iscomplexobj(f.u(x))
     total, err = _quad_sum(pieces, is_complex, _QUAD_TOL / 10)
-    if far_out and err > _QUAD_REL * abs(total):
+    if far_out and not err <= _QUAD_REL * abs(total):
         total, err = _quad_sum(pieces, is_complex, _QUAD_REL * abs(total) / 10)
-    if err > _QUAD_TOL or far_out and err > _QUAD_REL * abs(total):
+    if not err <= _QUAD_TOL or far_out and not err <= _QUAD_REL * abs(total):
         raise QuadratureError(
             f"quadrature error estimate {err:.2e} exceeds {_QUAD_TOL} or {_QUAD_REL} of the value")
     return factor * total
@@ -294,15 +297,14 @@ def mode1_error(matrix: OperatorMatrix) -> float:
     The column, a truncated series at the block's l_lim, is compared with
     :func:`closed_form_mode1` at the n nodes, both at unit scale.
     """
-    meta = matrix.meta
-    exact = closed_form_mode1(nodes(GridConfig(meta.n, 1.0)), meta.alpha)
+    exact = closed_form_mode1(nodes(GridConfig(matrix.n, 1.0)), matrix.alpha)
     return float(np.max(np.abs(matrix.entries[:, 0] - exact)))
 
 
 def _gaussian_error(matrix: OperatorMatrix, cfg: GridConfig) -> float:
     x = node_positions(cfg)
     numeric = fractional_laplacian(np.exp(-x * x), matrix, cfg)
-    return float(np.max(np.abs(numeric - closed_form_gaussian(x, matrix.meta.alpha))))
+    return float(np.max(np.abs(numeric - closed_form_gaussian(x, matrix.alpha))))
 
 
 def error_scan(target: str, cfg: GridConfig, l_lim: int, alphas) -> ErrorScan:

@@ -88,8 +88,8 @@ What depends on n and l_lim alone is built once and kept, read-only, for
 every alpha that follows: the nodes, |sin s|, the l2 ramp and its phases
 in the DFT's order, the l1 = 0 rows' gather indices and the k = 2
 column's l1 = 0 row of m (:func:`_node_plan`, per n), and the row plan
-laid out at n, with its signs, its l1 vector and the k = 2 column's
-weights, chunk walk and ramp (:func:`_weight_plan`, per (n, l_lim)).
+laid out at n, each run with its weights, and its l1 vector and the
+k = 2 column's ramp (:func:`_weight_plan`, per (n, l_lim)).
 Each cache keeps at most _CACHED_PLANS entries: 0.3 to 0.37 MB for one
 (n, l_lim) at n = 1024.  Beyond these and the m ramps of the ratio
 vectors' segments (:mod:`fraclap.gammaratio`) nothing is kept between
@@ -100,10 +100,9 @@ the buffer or of a plan.  The odd block's buffer is
 larger than all the call's other arrays together: glibc's malloc trims
 the top of its heap once it exceeds twice the largest block it has
 unmapped, so a buffer that dominates the call keeps its pages resident
-from one call to the next, while one that held only W and G (297 KB at
-n = 128 with the 97 rows of the earlier Euler plan) let about 160 pages be
-faulted in afresh per call.
-The k = 2 column's buffer, and each of its five rows, starts on a 64-byte
+from one call to the next, while one that held only W and G let about
+160 pages be faulted in afresh per call.
+The k = 2 column's buffer, and each of its four rows, starts on a 64-byte
 cache line (:func:`aligned_empty`): its chunk passes stream their operands
 as they lie and ran slower off a line, while BLAS packs a GEMM's operands,
 so the odd block's buffer is not aligned.  (The plan's ramp, read once
@@ -226,27 +225,25 @@ def _node_plan(n: int) -> _NodePlan:
 
 
 class _Run(NamedTuple):
-    """One run of the row plan as the odd block lays it out at n (:func:`_weight_plan`)."""
+    """One run of the row plan laid out at n (:func:`_weight_plan`), its pairs p = top .. bottom."""
 
-    pairs: slice  # its rows of W and G: l1 = -p, then +p, for p = top .. bottom
+    pairs: slice  # its rows of the odd block's W and G: l1 = -p, then +p, for each p
+    top: int
     count: int  # its pairs
-    near: bool  # it ends at p = 1: its vectors, from m = 0, serve the l1 = 0 row too
     ma: int  # vec_a from m = ma, length_a entries
     length_a: int
     mc: int  # vec_c from m = mc, length_c entries
     length_c: int
     lo: int  # the entry of vec_a at |l| = bottom*n - n/2
-    sign: np.ndarray  # weight*(-1)^p, exact, as a (count, 1) column
+    sign: np.ndarray  # w0 = weight*(-1)^p of each pair, exact
+    w1: np.ndarray  # w0*p, rounded once: the k = 2 column's P1 weights
 
 
 class _WeightPlan(NamedTuple):
     """The row plan laid out at n for both series kernels (:func:`_weight_plan`), arrays read-only."""
 
-    runs: tuple  # the odd block's _Run per run of the plan
+    runs: tuple  # a _Run per run of the plan; the last ends at p = 1
     l1: np.ndarray  # l1 of every row of the odd block, l1 = 0 last
-    w0: np.ndarray  # weight*(-1)^p of every pair in the plan's order
-    w1: np.ndarray  # w0*p, rounded once
-    chunks: tuple  # the k = 2 column's (top, count) of each chunk, in summation order
     ramp: np.ndarray  # 0, 1, ..., the k = 2 chunk size + 4, in float64
 
 
@@ -264,7 +261,8 @@ def _weight_plan(n: int, l_lim: int, row_plan) -> _WeightPlan:
     plan = row_plan(l_lim)
     p = np.concatenate([np.arange(top, top - weight.size, -1) for top, weight in plan])
     w0 = np.concatenate([weight for _, weight in plan]) * (1.0 - 2.0 * (p % 2))
-    w0.flags.writeable = False  # before the runs take their signs as views of it
+    w1 = w0 * p
+    _frozen(w0=w0, w1=w1)  # before the runs take their weights as views of them
     l1 = np.zeros(2 * p.size + 1)
     runs, i = [], 0
     for top, weight in plan:
@@ -275,17 +273,14 @@ def _weight_plan(n: int, l_lim: int, row_plan) -> _WeightPlan:
         # m = 0 for the run that ends at p = 1, which the l1 = 0 row reads
         ma = 0 if bottom == 1 else bottom * n - half
         mc = (bottom - 1) * n
-        pairs = slice(2 * i, 2 * (i + count))
-        _rows(l1[pairs], -p[i : i + count], p[i : i + count])
-        runs.append(_Run(pairs, count, bottom == 1, ma, top * n + half + 1 - ma, mc, (top + 2) * n - mc,
-                         bottom * n - half - ma, w0[i : i + count, None]))
+        pairs, here = slice(2 * i, 2 * (i + count)), slice(i, i + count)
+        _rows(l1[pairs], -p[here], p[here])
+        runs.append(_Run(pairs, top, count, ma, top * n + half + 1 - ma, mc, (top + 2) * n - mc,
+                         bottom * n - half - ma, w0[here], w1[here]))
         i += count
-    rows = max(1, _CHUNK // n)
-    chunks = tuple((top, min(rows, top - run + weight.size))
-                   for run, weight in plan for top in range(run, run - weight.size, -rows))
-    size = min(rows, max(weight.size for _, weight in plan)) * n
-    arrays = _frozen(l1=l1, w1=w0 * p, ramp=np.arange(size + 5, dtype=np.float64))
-    return _WeightPlan(runs=tuple(runs), w0=w0, chunks=chunks, **arrays)
+    size = min(max(1, _CHUNK // n), max(weight.size for _, weight in plan)) * n
+    arrays = _frozen(l1=l1, ramp=np.arange(size + 5, dtype=np.float64))
+    return _WeightPlan(runs=tuple(runs), **arrays)
 
 
 def fractional_constant(alpha: float) -> float:
@@ -501,17 +496,19 @@ def _mode2_zero(alpha: float, n: int) -> np.ndarray:
 def _mode2_chunks(alpha: float, n: int, l_lim: int):
     """Yield the k = 2 column's terms for the pairs p of :func:`_row_plan`, a chunk of _CHUNK // n rows at a time.
 
-    The chunks are walked in summation order: run by run of the plan, and
-    within a run top, top - rows, ..., largest p first, with the run's
-    short chunk, if any, last (the walk of :func:`_weight_plan`).  Each
-    chunk is (top, t_minus, t_plus, spare): three (count, n) views of one
-    work buffer that the next chunk reuses, row r at p = top - r and column
-    j at l2 = j - n/2.  t- holds the terms of l1 = -p, t+ those of l1 = +p,
-    and ``spare`` is free for the caller.  The buffer is one
-    :func:`aligned_empty` array of five rows, each of size + 5 entries
-    (size = min(_CHUNK // n, longest run)*n) padded to whole cache lines,
-    so each row starts on a line: the spare, L, R, t- and the pair
-    products; the ramp j is the plan's.  No gamma ratio is evaluated: the two ratios
+    The chunks are walked in summation order: run by run of the plan
+    (:func:`_weight_plan`), and within a run top, top - rows, ...,
+    largest p first, with the run's short chunk, if any, last.  Each chunk
+    is (top, w0, w1, t_minus, t_plus, spare): the run's weights of its
+    pairs, w0 = weight*(-1)^p and w1 = w0*p (read-only views of the plan),
+    and three (count, n) views of one work buffer that the next chunk
+    reuses, row r at p = top - r and column j at l2 = j - n/2.  t- holds
+    the terms of l1 = -p, t+ those of l1 = +p, and ``spare`` is free for
+    the caller.  The buffer is one :func:`aligned_empty` array of four
+    rows, each of size + 5 entries (size = min(_CHUNK // n, longest run)*n)
+    padded to whole cache lines, so each row starts on a line: L, R, t- and
+    the pair products; the spare is the L row, free once the terms are
+    formed, and the ramp j is the plan's.  No gamma ratio is evaluated: the two ratios
     of a k = 2 term differ by exactly 2 in their arguments
     (b_A - a_B = b_B - a_A = 2), so Gamma(z + 1) = z*Gamma(z) cancels them.
     With c = (1 - alpha)/2, e = (1 + alpha)/2 = 1 - c, L(m) = m - c and
@@ -534,25 +531,29 @@ def _mode2_chunks(alpha: float, n: int, l_lim: int):
     c = (1.0 - alpha) / 2.0
     plan = _weight_plan(n, l_lim, _row_plan)
     ramp = plan.ramp
+    rows = max(1, _CHUNK // n)
     span = -(-ramp.size // 8) * 8  # size + 5 entries, rounded up to whole cache lines
     # lo and hi hold L and R at m = M + 2 - j
-    spare, lo, hi, t_minus, pairs = aligned_empty((5, span))[:, : ramp.size]
-    for top, count in plan.chunks:
-        k = count * n
-        lf, rf = lo[: k + 5], hi[: k + 5]
-        np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
-        np.subtract(rf, c, out=lf)
-        rf += c
-        tm, q = t_minus[:k], pairs[:k]
-        np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
-        np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
-        np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
-        tm *= lf[2 : k + 2]
-        q *= lf[3 : k + 3]
-        np.divide(1.0, tm, out=tm)
-        tp = rf[:k].reshape(count, n)
-        np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
-        yield top, tm.reshape(count, n), tp, spare[:k].reshape(count, n)
+    lo, hi, t_minus, pairs = aligned_empty((4, span))[:, : ramp.size]
+    for run in plan.runs:
+        for r in range(0, run.count, rows):
+            top, count = run.top - r, min(rows, run.count - r)
+            k = count * n
+            lf, rf = lo[: k + 5], hi[: k + 5]
+            np.subtract(top * n + half + 2, ramp[: k + 5], out=rf)  # m, exact
+            np.subtract(rf, c, out=lf)
+            rf += c
+            tm, q = t_minus[:k], pairs[:k]
+            np.multiply(lf[:k], lf[1 : k + 1], out=tm)  # at m = M - i: L(m+2)*L(m+1)
+            np.multiply(rf[4 : k + 4], rf[5 : k + 5], out=q)  # at m = M - 1 - i: R(m-1)*R(m-2)
+            np.multiply(lf[2 : k + 3], rf[2 : k + 3], out=lf[2 : k + 3])  # L(m)*R(m)
+            tm *= lf[2 : k + 2]
+            q *= lf[3 : k + 3]
+            np.divide(1.0, tm, out=tm)
+            tp = rf[:k].reshape(count, n)
+            np.divide(1.0, q.reshape(count, n)[:, ::-1], out=tp)
+            weights = slice(r, r + count)
+            yield top, run.sign[weights], run.w1[weights], tm.reshape(count, n), tp, lf[:k].reshape(count, n)
 
 
 def _column_sums(alpha: float, n: int, l_lim: int):
@@ -562,25 +563,20 @@ def _column_sums(alpha: float, n: int, l_lim: int):
     pairs p of :func:`_row_plan` in its order, largest p first within each
     run, and so do each chunk's rows.  A chunk's terms t- of l1 = -p and
     t+ of l1 = +p are fused into P0 rows t- + t+ and P1 rows t+ - t-, and
-    reduced with one dot against w0 = weight*(-1)^p and w1 = w0*p (rounded
-    once, since a CVZ weight times p need not be a double), on one OpenBLAS
-    thread (:func:`_one_blas_thread`); the two dots
-    are added into P0 and P1 as the chunk arrives.  The l1 = 0 row
+    reduced with one dot against the chunk's w0 = weight*(-1)^p and
+    w1 = w0*p (rounded once, since a CVZ weight times p need not be a
+    double), on one OpenBLAS thread (:func:`_one_blas_thread`); the two
+    dots are added into P0 and P1 as the chunk arrives.  The l1 = 0 row
     (:func:`_mode2_zero`) is added to P0 last; it has no share in P1.
     """
-    plan = _weight_plan(n, l_lim, _row_plan)
-    w0, w1 = plan.w0, plan.w1
     p0 = np.zeros(n)
     p1 = np.zeros(n)
-    i = 0  # row i of w0 holds the chunk's first pair: the chunks walk p in the plan's order
     with _one_blas_thread():
-        for _, tm, tp, diff in _mode2_chunks(alpha, n, l_lim):
-            chunk = slice(i, i + len(tp))
-            i += len(tp)
+        for _, w0, w1, tm, tp, diff in _mode2_chunks(alpha, n, l_lim):
             np.subtract(tp, tm, out=diff)
             np.add(tm, tp, out=tp)
-            p0 += w0[chunk] @ tp
-            p1 += w1[chunk] @ diff
+            p0 += w0 @ tp
+            p1 += w1 @ diff
     p0 += _mode2_zero(alpha, n)
     return p0, p1
 
@@ -660,8 +656,6 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     for run in plan.runs:
         a = ratio_vector((-1.0 + alpha) / 2.0, (3.0 - alpha) / 2.0, run.length_a, start=run.ma)
         c = ratio_vector(-alpha / 2.0, 2.0 + alpha / 2.0, run.length_c, start=run.mc)
-        if run.near:
-            near_a, near_c = a, c
         if not run.count:  # l_lim = 0: the near run has no pairs, only its vectors
             continue
         count, lo = run.count, run.lo
@@ -672,12 +666,14 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
         # (l1 = +p): reversed runs one entry lower, from (p-1)*n + width - 1, negated
         fwd = np.ndarray((count, width), np.float64, c, 8 * (1 - half + count * n), (-8 * n, 8))
         rev = np.ndarray((count, width), np.float64, c, 8 * ((count - 1) * n + width - 1), (-8 * n, -8))
-        _rows(w[run.pairs], down, up, run.sign, run.sign)
+        sign = run.sign[:, None]
+        _rows(w[run.pairs], down, up, sign, sign)
         _rows(g[run.pairs], fwd, rev, plus_sign=-1.0)
-    np.take(near_a, nodes_plan.abs_l2, out=w[-1])  # l1 = 0: A(|l2|)
+    # the last run ends at p = 1: its vectors, from m = 0, serve the l1 = 0 row too
+    np.take(a, nodes_plan.abs_l2, out=w[-1])  # l1 = 0: A(|l2|)
     w[-1, half] = 0.0  # A(0), a pole at alpha = 1: its term is added below in finite form
     # l1 = 0, gathered since e = d changes sign: C(|d + 1/2| - 1/2), negated for d < 0
-    np.take(near_c, nodes_plan.d, out=g[-1])
+    np.take(c, nodes_plan.d, out=g[-1])
     np.negative(g[-1], out=g[-1], where=nodes_plan.neg)
     sums = work[size : size + n * n].reshape(2, n, half)
     p0, p1 = _window_sums(w, plan.l1, g, work[rows * (n + width) : size], sums)
@@ -685,7 +681,7 @@ def odd_mode_columns(n: int, alpha: float, l_lim: int) -> np.ndarray:
     # A(0)'s term, (1 - alpha)*k^2*A(0)*C((k-1)/2) in the l2 sums, enters as
     # -(1 - alpha)*A(0)*k*C((k-1)/2)/(4n) on P1's l2 = 0 row
     ratio = math.gamma((1.0 + alpha) / 2.0) / math.gamma((3.0 - alpha) / 2.0)
-    p1[half] += ratio / (2 * n) * k * near_c[:half]
+    p1[half] += ratio / (2 * n) * k * c[:half]
     return _series(alpha, n, k, p0, p1, work[size + n * n :])
 
 

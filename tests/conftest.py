@@ -169,7 +169,7 @@ def mode2_chunk_errors(alpha: float, n: int, l_lim: int, rng, per_chunk: int = 8
     zero_err = max(abs(zero[j] / mode2_term_ref(alpha, n, 0, int(j) - half) - 1) for j in nodes_)
     term_err = 0.0
     walked = []
-    for top, t_minus, t_plus, _ in symbol._mode2_chunks(alpha, n, l_lim):
+    for top, _, _, t_minus, t_plus, _ in symbol._mode2_chunks(alpha, n, l_lim):
         count = len(t_minus)
         assert count >= 1
         walked += range(top, top - count, -1)

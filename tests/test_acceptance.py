@@ -226,7 +226,7 @@ def fisher_matrices():
 def _front_trace(cfg, matrix, alpha, t_final, window=None):
     run = FisherRun(
         cfg=cfg, alpha=alpha, dt=0.01, t_final=t_final,
-        l_lim=matrix.meta.l_lim, sample_stride=10, fit_window=window,
+        l_lim=matrix.l_lim, sample_stride=10, fit_window=window,
     )
     return run_simulation(run, matrix).trace
 

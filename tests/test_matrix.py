@@ -20,7 +20,7 @@ from fraclap.grid import Extension, GridConfig, node_positions, nodes
 from fraclap.opmatrix import (
     MatrixCacheError,
     MatrixFormatError,
-    MatrixMeta,
+    OperatorMatrix,
     apply,
     apply_sample_operator,
     build_matrix,
@@ -360,10 +360,16 @@ class TestFractionalLaplacian:
 
 
 class TestMatrixMeta:
-    @pytest.mark.parametrize("n, l_lim", [(4.0, 2), (4, 2.5), (4, True)], ids=["float-n", "float-l_lim", "bool-l_lim"])
-    def test_non_integer_field_rejected(self, n, l_lim):
+    @pytest.mark.parametrize("l_lim", [2.5, True], ids=["float-l_lim", "bool-l_lim"])
+    def test_non_integer_field_rejected(self, l_lim):
         with pytest.raises(TypeError, match="must be an integer"):
-            MatrixMeta(alpha=1.0, n=n, l_lim=l_lim)
+            OperatorMatrix(np.zeros((4, 3)), alpha=1.0, l_lim=l_lim)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 2), (12,), (2, 2, 1)], ids=str)
+    def test_block_not_n_by_n_minus_1_rejected(self, shape):
+        # n is the block's row count, so only the column count can disagree with it
+        with pytest.raises(ValueError, match="expected shape"):
+            OperatorMatrix(np.zeros(shape), alpha=1.0, l_lim=2)
 
 
 class TestCacheFile:
@@ -372,7 +378,7 @@ class TestCacheFile:
         save_matrix(small_matrix, path)
         again = load_matrix(path, **SMALL_KEY)
         np.testing.assert_array_equal(again.entries, small_matrix.entries)
-        assert again.meta == small_matrix.meta
+        assert (again.n, again.alpha, again.l_lim) == (small_matrix.n, small_matrix.alpha, small_matrix.l_lim)
 
     def test_expectation_mismatch(self, small_matrix, tmp_path):
         # each of n, alpha (to the last bit) and l_lim on its own

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fraclap import oracles
 from fraclap.grid import Extension, GridConfig, nodes
 from fraclap.opmatrix import build_matrix
 from fraclap.oracles import (
@@ -189,6 +190,23 @@ class TestQuadrature:
         # alpha is checked before 1/(2 - alpha) is formed
         with pytest.raises(ValueError, match="alpha"):
             quadrature_fraclap(test_function("u3_gaussian"), 0.5, 2.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_non_finite_x_is_a_value_error(self, monkeypatch, x, alpha):
+        # refused before any integral: at +-inf the pieces sum to NaN, at NaN the far piece divides by zero
+        def no_integral(*args):
+            raise AssertionError("an integral was computed")
+
+        monkeypatch.setattr(oracles, "_quad_sum", no_integral)
+        with pytest.raises(ValueError, match="x must be finite"):
+            quadrature_fraclap(test_function("u3_gaussian"), x, alpha)
+
+    @pytest.mark.parametrize("x", [0.5, 10.0], ids=["near", "far"])
+    def test_nan_error_estimate_fails(self, monkeypatch, x):
+        monkeypatch.setattr(oracles, "_quad_sum", lambda *args: (1.0, math.nan))
+        with pytest.raises(QuadratureError):
+            quadrature_fraclap(test_function("u3_gaussian"), x, 0.7)
 
 
 class TestProgression:

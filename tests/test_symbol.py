@@ -567,15 +567,28 @@ class TestWorkBuffers:
     @pytest.mark.parametrize("l_lim", [49, 500, 10**6])
     def test_k2_chunks_cover_the_plan_rows_at_any_l_lim(self, l_lim):
         # past l_lim = 48 the k = 2 column forms the pairs l_lim+8..l_lim+1 and 24..1
-        walked = [top - r for top, t_minus, *_ in symbol._mode2_chunks(0.5, 1024, l_lim)
+        walked = [top - r for top, _, _, t_minus, *_ in symbol._mode2_chunks(0.5, 1024, l_lim)
                   for r in range(len(t_minus))]
         assert walked == [*range(l_lim + 8, l_lim, -1), *range(24, 0, -1)]
+
+    @pytest.mark.parametrize("n,l_lim", [(1024, 500), (2048, 40)])
+    def test_k2_chunk_weights_follow_their_rows(self, monkeypatch, n, l_lim):
+        # one row per chunk: a weight slice off by one row would flip the sign
+        # (-1)^p of every pair and move the column far past the bound
+        whole = symbol_samples(0.7, n, l_lim)
+        symbol._weight_plan.cache_clear()  # the plan's ramp is sized by the chunk
+        monkeypatch.setattr(symbol, "_CHUNK", 1)
+        try:
+            split = symbol_samples(0.7, n, l_lim)
+        finally:
+            symbol._weight_plan.cache_clear()
+        assert np.max(np.abs(split - whole)) <= 1e-15 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("n,l_lim", [(6, 7), (1024, 500)])
     def test_k2_sections_start_on_a_cache_line(self, n, l_lim):
         # the chunk terms and the spare are views of three sections of the work buffer
-        for _, *views in symbol._mode2_chunks(0.5, n, l_lim):
-            for view in views:
+        for *_, t_minus, t_plus, spare in symbol._mode2_chunks(0.5, n, l_lim):
+            for view in (t_minus, t_plus, spare):
                 assert view.ctypes.data % 64 == 0
 
     def test_k2_result_is_not_a_view_of_its_buffer(self, monkeypatch):
@@ -598,10 +611,11 @@ class TestPlans:
         node_plan = symbol._node_plan(n)
         weight_plan = symbol._weight_plan(n, l_lim, symbol._row_plan)
         yield from ((f"node.{name}", getattr(node_plan, name)) for name in node_plan._fields)
-        for name in ("l1", "w0", "w1", "ramp"):
+        for name in ("l1", "ramp"):
             yield f"weight.{name}", getattr(weight_plan, name)
         for i, run in enumerate(weight_plan.runs):
             yield f"weight.runs[{i}].sign", run.sign
+            yield f"weight.runs[{i}].w1", run.w1
 
     @pytest.mark.parametrize("n,l_lim", [(4, 0), (16, 40), (128, 500)])
     def test_plan_arrays_are_read_only(self, n, l_lim):
